@@ -36,6 +36,7 @@
 open Cmdliner
 module U = Ac3_core.Universe
 module S = Ac3_core.Scenarios
+module D = Ac3_core.Driver
 module A = Ac3_core.Ac3wn
 module H = Ac3_core.Herlihy
 module N = Ac3_core.Nolan
@@ -182,67 +183,53 @@ let scenario_setup ~scenario ~parties ~seed =
       U.run_until u 100.0;
       (u, ps, S.supply_chain_graph ~chains ids ~timestamp:(U.now u))
 
-let report_outcome ~trace ~outcome ~atomic ~committed ~latency ~delta =
-  Fmt.pr "@.Trace:@.%a@." Ac3_sim.Trace.pp trace;
-  Fmt.pr "Outcome: %a@." Ac3_core.Outcome.pp outcome;
-  Fmt.pr "committed = %b, atomic = %b@." committed atomic;
-  (match latency with
-  | Some l -> Fmt.pr "latency = %.1f virtual s = %.2f Δ@." l (l /. delta)
-  | None -> Fmt.pr "did not complete within the timeout@.");
-  if atomic then 0 else 3
+(* One protocol run over a scenario. With [crash] the second participant
+   crashes at the protocol's critical moment (under AC3WN it recovers
+   2000 s later and still redeems). *)
+let execute_protocol ~crash u participants graph protocol =
+  let crash_at label =
+    if crash then [ (label, fun () -> P.crash (List.nth participants 1)) ] else []
+  in
+  match protocol with
+  | Ac3wn ->
+      let config =
+        { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
+      in
+      (if crash then
+         ignore
+           (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
+                P.recover (List.nth participants 1))));
+      A.execute u ~config ~graph ~participants ~hooks:(crash_at "authorize_redeem_submitted") ()
+  | Herlihy | Nolan ->
+      let config = { (H.default_config ~delta:(U.max_delta u)) with H.timeout = 100_000.0 } in
+      let hooks = crash_at "redeem:1" in
+      if protocol = Nolan then N.execute u ~config ~graph ~participants ~hooks ()
+      else H.execute u ~config ~graph ~participants ~hooks ()
+  | Ac3tw ->
+      let trent = Ac3_core.Trent.create u ~name:"trent" in
+      let config = { T.default_config with T.timeout = 50_000.0 } in
+      T.execute u ~config ~trent ~graph ~participants ()
+
+let refused e =
+  Fmt.epr "protocol refused the graph: %s@." e;
+  1
 
 let run_swap protocol scenario parties seed crash verbose metrics_out trace_out =
   setup_logs verbose;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
   Fmt.pr "Graph: %a@." Ac2t.pp graph;
   Fmt.pr "Shape: %a, Diam(D) = %d@." Ac2t.pp_shape (Ac2t.classify graph) (Ac2t.diameter graph);
-  let delta = U.max_delta u in
-  let crash_bob_hook label =
-    if crash then begin
-      let bob = List.nth participants 1 in
-      [ (label, fun () -> P.crash bob) ]
-    end
-    else []
-  in
   let code =
-    match protocol with
-    | Ac3wn ->
-        let config =
-          { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
-        in
-        let hooks = crash_bob_hook "authorize_redeem_submitted" in
-        (* With AC3WN a crashed participant can recover and still redeem. *)
-        (if crash then
-           ignore
-             (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
-                  P.recover (List.nth participants 1))));
-        let r = A.execute u ~config ~graph ~participants ~hooks () in
-        report_outcome ~trace:r.A.trace ~outcome:r.A.outcome ~atomic:r.A.atomic
-          ~committed:r.A.committed ~latency:r.A.latency ~delta
-    | Herlihy | Nolan -> (
-        let config = { (H.default_config ~delta) with H.timeout = 100_000.0 } in
-        let hooks = crash_bob_hook "redeem:1" in
-        let result =
-          if protocol = Nolan then Ok (N.execute u ~config ~graph ~participants ~hooks ())
-          else H.execute u ~config ~graph ~participants ~hooks ()
-        in
-        match result with
-        | Error e ->
-            Fmt.epr "protocol refused the graph: %s@." e;
-            1
-        | Ok r ->
-            report_outcome ~trace:r.H.trace ~outcome:r.H.outcome ~atomic:r.H.atomic
-              ~committed:r.H.committed ~latency:r.H.latency ~delta)
-    | Ac3tw -> (
-        let trent = Ac3_core.Trent.create u ~name:"trent" in
-        let config = { T.default_config with T.timeout = 50_000.0 } in
-        match T.execute u ~config ~trent ~graph ~participants () with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            1
-        | Ok r ->
-            report_outcome ~trace:r.T.trace ~outcome:r.T.outcome ~atomic:r.T.atomic
-              ~committed:r.T.committed ~latency:r.T.latency ~delta)
+    match execute_protocol ~crash u participants graph protocol with
+    | Error e -> refused e
+    | Ok r ->
+        Fmt.pr "@.Trace:@.%a@." Ac3_sim.Trace.pp r.D.trace;
+        Fmt.pr "Outcome: %a@." Ac3_core.Outcome.pp r.D.outcome;
+        Fmt.pr "committed = %b, atomic = %b@." r.D.committed r.D.atomic;
+        (match r.D.latency with
+        | Some l -> Fmt.pr "latency = %.1f virtual s = %.2f Δ@." l (l /. U.max_delta u)
+        | None -> Fmt.pr "did not complete within the timeout@.");
+        if r.D.atomic then 0 else 3
   in
   U.snapshot_metrics u;
   export_obs ?metrics_out ?trace_out (U.obs u);
@@ -1221,34 +1208,10 @@ let run_metrics protocol scenario parties seed metrics_out trace_out profile =
   setup_logs false;
   if profile then Ac3_fast.Profile.enable ();
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
-  let delta = U.max_delta u in
-  let atomic =
-    match protocol with
-    | Ac3wn ->
-        let config =
-          { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
-        in
-        let r = A.execute u ~config ~graph ~participants () in
-        r.A.atomic
-    | Herlihy | Nolan -> (
-        let config = { (H.default_config ~delta) with H.timeout = 100_000.0 } in
-        let result =
-          if protocol = Nolan then Ok (N.execute u ~config ~graph ~participants ())
-          else H.execute u ~config ~graph ~participants ()
-        in
-        match result with
-        | Error e ->
-            Fmt.epr "protocol refused the graph: %s@." e;
-            false
-        | Ok r -> r.H.atomic)
-    | Ac3tw -> (
-        let trent = Ac3_core.Trent.create u ~name:"trent" in
-        let config = { T.default_config with T.timeout = 50_000.0 } in
-        match T.execute u ~config ~trent ~graph ~participants () with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            false
-        | Ok r -> r.T.atomic)
+  let code =
+    match execute_protocol ~crash:false u participants graph protocol with
+    | Error e -> refused e
+    | Ok r -> if r.D.atomic then 0 else 3
   in
   U.snapshot_metrics u;
   Fmt.pr "Metrics snapshot (%d instruments):@.%a@." (Metrics.size (U.metrics u)) Metrics.pp
@@ -1268,7 +1231,7 @@ let run_metrics protocol scenario parties seed metrics_out trace_out profile =
           rows
   end;
   export_obs ?metrics_out ?trace_out (U.obs u);
-  if atomic then 0 else 3
+  code
 
 let metrics_cmd =
   let protocol =

@@ -37,7 +37,7 @@ let () =
   let config =
     { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
   in
-  let result = A.execute universe ~config ~graph ~participants () in
+  let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN result: committed = %b, atomic = %b@." result.A.committed result.A.atomic;
   (match result.A.latency with
   | Some l -> Fmt.pr "measured latency: %.1f s = %.2f Δ (constant, despite %d parties)@." l (l /. delta) n

@@ -42,7 +42,7 @@ let () =
      is Bob -> Alice on eth); he stays down past every timelock. *)
   let hooks = [ ("redeem:1", fun () -> P.crash bob1) ] in
   let config = { (H.default_config ~delta:(U.max_delta u1)) with H.timeout = 5000.0 } in
-  let r1 = N.execute u1 ~config ~graph:graph1 ~participants:ps1 ~hooks () in
+  let r1 = N.execute u1 ~config ~graph:graph1 ~participants:ps1 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
   show_balances "after " alice1 bob1;
   Fmt.pr "  outcome: %a@." Outcome.pp r1.H.outcome;
   if r1.H.atomic then begin
@@ -74,7 +74,7 @@ let () =
   let config =
     { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
   in
-  let r2 = A.execute u2 ~config ~graph:graph2 ~participants:ps2 ~hooks () in
+  let r2 = A.execute u2 ~config ~graph:graph2 ~participants:ps2 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
   show_balances "after " alice2 bob2;
   Fmt.pr "  outcome: %a@." Outcome.pp r2.A.outcome;
   if not (r2.A.committed && r2.A.atomic) then begin

@@ -39,7 +39,7 @@ let () =
   let config = { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4 } in
   let before_alice_eth = P.balance_on alice "eth" in
   let before_bob_btc = P.balance_on bob "btc" in
-  let result = A.execute universe ~config ~graph ~participants () in
+  let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
 
   (* 4. Inspect the outcome. *)
   Fmt.pr "Protocol trace:@.%a@." Ac3_sim.Trace.pp result.A.trace;

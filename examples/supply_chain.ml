@@ -35,7 +35,7 @@ let run_case ~name ~seed ~chains ~graph_of n =
   let config =
     { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
   in
-  let result = A.execute universe ~config ~graph ~participants () in
+  let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN: committed = %b, atomic = %b%a@.@." result.A.committed result.A.atomic
     (fun ppf -> function
       | Some l -> Fmt.pf ppf ", latency = %.1f s" l

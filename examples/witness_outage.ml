@@ -60,7 +60,7 @@ let () =
          Node.crash witness.U.nodes.(1)));
   let graph2 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u2) in
   let config = { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4 } in
-  let r = A.execute u2 ~config ~graph:graph2 ~participants:ps2 () in
+  let r = A.execute u2 ~config ~graph:graph2 ~participants:ps2 () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "  outcome: %a@." Outcome.pp r.A.outcome;
   if r.A.committed && r.A.atomic then
     Fmt.pr "  ==> COMMITTED atomically: the remaining witness miners kept the@.";

@@ -22,6 +22,7 @@ module Universe = Ac3_core.Universe
 module Scenarios = Ac3_core.Scenarios
 module Herlihy = Ac3_core.Herlihy
 module Nolan = Ac3_core.Nolan
+module Driver = Ac3_core.Driver
 module Ac3wn = Ac3_core.Ac3wn
 
 type protocol = P_nolan | P_herlihy | P_ac3wn
@@ -205,7 +206,9 @@ let launch_background ~universe ~spec ~bg =
             ]
           ~timestamp:now
       in
-      Nolan.launch universe ~config ~graph ~participants:[ pa; pb ] ())
+      match Nolan.launch universe ~config ~graph ~participants:[ pa; pb ] () with
+      | Ok h -> h
+      | Error e -> failwith ("chaos background swap refused: " ^ e))
 
 let run_one ?instrument ?(shard_chains = false) ~spec ~plan ~protocol () =
   if shard_chains then shard_warmup (shard_labels ~spec ~protocols:[ protocol ]);
@@ -220,8 +223,8 @@ let run_one ?instrument ?(shard_chains = false) ~spec ~plan ~protocol () =
   in
   let bg_handles = launch_background ~universe ~spec ~bg in
   let finish ?trace ?(flow = []) exec =
-    let bg_settled = List.length (List.filter Nolan.settled bg_handles) in
-    List.iter (fun h -> ignore (Nolan.finish h : Nolan.result)) bg_handles;
+    let bg_settled = List.length (List.filter Driver.settled bg_handles) in
+    List.iter (fun h -> ignore (Driver.finish h : Driver.result)) bg_handles;
     (if bg_handles <> [] then
        let m = Universe.metrics universe in
        Metrics.add
@@ -290,13 +293,13 @@ let run_one ?instrument ?(shard_chains = false) ~spec ~plan ~protocol () =
       else begin
         Inject.install ~universe ~participants plan;
         match Nolan.execute universe ~config:single_leader_config ~graph ~participants () with
-        | result ->
+        | Ok result ->
             let v =
               Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
                 ~static:static_single
             in
             finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
-        | exception Invalid_argument msg -> finish (Rejected msg)
+        | Error msg -> finish (Rejected msg)
       end
   | P_herlihy -> begin
       Inject.install ~universe ~participants plan;
@@ -319,9 +322,11 @@ let run_one ?instrument ?(shard_chains = false) ~spec ~plan ~protocol () =
           timeout = protocol_timeout;
         }
       in
-      let result = Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () in
-      let v = Oracle.check ~universe ~graph ~contracts:result.Ac3wn.contracts ~static:Witness in
-      finish ~trace:result.Ac3wn.trace ~flow:(flow_check v) (Verdict v)
+      match Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () with
+      | Ok result ->
+          let v = Oracle.check ~universe ~graph ~contracts:result.Ac3wn.contracts ~static:Witness in
+          finish ~trace:result.Ac3wn.trace ~flow:(flow_check v) (Verdict v)
+      | Error msg -> finish (Rejected msg)
 
 (* Fingerprint of everything observable about a report. Reports hold
    closures and custom blocks (obs contexts, traces), so the generic

@@ -9,16 +9,15 @@
    senders refund. Trent's key/value store makes the two signatures
    mutually exclusive.
 
-   The protocol is atomic but hinges on a trusted, available Trent — the
-   single point of failure AC3WN removes. *)
+   As a rule for the shared driver, Trent is the 2PC coordinator and his
+   signature is the decision source. The protocol is atomic but hinges
+   on a trusted, available Trent — the single point of failure AC3WN
+   removes. *)
 
-module Engine = Ac3_sim.Engine
-module Trace = Ac3_sim.Trace
-module Keys = Ac3_crypto.Keys
+module Span = Ac3_obs.Span
 module Ac2t = Ac3_contract.Ac2t
 module Centralized_sc = Ac3_contract.Centralized_sc
-module Swap_template = Ac3_contract.Swap_template
-open Ac3_chain
+include Driver.Shared
 
 let src = Logs.Src.create "ac3.tw" ~doc:"AC3TW protocol"
 
@@ -28,232 +27,75 @@ type config = { poll_interval : float; timeout : float }
 
 let default_config = { poll_interval = 2.0; timeout = 10_000.0 }
 
-type edge_state = {
-  edge : Ac2t.edge;
-  mutable deploy_txid : string option;
-  mutable contract_id : string option;
-  mutable redeem_txid : string option;
-  mutable refund_txid : string option;
-}
+let phases =
+  [
+    { Span.phase = "deploy"; opens = "deploy:"; closes = [ "deploy:" ] };
+    { Span.phase = "redeem"; opens = "redeem:"; closes = [ "redeem:" ] };
+    { Span.phase = "refund"; opens = "refund:"; closes = [ "refund:" ] };
+  ]
 
-type run = {
-  universe : Universe.t;
-  config : config;
-  graph : Ac2t.t;
-  ms_id : string;
-  trent : Trent.t;
-  participants : (Keys.public * Participant.t) list;
-  edges : edge_state array;
-  trace : Trace.t;
-  mutable redeem_signature : Keys.signature option;
-  mutable refund_signature : Keys.signature option;
-  mutable abort_requested : bool;
-  mutable fees : Amount.t;
-}
+type state = { trent : Trent.t; ms_id : string; mutable decision : Trent.decision option }
 
-let record run ?attrs label =
-  if Trace.time_of run.trace label = None then
-    Trace.record run.trace ~time:(Universe.now run.universe) ?attrs label
-
-let try_deploy run p =
-  let pk = Participant.public p in
-  Array.iteri
-    (fun i es ->
-      if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None then begin
-        let args =
-          Centralized_sc.args ~recipient_pk:es.edge.Ac2t.to_pk ~ms_id:run.ms_id
-            ~trent_pk:(Trent.public run.trent)
-        in
-        let wallet = Participant.wallet p es.edge.Ac2t.chain in
-        match
-          Wallet.deploy wallet ~code_id:Centralized_sc.code_id ~args ~deposit:es.edge.Ac2t.amount
-        with
-        | Ok (txid, contract_id) ->
-            es.deploy_txid <- Some txid;
-            es.contract_id <- Some contract_id;
-            run.fees <-
-              Amount.(run.fees + (Universe.params run.universe es.edge.Ac2t.chain).Params.deploy_fee);
-            record run (Printf.sprintf "deploy:%d" i)
-        | Error e -> Log.debug (fun m -> m "AC3TW deploy failed: %s" e)
-      end)
-    run.edges
-
-let all_confirmed run =
-  Array.for_all
-    (fun es ->
-      match es.deploy_txid with
-      | None -> false
-      | Some txid ->
-          let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-          Node.confirmations node txid >= (Node.params node).Params.confirm_depth)
-    run.edges
-
-let try_decide run =
-  if run.redeem_signature = None && run.refund_signature = None then
-    if run.abort_requested then begin
-      match Trent.request_refund run.trent ~ms_id:run.ms_id with
-      | Ok s ->
-          run.refund_signature <- Some s;
-          record run "refund_signed"
+(* Ask Trent for a decision until he gives one: the refund signature
+   once an abort was requested, otherwise the redeem signature once
+   every contract is confirmed. *)
+let try_decide s t =
+  if s.decision = None then
+    if Driver.abort_requested t then begin
+      match Trent.request_refund s.trent ~ms_id:s.ms_id with
+      | Ok sg ->
+          s.decision <- Some (Trent.Refund_signed sg);
+          Driver.record t "refund_signed"
       | Error e -> Log.debug (fun m -> m "Trent refused refund: %s" e)
     end
-    else if all_confirmed run then begin
+    else if Driver.all_deployed t then begin
       let contracts =
-        Array.to_list (Array.map (fun es -> Option.get es.contract_id) run.edges)
+        Array.to_list
+          (Array.map (fun (es : Driver.edge_state) -> Option.get es.contract_id) (Driver.edges t))
       in
-      match Trent.request_redeem run.trent ~ms_id:run.ms_id ~contracts with
-      | Ok s ->
-          run.redeem_signature <- Some s;
-          record run "redeem_signed"
+      match Trent.request_redeem s.trent ~ms_id:s.ms_id ~contracts with
+      | Ok sg ->
+          s.decision <- Some (Trent.Redeem_signed sg);
+          Driver.record t "redeem_signed"
       | Error e -> Log.debug (fun m -> m "Trent refused redeem: %s" e)
     end
 
-let try_settle run p =
-  let pk = Participant.public p in
-  let act fn signature mine get_txid set_txid =
-    Array.iteri
-      (fun i es ->
-        if mine es && get_txid es = None then begin
-          match es.contract_id with
-          | None -> ()
-          | Some cid -> (
-              let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-              match Node.contract node cid with
-              | Some c when Swap_template.is_published c.Ledger.state -> (
-                  let wallet = Participant.wallet p es.edge.Ac2t.chain in
-                  match
-                    Wallet.call wallet ~contract_id:cid ~fn
-                      ~args:(Centralized_sc.secret_args signature) ()
-                  with
-                  | Ok txid ->
-                      set_txid es txid;
-                      run.fees <-
-                        Amount.(
-                          run.fees
-                          + (Universe.params run.universe es.edge.Ac2t.chain).Params.call_fee);
-                      record run (Printf.sprintf "%s:%d" fn i)
-                  | Error e -> Log.debug (fun m -> m "AC3TW %s failed: %s" fn e))
-              | _ -> ())
-        end)
-      run.edges
+let step s t p =
+  Driver.deploy t p ~code_id:Centralized_sc.code_id
+    ~args:(fun _ es ->
+      Centralized_sc.args ~recipient_pk:es.Driver.edge.Ac2t.to_pk ~ms_id:s.ms_id
+        ~trent_pk:(Trent.public s.trent))
+    ~label:(fun i _ _ -> (Printf.sprintf "deploy:%d" i, []));
+  try_decide s t;
+  let settle action fn signature =
+    Driver.settle t p action
+      ~ready:(fun _ _ -> true)
+      ~args:(fun _ -> Some (Centralized_sc.secret_args signature))
+      ~label:(fun i _ -> Printf.sprintf "%s:%d" fn i)
   in
-  (match run.redeem_signature with
-  | Some s ->
-      act "redeem" s
-        (fun es -> String.equal es.edge.Ac2t.to_pk pk)
-        (fun es -> es.redeem_txid)
-        (fun es txid -> es.redeem_txid <- Some txid)
-  | None -> ());
-  match run.refund_signature with
-  | Some s ->
-      act "refund" s
-        (fun es -> String.equal es.edge.Ac2t.from_pk pk)
-        (fun es -> es.refund_txid)
-        (fun es txid -> es.refund_txid <- Some txid)
+  match s.decision with
+  | Some (Trent.Redeem_signed sg) -> settle `Redeem "redeem" sg
+  | Some (Trent.Refund_signed sg) -> settle `Refund "refund" sg
   | None -> ()
 
-let step run p =
-  if not (Participant.is_crashed p) then begin
-    try_deploy run p;
-    try_decide run;
-    try_settle run p
-  end
-
-let edge_settled run es =
-  let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-  let depth = (Node.params node).Params.confirm_depth in
-  let confirmed = function
-    | Some txid -> Node.confirmations node txid >= depth
-    | None -> false
-  in
-  confirmed es.redeem_txid || confirmed es.refund_txid
-  || (es.deploy_txid = None && run.refund_signature <> None)
-
-let all_settled run = Array.for_all (edge_settled run) run.edges
-
-type result = {
-  graph : Ac2t.t;
-  ms_id : string;
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Trace.t;
-  total_fees : Amount.t;
-}
-
 let execute universe ~config ~trent ~graph ~participants ?abort_after () =
-  let by_pk = List.map (fun p -> (Participant.public p, p)) participants in
   (* Phase 1: multisign and register at Trent. *)
   let ms = Ac2t.multisign graph (List.map Participant.identity participants) in
-  match Trent.register trent ~graph ~ms with
-  | Error e -> Error e
-  | Ok ms_id ->
-      let run =
-        {
-          universe;
-          config;
-          graph;
-          ms_id;
-          trent;
-          participants = by_pk;
-          edges =
-            Array.of_list
-              (List.map
-                 (fun edge ->
-                   {
-                     edge;
-                     deploy_txid = None;
-                     contract_id = None;
-                     redeem_txid = None;
-                     refund_txid = None;
-                   })
-                 (Ac2t.edges graph));
-          trace = Trace.create ();
-          redeem_signature = None;
-          refund_signature = None;
-          abort_requested = false;
-          fees = Amount.zero;
-        }
-      in
-      record run "start";
-      let start_time = Universe.now universe in
-      (match abort_after with
-      | Some delay ->
-          ignore
-            (Engine.schedule (Universe.engine universe) ~delay (fun () ->
-                 if run.redeem_signature = None then run.abort_requested <- true))
-      | None -> ());
-      let stopped = ref false in
-      List.iteri
-        (fun i p ->
-          let _stop : unit -> unit =
-            Engine.schedule_repeating
-              ~while_:(fun () -> not !stopped)
-              (Universe.engine universe)
-              ~first:(config.poll_interval *. (1.0 +. (0.1 *. float_of_int i)))
-              ~every:config.poll_interval
-              (fun () -> step run p)
-          in
-          ())
-        participants;
-      let finished =
-        Universe.run_while universe ~timeout:config.timeout (fun () -> all_settled run)
-      in
-      stopped := true;
-      if finished then record run "completed";
-      let contracts = Array.to_list (Array.map (fun es -> es.contract_id) run.edges) in
-      let outcome = Outcome.evaluate universe ~graph ~contracts in
-      Ok
-        {
-          graph;
-          ms_id;
-          contracts;
-          outcome;
-          atomic = Outcome.atomic outcome;
-          committed = Outcome.committed outcome;
-          latency = (if finished then Some (Universe.now universe -. start_time) else None);
-          trace = run.trace;
-          total_fees = run.fees;
-        }
+  Trent.register trent ~graph ~ms
+  |> Result.map (fun ms_id ->
+         let s = { trent; ms_id; decision = None } in
+         Driver.execute ~timeout:config.timeout
+           (Driver.launch universe ~graph ~participants ~hooks:[]
+              ~poll_interval:config.poll_interval ~abort_after
+              {
+                Driver.name = "ac3tw";
+                phases;
+                step = step s;
+                aborted =
+                  (fun _ ->
+                    match s.decision with Some (Trent.Refund_signed _) -> true | _ -> false);
+                abortable =
+                  (fun _ ->
+                    match s.decision with Some (Trent.Redeem_signed _) -> false | _ -> true);
+                observe = ignore;
+              }))

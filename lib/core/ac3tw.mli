@@ -1,25 +1,17 @@
 (** AC3TW: atomic cross-chain commitment with a centralized trusted
     witness (paper Sec 4.1). Atomic, but hinges on trusting Trent — the
-    single point of failure AC3WN removes. *)
+    single point of failure AC3WN removes. A {!Driver} rule whose
+    decision source is Trent's signature. *)
 
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
+
+include module type of struct
+  include Driver.Shared
+end
 
 type config = { poll_interval : float; timeout : float }
 
 val default_config : config
-
-type result = {
-  graph : Ac2t.t;
-  ms_id : string;  (** key of the transaction in Trent's store *)
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Ac3_sim.Trace.t;
-  total_fees : Amount.t;
-}
 
 (** Execute an AC2T through Trent: register ms(D), deploy all edge
     contracts concurrently, obtain T(ms(D), RD) once everything is

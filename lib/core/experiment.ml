@@ -18,6 +18,10 @@ let confirm_depth = 3
 
 let delta = float_of_int confirm_depth *. block_interval
 
+(* The AC3WN and Nolan runs below use graphs those protocols always
+   accept, so a refusal is a harness bug. *)
+let get = function Ok r -> r | Error e -> failwith e
+
 let ac3wn_config =
   {
     (Ac3wn.default_config ~witness_chain:"witness") with
@@ -73,7 +77,7 @@ let fig8 ?(seed = 81) ?(n = 3) () =
 let fig9 ?(seed = 91) ?(n = 3) () =
   let u, participants, graph = ring_setup ~seed n in
   let config = { ac3wn_config with Ac3wn.poll_interval = 1.0 } in
-  let r = Ac3wn.execute u ~config ~graph ~participants () in
+  let r = Ac3wn.execute u ~config ~graph ~participants () |> get in
   { protocol = "AC3WN"; diam = Ac2t.diameter graph; events = normalize r.Ac3wn.trace }
 
 (* --- E3 / Fig 10: latency vs Diam(D) --------------------------------------- *)
@@ -102,7 +106,7 @@ let fig10 ?(max_diam = 6) ?(seed = 103) () =
       in
       let ac3wn_measured =
         let u, participants, graph = ring_setup ~seed:(seed + (10 * n) + 1) n in
-        let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
+        let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
         if not r.Ac3wn.committed then failwith "ac3wn run did not commit";
         Option.map (fun l -> l /. delta) r.Ac3wn.latency
       in
@@ -138,7 +142,7 @@ let cost_table ?(sizes = [ 2; 3; 4; 5 ]) ?(seed = 400) () =
       in
       let ac3wn_fee =
         let u, participants, graph = ring_setup ~seed:(seed + n + 100) n in
-        let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
+        let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
         Amount.to_int64 (Ac3wn.total_fees r)
       in
       {
@@ -286,7 +290,7 @@ let fig7 ?(seed = 700) () =
       | Error e -> "refused: " ^ e
       | Ok _ -> "executable"
     in
-    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
+    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
     {
       name;
       shape = Ac2t.classify graph;
@@ -321,7 +325,7 @@ let crash_experiment ?(seed = 800) () =
     let bob = List.nth participants 1 in
     let hooks = [ ("redeem:1", fun () -> Participant.crash bob) ] in
     let config = { (Herlihy.default_config ~delta) with Herlihy.timeout = 5000.0 } in
-    let r = Nolan.execute u ~config ~graph ~participants ~hooks () in
+    let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> get in
     {
       protocol = "Nolan (hashlock/timelock)";
       outcome = Fmt.str "%a" Outcome.pp r.Herlihy.outcome;
@@ -347,7 +351,7 @@ let crash_experiment ?(seed = 800) () =
         );
       ]
     in
-    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () in
+    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () |> get in
     {
       protocol = "AC3WN (witness network)";
       outcome = Fmt.str "%a" Outcome.pp r.Ac3wn.outcome;
@@ -648,7 +652,7 @@ let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
               ~chain2:(Printf.sprintf "b%d" i) pair ~timestamp:(Universe.now u +. float_of_int i)
           in
           let config = { ac3wn_config with Ac3wn.witness_chain = witness_of i } in
-          Ac3wn.execute u ~config ~graph ~participants ())
+          Ac3wn.execute u ~config ~graph ~participants () |> get)
         ids
     in
     let latencies =
@@ -719,7 +723,7 @@ let availability ?(seed = 1100) () =
     let graph =
       Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u)
     in
-    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
+    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
     {
       protocol = "AC3WN";
       witness_failure = "a witness miner crashes";
@@ -741,7 +745,7 @@ let depth_latency ?(depths = [ 2; 4; 6; 9 ]) ?(seed = 1300) () =
     (fun d ->
       let u, participants, graph = ring_setup ~seed:(seed + d) 2 in
       let config = { ac3wn_config with Ac3wn.decision_depth = d; timeout = 60_000.0 } in
-      let r = Ac3wn.execute u ~config ~graph ~participants () in
+      let r = Ac3wn.execute u ~config ~graph ~participants () |> get in
       {
         depth = d;
         committed = r.Ac3wn.committed;

@@ -16,22 +16,20 @@
    (Sec 1), which experiment E8 reproduces.
 
    Deployment takes Diam(D) sequential rounds and redemption another
-   Diam(D), giving the 2·Δ·Diam(D) latency of Figure 8. *)
+   Diam(D), giving the 2·Δ·Diam(D) latency of Figure 8.
 
-module Engine = Ac3_sim.Engine
-module Trace = Ac3_sim.Trace
-module Metrics = Ac3_obs.Metrics
+   As a rule for the shared driver there is no coordinator: the decision
+   source is knowledge of the secret, and the timelocks decide refunds. *)
+
 module Span = Ac3_obs.Span
 module Keys = Ac3_crypto.Keys
 module Sha256 = Ac3_crypto.Sha256
 module Ac2t = Ac3_contract.Ac2t
 module Htlc = Ac3_contract.Htlc
-module Swap_template = Ac3_contract.Swap_template
 open Ac3_chain
+include Driver.Shared
 
-let src = Logs.Src.create "ac3.herlihy" ~doc:"Herlihy baseline protocol"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+type handle = Driver.handle
 
 type config = {
   delta : float; (* Δ: the timelock unit (publish + public recognition) *)
@@ -43,150 +41,71 @@ type config = {
 let default_config ~delta =
   { delta; timelock_slack = 2.0; poll_interval = 2.0; timeout = 10_000.0 }
 
-type edge_state = {
-  edge : Ac2t.edge;
-  depth : int; (* deployment round: BFS distance of the source from the leader *)
-  timelock : float;
-  mutable deploy_txid : string option;
-  mutable contract_id : string option;
-  mutable redeem_txid : string option;
-  mutable refund_txid : string option;
-}
+let phases =
+  [
+    { Span.phase = "deploy"; opens = "deploy:"; closes = [ "deploy:" ] };
+    { Span.phase = "redeem"; opens = "redeem:"; closes = [ "redeem:" ] };
+    { Span.phase = "refund"; opens = "refund:"; closes = [ "refund:" ] };
+  ]
 
-type fee_entry = { payer : Keys.public; fee : Amount.t }
-
-type run = {
-  universe : Universe.t;
-  config : config;
-  graph : Ac2t.t;
-  participants : (Keys.public * Participant.t) list;
+type state = {
   leader : Keys.public;
   secret : string;
   hashlock : string;
-  edges : edge_state array;
-  trace : Trace.t;
+  timelocks : float array; (* absolute expiry per edge, graph order *)
   (* Which participants currently know the secret (leader from the start;
      others learn it from on-chain redeem transactions). *)
   mutable knows_secret : Keys.public list;
-  mutable fees : fee_entry list;
-  hooks : (string * (unit -> unit)) list;
 }
-
-let record run ?attrs label =
-  let first = Trace.time_of run.trace label = None in
-  if first then begin
-    Trace.record run.trace ~time:(Universe.now run.universe) ?attrs label;
-    match List.assoc_opt label run.hooks with Some hook -> hook () | None -> ()
-  end
-
-let charge run ~payer ~fee = run.fees <- { payer; fee } :: run.fees
-
-(* BFS rounds: distance of each vertex from the leader over directed
-   edges. Edges from unreachable vertices make the graph inexecutable by
-   a single-leader protocol (Sec 5.3). *)
-let rounds_from_leader graph leader =
-  let vertices = Ac2t.participants graph in
-  let dist = Hashtbl.create 8 in
-  Hashtbl.replace dist leader 0;
-  let q = Queue.create () in
-  Queue.push leader q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = Hashtbl.find dist u in
-    List.iter
-      (fun (e : Ac2t.edge) ->
-        if String.equal e.Ac2t.from_pk u && not (Hashtbl.mem dist e.Ac2t.to_pk) then begin
-          Hashtbl.replace dist e.Ac2t.to_pk (du + 1);
-          Queue.push e.Ac2t.to_pk q
-        end)
-      (Ac2t.edges graph)
-  done;
-  if List.exists (fun v -> not (Hashtbl.mem dist v)) vertices then
-    Error "graph not executable by a single-leader protocol (unreachable participant)"
-  else Ok (fun pk -> Hashtbl.find dist pk)
-
-(* --- Per-participant actions ------------------------------------------- *)
-
-let incoming_confirmed run pk =
-  Array.for_all
-    (fun es ->
-      (not (String.equal es.edge.Ac2t.to_pk pk))
-      ||
-      match es.deploy_txid with
-      | None -> false
-      | Some txid ->
-          let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-          Node.confirmations node txid >= (Node.params node).Params.confirm_depth)
-    run.edges
-
-let all_deployed_confirmed run =
-  Array.for_all
-    (fun es ->
-      match es.deploy_txid with
-      | None -> false
-      | Some txid ->
-          let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-          Node.confirmations node txid >= (Node.params node).Params.confirm_depth)
-    run.edges
 
 (* A participant may publish its outgoing contracts once every contract
    it receives on is safely confirmed (the leader starts unconditionally:
    round 0). *)
-let try_deploy run p =
+let try_deploy s t p =
   let pk = Participant.public p in
-  let may_deploy =
-    String.equal pk run.leader || incoming_confirmed run pk
+  let incoming_confirmed () =
+    Array.for_all
+      (fun (es : Driver.edge_state) ->
+        (not (String.equal es.edge.Ac2t.to_pk pk))
+        || Driver.confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid)
+      (Driver.edges t)
   in
-  if may_deploy then
-    Array.iteri
-      (fun i es ->
-        if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None then begin
-          (* A non-leader uses the hashlock it observed in its incoming
-             contracts; in this implementation that equals [run.hashlock]
-             once any incoming contract exists. *)
-          let args =
-            Htlc.args ~recipient_pk:es.edge.Ac2t.to_pk ~hashlock:run.hashlock
-              ~timelock:es.timelock
-          in
-          let wallet = Participant.wallet p es.edge.Ac2t.chain in
-          match Wallet.deploy wallet ~code_id:Htlc.code_id ~args ~deposit:es.edge.Ac2t.amount with
-          | Ok (txid, contract_id) ->
-              es.deploy_txid <- Some txid;
-              es.contract_id <- Some contract_id;
-              charge run ~payer:pk
-                ~fee:(Universe.params run.universe es.edge.Ac2t.chain).Params.deploy_fee;
-              record run (Printf.sprintf "deploy:%d" i) ~attrs:[ ("chain", es.edge.Ac2t.chain) ]
-          | Error e -> Log.debug (fun m -> m "HTLC deploy failed: %s" e)
-        end)
-      run.edges
+  if String.equal pk s.leader || incoming_confirmed () then
+    (* A non-leader uses the hashlock it observed in its incoming
+       contracts; in this implementation that equals [s.hashlock] once
+       any incoming contract exists. *)
+    Driver.deploy t p ~code_id:Htlc.code_id
+      ~args:(fun i es ->
+        Htlc.args ~recipient_pk:es.edge.Ac2t.to_pk ~hashlock:s.hashlock ~timelock:s.timelocks.(i))
+      ~label:(fun i es _ -> (Printf.sprintf "deploy:%d" i, [ ("chain", es.edge.Ac2t.chain) ]))
 
 (* Scan the redeem calls of the participant's outgoing contracts for the
    revealed secret. *)
-let learn_secret run p =
+let learn_secret s t p =
   let pk = Participant.public p in
-  if not (List.mem pk run.knows_secret) then begin
+  if not (List.mem pk s.knows_secret) then begin
     let learned =
       Array.exists
-        (fun es ->
+        (fun (es : Driver.edge_state) ->
           String.equal es.edge.Ac2t.from_pk pk
           &&
           match es.contract_id with
           | None -> false
           | Some cid ->
-              let store = Node.store (Universe.gateway run.universe es.edge.Ac2t.chain) in
+              let store = Node.store (Universe.gateway (Driver.universe t) es.edge.Ac2t.chain) in
               List.exists
                 (fun (_txid, fn, args) ->
                   String.equal fn "redeem"
                   &&
                   match args with
-                  | Value.Bytes s -> String.equal (Sha256.digest s) run.hashlock
+                  | Value.Bytes s' -> String.equal (Sha256.digest s') s.hashlock
                   | _ -> false)
                 (Store.calls_on store ~contract_id:cid))
-        run.edges
+        (Driver.edges t)
     in
     if learned then begin
-      run.knows_secret <- pk :: run.knows_secret;
-      record run ("learned_secret:" ^ Ac3_crypto.Hex.short ~n:6 pk)
+      s.knows_secret <- pk :: s.knows_secret;
+      Driver.record t ("learned_secret:" ^ Ac3_crypto.Hex.short ~n:6 pk)
     end
   end
 
@@ -194,263 +113,76 @@ let learn_secret run p =
    starts after observing that the entire graph is published (revealing s
    earlier would let early recipients cash out while later contracts are
    missing). *)
-let try_redeem run p =
+let try_redeem s t p =
   let pk = Participant.public p in
-  let knows = List.mem pk run.knows_secret in
-  let leader_may_start =
-    (not (String.equal pk run.leader)) || all_deployed_confirmed run
-  in
-  if knows && leader_may_start then
-    Array.iteri
-      (fun i es ->
-        if String.equal es.edge.Ac2t.to_pk pk && es.redeem_txid = None then begin
-          match es.contract_id with
-          | None -> ()
-          | Some cid -> (
-              let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-              match Node.contract node cid with
-              | Some c when Swap_template.is_published c.Ledger.state -> (
-                  let wallet = Participant.wallet p es.edge.Ac2t.chain in
-                  match
-                    Wallet.call wallet ~contract_id:cid ~fn:"redeem"
-                      ~args:(Htlc.redeem_args ~secret:run.secret) ()
-                  with
-                  | Ok txid ->
-                      es.redeem_txid <- Some txid;
-                      charge run ~payer:pk
-                        ~fee:(Universe.params run.universe es.edge.Ac2t.chain).Params.call_fee;
-                      record run (Printf.sprintf "redeem:%d" i)
-                  | Error e -> Log.debug (fun m -> m "redeem failed: %s" e))
-              | _ -> ())
-        end)
-      run.edges
+  if List.mem pk s.knows_secret && ((not (String.equal pk s.leader)) || Driver.all_deployed t) then
+    Driver.settle t p `Redeem
+      ~ready:(fun _ _ -> true)
+      ~args:(fun _ -> Some (Htlc.redeem_args ~secret:s.secret))
+      ~label:(fun i _ -> Printf.sprintf "redeem:%d" i)
 
 (* Refund expired outgoing contracts. This is each sender's rational
    self-protection — and the source of atomicity violations when a
    counterparty crashed. *)
-let try_refund run p =
-  let pk = Participant.public p in
-  let now = Universe.now run.universe in
-  Array.iteri
-    (fun i es ->
-      if
-        String.equal es.edge.Ac2t.from_pk pk
-        && es.refund_txid = None
-        && es.redeem_txid = None
-        && now >= es.timelock
-      then begin
-        match es.contract_id with
-        | None -> ()
-        | Some cid -> (
-            let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-            match Node.contract node cid with
-            | Some c when Swap_template.is_published c.Ledger.state -> (
-                let wallet = Participant.wallet p es.edge.Ac2t.chain in
-                match
-                  Wallet.call wallet ~contract_id:cid ~fn:"refund" ~args:Htlc.refund_args ()
-                with
-                | Ok txid ->
-                    es.refund_txid <- Some txid;
-                    charge run ~payer:pk
-                      ~fee:(Universe.params run.universe es.edge.Ac2t.chain).Params.call_fee;
-                    record run (Printf.sprintf "refund:%d" i)
-                | Error e -> Log.debug (fun m -> m "refund failed: %s" e))
-            | _ -> ())
-      end)
-    run.edges
-
-let step run p =
-  if not (Participant.is_crashed p) then begin
-    learn_secret run p;
-    try_deploy run p;
-    try_redeem run p;
-    try_refund run p
-  end
-
-(* --- Completion --------------------------------------------------------- *)
-
-let edge_settled run es =
-  let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-  let depth = (Node.params node).Params.confirm_depth in
-  let confirmed = function
-    | Some txid -> Node.confirmations node txid >= depth
-    | None -> false
-  in
-  confirmed es.redeem_txid || confirmed es.refund_txid
-
-(* All settled, or stuck-forever: every unsettled contract is past its
-   timelock with its sender crashed (nobody will ever settle it). *)
-let all_settled run = Array.for_all (edge_settled run) run.edges
-
-(* --- Entry point ---------------------------------------------------------- *)
-
-type result = {
-  graph : Ac2t.t;
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Trace.t;
-  fees : fee_entry list;
-}
-
-(* Fold the run into the universe's observability context: phase spans
-   derived from the trace the protocol already records (so tracing
-   cannot perturb the run) plus submission counters. [obs_name] labels
-   the protocol — Nolan's delegation passes its own name. *)
-let observe_run run ~obs_name ~start_time ~finished =
-  let m = Universe.metrics run.universe in
-  let labels = [ ("protocol", obs_name) ] in
-  let count field =
-    Array.fold_left (fun acc es -> if field es <> None then acc + 1 else acc) 0 run.edges
-  in
-  Metrics.add (Metrics.counter m ~labels "core.deploy.submitted") (count (fun es -> es.deploy_txid));
-  Metrics.add (Metrics.counter m ~labels "core.redeem.submitted") (count (fun es -> es.redeem_txid));
-  Metrics.add (Metrics.counter m ~labels "core.refund.submitted") (count (fun es -> es.refund_txid));
-  Metrics.incr
-    (Metrics.counter m ~labels (if finished then "core.run.completed" else "core.run.timed_out"));
-  let spans = Universe.spans run.universe in
-  let root =
-    Span.add spans ~attrs:labels ~name:obs_name ~start:start_time
-      ~stop:(Universe.now run.universe) ()
-  in
-  Span.of_trace spans ~parent:root
-    ~phases:
-      [
-        { Span.phase = "deploy"; opens = "deploy:"; closes = [ "deploy:" ] };
-        { Span.phase = "redeem"; opens = "redeem:"; closes = [ "redeem:" ] };
-        { Span.phase = "refund"; opens = "refund:"; closes = [ "refund:" ] };
-      ]
-    run.trace
-
-(* A launched swap: its poll loops are scheduled on the universe's
-   engine but nobody is running the engine yet. The caller drives time
-   forward however it likes (dedicated [run_while] for one swap, or a
-   shared clock interleaving many concurrent swaps) and calls [finish]
-   exactly once to stop polling and collect the result. *)
-type handle = {
-  run : run;
-  obs_name : string;
-  start_time : float;
-  stopped : bool ref;
-}
+let try_refund s t p =
+  let now = Universe.now (Driver.universe t) in
+  Driver.settle t p `Refund
+    ~ready:(fun i (es : Driver.edge_state) -> es.redeem_txid = None && now >= s.timelocks.(i))
+    ~args:(fun _ -> Some Htlc.refund_args)
+    ~label:(fun i _ -> Printf.sprintf "refund:%d" i)
 
 let launch universe ~config ~graph ~participants ?(hooks = []) ?(verify = false)
     ?(obs_name = "herlihy") () =
-  let by_pk = List.map (fun p -> (Participant.public p, p)) participants in
-  let leader = List.hd (Ac2t.participants graph) in
+  let start_time = Universe.now universe in
   let preflight =
     if not verify then []
     else
       Ac3_verify.Diagnostic.errors
         (Ac3_verify.Verify.herlihy_preflight ~graph ~delta:config.delta
-           ~timelock_slack:config.timelock_slack ~start_time:(Universe.now universe))
+           ~timelock_slack:config.timelock_slack ~start_time)
       (* Model-check the whole transaction at zero fault budget: even a
          well-formed graph must not violate atomicity fault-free. *)
       @ Ac3_model.Checker.preflight_errors ~protocol:Ac3_model.Checker.Herlihy ~graph
-          ~delta:config.delta ~timelock_slack:config.timelock_slack
-          ~start_time:(Universe.now universe)
+          ~delta:config.delta ~timelock_slack:config.timelock_slack ~start_time
   in
   if preflight <> [] then
     Error (Fmt.str "static verification failed:@.%s" (Ac3_verify.Verify.render preflight))
-  else if not (Ac2t.single_leader_executable graph leader) then
-    Error
-      (Fmt.str "graph (%a) is not executable by a single-leader protocol (Sec 5.3)"
-         Ac2t.pp_shape (Ac2t.classify graph))
   else
-  match rounds_from_leader graph leader with
-  | Error e -> Error e
-  | Ok depth_of ->
-      let diam = Ac2t.diameter graph in
-      let secret = Sha256.digest_list [ "herlihy-secret"; Ac2t.to_bytes graph ] in
-      let hashlock = Htlc.hashlock_of_secret secret in
-      let start_time = Universe.now universe in
-      let edges =
-        Array.of_list
-          (List.map
-             (fun (e : Ac2t.edge) ->
-               let depth = depth_of e.Ac2t.from_pk in
-               (* Timelocks decrease with distance from the leader:
-                  contracts deployed later expire sooner, so everyone who
-                  acts on time can redeem before their own lock expires. *)
-               let timelock =
-                 start_time
-                 +. (config.delta
-                    *. (float_of_int ((2 * diam) - depth) +. config.timelock_slack))
-               in
-               {
-                 edge = e;
-                 depth;
-                 timelock;
-                 deploy_txid = None;
-                 contract_id = None;
-                 redeem_txid = None;
-                 refund_txid = None;
-               })
-             (Ac2t.edges graph))
-      in
-      let run =
-        {
-          universe;
-          config;
-          graph;
-          participants = by_pk;
-          leader;
-          secret;
-          hashlock;
-          edges;
-          trace = Trace.create ();
-          knows_secret = [ leader ];
-          fees = [];
-          hooks;
-        }
-      in
-      record run "start";
-      let stopped = ref false in
-      List.iteri
-        (fun i p ->
-          let _stop : unit -> unit =
-            Engine.schedule_repeating
-              ~while_:(fun () -> not !stopped)
-              (Universe.engine universe)
-              ~first:(config.poll_interval *. (1.0 +. (0.1 *. float_of_int i)))
-              ~every:config.poll_interval
-              (fun () -> step run p)
-          in
-          ())
-        participants;
-      Ok { run; obs_name; start_time; stopped }
-
-let settled h = all_settled h.run
-
-let finish h =
-  let run = h.run in
-  h.stopped := true;
-  let finished = all_settled run in
-  if finished then record run "completed";
-  observe_run run ~obs_name:h.obs_name ~start_time:h.start_time ~finished;
-  let contracts = Array.to_list (Array.map (fun es -> es.contract_id) run.edges) in
-  let outcome = Outcome.evaluate run.universe ~graph:run.graph ~contracts in
-  {
-    graph = run.graph;
-    contracts;
-    outcome;
-    atomic = Outcome.atomic outcome;
-    committed = Outcome.committed outcome;
-    latency =
-      (if finished then Some (Universe.now run.universe -. h.start_time) else None);
-    trace = run.trace;
-    fees = run.fees;
-  }
+    (* Timelocks decrease with distance from the leader: contracts
+       deployed later expire sooner, so everyone who acts on time can
+       redeem before their own lock expires. [assign] refuses graphs a
+       single leader cannot execute (Sec 5.3). *)
+    Ac3_verify.Timelock.assign ~graph ~delta:config.delta ~timelock_slack:config.timelock_slack
+      ~start_time
+    |> Result.map (fun assignment ->
+           let leader = List.hd (Ac2t.participants graph) in
+           let secret = Sha256.digest_list [ "herlihy-secret"; Ac2t.to_bytes graph ] in
+           let s =
+             {
+               leader;
+               secret;
+               hashlock = Htlc.hashlock_of_secret secret;
+               timelocks =
+                 Array.of_list (List.map (fun a -> a.Ac3_verify.Timelock.expiry) assignment);
+               knows_secret = [ leader ];
+             }
+           in
+           Driver.launch universe ~graph ~participants ~hooks ~poll_interval:config.poll_interval
+             ~abort_after:None
+             {
+               Driver.name = obs_name;
+               phases;
+               step =
+                 (fun t p ->
+                   learn_secret s t p;
+                   try_deploy s t p;
+                   try_redeem s t p;
+                   try_refund s t p);
+               aborted = (fun _ -> false);
+               abortable = (fun _ -> false);
+               observe = ignore;
+             })
 
 let execute universe ~config ~graph ~participants ?hooks ?verify ?obs_name () =
-  match launch universe ~config ~graph ~participants ?hooks ?verify ?obs_name () with
-  | Error e -> Error e
-  | Ok h ->
-      let _finished : bool =
-        Universe.run_while universe ~timeout:config.timeout (fun () -> settled h)
-      in
-      Ok (finish h)
-
-let total_fees result = Amount.sum (List.map (fun f -> f.fee) result.fees)
+  launch universe ~config ~graph ~participants ?hooks ?verify ?obs_name ()
+  |> Result.map (Driver.execute ~timeout:config.timeout)

@@ -5,11 +5,16 @@
     Contracts deploy sequentially along paths from the leader
     (Diam(D) rounds) and redeem sequentially as the secret propagates
     back (another Diam(D) rounds). Timelocks expire; a participant that
-    crashes past its window loses its assets (Sec 1). *)
+    crashes past its window loses its assets (Sec 1). A {!Driver} rule
+    whose decision source is knowledge of the secret. *)
 
-module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
+
+include module type of struct
+  include Driver.Shared
+end
+
+type handle = Driver.handle
 
 type config = {
   delta : float;  (** Δ: the timelock unit *)
@@ -20,33 +25,19 @@ type config = {
 
 val default_config : delta:float -> config
 
-type fee_entry = { payer : Keys.public; fee : Amount.t }
-
-type result = {
-  graph : Ac2t.t;
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Ac3_sim.Trace.t;
-  fees : fee_entry list;
-}
-
-(** A launched swap whose poll loops are scheduled on the universe's
-    engine. The caller drives the engine (alone or interleaved with
-    other concurrent swaps sharing the same universe) and calls
-    {!finish} exactly once. *)
-type handle
+(** Phase windows of a run's trace: deploy, redeem, refund. *)
+val phases : Ac3_obs.Span.phase list
 
 (** Set up the swap with the graph's first participant as leader and
     schedule its per-participant poll loops — without running the
-    engine. [Error] if the graph is not single-leader executable
-    (disconnected, or cyclic once the leader is removed — Sec 5.3).
-    [hooks] fire on trace labels such as ["deploy:2"] or ["redeem:1"]
-    (per-edge indexes in graph order). With [~verify:true] the static
-    verifier ({!Ac3_verify.Verify.herlihy_preflight}) runs first and any
-    error diagnostic aborts the launch before anything touches a chain.
+    engine; drive the universe and {!Driver.finish} the handle. Edge
+    timelocks come from {!Ac3_verify.Timelock.assign}. [Error] if the
+    graph is not single-leader executable (disconnected, or cyclic once
+    the leader is removed — Sec 5.3). [hooks] fire on trace labels such
+    as ["deploy:2"] or ["redeem:1"] (per-edge indexes in graph order).
+    With [~verify:true] the static verifier
+    ({!Ac3_verify.Verify.herlihy_preflight}) runs first and any error
+    diagnostic aborts the launch before anything touches a chain.
     [obs_name] (default ["herlihy"]) labels the metrics and phase spans
     the run folds into the universe's observability context — Nolan's
     delegation passes its own name. *)
@@ -61,16 +52,8 @@ val launch :
   unit ->
   (handle, string) Stdlib.result
 
-(** Every edge redeemed or refunded to confirmation depth. *)
-val settled : handle -> bool
-
-(** Stop the swap's poll loops, fold its observability into the
-    universe, and evaluate the outcome. Call exactly once, whether the
-    swap settled or a deadline expired with it still in flight. *)
-val finish : handle -> result
-
 (** {!launch}, run the universe until the swap settles (or [config]'s
-    timeout), {!finish}. *)
+    timeout), {!Driver.finish}. *)
 val execute :
   Universe.t ->
   config:config ->
@@ -81,5 +64,3 @@ val execute :
   ?obs_name:string ->
   unit ->
   (result, string) Stdlib.result
-
-val total_fees : result -> Amount.t

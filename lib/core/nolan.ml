@@ -19,31 +19,13 @@ type result = Herlihy.result
 
 type handle = Herlihy.handle
 
-(* Launch a two-party swap without running the engine — the two-vertex
-   case of {!Herlihy.launch}. Raises [Invalid_argument] if the graph is
-   not a simple two-party swap. *)
+(* The two-vertex case of {!Herlihy.launch}; any other graph is refused. *)
 let launch universe ~config ~graph ~participants ?hooks ?verify () =
-  if Ac2t.classify graph <> Ac2t.Simple_swap then
-    invalid_arg "Nolan.launch: graph is not a two-party swap";
-  match
-    Herlihy.launch universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ()
-  with
-  | Ok h -> h
-  | Error e -> invalid_arg ("Nolan.launch: " ^ e)
+  match Ac2t.classify graph with
+  | Ac2t.Simple_swap ->
+      Herlihy.launch universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ()
+  | shape -> Error (Fmt.str "graph (%a) is not a two-party swap" Ac2t.pp_shape shape)
 
-let settled = Herlihy.settled
-
-let finish = Herlihy.finish
-
-(* Execute a two-party swap. Raises [Invalid_argument] if the graph is
-   not a simple two-party swap. *)
 let execute universe ~config ~graph ~participants ?hooks ?verify () =
-  if Ac2t.classify graph <> Ac2t.Simple_swap then
-    invalid_arg "Nolan.execute: graph is not a two-party swap";
-  match
-    Herlihy.execute universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ()
-  with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Nolan.execute: " ^ e)
-
-let total_fees = Herlihy.total_fees
+  launch universe ~config ~graph ~participants ?hooks ?verify ()
+  |> Result.map (Driver.execute ~timeout:config.Herlihy.timeout)

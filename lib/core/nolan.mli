@@ -11,8 +11,8 @@ type result = Herlihy.result
 type handle = Herlihy.handle
 
 (** Launch a two-party swap without running the engine; drive the
-    universe and {!finish} it like a {!Herlihy.handle}. Raises
-    [Invalid_argument] under the same conditions as {!execute}. *)
+    universe and {!Driver.finish} it. [Error] under the same conditions
+    as {!execute}. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -21,15 +21,11 @@ val launch :
   ?hooks:(string * (unit -> unit)) list ->
   ?verify:bool ->
   unit ->
-  handle
+  (handle, string) Stdlib.result
 
-val settled : handle -> bool
-
-val finish : handle -> result
-
-(** Execute a two-party swap. Raises [Invalid_argument] if the graph is
-    not a simple two-party swap, or if [~verify:true] and the static
-    verifier rejects the run. *)
+(** Execute a two-party swap. [Error] if the graph is not a simple
+    two-party swap, or if [~verify:true] and the static verifier
+    rejects the run. *)
 val execute :
   Universe.t ->
   config:config ->
@@ -38,6 +34,4 @@ val execute :
   ?hooks:(string * (unit -> unit)) list ->
   ?verify:bool ->
   unit ->
-  result
-
-val total_fees : result -> Ac3_chain.Amount.t
+  (result, string) Stdlib.result

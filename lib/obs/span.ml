@@ -79,27 +79,31 @@ let add t ?parent ?(attrs = []) ~name ~start ~stop () =
 
 type phase = { phase : string; opens : string; closes : string list }
 
+let windows ~phases trace =
+  let records = Trace.records trace in
+  let first_with prefix =
+    List.find_opt (fun (r : Trace.record) -> String.starts_with ~prefix r.Trace.label) records
+  in
+  let last_with prefixes =
+    List.fold_left
+      (fun acc (r : Trace.record) ->
+        if List.exists (fun prefix -> String.starts_with ~prefix r.Trace.label) prefixes then
+          Some r
+        else acc)
+      None records
+  in
+  List.filter_map
+    (fun { phase; opens; closes } ->
+      match (first_with opens, last_with closes) with
+      | Some a, Some b when b.Trace.time >= a.Trace.time -> Some (phase, a.Trace.time, b.Trace.time)
+      | _ -> None)
+    phases
+
 let of_trace t ?parent ~phases trace =
   if t.on then
-    let records = Trace.records trace in
-    let first_with prefix =
-      List.find_opt (fun (r : Trace.record) -> String.starts_with ~prefix r.Trace.label) records
-    in
-    let last_with prefixes =
-      List.fold_left
-        (fun acc (r : Trace.record) ->
-          if List.exists (fun prefix -> String.starts_with ~prefix r.Trace.label) prefixes then
-            Some r
-          else acc)
-        None records
-    in
     List.iter
-      (fun { phase; opens; closes } ->
-        match (first_with opens, last_with closes) with
-        | Some a, Some b when b.Trace.time >= a.Trace.time ->
-            ignore (add t ?parent ~name:phase ~start:a.Trace.time ~stop:b.Trace.time ())
-        | _ -> ())
-      phases
+      (fun (name, start, stop) -> ignore (add t ?parent ~name ~start ~stop ()))
+      (windows ~phases trace)
 
 (* --- Read-out ---------------------------------------------------------- *)
 

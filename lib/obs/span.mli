@@ -41,8 +41,13 @@ val add :
     [closes]. *)
 type phase = { phase : string; opens : string; closes : string list }
 
-(** [of_trace t ~phases trace] appends one span per recognizable phase
-    (both endpoints present, stop >= start), in the order given. *)
+(** [windows ~phases trace] is the [(phase, start, stop)] window of each
+    recognizable phase (both endpoints present, stop >= start), in the
+    order given. *)
+val windows : phases:phase list -> Ac3_sim.Trace.t -> (string * float * float) list
+
+(** [of_trace t ~phases trace] appends one span per {!windows} entry,
+    in the order given. *)
 val of_trace : t -> ?parent:span -> phases:phase list -> Ac3_sim.Trace.t -> unit
 
 (** [import ~into src] appends [src]'s root spans (in creation order)

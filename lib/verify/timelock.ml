@@ -31,8 +31,9 @@ type assignment = {
 
 let short pk = Hex.short ~n:6 pk
 
-(* BFS depths from the leader over directed edges, as
-   Herlihy.rounds_from_leader. *)
+(* BFS depths from the leader over directed edges: each participant's
+   deployment round under Herlihy's protocol, which takes its timelocks
+   from [assign]. *)
 let depths_from_leader graph leader =
   let dist = Hashtbl.create 8 in
   Hashtbl.replace dist leader 0;

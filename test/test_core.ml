@@ -16,6 +16,8 @@ let fast_universe ?(seed = 7) ~chains n =
   Scenarios.make_universe ~seed ~block_interval:5.0 ~confirm_depth:3 ~chains
     (Scenarios.identities ~ns:(Printf.sprintf "t%d" seed) n) ()
 
+let ok = function Ok r -> r | Error e -> Alcotest.fail e
+
 let ac3wn_config =
   {
     (Ac3wn.default_config ~witness_chain:"witness") with
@@ -32,7 +34,7 @@ let test_ac3wn_two_party_commit () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let before_a = Participant.balance_on (List.hd participants) "eth" in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
+  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
   Alcotest.(check bool) "has latency" true (r.Ac3wn.latency <> None);
@@ -46,7 +48,7 @@ let test_ac3wn_fees_match_model () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
+  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   let count kind = List.length (List.filter (fun f -> f.Ac3wn.kind = kind) r.Ac3wn.fees) in
   Alcotest.(check int) "1 SCw deploy" 1 (count Ac3wn.Scw_deploy);
@@ -63,7 +65,7 @@ let test_ac3wn_abort_refunds_all () =
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let bob = List.nth participants 1 in
   let hooks = [ ("scw_confirmed", fun () -> Participant.crash bob) ] in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks ~abort_after:300.0 () in
+  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks ~abort_after:300.0 () |> ok in
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
   Alcotest.(check bool) "not committed" false r.Ac3wn.committed;
   Alcotest.(check bool) "aborted cleanly" true (Outcome.aborted r.Ac3wn.outcome)
@@ -89,7 +91,7 @@ let test_ac3wn_crash_after_decision_still_atomic () =
             (Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob)) );
     ]
   in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () in
+  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic despite crash" true r.Ac3wn.atomic
 
@@ -100,7 +102,7 @@ let test_ac3wn_cyclic_graph () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
   Alcotest.(check bool) "graph is cyclic" true (Ac2t.classify graph = Ac2t.Cyclic);
-  let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () in
+  let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic
 
@@ -113,7 +115,7 @@ let test_ac3wn_disconnected_graph () =
     Scenarios.disconnected_graph ~chains:[ "c1"; "c2"; "c3"; "c4" ] ids ~timestamp:(Universe.now u)
   in
   Alcotest.(check bool) "graph is disconnected" true (Ac2t.classify graph = Ac2t.Disconnected);
-  let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () in
+  let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic
 
@@ -143,7 +145,7 @@ let test_nolan_crash_violates_atomicity () =
      secret — the moment Bob crashes. *)
   let hooks = [ ("redeem:1", fun () -> Participant.crash bob) ] in
   let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
-  let r = Nolan.execute u ~config ~graph ~participants ~hooks () in
+  let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> ok in
   Alcotest.(check bool) "NOT atomic (Bob lost his coins)" false r.Herlihy.atomic;
   (* Specifically: eth edge redeemed (by Alice), btc edge refunded (to
      Alice). *)
@@ -157,7 +159,7 @@ let test_nolan_honest_commit () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
-  let r = Nolan.execute u ~config ~graph ~participants () in
+  let r = Nolan.execute u ~config ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Herlihy.committed;
   Alcotest.(check bool) "atomic" true r.Herlihy.atomic
 
@@ -176,6 +178,25 @@ let test_herlihy_rejects_fig7_graphs () =
   let cyclic = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids3 ~timestamp:(Universe.now u) in
   Alcotest.(check bool) "fig 7a rejected" true
     (Result.is_error (Herlihy.execute u ~config ~graph:cyclic ~participants:participants3 ()))
+
+let test_nolan_refuses_multi_party_graphs () =
+  (* Nolan is the two-party case: a ring or a cyclic graph is refused
+     with [Error], like any graph Herlihy cannot execute. *)
+  let u, participants = fast_universe ~seed:115 ~chains:[ "c1"; "c2"; "c3" ] 3 in
+  Universe.run_until u 20.0;
+  let ids = List.map Participant.identity participants in
+  let config = Herlihy.default_config ~delta:(Universe.max_delta u) in
+  List.iter
+    (fun (name, graph) ->
+      match Nolan.execute u ~config ~graph ~participants () with
+      | Error e ->
+          Alcotest.(check bool) (name ^ " refused as not two-party") true
+            (Astring.String.is_infix ~affix:"not a two-party swap" e)
+      | Ok _ -> Alcotest.fail (name ^ " accepted by Nolan"))
+    [
+      ("ring", Scenarios.ring_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u));
+      ("cyclic", Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u));
+    ]
 
 let test_herlihy_sequential_deployment () =
   (* Deployment rounds must be sequential: on a 3-ring, deploy:1 comes a
@@ -474,6 +495,8 @@ let () =
           Alcotest.test_case "nolan crash violates atomicity" `Slow test_nolan_crash_violates_atomicity;
           Alcotest.test_case "nolan honest commit" `Slow test_nolan_honest_commit;
           Alcotest.test_case "herlihy rejects Fig 7 graphs" `Quick test_herlihy_rejects_fig7_graphs;
+          Alcotest.test_case "nolan refuses multi-party graphs" `Quick
+            test_nolan_refuses_multi_party_graphs;
           Alcotest.test_case "herlihy sequential deployment" `Slow test_herlihy_sequential_deployment;
         ] );
       ( "ac3tw",

@@ -254,7 +254,7 @@ let test_herlihy_verify_rejects_underslack () =
   (* Rejected before anything touched a chain: no virtual time passed. *)
   Alcotest.(check (float 1e-9)) "no simulation ran" before (Universe.now u)
 
-let test_nolan_verify_raises () =
+let test_nolan_verify_refuses () =
   let u, participants = fast_universe ~seed:802 ~chains:[ "btc"; "eth" ] 2 in
   Universe.run_until u 50.0;
   let ids' = List.map Participant.identity participants in
@@ -263,10 +263,10 @@ let test_nolan_verify_raises () =
     { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timelock_slack = -5.0 }
   in
   match Nolan.execute u ~config ~graph ~participants ~verify:true () with
-  | exception Invalid_argument msg ->
+  | Error msg ->
       Alcotest.(check bool) "carries the diagnostics" true
         (Astring.String.is_infix ~affix:"T002-timelock-order" msg)
-  | _ -> Alcotest.fail "under-slack two-party swap accepted"
+  | Ok _ -> Alcotest.fail "under-slack two-party swap accepted"
 
 let test_herlihy_verify_commits () =
   let u, participants = fast_universe ~seed:803 ~chains:[ "btc"; "eth" ] 2 in
@@ -364,7 +364,7 @@ let () =
         [
           Alcotest.test_case "herlihy rejects under-slack statically" `Quick
             test_herlihy_verify_rejects_underslack;
-          Alcotest.test_case "nolan raises on rejected swap" `Quick test_nolan_verify_raises;
+          Alcotest.test_case "nolan refuses rejected swap" `Quick test_nolan_verify_refuses;
           Alcotest.test_case "herlihy commits with verification on" `Slow
             test_herlihy_verify_commits;
           Alcotest.test_case "ac3wn accepts all scenarios" `Quick test_ac3wn_preflight_all_scenarios;
