@@ -861,19 +861,11 @@ let fast_bench ~runs () =
   Fmt.pr "SHA extensions available: %b@." (Sha256.shani_available ());
   Fmt.pr "%d-run chaos sweep (jobs=1, instrument off) vs the committed@." runs;
   Fmt.pr "seed-tree baseline of %.1f s; gate: >= 5x.@.@." baseline_s;
-  let sweep_s, summary = wall (fun () -> Runner.sweep ~jobs:1 ~seed:1 ~runs ()) in
+  let sweep_s, (_ : Runner.summary) = wall (fun () -> Runner.sweep ~jobs:1 ~seed:1 ~runs ()) in
   let speedup = baseline_s /. sweep_s in
   let gate = speedup >= 5.0 in
-  Fmt.pr "  sweep %7.2f s  =>  %.2fx vs baseline  [%s]@." sweep_s speedup
+  Fmt.pr "  sweep %7.2f s  =>  %.2fx vs baseline  [%s]@.@." sweep_s speedup
     (if gate then "PASS" else "FAIL");
-  (* Sharded scheduling must not change a byte of the summary. *)
-  let shard_s, shard_summary =
-    wall (fun () -> Runner.sweep ~jobs:1 ~shard_chains:true ~seed:1 ~runs ())
-  in
-  let shard_identical =
-    String.equal (Fmt.str "%a" Runner.pp_summary summary) (Fmt.str "%a" Runner.pp_summary shard_summary)
-  in
-  Fmt.pr "  sweep --shard-chains %7.2f s  identical=%b@.@." shard_s shard_identical;
   (* Kernel 1: repeat MSS verification — memo hit vs full recompute. *)
   let signer = Keys.create "bench-fast-verify" in
   let pk = Keys.public signer in
@@ -948,8 +940,6 @@ let fast_bench ~runs () =
             ("sweep_s", Json.Float sweep_s);
             ("speedup", Json.Float speedup);
             ("gate_5x", Json.Bool gate);
-            ("shard_sweep_s", Json.Float shard_s);
-            ("shard_identical", Json.Bool shard_identical);
             ( "kernels",
               Json.Obj
                 [

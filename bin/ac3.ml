@@ -74,6 +74,16 @@ let sanitize_arg =
            fingerprints; exit 4 if any task is not idempotent (cross-task mutable \
            interference).")
 
+(* Input from outside the process that the command cannot use: a
+   one-line diagnostic on stderr and exit 1, never an uncaught
+   exception. *)
+let refuse cmd fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "%s: %s@." cmd msg;
+      1)
+    fmt
+
 let sanitize_failure ~index ~first ~rerun =
   Fmt.epr
     "sanitize: task %d diverged on sequential rerun@.  parallel: %s@.  rerun:    %s@.  a task's \
@@ -505,20 +515,23 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let chaos_replay ~jobs ~metrics_out ~trace_out path =
-  let repro = Repro.of_string (read_file path) in
-  Fmt.pr "replaying %s (%a; %a)@." path Plan.pp_spec repro.Repro.spec Plan.pp repro.Repro.plan;
-  let results = Repro.replay ~jobs repro in
-  List.iter (fun r -> Fmt.pr "%a@." Repro.pp_replay_result r) results;
-  export_obs ?metrics_out ?trace_out
-    (merged_report_obs (List.map (fun r -> r.Repro.report) results));
-  if Repro.replay_ok results then begin
-    Fmt.pr "replay: all %d expectation(s) matched@." (List.length results);
-    0
-  end
-  else begin
-    Fmt.pr "replay: MISMATCH — behavior differs from the recorded reproducer@.";
-    3
-  end
+  match Repro.of_string (read_file path) with
+  | exception (Plan.Malformed msg | Ac3_crypto.Codec.Decode_error msg | Sys_error msg) ->
+      refuse "chaos" "malformed reproducer %s: %s" path msg
+  | repro ->
+      Fmt.pr "replaying %s (%a; %a)@." path Plan.pp_spec repro.Repro.spec Plan.pp repro.Repro.plan;
+      let results = Repro.replay ~jobs repro in
+      List.iter (fun r -> Fmt.pr "%a@." Repro.pp_replay_result r) results;
+      export_obs ?metrics_out ?trace_out
+        (merged_report_obs (List.map (fun r -> r.Repro.report) results));
+      if Repro.replay_ok results then begin
+        Fmt.pr "replay: all %d expectation(s) matched@." (List.length results);
+        0
+      end
+      else begin
+        Fmt.pr "replay: MISMATCH — behavior differs from the recorded reproducer@.";
+        3
+      end
 
 let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
   let spec, plan = Plan.sample ~load ~seed () in
@@ -573,25 +586,29 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       | None -> ());
       0
 
-let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out
-    shard_chains =
+let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
   match replay with
   | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
-  | None ->
-      if shrink then chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out
-      else begin
-        let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
-        let on_report = if verbose then Some report_line else None in
-        match Runner.sweep ~protocols ?on_report ~jobs ~sanitize ~load ~shard_chains ~seed ~runs () with
-        | summary ->
-            export_obs ?metrics_out ?trace_out summary.Runner.obs;
-            Fmt.pr "%a@." Runner.pp_summary summary;
-            if summary.Runner.unexplained_failures > 0 || summary.Runner.interval_violations > 0
-            then 3
-            else 0
-        | exception Pool.Interference { index; first; rerun } ->
-            sanitize_failure ~index ~first ~rerun
-      end
+  | None when runs < 0 -> refuse "chaos" "--runs must be non-negative (got %d)" runs
+  | None -> (
+      (* [Plan.sample] refuses an out-of-range --load before any run
+         starts or prints, in the sweep and the shrinker alike. *)
+      try
+        if shrink then chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out
+        else begin
+          let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
+          let on_report = if verbose then Some report_line else None in
+          match Runner.sweep ~protocols ?on_report ~jobs ~sanitize ~load ~seed ~runs () with
+          | summary ->
+              export_obs ?metrics_out ?trace_out summary.Runner.obs;
+              Fmt.pr "%a@." Runner.pp_summary summary;
+              if summary.Runner.unexplained_failures > 0 || summary.Runner.interval_violations > 0
+              then 3
+              else 0
+          | exception Pool.Interference { index; first; rerun } ->
+              sanitize_failure ~index ~first ~rerun
+        end
+      with Plan.Malformed msg -> refuse "chaos" "%s" msg)
 
 let chaos_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed; run $(i,k) uses seed+$(i,k).") in
@@ -628,21 +645,12 @@ let chaos_cmd =
             "Concurrent background swaps sharing each run's universe (1 = none): faults then hit \
              contended mempools and blocks, not an idle system.")
   in
-  let shard_chains =
-    Arg.(
-      value & flag
-      & info [ "shard-chains" ]
-          ~doc:
-            "Experimental: pre-generate every run's per-chain signing-key material on the \
-             $(b,--jobs) worker domains before the sweep starts. Purely a scheduling change — \
-             all output (summary, metrics, traces) is byte-identical with the flag on or off.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Deterministic fault-injection sweeps: seeded plans, atomicity oracle, shrinking")
     Term.(
       const run_chaos $ seed $ runs $ protocol $ load $ replay $ shrink $ out $ jobs_arg
-      $ sanitize_arg $ verbose $ metrics_out_arg $ trace_out_arg $ shard_chains)
+      $ sanitize_arg $ verbose $ metrics_out_arg $ trace_out_arg)
 
 (* --- check -------------------------------------------------------------------- *)
 
@@ -711,6 +719,7 @@ let check_stats_json (s : MC.stats) =
 
 let run_check protocol scenario parties delta slack crashes max_nodes json export seed jobs
     sanitize quiet metrics_out trace_out =
+  if crashes < 0 then refuse "check" "--crashes must be non-negative (got %d)" crashes else
   let config =
     { MC.delta; timelock_slack = slack; start_time = 0.0; max_nodes; crash_budget = crashes }
   in
@@ -894,6 +903,7 @@ let export_flow_witness ~path ~parties ~seed results =
         path
 
 let run_flow profile scenario parties budget json export seed jobs sanitize quiet =
+  if budget < 0 then refuse "flow" "--fault-budget must be non-negative (got %d)" budget else
   let pairs =
     let profiles =
       match profile with Some p -> [ p ] | None -> [ Flow.Single_leader; Flow.Witness ]
@@ -1111,9 +1121,7 @@ let run_load swaps seed users chains rate clients think zipf mix abandon deadlin
       export_obs ?metrics_out ?trace_out summary.Load.obs;
       let non_atomic = List.fold_left (fun acc r -> acc + r.Load.non_atomic) 0 summary.Load.reports in
       if non_atomic > 0 then 3 else 0
-  | exception Invalid_argument msg ->
-      Fmt.epr "load: %s@." msg;
-      1
+  | exception Invalid_argument msg -> refuse "load" "%s" msg
   | exception Pool.Interference { index; first; rerun } -> sanitize_failure ~index ~first ~rerun
 
 let load_cmd =

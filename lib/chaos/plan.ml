@@ -268,9 +268,12 @@ let fault_of_json j =
   let fl k = Json.to_float (Json.member k j) in
   let it k = Json.to_int (Json.member k j) in
   let st k = Json.to_str (Json.member k j) in
+  (* Injection wraps the index round the spec's parties, which a
+     negative index would escape. *)
+  let party () = match it "party" with p when p >= 0 -> p | p -> fail "negative party: %d" p in
   match st "kind" with
-  | "crash" -> Crash { party = it "party"; at = fl "at" }
-  | "restart" -> Restart { party = it "party"; at = fl "at" }
+  | "crash" -> Crash { party = party (); at = fl "at" }
+  | "restart" -> Restart { party = party (); at = fl "at" }
   | "partition" -> Partition { chain = st "chain"; at = fl "at"; duration = fl "duration"; cut = it "cut" }
   | "delay" -> Delay { chain = st "chain"; at = fl "at"; duration = fl "duration"; factor = fl "factor" }
   | "drop" -> Drop { chain = st "chain"; at = fl "at"; duration = fl "duration"; p = fl "p" }

@@ -119,34 +119,6 @@ let build_graph ~spec ~ids ~timestamp =
   | Plan.Supply_chain -> Scenarios.supply_chain_graph ~chains ids ~timestamp
   | Plan.Random -> random_graph ~spec ~ids ~timestamp
 
-(* --- Experimental per-chain sharding (--shard-chains) --------------- *)
-
-(* The identity labels a (spec, protocol) run will create in
-   [build_universe]: the namespaced protocol parties plus the
-   background-load pairs. Must mirror that function exactly — the
-   warm-up below only pays off for labels that are later requested. *)
-let shard_labels ~spec ~protocols =
-  List.concat_map
-    (fun protocol ->
-      let ns = Printf.sprintf "chaos%d-%s" spec.Plan.seed (protocol_name protocol) in
-      Scenarios.identity_labels ~ns spec.Plan.parties
-      @ List.init (2 * (spec.Plan.load - 1)) (fun k -> Printf.sprintf "%s:bg%d" ns k))
-    protocols
-
-(* Fan MSS key-material generation for [labels] over pool domains before
-   the runs build their universes. Key material is immutable and a pure
-   function of the label ({!Keys.warm}), and the scatter is uncounted
-   ({!Pool.prewarm}), so a sharded run is byte-identical to an
-   unsharded one — only WHERE the keygen work happens moves. Bounded by
-   the material-cache capacity (warming past it would only churn the
-   cache) and a no-op inside a pool task, where a nested pool would be
-   rejected and the coordinating sweep has already warmed the cache. *)
-let shard_warmup ?jobs labels =
-  if not (Pool.in_task ()) then begin
-    let bounded = List.filteri (fun i _ -> i < Ac3_crypto.Mss.material_cap) labels in
-    Pool.prewarm ?jobs (List.map (fun label () -> Keys.warm label) bounded)
-  end
-
 let build_universe ?instrument ~spec ~protocol () =
   let ns = Printf.sprintf "chaos%d-%s" spec.Plan.seed (protocol_name protocol) in
   let ids = Scenarios.identities ~ns ~fresh:true spec.Plan.parties in
@@ -210,8 +182,7 @@ let launch_background ~universe ~spec ~bg =
       | Ok h -> h
       | Error e -> failwith ("chaos background swap refused: " ^ e))
 
-let run_one ?instrument ?(shard_chains = false) ~spec ~plan ~protocol () =
-  if shard_chains then shard_warmup (shard_labels ~spec ~protocols:[ protocol ]);
+let run_one ?instrument ~spec ~plan ~protocol () =
   let universe, participants, ids, bg = build_universe ?instrument ~spec ~protocol () in
   let run_span =
     Span.enter (Universe.spans universe)
@@ -361,9 +332,8 @@ let report_fingerprint r =
    [sanitize] re-executes sampled runs and compares report fingerprints
    — sound here because every run rebuilds its universe and identities
    from the spec seed alone. *)
-let run_all ?(protocols = all_protocols) ?(jobs = 1) ?(sanitize = false) ?instrument
-    ?(shard_chains = false) ~spec ~plan () =
-  if shard_chains then shard_warmup ~jobs (shard_labels ~spec ~protocols);
+let run_all ?(protocols = all_protocols) ?(jobs = 1) ?(sanitize = false) ?instrument ~spec ~plan
+    () =
   Pool.map ~jobs ~sanitize ~fingerprint:report_fingerprint
     (fun protocol -> run_one ?instrument ~spec ~plan ~protocol ())
     protocols
@@ -434,20 +404,10 @@ let tally c = function
    [on_report] callback are therefore byte-identical for every [jobs]
    (locked in by test/test_par.ml). *)
 let sweep ?(protocols = all_protocols) ?on_report ?(jobs = 1) ?(instrument = true)
-    ?(sanitize = false) ?(load = 1) ?(shard_chains = false) ~seed ~runs () =
+    ?(sanitize = false) ?(load = 1) ~seed ~runs () =
   let sweep_task_fingerprint (run_seed, reports) =
     String.concat "\n" (string_of_int run_seed :: List.map report_fingerprint reports)
   in
-  (* Warm key material for every (run, protocol) the sweep will execute.
-     [Plan.sample] is pure, so resampling the specs here costs only the
-     sampling itself and names exactly the labels the runs will use. *)
-  if shard_chains then
-    shard_warmup ~jobs
-      (List.concat_map
-         (fun k ->
-           let spec, _plan = Plan.sample ~load ~seed:(seed + k) () in
-           shard_labels ~spec ~protocols)
-         (List.init runs Fun.id));
   let reports_by_run =
     Pool.run ~jobs ~sanitize ~fingerprint:sweep_task_fingerprint
       (List.init runs (fun k () ->

@@ -64,18 +64,9 @@ val build_graph :
 (** [instrument] (default [true]) switches the run universe's
     observability context; either way the protocol outcome, traces and
     verdict are byte-identical — instruments never touch the RNG or the
-    engine.
-
-    [shard_chains] (default [false], experimental) scatters the run's
-    per-chain MSS key-material generation over an [Ac3_par.Pool] before
-    the universe is built. Key material is an immutable, pure function
-    of the identity label, so every observable output — traces,
-    verdicts, metrics — is byte-identical with the flag on or off; only
-    where the keygen work happens moves. A no-op from inside a pool
-    task. *)
+    engine. *)
 val run_one :
   ?instrument:bool ->
-  ?shard_chains:bool ->
   spec:Plan.spec ->
   plan:Plan.t ->
   protocol:protocol ->
@@ -93,7 +84,6 @@ val run_all :
   ?jobs:int ->
   ?sanitize:bool ->
   ?instrument:bool ->
-  ?shard_chains:bool ->
   spec:Plan.spec ->
   plan:Plan.t ->
   unit ->
@@ -141,13 +131,7 @@ type summary = {
     [load] (default 1) layers [load - 1] concurrent background swaps
     onto every run's universe ({!Ac3_chaos.Plan.spec.load}): crashes
     and partitions then hit a system with contended mempools and
-    blocks, not an idle one.
-
-    [shard_chains] (default [false], experimental) pre-generates the
-    MSS key material of every (run, protocol) identity on the pool
-    domains before the runs start, bounded by the key-material cache
-    capacity ({!Ac3_crypto.Mss.material_cap}). Byte-identical output
-    with the flag on or off — see {!run_one}. *)
+    blocks, not an idle one. *)
 val sweep :
   ?protocols:protocol list ->
   ?on_report:(report -> unit) ->
@@ -155,7 +139,6 @@ val sweep :
   ?instrument:bool ->
   ?sanitize:bool ->
   ?load:int ->
-  ?shard_chains:bool ->
   seed:int ->
   runs:int ->
   unit ->

@@ -18,19 +18,14 @@ let participant_names =
     "kevin"; "laura"; "mallory"; "nina"; "oscar"; "peggy";
   |]
 
-(* The labels [identities] will use, exposed so parallel warm-up can
-   precompute key material for exactly these names. *)
-let identity_labels ?(ns = "") n =
-  if n > Array.length participant_names then invalid_arg "Scenarios.identities: too many";
-  List.init n (fun i ->
-      let name = participant_names.(i) in
-      if ns = "" then name else ns ^ ":" ^ name)
-
 (* [ns] namespaces the identities: every run that must not share (and
    exhaust) MSS signing keys with other runs passes its own namespace. *)
-let identities ?ns ?(fresh = false) n =
+let identities ?(ns = "") ?(fresh = false) n =
+  if n > Array.length participant_names then invalid_arg "Scenarios.identities: too many";
   let make = if fresh then Keys.fresh ?height:None else Keys.create ?height:None in
-  List.map make (identity_labels ?ns n)
+  List.init n (fun i ->
+      let name = participant_names.(i) in
+      make (if ns = "" then name else ns ^ ":" ^ name))
 
 (* A fast generic chain for protocol experiments. *)
 let chain_params ?(block_interval = 10.0) ?(confirm_depth = 4) ?(regular_blocks = false) ~premine

@@ -8,11 +8,6 @@ open Ac3_chain
 (** Genesis funding per identity per chain. *)
 val funding : Amount.t
 
-(** The labels {!identities} would use for the first [n] participants
-    under namespace [ns] — for warming the key-material cache
-    ({!Keys.warm}) in parallel before building identities. *)
-val identity_labels : ?ns:string -> int -> string list
-
 (** The first [n] of alice, bob, carol, ... — namespaced by [ns] so
     separate runs get fresh (unexhausted) MSS signing keys. [fresh]
     additionally bypasses the key cache ({!Keys.fresh}), so repeated

@@ -39,38 +39,20 @@ let cache_mutex = Mutex.create ()
 
 let default_height = 6 (* 64 signatures per identity *)
 
-(* Test-only escape hatch: [true] restores the unlocked memo-table path
-   this module shipped with before the mutex fix, in which two domains
-   racing a cold label each generate their own secret (equal key
-   material, independent mutable signature counters) and hand out
-   different objects. The parallel-interference sanitizer's self-test
-   flips this on to prove it detects exactly that bug; nothing else may
-   ever set it. *)
-let test_only_unlocked_cache = ref false
-
 let generate_secret ~height label =
   Mss.generate ~height ~seed:(Sha256.digest ("identity:" ^ label)) ()
 
 let create ?(height = default_height) label =
   let key = (label, height) in
   let secret =
-    if !test_only_unlocked_cache then (
-      (* The resurrected race: lookup and insert without the lock. *)
-      match Hashtbl.find_opt cache key with
-      | Some s -> s
-      | None ->
-          let s = generate_secret ~height label in
-          Hashtbl.add cache key s;
-          s)
-    else
-      (* ac3-lint: allow D004 — guards the cross-domain memo table; the held value is seed-deterministic *)
-      Mutex.protect cache_mutex (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some s -> s
-          | None ->
-              let s = generate_secret ~height label in
-              Hashtbl.add cache key s;
-              s)
+    (* ac3-lint: allow D004 — guards the cross-domain memo table; the held value is seed-deterministic *)
+    Mutex.protect cache_mutex (fun () ->
+        match Hashtbl.find_opt cache key with
+        | Some s -> s
+        | None ->
+            let s = generate_secret ~height label in
+            Hashtbl.add cache key s;
+            s)
   in
   { label; secret; public = Mss.public secret }
 
@@ -81,15 +63,6 @@ let create ?(height = default_height) label =
 let fresh ?(height = default_height) label =
   let secret = generate_secret ~height label in
   { label; secret; public = Mss.public secret }
-
-(* Build the key material for [label] into the process-wide material
-   cache ({!Mss}) without handing out an identity. The sharded chaos
-   runner fans these out over pool worker domains before building a
-   universe; the later [create]/[fresh] on the coordinating domain then
-   finds the material ready. Material is immutable and a pure function
-   of the label, so warming from any domain is semantically invisible. *)
-let warm ?(height = default_height) label =
-  if Ac3_fast.Memo.enabled () then ignore (generate_secret ~height label : Mss.secret)
 
 let label t = t.label
 
@@ -130,13 +103,6 @@ let verify pk msg signature =
         (* Malformed pk or signature shapes can't be framed; verify
            directly (the answer is [false] anyway). *)
         Mss.verify pk msg signature
-
-(* Warm-up hook for the sharded miner: verdicts computed on pool worker
-   domains are inserted into the coordinating domain's table here. *)
-let memoize_verification pk msg signature verdict =
-  match verify_key pk msg signature with
-  | key -> Ac3_fast.Memo.add verify_memo key verdict
-  | exception _ -> ()
 
 let pp_public ppf pk = Fmt.string ppf (Hex.short pk)
 

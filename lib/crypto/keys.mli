@@ -25,20 +25,6 @@ val create : ?height:int -> string -> t
     that must not share signature-counter state. *)
 val fresh : ?height:int -> string -> t
 
-(** Test-only: [true] restores the unlocked memo-table path from before
-    the mutex fix, in which domains racing a cold label can be handed
-    distinct secret objects with independent signature counters. Exists
-    solely so the [Ac3_par.Pool] interference sanitizer's self-test can
-    reintroduce that bug and prove it is detected. Never set this
-    outside tests. *)
-val test_only_unlocked_cache : bool ref
-
-(** [warm label] builds the key material for [label] into the
-    process-wide material cache without creating an identity, so a later
-    {!create}/{!fresh} with the same label (and height) is a cache hit.
-    Safe from any domain; a no-op when memoization is disabled. *)
-val warm : ?height:int -> string -> unit
-
 val label : t -> string
 
 val public : t -> public
@@ -57,13 +43,6 @@ val sign : t -> string -> signature
 (** Verify a signature. Verdicts are memoized by the full
     (pk, msg, signature) serialization — see {!Ac3_fast.Memo}. *)
 val verify : public -> string -> signature -> bool
-
-(** [memoize_verification pk msg signature verdict] warms the
-    verification memo of the calling domain with an already-computed
-    verdict. [verdict] MUST equal [verify pk msg signature]; the
-    sharded miner uses this to transfer verdicts computed on pool
-    worker domains back to the coordinating domain. *)
-val memoize_verification : public -> string -> signature -> bool -> unit
 
 val pp_public : Format.formatter -> public -> unit
 

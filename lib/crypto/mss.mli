@@ -15,11 +15,6 @@ type signature
     [2^height] WOTS key generations. Default height 5 (32 signatures). *)
 val generate : ?height:int -> seed:string -> unit -> secret
 
-(** Capacity of the process-wide key-material memo (entries, not bytes).
-    Warm-up fan-outs ({!Ac3_crypto.Keys.warm}) that insert more than
-    this many materials just churn the cache; bound the batch to it. *)
-val material_cap : int
-
 val public : secret -> public
 
 (** Total number of signatures the key can produce. *)

@@ -33,15 +33,6 @@ let create ~name ~cap =
 (* ac3-lint: allow D008 — reads the calling domain's own table *)
 let table t = Domain.DLS.get t.key
 
-let find t k = if !enabled_flag then Hashtbl.find_opt (table t) k else None
-
-let add t k v =
-  if !enabled_flag then begin
-    let tbl = table t in
-    if Hashtbl.length tbl >= t.cap then Hashtbl.reset tbl;
-    Hashtbl.replace tbl k v
-  end
-
 let memo t k f =
   if not !enabled_flag then f ()
   else

@@ -10,9 +10,7 @@
 
     Tables are domain-local: each domain of a parallel sweep warms its
     own cache, so lookups take no lock and cannot interleave across
-    domains. A cache can also be warmed explicitly with [add] (the
-    [--shard-chains] path computes entries on pool workers and inserts
-    the results in the coordinating domain).
+    domains.
 
     [set_enabled false] turns every table into a pass-through — the
     reference mode the differential tests diff against. *)
@@ -24,10 +22,6 @@ type 'a t
     phase-local enough that rebuilding is cheap). *)
 val create : name:string -> cap:int -> 'a t
 
-val find : 'a t -> string -> 'a option
-
-val add : 'a t -> string -> 'a -> unit
-
 (** [memo t key f] — cached [f ()], computing and remembering on miss. *)
 val memo : 'a t -> string -> (unit -> 'a) -> 'a
 
@@ -37,8 +31,8 @@ val clear : 'a t -> unit
 (** Drop the current domain's entries of every table ever created. *)
 val clear_all : unit -> unit
 
-(** Global switch, [true] by default. With [false] every [find] misses
-    and every [add] is dropped. *)
+(** Global switch, [true] by default. With [false] every [memo] call
+    computes [f ()] and remembers nothing. *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool

@@ -114,7 +114,8 @@ let histogram t ?(labels = []) ~lo ~hi ~buckets name =
       h
 
 (* Top bucket closed: x = hi lands in the last bucket instead of being
-   dropped (the Stats.histogram bug this layer was born from). *)
+   dropped, which a half-open [lo, hi) bucketing would do to the
+   largest possible sample. *)
 let observe h x =
   if h.h_on then begin
     if Float.is_nan x then h.nans <- h.nans + 1

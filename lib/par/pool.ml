@@ -44,8 +44,6 @@ let split_seed ~root ~index =
    park a worker on a pool that can never drain below it. *)
 let in_pool = Domain.DLS.new_key (fun () -> false)
 
-let in_task () = Domain.DLS.get in_pool
-
 type 'a slot = Pending | Done of 'a | Raised of exn * Printexc.raw_backtrace
 
 (* Lifetime totals for the observability layer: work *submitted*, not
@@ -101,11 +99,6 @@ let run_uncounted ?jobs tasks =
     Array.to_list
       (Array.map (function Done v -> v | Pending | Raised _ -> assert false) slots)
   end
-
-(* Warm-ups are deliberately invisible to [stats]: the pool-work totals
-   are exported as deterministic metrics, and a cache warm-up must not
-   make a sharded run's metrics differ from an unsharded one's. *)
-let prewarm ?jobs tasks = ignore (run_uncounted ?jobs tasks : unit list)
 
 (* --- Interference sanitizer ----------------------------------------- *)
 

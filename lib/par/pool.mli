@@ -39,12 +39,6 @@ exception Interference of { index : int; first : string; rerun : string }
     the CLI [--jobs] flag. *)
 val default_jobs : unit -> int
 
-(** [true] while the calling domain is executing a pool task — a nested
-    {!run} would raise {!Nested}. Lets opportunistic parallel helpers
-    (the sharded key-material warm-up) fall back to their sequential
-    path instead of raising. *)
-val in_task : unit -> bool
-
 (** [split_seed ~root ~index] is a SplitMix64-derived, non-negative
     per-task seed: the [index]-th element of the stream anchored at
     [root]. Distinct (root, index) pairs give independent seeds, and
@@ -67,14 +61,6 @@ val stats : unit -> int * int
     abstract state whose identity (not content) would differ between
     runs, e.g. closures capturing fresh refs. *)
 val fingerprint : 'a -> string
-
-(** [prewarm ?jobs tasks] runs side-effect-only thunks on the pool
-    WITHOUT counting them in {!stats}. For cache warm-ups (the
-    [--shard-chains] key-material scatter): pool-work totals are
-    exported as deterministic metrics, so a warm-up that bumped them
-    would make a sharded run's metrics differ from an unsharded
-    one's. Raises {!Nested} from inside a pool task like {!run}. *)
-val prewarm : ?jobs:int -> (unit -> unit) list -> unit
 
 (** [run ?jobs tasks] executes every thunk and returns the results in
     task order. If any task raises, the remaining tasks still run and

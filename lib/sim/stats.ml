@@ -1,43 +1,25 @@
 (* Small statistics toolbox used by the experiment harness.
 
-   NaN policy: order statistics (percentile, minimum, maximum) and
-   [summarize] DROP NaN samples and report how many were dropped —
-   a NaN must never silently poison a sort (polymorphic [compare] puts
-   NaN in an unspecified position, yielding garbage percentiles) or leak
-   asymmetrically out of min/max. [mean]/[variance] keep IEEE
-   propagation: a NaN sample makes them NaN, which is visible rather
-   than wrong. *)
+   NaN policy: order statistics (percentile, maximum) DROP NaN samples
+   — a NaN must never silently poison a sort (polymorphic [compare]
+   puts NaN in an unspecified position, yielding garbage percentiles)
+   or leak asymmetrically out of a max. [mean] keeps IEEE propagation:
+   a NaN sample makes it NaN, which is visible rather than wrong. *)
 
 let mean xs =
   match xs with
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let variance xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let m = mean xs in
-      let n = float_of_int (List.length xs) in
-      List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. (n -. 1.0)
-
-let stddev xs = sqrt (variance xs)
-
-(* Split out the NaNs: (valid samples in order, dropped count). *)
-let drop_nans xs =
-  let valid = List.filter (fun x -> not (Float.is_nan x)) xs in
-  (valid, List.length xs - List.length valid)
-
-let minimum xs =
-  match fst (drop_nans xs) with [] -> nan | x :: r -> List.fold_left Float.min x r
+let drop_nans xs = List.filter (fun x -> not (Float.is_nan x)) xs
 
 let maximum xs =
-  match fst (drop_nans xs) with [] -> nan | x :: r -> List.fold_left Float.max x r
+  match drop_nans xs with [] -> nan | x :: r -> List.fold_left Float.max x r
 
 (* Nearest-rank percentile on a copy of the data. [p] in [0, 100].
    Sorts with [Float.compare]: total order, NaNs already dropped. *)
 let percentile xs p =
-  match fst (drop_nans xs) with
+  match drop_nans xs with
   | [] -> nan
   | valid ->
       let arr = Array.of_list valid in
@@ -46,79 +28,3 @@ let percentile xs p =
       let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
       let idx = max 0 (min (n - 1) (rank - 1)) in
       arr.(idx)
-
-let median xs = percentile xs 50.0
-
-type summary = {
-  count : int;  (** valid (non-NaN) samples *)
-  nans : int;  (** NaN samples dropped *)
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
-(* Every field of the summary is computed over the valid samples; the
-   [nans] count is the warning that samples were dropped. *)
-let summarize xs =
-  let valid, nans = drop_nans xs in
-  {
-    count = List.length valid;
-    nans;
-    mean = mean valid;
-    stddev = stddev valid;
-    min = minimum valid;
-    max = maximum valid;
-    p50 = percentile valid 50.0;
-    p95 = percentile valid 95.0;
-    p99 = percentile valid 99.0;
-  }
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max;
-  if s.nans > 0 then Fmt.pf ppf " (dropped %d NaN)" s.nans
-
-type hist = { counts : int array; underflow : int; overflow : int; dropped_nans : int }
-
-(* Histogram with [buckets] equal-width bins over [lo, hi] — the top
-   bucket is closed so [x = hi] is counted, and out-of-range samples
-   are tallied instead of silently vanishing. *)
-let histogram ~lo ~hi ~buckets xs =
-  if buckets <= 0 then invalid_arg "Stats.histogram: buckets must be positive";
-  if hi <= lo then invalid_arg "Stats.histogram: hi must exceed lo";
-  let counts = Array.make buckets 0 in
-  let underflow = ref 0 and overflow = ref 0 and dropped = ref 0 in
-  let width = (hi -. lo) /. float_of_int buckets in
-  List.iter
-    (fun x ->
-      if Float.is_nan x then incr dropped
-      else if x < lo then incr underflow
-      else if x > hi then incr overflow
-      else begin
-        let b = int_of_float ((x -. lo) /. width) in
-        let b = max 0 (min (buckets - 1) b) in
-        counts.(b) <- counts.(b) + 1
-      end)
-    xs;
-  { counts; underflow = !underflow; overflow = !overflow; dropped_nans = !dropped }
-
-(* Wilson score interval for a binomial proportion; used to report
-   confidence on measured atomicity-violation rates. *)
-let wilson_interval ~successes ~trials =
-  if trials = 0 then (0.0, 1.0)
-  else begin
-    let z = 1.96 in
-    let n = float_of_int trials in
-    let p = float_of_int successes /. n in
-    let z2 = z *. z in
-    let denom = 1.0 +. (z2 /. n) in
-    let center = (p +. (z2 /. (2.0 *. n))) /. denom in
-    let half =
-      z *. sqrt ((p *. (1.0 -. p) /. n) +. (z2 /. (4.0 *. n *. n))) /. denom
-    in
-    (max 0.0 (center -. half), min 1.0 (center +. half))
-  end

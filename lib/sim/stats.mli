@@ -1,59 +1,13 @@
 (** Statistics helpers for the experiment harness.
 
-    NaN policy: order statistics ({!percentile}, {!minimum}, {!maximum})
-    and {!summarize} drop NaN samples (the drop is counted and
-    reported); {!mean}/{!variance} propagate NaN. *)
+    NaN policy: order statistics ({!percentile}, {!maximum}) drop NaN
+    samples; {!mean} propagates NaN. *)
 
 val mean : float list -> float
 
-(** Sample variance (Bessel-corrected). *)
-val variance : float list -> float
-
-val stddev : float list -> float
-
-(** [drop_nans xs] is [(valid, dropped)]: the non-NaN samples in order
-    and how many NaNs were removed. *)
-val drop_nans : float list -> float list * int
-
 (** NaN iff there are no valid samples. *)
-val minimum : float list -> float
-
 val maximum : float list -> float
 
 (** Nearest-rank percentile; [p] in [\[0, 100\]]. Sorts with a total
     float order; NaN samples are dropped first. *)
 val percentile : float list -> float -> float
-
-val median : float list -> float
-
-type summary = {
-  count : int;  (** valid (non-NaN) samples *)
-  nans : int;  (** NaN samples dropped *)
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
-(** All fields computed over the valid samples only. *)
-val summarize : float list -> summary
-
-val pp_summary : Format.formatter -> summary -> unit
-
-type hist = {
-  counts : int array;
-  underflow : int;  (** samples below [lo] *)
-  overflow : int;  (** samples above [hi] *)
-  dropped_nans : int;
-}
-
-(** Equal-width histogram over [\[lo, hi\]]; the top bucket is closed
-    ([x = hi] counts) and out-of-range samples are tallied in
-    [underflow]/[overflow] instead of being silently dropped. *)
-val histogram : lo:float -> hi:float -> buckets:int -> float list -> hist
-
-(** 95% Wilson score interval for a binomial proportion. *)
-val wilson_interval : successes:int -> trials:int -> float * float

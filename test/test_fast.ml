@@ -14,8 +14,7 @@
      after in-place mutation of already-hashed values;
    - reorged stores are diffed against fresh stores that only ever saw
      the winning branch, and chaos sweeps and corpus replays are
-     rendered byte-for-byte under --jobs {1,2,4}, --shard-chains
-     on/off, and memo on/off. *)
+     rendered byte-for-byte under --jobs {1,2,4} and memo on/off. *)
 
 module Engine = Ac3_sim.Engine
 module Memo = Ac3_fast.Memo
@@ -387,23 +386,22 @@ let test_reorg_differential () =
   Alcotest.(check string) "reorged store == fresh store (memo off)" c_off a_off;
   Alcotest.(check string) "memo on == memo off" a_on a_off
 
-(* --- Chaos sweeps: jobs x shard x memo byte-identity ------------------ *)
+(* --- Chaos sweeps: jobs x memo byte-identity ------------------------- *)
 
 let summary_render (s : Runner.summary) =
   Fmt.str "%a" Runner.pp_summary s ^ "\n" ^ Json.to_string (Metrics.to_json s.Runner.obs.Obs.metrics)
 
-let test_sweep_jobs_shard_differential () =
-  let sweep ~jobs ~shard_chains =
-    summary_render (Runner.sweep ~jobs ~shard_chains ~seed:1 ~runs:2 ())
-  in
-  let base = sweep ~jobs:1 ~shard_chains:false in
+(* The summary AND the metrics JSON must not depend on --jobs. *)
+let test_sweep_jobs_differential () =
+  let sweep ~jobs = summary_render (Runner.sweep ~jobs ~seed:1 ~runs:2 ()) in
+  let base = sweep ~jobs:1 in
   List.iter
-    (fun (jobs, shard_chains) ->
+    (fun jobs ->
       Alcotest.(check bool)
-        (Printf.sprintf "sweep(jobs=%d, shard=%b) == sweep(jobs=1, shard=off)" jobs shard_chains)
+        (Printf.sprintf "sweep(jobs=%d) == sweep(jobs=1)" jobs)
         true
-        (String.equal base (sweep ~jobs ~shard_chains)))
-    [ (1, true); (2, false); (2, true); (4, true) ]
+        (String.equal base (sweep ~jobs)))
+    [ 2; 4 ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -451,7 +449,7 @@ let () =
         [ Alcotest.test_case "incremental reorg == from-scratch" `Quick test_reorg_differential ] );
       ( "sweep-differential",
         [
-          Alcotest.test_case "jobs x shard byte-identity" `Slow test_sweep_jobs_shard_differential;
+          Alcotest.test_case "jobs byte-identity" `Slow test_sweep_jobs_differential;
           Alcotest.test_case "corpus replay memo on/off" `Slow
             test_corpus_replay_memo_differential;
         ] );

@@ -54,9 +54,8 @@ let test_kind_conflict () =
   | _ -> Alcotest.fail "kind conflict should raise"
   | exception Invalid_argument _ -> ()
 
-(* The Stats.histogram bug this layer was born from: x = hi must land in
-   the last bucket, and out-of-range samples must be counted, not
-   silently dropped. *)
+(* x = hi must land in the last bucket, and out-of-range samples must
+   be counted, not silently dropped. *)
 let test_histogram_edges () =
   let m = Metrics.create () in
   let h = Metrics.histogram m ~lo:0.0 ~hi:10.0 ~buckets:10 "h" in

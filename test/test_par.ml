@@ -189,45 +189,49 @@ let test_sanitize_clean () =
         results)
     jobs_values
 
-(* The resurrected PR-4 bug: with the unlocked memo path, tasks sharing
-   one label can be handed distinct secrets with independent signature
-   counters — and even when the race window is missed, they share ONE
-   memoized mutable counter across tasks. Either way a task's
-   remaining-signature count depends on what other executions did, so
-   the sequential rerun is strictly below every parallel observation
-   and the sanitizer must flag it with a task index. *)
+(* A deliberately racy identity cache: the unlocked memo table
+   [Keys.create] used before its mutex. Two domains racing a cold label
+   can each build a secret and hand out different objects (equal key
+   material, independent signature counters); when the race window is
+   missed, every task shares ONE memoized mutable counter. *)
+let racy_create cache label =
+  match Hashtbl.find_opt cache label with
+  | Some id -> id
+  | None ->
+      let id = Keys.fresh ~height:5 label in
+      Hashtbl.add cache label id;
+      id
+
+(* Either way a task's remaining-signature count depends on what other
+   executions did, so the sequential rerun is strictly below every
+   parallel observation and the sanitizer must flag it with a task
+   index. *)
 let test_sanitize_catches_keys_race () =
-  Keys.test_only_unlocked_cache := true;
-  Fun.protect
-    ~finally:(fun () -> Keys.test_only_unlocked_cache := false)
-    (fun () ->
-      let tasks =
-        List.init 8 (fun _ () ->
-            let id = Keys.create ~height:5 "sanitize-race" in
-            ignore (Keys.sign id "interference");
-            Keys.remaining_signatures id)
-      in
-      match Pool.run ~jobs:4 ~sanitize:true tasks with
-      | _ -> Alcotest.fail "sanitizer missed the shared signature counter"
-      | exception Pool.Interference { index; first; rerun } ->
-          Alcotest.(check bool) "offending index in range" true (index >= 0 && index < 8);
-          Alcotest.(check bool) "fingerprints differ" true (first <> rerun))
+  let cache = Hashtbl.create 8 in
+  let tasks =
+    List.init 8 (fun _ () ->
+        let id = racy_create cache "sanitize-race" in
+        ignore (Keys.sign id "interference");
+        Keys.remaining_signatures id)
+  in
+  match Pool.run ~jobs:4 ~sanitize:true tasks with
+  | _ -> Alcotest.fail "sanitizer missed the shared signature counter"
+  | exception Pool.Interference { index; first; rerun } ->
+      Alcotest.(check bool) "offending index in range" true (index >= 0 && index < 8);
+      Alcotest.(check bool) "fingerprints differ" true (first <> rerun)
 
 (* Without ~sanitize the same interfering batch goes unnoticed — the
    check is opt-in, not ambient. *)
 let test_sanitize_opt_in () =
-  Keys.test_only_unlocked_cache := true;
-  Fun.protect
-    ~finally:(fun () -> Keys.test_only_unlocked_cache := false)
-    (fun () ->
-      let results =
-        Pool.run ~jobs:4
-          (List.init 4 (fun _ () ->
-               let id = Keys.create ~height:5 "sanitize-race-quiet" in
-               ignore (Keys.sign id "interference");
-               Keys.remaining_signatures id))
-      in
-      Alcotest.(check int) "completes without sanitize" 4 (List.length results))
+  let cache = Hashtbl.create 8 in
+  let results =
+    Pool.run ~jobs:4
+      (List.init 4 (fun _ () ->
+           let id = racy_create cache "sanitize-race-quiet" in
+           ignore (Keys.sign id "interference");
+           Keys.remaining_signatures id))
+  in
+  Alcotest.(check int) "completes without sanitize" 4 (List.length results)
 
 (* A sanitized sweep passes: chaos runs rebuild universe and identities
    from the run seed alone, so they are idempotent by construction. *)
