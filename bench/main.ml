@@ -93,7 +93,7 @@ let depth () =
       Fmt.pr "  %2d | %12.3f | %20.3f | $%.0f@." r.Attack.d r.Attack.success_rate
         r.Attack.analytic r.Attack.mean_cost_usd)
     (E.attack_table ());
-  let flipped, still_active, _ = Attack.run_reorg_demo ~fork_depth:4 ~seed:17 () in
+  let flipped, still_active, _ = Attack.run_reorg_demo ~fork_depth:4 () in
   Fmt.pr "@.Concrete reorg demo (real chain store, fork depth 4): tip flipped = %b,@." flipped;
   Fmt.pr "buried decision still on active chain = %b.@." still_active
 

@@ -123,7 +123,3 @@ let mine ~chain ~height ~parent ~time ~target ~txs =
   { header = { base with nonce }; txs }
 
 let pp_id ppf t = Fmt.pf ppf "%s@%d" (Hex.short (hash t)) t.header.height
-
-let pp_header ppf h =
-  Fmt.pf ppf "%s h=%d parent=%s time=%.1f" (Hex.short (hash_header h)) h.height
-    (Hex.short h.parent) h.time

@@ -57,5 +57,3 @@ val mine :
   t
 
 val pp_id : Format.formatter -> t -> unit
-
-val pp_header : Format.formatter -> header -> unit

@@ -30,8 +30,6 @@ type outcome = {
 }
 
 (* Convenience constructors for contract code. *)
-let ok_state state = Ok { state; payouts = []; events = [] }
-
 let ok ?(payouts = []) ?(events = []) state = Ok { state; payouts; events }
 
 let reject fmt = Printf.ksprintf (fun s -> Error s) fmt

@@ -22,9 +22,6 @@ type outcome = {
   events : (string * Value.t) list;
 }
 
-(** Outcome with no payouts or events. *)
-val ok_state : Value.t -> (outcome, string) result
-
 val ok :
   ?payouts:(string * Amount.t) list ->
   ?events:(string * Value.t) list ->

@@ -56,8 +56,6 @@ let utxo t outpoint = Outpoint.Table.find_opt t.utxos outpoint
 
 let contract t id = Hashtbl.find_opt t.contracts id
 
-let utxo_count t = Outpoint.Table.length t.utxos
-
 (* The only two mutators of the UTXO set: every add/remove goes through
    here so [by_addr] can never drift from [utxos]. *)
 let bucket t addr =

@@ -27,8 +27,6 @@ val utxo : t -> Outpoint.t -> Tx.output option
 
 val contract : t -> string -> contract option
 
-val utxo_count : t -> int
-
 (** Sum of UTXOs owned by [addr]. Served from a per-address index, so
     the cost scales with the owner's coins, not the whole UTXO set. *)
 val balance_of : t -> string -> Amount.t

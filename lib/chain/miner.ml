@@ -102,5 +102,3 @@ let start t =
   end
 
 let stop t = t.running <- false
-
-let is_running t = t.running

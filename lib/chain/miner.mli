@@ -29,5 +29,3 @@ val mine_one : t -> unit
 val start : t -> unit
 
 val stop : t -> unit
-
-val is_running : t -> bool

@@ -9,8 +9,6 @@ val tip_header : t -> Block.header
 
 val tip_height : t -> int
 
-val header_count : t -> int
-
 val find : t -> string -> Block.header option
 
 (** Validate and insert a header ([`Known] for duplicates, [`New_tip]

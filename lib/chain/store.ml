@@ -120,8 +120,6 @@ let block_at_height t h =
 
 let is_active t hash = Hashtbl.mem t.active hash
 
-let block_count t = Hashtbl.length t.blocks
-
 (* Transaction lookup on the active chain. *)
 let find_tx t txid =
   match Hashtbl.find_opt t.tx_index txid with

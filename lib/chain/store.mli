@@ -39,9 +39,6 @@ val block_at_height : t -> int -> Block.t option
 
 val is_active : t -> string -> bool
 
-(** Total blocks stored, across all branches. *)
-val block_count : t -> int
-
 (** Transaction lookup on the active chain: (block, index in block). *)
 val find_tx : t -> string -> (Block.t * int) option
 

@@ -96,8 +96,6 @@ let of_bytes s = Codec.decode decode s
 
 (* Accessors returning [Result]; contracts use these to validate their
    arguments and report a clean rejection instead of raising. *)
-let as_bool = function Bool b -> Ok b | v -> Error (Fmt.str "expected bool, got %a" pp v)
-
 let as_int = function Int i -> Ok i | v -> Error (Fmt.str "expected int, got %a" pp v)
 
 let as_string = function String s -> Ok s | v -> Error (Fmt.str "expected string, got %a" pp v)
@@ -105,12 +103,6 @@ let as_string = function String s -> Ok s | v -> Error (Fmt.str "expected string
 let as_bytes = function Bytes b -> Ok b | v -> Error (Fmt.str "expected bytes, got %a" pp v)
 
 let as_list = function List l -> Ok l | v -> Error (Fmt.str "expected list, got %a" pp v)
-
-let as_pair = function Pair (a, b) -> Ok (a, b) | v -> Error (Fmt.str "expected pair, got %a" pp v)
-
-let as_tagged = function
-  | Tagged (t, v) -> Ok (t, v)
-  | v -> Error (Fmt.str "expected tagged value, got %a" pp v)
 
 (* Record-style access: a [List] of [Pair (String key, value)] bindings. *)
 let record fields = List (List.map (fun (k, v) -> Pair (String k, v)) fields)

@@ -29,8 +29,6 @@ val to_bytes : t -> string
 (** Raises {!Ac3_crypto.Codec.Decode_error} on malformed input. *)
 val of_bytes : string -> t
 
-val as_bool : t -> (bool, string) result
-
 val as_int : t -> (int64, string) result
 
 val as_string : t -> (string, string) result
@@ -38,10 +36,6 @@ val as_string : t -> (string, string) result
 val as_bytes : t -> (string, string) result
 
 val as_list : t -> (t list, string) result
-
-val as_pair : t -> (t * t, string) result
-
-val as_tagged : t -> (string * t, string) result
 
 (** [record fields] builds a record-style value from key/value bindings. *)
 val record : (string * t) list -> t

@@ -58,9 +58,3 @@ let hashlock_of_secret s = Sha256.digest s
 let redeem_args ~secret = Value.Bytes secret
 
 let refund_args = Value.Unit
-
-(* Inspect the timelock of a deployed HTLC's state. *)
-let timelock_of_state state =
-  match Result.bind (Value.field state "commitment") (fun c -> Value.field c "timelock") with
-  | Ok (Value.Float t) -> Some t
-  | _ -> None

@@ -20,8 +20,6 @@ val redeem_args : secret:string -> Value.t
 
 val refund_args : Value.t
 
-val timelock_of_state : Value.t -> float option
-
 (** Declared value semantics (Algorithm 1: full-deposit escrow,
     conserving redeem/refund). *)
 val econ : Econ.t

@@ -317,24 +317,13 @@ let observe_decision_latency t =
         (d.Trace.time -. a.Trace.time)
   | _ -> ()
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?(verify = false) () =
+let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
   let covered =
     List.for_all
       (fun pk -> List.exists (fun p -> Participant.public p = pk) participants)
       (Ac2t.participants graph)
   in
-  let preflight =
-    if not verify then []
-    else
-      Ac3_verify.Diagnostic.errors (Ac3_verify.Verify.ac3wn_preflight ~graph)
-      (* Timelock parameters are irrelevant to the witness protocol's
-         product model; zero fault budget, as for Herlihy. *)
-      @ Ac3_model.Checker.preflight_errors ~protocol:Ac3_model.Checker.Ac3wn ~graph ~delta:1.0
-          ~timelock_slack:0.0 ~start_time:0.0
-  in
   if not covered then Error "missing participant"
-  else if preflight <> [] then
-    Error (Fmt.str "static verification failed:@.%s" (Ac3_verify.Verify.render preflight))
   else begin
     (* Phase 1: off-chain agreement — every participant signs (D, t). *)
     let s =
@@ -373,6 +362,6 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?(ve
 
 (* Execute an AC2T end to end: {!launch}, drive the universe until the
    run settles (or the timeout), {!Driver.finish}. *)
-let execute universe ~config ~graph ~participants ?hooks ?abort_after ?verify () =
-  launch universe ~config ~graph ~participants ?hooks ?abort_after ?verify ()
+let execute universe ~config ~graph ~participants ?hooks ?abort_after () =
+  launch universe ~config ~graph ~participants ?hooks ?abort_after ()
   |> Result.map (Driver.execute ~timeout:config.timeout)

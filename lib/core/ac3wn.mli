@@ -35,10 +35,8 @@ val phases : Ac3_obs.Span.phase list
     labels (e.g. ["scw_confirmed"], ["authorize_redeem_submitted"]) to
     callbacks, letting experiments crash participants at precise
     protocol phases. [abort_after] requests the refund path after that
-    many virtual seconds if SCw is still undecided. With [~verify:true]
-    the static graph lints ({!Ac3_verify.Verify.ac3wn_preflight}) run
-    first. [Error] on a missing participant or a static verification
-    failure, before anything touches a chain. *)
+    many virtual seconds if SCw is still undecided. [Error] on a
+    missing participant, before anything touches a chain. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -46,7 +44,6 @@ val launch :
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
   ?abort_after:float ->
-  ?verify:bool ->
   unit ->
   (handle, string) Stdlib.result
 
@@ -59,6 +56,5 @@ val execute :
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
   ?abort_after:float ->
-  ?verify:bool ->
   unit ->
   (result, string) Stdlib.result

@@ -71,14 +71,9 @@ let estimate rng ~q ~d ~block_interval ~trials ~cost_per_hour =
   }
 
 (* Sweep depth d for a fixed adversary share: the empirical counterpart
-   of Sec 6.3's d > Va*dh/Ch rule. *)
-let depth_sweep rng ~q ~depths ~block_interval ~trials ~cost_per_hour =
-  List.map (fun d -> estimate rng ~q ~d ~block_interval ~trials ~cost_per_hour) depths
-
-(* Parallel depth sweep. Unlike [depth_sweep], which threads one RNG
-   through the depths in order, every depth derives its own stream from
-   Splitmix(seed, depth index) — so the estimates are independent of
-   both execution order and [jobs], and parallel output is
+   of Sec 6.3's d > Va*dh/Ch rule. Every depth derives its own stream
+   from Splitmix(seed, depth index), so the estimates are independent
+   of both execution order and [jobs], and parallel output is
    bit-identical to sequential. *)
 let depth_sweep_par ?(jobs = 1) ~seed ~q ~depths ~block_interval ~trials ~cost_per_hour () =
   Ac3_par.Pool.mapi ~jobs
@@ -95,8 +90,7 @@ open Ac3_chain
    branch forked [fork_depth] blocks back. Returns (tip flipped?, store).
    Demonstrates on real machinery that a buried block is only
    probabilistically final. *)
-let run_reorg_demo ~fork_depth ~seed () =
-  ignore seed;
+let run_reorg_demo ~fork_depth () =
   let params =
     Params.make "attack-demo" ~pow_bits:6 ~confirm_depth:fork_depth ~block_capacity:10
   in

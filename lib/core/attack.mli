@@ -31,16 +31,6 @@ val estimate :
   cost_per_hour:float ->
   estimate
 
-(** [estimate] across several depths, threading one RNG in order. *)
-val depth_sweep :
-  Rng.t ->
-  q:float ->
-  depths:int list ->
-  block_interval:float ->
-  trials:int ->
-  cost_per_hour:float ->
-  estimate list
-
 (** [estimate] across several depths on an [Ac3_par.Pool]. Each depth
     draws from its own Splitmix(seed, index)-derived stream, so the
     result is bit-identical for every [jobs] (default 1). *)
@@ -58,5 +48,4 @@ val depth_sweep_par :
 (** Concrete demonstration on the real chain machinery: a private branch
     one block longer than a depth-[fork_depth] public chain flips the
     tip. Returns (tip flipped, buried decision still active, store). *)
-val run_reorg_demo :
-  fork_depth:int -> seed:int -> unit -> bool * bool * Ac3_chain.Store.t
+val run_reorg_demo : fork_depth:int -> unit -> bool * bool * Ac3_chain.Store.t

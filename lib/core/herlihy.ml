@@ -131,58 +131,42 @@ let try_refund s t p =
     ~args:(fun _ -> Some Htlc.refund_args)
     ~label:(fun i _ -> Printf.sprintf "refund:%d" i)
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?(verify = false)
-    ?(obs_name = "herlihy") () =
-  let start_time = Universe.now universe in
-  let preflight =
-    if not verify then []
-    else
-      Ac3_verify.Diagnostic.errors
-        (Ac3_verify.Verify.herlihy_preflight ~graph ~delta:config.delta
-           ~timelock_slack:config.timelock_slack ~start_time)
-      (* Model-check the whole transaction at zero fault budget: even a
-         well-formed graph must not violate atomicity fault-free. *)
-      @ Ac3_model.Checker.preflight_errors ~protocol:Ac3_model.Checker.Herlihy ~graph
-          ~delta:config.delta ~timelock_slack:config.timelock_slack ~start_time
-  in
-  if preflight <> [] then
-    Error (Fmt.str "static verification failed:@.%s" (Ac3_verify.Verify.render preflight))
-  else
-    (* Timelocks decrease with distance from the leader: contracts
-       deployed later expire sooner, so everyone who acts on time can
-       redeem before their own lock expires. [assign] refuses graphs a
-       single leader cannot execute (Sec 5.3). *)
-    Ac3_verify.Timelock.assign ~graph ~delta:config.delta ~timelock_slack:config.timelock_slack
-      ~start_time
-    |> Result.map (fun assignment ->
-           let leader = List.hd (Ac2t.participants graph) in
-           let secret = Sha256.digest_list [ "herlihy-secret"; Ac2t.to_bytes graph ] in
-           let s =
-             {
-               leader;
-               secret;
-               hashlock = Htlc.hashlock_of_secret secret;
-               timelocks =
-                 Array.of_list (List.map (fun a -> a.Ac3_verify.Timelock.expiry) assignment);
-               knows_secret = [ leader ];
-             }
-           in
-           Driver.launch universe ~graph ~participants ~hooks ~poll_interval:config.poll_interval
-             ~abort_after:None
-             {
-               Driver.name = obs_name;
-               phases;
-               step =
-                 (fun t p ->
-                   learn_secret s t p;
-                   try_deploy s t p;
-                   try_redeem s t p;
-                   try_refund s t p);
-               aborted = (fun _ -> false);
-               abortable = (fun _ -> false);
-               observe = ignore;
-             })
+let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy") () =
+  (* Timelocks decrease with distance from the leader: contracts
+     deployed later expire sooner, so everyone who acts on time can
+     redeem before their own lock expires. [assign] refuses graphs a
+     single leader cannot execute (Sec 5.3). *)
+  Ac3_verify.Timelock.assign ~graph ~delta:config.delta ~timelock_slack:config.timelock_slack
+    ~start_time:(Universe.now universe)
+  |> Result.map (fun assignment ->
+       let leader = List.hd (Ac2t.participants graph) in
+       let secret = Sha256.digest_list [ "herlihy-secret"; Ac2t.to_bytes graph ] in
+       let s =
+         {
+           leader;
+           secret;
+           hashlock = Htlc.hashlock_of_secret secret;
+           timelocks =
+             Array.of_list (List.map (fun a -> a.Ac3_verify.Timelock.expiry) assignment);
+           knows_secret = [ leader ];
+         }
+       in
+       Driver.launch universe ~graph ~participants ~hooks ~poll_interval:config.poll_interval
+         ~abort_after:None
+         {
+           Driver.name = obs_name;
+           phases;
+           step =
+             (fun t p ->
+               learn_secret s t p;
+               try_deploy s t p;
+               try_redeem s t p;
+               try_refund s t p);
+           aborted = (fun _ -> false);
+           abortable = (fun _ -> false);
+           observe = ignore;
+         })
 
-let execute universe ~config ~graph ~participants ?hooks ?verify ?obs_name () =
-  launch universe ~config ~graph ~participants ?hooks ?verify ?obs_name ()
+let execute universe ~config ~graph ~participants ?hooks ?obs_name () =
+  launch universe ~config ~graph ~participants ?hooks ?obs_name ()
   |> Result.map (Driver.execute ~timeout:config.timeout)

@@ -35,9 +35,6 @@ val phases : Ac3_obs.Span.phase list
     graph is not single-leader executable (disconnected, or cyclic once
     the leader is removed — Sec 5.3). [hooks] fire on trace labels such
     as ["deploy:2"] or ["redeem:1"] (per-edge indexes in graph order).
-    With [~verify:true] the static verifier
-    ({!Ac3_verify.Verify.herlihy_preflight}) runs first and any error
-    diagnostic aborts the launch before anything touches a chain.
     [obs_name] (default ["herlihy"]) labels the metrics and phase spans
     the run folds into the universe's observability context — Nolan's
     delegation passes its own name. *)
@@ -47,7 +44,6 @@ val launch :
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   ?obs_name:string ->
   unit ->
   (handle, string) Stdlib.result
@@ -60,7 +56,6 @@ val execute :
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   ?obs_name:string ->
   unit ->
   (result, string) Stdlib.result

@@ -20,12 +20,12 @@ type result = Herlihy.result
 type handle = Herlihy.handle
 
 (* The two-vertex case of {!Herlihy.launch}; any other graph is refused. *)
-let launch universe ~config ~graph ~participants ?hooks ?verify () =
+let launch universe ~config ~graph ~participants ?hooks () =
   match Ac2t.classify graph with
   | Ac2t.Simple_swap ->
-      Herlihy.launch universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ()
+      Herlihy.launch universe ~config ~graph ~participants ?hooks ~obs_name:"nolan" ()
   | shape -> Error (Fmt.str "graph (%a) is not a two-party swap" Ac2t.pp_shape shape)
 
-let execute universe ~config ~graph ~participants ?hooks ?verify () =
-  launch universe ~config ~graph ~participants ?hooks ?verify ()
+let execute universe ~config ~graph ~participants ?hooks () =
+  launch universe ~config ~graph ~participants ?hooks ()
   |> Result.map (Driver.execute ~timeout:config.Herlihy.timeout)

@@ -19,19 +19,16 @@ val launch :
   graph:Ac3_contract.Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   unit ->
   (handle, string) Stdlib.result
 
 (** Execute a two-party swap. [Error] if the graph is not a simple
-    two-party swap, or if [~verify:true] and the static verifier
-    rejects the run. *)
+    two-party swap. *)
 val execute :
   Universe.t ->
   config:config ->
   graph:Ac3_contract.Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   unit ->
   (result, string) Stdlib.result

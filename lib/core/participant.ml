@@ -47,9 +47,4 @@ let wallet t chain_id =
       t.wallets <- (chain_id, w) :: t.wallets;
       w
 
-let address_on t chain_id = Wallet.address (wallet t chain_id)
-
 let balance_on t chain_id = Wallet.balance (wallet t chain_id)
-
-(* Genesis allocation entry for funding this identity on a chain. *)
-let premine_entry identity amount = (Keys.address identity, amount)

@@ -23,9 +23,4 @@ val recover : t -> unit
 (** Wallet on a chain (attached lazily if missing). *)
 val wallet : t -> string -> Wallet.t
 
-val address_on : t -> string -> string
-
 val balance_on : t -> string -> Amount.t
-
-(** Genesis allocation entry [(address, amount)] for chain premines. *)
-val premine_entry : Keys.t -> Amount.t -> string * Amount.t

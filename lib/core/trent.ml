@@ -34,8 +34,6 @@ let create universe ~name =
 
 let public t = Keys.public t.identity
 
-let is_available t = t.available
-
 let crash t = t.available <- false
 
 let recover t = t.available <- true
@@ -111,6 +109,3 @@ let request_refund t ~ms_id =
           let s = Keys.sign t.identity (Centralized_sc.decision_message ~ms_id `Refund) in
           entry.decision <- Some (Refund_signed s);
           Ok s)
-
-let decision_of t ~ms_id =
-  Option.bind (Hashtbl.find_opt t.store ms_id) (fun e -> e.decision)

@@ -16,8 +16,6 @@ val create : Universe.t -> name:string -> t
 
 val public : t -> Keys.public
 
-val is_available : t -> bool
-
 (** Take Trent offline (crash / denial of service): all requests fail
     and undecided transactions stay locked. *)
 val crash : t -> unit
@@ -36,5 +34,3 @@ val request_redeem : t -> ms_id:string -> contracts:string list -> (Keys.signatu
 (** Issue (or re-issue) the refund signature — only if no redemption was
     signed. *)
 val request_refund : t -> ms_id:string -> (Keys.signature, string) result
-
-val decision_of : t -> ms_id:string -> decision option

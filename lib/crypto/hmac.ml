@@ -16,8 +16,6 @@ let mac ~key msg =
   let inner = Sha256.digest_list [ xor_with key 0x36; msg ] in
   Sha256.digest_list [ xor_with key 0x5c; inner ]
 
-let hexmac ~key msg = Hex.encode (mac ~key msg)
-
 (* Constant-time comparison for MACs (avoids timing side channels; also a
    convenient total equality for 32-byte digests). *)
 let equal a b =

@@ -3,9 +3,6 @@
 (** [mac ~key msg] is the 32-byte HMAC tag. *)
 val mac : key:string -> string -> string
 
-(** [hexmac ~key msg] is the tag in lowercase hex. *)
-val hexmac : key:string -> string -> string
-
 (** Constant-time equality on equal-length strings. *)
 val equal : string -> string -> bool
 

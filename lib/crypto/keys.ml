@@ -104,8 +104,6 @@ let verify pk msg signature =
            directly (the answer is [false] anyway). *)
         Mss.verify pk msg signature
 
-let pp_public ppf pk = Fmt.string ppf (Hex.short pk)
-
 let encode_signature = Mss.encode_signature
 
 let decode_signature = Mss.decode_signature

@@ -44,8 +44,6 @@ val sign : t -> string -> signature
     (pk, msg, signature) serialization — see {!Ac3_fast.Memo}. *)
 val verify : public -> string -> signature -> bool
 
-val pp_public : Format.formatter -> public -> unit
-
 val encode_signature : Codec.Writer.t -> signature -> unit
 
 val decode_signature : Codec.Reader.t -> signature

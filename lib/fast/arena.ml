@@ -63,12 +63,6 @@ let live_count t =
   done;
   !live
 
-let iter_flags t f =
-  for i = 0 to t.hsize - 1 do
-    let s = Array.unsafe_get t.heap i in
-    f (Bytes.unsafe_get t.flags s <> '\000')
-  done
-
 (* (time, seq) lexicographic order between slots. Float.compare keeps
    the order total even for NaN timestamps, matching the boxed heap. *)
 let less t a b =

@@ -60,7 +60,3 @@ val slot_callback : t -> int -> unit -> unit
 (** Recycle a popped slot: bump its generation, drop the callback
     reference, push it on the free list. *)
 val release : t -> int -> unit
-
-(** Iterate over queued slots in unspecified order (non-destructive);
-    the callback receives each slot's cancelled flag. *)
-val iter_flags : t -> (bool -> unit) -> unit

@@ -45,6 +45,4 @@ let memo t k f =
         Hashtbl.replace tbl k v;
         v
 
-let clear t = Hashtbl.reset (table t)
-
 let clear_all () = List.iter (fun f -> f ()) !clearers

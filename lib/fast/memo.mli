@@ -25,9 +25,6 @@ val create : name:string -> cap:int -> 'a t
 (** [memo t key f] — cached [f ()], computing and remembering on miss. *)
 val memo : 'a t -> string -> (unit -> 'a) -> 'a
 
-(** Drop the current domain's entries of this table. *)
-val clear : 'a t -> unit
-
 (** Drop the current domain's entries of every table ever created. *)
 val clear_all : unit -> unit
 

@@ -420,10 +420,6 @@ let violations a graph statuses =
 
 let short pk = Ac3_crypto.Hex.short ~n:6 pk
 
-let pp_exposure ppf x =
-  Fmt.pf ppf "%s@%s: commit %+Ld, interval %a" (short x.pk) x.chain x.commit pp_interval
-    x.interval
-
 let pp_violation ppf v =
   Fmt.pf ppf "%s@%s: settled at %+Ld outside %a" (short v.v_pk) v.v_chain v.v_delta
     pp_interval v.v_interval

@@ -170,6 +170,4 @@ type violation = {
     edge count. *)
 val violations : analysis -> Ac2t.t -> settlement list -> violation list
 
-val pp_exposure : Format.formatter -> exposure -> unit
-
 val pp_violation : Format.formatter -> violation -> unit

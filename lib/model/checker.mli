@@ -4,9 +4,8 @@
     {!check} with a positive crash budget asks "is the protocol
     fault-tolerant on this graph?" — Herlihy is not: one withholding
     party yields M001/M003, while AC3WN stays clean on the same
-    universes. {!preflight_errors} runs with a zero budget ("does the
-    protocol violate atomicity even with no faults?"), which is the
-    gate used next to the [?verify] hooks in [lib/core]. *)
+    universes. With a zero budget it asks "does the protocol violate
+    atomicity even with no faults?". *)
 
 module Ac2t = Ac3_contract.Ac2t
 module Diagnostic = Ac3_verify.Diagnostic
@@ -46,16 +45,6 @@ type report = {
 }
 
 val check : config:config -> protocol:protocol -> graph:Ac2t.t -> report
-
-(** Zero-fault preflight for the [?verify] hooks: only errors, only
-    violations that need no adversary. *)
-val preflight_errors :
-  protocol:protocol ->
-  graph:Ac2t.t ->
-  delta:float ->
-  timelock_slack:float ->
-  start_time:float ->
-  Diagnostic.t list
 
 (** No error-severity diagnostics. *)
 val ok : report -> bool

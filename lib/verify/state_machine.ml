@@ -184,8 +184,6 @@ let nodes a =
 
 let node_count a = a.count
 
-let transition_count a = a.n_transitions
-
 let truncated a = a.was_truncated
 
 let cls_rank = function Published -> 0 | Redeemed -> 1 | Refunded -> 2 | Other -> 3

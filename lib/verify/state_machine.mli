@@ -78,8 +78,6 @@ val nodes : automaton -> node list
 
 val node_count : automaton -> int
 
-val transition_count : automaton -> int
-
 val truncated : automaton -> bool
 
 (** Distinct classes among reachable states. *)

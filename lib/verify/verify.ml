@@ -1,14 +1,8 @@
-(* Top-level driver composing the three passes. *)
+(* Top-level driver composing the static passes. *)
 
 module Ac2t = Ac3_contract.Ac2t
 
-let graph = Graph_lint.lint
-
-let timelocks = Timelock.verify
-
 let contract = State_machine.verify
-
-let flow = Flow_lint.lint
 
 let herlihy_preflight ~graph ~delta ~timelock_slack ~start_time =
   let statics = Graph_lint.lint ~profile:Graph_lint.Single_leader graph in

@@ -342,7 +342,7 @@ let test_attack_majority_always_wins () =
 let test_attack_reorg_demo () =
   (* The concrete chain machinery really does flip a buried decision when
      a heavier branch arrives. *)
-  let flipped, decision_still_active, _store = Attack.run_reorg_demo ~fork_depth:3 ~seed:5 () in
+  let flipped, decision_still_active, _store = Attack.run_reorg_demo ~fork_depth:3 () in
   Alcotest.(check bool) "tip flipped" true flipped;
   Alcotest.(check bool) "buried decision no longer active" false decision_still_active
 

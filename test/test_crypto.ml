@@ -285,26 +285,6 @@ let qcheck_json_float =
       (not (Float.is_finite f))
       || Json.of_string (Json.to_string (Json.Float f)) = Json.Float f)
 
-(* --- Lamport ------------------------------------------------------------ *)
-
-let test_lamport_sign_verify () =
-  let sk = Lamport.generate ~seed:"lamport-test" in
-  let pk = Lamport.public sk in
-  let s = Lamport.sign sk "hello world" in
-  Alcotest.(check bool) "verifies" true (Lamport.verify pk "hello world" s);
-  Alcotest.(check bool) "wrong message rejected" false (Lamport.verify pk "hello worle" s)
-
-let test_lamport_wrong_key () =
-  let sk1 = Lamport.generate ~seed:"k1" in
-  let sk2 = Lamport.generate ~seed:"k2" in
-  let s = Lamport.sign sk1 "msg" in
-  Alcotest.(check bool) "other key rejects" false (Lamport.verify (Lamport.public sk2) "msg" s)
-
-let test_lamport_size () =
-  let sk = Lamport.generate ~seed:"size" in
-  let s = Lamport.sign sk "m" in
-  Alcotest.(check int) "512 x 32 bytes" (512 * 32) (Lamport.signature_size s)
-
 (* --- WOTS --------------------------------------------------------------- *)
 
 let test_wots_sign_verify () =
@@ -534,12 +514,6 @@ let () =
           Alcotest.test_case "deterministic printing" `Quick test_json_deterministic;
           Alcotest.test_case "malformed rejected" `Quick test_json_rejects_malformed;
           QCheck_alcotest.to_alcotest qcheck_json_float;
-        ] );
-      ( "lamport",
-        [
-          Alcotest.test_case "sign/verify" `Quick test_lamport_sign_verify;
-          Alcotest.test_case "wrong key" `Quick test_lamport_wrong_key;
-          Alcotest.test_case "signature size" `Quick test_lamport_size;
         ] );
       ( "wots",
         [

@@ -1,8 +1,7 @@
 (* Static-verifier tests: graph lints, the timelock-order analysis
    (including the paper's Sec 3 violation reproduced without running the
    simulator), bounded exhaustive state-machine exploration of the three
-   contract codes, and the ?verify preflight hooks on the protocol entry
-   points. *)
+   contract codes, and the AC3WN preflight. *)
 
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
@@ -144,22 +143,25 @@ let test_timelock_underslack_counterexample () =
   (* Slack below the propagation cost: the static pass must reject the
      assignment and exhibit a concrete redemption path that cannot finish
      before the expiry — the paper's Sec 3 violation, without simulation. *)
-  let ds = V.herlihy_preflight ~graph:(ring 4) ~delta:15.0 ~timelock_slack:(-1.0) ~start_time:0.0 in
-  let errs = D.errors ds in
-  Alcotest.(check bool) "rejected" true (errs <> []);
-  Alcotest.(check (list string)) "every error is a timelock-order violation"
-    [ "T002-timelock-order" ] (error_rules ds);
   List.iter
-    (fun d ->
-      Alcotest.(check bool) "names the Sec 3 violation" true
-        (Astring.String.is_infix ~affix:"Sec 3 violation" d.D.message);
-      Alcotest.(check bool) "carries a counterexample path" true
-        (Astring.String.is_infix ~affix:"redeems (" d.D.message))
-    errs;
-  (* The generous default accepts the same graph (checked above), so the
-     verdict really turns on the slack. *)
-  Alcotest.(check bool) "slack 0 is still enough" false
-    (D.has_errors (V.herlihy_preflight ~graph:(ring 4) ~delta:15.0 ~timelock_slack:0.0 ~start_time:0.0))
+    (fun (name, graph, timelock_slack) ->
+      let ds = V.herlihy_preflight ~graph ~delta:15.0 ~timelock_slack ~start_time:0.0 in
+      let errs = D.errors ds in
+      Alcotest.(check bool) (name ^ " rejected") true (errs <> []);
+      Alcotest.(check (list string)) (name ^ ": every error is a timelock-order violation")
+        [ "T002-timelock-order" ] (error_rules ds);
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) "names the Sec 3 violation" true
+            (Astring.String.is_infix ~affix:"Sec 3 violation" d.D.message);
+          Alcotest.(check bool) "carries a counterexample path" true
+            (Astring.String.is_infix ~affix:"redeems (" d.D.message))
+        errs;
+      (* The generous default accepts the same graph (checked above), so
+         the verdict really turns on the slack. *)
+      Alcotest.(check bool) (name ^ ": slack 0 is still enough") false
+        (D.has_errors (V.herlihy_preflight ~graph ~delta:15.0 ~timelock_slack:0.0 ~start_time:0.0)))
+    [ ("ring-4", ring 4, -1.0); ("two-party", two_party (), -5.0) ]
 
 let test_timelock_secret_unreachable () =
   (* The supply-chain DAG's carrier only receives: no redemption of its
@@ -230,57 +232,7 @@ let test_centralized_and_witness_sound () =
       Alcotest.(check bool) "refund authorization reachable" true
         (List.mem State_machine.Refunded (State_machine.classes auto))
 
-(* --- The ?verify preflight hooks --------------------------------------------- *)
-
-let fast_universe ?(seed = 7) ~chains n =
-  Scenarios.make_universe ~seed ~block_interval:5.0 ~confirm_depth:3 ~chains
-    (Scenarios.identities ~ns:(Printf.sprintf "tv%d" seed) n) ()
-
-let test_herlihy_verify_rejects_underslack () =
-  let chains = List.init 4 (Printf.sprintf "chain%d") in
-  let u, participants = fast_universe ~seed:801 ~chains 4 in
-  Universe.run_until u 50.0;
-  let ids' = List.map Participant.identity participants in
-  let graph = Scenarios.ring_graph ~chains ids' ~timestamp:(Universe.now u) in
-  let config =
-    { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timelock_slack = -1.0 }
-  in
-  let before = Universe.now u in
-  (match Herlihy.execute u ~config ~graph ~participants ~verify:true () with
-  | Ok _ -> Alcotest.fail "under-slack assignment accepted"
-  | Error e ->
-      Alcotest.(check bool) "names the violated rule" true
-        (Astring.String.is_infix ~affix:"T002-timelock-order" e));
-  (* Rejected before anything touched a chain: no virtual time passed. *)
-  Alcotest.(check (float 1e-9)) "no simulation ran" before (Universe.now u)
-
-let test_nolan_verify_refuses () =
-  let u, participants = fast_universe ~seed:802 ~chains:[ "btc"; "eth" ] 2 in
-  Universe.run_until u 50.0;
-  let ids' = List.map Participant.identity participants in
-  let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids' ~timestamp:(Universe.now u) in
-  let config =
-    { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timelock_slack = -5.0 }
-  in
-  match Nolan.execute u ~config ~graph ~participants ~verify:true () with
-  | Error msg ->
-      Alcotest.(check bool) "carries the diagnostics" true
-        (Astring.String.is_infix ~affix:"T002-timelock-order" msg)
-  | Ok _ -> Alcotest.fail "under-slack two-party swap accepted"
-
-let test_herlihy_verify_commits () =
-  let u, participants = fast_universe ~seed:803 ~chains:[ "btc"; "eth" ] 2 in
-  Universe.run_until u 50.0;
-  let ids' = List.map Participant.identity participants in
-  let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids' ~timestamp:(Universe.now u) in
-  let config =
-    { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 }
-  in
-  match Herlihy.execute u ~config ~graph ~participants ~verify:true () with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-      Alcotest.(check bool) "committed" true r.Herlihy.committed;
-      Alcotest.(check bool) "atomic" true r.Herlihy.atomic
+(* --- The AC3WN preflight -------------------------------------------------- *)
 
 let test_ac3wn_preflight_all_scenarios () =
   (* AC3WN's static obligation is well-formedness only: every built-in
@@ -362,11 +314,6 @@ let () =
         ] );
       ( "preflight",
         [
-          Alcotest.test_case "herlihy rejects under-slack statically" `Quick
-            test_herlihy_verify_rejects_underslack;
-          Alcotest.test_case "nolan refuses rejected swap" `Quick test_nolan_verify_refuses;
-          Alcotest.test_case "herlihy commits with verification on" `Slow
-            test_herlihy_verify_commits;
           Alcotest.test_case "ac3wn accepts all scenarios" `Quick test_ac3wn_preflight_all_scenarios;
         ] );
       ( "diagnostics",
