@@ -84,6 +84,14 @@ let refuse cmd fmt =
       1)
     fmt
 
+(* [--parties] sizes the ring scenario from the fixed identity pool, so
+   a larger ring is refused up front; values below 2 are clamped where
+   the ring is built. *)
+let with_parties cmd parties run =
+  if parties > S.max_identities then
+    refuse cmd "--parties must be at most %d (got %d)" S.max_identities parties
+  else run ()
+
 let sanitize_failure ~index ~first ~rerun =
   Fmt.epr
     "sanitize: task %d diverged on sequential rerun@.  parallel: %s@.  rerun:    %s@.  a task's \
@@ -225,6 +233,7 @@ let refused e =
   1
 
 let run_swap protocol scenario parties seed crash verbose metrics_out trace_out =
+  with_parties "swap" parties @@ fun () ->
   setup_logs verbose;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
   Fmt.pr "Graph: %a@." Ac2t.pp graph;
@@ -318,6 +327,7 @@ let print_section ~quiet (name, diags) =
   errors <> []
 
 let run_verify protocol scenario parties delta slack max_nodes json quiet =
+  with_parties "verify" parties @@ fun () ->
   let herlihy_over scenarios =
     List.map
       (fun s ->
@@ -443,34 +453,38 @@ let analyze_cmd =
 (* --- attack -------------------------------------------------------------------- *)
 
 let run_attack q trials seed jobs metrics_out trace_out =
-  Fmt.pr "51%% rental attack on the witness network: q = %.2f, %d trials/depth@.@." q trials;
-  Fmt.pr "  d | success rate | analytic | mean rental cost@.";
-  Fmt.pr " ---+--------------+----------+-----------------@.";
-  let estimates =
-    Attack.depth_sweep_par ~jobs ~seed ~q ~depths:[ 0; 1; 2; 4; 6; 10; 20 ] ~block_interval:600.0
-      ~trials ~cost_per_hour:300_000.0 ()
-  in
-  List.iter
-    (fun (r : Attack.estimate) ->
-      Fmt.pr " %2d | %12.3f | %8.3f | $%.0f@." r.Attack.d r.Attack.success_rate r.Attack.analytic
-        r.Attack.mean_cost_usd)
-    estimates;
-  (* The estimates are seed-deterministic, so they export as gauges. *)
-  let obs = Obs.create ~clock:(fun () -> 0.0) () in
-  List.iter
-    (fun (r : Attack.estimate) ->
-      let labels = [ ("d", string_of_int r.Attack.d) ] in
-      let g name = Metrics.gauge obs.Obs.metrics ~labels name in
-      Metrics.set (g "attack.success_rate") r.Attack.success_rate;
-      Metrics.set (g "attack.analytic") r.Attack.analytic;
-      Metrics.set (g "attack.mean_cost_usd") r.Attack.mean_cost_usd;
-      Metrics.add (Metrics.counter obs.Obs.metrics ~labels "attack.trials") trials)
-    estimates;
-  export_obs ?metrics_out ?trace_out obs;
-  Fmt.pr "@.Paper's rule of thumb: protecting Va requires d > Va*dh/Ch;@.";
-  Fmt.pr "e.g. Va = $1M on a Bitcoin-like witness => d > %d.@."
-    (Analysis.paper_example_depth ());
-  0
+  if not (q > 0.0 && q < 1.0) then refuse "attack" "-q must be in (0, 1) (got %g)" q
+  else if trials < 1 then refuse "attack" "--trials must be positive (got %d)" trials
+  else begin
+    Fmt.pr "51%% rental attack on the witness network: q = %.2f, %d trials/depth@.@." q trials;
+    Fmt.pr "  d | success rate | analytic | mean rental cost@.";
+    Fmt.pr " ---+--------------+----------+-----------------@.";
+    let estimates =
+      Attack.depth_sweep_par ~jobs ~seed ~q ~depths:[ 0; 1; 2; 4; 6; 10; 20 ]
+        ~block_interval:600.0 ~trials ~cost_per_hour:300_000.0 ()
+    in
+    List.iter
+      (fun (r : Attack.estimate) ->
+        Fmt.pr " %2d | %12.3f | %8.3f | $%.0f@." r.Attack.d r.Attack.success_rate
+          r.Attack.analytic r.Attack.mean_cost_usd)
+      estimates;
+    (* The estimates are seed-deterministic, so they export as gauges. *)
+    let obs = Obs.create ~clock:(fun () -> 0.0) () in
+    List.iter
+      (fun (r : Attack.estimate) ->
+        let labels = [ ("d", string_of_int r.Attack.d) ] in
+        let g name = Metrics.gauge obs.Obs.metrics ~labels name in
+        Metrics.set (g "attack.success_rate") r.Attack.success_rate;
+        Metrics.set (g "attack.analytic") r.Attack.analytic;
+        Metrics.set (g "attack.mean_cost_usd") r.Attack.mean_cost_usd;
+        Metrics.add (Metrics.counter obs.Obs.metrics ~labels "attack.trials") trials)
+      estimates;
+    export_obs ?metrics_out ?trace_out obs;
+    Fmt.pr "@.Paper's rule of thumb: protecting Va requires d > Va*dh/Ch;@.";
+    Fmt.pr "e.g. Va = $1M on a Bitcoin-like witness => d > %d.@."
+      (Analysis.paper_example_depth ());
+    0
+  end
 
 let attack_cmd =
   let q = Arg.(value & opt float 0.3 & info [ "q" ] ~doc:"Adversary hash-power share (0,1).") in
@@ -719,6 +733,7 @@ let check_stats_json (s : MC.stats) =
 
 let run_check protocol scenario parties delta slack crashes max_nodes json export seed jobs
     sanitize quiet metrics_out trace_out =
+  with_parties "check" parties @@ fun () ->
   if crashes < 0 then refuse "check" "--crashes must be non-negative (got %d)" crashes else
   let config =
     { MC.delta; timelock_slack = slack; start_time = 0.0; max_nodes; crash_budget = crashes }
@@ -903,6 +918,7 @@ let export_flow_witness ~path ~parties ~seed results =
         path
 
 let run_flow profile scenario parties budget json export seed jobs sanitize quiet =
+  with_parties "flow" parties @@ fun () ->
   if budget < 0 then refuse "flow" "--fault-budget must be non-negative (got %d)" budget else
   let pairs =
     let profiles =
@@ -1213,6 +1229,7 @@ let load_cmd =
    instead of the usual trace dump — the quickest way to see what the
    observability layer measures. *)
 let run_metrics protocol scenario parties seed metrics_out trace_out profile =
+  with_parties "metrics" parties @@ fun () ->
   setup_logs false;
   if profile then Ac3_fast.Profile.enable ();
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in

@@ -28,8 +28,8 @@ type shape =
 type spec = {
   seed : int;  (** drives universe construction and graph sampling *)
   shape : shape;
-  parties : int;  (** 2..8 *)
-  nchains : int;  (** asset chains, 2..5; the witness chain is extra *)
+  parties : int;  (** 2 up to the identity pool *)
+  nchains : int;  (** asset chains, 2 up to the identity pool; the witness chain is extra *)
   extra_edges : int;  (** chords beyond the base ring (Random only) *)
   load : int;  (** concurrent background swaps sharing the universe (>= 1) *)
 }
@@ -66,8 +66,11 @@ let validate_spec spec =
   if not arity_ok then
     fail "spec arity mismatch: %s with %d parties over %d chains" (shape_to_string spec.shape)
       spec.parties spec.nchains;
-  if spec.parties < 2 || spec.parties > 8 then fail "parties out of range: %d" spec.parties;
-  if spec.nchains < 2 || spec.nchains > 8 then fail "nchains out of range: %d" spec.nchains;
+  (* Every spec the CLI can check must also replay: a ring has one
+     identity per party and one chain per edge. *)
+  let pool = Ac3_core.Scenarios.max_identities in
+  if spec.parties < 2 || spec.parties > pool then fail "parties out of range: %d" spec.parties;
+  if spec.nchains < 2 || spec.nchains > pool then fail "nchains out of range: %d" spec.nchains;
   if spec.extra_edges < 0 then fail "negative extra_edges";
   if spec.load < 1 || spec.load > 16 then fail "load out of range: %d" spec.load;
   spec
@@ -268,18 +271,36 @@ let fault_of_json j =
   let fl k = Json.to_float (Json.member k j) in
   let it k = Json.to_int (Json.member k j) in
   let st k = Json.to_str (Json.member k j) in
-  (* Injection wraps the index round the spec's parties, which a
-     negative index would escape. *)
-  let party () = match it "party" with p when p >= 0 -> p | p -> fail "negative party: %d" p in
+  (* Injection trusts these ranges: a negative party index escapes its
+     wrap round the spec's parties, the network raises on a negative
+     delay factor or a drop probability outside [0, 1], and a negative
+     time or count would replay as a different plan. *)
+  let count k = match it k with n when n >= 0 -> n | n -> fail "negative %s: %d" k n in
+  let nonneg k = match fl k with x when x >= 0.0 -> x | x -> fail "negative %s: %g" k x in
+  let prob () =
+    match fl "p" with
+    | p when p >= 0.0 && p <= 1.0 -> p
+    | p -> fail "drop probability out of range: %g" p
+  in
   match st "kind" with
-  | "crash" -> Crash { party = party (); at = fl "at" }
-  | "restart" -> Restart { party = party (); at = fl "at" }
-  | "partition" -> Partition { chain = st "chain"; at = fl "at"; duration = fl "duration"; cut = it "cut" }
-  | "delay" -> Delay { chain = st "chain"; at = fl "at"; duration = fl "duration"; factor = fl "factor" }
-  | "drop" -> Drop { chain = st "chain"; at = fl "at"; duration = fl "duration"; p = fl "p" }
-  | "mining_stall" -> Mining_stall { chain = st "chain"; at = fl "at"; duration = fl "duration" }
-  | "mining_burst" -> Mining_burst { chain = st "chain"; at = fl "at"; blocks = it "blocks" }
-  | "witness_outage" -> Witness_outage { at = fl "at"; duration = fl "duration" }
+  | "crash" -> Crash { party = count "party"; at = nonneg "at" }
+  | "restart" -> Restart { party = count "party"; at = nonneg "at" }
+  | "partition" ->
+      Partition
+        { chain = st "chain"; at = nonneg "at"; duration = nonneg "duration"; cut = count "cut" }
+  | "delay" ->
+      Delay
+        {
+          chain = st "chain";
+          at = nonneg "at";
+          duration = nonneg "duration";
+          factor = nonneg "factor";
+        }
+  | "drop" -> Drop { chain = st "chain"; at = nonneg "at"; duration = nonneg "duration"; p = prob () }
+  | "mining_stall" ->
+      Mining_stall { chain = st "chain"; at = nonneg "at"; duration = nonneg "duration" }
+  | "mining_burst" -> Mining_burst { chain = st "chain"; at = nonneg "at"; blocks = count "blocks" }
+  | "witness_outage" -> Witness_outage { at = nonneg "at"; duration = nonneg "duration" }
   | k -> fail "unknown fault kind %S" k
 
 let to_json plan = Json.List (List.map fault_to_json plan)

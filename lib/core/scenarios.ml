@@ -20,8 +20,10 @@ let participant_names =
 
 (* [ns] namespaces the identities: every run that must not share (and
    exhaust) MSS signing keys with other runs passes its own namespace. *)
+let max_identities = Array.length participant_names
+
 let identities ?(ns = "") ?(fresh = false) n =
-  if n > Array.length participant_names then invalid_arg "Scenarios.identities: too many";
+  if n > max_identities then invalid_arg "Scenarios.identities: too many";
   let make = if fresh then Keys.fresh ?height:None else Keys.create ?height:None in
   List.init n (fun i ->
       let name = participant_names.(i) in

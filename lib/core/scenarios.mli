@@ -8,6 +8,9 @@ open Ac3_chain
 (** Genesis funding per identity per chain. *)
 val funding : Amount.t
 
+(** Size of the identity pool: {!identities} refuses a larger [n]. *)
+val max_identities : int
+
 (** The first [n] of alice, bob, carol, ... — namespaced by [ns] so
     separate runs get fresh (unexhausted) MSS signing keys. [fresh]
     additionally bypasses the key cache ({!Keys.fresh}), so repeated

@@ -68,6 +68,16 @@ let test_plan_rejects_malformed () =
   raises "{}";
   raises {|[{"kind":"meteor","at":1.0}]|};
   raises {|[{"kind":"crash","at":1.0}]|};
+  (* out-of-range fields that injection would crash on or silently
+     skip; unknown chain names stay tolerated *)
+  raises {|[{"kind":"drop","chain":"c0","at":1.0,"duration":5.0,"p":7.5}]|};
+  raises {|[{"kind":"drop","chain":"c0","at":1.0,"duration":5.0,"p":-0.1}]|};
+  raises {|[{"kind":"delay","chain":"c0","at":1.0,"duration":5.0,"factor":-2.0}]|};
+  raises {|[{"kind":"mining_stall","chain":"c0","at":-5.0,"duration":5.0}]|};
+  raises {|[{"kind":"witness_outage","at":1.0,"duration":-5.0}]|};
+  raises {|[{"kind":"mining_burst","chain":"c0","at":1.0,"blocks":-1}]|};
+  raises {|[{"kind":"partition","chain":"c0","at":1.0,"duration":5.0,"cut":-1}]|};
+  ignore (Plan.of_string {|[{"kind":"drop","chain":"nowhere","at":1.0,"duration":5.0,"p":1.0}]|});
   (* spec arity must match the shape *)
   match
     Plan.spec_of_json
@@ -82,6 +92,19 @@ let test_plan_rejects_malformed () =
   with
   | exception Plan.Malformed _ -> ()
   | _ -> Alcotest.fail "accepted cyclic spec with 5 parties"
+
+(* `ac3 check -s ring -n N --export` writes a ring spec of any size the
+   identity pool allows; `chaos --replay` must read every one of them. *)
+let test_ring_specs_replayable () =
+  List.iter
+    (fun n ->
+      let spec =
+        { Plan.seed = 1; shape = Plan.Ring; parties = n; nchains = n; extra_edges = 0; load = 1 }
+      in
+      let repro = { Repro.note = "ring"; spec; plan = []; expect = [] } in
+      let parsed = Repro.of_string (Repro.to_string repro) in
+      Alcotest.(check bool) (Printf.sprintf "%d-party ring roundtrips" n) true (parsed.Repro.spec = spec))
+    [ 9; Ac3_core.Scenarios.max_identities ]
 
 (* --- determinism of whole runs (QCheck) -------------------------------- *)
 
@@ -231,6 +254,8 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_plan_json_roundtrip;
           Alcotest.test_case "times sorted and bounded" `Quick test_plan_times_sorted_and_bounded;
           Alcotest.test_case "malformed plans rejected" `Quick test_plan_rejects_malformed;
+          Alcotest.test_case "ring specs up to the identity pool replay" `Quick
+            test_ring_specs_replayable;
         ] );
       ( "determinism",
         [
