@@ -18,10 +18,10 @@ let participant_names =
     "kevin"; "laura"; "mallory"; "nina"; "oscar"; "peggy";
   |]
 
-(* [ns] namespaces the identities: every run that must not share (and
-   exhaust) MSS signing keys with other runs passes its own namespace. *)
 let max_identities = Array.length participant_names
 
+(* [ns] namespaces the identities: every run that must not share (and
+   exhaust) MSS signing keys with other runs passes its own namespace. *)
 let identities ?(ns = "") ?(fresh = false) n =
   if n > max_identities then invalid_arg "Scenarios.identities: too many";
   let make = if fresh then Keys.fresh ?height:None else Keys.create ?height:None in

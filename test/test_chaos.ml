@@ -103,7 +103,9 @@ let test_ring_specs_replayable () =
       in
       let repro = { Repro.note = "ring"; spec; plan = []; expect = [] } in
       let parsed = Repro.of_string (Repro.to_string repro) in
-      Alcotest.(check bool) (Printf.sprintf "%d-party ring roundtrips" n) true (parsed.Repro.spec = spec))
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-party ring roundtrips" n)
+        true (parsed.Repro.spec = spec))
     [ 9; Ac3_core.Scenarios.max_identities ]
 
 (* --- determinism of whole runs (QCheck) -------------------------------- *)
