@@ -102,24 +102,17 @@ let genesis ?(premine = []) ~chain ~time ~target () =
   (* Genesis is exempt from PoW: it is a fixed constant of the chain. *)
   { header; txs }
 
-(* Assemble and mine a block on [parent_hash]. The grinding loop
-   serializes the header once and patches the nonce — the final 8 bytes
-   of the encoding — in place per attempt, hashing the buffer directly:
-   the same bytes [hash_header { base with nonce }] would hash, without
-   a record copy, an encode and a string per nonce. *)
+(* Assemble and mine a block on [parent_hash]. The header is serialized
+   once; [Pow.grind] patches the nonce — the final 8 bytes of the
+   encoding — per attempt, hashing the same bytes [hash_header { base
+   with nonce }] would hash. *)
 let mine_phase = Ac3_fast.Profile.phase "chain.mine"
 
 let mine ~chain ~height ~parent ~time ~target ~txs =
   Ac3_fast.Profile.span mine_phase @@ fun () ->
   let merkle_root = merkle_root_of_txs txs in
   let base = { chain; height; parent; merkle_root; time; target; nonce = 0L } in
-  let buf = Bytes.of_string (header_bytes base) in
-  let len = Bytes.length buf in
-  let nonce =
-    Pow.mine ~target (fun nonce ->
-        Bytes.set_int64_be buf (len - 8) nonce;
-        Sha256.digest (Sha256.digest_bytes buf 0 len))
-  in
+  let nonce = Pow.grind ~target (header_bytes base) in
   { header = { base with nonce }; txs }
 
 let pp_id ppf t = Fmt.pf ppf "%s@%d" (Hex.short (hash t)) t.header.height

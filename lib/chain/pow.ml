@@ -1,6 +1,7 @@
 (* Proof of work: a block header is valid when its double-SHA-256 hash,
    read as a 256-bit big-endian number, is at or below the target. *)
 
+module Sha256 = Ac3_crypto.Sha256
 
 (* Target with [bits] required leading zero bits: 2^(256-bits) - 1 encoded
    big-endian over 32 bytes. *)
@@ -28,13 +29,23 @@ let work_of_target target =
     (* 2^256 as a float *)
     1.157920892373162e77 /. (!v +. 1.0)
 
-(* Grind nonces until [hash ~nonce] meets the target. The caller supplies
-   the hash function so mining works on any header layout. Returns the
-   winning nonce. [max_iters] bounds runaway grinding at high difficulty. *)
-let mine ?(max_iters = 100_000_000) ~target hash_of_nonce =
-  let rec go nonce iters =
-    if iters >= max_iters then failwith "Pow.mine: exceeded max iterations";
-    let h = hash_of_nonce nonce in
-    if meets_target ~hash:h ~target then nonce else go (Int64.add nonce 1L) (iters + 1)
+(* Grind the nonce of a serialized header — its final 8 bytes,
+   big-endian — from 0 up until the double SHA-256 meets the target;
+   returns the lowest winning nonce. The search itself runs in C
+   ([Sha256.grind_pow]: a midstate of the constant prefix, nonces in
+   2-lane pairs), in fixed chunks from this loop, so a long search
+   returns to OCaml between chunks and never holds its domain away from
+   a stop-the-world collection for long. [max_iters] bounds runaway
+   grinding at high difficulty; a target that is not 32 bytes is never
+   met, so it runs into that bound. *)
+let grind_chunk = 4096
+
+let grind ?(max_iters = 100_000_000) ~target header =
+  let rec go first =
+    if first >= max_iters then failwith "Pow.mine: exceeded max iterations";
+    let count = min grind_chunk (max_iters - first) in
+    match Sha256.grind_pow header ~target ~first ~count with
+    | Some nonce -> Int64.of_int nonce
+    | None -> go (first + count)
   in
-  go 0L 0
+  go 0

@@ -9,7 +9,9 @@ val meets_target : hash:string -> target:string -> bool
 (** Expected number of hashes to find a block at this target. *)
 val work_of_target : string -> float
 
-(** [mine ~target hash_of_nonce] grinds nonces from 0 until the hash meets
-    the target; returns the winning nonce. Raises [Failure] beyond
-    [max_iters]. *)
-val mine : ?max_iters:int -> target:string -> (int64 -> string) -> int64
+(** [grind ~target header] is the lowest nonce from 0 up that, written
+    big-endian over the last 8 bytes of the serialized [header], makes
+    its double SHA-256 meet [target]. Raises [Failure] when none of the
+    first [max_iters] (default 100 000 000) nonces does, which is always
+    the case for a target that is not 32 bytes. *)
+val grind : ?max_iters:int -> target:string -> string -> int64

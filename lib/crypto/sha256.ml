@@ -8,14 +8,17 @@
    vectors in the test suite, so digest values are bit-for-bit the same
    on every machine.
 
-   This is the single hottest function in the repository — every WOTS
-   chain step, Merkle node, transaction id and HMAC block lands here.
-   One-shot digests run on a domain-local scratch context instead of
-   allocating a context and block buffer per call; hash-based
-   signatures issue hundreds of thousands of one-shot digests per key
-   generation, so the allocation savings dominate GC time. Whole-block
-   input spans are handed to the stub as one multi-block call, so long
-   messages pay the OCaml->C boundary once. *)
+   Every Merkle node, transaction id and HMAC block lands here. One-shot
+   digests run on a domain-local scratch context instead of allocating a
+   context and block buffer per call, and whole-block input spans are
+   handed to the stub as one multi-block call, so long messages pay the
+   OCaml->C boundary once.
+
+   The two loops that issue the most digests — WOTS chain steps and
+   proof-of-work nonces — do not come through this layer one message at
+   a time: [wots_chains] and [grind_pow] run them as batched C kernels
+   that feed two messages at once through a 2-lane compression. The
+   wrappers below check every length before the stubs touch memory. *)
 
 type ctx = {
   h : int array; (* working variables H0..H7, 32-bit values in native ints *)
@@ -32,6 +35,14 @@ external compress_blocks : int array -> Bytes.t -> int -> int -> unit
   [@@noalloc]
 
 external shani_available : unit -> bool = "ac3_sha256_shani_available_stub"
+
+external pair_stub : string -> string -> Bytes.t -> unit = "ac3_sha256_pair_stub" [@@noalloc]
+
+external wots_chains_stub : Bytes.t -> int -> int array -> unit = "ac3_sha256_wots_chains_stub"
+  [@@noalloc]
+
+external grind_pow_stub : string -> string -> int -> int -> int = "ac3_sha256_pow_grind_stub"
+  [@@noalloc]
 
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
@@ -130,14 +141,6 @@ let digest s =
   feed_string ctx s;
   finalize ctx
 
-(* One-shot digest of a byte-buffer slice, for callers that patch a
-   reusable message buffer in place (WOTS chain steps). *)
-let digest_bytes b off len =
-  let ctx = get_scratch () in
-  reset ctx;
-  feed_bytes ctx b off len;
-  finalize ctx
-
 let digest_list parts =
   let ctx = get_scratch () in
   reset ctx;
@@ -155,3 +158,29 @@ let digest2 s =
   reset ctx;
   feed_string ctx first;
   finalize ctx
+
+let digest_pair a b =
+  let out = Bytes.create 64 in
+  pair_stub a b out;
+  (Bytes.sub_string out 0 32, Bytes.sub_string out 32 32)
+
+(* The kernel pads each frame into a 128-byte lane buffer, so a frame
+   plus the 9 bytes of padding must fit in two blocks. *)
+let wots_frame_max = 119
+
+let wots_chains frames ~frame_len ranges =
+  let n = Array.length ranges / 2 in
+  if frame_len > wots_frame_max then
+    invalid_arg
+      (Printf.sprintf "Sha256.wots_chains: %d-byte frame exceeds %d bytes" frame_len wots_frame_max);
+  if frame_len < 36 || Array.length ranges <> 2 * n || n > 0x10000
+     || Bytes.length frames <> n * frame_len
+     || Array.exists (fun s -> s < 0 || s > 0x10000) ranges
+  then invalid_arg "Sha256.wots_chains: malformed frames or ranges";
+  wots_chains_stub frames frame_len ranges
+
+let grind_pow header ~target ~first ~count =
+  if String.length header < 8 || first < 0 || count < 0 || first > max_int - count then
+    invalid_arg "Sha256.grind_pow";
+  let nonce = grind_pow_stub header target first count in
+  if nonce < 0 then None else Some nonce

@@ -6,7 +6,9 @@
    512 x 32, at the cost of hash chains.
 
    Chain steps are domain-separated by (key tag, chain index, step index)
-   so chains from different keys or positions can never be spliced. *)
+   so chains from different keys or positions can never be spliced. All
+   67 chains of a key are walked in one call into a C kernel, which runs
+   them in pairs through a 2-lane SHA-256 compression (see [walk]). *)
 
 let w = 16
 
@@ -27,42 +29,45 @@ type public = string (* 32-byte hash of all chain tops *)
 
 type signature = string array (* [num_chains] intermediate chain values *)
 
-(* Apply steps [from_, from_+1, ..., to_-1] of one hash chain. The
-   hashed message is the [Codec]-framed record
+(* Walk every chain of one key at once: chain i from step [from_ i] up
+   to (not including) [to_ i], starting from [xs.(i)]. Each step hashes
+   the [Codec]-framed record
      string "wots-step" | string tag | u16 chain | u16 step | 32-byte x
    — the tag binds every step to this key pair, the indices to its
-   position. The frame is built once per walk and the two step bytes
-   and the 32-byte chain value are patched in place for each step:
-   byte-for-byte the same messages the per-step rebuild produced, minus
-   ~1 KB of allocation per step in the hottest loop of key generation. *)
-let chain tag chain_index ~from_ ~to_ x =
-  if from_ >= to_ then x
-  else begin
-    let w = Codec.Writer.create () in
-    Codec.Writer.string w "wots-step";
-    Codec.Writer.string w tag;
-    Codec.Writer.u16 w chain_index;
-    Codec.Writer.u16 w from_;
-    Codec.Writer.fixed w ~len:32 x;
-    let buf = Bytes.of_string (Codec.Writer.contents w) in
-    let len = Bytes.length buf in
-    let step_off = len - 34 and x_off = len - 32 in
-    let v = ref x in
-    for s = from_ to to_ - 1 do
-      Bytes.unsafe_set buf step_off (Char.unsafe_chr ((s lsr 8) land 0xFF));
-      Bytes.unsafe_set buf (step_off + 1) (Char.unsafe_chr (s land 0xFF));
-      Bytes.blit_string !v 0 buf x_off 32;
-      v := Sha256.digest_bytes buf 0 len
-    done;
-    !v
-  end
+   position. The frame prefix is encoded once per key; the C kernel
+   ([Sha256.wots_chains]) patches the chain, step and x bytes in place
+   and runs the chains two at a time through the 2-lane compression.
+   Keygen, signing and verification all walk through here. *)
+let walk tag ~from_ ~to_ xs =
+  let prefix =
+    Codec.encode
+      (fun w () ->
+        Codec.Writer.string w "wots-step";
+        Codec.Writer.string w tag)
+      ()
+  in
+  let plen = String.length prefix in
+  let frame_len = plen + 36 in
+  let n = Array.length xs in
+  let frames = Bytes.create (n * frame_len) in
+  let ranges = Array.make (2 * n) 0 in
+  Array.iteri
+    (fun i x ->
+      Bytes.blit_string prefix 0 frames (i * frame_len) plen;
+      Bytes.blit_string x 0 frames (((i + 1) * frame_len) - 32) 32;
+      ranges.(2 * i) <- from_ i;
+      ranges.((2 * i) + 1) <- to_ i)
+    xs;
+  Sha256.wots_chains frames ~frame_len ranges;
+  Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
 
 let sk_element { prk; _ } i = Drbg.expand_prk prk i
 
 let generate ~seed ~tag = { tag; prk = Drbg.prk ~seed ~label:("wots:" ^ tag) }
 
-let chain_tops sk =
-  Array.init num_chains (fun i -> chain sk.tag i ~from_:0 ~to_:(w - 1) (sk_element sk i))
+let secret_elements sk = Array.init num_chains (sk_element sk)
+
+let chain_tops sk = walk sk.tag ~from_:(fun _ -> 0) ~to_:(fun _ -> w - 1) (secret_elements sk)
 
 let public_of_tops ~tag tops =
   let ctx = Sha256.init () in
@@ -96,7 +101,7 @@ let symbols_of_digest digest =
 let sign sk msg =
   let digest = Sha256.digest msg in
   let syms = symbols_of_digest digest in
-  Array.init num_chains (fun i -> chain sk.tag i ~from_:0 ~to_:syms.(i) (sk_element sk i))
+  walk sk.tag ~from_:(fun _ -> 0) ~to_:(Array.get syms) (secret_elements sk)
 
 (* Recompute the public key implied by a signature. Verification succeeds
    when it matches; MSS also uses this to recompute leaf values. *)
@@ -106,9 +111,7 @@ let public_from_signature ~tag msg signature =
   else begin
     let digest = Sha256.digest msg in
     let syms = symbols_of_digest digest in
-    let tops =
-      Array.mapi (fun i v -> chain tag i ~from_:syms.(i) ~to_:(w - 1) v) signature
-    in
+    let tops = walk tag ~from_:(Array.get syms) ~to_:(fun _ -> w - 1) signature in
     Some (public_of_tops ~tag tops)
   end
 

@@ -197,11 +197,83 @@ let test_pow_target_bits () =
   Alcotest.(check char) "partial byte" '\x0f' t4.[0]
 
 let test_pow_mine_and_verify () =
-  let target = Pow.target_of_bits 8 in
-  let hash_of_nonce n = Ac3_crypto.Sha256.digest ("block:" ^ Int64.to_string n) in
-  let nonce = Pow.mine ~target hash_of_nonce in
-  Alcotest.(check bool) "mined hash meets target" true
-    (Pow.meets_target ~hash:(hash_of_nonce nonce) ~target)
+  let cb = Tx.coinbase ~chain:"powchain" ~height:1 ~miner_addr:(Keys.address carol) ~reward:(coin 50) in
+  let block =
+    Block.mine ~chain:"powchain" ~height:1 ~parent:Block.genesis_parent ~time:1.0
+      ~target:(Pow.target_of_bits 8) ~txs:[ cb ]
+  in
+  Alcotest.(check bool) "mined header meets target" true (Block.header_pow_ok block.Block.header)
+
+(* One double SHA-256 per nonce from 0 up: the search the C grinder
+   replaces, over the same header bytes. *)
+let reference_meets ~target header n =
+  let buf = Bytes.of_string header in
+  Bytes.set_int64_be buf (Bytes.length buf - 8) (Int64.of_int n);
+  Pow.meets_target ~hash:(Ac3_crypto.Sha256.digest2 (Bytes.to_string buf)) ~target
+
+let reference_grind ~target header =
+  let rec go n = if reference_meets ~target header n then Int64.of_int n else go (n + 1) in
+  go 0
+
+(* Chain names of 0 to 40 bytes put the nonce (the header's last 8 of
+   120 + name bytes) inside the second block, across the 128-byte
+   boundary, or inside the third block. *)
+let pow_header_gen =
+  QCheck.Gen.(
+    let* chain = string_size (int_range 0 40) in
+    let* bits = int_range 0 12 in
+    let* height = int_bound 100_000 in
+    let* parent = string_size (return 32) in
+    let* merkle_root = string_size (return 32) in
+    let* time = float_bound_inclusive 1e6 in
+    return { Block.chain; height; parent; merkle_root; time; target = Pow.target_of_bits bits; nonce = 0L })
+
+let print_pow_header h =
+  Printf.sprintf "%d-byte chain %S, target %s" (String.length h.Block.chain) h.Block.chain
+    (Ac3_crypto.Hex.encode h.Block.target)
+
+let qcheck_pow_grind =
+  QCheck.Test.make ~name:"PoW grinder = reference loop" ~count:150
+    (QCheck.make ~print:print_pow_header pow_header_gen)
+    (fun h ->
+      let header = Block.header_bytes h in
+      Pow.grind ~target:h.Block.target header = reference_grind ~target:h.Block.target header)
+
+(* Arbitrary windows, odd lengths included (the last nonce runs alone). *)
+let qcheck_pow_grind_window =
+  QCheck.Test.make ~name:"grind_pow window = reference scan" ~count:150
+    (QCheck.make
+       ~print:(fun (h, first, count) -> Printf.sprintf "%s, [%d, +%d)" (print_pow_header h) first count)
+       QCheck.Gen.(triple pow_header_gen (int_bound 300) (int_bound 9)))
+    (fun (h, first, count) ->
+      let header = Block.header_bytes h and target = h.Block.target in
+      Ac3_crypto.Sha256.grind_pow header ~target ~first ~count
+      = List.find_opt (reference_meets ~target header) (List.init count (fun k -> first + k)))
+
+let test_pow_grind_failures () =
+  let header =
+    Block.header_bytes
+      {
+        Block.chain = "c";
+        height = 1;
+        parent = Block.genesis_parent;
+        merkle_root = Block.genesis_parent;
+        time = 0.0;
+        target = Pow.target_of_bits 8;
+        nonce = 0L;
+      }
+  in
+  let exhausted = Failure "Pow.mine: exceeded max iterations" in
+  Alcotest.check_raises "31-byte target is never met" exhausted (fun () ->
+      ignore (Pow.grind ~target:(String.make 31 '\xff') header));
+  Alcotest.check_raises "unreachable target" exhausted (fun () ->
+      ignore (Pow.grind ~max_iters:20_001 ~target:(String.make 32 '\x00') header));
+  Alcotest.check_raises "Block.mine refuses a 31-byte target"
+    (Invalid_argument "Codec.fixed: expected 32 bytes, got 31") (fun () ->
+      ignore
+        (Block.mine ~chain:"c" ~height:1 ~parent:Block.genesis_parent ~time:0.0
+           ~target:(String.make 31 '\xff')
+           ~txs:[ Tx.coinbase ~chain:"c" ~height:1 ~miner_addr:(Keys.address carol) ~reward:(coin 1) ]))
 
 let test_pow_work_monotone () =
   Alcotest.(check bool) "more bits, more work" true
@@ -1196,6 +1268,9 @@ let () =
         [
           Alcotest.test_case "target bits" `Quick test_pow_target_bits;
           Alcotest.test_case "mine and verify" `Quick test_pow_mine_and_verify;
+          QCheck_alcotest.to_alcotest qcheck_pow_grind;
+          QCheck_alcotest.to_alcotest qcheck_pow_grind_window;
+          Alcotest.test_case "grind failures" `Quick test_pow_grind_failures;
           Alcotest.test_case "work monotone" `Quick test_pow_work_monotone;
         ] );
       ( "ledger",

@@ -89,6 +89,25 @@ let qcheck_sha256_boundary_lengths =
       String.iter (fun c -> Sha256.feed_string ctx (String.make 1 c)) s;
       Sha256.finalize ctx = Sha256.digest s)
 
+(* The FIPS 180-4 vectors again, two at a time through the 2-lane
+   compression: a different message in each lane, 1-block and 2-block
+   inputs in every combination (the shorter lane finishes alone). *)
+let test_sha256_vectors_two_lanes () =
+  List.iter
+    (fun (a, ha) ->
+      List.iter
+        (fun (b, hb) ->
+          let da, db = Sha256.digest_pair a b in
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "lanes %S | %S" a b) (ha, hb) (Hex.encode da, Hex.encode db))
+        sha256_vectors)
+    sha256_vectors
+
+let qcheck_sha256_pair =
+  QCheck.Test.make ~name:"digest_pair = two digests" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 200)) (string_of_size Gen.(int_range 0 200)))
+    (fun (a, b) -> Sha256.digest_pair a b = (Sha256.digest a, Sha256.digest b))
+
 (* --- HMAC -------------------------------------------------------------- *)
 
 (* RFC 4231 test cases 1, 2 and 6 (long key). *)
@@ -314,6 +333,92 @@ let test_wots_codec_roundtrip () =
   let s' = Codec.decode Wots.decode_signature (Codec.encode Wots.encode_signature s) in
   Alcotest.(check bool) "roundtrip verifies" true (Wots.verify ~tag:"t" (Wots.public sk) "msg" s')
 
+(* The WOTS chain kernel against one [Sha256.digest] per step over the
+   same framed message, "wots-step" | tag | u16 chain | u16 step | x. *)
+let wots_frame_prefix tag =
+  Codec.encode
+    (fun w () ->
+      Codec.Writer.string w "wots-step";
+      Codec.Writer.string w tag)
+    ()
+
+let reference_chain tag i ~from_ ~to_ x =
+  let v = ref x in
+  for s = from_ to to_ - 1 do
+    v :=
+      Sha256.digest
+        (Codec.encode
+           (fun w () ->
+             Codec.Writer.string w "wots-step";
+             Codec.Writer.string w tag;
+             Codec.Writer.u16 w i;
+             Codec.Writer.u16 w s;
+             Codec.Writer.fixed w ~len:32 !v)
+           ())
+  done;
+  !v
+
+let kernel_chains tag ranges xs =
+  let prefix = wots_frame_prefix tag in
+  let plen = String.length prefix and n = Array.length xs in
+  let frame_len = plen + 36 in
+  let frames = Bytes.create (n * frame_len) in
+  Array.iteri
+    (fun i x ->
+      Bytes.blit_string prefix 0 frames (i * frame_len) plen;
+      Bytes.blit_string x 0 frames (((i + 1) * frame_len) - 32) 32)
+    xs;
+  Sha256.wots_chains frames ~frame_len (Array.concat (Array.to_list (Array.map (fun (f, t) -> [| f; t |]) ranges)));
+  Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
+
+(* Leaf tags of 1 to 5 digits (frames of 63 to 67 bytes), chain counts
+   including the odd 67 of a real key, and per-chain ranges that are
+   empty, full (0..15) or arbitrary, as keygen, sign and verify use. *)
+let qcheck_wots_kernel =
+  let gen =
+    QCheck.Gen.(
+      let* leaf = oneof [ int_range 0 9; int_range 10 99; int_range 100 999; int_range 1000 9999; int_range 10000 65535 ] in
+      let* n = oneof [ return 67; int_range 1 9 ] in
+      let* kind = int_range 0 3 in
+      let range =
+        match kind with
+        | 0 -> return (0, 15)
+        | 1 -> map (fun s -> (s, s)) (int_range 0 15)
+        | 2 -> map (fun s -> (s, 15)) (int_range 0 15)
+        | _ -> pair (int_range 0 15) (int_range 0 15)
+      in
+      let* ranges = array_repeat n range in
+      let* seed = string_size (return 8) in
+      return (Printf.sprintf "mss-leaf:%d" leaf, ranges, seed))
+  in
+  QCheck.Test.make ~name:"WOTS chain kernel = one digest per step" ~count:60
+    (QCheck.make
+       ~print:(fun (tag, ranges, _) ->
+         Printf.sprintf "%s, %d chains, ranges %s" tag (Array.length ranges)
+           (String.concat " " (Array.to_list (Array.map (fun (f, t) -> Printf.sprintf "[%d,%d)" f t) ranges))))
+       gen)
+    (fun (tag, ranges, seed) ->
+      let xs = Array.init (Array.length ranges) (fun i -> Sha256.digest (seed ^ string_of_int i)) in
+      let expected = Array.mapi (fun i x -> let from_, to_ = ranges.(i) in reference_chain tag i ~from_ ~to_ x) xs in
+      kernel_chains tag ranges xs = expected)
+
+let test_wots_frame_bound () =
+  let x = String.make 32 'x' in
+  (* Tags up to 66 bytes make frames of up to 119 bytes: still two blocks. *)
+  List.iter
+    (fun len ->
+      let tag = String.make len 't' in
+      Alcotest.(check (array string)) (Printf.sprintf "%d-byte tag" len)
+        [| reference_chain tag 0 ~from_:0 ~to_:3 x |]
+        (kernel_chains tag [| (0, 3) |] [| x |]))
+    [ 0; 2; 10; 66 ];
+  Alcotest.check_raises "120-byte frame refused"
+    (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
+      ignore (kernel_chains (String.make 67 't') [| (0, 3) |] [| x |]));
+  Alcotest.check_raises "signing with an over-long tag refused"
+    (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
+      ignore (Wots.sign (Wots.generate ~seed:"s" ~tag:(String.make 67 't')) "msg"))
+
 (* --- MSS ---------------------------------------------------------------- *)
 
 let test_mss_many_messages () =
@@ -473,11 +578,13 @@ let () =
       ( "sha256",
         [
           Alcotest.test_case "NIST vectors" `Quick test_sha256_vectors;
+          Alcotest.test_case "NIST vectors, two lanes" `Quick test_sha256_vectors_two_lanes;
           Alcotest.test_case "million a (streaming)" `Slow test_sha256_million_a;
           Alcotest.test_case "streaming = one-shot" `Quick test_sha256_streaming_matches_oneshot;
           Alcotest.test_case "digest_list" `Quick test_sha256_digest_list;
           QCheck_alcotest.to_alcotest qcheck_sha256_deterministic;
           QCheck_alcotest.to_alcotest qcheck_sha256_boundary_lengths;
+          QCheck_alcotest.to_alcotest qcheck_sha256_pair;
         ] );
       ( "hmac",
         [
@@ -521,6 +628,8 @@ let () =
           Alcotest.test_case "tag separation" `Quick test_wots_tag_separation;
           Alcotest.test_case "tampered signature" `Quick test_wots_tampered_signature;
           Alcotest.test_case "codec roundtrip" `Quick test_wots_codec_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_wots_kernel;
+          Alcotest.test_case "frame length bound" `Quick test_wots_frame_bound;
         ] );
       ( "mss",
         [
