@@ -172,7 +172,8 @@ let wots_chains frames ~frame_len ranges =
   let n = Array.length ranges / 2 in
   if frame_len > wots_frame_max then
     invalid_arg
-      (Printf.sprintf "Sha256.wots_chains: %d-byte frame exceeds %d bytes" frame_len wots_frame_max);
+      (Printf.sprintf "Sha256.wots_chains: %d-byte frame exceeds %d bytes" frame_len
+         wots_frame_max);
   if frame_len < 36 || Array.length ranges <> 2 * n || n > 0x10000
      || Bytes.length frames <> n * frame_len
      || Array.exists (fun s -> s < 0 || s > 0x10000) ranges

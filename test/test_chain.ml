@@ -197,7 +197,9 @@ let test_pow_target_bits () =
   Alcotest.(check char) "partial byte" '\x0f' t4.[0]
 
 let test_pow_mine_and_verify () =
-  let cb = Tx.coinbase ~chain:"powchain" ~height:1 ~miner_addr:(Keys.address carol) ~reward:(coin 50) in
+  let cb =
+    Tx.coinbase ~chain:"powchain" ~height:1 ~miner_addr:(Keys.address carol) ~reward:(coin 50)
+  in
   let block =
     Block.mine ~chain:"powchain" ~height:1 ~parent:Block.genesis_parent ~time:1.0
       ~target:(Pow.target_of_bits 8) ~txs:[ cb ]
@@ -226,7 +228,8 @@ let pow_header_gen =
     let* parent = string_size (return 32) in
     let* merkle_root = string_size (return 32) in
     let* time = float_bound_inclusive 1e6 in
-    return { Block.chain; height; parent; merkle_root; time; target = Pow.target_of_bits bits; nonce = 0L })
+    let target = Pow.target_of_bits bits in
+    return { Block.chain; height; parent; merkle_root; time; target; nonce = 0L })
 
 let print_pow_header h =
   Printf.sprintf "%d-byte chain %S, target %s" (String.length h.Block.chain) h.Block.chain
@@ -243,7 +246,8 @@ let qcheck_pow_grind =
 let qcheck_pow_grind_window =
   QCheck.Test.make ~name:"grind_pow window = reference scan" ~count:150
     (QCheck.make
-       ~print:(fun (h, first, count) -> Printf.sprintf "%s, [%d, +%d)" (print_pow_header h) first count)
+       ~print:(fun (h, first, count) ->
+         Printf.sprintf "%s, [%d, +%d)" (print_pow_header h) first count)
        QCheck.Gen.(triple pow_header_gen (int_bound 300) (int_bound 9)))
     (fun (h, first, count) ->
       let header = Block.header_bytes h and target = h.Block.target in

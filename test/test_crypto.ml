@@ -368,7 +368,8 @@ let kernel_chains tag ranges xs =
       Bytes.blit_string prefix 0 frames (i * frame_len) plen;
       Bytes.blit_string x 0 frames (((i + 1) * frame_len) - 32) 32)
     xs;
-  Sha256.wots_chains frames ~frame_len (Array.concat (Array.to_list (Array.map (fun (f, t) -> [| f; t |]) ranges)));
+  let flat = Array.init (2 * n) (fun j -> (if j mod 2 = 0 then fst else snd) ranges.(j / 2)) in
+  Sha256.wots_chains frames ~frame_len flat;
   Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
 
 (* Leaf tags of 1 to 5 digits (frames of 63 to 67 bytes), chain counts
@@ -377,7 +378,10 @@ let kernel_chains tag ranges xs =
 let qcheck_wots_kernel =
   let gen =
     QCheck.Gen.(
-      let* leaf = oneof [ int_range 0 9; int_range 10 99; int_range 100 999; int_range 1000 9999; int_range 10000 65535 ] in
+      let* leaf =
+        oneof
+          [ int_range 0 9; int_range 10 99; int_range 100 999; int_range 1000 9999; int_range 10000 65535 ]
+      in
       let* n = oneof [ return 67; int_range 1 9 ] in
       let* kind = int_range 0 3 in
       let range =
@@ -395,11 +399,14 @@ let qcheck_wots_kernel =
     (QCheck.make
        ~print:(fun (tag, ranges, _) ->
          Printf.sprintf "%s, %d chains, ranges %s" tag (Array.length ranges)
-           (String.concat " " (Array.to_list (Array.map (fun (f, t) -> Printf.sprintf "[%d,%d)" f t) ranges))))
+           (String.concat " "
+              (Array.to_list (Array.map (fun (f, t) -> Printf.sprintf "[%d,%d)" f t) ranges))))
        gen)
     (fun (tag, ranges, seed) ->
       let xs = Array.init (Array.length ranges) (fun i -> Sha256.digest (seed ^ string_of_int i)) in
-      let expected = Array.mapi (fun i x -> let from_, to_ = ranges.(i) in reference_chain tag i ~from_ ~to_ x) xs in
+      let expected =
+        Array.mapi (fun i x -> reference_chain tag i ~from_:(fst ranges.(i)) ~to_:(snd ranges.(i)) x) xs
+      in
       kernel_chains tag ranges xs = expected)
 
 let test_wots_frame_bound () =
