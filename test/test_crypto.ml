@@ -373,8 +373,9 @@ let kernel_chains tag ranges xs =
   Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
 
 (* Leaf tags of 1 to 5 digits (frames of 63 to 67 bytes), chain counts
-   including the odd 67 of a real key, and per-chain ranges that are
-   empty, full (0..15) or arbitrary, as keygen, sign and verify use. *)
+   including the odd 67 of a real key, and ranges that are full (0..15)
+   as in keygen, [0, s) as in signing, [s, 15) as in verification,
+   empty or arbitrary; the same for every chain or mixed per chain. *)
 let qcheck_wots_kernel =
   let gen =
     QCheck.Gen.(
@@ -383,15 +384,19 @@ let qcheck_wots_kernel =
           [ int_range 0 9; int_range 10 99; int_range 100 999; int_range 1000 9999; int_range 10000 65535 ]
       in
       let* n = oneof [ return 67; int_range 1 9 ] in
-      let* kind = int_range 0 3 in
+      let step = int_range 0 15 in
       let range =
-        match kind with
-        | 0 -> return (0, 15)
-        | 1 -> map (fun s -> (s, s)) (int_range 0 15)
-        | 2 -> map (fun s -> (s, 15)) (int_range 0 15)
-        | _ -> pair (int_range 0 15) (int_range 0 15)
+        oneof
+          [
+            return (0, 15);
+            map (fun s -> (s, s)) step;
+            map (fun s -> (0, s)) step;
+            map (fun s -> (s, 15)) step;
+            pair step step;
+          ]
       in
-      let* ranges = array_repeat n range in
+      let* uniform = bool in
+      let* ranges = if uniform then map (Array.make n) range else array_repeat n range in
       let* seed = string_size (return 8) in
       return (Printf.sprintf "mss-leaf:%d" leaf, ranges, seed))
   in
