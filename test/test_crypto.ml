@@ -590,12 +590,12 @@ let () =
       ( "sha256",
         [
           Alcotest.test_case "NIST vectors" `Quick test_sha256_vectors;
-          Alcotest.test_case "NIST vectors, two lanes" `Quick test_sha256_vectors_two_lanes;
           Alcotest.test_case "million a (streaming)" `Slow test_sha256_million_a;
           Alcotest.test_case "streaming = one-shot" `Quick test_sha256_streaming_matches_oneshot;
           Alcotest.test_case "digest_list" `Quick test_sha256_digest_list;
           QCheck_alcotest.to_alcotest qcheck_sha256_deterministic;
           QCheck_alcotest.to_alcotest qcheck_sha256_boundary_lengths;
+          Alcotest.test_case "NIST vectors, two lanes" `Quick test_sha256_vectors_two_lanes;
           QCheck_alcotest.to_alcotest qcheck_sha256_pair;
         ] );
       ( "hmac",
