@@ -92,6 +92,16 @@ let with_parties cmd parties run =
     refuse cmd "--parties must be at most %d (got %d)" S.max_identities parties
   else run ()
 
+(* [--delta] and [--slack] feed the timelock arithmetic, where a NaN or
+   infinity slips past every later comparison, and [--max-nodes] below 1
+   would report a verdict over no exploration at all. *)
+let with_bounds cmd ~delta ~slack ~max_nodes run =
+  if not (Float.is_finite delta && delta > 0.0) then
+    refuse cmd "--delta must be a positive finite number (got %g)" delta
+  else if not (Float.is_finite slack) then refuse cmd "--slack must be finite (got %g)" slack
+  else if max_nodes < 1 then refuse cmd "--max-nodes must be at least 1 (got %d)" max_nodes
+  else run ()
+
 let sanitize_failure ~index ~first ~rerun =
   Fmt.epr
     "sanitize: task %d diverged on sequential rerun@.  parallel: %s@.  rerun:    %s@.  a task's \
@@ -328,6 +338,7 @@ let print_section ~quiet (name, diags) =
 
 let run_verify protocol scenario parties delta slack max_nodes json quiet =
   with_parties "verify" parties @@ fun () ->
+  with_bounds "verify" ~delta ~slack ~max_nodes @@ fun () ->
   let herlihy_over scenarios =
     List.map
       (fun s ->
@@ -734,6 +745,7 @@ let check_stats_json (s : MC.stats) =
 let run_check protocol scenario parties delta slack crashes max_nodes json export seed jobs
     sanitize quiet metrics_out trace_out =
   with_parties "check" parties @@ fun () ->
+  with_bounds "check" ~delta ~slack ~max_nodes @@ fun () ->
   if crashes < 0 then refuse "check" "--crashes must be non-negative (got %d)" crashes else
   let config =
     { MC.delta; timelock_slack = slack; start_time = 0.0; max_nodes; crash_budget = crashes }

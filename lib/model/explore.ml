@@ -15,8 +15,8 @@ type node = {
 
 type t = {
   model : Semantics.model;
-  nodes : (int, node) Hashtbl.t;
-  succs : (int, (Semantics.move * int) list) Hashtbl.t;
+  nodes : node array;  (** indexed by id; exactly [n_nodes] entries *)
+  succs : (Semantics.move * int) list array;  (** indexed by source id, like [nodes] *)
   n_nodes : int;
   n_transitions : int;
   por_skipped : int;  (** transitions pruned by the partial-order reduction *)
@@ -24,33 +24,50 @@ type t = {
   truncated : bool;
 }
 
+(* State keys are strings: hash and compare them as such rather than
+   through the polymorphic primitives. *)
+module Index = Hashtbl.Make (String)
+
+(* Slot [n] of a doubling array, padded with [fill]. *)
+let ensure a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
 let run ?(max_nodes = 20_000) model =
-  let index = Hashtbl.create 1024 in
-  let nodes = Hashtbl.create 1024 in
-  let succs = Hashtbl.create 1024 in
+  let index = Index.create 1024 in
+  let init = Semantics.init model in
+  let nodes = ref (Array.make 1024 { id = 0; state = init; pred = None; depth = 0 }) in
+  let succs = ref (Array.make 1024 []) in
   let count = ref 0 in
+  (* Ids are handed out in discovery order and expanded in the same
+     order, so the BFS queue is exactly the id range [next, count). *)
+  let next = ref 0 in
   let n_transitions = ref 0 in
   let por_skipped = ref 0 in
   let peak_frontier = ref 0 in
   let truncated = ref false in
-  let pending = Queue.create () in
   let intern ~pred ~depth state =
     let k = Global_state.key state in
-    match Hashtbl.find_opt index k with
+    match Index.find_opt index k with
     | Some id -> id
     | None ->
         let id = !count in
-        incr count;
-        Hashtbl.replace index k id;
-        Hashtbl.replace nodes id { id; state; pred; depth };
-        Queue.push id pending;
-        if Queue.length pending > !peak_frontier then peak_frontier := Queue.length pending;
+        Index.add index k id;
+        nodes := ensure !nodes id !nodes.(0);
+        !nodes.(id) <- { id; state; pred; depth };
+        count := id + 1;
+        peak_frontier := max !peak_frontier (!count - !next);
         id
   in
-  ignore (intern ~pred:None ~depth:0 (Semantics.init model));
-  while not (Queue.is_empty pending) do
-    let id = Queue.pop pending in
-    let n = Hashtbl.find nodes id in
+  ignore (intern ~pred:None ~depth:0 init);
+  while !next < !count do
+    let id = !next in
+    incr next;
+    let n = !nodes.(id) in
     let moves, skipped = Semantics.reduced model n.state in
     por_skipped := !por_skipped + skipped;
     let out =
@@ -68,12 +85,13 @@ let run ?(max_nodes = 20_000) model =
           end)
         moves
     in
-    Hashtbl.replace succs id out
+    succs := ensure !succs id [];
+    !succs.(id) <- out
   done;
   {
     model;
-    nodes;
-    succs;
+    nodes = Array.sub !nodes 0 !count;
+    succs = Array.sub !succs 0 !count;
     n_nodes = !count;
     n_transitions = !n_transitions;
     por_skipped = !por_skipped;
@@ -81,7 +99,7 @@ let run ?(max_nodes = 20_000) model =
     truncated = !truncated;
   }
 
-let node t id = Hashtbl.find t.nodes id
+let node t id = t.nodes.(id)
 
 (* The BFS tree path from the initial state to [id], as a move list. *)
 let schedule t id =
@@ -96,14 +114,9 @@ let find_first t pred =
   let rec go id = if id >= t.n_nodes then None else if pred (node t id) then Some id else go (id + 1) in
   go 0
 
-(* Visit edges in ascending source-node id — node ids are dense 0..n-1,
-   so indexing beats hash-bucket order and keeps diagnostics stable. *)
-let iter_succs t f =
-  for id = 0 to t.n_nodes - 1 do
-    match Hashtbl.find_opt t.succs id with
-    | Some out -> List.iter (fun (mv, tgt) -> f id mv tgt) out
-    | None -> ()
-  done
+(* Visit edges in ascending source-node id, which keeps diagnostics
+   stable. *)
+let iter_succs t f = Array.iteri (fun id out -> List.iter (fun (mv, tgt) -> f id mv tgt) out) t.succs
 
 (* --- Settlement reachability under the recovery closure --------------- *)
 
@@ -113,11 +126,11 @@ let iter_succs t f =
    own memo table (shared across queries); the space is a small quotient
    of the explored one because alive/crash components are normalized. *)
 let can_settle_memo t =
-  let memo = Hashtbl.create 256 in
+  let memo = Index.create 256 in
   let rec go state =
     let state = Global_state.revive state in
     let k = Global_state.key state in
-    match Hashtbl.find_opt memo k with
+    match Index.find_opt memo k with
     | Some v -> v
     | None ->
         let v =
@@ -126,7 +139,7 @@ let can_settle_memo t =
           let moves, _ = Semantics.reduced t.model state in
           List.exists (fun move -> go (Semantics.apply t.model state move)) moves
         in
-        Hashtbl.replace memo k v;
+        Index.replace memo k v;
         v
   in
   go

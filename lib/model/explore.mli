@@ -3,7 +3,8 @@
     States are interned by their canonical byte key, so all
     interleavings of commuting moves reaching the same global state
     share one node; BFS order makes the first node satisfying any
-    predicate carry a shortest event schedule. *)
+    predicate carry a shortest event schedule. Node ids are dense
+    ([0 .. n_nodes - 1]) and index the node and successor arrays. *)
 
 type node = {
   id : int;
@@ -14,8 +15,8 @@ type node = {
 
 type t = {
   model : Semantics.model;
-  nodes : (int, node) Hashtbl.t;
-  succs : (int, (Semantics.move * int) list) Hashtbl.t;
+  nodes : node array;  (** indexed by id; exactly [n_nodes] entries *)
+  succs : (Semantics.move * int) list array;  (** indexed by source id, like [nodes] *)
   n_nodes : int;
   n_transitions : int;
   por_skipped : int;  (** transitions pruned by the partial-order reduction *)

@@ -34,19 +34,20 @@ let status_char = function
 let witness_char = function W_none -> '-' | W_undecided -> '?' | W_redeem -> 'D' | W_refund -> 'F'
 
 (* Canonical byte key: interning two states with equal keys merges the
-   commuting-diamond interleavings that reach them. *)
+   commuting-diamond interleavings that reach them. Every field has a
+   fixed width, so no separators are needed for the key to be injective
+   over the states of one model. *)
 let key s =
-  let b = Buffer.create 64 in
-  Array.iter (fun e -> Buffer.add_char b (status_char e)) s.edges;
-  Buffer.add_char b '|';
-  Array.iter (fun k -> Buffer.add_char b (if k then '1' else '0')) s.knows;
-  Buffer.add_char b '|';
-  Array.iter (fun a -> Buffer.add_char b (if a then '1' else '0')) s.alive;
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int s.time);
-  Buffer.add_char b (witness_char s.witness);
-  Buffer.add_string b (string_of_int s.crashes_left);
-  Buffer.contents b
+  let ne = Array.length s.edges and nk = Array.length s.knows and na = Array.length s.alive in
+  let b = Bytes.create (ne + nk + na + 17) in
+  Array.iteri (fun i e -> Bytes.set b i (status_char e)) s.edges;
+  Array.iteri (fun i k -> Bytes.set b (ne + i) (if k then '1' else '0')) s.knows;
+  Array.iteri (fun i a -> Bytes.set b (ne + nk + i) (if a then '1' else '0')) s.alive;
+  let o = ne + nk + na in
+  Bytes.set_int64_le b o (Int64.of_int s.time);
+  Bytes.set b (o + 8) (witness_char s.witness);
+  Bytes.set_int64_le b (o + 9) (Int64.of_int s.crashes_left);
+  Bytes.unsafe_to_string b
 
 (* --- Predicates the M-rules are stated over -------------------------- *)
 
@@ -61,13 +62,11 @@ let settled s = Array.for_all (fun e -> e <> Published) s.edges
 
 (* Recovery closure for the deadlock rule: revive every crashed party and
    drop the remaining fault budget. A state counts as deadlocked only if
-   it cannot settle even after every party comes back. *)
+   it cannot settle even after every party comes back. A state that is
+   already revived is returned as is. *)
 let revive s =
-  {
-    s with
-    alive = Array.map (fun _ -> true) s.alive;
-    crashes_left = 0;
-  }
+  if s.crashes_left = 0 && Array.for_all Fun.id s.alive then s
+  else { s with alive = Array.make (Array.length s.alive) true; crashes_left = 0 }
 
 let pp_status ppf e = Fmt.char ppf (status_char e)
 

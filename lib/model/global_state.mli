@@ -5,7 +5,11 @@
     hashlock secret, who is still acting, how many timelock deadlines
     have passed, the witness network's decision, and the remaining
     fault budget. Every component evolves monotonically under the
-    semantics, which is what makes the explored graph a DAG. *)
+    semantics, which is what makes the explored graph a DAG.
+
+    Successor states share the arrays a move leaves unchanged with their
+    source ({!Semantics.apply}), so the arrays are read-only once a
+    state exists. *)
 
 type edge_status = Unpublished | Published | Redeemed | Refunded
 
@@ -24,7 +28,9 @@ type t = {
   crashes_left : int;
 }
 
-(** Canonical byte-string key for hashing/interning. *)
+(** Canonical byte-string key for hashing/interning: one byte per edge
+    and per flag, fixed-width [time] and [crashes_left], and the witness
+    char. Injective over states with the same edge and party counts. *)
 val key : t -> string
 
 (** Some edge Redeemed while another is Refunded: the M001 condition. *)
@@ -35,7 +41,7 @@ val mixed_settlement : t -> bool
 val settled : t -> bool
 
 (** The recovery closure seed for M002: all parties acting again, no
-    faults left. *)
+    faults left. Returns its argument when nothing changes. *)
 val revive : t -> t
 
 val status_char : edge_status -> char

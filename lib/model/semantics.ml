@@ -178,29 +178,30 @@ let w_abort_enabled m s = m.protocol = Ac3wn && s.witness = W_undecided
 (* ------------------------------------------------------------------ *)
 (* Transition function *)
 
+(* Copy-on-write: a move copies only the array it writes and shares the
+   rest with [s]. Sharing is safe because this function is the only
+   writer of state arrays, and it writes only the fresh copies it has
+   just made, so no state reachable from the explorer ever changes. *)
 let apply m (s : Global_state.t) move =
-  let edges = Array.copy s.edges in
-  let knows = Array.copy s.knows in
-  let alive = Array.copy s.alive in
-  let base = { s with edges; knows; alive } in
+  let set a i v =
+    let a = Array.copy a in
+    a.(i) <- v;
+    a
+  in
   match move with
-  | Deploy i ->
-      edges.(i) <- Published;
-      base
+  | Deploy i -> { s with edges = set s.edges i Published }
   | Redeem i ->
-      edges.(i) <- Redeemed;
+      let edges = set s.edges i Redeemed in
       (* The sender extracts the secret from the redeem transaction. *)
-      if m.protocol = Herlihy then knows.(m.edge_from.(i)) <- true;
-      base
-  | Refund i ->
-      edges.(i) <- Refunded;
-      base
-  | Crash p ->
-      alive.(p) <- false;
-      { base with crashes_left = s.crashes_left - 1 }
-  | Expire -> { base with time = s.time + 1 }
-  | W_commit -> { base with witness = W_redeem }
-  | W_abort -> { base with witness = W_refund }
+      let sender = m.edge_from.(i) in
+      if m.protocol = Herlihy && not s.knows.(sender) then
+        { s with edges; knows = set s.knows sender true }
+      else { s with edges }
+  | Refund i -> { s with edges = set s.edges i Refunded }
+  | Crash p -> { s with alive = set s.alive p false; crashes_left = s.crashes_left - 1 }
+  | Expire -> { s with time = s.time + 1 }
+  | W_commit -> { s with witness = W_redeem }
+  | W_abort -> { s with witness = W_refund }
 
 (* All enabled moves, in a canonical order (determinism). *)
 let enabled m s =

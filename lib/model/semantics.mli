@@ -50,6 +50,8 @@ val make :
 
 val init : model -> Global_state.t
 
+(** The successor state. Never mutates its input: it copies only the
+    array the move writes and shares the others with the source. *)
 val apply : model -> Global_state.t -> move -> Global_state.t
 
 (** All enabled moves, in a canonical (deterministic) order. *)

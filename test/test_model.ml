@@ -11,6 +11,10 @@
 module Checker = Ac3_model.Checker
 module Semantics = Ac3_model.Semantics
 module Explore = Ac3_model.Explore
+module Global_state = Ac3_model.Global_state
+module Rules = Ac3_model.Rules
+module Flow = Ac3_flow.Flow
+module Ref_model = Reference.Model
 module Diagnostic = Ac3_verify.Diagnostic
 module Scenarios = Ac3_core.Scenarios
 module Plan = Ac3_chaos.Plan
@@ -225,6 +229,172 @@ let test_iter_succs_ascending () =
           last := id);
       Alcotest.(check bool) "visited edges" true (!edges > 0)
 
+(* --- Differential: the dense store against the reference explorer ----- *)
+
+(* A (protocol, graph, crash budget) drawn over the two-party swap, rings
+   of 2-7 parties and the supply chain. The node bound keeps the largest
+   rings cheap and exercises truncation on both sides. *)
+let gen_case =
+  QCheck.Gen.(
+    triple
+      (oneofl [ Semantics.Herlihy; Semantics.Ac3wn ])
+      (oneof [ return `Two_party; map (fun n -> `Ring n) (int_range 2 7); return `Supply_chain ])
+      (int_range 0 2))
+
+let print_case (protocol, shape, budget) =
+  Printf.sprintf "%s %s crashes=%d"
+    (match protocol with Semantics.Herlihy -> "herlihy" | Semantics.Ac3wn -> "ac3wn")
+    (match shape with
+    | `Two_party -> "two-party"
+    | `Ring n -> Printf.sprintf "ring-%d" n
+    | `Supply_chain -> "supply-chain")
+    budget
+
+let graph_of = function `Two_party -> two_party () | `Ring n -> ring n | `Supply_chain -> supply_chain ()
+
+let model_of ((protocol, shape, crash_budget) as case) =
+  match
+    Semantics.make ~protocol ~graph:(graph_of shape) ~delta:15.0 ~timelock_slack:2.0
+      ~start_time:0.0 ~crash_budget
+  with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "%s: %s" (print_case case) e
+
+let max_nodes = 3_000
+
+(* The reference result re-indexed as an [Explore.t], so [Rules.check]
+   runs over it unchanged. *)
+let explore_of_ref (r : Ref_model.t) =
+  let node id =
+    let n = Ref_model.node r id in
+    { Explore.id = n.Ref_model.id; state = n.state; pred = n.pred; depth = n.depth }
+  in
+  {
+    Explore.model = r.Ref_model.model;
+    nodes = Array.init r.n_nodes node;
+    succs = Array.init r.n_nodes (Hashtbl.find r.succs);
+    n_nodes = r.n_nodes;
+    n_transitions = r.n_transitions;
+    por_skipped = r.por_skipped;
+    peak_frontier = r.peak_frontier;
+    truncated = r.truncated;
+  }
+
+let rule_outputs ~flow t =
+  let diags, violations = Rules.check ~flow t in
+  ( diags,
+    List.map
+      (fun v ->
+        (v.Rules.rule, v.Rules.node, Global_state.key v.Rules.state, v.Rules.schedule))
+      violations )
+
+let qcheck_explore_matches_reference =
+  QCheck.Test.make ~name:"dense explorer == reference explorer" ~count:30
+    (QCheck.make ~print:print_case gen_case)
+    (fun ((protocol, shape, budget) as case) ->
+      let m = model_of case in
+      let t = Explore.run ~max_nodes m in
+      let r = Ref_model.run ~max_nodes m in
+      if
+        (t.n_nodes, t.n_transitions, t.por_skipped, t.peak_frontier, t.truncated)
+        <> (r.n_nodes, r.n_transitions, r.por_skipped, r.peak_frontier, r.truncated)
+      then Alcotest.fail "stats differ";
+      let settles = Explore.can_settle_memo t and ref_settles = Ref_model.can_settle_memo r in
+      for id = 0 to t.n_nodes - 1 do
+        let n = Explore.node t id and rn = Ref_model.node r id in
+        if Global_state.key n.state <> Global_state.key rn.state then
+          Alcotest.failf "node %d: state differs" id;
+        if n.id <> id || n.pred <> rn.pred || n.depth <> rn.depth then
+          Alcotest.failf "node %d: BFS tree entry differs" id;
+        if t.succs.(id) <> Hashtbl.find r.succs id then
+          Alcotest.failf "node %d: successor list differs" id;
+        if settles n.state <> ref_settles rn.state then
+          Alcotest.failf "node %d: settlement reachability differs" id
+      done;
+      let profile = match protocol with Semantics.Herlihy -> Flow.Single_leader | Ac3wn -> Flow.Witness in
+      let flow = Flow.analyze ~fault_budget:budget ~profile (graph_of shape) in
+      rule_outputs ~flow t = rule_outputs ~flow (explore_of_ref r))
+
+(* --- Key injectivity and apply's input immutability ------------------ *)
+
+let gen_state ~edges ~parties =
+  QCheck.Gen.(
+    let counter = oneof [ int_range 0 12; int_range 10 100_000 ] in
+    map
+      (fun ((e, k, a), (time, witness, crashes_left)) ->
+        {
+          Global_state.edges = Array.of_list e;
+          knows = Array.of_list k;
+          alive = Array.of_list a;
+          time;
+          witness;
+          crashes_left;
+        })
+      (pair
+         (triple
+            (list_repeat edges
+               (oneofl Global_state.[ Unpublished; Published; Redeemed; Refunded ]))
+            (list_repeat parties bool) (list_repeat parties bool))
+         (triple counter (oneofl Global_state.[ W_none; W_undecided; W_redeem; W_refund ]) counter)))
+
+(* Pairs of one shape: half independent, half a copy with at most one
+   component redrawn, so equal and near-equal pairs both occur. *)
+let gen_state_pair =
+  QCheck.Gen.(
+    pair (int_range 1 6) (int_range 1 6) >>= fun (edges, parties) ->
+    let state = gen_state ~edges ~parties in
+    state >>= fun a ->
+    let copy (s : Global_state.t) =
+      { s with edges = Array.copy s.edges; knows = Array.copy s.knows; alive = Array.copy s.alive }
+    in
+    state >>= fun c ->
+    oneof
+      [
+        return (a, c);
+        return (a, copy a);
+        return (a, { (copy a) with edges = c.edges });
+        return (a, { (copy a) with knows = c.knows });
+        return (a, { (copy a) with alive = c.alive });
+        return (a, { a with time = c.time });
+        return (a, { a with witness = c.witness });
+        return (a, { a with crashes_left = c.crashes_left });
+        return (a, { a with time = c.crashes_left; crashes_left = c.time });
+      ])
+
+let print_state s = Fmt.str "%a crashes_left=%d" Global_state.pp s s.Global_state.crashes_left
+
+let qcheck_key_injective =
+  QCheck.Test.make ~name:"Global_state.key is injective on one shape" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair print_state print_state) gen_state_pair)
+    (fun (a, b) -> Global_state.key a = Global_state.key b = (a = b))
+
+(* Random walks from the initial state: at each step every enabled move
+   is applied to the current state, and no state met so far on the walk
+   may change its key. Successors share arrays with their sources, so an
+   in-place write anywhere on the walk shows up here. *)
+let qcheck_apply_immutable =
+  QCheck.Test.make ~name:"Semantics.apply never mutates its input" ~count:30
+    (QCheck.make
+       ~print:QCheck.Print.(pair print_case int)
+       QCheck.Gen.(pair gen_case (int_bound 1_000_000)))
+    (fun (case, seed) ->
+      let m = model_of case in
+      let rng = Random.State.make [| seed |] in
+      let rec walk trail s =
+        let trail = (s, Global_state.key s) :: trail in
+        let succs = List.map (Semantics.apply m s) (Semantics.enabled m s) in
+        List.iter
+          (fun (s, k) ->
+            if Global_state.key s <> k then
+              Alcotest.failf "state %s changed under apply" (print_state s))
+          trail;
+        if succs <> [] then walk trail (List.nth succs (Random.State.int rng (List.length succs)))
+      in
+      for _ = 1 to 10 do
+        walk [] (Semantics.init m)
+      done;
+      true)
+
 let () =
   Alcotest.run "model"
     [
@@ -243,6 +413,9 @@ let () =
           Alcotest.test_case "deterministic, POR active" `Quick test_deterministic_and_por;
           Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
           Alcotest.test_case "iter_succs ascending" `Quick test_iter_succs_ascending;
+          QCheck_alcotest.to_alcotest qcheck_explore_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_key_injective;
+          QCheck_alcotest.to_alcotest qcheck_apply_immutable;
         ] );
       ( "corpus",
         [ Alcotest.test_case "corpus verdicts predicted" `Quick test_corpus_predicted ] );
