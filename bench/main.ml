@@ -1,17 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sec 6) on the simulator and prints paper-expected vs
-   measured values, then runs Bechamel micro-benchmarks of each
-   experiment's computational kernel.
+   measured values, then the CI-gated E14-E17 sections.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- quick   # skip the slowest sections
-     dune exec bench/main.exe -- par     # only E13 (domain-pool scaling, 200 runs)
      dune exec bench/main.exe -- obs     # only E14 (observability overhead, 100 runs)
      dune exec bench/main.exe -- load    # only E15 (load engine, 1000 swaps)
+     dune exec bench/main.exe -- flow    # only E16 (flow analyzer throughput)
      dune exec bench/main.exe -- fast    # only E17 (hot-path speedups, 100 runs)
 
-   Experiment ids (E1..E15, A1, A2) are indexed in DESIGN.md and results
-   are recorded in EXPERIMENTS.md. *)
+   Experiment ids (E1..E11, E14..E17, A1, A2) are indexed in DESIGN.md
+   and results are recorded in EXPERIMENTS.md. *)
 
 module E = Ac3_core.Experiment
 module Analysis = Ac3_core.Analysis
@@ -215,249 +214,8 @@ let depth_latency () =
       Fmt.pr "  %2d | %9b | %.2f@." r.E.depth r.E.committed r.E.latency_delta)
     (E.depth_latency ())
 
-(* --- Bechamel micro-benchmarks: one per table/figure kernel ------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* fig8 kernel: HTLC hashlock validation. *)
-  let secret = "bench secret" in
-  let hashlock = Ac3_contract.Htlc.hashlock_of_secret secret in
-  let fig8_kernel =
-    Test.make ~name:"fig8:htlc_hashlock_check"
-      (Staged.stage (fun () ->
-           ignore (String.equal (Ac3_crypto.Sha256.digest secret) hashlock)))
-  in
-  (* fig9/fig10 kernel: full cross-chain evidence verification. *)
-  let who = Keys.create "bench-evidence" in
-  let params =
-    Params.make "bench" ~pow_bits:4 ~confirm_depth:2
-      ~premine:[ (Keys.address who, Amount.of_int 10_000_000) ]
-  in
-  let registry = Ac3_contract.Registry.standard () in
-  let store = Store.create ~params ~registry in
-  let target = Pow.target_of_bits 4 in
-  let mine txs =
-    let parent = Store.tip store in
-    let height = parent.Block.header.Block.height + 1 in
-    let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-    let cb =
-      Tx.coinbase ~chain:"bench" ~height ~miner_addr:(Keys.address who)
-        ~reward:Amount.(params.Params.block_reward + fees)
-    in
-    let b =
-      Block.mine ~chain:"bench" ~height ~parent:(Block.hash parent) ~time:(float_of_int height)
-        ~target ~txs:(cb :: txs)
-    in
-    ignore (Store.add_block store b)
-  in
-  let op, (o : Tx.output) = List.hd (Ledger.utxos_of (Store.ledger store) (Keys.address who)) in
-  let tx =
-    Tx.make ~chain:"bench" ~inputs:[ (op, who) ]
-      ~outputs:[ { Tx.addr = Keys.address who; amount = Amount.(o.amount - params.Params.transfer_fee) } ]
-      ~fee:params.Params.transfer_fee ~nonce:1L ()
-  in
-  mine [ tx ];
-  for _ = 1 to 6 do
-    mine []
-  done;
-  let checkpoint = (Store.genesis store).Block.header in
-  let ev =
-    match Ac3_contract.Evidence.build ~store ~checkpoint ~txid:(Tx.txid tx) with
-    | Ok ev -> ev
-    | Error e -> failwith e
-  in
-  let fig10_kernel =
-    Test.make ~name:"fig10:evidence_verify"
-      (Staged.stage (fun () ->
-           ignore (Ac3_contract.Evidence.verify ~checkpoint ~depth:4 ev)))
-  in
-  (* cost kernel: contract deployment transaction construction + signing. *)
-  let cost_kernel =
-    let signer = Keys.create "bench-signer" ~height:12 in
-    let outpoint = Outpoint.create ~txid:(Ac3_crypto.Sha256.digest "bench") ~index:0 in
-    Test.make ~name:"cost:deploy_tx_sign"
-      (Staged.stage (fun () ->
-           ignore
-             (Tx.make ~chain:"bench" ~inputs:[ (outpoint, signer) ] ~outputs:[]
-                ~payload:(Tx.Deploy { code_id = "htlc"; args = Value.Unit; deposit = Amount.zero })
-                ~fee:Amount.zero ~nonce:0L ())))
-  in
-  (* depth kernel: one 51%-attack race. *)
-  let depth_kernel =
-    let rng = Ac3_sim.Rng.create 4242 in
-    Test.make ~name:"depth:attack_race"
-      (Staged.stage (fun () ->
-           ignore (Attack.race rng ~q:0.3 ~d:6 ~block_interval:600.0 ~give_up:200)))
-  in
-  (* table1 kernel: assemble + validate a 100-tx block worth of transfers. *)
-  let table1_kernel =
-    let spender = Keys.create "bench-tps" in
-    let n = 100 in
-    let premine = List.init n (fun _ -> (Keys.address spender, Amount.of_int 1_000_000)) in
-    let params =
-      Params.make "bench-tps" ~pow_bits:0 ~block_capacity:n ~verify_signatures:false ~premine
-    in
-    let store = Store.create ~params ~registry in
-    let cb_txid = Tx.txid (List.hd (Store.genesis store).Block.txs) in
-    let fee = params.Params.transfer_fee in
-    let txs =
-      List.init n (fun i ->
-          Tx.make_unsigned ~chain:"bench-tps"
-            ~inputs:[ (Outpoint.create ~txid:cb_txid ~index:i, Keys.public spender) ]
-            ~outputs:[ { Tx.addr = Keys.address spender; amount = Amount.(Amount.of_int 1_000_000 - fee) } ]
-            ~fee ~nonce:(Int64.of_int i) ())
-    in
-    Test.make ~name:"table1:block_of_100_txs"
-      (Staged.stage (fun () ->
-           ignore
-             (Ledger.select_valid (Store.ledger store) ~block_height:1 ~block_time:1.0 txs)))
-  in
-  (* fig7 kernel: graph analysis on a 16-vertex ring. *)
-  let fig7_kernel =
-    let ids = Ac3_core.Scenarios.identities 16 in
-    let chains = List.init 16 (fun i -> Printf.sprintf "c%d" i) in
-    let graph = Ac3_core.Scenarios.ring_graph ~chains ids ~timestamp:0.0 in
-    Test.make ~name:"fig7:classify_and_diameter"
-      (Staged.stage (fun () ->
-           ignore (Ac2t.classify graph);
-           ignore (Ac2t.diameter graph)))
-  in
-  (* crash kernel: MSS verify (the cost of checking any protocol
-     signature). *)
-  let crash_kernel =
-    let signer = Keys.create "bench-crash-signer" ~height:6 in
-    let pk = Keys.public signer in
-    let s = Keys.sign signer "m" in
-    Test.make ~name:"crash:mss_verify" (Staged.stage (fun () -> ignore (Keys.verify pk "m" s)))
-  in
-  (* forks kernel: multisigned-graph verification (SCw registration). *)
-  let forks_kernel =
-    let ids = Ac3_core.Scenarios.identities 3 in
-    let chains = [ "c0"; "c1"; "c2" ] in
-    let graph = Ac3_core.Scenarios.ring_graph ~chains ids ~timestamp:0.0 in
-    let ms = Ac2t.multisign graph ids in
-    Test.make ~name:"forks:verify_multisig"
-      (Staged.stage (fun () -> ignore (Ac2t.verify_multisig graph ms)))
-  in
-  [
-    fig8_kernel;
-    fig10_kernel;
-    cost_kernel;
-    depth_kernel;
-    table1_kernel;
-    fig7_kernel;
-    crash_kernel;
-    forks_kernel;
-  ]
-
-(* --- model checker: throughput over product automata --------------------- *)
-
-module MC = Ac3_model.Checker
 module Json = Ac3_crypto.Codec.Json
-
-(* States/sec and peak frontier of `ac3 check` on representative
-   (protocol, graph) pairs; machine-readable results land in
-   BENCH_model.json for tracking across commits. *)
-let model_check () =
-  section "E12 / ac3 check — model-checker throughput over product automata";
-  let graph_of n shape =
-    let ids = Ac3_core.Scenarios.identities ~ns:"bench-model" n in
-    let chains = List.init n (Printf.sprintf "c%d") in
-    match shape with
-    | `Two_party -> Ac3_core.Scenarios.two_party_graph ~chain1:"c0" ~chain2:"c1" ids ~timestamp:1.0
-    | `Ring -> Ac3_core.Scenarios.ring_graph ~chains ids ~timestamp:1.0
-    | `Cyclic -> Ac3_core.Scenarios.cyclic_graph ~chains ids ~timestamp:1.0
-  in
-  let cases =
-    [
-      ("herlihy-two-party", MC.Herlihy, graph_of 2 `Two_party);
-      ("herlihy-ring6", MC.Herlihy, graph_of 6 `Ring);
-      ("ac3wn-ring6", MC.Ac3wn, graph_of 6 `Ring);
-      ("ac3wn-cyclic", MC.Ac3wn, graph_of 3 `Cyclic);
-    ]
-  in
-  let config = { MC.default_config with MC.max_nodes = 500_000 } in
-  let results =
-    List.map
-      (fun (name, protocol, graph) ->
-        let t0 = Sys.time () in
-        let r = MC.check ~config ~protocol ~graph in
-        let dt = Sys.time () -. t0 in
-        let s = r.MC.stats in
-        let states_per_sec = if dt > 0.0 then float_of_int s.MC.nodes /. dt else 0.0 in
-        Fmt.pr "  %-20s %7d nodes %8d trans (%6d POR-pruned)  peak %6d  %7.1f ms  %9.0f states/s@."
-          name s.MC.nodes s.MC.transitions s.MC.por_skipped s.MC.peak_frontier (dt *. 1000.0)
-          states_per_sec;
-        ( name,
-          Json.Obj
-            [
-              ("nodes", Json.Int s.MC.nodes);
-              ("transitions", Json.Int s.MC.transitions);
-              ("por_skipped", Json.Int s.MC.por_skipped);
-              ("peak_frontier", Json.Int s.MC.peak_frontier);
-              ("elapsed_ms", Json.Float (dt *. 1000.0));
-              ("states_per_sec", Json.Float states_per_sec);
-            ] ))
-      cases
-  in
-  let oc = open_out_bin "BENCH_model.json" in
-  output_string oc (Json.to_string_pretty (Json.Obj results));
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "  results written to BENCH_model.json@."
-
-(* --- E13: parallel sweep scaling ----------------------------------------- *)
-
-module Pool = Ac3_par.Pool
 module Runner = Ac3_chaos.Runner
-
-(* Wall-clock (not [Sys.time], which sums CPU across domains) of the
-   same chaos sweep at 1/2/4/8 worker domains, plus a byte-identity
-   check of every summary against the sequential one; results land in
-   BENCH_par.json. *)
-let par_scaling ~runs () =
-  section "E13 / ac3 chaos --jobs — domain-pool scaling of the chaos sweep";
-  Fmt.pr "%d-run sweep on %d available domain(s); summaries must be identical.@.@."
-    runs (Pool.default_jobs ());
-  let time_sweep jobs =
-    let t0 = Unix.gettimeofday () in
-    let summary = Runner.sweep ~jobs ~seed:1 ~runs () in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (elapsed, Fmt.str "%a" Runner.pp_summary summary)
-  in
-  let base_elapsed, base_summary = time_sweep 1 in
-  let rows =
-    List.map
-      (fun jobs ->
-        let elapsed, summary =
-          if jobs = 1 then (base_elapsed, base_summary) else time_sweep jobs
-        in
-        let identical = String.equal summary base_summary in
-        let speedup = if elapsed > 0.0 then base_elapsed /. elapsed else 0.0 in
-        Fmt.pr "  jobs %d: %7.2f s  speedup %.2fx  identical=%b@." jobs elapsed speedup
-          identical;
-        ( string_of_int jobs,
-          Json.Obj
-            [
-              ("jobs", Json.Int jobs);
-              ("elapsed_s", Json.Float elapsed);
-              ("speedup", Json.Float speedup);
-              ("identical", Json.Bool identical);
-            ] ))
-      [ 1; 2; 4; 8 ]
-  in
-  let oc = open_out_bin "BENCH_par.json" in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ("runs", Json.Int runs);
-            ("domains_available", Json.Int (Pool.default_jobs ()));
-            ("sweeps", Json.Obj rows);
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "  results written to BENCH_par.json@."
 
 (* --- E14: observability overhead ------------------------------------------ *)
 
@@ -961,27 +719,8 @@ let fast_bench ~runs () =
   Fmt.pr "  results written to BENCH_fast.json@.";
   if not gate then exit 1
 
-let run_bechamel () =
-  section "Bechamel micro-benchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Fmt.pr "  %-32s %14.1f ns/op@." name est
-          | _ -> Fmt.pr "  %-32s (no estimate)@." name)
-        stats)
-    (List.map (fun t -> Test.make_grouped ~name:"" ~fmt:"%s%s" [ t ]) (bechamel_tests ()))
-
 let () =
   let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let par_only = Array.exists (fun a -> a = "par") Sys.argv in
   let obs_only = Array.exists (fun a -> a = "obs") Sys.argv in
   let load_only = Array.exists (fun a -> a = "load") Sys.argv in
   let flow_only = Array.exists (fun a -> a = "flow") Sys.argv in
@@ -989,11 +728,6 @@ let () =
   Fmt.pr "AC3WN reproduction benchmark harness (seeded, deterministic).@.";
   Fmt.pr "Δ = %.0f virtual seconds (confirm depth %d x %.0f s blocks) in protocol runs.@."
     E.delta E.confirm_depth E.block_interval;
-  if par_only then begin
-    par_scaling ~runs:200 ();
-    Fmt.pr "@.Done.@.";
-    exit 0
-  end;
   if obs_only then begin
     obs_overhead ~runs:100 ();
     Fmt.pr "@.Done.@.";
@@ -1026,11 +760,8 @@ let () =
   availability ();
   evidence ();
   if not quick then depth_latency ();
-  model_check ();
-  if not quick then par_scaling ~runs:50 ();
   if not quick then obs_overhead ~runs:50 ();
   if not quick then load_bench ();
   if not quick then flow_bench ();
   if not quick then fast_bench ~runs:100 ();
-  run_bechamel ();
   Fmt.pr "@.Done.@."

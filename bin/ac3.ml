@@ -177,39 +177,40 @@ type protocol = Ac3wn | Herlihy | Nolan | Ac3tw
 
 type scenario = Two_party | Ring | Cyclic | Disconnected | Supply_chain
 
-let scenario_setup ~scenario ~parties ~seed =
+(* Each built-in scenario's party count, chain names and graph builder:
+   the one table behind both the simulated runs ([scenario_setup]) and
+   the static passes ([scenario_graph]). Rings below two parties are
+   clamped to two. *)
+type scenario_desc = {
+  n_parties : int;
+  chain_names : string list;
+  build : Ac3_crypto.Keys.t list -> timestamp:float -> Ac2t.t;
+}
+
+let describe ~scenario ~parties =
+  let desc n_parties chain_names build =
+    { n_parties; chain_names; build = build ~chains:chain_names }
+  in
   match scenario with
   | Two_party ->
-      let ids = S.identities 2 in
-      let chains = [ "btc"; "eth" ] in
-      let u, ps = S.make_universe ~seed ~chains ids () in
-      U.run_until u 100.0;
-      (u, ps, S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u))
+      {
+        n_parties = 2;
+        chain_names = [ "btc"; "eth" ];
+        build = S.two_party_graph ~chain1:"btc" ~chain2:"eth";
+      }
   | Ring ->
       let n = max 2 parties in
-      let ids = S.identities n in
-      let chains = List.init n (fun i -> Printf.sprintf "chain%d" i) in
-      let u, ps = S.make_universe ~seed ~chains ids () in
-      U.run_until u 100.0;
-      (u, ps, S.ring_graph ~chains ids ~timestamp:(U.now u))
-  | Cyclic ->
-      let ids = S.identities 3 in
-      let chains = [ "c1"; "c2"; "c3" ] in
-      let u, ps = S.make_universe ~seed ~chains ids () in
-      U.run_until u 100.0;
-      (u, ps, S.cyclic_graph ~chains ids ~timestamp:(U.now u))
-  | Disconnected ->
-      let ids = S.identities 4 in
-      let chains = [ "c1"; "c2"; "c3"; "c4" ] in
-      let u, ps = S.make_universe ~seed ~chains ids () in
-      U.run_until u 100.0;
-      (u, ps, S.disconnected_graph ~chains ids ~timestamp:(U.now u))
-  | Supply_chain ->
-      let ids = S.identities 4 in
-      let chains = [ "payments"; "titles"; "freight" ] in
-      let u, ps = S.make_universe ~seed ~chains ids () in
-      U.run_until u 100.0;
-      (u, ps, S.supply_chain_graph ~chains ids ~timestamp:(U.now u))
+      desc n (List.init n (Printf.sprintf "chain%d")) S.ring_graph
+  | Cyclic -> desc 3 [ "c1"; "c2"; "c3" ] S.cyclic_graph
+  | Disconnected -> desc 4 [ "c1"; "c2"; "c3"; "c4" ] S.disconnected_graph
+  | Supply_chain -> desc 4 [ "payments"; "titles"; "freight" ] S.supply_chain_graph
+
+let scenario_setup ~scenario ~parties ~seed =
+  let d = describe ~scenario ~parties in
+  let ids = S.identities d.n_parties in
+  let u, ps = S.make_universe ~seed ~chains:d.chain_names ids () in
+  U.run_until u 100.0;
+  (u, ps, d.build ids ~timestamp:(U.now u))
 
 (* One protocol run over a scenario. With [crash] the second participant
    crashes at the protocol's critical moment (under AC3WN it recovers
@@ -305,19 +306,8 @@ module Probes = Ac3_verify.Probes
 (* Scenario graphs need identities and a timestamp but no universe: the
    whole point of the static passes is that nothing touches a chain. *)
 let scenario_graph ~scenario ~parties =
-  let ns = "verify" in
-  match scenario with
-  | Two_party -> S.two_party_graph ~chain1:"btc" ~chain2:"eth" (S.identities ~ns 2) ~timestamp:1.0
-  | Ring ->
-      let n = max 2 parties in
-      let chains = List.init n (Printf.sprintf "chain%d") in
-      S.ring_graph ~chains (S.identities ~ns n) ~timestamp:1.0
-  | Cyclic -> S.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] (S.identities ~ns 3) ~timestamp:1.0
-  | Disconnected ->
-      S.disconnected_graph ~chains:[ "c1"; "c2"; "c3"; "c4" ] (S.identities ~ns 4) ~timestamp:1.0
-  | Supply_chain ->
-      S.supply_chain_graph ~chains:[ "payments"; "titles"; "freight" ] (S.identities ~ns 4)
-        ~timestamp:1.0
+  let d = describe ~scenario ~parties in
+  d.build (S.identities ~ns:"verify" d.n_parties) ~timestamp:1.0
 
 let scenario_name = function
   | Two_party -> "two-party"
@@ -1240,10 +1230,9 @@ let load_cmd =
 (* One fully instrumented swap, with the registry and span tree printed
    instead of the usual trace dump — the quickest way to see what the
    observability layer measures. *)
-let run_metrics protocol scenario parties seed metrics_out trace_out profile =
+let run_metrics protocol scenario parties seed metrics_out trace_out =
   with_parties "metrics" parties @@ fun () ->
   setup_logs false;
-  if profile then Ac3_fast.Profile.enable ();
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
   let code =
     match execute_protocol ~crash:false u participants graph protocol with
@@ -1254,19 +1243,6 @@ let run_metrics protocol scenario parties seed metrics_out trace_out profile =
   Fmt.pr "Metrics snapshot (%d instruments):@.%a@." (Metrics.size (U.metrics u)) Metrics.pp
     (U.metrics u);
   Fmt.pr "@.Span tree:@.%a@." Span.pp (U.spans u);
-  (* Host-time phase profile, appended after the deterministic output so
-     the default (unprofiled) byte stream is untouched by the flag. *)
-  if profile then begin
-    Fmt.pr "@.Phase profile (host time):@.";
-    match Ac3_fast.Profile.report () with
-    | [] -> Fmt.pr "  (no instrumented phase ticked)@."
-    | rows ->
-        List.iter
-          (fun (name, calls, secs) ->
-            Fmt.pr "  %-18s %7d calls  %9.3f ms  %8.1f us/call@." name calls (1000.0 *. secs)
-              (1e6 *. secs /. float_of_int (max 1 calls)))
-          rows
-  end;
   export_obs ?metrics_out ?trace_out (U.obs u);
   code
 
@@ -1279,21 +1255,11 @@ let metrics_cmd =
   in
   let parties = Arg.(value & opt int 3 & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).") in
   let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Also print the host-time phase profile (crypto keygen/sign/verify, chain \
-             apply/check/mine, ...) accumulated during the run. The profile is appended after \
-             the deterministic output, which stays byte-identical to an unprofiled run.")
-  in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:"Run one instrumented swap and print the metrics registry and span tree")
     Term.(
-      const run_metrics $ protocol $ scenario $ parties $ seed $ metrics_out_arg $ trace_out_arg
-      $ profile)
+      const run_metrics $ protocol $ scenario $ parties $ seed $ metrics_out_arg $ trace_out_arg)
 
 let () =
   let doc = "Atomic commitment across blockchains (AC3WN reproduction)" in

@@ -106,10 +106,7 @@ let genesis ?(premine = []) ~chain ~time ~target () =
    once; [Pow.grind] patches the nonce — the final 8 bytes of the
    encoding — per attempt, hashing the same bytes [hash_header { base
    with nonce }] would hash. *)
-let mine_phase = Ac3_fast.Profile.phase "chain.mine"
-
 let mine ~chain ~height ~parent ~time ~target ~txs =
-  Ac3_fast.Profile.span mine_phase @@ fun () ->
   let merkle_root = merkle_root_of_txs txs in
   let base = { chain; height; parent; merkle_root; time; target; nonce = 0L } in
   let nonce = Pow.grind ~target (header_bytes base) in

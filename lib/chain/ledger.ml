@@ -304,17 +304,10 @@ let undo_applied_tx t (a : applied_tx) =
 
 (* --- Block application ----------------------------------------------- *)
 
-let apply_phase = Ac3_fast.Profile.phase "chain.apply_block"
-
-let check_phase = Ac3_fast.Profile.phase "chain.check_tx"
-
-let select_phase = Ac3_fast.Profile.phase "chain.select_valid"
-
 (* Apply a block's transactions. The caller (the chain store) has already
    validated the header and body structure. On error the ledger is left
    exactly as it was. *)
 let apply_block t (block : Block.t) : (undo * event list, string) result =
-  Ac3_fast.Profile.span apply_phase @@ fun () ->
   let header = block.Block.header in
   if header.Block.height <> t.height + 1 then
     error "block height %d does not extend ledger height %d" header.Block.height t.height
@@ -390,7 +383,6 @@ let undo_block t (u : undo) =
 (* Lightweight admissibility check for the mempool: would this tx apply on
    the current state? Executes against the ledger and rolls right back. *)
 let check_tx t ~block_time (tx : Tx.t) : (unit, string) result =
-  Ac3_fast.Profile.span check_phase @@ fun () ->
   match apply_tx t ~block_height:(t.height + 1) ~block_time tx with
   | Ok applied ->
       undo_applied_tx t applied;
@@ -401,7 +393,6 @@ let check_tx t ~block_time (tx : Tx.t) : (unit, string) result =
    transactions that applies in order on the current state. Leaves the
    ledger unchanged. *)
 let select_valid t ~block_height ~block_time txs =
-  Ac3_fast.Profile.span select_phase @@ fun () ->
   let applied = ref [] in
   let selected =
     List.filter

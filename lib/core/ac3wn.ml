@@ -210,19 +210,22 @@ let redeem_evidence s t () =
         let evidences =
           Array.to_list (Driver.edges t)
           |> List.map (fun (es : Driver.edge_state) ->
-                 match (es.deploy_txid, Witness_sc.checkpoint_for state es.edge.Ac2t.chain) with
+                 let chain = es.edge.Ac2t.chain in
+                 match (es.deploy_txid, Witness_sc.checkpoint_for state chain) with
                  | Some txid, Ok checkpoint ->
-                     let store =
-                       Node.store (Universe.gateway (Driver.universe t) es.edge.Ac2t.chain)
-                     in
+                     let store = Node.store (Universe.gateway (Driver.universe t) chain) in
                      Evidence.build ~store ~checkpoint ~txid
-                 | _ -> Error "deployment or checkpoint missing")
+                     |> Result.map_error (Printf.sprintf "%s: %s" chain)
+                 | _ -> Error (chain ^ ": deployment or checkpoint missing"))
         in
-        if List.for_all Result.is_ok evidences then begin
-          List.iter (fun e -> observe_evidence t (Result.get_ok e)) evidences;
-          Some (Value.List (List.map (fun e -> Evidence.to_value (Result.get_ok e)) evidences))
-        end
-        else None
+        match List.find_map (function Error e -> Some e | Ok _ -> None) evidences with
+        | Some e ->
+            Log.debug (fun m -> m "redeem evidence failed: %s" e);
+            None
+        | None ->
+            let evidences = List.map Result.get_ok evidences in
+            List.iter (observe_evidence t) evidences;
+            Some (Value.List (List.map Evidence.to_value evidences))
 
 (* The decision call on SCw, located once and cached; (fn, txid). *)
 let locate_decision s t scw =

@@ -39,12 +39,6 @@ let leaf_hash pk = Sha256.digest_list [ "mss-leaf-hash"; pk ]
 
 let node_hash l r = Sha256.digest_list [ "mss-node"; l; r ]
 
-let keygen_phase = Ac3_fast.Profile.phase "crypto.keygen"
-
-let sign_phase = Ac3_fast.Profile.phase "crypto.sign"
-
-let verify_phase = Ac3_fast.Profile.phase "crypto.verify"
-
 let build_material ~height ~seed =
   let n = 1 lsl height in
   let leaf_secrets = Array.init n (fun i -> Wots.generate ~seed ~tag:(leaf_tag i)) in
@@ -83,7 +77,7 @@ let material ~height ~seed =
   match cached with
   | Some m -> m
   | None ->
-      let m = Ac3_fast.Profile.span keygen_phase (fun () -> build_material ~height ~seed) in
+      let m = build_material ~height ~seed in
       if Ac3_fast.Memo.enabled () then
         (* ac3-lint: allow D004 — see the cache note above *)
         Mutex.protect material_mutex (fun () ->
@@ -110,14 +104,13 @@ let sign sk msg =
   if sk.next >= capacity sk then raise Key_exhausted;
   let index = sk.next in
   sk.next <- index + 1;
-  Ac3_fast.Profile.span sign_phase (fun () ->
-      {
-        leaf_index = index;
-        wots_sig = Wots.sign sk.material.leaf_secrets.(index) msg;
-        auth_path = auth_path sk index;
-      })
+  {
+    leaf_index = index;
+    wots_sig = Wots.sign sk.material.leaf_secrets.(index) msg;
+    auth_path = auth_path sk index;
+  }
 
-let verify_raw pk msg { leaf_index; wots_sig; auth_path } =
+let verify pk msg { leaf_index; wots_sig; auth_path } =
   leaf_index >= 0
   && Array.for_all (fun h -> String.length h = 32) auth_path
   &&
@@ -131,8 +124,6 @@ let verify_raw pk msg { leaf_index; wots_sig; auth_path } =
           h := if bit = 0 then node_hash !h sibling else node_hash sibling !h)
         auth_path;
       String.equal !h pk
-
-let verify pk msg s = Ac3_fast.Profile.span verify_phase (fun () -> verify_raw pk msg s)
 
 let signature_size { wots_sig; auth_path; _ } =
   8 + Wots.signature_size wots_sig + (32 * Array.length auth_path)

@@ -57,14 +57,26 @@ let default =
 
 let validate c =
   let err fmt = Printf.ksprintf (fun s -> invalid_arg ("Workload: " ^ s)) fmt in
+  (* NaN passes every range comparison below, and no infinity is a
+     usable rate, weight, fraction or duration: finiteness comes first. *)
+  let finite what v = if not (Float.is_finite v) then err "%s must be finite" what in
   if c.swaps < 1 then err "swaps must be >= 1";
   if c.users < 2 then err "users must be >= 2";
   if c.chains < 2 then err "chains must be >= 2";
   (match c.arrival with
-  | Open_loop { rate } -> if rate <= 0.0 then err "arrival rate must be positive"
+  | Open_loop { rate } ->
+      finite "arrival rate" rate;
+      if rate <= 0.0 then err "arrival rate must be positive"
   | Closed_loop { clients; think } ->
       if clients < 1 then err "clients must be >= 1";
+      finite "think time" think;
       if think < 0.0 then err "think time must be >= 0");
+  List.iter (finite "mix weights") [ c.mix.nolan; c.mix.herlihy; c.mix.ac3wn ];
+  finite "zipf exponent" c.zipf_exponent;
+  finite "abandon fraction" c.abandon_frac;
+  finite "deadline" c.deadline;
+  finite "block interval" c.block_interval;
+  finite "poll interval" c.poll_interval;
   if c.mix.nolan < 0.0 || c.mix.herlihy < 0.0 || c.mix.ac3wn < 0.0 then
     err "mix weights must be >= 0";
   if c.mix.nolan +. c.mix.herlihy +. c.mix.ac3wn <= 0.0 then err "mix weights sum to zero";

@@ -38,7 +38,7 @@ type config = {
 
 val default : config
 
-(** Raises [Invalid_argument] on out-of-range fields. *)
+(** Raises [Invalid_argument] on out-of-range or non-finite fields. *)
 val validate : config -> unit
 
 type spec = {

@@ -153,6 +153,24 @@ let test_validate_rejects_bad_configs () =
   expect_invalid "abandon" { d with Workload.abandon_frac = 1.5 };
   expect_invalid "zipf" { d with Workload.zipf_exponent = -0.1 };
   expect_invalid "deadline" { d with Workload.deadline = 0.0 };
+  (* NaN passes every range comparison, and infinities never let a run
+     reach its horizon: each float field must be finite. *)
+  List.iter
+    (fun x ->
+      let tag what = Printf.sprintf "%s = %g" what x in
+      expect_invalid (tag "rate") { d with Workload.arrival = Workload.Open_loop { rate = x } };
+      expect_invalid (tag "think")
+        { d with Workload.arrival = Workload.Closed_loop { clients = 2; think = x } };
+      expect_invalid (tag "nolan weight") { d with Workload.mix = { d.Workload.mix with Workload.nolan = x } };
+      expect_invalid (tag "herlihy weight")
+        { d with Workload.mix = { d.Workload.mix with Workload.herlihy = x } };
+      expect_invalid (tag "ac3wn weight") { d with Workload.mix = { d.Workload.mix with Workload.ac3wn = x } };
+      expect_invalid (tag "zipf") { d with Workload.zipf_exponent = x };
+      expect_invalid (tag "abandon") { d with Workload.abandon_frac = x };
+      expect_invalid (tag "deadline") { d with Workload.deadline = x };
+      expect_invalid (tag "block interval") { d with Workload.block_interval = x };
+      expect_invalid (tag "poll interval") { d with Workload.poll_interval = x })
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   Workload.validate d
 
 (* --- Engine -------------------------------------------------------------- *)
