@@ -326,6 +326,28 @@ let print_section ~quiet (name, diags) =
   List.iter (fun d -> Fmt.pr "   %a@." Diagnostic.pp d) shown;
   errors <> []
 
+(* The shared tail of verify and flow: either the --json envelope, or
+   every section followed by a one-line summary ([ok_summary] when all
+   pass). Exit 3 when any section carries an error. *)
+let finish_sections cmd ~ok_summary ~json ~quiet sections =
+  if json then begin
+    print_string (Json.to_string_pretty (Diagnostic.sections_to_json sections));
+    print_newline ();
+    if List.exists (fun (_, diags) -> Diagnostic.has_errors diags) sections then 3 else 0
+  end
+  else begin
+    let failures = List.filter (fun sec -> print_section ~quiet sec) sections in
+    if failures = [] then begin
+      Fmt.pr "@.%s: %d section(s), %s@." cmd (List.length sections) ok_summary;
+      0
+    end
+    else begin
+      Fmt.pr "@.%s: %d of %d section(s) FAILED@." cmd (List.length failures)
+        (List.length sections);
+      3
+    end
+  end
+
 let run_verify protocol scenario parties delta slack max_nodes json quiet =
   with_parties "verify" parties @@ fun () ->
   with_bounds "verify" ~delta ~slack ~max_nodes @@ fun () ->
@@ -369,24 +391,8 @@ let run_verify protocol scenario parties delta slack max_nodes json quiet =
         @ ac3wn_over [ Two_party; Ring; Cyclic; Disconnected; Supply_chain ]
         @ contracts ()
   in
-  let sections = List.map (fun (name, diags) -> (name, Diagnostic.dedupe diags)) sections in
-  if json then begin
-    print_string (Json.to_string_pretty (Diagnostic.sections_to_json sections));
-    print_newline ();
-    if List.exists (fun (_, diags) -> Diagnostic.has_errors diags) sections then 3 else 0
-  end
-  else begin
-    let failures = List.filter (fun sec -> print_section ~quiet sec) sections in
-    if failures = [] then begin
-      Fmt.pr "@.verify: %d section(s), all ok@." (List.length sections);
-      0
-    end
-    else begin
-      Fmt.pr "@.verify: %d of %d section(s) FAILED@." (List.length failures)
-        (List.length sections);
-      3
-    end
-  end
+  finish_sections "verify" ~ok_summary:"all ok" ~json ~quiet
+    (List.map (fun (name, diags) -> (name, Diagnostic.dedupe diags)) sections)
 
 let verify_cmd =
   let protocol =
@@ -952,24 +958,8 @@ let run_flow profile scenario parties budget json export seed jobs sanitize quie
               Diagnostic.dedupe (Flow_lint.of_analysis a) ))
           results
       in
-      if json then begin
-        print_string (Json.to_string_pretty (Diagnostic.sections_to_json sections));
-        print_newline ();
-        if List.exists (fun (_, diags) -> Diagnostic.has_errors diags) sections then 3 else 0
-      end
-      else begin
-        let failures = List.filter (fun sec -> print_section ~quiet sec) sections in
-        if failures = [] then begin
-          Fmt.pr "@.flow: %d section(s), every exposure inside its interval hull@."
-            (List.length sections);
-          0
-        end
-        else begin
-          Fmt.pr "@.flow: %d of %d section(s) FAILED@." (List.length failures)
-            (List.length sections);
-          3
-        end
-      end
+      finish_sections "flow" ~ok_summary:"every exposure inside its interval hull" ~json ~quiet
+        sections
 
 let flow_cmd =
   let profile =
@@ -1026,27 +1016,18 @@ let flow_cmd =
 (* --- lint ------------------------------------------------------------------- *)
 
 module Lint = Ac3_lint.Lint
-module Lint_baseline = Ac3_lint.Baseline
 
 (* Static analysis over the repo's own sources: determinism and
    parallel-safety rules D001-D008. Same output conventions as verify:
    one section, Diagnostic rendering, shared --json schema, exit 3 on
-   any unsuppressed finding. *)
-let run_lint root roots baseline_path no_baseline update_baseline json quiet =
+   any unsuppressed finding. A scan that finds no sources is refused:
+   a wrong --root or --under would otherwise pass the gate vacuously. *)
+let run_lint root roots json quiet =
   let roots = if roots = [] then Lint.default_roots else roots in
-  let baseline =
-    if no_baseline || update_baseline then Lint_baseline.empty
-    else Lint_baseline.load (Filename.concat root baseline_path)
-  in
-  let outcome = Lint.run ~baseline ~roots ~root () in
-  if update_baseline then begin
-    let path = Filename.concat root baseline_path in
-    Lint_baseline.save path (Lint_baseline.of_findings outcome.Lint.findings);
-    Fmt.pr "lint: baseline of %d finding(s) written to %s@."
-      (List.length outcome.Lint.findings)
-      path;
-    0
-  end
+  let outcome = Lint.run ~roots ~root () in
+  if outcome.Lint.files = 0 then
+    refuse "lint" "no .ml sources under %s in %s; refusing an empty scan"
+      (String.concat ", " roots) root
   else begin
     let name = Printf.sprintf "lint (%s)" (String.concat " " roots) in
     let diags = outcome.Lint.findings @ outcome.Lint.notes in
@@ -1056,10 +1037,9 @@ let run_lint root roots baseline_path no_baseline update_baseline json quiet =
     end
     else begin
       ignore (print_section ~quiet (name, diags));
-      Fmt.pr "@.lint: %d file(s), %d finding(s), %d suppressed, %d baselined@."
-        outcome.Lint.files
+      Fmt.pr "@.lint: %d file(s), %d finding(s), %d suppressed@." outcome.Lint.files
         (List.length outcome.Lint.findings)
-        outcome.Lint.suppressed outcome.Lint.baselined
+        outcome.Lint.suppressed
     end;
     if Lint.ok outcome then 0 else 3
   end
@@ -1076,21 +1056,6 @@ let lint_cmd =
       & info [ "under" ] ~docv:"DIR"
           ~doc:"Subtrees to scan, relative to $(b,--root) (default: lib and bin; repeatable).")
   in
-  let baseline =
-    Arg.(
-      value & opt string "LINT_BASELINE"
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Baseline of accepted findings, relative to $(b,--root).")
-  in
-  let no_baseline =
-    Arg.(value & flag & info [ "no-baseline" ] ~doc:"Report baselined findings too.")
-  in
-  let update_baseline =
-    Arg.(
-      value & flag
-      & info [ "update-baseline" ]
-          ~doc:"Rewrite the baseline to exactly the current unsuppressed findings and exit 0.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output with stable field order.")
   in
@@ -1100,8 +1065,7 @@ let lint_cmd =
        ~doc:
          "Statically analyze the repo's own OCaml sources for determinism and parallel-safety \
           violations (rules D001-D008)")
-    Term.(
-      const run_lint $ root $ roots $ baseline $ no_baseline $ update_baseline $ json $ quiet)
+    Term.(const run_lint $ root $ roots $ json $ quiet)
 
 (* --- load ------------------------------------------------------------------- *)
 

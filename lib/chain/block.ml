@@ -5,7 +5,6 @@
 module Codec = Ac3_crypto.Codec
 module Sha256 = Ac3_crypto.Sha256
 module Merkle = Ac3_crypto.Merkle
-module Hex = Ac3_crypto.Hex
 
 type header = {
   chain : string;
@@ -111,5 +110,3 @@ let mine ~chain ~height ~parent ~time ~target ~txs =
   let base = { chain; height; parent; merkle_root; time; target; nonce = 0L } in
   let nonce = Pow.grind ~target (header_bytes base) in
   { header = { base with nonce }; txs }
-
-let pp_id ppf t = Fmt.pf ppf "%s@%d" (Hex.short (hash t)) t.header.height

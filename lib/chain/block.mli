@@ -55,5 +55,3 @@ val mine :
   target:string ->
   txs:Tx.t list ->
   t
-
-val pp_id : Format.formatter -> t -> unit

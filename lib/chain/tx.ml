@@ -11,7 +11,6 @@
 module Codec = Ac3_crypto.Codec
 module Sha256 = Ac3_crypto.Sha256
 module Keys = Ac3_crypto.Keys
-module Hex = Ac3_crypto.Hex
 
 type output = { addr : string; amount : Amount.t }
 
@@ -134,8 +133,6 @@ let txid_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"tx.txid" ~c
 let txid t =
   let bytes = to_bytes t in
   Ac3_fast.Memo.memo txid_memo bytes (fun () -> Sha256.digest2 bytes)
-
-let pp_id ppf t = Fmt.string ppf (Hex.short (txid t))
 
 (* Total value entering the transaction must be accounted for by the
    ledger against the UTXOs it spends; here we only know declared sums. *)

@@ -39,8 +39,6 @@ val of_bytes : string -> t
 (** 32-byte transaction id (double SHA-256 of the full encoding). *)
 val txid : t -> string
 
-val pp_id : Format.formatter -> t -> unit
-
 (** Sum of declared outputs. *)
 val output_total : t -> Amount.t
 

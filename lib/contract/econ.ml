@@ -34,5 +34,3 @@ let payout t deposit =
   let d = Amount.to_int64 deposit in
   let v = Int64.div (Int64.mul d (Int64.of_int t.payout_num)) (Int64.of_int t.payout_den) in
   Amount.of_int64 v
-
-let conserves t = t.payout_num = t.payout_den

@@ -37,7 +37,3 @@ val deposit_of_edge : t -> Amount.t -> Amount.t
 
 (** Amount released when a contract holding [deposit] settles. *)
 val payout : t -> Amount.t -> Amount.t
-
-(** Settlement releases the deposit exactly (neither mints nor strands
-    value). *)
-val conserves : t -> bool

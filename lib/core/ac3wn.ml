@@ -76,9 +76,6 @@ type state = {
   mutable scw_deploy_txid : string option;
   mutable scw_id : string option;
   mutable authorize_attempt_at : float; (* for resubmission *)
-  (* Cached located decision call (fn, txid); invalidated if a reorg
-     orphans it. Avoids rescanning the witness chain every poll. *)
-  mutable decision : (string * string) option;
 }
 
 let witness_node s t = Universe.gateway (Driver.universe t) s.config.witness_chain
@@ -227,24 +224,18 @@ let redeem_evidence s t () =
             List.iter (observe_evidence t) evidences;
             Some (Value.List (List.map Evidence.to_value evidences))
 
-(* The decision call on SCw, located once and cached; (fn, txid). *)
+(* The decision call on SCw, read from the witness chain's call index
+   on every poll: (fn, txid). SCw accepts one authorize call, so at most
+   one of the two sits on the active chain, and a reorg that orphans it
+   drops it from the index. *)
 let locate_decision s t scw =
-  (match s.decision with
-  | Some (_, txid) when Node.confirmations (witness_node s t) txid = 0 ->
-      (* A reorg orphaned the call we knew about. *)
-      s.decision <- None
-  | _ -> ());
-  if s.decision = None then begin
-    let store = Node.store (witness_node s t) in
-    let check fn =
-      Option.map (fun (txid, _h) -> (fn, txid)) (Store.find_call store ~contract_id:scw ~fn)
-    in
-    s.decision <-
-      (match check Permissionless_sc.authorize_redeem_fn with
-      | Some d -> Some d
-      | None -> check Permissionless_sc.authorize_refund_fn)
-  end;
-  s.decision
+  let store = Node.store (witness_node s t) in
+  let check fn =
+    Option.map (fun (txid, _h) -> (fn, txid)) (Store.find_call store ~contract_id:scw ~fn)
+  in
+  match check Permissionless_sc.authorize_redeem_fn with
+  | Some d -> Some d
+  | None -> check Permissionless_sc.authorize_refund_fn
 
 (* The decision, once buried at depth d (the commit/abort point of the
    protocol). *)
@@ -338,7 +329,6 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
         scw_deploy_txid = None;
         scw_id = None;
         authorize_attempt_at = 0.0;
-        decision = None;
       }
     in
     Ok

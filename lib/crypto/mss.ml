@@ -52,38 +52,14 @@ let build_material ~height ~seed =
   done;
   { leaf_secrets; leaf_publics; tree }
 
-(* Material memo, shared across domains because identical (seed, height)
-   keys must be generated only once per process even when replay runs
-   re-create identities. Lookup and insert hold the mutex; the build
-   itself deliberately does NOT — material is immutable and a pure
-   function of the key, so two domains racing a cold entry waste one
-   duplicate build instead of serializing every key generation behind
-   one lock. Last insert wins; both copies are equal. *)
-let material_cache : (string * int, material) Hashtbl.t = Hashtbl.create 64
-
-(* ac3-lint: allow D004 — guards the cross-domain material memo; entries are seed-deterministic *)
-let material_mutex = Mutex.create ()
-
-let material_cap = 128
+(* Material is a pure function of (height, seed), so identical keys
+   re-created by replay runs share one build through the per-domain
+   memo. *)
+let material_memo : material Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"mss.material" ~cap:128
 
 let material ~height ~seed =
-  let key = (seed, height) in
-  let cached =
-    if not (Ac3_fast.Memo.enabled ()) then None
-    else
-      (* ac3-lint: allow D004 — see the cache note above *)
-      Mutex.protect material_mutex (fun () -> Hashtbl.find_opt material_cache key)
-  in
-  match cached with
-  | Some m -> m
-  | None ->
-      let m = build_material ~height ~seed in
-      if Ac3_fast.Memo.enabled () then
-        (* ac3-lint: allow D004 — see the cache note above *)
-        Mutex.protect material_mutex (fun () ->
-            if Hashtbl.length material_cache >= material_cap then Hashtbl.reset material_cache;
-            Hashtbl.replace material_cache key m);
-      m
+  Ac3_fast.Memo.memo material_memo (string_of_int height ^ ":" ^ seed) (fun () ->
+      build_material ~height ~seed)
 
 let generate ?(height = 5) ~seed () =
   if height < 1 || height > 16 then invalid_arg "Mss.generate: height out of range";

@@ -9,8 +9,6 @@ type t = { message : string; parts : (Keys.public * Keys.signature) list }
 
 let message t = t.message
 
-let signers t = List.map fst t.parts
-
 (* Each signer signs the message itself; the multisignature is the
    collection. *)
 let create ~message identities =

@@ -5,8 +5,6 @@ type t
 
 val message : t -> string
 
-val signers : t -> Keys.public list
-
 (** [create ~message ids] has every identity sign [message]. *)
 val create : message:string -> Keys.t list -> t
 

@@ -1,10 +1,10 @@
-(* Top-level lint driver: discovery → scan → suppression → baseline.
+(* Top-level lint driver: discovery → scan → suppression.
 
    The output is plain [Diagnostic.t] lists, the same machinery as the
    G/T/S/M rule sets, so the CLI renders and serializes lint findings
    with zero new encoders. Severity doubles as the gate: [findings]
-   (errors) fail the run, [notes] (warnings: unused suppressions,
-   baseline-matched echoes) do not. *)
+   (errors) fail the run, [notes] (warnings: unused suppressions) do
+   not. *)
 
 module Diagnostic = Ac3_verify.Diagnostic
 
@@ -41,7 +41,6 @@ type outcome = {
   findings : Diagnostic.t list;  (** gate: run fails iff non-empty *)
   notes : Diagnostic.t list;
   suppressed : int;
-  baselined : int;
 }
 
 let ok outcome = outcome.findings = []
@@ -57,7 +56,7 @@ let relativize ~root path =
 
 let default_roots = [ "lib"; "bin" ]
 
-let run ?(baseline = Baseline.empty) ?(roots = default_roots) ~root () =
+let run ?(roots = default_roots) ~root () =
   let abs r = if root = "." || root = "" then r else Filename.concat root r in
   let files = Source.ml_files ~roots:(List.map abs roots) in
   let reports =
@@ -65,24 +64,9 @@ let run ?(baseline = Baseline.empty) ?(roots = default_roots) ~root () =
       (fun path -> check_file ~relpath:(relativize ~root path) (Source.read_file path))
       files
   in
-  let baselined = ref 0 in
-  let findings =
-    List.concat_map
-      (fun r ->
-        List.filter
-          (fun d ->
-            if Baseline.mem baseline d then begin
-              incr baselined;
-              false
-            end
-            else true)
-          r.fr_findings)
-      reports
-  in
   {
     files = List.length files;
-    findings;
+    findings = List.concat_map (fun r -> r.fr_findings) reports;
     notes = List.concat_map (fun r -> r.fr_notes) reports;
     suppressed = List.fold_left (fun n r -> n + List.length r.fr_suppressed) 0 reports;
-    baselined = !baselined;
   }

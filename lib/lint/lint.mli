@@ -1,4 +1,4 @@
-(** Top-level lint driver: discovery → scan → suppression → baseline.
+(** Top-level lint driver: discovery → scan → suppression.
 
     Findings are ordinary {!Ac3_verify.Diagnostic} values (same
     severity/location/JSON machinery as the G/T/S/M rules), so the CLI
@@ -23,7 +23,6 @@ type outcome = {
   findings : Ac3_verify.Diagnostic.t list;  (** gate: fails iff non-empty *)
   notes : Ac3_verify.Diagnostic.t list;
   suppressed : int;
-  baselined : int;
 }
 
 val ok : outcome -> bool
@@ -31,6 +30,7 @@ val ok : outcome -> bool
 val default_roots : string list
 
 (** Scan every [.ml] under [roots] (resolved against [root], the repo
-    checkout). Reported locations are [root]-relative. *)
-val run :
-  ?baseline:Baseline.t -> ?roots:string list -> root:string -> unit -> outcome
+    checkout). Reported locations are [root]-relative. Roots that do not
+    exist are skipped, so an empty scan is possible ([files = 0]); the
+    CLI refuses it. *)
+val run : ?roots:string list -> root:string -> unit -> outcome

@@ -34,16 +34,6 @@ let slug = function
   | D007 -> "D007-stdout-in-lib"
   | D008 -> "D008-dls-outside-pool"
 
-let title = function
-  | D001 -> "Hashtbl iteration order can reach observable output"
-  | D002 -> "ambient Random state outside the seeded RNG modules"
-  | D003 -> "wall-clock reads outside bench/"
-  | D004 -> "domain-parallelism primitives outside lib/par"
-  | D005 -> "polymorphic hash/compare on possibly float-bearing or mutable values"
-  | D006 -> "Sys.readdir without an enclosing sort"
-  | D007 -> "stdout printing outside bin/"
-  | D008 -> "domain-local storage outside the pool"
-
 let of_code s =
   match s with
   | "D001" -> Some D001

@@ -16,8 +16,6 @@ val code : id -> string
     existing ["G002-self-edge"] convention. *)
 val slug : id -> string
 
-val title : id -> string
-
 val of_code : string -> id option
 
 (** Rule id used for problems with the lint run itself: unparsable

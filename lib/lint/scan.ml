@@ -182,8 +182,8 @@ type result = {
   parse_error : Diagnostic.t option;  (** D000; never suppressible *)
 }
 
-(* Raw findings for one file, before suppression/baseline filtering. A
-   file that does not parse yields a D000 parse error instead. *)
+(* Raw findings for one file, before suppression filtering. A file
+   that does not parse yields a D000 parse error instead. *)
 let check_source ~relpath source =
   let ctx = ctx_of_relpath relpath in
   match Source.parse ~relpath source with

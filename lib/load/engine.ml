@@ -249,11 +249,7 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
       match spec.protocol with
       | Workload.Nolan | Workload.Herlihy ->
           let hconfig =
-            {
-              (Herlihy.default_config ~delta) with
-              poll_interval = config.poll_interval;
-              timeout = config.deadline;
-            }
+            { (Herlihy.default_config ~delta) with poll_interval = config.poll_interval }
           in
           (match spec.protocol with
           | Workload.Nolan -> Nolan.launch u ~config:hconfig ~graph ~participants ()
@@ -270,7 +266,6 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
               (Ac3wn.default_config ~witness_chain:"witness") with
               decision_depth = config.confirm_depth;
               poll_interval = config.poll_interval;
-              timeout = config.deadline;
             }
           in
           (* AC3WN aborts through the witness: an early abort request

@@ -5,8 +5,6 @@ type t = { metrics : Metrics.t; spans : Span.t }
 let create ?(enabled = true) ~clock () =
   { metrics = Metrics.create ~enabled (); spans = Span.create ~enabled ~clock () }
 
-let disabled () = create ~enabled:false ~clock:(fun () -> 0.0) ()
-
 let is_enabled t = Metrics.is_enabled t.metrics
 
 let to_json t =

@@ -47,8 +47,5 @@ val uniform_range : t -> lo:float -> hi:float -> float
 (** [bytes t n] returns [n] uniformly random bytes. *)
 val bytes : t -> int -> bytes
 
-(** [pick t arr] is a uniformly random element of [arr]. *)
-val pick : t -> 'a array -> 'a
-
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit

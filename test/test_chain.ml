@@ -624,6 +624,66 @@ let test_store_reorg_restores_ledger () =
     (Ledger.balance_of (Store.ledger store_a) (Keys.address bob));
   Alcotest.(check int) "confirmations reset" 0 (Store.confirmations store_a (Tx.txid tx))
 
+(* A call on the test counter, paid from [from_]'s first coin. *)
+let counter_call store ~from_ ~cid ~nonce =
+  let op, (o : Tx.output) = List.hd (Ledger.utxos_of (Store.ledger store) (Keys.address from_)) in
+  let fee = (Store.params store).Params.call_fee in
+  Tx.make ~chain:"testchain" ~inputs:[ (op, from_) ]
+    ~outputs:[ { addr = Keys.address from_; amount = Amount.(o.amount - fee) } ]
+    ~payload:(Tx.Call { contract_id = cid; fn = "incr"; args = Value.Unit; deposit = Amount.zero })
+    ~fee ~nonce ()
+
+(* The per-contract call index follows the active chain: a call in a
+   block that a reorg disconnects leaves [find_call] and [calls_on], and
+   the winning branch's call takes its place. AC3WN reads its witness
+   decision from this index alone. *)
+let test_store_call_index_follows_reorg () =
+  let store_a = mk_store () in
+  let store_b = mk_store () in
+  let op, (o : Tx.output) =
+    List.hd (Ledger.utxos_of (Store.ledger store_a) (Keys.address alice))
+  in
+  let fee = (Store.params store_a).Params.deploy_fee in
+  let deploy =
+    Tx.make ~chain:"testchain" ~inputs:[ (op, alice) ]
+      ~outputs:[ { addr = Keys.address alice; amount = Amount.(o.amount - fee) } ]
+      ~payload:(Tx.Deploy { code_id = "test-counter"; args = Value.Int 0L; deposit = Amount.zero })
+      ~fee ~nonce:0L ()
+  in
+  let shared, r = mine_into store_a [ deploy ] in
+  expect_added r;
+  expect_added (Store.add_block store_b shared);
+  let cid = Contract_iface.contract_id_of_deploy ~txid:(Tx.txid deploy) in
+  let call_a = counter_call store_a ~from_:alice ~cid ~nonce:1L in
+  let _, ra = mine_into store_a [ call_a ] in
+  expect_added ra;
+  let hex tx = Ac3_crypto.Hex.encode (Tx.txid tx) in
+  let found () =
+    Store.find_call store_a ~contract_id:cid ~fn:"incr"
+    |> Option.map (fun (txid, h) -> (Ac3_crypto.Hex.encode txid, h))
+  in
+  let calls () =
+    List.map
+      (fun (txid, _, _) -> Ac3_crypto.Hex.encode txid)
+      (Store.calls_on store_a ~contract_id:cid)
+  in
+  Alcotest.(check (option (pair string int)))
+    "branch A call indexed" (Some (hex call_a, 2)) (found ());
+  Alcotest.(check (list string)) "calls_on before reorg" [ hex call_a ] (calls ());
+  (* Branch B: a different call at height 2, then one more block. *)
+  let call_b = counter_call store_b ~from_:bob ~cid ~nonce:1L in
+  let b2, rb2 = mine_into ~miner:"chain-test-miner-b" store_b [ call_b ] in
+  expect_added rb2;
+  let b3, rb3 = mine_into ~miner:"chain-test-miner-b" store_b [] in
+  expect_added rb3;
+  expect_added (Store.add_block store_a b2);
+  expect_added (Store.add_block store_a b3);
+  Alcotest.(check string) "reorged onto branch B" (Ac3_crypto.Hex.encode (Block.hash b3))
+    (Ac3_crypto.Hex.encode (Store.tip_hash store_a));
+  Alcotest.(check (option (pair string int)))
+    "branch B call replaces A's" (Some (hex call_b, 2)) (found ());
+  Alcotest.(check (list string)) "calls_on after reorg" [ hex call_b ] (calls ())
+
 let test_store_confirmations () =
   let store = mk_store () in
   let tx = spend_premine store ~from_:alice ~to_:bob ~amount:(coin 10) ~fee:(coin 100) in
@@ -1295,6 +1355,8 @@ let () =
           Alcotest.test_case "bad pow rejected" `Quick test_store_rejects_bad_pow;
           Alcotest.test_case "reorg to heavier branch" `Quick test_store_reorg_switches_to_heavier_branch;
           Alcotest.test_case "reorg restores ledger" `Quick test_store_reorg_restores_ledger;
+          Alcotest.test_case "call index follows a reorg" `Quick
+            test_store_call_index_follows_reorg;
           Alcotest.test_case "confirmations" `Quick test_store_confirmations;
           Alcotest.test_case "headers_from" `Quick test_store_headers_from;
         ] );

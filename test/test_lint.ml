@@ -1,6 +1,6 @@
 (* ac3_lint tests: one fixture per rule (positive + suppressed
-   negative), directive hygiene (malformed / unused), baseline
-   round-trips, and the shared diagnostic JSON envelope.
+   negative), directive hygiene (malformed / unused), and the shared
+   diagnostic JSON envelope.
 
    Fixtures are parsed, never compiled; [check_file]'s [relpath]
    argument controls the directory exemptions, so every fixture is
@@ -8,7 +8,6 @@
 
 module Lint = Ac3_lint.Lint
 module Rules = Ac3_lint.Rules
-module Baseline = Ac3_lint.Baseline
 module Diagnostic = Ac3_verify.Diagnostic
 module Json = Ac3_crypto.Codec.Json
 
@@ -112,26 +111,6 @@ let test_parse_error_not_suppressible () =
     "parse failure is a D000 error" [ Rules.meta_slug ]
     (rules_of report.Lint.fr_findings)
 
-(* --- baseline ----------------------------------------------------------- *)
-
-let test_baseline_roundtrip () =
-  let d line =
-    Diagnostic.error ~rule:"D001-unordered-hashtbl"
-      ~location:(Printf.sprintf "lib/x.ml:%d" line)
-      "Hashtbl.fold iterates in hash-bucket order"
-  in
-  let b = Baseline.of_findings [ d 10; d 20 ] in
-  (* line-independent: both hits share one fingerprint *)
-  Alcotest.(check int) "fingerprints dedup by (rule, file, message)" 1 (Baseline.size b);
-  let b' = Baseline.of_string (Baseline.to_string b) in
-  Alcotest.(check string) "round-trips through the file format" (Baseline.to_string b)
-    (Baseline.to_string b');
-  Alcotest.(check bool) "same finding on another line is baselined" true (Baseline.mem b' (d 999));
-  let other =
-    Diagnostic.error ~rule:"D002-ambient-random" ~location:"lib/x.ml:10" "Random.int draws"
-  in
-  Alcotest.(check bool) "different rule is not" false (Baseline.mem b' other)
-
 (* --- shared JSON envelope ----------------------------------------------- *)
 
 let test_sections_json_shape () =
@@ -163,7 +142,5 @@ let () =
           Alcotest.test_case "parse errors are never suppressible" `Quick
             test_parse_error_not_suppressible;
         ] );
-      ( "baseline",
-        [ Alcotest.test_case "fingerprints round-trip, line-independent" `Quick test_baseline_roundtrip ] );
       ( "json", [ Alcotest.test_case "shared {ok; sections} envelope" `Quick test_sections_json_shape ] );
     ]
