@@ -82,11 +82,7 @@ let body_ok t =
   && List.for_all (fun (tx : Tx.t) -> String.equal tx.Tx.chain t.header.chain) t.txs
 
 let genesis ?(premine = []) ~chain ~time ~target () =
-  let coinbase = Tx.coinbase ~chain ~height:0 ~miner_addr:(String.make 20 '\x00') ~reward:Amount.zero in
-  let coinbase =
-    { coinbase with Tx.outputs = List.map (fun (addr, amount) -> ({ addr; amount } : Tx.output)) premine }
-  in
-  let txs = [ coinbase ] in
+  let txs = [ Tx.genesis ~chain ~premine ] in
   let header =
     {
       chain;

@@ -15,7 +15,7 @@
      does not strictly beat the cheapest resident is rejected instead.
      Unbounded pools (the default) behave exactly as before. *)
 
-type entry = { tx : Tx.t; txid : string; seq : int }
+type entry = { tx : Tx.t; seq : int }
 
 (* Removal is lazy: the index is authoritative and dead entries are
    swept out of the list only when it is next traversed, keeping
@@ -78,7 +78,7 @@ let untrack_spent t tx =
    plain [mem] would resurrect a stale list node if the same txid were
    ever removed and re-added. *)
 let live t e =
-  match Hashtbl.find_opt t.index e.txid with Some e' -> e' == e | None -> false
+  match Hashtbl.find_opt t.index (Tx.txid e.tx) with Some e' -> e' == e | None -> false
 
 let sweep t =
   if t.entries_len > 16 && t.entries_len > 2 * Hashtbl.length t.index then begin
@@ -117,9 +117,9 @@ let victim t =
           else acc)
     t.index None
 
-let insert t tx txid =
-  let entry = { tx; txid; seq = t.next_seq } in
-  Hashtbl.replace t.index txid entry;
+let insert t tx =
+  let entry = { tx; seq = t.next_seq } in
+  Hashtbl.replace t.index (Tx.txid tx) entry;
   track_spent t tx;
   t.entries <- entry :: t.entries;
   t.entries_len <- t.entries_len + 1;
@@ -129,8 +129,7 @@ let insert t tx txid =
    overflow pressure; [Error] when the pool is full of better-paying
    work and the newcomer loses. *)
 let add t tx =
-  let txid = Tx.txid tx in
-  if Hashtbl.mem t.index txid then Error "already in mempool"
+  if Hashtbl.mem t.index (Tx.txid tx) then Error "already in mempool"
   else
     match t.capacity with
     | Some cap when Hashtbl.length t.index >= cap -> (
@@ -138,12 +137,12 @@ let add t tx =
         | Some v
           when beats ~cls_a:(priority_class tx) ~fee_a:tx.Tx.fee
                  ~cls_b:(priority_class v.tx) ~fee_b:v.tx.Tx.fee ->
-            remove t v.txid;
-            insert t tx txid;
+            remove t (Tx.txid v.tx);
+            insert t tx;
             Ok [ v.tx ]
         | Some _ | None -> Error "mempool full")
     | _ ->
-        insert t tx txid;
+        insert t tx;
         Ok []
 
 (* Oldest-first candidates for the next block. The caller filters out

@@ -13,11 +13,6 @@ module Hex = Ac3_crypto.Hex
 type entry = {
   block : Block.t;
   hash : string;
-  (* Txids in block order, computed once on arrival. Reorgs connect and
-     disconnect the same entries repeatedly; the indexes below are
-     maintained from this array instead of re-serializing every
-     transaction on each switch. *)
-  txids : string array;
   cum_work : float;
   seq : int; (* arrival order, breaks work ties *)
   mutable invalid : bool;
@@ -60,6 +55,12 @@ type add_result =
 
 let target t = Pow.target_of_bits t.params.Params.pow_bits
 
+(* Record a connected block's transactions in the tx index. *)
+let index_txs t (block : Block.t) hash =
+  List.iteri
+    (fun i (tx : Tx.t) -> Hashtbl.replace t.tx_index (Tx.txid tx) (hash, i))
+    block.Block.txs
+
 let create ~params ~registry =
   let genesis =
     Block.genesis ~premine:params.Params.premine ~chain:params.Params.chain_id ~time:0.0
@@ -87,13 +88,12 @@ let create ~params ~registry =
           on_reorg = None;
         }
       in
-      let gtxids = Array.of_list (List.map Tx.txid genesis.Block.txs) in
       Hashtbl.replace t.blocks ghash
-        { block = genesis; hash = ghash; txids = gtxids; cum_work = 0.0; seq = 0; invalid = false };
+        { block = genesis; hash = ghash; cum_work = 0.0; seq = 0; invalid = false };
       Hashtbl.replace t.active ghash 0;
       Hashtbl.replace t.by_height 0 ghash;
       Hashtbl.replace t.undo_data ghash undo;
-      Array.iteri (fun i txid -> Hashtbl.replace t.tx_index txid (ghash, i)) gtxids;
+      index_txs t genesis ghash;
       t
   | Error e -> invalid_arg ("Store.create: genesis failed to apply: " ^ e))
 
@@ -153,22 +153,22 @@ let headers_from t ~from_ =
 (* Record a block's Call transactions in the call index. Prepending in
    tx order keeps each per-contract list newest-first with in-block
    order recovered by the final reverse in [calls_on]. *)
-let index_calls t entry ~height =
-  List.iteri
-    (fun i (tx : Tx.t) ->
+let index_calls t (block : Block.t) ~height =
+  List.iter
+    (fun (tx : Tx.t) ->
       match tx.Tx.payload with
       | Tx.Call c ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt t.call_index c.contract_id) in
           Hashtbl.replace t.call_index c.contract_id
             ({
-               call_txid = Array.unsafe_get entry.txids i;
+               call_txid = Tx.txid tx;
                call_fn = c.fn;
                call_args = c.args;
                call_height = height;
              }
             :: prev)
       | Tx.Transfer | Tx.Deploy _ | Tx.Coinbase _ -> ())
-    entry.block.Block.txs
+    block.Block.txs
 
 (* Drop the index entries contributed by a block being disconnected.
    Only tips disconnect, so every indexed call at [height] belongs to
@@ -195,8 +195,8 @@ let connect_block t entry =
       Hashtbl.replace t.active entry.hash h;
       Hashtbl.replace t.by_height h entry.hash;
       Hashtbl.replace t.undo_data entry.hash undo;
-      Array.iteri (fun i txid -> Hashtbl.replace t.tx_index txid (entry.hash, i)) entry.txids;
-      index_calls t entry ~height:h;
+      index_txs t entry.block entry.hash;
+      index_calls t entry.block ~height:h;
       t.tip <- entry.hash;
       Ok events
 
@@ -208,7 +208,7 @@ let disconnect_tip t =
   Hashtbl.remove t.active e.hash;
   Hashtbl.remove t.by_height h;
   Hashtbl.remove t.undo_data e.hash;
-  Array.iter (fun txid -> Hashtbl.remove t.tx_index txid) e.txids;
+  List.iter (fun (tx : Tx.t) -> Hashtbl.remove t.tx_index (Tx.txid tx)) e.block.Block.txs;
   unindex_calls t e.block ~height:h;
   t.tip <- e.block.Block.header.Block.parent;
   e.block
@@ -304,7 +304,6 @@ let rec add_block t (block : Block.t) : add_result =
               {
                 block;
                 hash;
-                txids = Array.of_list (List.map Tx.txid block.Block.txs);
                 cum_work = parent.cum_work +. Pow.work_of_target header.Block.target;
                 seq = t.next_seq;
                 invalid = false;

@@ -22,14 +22,22 @@ type payload =
   | Call of { contract_id : string; fn : string; args : Value.t; deposit : Amount.t }
   | Coinbase of { height : int }
 
+(* Immutable, with both ids fixed at construction: every constructor
+   below serializes the body once, hashes it into the signing hash and
+   ends in [assemble], which derives the txid from the same bytes and
+   the witnesses. Reading an id is a field access, so the mempool,
+   block assembly, store indexes, Merkle commitments and evidence
+   proofs never re-serialize a transaction to learn its id. *)
 type t = {
   chain : string;
   inputs : input list;
-  witnesses : Keys.signature array; (* parallel to [inputs] *)
+  witnesses : Keys.signature list; (* parallel to [inputs] *)
   outputs : output list;
   payload : payload;
   fee : Amount.t;
   nonce : int64;
+  txid : string;
+  sighash : string;
 }
 
 let encode_output w (o : output) =
@@ -85,28 +93,46 @@ let decode_payload r =
   | v -> raise (Codec.Decode_error (Printf.sprintf "Tx.payload: bad tag %d" v))
 
 (* The signed body: everything except the witnesses. *)
-let encode_body w t =
-  Codec.Writer.string w t.chain;
-  Codec.Writer.list w encode_input t.inputs;
-  Codec.Writer.list w encode_output t.outputs;
-  encode_payload w t.payload;
-  Amount.encode w t.fee;
-  Codec.Writer.i64 w t.nonce
+let encode_body w ~chain ~inputs ~outputs ~payload ~fee ~nonce =
+  Codec.Writer.string w chain;
+  Codec.Writer.list w encode_input inputs;
+  Codec.Writer.list w encode_output outputs;
+  encode_payload w payload;
+  Amount.encode w fee;
+  Codec.Writer.i64 w nonce
 
-(* Sighash memo, keyed by the full serialized body — any change to the
-   signed fields changes the key, so a mutated transaction can never be
-   served a stale hash. Signing and per-input verification both hash
-   the same body; with several inputs the body is serialized once. *)
-let sighash_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"tx.sighash" ~cap:4096
+let encode_witnesses w witnesses =
+  Codec.Writer.u16 w (List.length witnesses);
+  List.iter (Keys.encode_signature w) witnesses
 
-let sighash t =
-  let body = Codec.encode encode_body t in
-  Ac3_fast.Memo.memo sighash_memo body (fun () -> Sha256.digest_list [ "tx-sighash"; body ])
+let body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce =
+  let w = Codec.Writer.create () in
+  encode_body w ~chain ~inputs ~outputs ~payload ~fee ~nonce;
+  Codec.Writer.contents w
+
+let sighash_of_body body = Sha256.digest_list [ "tx-sighash"; body ]
+
+(* The txid is the double SHA-256 of the full encoding, body followed by
+   the witnesses; streaming both parts avoids concatenating them. *)
+let assemble ~body ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
+  let txid =
+    Sha256.digest (Sha256.digest_list [ body; Codec.encode encode_witnesses witnesses ])
+  in
+  { chain; inputs; witnesses; outputs; payload; fee; nonce; txid; sighash }
+
+let raw ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
+  let body = body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce in
+  assemble ~body ~sighash:(sighash_of_body body) ~chain ~inputs ~witnesses ~outputs ~payload
+    ~fee ~nonce
+
+let sighash t = t.sighash
+
+let txid t = t.txid
 
 let encode w t =
-  encode_body w t;
-  Codec.Writer.u16 w (Array.length t.witnesses);
-  Array.iter (Keys.encode_signature w) t.witnesses
+  encode_body w ~chain:t.chain ~inputs:t.inputs ~outputs:t.outputs ~payload:t.payload ~fee:t.fee
+    ~nonce:t.nonce;
+  encode_witnesses w t.witnesses
 
 let decode r =
   let chain = Codec.Reader.string r in
@@ -116,23 +142,12 @@ let decode r =
   let fee = Amount.decode r in
   let nonce = Codec.Reader.i64 r in
   let n = Codec.Reader.u16 r in
-  let witnesses = Array.init n (fun _ -> Keys.decode_signature r) in
-  { chain; inputs; witnesses; outputs; payload; fee; nonce }
+  let witnesses = List.init n (fun _ -> Keys.decode_signature r) in
+  raw ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
 
 let to_bytes t = Codec.encode encode t
 
 let of_bytes s = Codec.decode decode s
-
-(* Txid memo, keyed by the full serialization (witnesses included):
-   structural identity, so mutating any field — including a witness
-   array slot — misses and recomputes. The mempool, block assembly,
-   store indexing and Merkle commitments all re-derive txids of the
-   same transactions; this makes the repeats one table hit. *)
-let txid_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"tx.txid" ~cap:4096
-
-let txid t =
-  let bytes = to_bytes t in
-  Ac3_fast.Memo.memo txid_memo bytes (fun () -> Sha256.digest2 bytes)
 
 (* Total value entering the transaction must be accounted for by the
    ledger against the UTXOs it spends; here we only know declared sums. *)
@@ -148,55 +163,35 @@ let is_coinbase t = match t.payload with Coinbase _ -> true | _ -> false
 (* Build and sign in one step. [inputs] pairs each spent outpoint with the
    identity that owns it; the same identity may appear several times. *)
 let make ~chain ~inputs ~outputs ?(payload = Transfer) ~fee ~nonce () =
-  let unsigned =
-    {
-      chain;
-      inputs = List.map (fun (op, id) -> { outpoint = op; pubkey = Keys.public id }) inputs;
-      witnesses = [||];
-      outputs;
-      payload;
-      fee;
-      nonce;
-    }
-  in
-  let h = sighash unsigned in
-  let witnesses = Array.of_list (List.map (fun (_, id) -> Keys.sign id h) inputs) in
-  { unsigned with witnesses }
+  let signers = List.map snd inputs in
+  let inputs = List.map (fun (op, id) -> { outpoint = op; pubkey = Keys.public id }) inputs in
+  let body = body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce in
+  let sighash = sighash_of_body body in
+  let witnesses = List.map (fun id -> Keys.sign id sighash) signers in
+  assemble ~body ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
 
 (* Unsigned transaction for throughput stress runs on chains configured
    with [verify_signatures = false]; carries the claimed public keys but
    no witnesses. *)
 let make_unsigned ~chain ~inputs ~outputs ?(payload = Transfer) ~fee ~nonce () =
-  {
-    chain;
-    inputs = List.map (fun (op, pk) -> { outpoint = op; pubkey = pk }) inputs;
-    witnesses = [||];
-    outputs;
-    payload;
-    fee;
-    nonce;
-  }
+  let inputs = List.map (fun (op, pk) -> { outpoint = op; pubkey = pk }) inputs in
+  raw ~chain ~inputs ~witnesses:[] ~outputs ~payload ~fee ~nonce
+
+let coinbase_with ~chain ~height ~outputs =
+  raw ~chain ~inputs:[] ~witnesses:[] ~outputs ~payload:(Coinbase { height }) ~fee:Amount.zero
+    ~nonce:(Int64.of_int height)
 
 let coinbase ~chain ~height ~miner_addr ~reward =
-  {
-    chain;
-    inputs = [];
-    witnesses = [||];
-    outputs = [ { addr = miner_addr; amount = reward } ];
-    payload = Coinbase { height };
-    fee = Amount.zero;
-    nonce = Int64.of_int height;
-  }
+  coinbase_with ~chain ~height ~outputs:[ { addr = miner_addr; amount = reward } ]
+
+(* The genesis block's coinbase: height 0, paying the premine. *)
+let genesis ~chain ~premine =
+  coinbase_with ~chain ~height:0
+    ~outputs:(List.map (fun (addr, amount) -> { addr; amount }) premine)
 
 (* Signature validity: one witness per input, each verifying under the
    input's claimed public key. Ownership (pubkey matches the spent UTXO's
    address) is checked by the ledger, which knows the UTXO set. *)
 let verify_signatures t =
-  List.length t.inputs = Array.length t.witnesses
-  && begin
-       let h = sighash t in
-       List.for_all2
-         (fun (i : input) w -> Keys.verify i.pubkey h w)
-         t.inputs
-         (Array.to_list t.witnesses)
-     end
+  List.compare_lengths t.inputs t.witnesses = 0
+  && List.for_all2 (fun (i : input) w -> Keys.verify i.pubkey t.sighash w) t.inputs t.witnesses

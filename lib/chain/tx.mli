@@ -14,18 +14,25 @@ type payload =
   | Call of { contract_id : string; fn : string; args : Value.t; deposit : Amount.t }
   | Coinbase of { height : int }
 
-type t = {
+(** Immutable; build one only through the constructors below, which
+    fix both ids from a single serialization of the body. *)
+type t = private {
   chain : string;
   inputs : input list;
-  witnesses : Keys.signature array;
+  witnesses : Keys.signature list;  (** parallel to [inputs] *)
   outputs : output list;
   payload : payload;
   fee : Amount.t;
   nonce : int64;
+  txid : string;  (** see {!txid} *)
+  sighash : string;  (** see {!sighash} *)
 }
 
 (** Hash every signature commits to (body without witnesses). *)
 val sighash : t -> string
+
+(** 32-byte transaction id (double SHA-256 of the full encoding). *)
+val txid : t -> string
 
 val encode : Ac3_crypto.Codec.Writer.t -> t -> unit
 
@@ -35,9 +42,6 @@ val to_bytes : t -> string
 
 (** Raises {!Ac3_crypto.Codec.Decode_error} on malformed input. *)
 val of_bytes : string -> t
-
-(** 32-byte transaction id (double SHA-256 of the full encoding). *)
-val txid : t -> string
 
 (** Sum of declared outputs. *)
 val output_total : t -> Amount.t
@@ -75,6 +79,21 @@ val make_unsigned :
 
 (** Miner reward transaction; the only transaction allowed no inputs. *)
 val coinbase : chain:string -> height:int -> miner_addr:string -> reward:Amount.t -> t
+
+(** The genesis coinbase (height 0), paying each premined output. *)
+val genesis : chain:string -> premine:(string * Amount.t) list -> t
+
+(** Any transaction, witnesses taken as given and not checked — how
+    tests build tampered or re-labelled transactions. *)
+val raw :
+  chain:string ->
+  inputs:input list ->
+  witnesses:Keys.signature list ->
+  outputs:output list ->
+  payload:payload ->
+  fee:Amount.t ->
+  nonce:int64 ->
+  t
 
 (** One valid witness per input under the claimed public keys. *)
 val verify_signatures : t -> bool

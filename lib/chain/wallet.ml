@@ -32,45 +32,42 @@ let next_nonce t =
    are off limits: reusing one would build a double spend that miners
    silently drop. The check is an O(1) probe of the mempool's spent-
    outpoint index per candidate coin, so identities reused across many
-   concurrent swaps don't pay a pool scan on every selection. *)
+   concurrent swaps don't pay a pool scan on every selection. A refusal
+   reports what the walk saw: the spendable total and the amount locked
+   by pending spends. *)
 let select_coins t ~total =
   let mempool = Node.mempool t.node in
-  let utxos =
-    (* [Ledger.utxos_of] is already outpoint-sorted, so selection order
-       is deterministic and runs replay identically. *)
-    List.filter
-      (fun (op, _) -> not (Mempool.spends mempool op))
-      (Ledger.utxos_of (Node.ledger t.node) (address t))
+  let rec pick acc covered locked = function
+    | _ when Amount.compare covered total >= 0 -> Ok (List.rev acc, Amount.(covered - total))
+    | [] -> Error (covered, locked)
+    | (op, (o : Tx.output)) :: rest ->
+        if Mempool.spends mempool op then pick acc covered Amount.(locked + o.amount) rest
+        else pick (op :: acc) Amount.(covered + o.amount) locked rest
   in
-  let rec pick acc covered = function
-    | _ when Amount.compare covered total >= 0 -> Some (List.rev acc, Amount.(covered - total))
-    | [] -> None
-    | (op, (o : Tx.output)) :: rest -> pick (op :: acc) Amount.(covered + o.amount) rest
-  in
-  pick [] Amount.zero utxos
+  (* [Ledger.utxos_of] is already outpoint-sorted, so selection order is
+     deterministic and runs replay identically. *)
+  pick [] Amount.zero Amount.zero (Ledger.utxos_of (Node.ledger t.node) (address t))
 
-(* Build a transaction paying [outputs], carrying [payload], with any
-   excess returned to the wallet as change. On chains that verify
-   signatures the inputs are signed (consuming MSS signature budget); on
+(* Build a transaction paying [outputs], carrying [payload ()], with any
+   excess returned to the wallet as change. [payload] is forced only
+   once coin selection succeeds, so a refused build never encodes a
+   contract's arguments. On chains that verify signatures the inputs
+   are signed (consuming MSS signature budget); on
    [verify_signatures = false] chains the wallet emits witness-free
    transactions, so a hot identity can drive an unbounded number of
    swaps in throughput runs without exhausting its key. *)
-let build t ?(payload = Tx.Transfer) ~outputs () =
+let build_deferred t ~fee ~deposit ~outputs payload =
   let params = Node.params t.node in
-  let fee = Params.required_fee params payload in
-  let deposit =
-    match payload with
-    | Tx.Deploy { deposit; _ } | Tx.Call { deposit; _ } -> deposit
-    | Tx.Transfer | Tx.Coinbase _ -> Amount.zero
-  in
   let declared = Amount.sum (List.map (fun (o : Tx.output) -> o.amount) outputs) in
   let total = Amount.(declared + fee + deposit) in
   match select_coins t ~total with
-  | None ->
+  | Error (spendable, locked) ->
       Error
-        (Printf.sprintf "insufficient funds: need %s, have %s" (Amount.to_string total)
-           (Amount.to_string (balance t)))
-  | Some (coins, change) ->
+        (Printf.sprintf
+           "insufficient funds: need %s, have %s spendable (%s locked by pending spends)"
+           (Amount.to_string total) (Amount.to_string spendable) (Amount.to_string locked))
+  | Ok (coins, change) ->
+      let payload = payload () in
       let outputs =
         if Amount.is_zero change then outputs
         else outputs @ [ ({ addr = address t; amount = change } : Tx.output) ]
@@ -84,19 +81,36 @@ let build t ?(payload = Tx.Transfer) ~outputs () =
         let inputs = List.map (fun op -> (op, Keys.public t.identity)) coins in
         Ok (Tx.make_unsigned ~chain ~inputs ~outputs ~payload ~fee ~nonce ())
 
-(* Build, sign, and submit to the wallet's node. Returns the txid. *)
-let submit t ?payload ~outputs () =
-  match build t ?payload ~outputs () with
+let build t ?(payload = Tx.Transfer) ~outputs () =
+  let deposit =
+    match payload with
+    | Tx.Deploy { deposit; _ } | Tx.Call { deposit; _ } -> deposit
+    | Tx.Transfer | Tx.Coinbase _ -> Amount.zero
+  in
+  build_deferred t
+    ~fee:(Params.required_fee (Node.params t.node) payload)
+    ~deposit ~outputs
+    (fun () -> payload)
+
+(* Submit to the wallet's node. Returns the txid. *)
+let submit_built t = function
   | Error e -> Error e
   | Ok tx -> (
       match Node.submit_tx t.node tx with
       | Ok () -> Ok (Tx.txid tx)
       | Error e -> Error e)
 
+let submit t ?payload ~outputs () = submit_built t (build t ?payload ~outputs ())
+
 let pay t ~to_ ~amount = submit t ~outputs:[ ({ addr = to_; amount } : Tx.output) ] ()
 
 let deploy t ~code_id ~args ~deposit =
-  match submit t ~payload:(Tx.Deploy { code_id; args; deposit }) ~outputs:[] () with
+  let fee = (Node.params t.node).Params.deploy_fee in
+  match
+    submit_built t
+      (build_deferred t ~fee ~deposit ~outputs:[] (fun () ->
+           Tx.Deploy { code_id; args = args (); deposit }))
+  with
   | Error e -> Error e
   | Ok txid -> Ok (txid, Contract_iface.contract_id_of_deploy ~txid)
 

@@ -25,7 +25,9 @@ val balance : t -> Amount.t
     drop; the check is an O(1) index probe per coin. Inputs are signed
     unless the chain has [verify_signatures = false], in which case
     witness-free transactions preserve the identity's signature budget.
-    [Error] if the remaining funds are insufficient. *)
+    [Error] if the remaining funds are insufficient; the message gives
+    the spendable total and, separately, the amount locked by pending
+    spends. *)
 val build : t -> ?payload:Tx.payload -> outputs:Tx.output list -> unit -> (Tx.t, string) result
 
 (** Build, sign, and submit; returns the txid. *)
@@ -35,9 +37,16 @@ val submit :
 (** Plain payment. *)
 val pay : t -> to_:string -> amount:Amount.t -> (string, string) result
 
-(** Deploy a contract locking [deposit]; returns (txid, contract id). *)
+(** Deploy a contract locking [deposit]; returns (txid, contract id).
+    [args] is forced only after coin selection succeeds: a refused
+    deploy never builds its constructor arguments and does not advance
+    the nonce. *)
 val deploy :
-  t -> code_id:string -> args:Value.t -> deposit:Amount.t -> (string * string, string) result
+  t ->
+  code_id:string ->
+  args:(unit -> Value.t) ->
+  deposit:Amount.t ->
+  (string * string, string) result
 
 (** Invoke a contract function, optionally attaching a deposit. *)
 val call :

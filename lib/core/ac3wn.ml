@@ -120,12 +120,12 @@ let scw_status s t =
 let try_register_scw s t p =
   if s.scw_deploy_txid = None then begin
     let universe = Driver.universe t in
-    let checkpoints =
-      List.map
-        (fun chain -> (chain, Universe.stable_checkpoint universe chain))
-        (Ac2t.chains s.graph)
-    in
-    let args =
+    let args () =
+      let checkpoints =
+        List.map
+          (fun chain -> (chain, Universe.stable_checkpoint universe chain))
+          (Ac2t.chains s.graph)
+      in
       Witness_sc.args ~graph:s.graph ~ms:s.ms ~checkpoints ~evidence_depth:s.config.evidence_depth
     in
     let wallet = Participant.wallet p s.config.witness_chain in

@@ -96,9 +96,10 @@ let deploy t p ~code_id ~args ~label =
   Array.iteri
     (fun i es ->
       if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None then begin
-        let args = args i es in
         let wallet = Participant.wallet p es.edge.Ac2t.chain in
-        match Wallet.deploy wallet ~code_id ~args ~deposit:es.edge.Ac2t.amount with
+        match
+          Wallet.deploy wallet ~code_id ~args:(fun () -> args i es) ~deposit:es.edge.Ac2t.amount
+        with
         | Ok (txid, contract_id) ->
             es.deploy_txid <- Some txid;
             es.contract_id <- Some contract_id;

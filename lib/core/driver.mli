@@ -76,7 +76,8 @@ val all_deployed : t -> bool
 
 (** Deploy the participant's outgoing edge contracts that are not yet
     deployed, in graph order: [args i e] builds edge [i]'s contract
-    arguments, and a successful deploy is charged as [Edge_deploy] and
+    arguments, and only once the wallet has selected the coins to fund
+    it; a successful deploy is charged as [Edge_deploy] and
     recorded under [label i e contract_id] (a label and its attrs). *)
 val deploy :
   t ->

@@ -405,7 +405,11 @@ let fork_trial ~seed ~d ~window =
   let asset_wallet = Wallet.create ~identity:alice ~node:asset_node in
   let checkpoints = [ ("asset", Universe.stable_checkpoint u "asset") ] in
   let scw_args = Ac3_contract.Witness_sc.args ~graph ~ms ~checkpoints ~evidence_depth:1 in
-  match Wallet.deploy w_alice ~code_id:Ac3_contract.Witness_sc.code_id ~args:scw_args ~deposit:Amount.zero with
+  match
+    Wallet.deploy w_alice ~code_id:Ac3_contract.Witness_sc.code_id
+      ~args:(fun () -> scw_args)
+      ~deposit:Amount.zero
+  with
   | Error e -> failwith e
   | Ok (_scw_txid, scw) -> (
       (* Deploy the edge contract and bury it. *)
@@ -414,7 +418,8 @@ let fork_trial ~seed ~d ~window =
           ~scw ~depth:d ~witness_checkpoint:(Universe.stable_checkpoint u "witness")
       in
       match
-        Wallet.deploy asset_wallet ~code_id:Ac3_contract.Permissionless_sc.code_id ~args:edge_args
+        Wallet.deploy asset_wallet ~code_id:Ac3_contract.Permissionless_sc.code_id
+          ~args:(fun () -> edge_args)
           ~deposit:(Amount.of_int 10_000)
       with
       | Error e -> failwith e

@@ -1,5 +1,7 @@
 (** Content-addressed memo tables for pure, expensive functions
-    (signature verification, transaction ids, Merkle roots).
+    (signature verification, addresses, MSS key material, Merkle roots,
+    block hashes). Transaction ids are not cached here: they are fields
+    fixed when a transaction ([Ac3_chain.Tx.t]) is built.
 
     Keys are the FULL serialized input — structural identity, never
     physical identity — so mutating a value after its first digest

@@ -172,7 +172,11 @@ let test_tx_signature_binds_body () =
       ~outputs:[ { addr = Keys.address bob; amount = coin 5 } ]
       ~fee:(coin 1) ~nonce:7L ()
   in
-  let tampered = { tx with Tx.outputs = [ { addr = Keys.address carol; amount = coin 5 } ] } in
+  let tampered =
+    Tx.raw ~chain:tx.Tx.chain ~inputs:tx.Tx.inputs ~witnesses:tx.Tx.witnesses
+      ~outputs:[ { addr = Keys.address carol; amount = coin 5 } ]
+      ~payload:tx.Tx.payload ~fee:tx.Tx.fee ~nonce:tx.Tx.nonce
+  in
   Alcotest.(check bool) "valid before" true (Tx.verify_signatures tx);
   Alcotest.(check bool) "tampering detected" false (Tx.verify_signatures tampered)
 
@@ -184,7 +188,10 @@ let test_tx_chain_binding () =
       ~outputs:[ { addr = Keys.address bob; amount = coin 5 } ]
       ~fee:(coin 1) ~nonce:1L ()
   in
-  let replayed = { tx with Tx.chain = "b" } in
+  let replayed =
+    Tx.raw ~chain:"b" ~inputs:tx.Tx.inputs ~witnesses:tx.Tx.witnesses ~outputs:tx.Tx.outputs
+      ~payload:tx.Tx.payload ~fee:tx.Tx.fee ~nonce:tx.Tx.nonce
+  in
   Alcotest.(check bool) "replay on other chain rejected" false (Tx.verify_signatures replayed)
 
 (* --- Pow -------------------------------------------------------------------- *)
@@ -382,15 +389,9 @@ let test_ledger_rejects_double_spend () =
   expect_added r1;
   (* Same outpoint again: the UTXO is gone. *)
   let tx2 =
-    {
-      tx1 with
-      Tx.nonce = 99L;
-    }
-  in
-  let tx2 =
     Tx.make ~chain:"testchain"
-      ~inputs:(List.map (fun (i : Tx.input) -> (i.outpoint, alice)) tx2.Tx.inputs)
-      ~outputs:tx2.Tx.outputs ~fee:tx2.Tx.fee ~nonce:99L ()
+      ~inputs:(List.map (fun (i : Tx.input) -> (i.outpoint, alice)) tx1.Tx.inputs)
+      ~outputs:tx1.Tx.outputs ~fee:tx1.Tx.fee ~nonce:99L ()
   in
   let _, r2 = mine_into store [ tx2 ] in
   match r2 with
@@ -941,9 +942,25 @@ let test_node_crash_and_recovery () =
 let test_wallet_insufficient_funds () =
   let w = make_world ~seed:25 () in
   let wallet = Wallet.create ~identity:(Keys.create "chain-test-pauper") ~node:w.nodes.(0) in
-  match Wallet.pay wallet ~to_:(Keys.address bob) ~amount:(coin 1) with
+  (match Wallet.pay wallet ~to_:(Keys.address bob) ~amount:(coin 1) with
   | Error e -> Alcotest.(check bool) "explains" true (Astring.String.is_prefix ~affix:"insufficient" e)
-  | Ok _ -> Alcotest.fail "paid with no funds"
+  | Ok _ -> Alcotest.fail "paid with no funds");
+  (* Alice's only coin is her premine. Once her own pending payment
+     spends it, the refusal reports nothing spendable and the locked
+     premine apart, not the ledger balance that still counts it. *)
+  let alice_wallet = Wallet.create ~identity:alice ~node:w.nodes.(0) in
+  (match Wallet.pay alice_wallet ~to_:(Keys.address bob) ~amount:(coin 100) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let need = Amount.(coin 1000 + (Node.params w.nodes.(0)).Params.transfer_fee) in
+  match Wallet.pay alice_wallet ~to_:(Keys.address bob) ~amount:(coin 1000) with
+  | Error e ->
+      Alcotest.(check string) "spendable and locked reported apart"
+        (Printf.sprintf
+           "insufficient funds: need %s, have 0 spendable (10000000 locked by pending spends)"
+           (Amount.to_string need))
+        e
+  | Ok _ -> Alcotest.fail "spent a coin locked by a pending spend"
 
 let test_wallet_change () =
   let store = mk_store () in
@@ -1029,6 +1046,76 @@ let test_wallet_siblings_serialize_on_outpoint () =
         (Node.balance_of node (Keys.address bob));
       Alcotest.(check int64) "carol paid exactly once" 100L
         (Node.balance_of node (Keys.address carol))
+
+let test_wallet_refused_deploy_defers_args () =
+  (* A deploy the wallet cannot fund never builds its constructor
+     arguments and leaves the nonce where it was. A sibling wallet's
+     pending payment locks alice's only coin. *)
+  let w = make_world ~seed:28 () in
+  let node = w.nodes.(0) in
+  let payer = Wallet.create ~identity:alice ~node in
+  let deployer = Wallet.create ~identity:alice ~node in
+  let txid1 =
+    match Wallet.pay payer ~to_:(Keys.address bob) ~amount:(coin 100) with
+    | Ok txid -> txid
+    | Error e -> Alcotest.fail e
+  in
+  let forced = ref false in
+  (match
+     Wallet.deploy deployer ~code_id:"test-counter"
+       ~args:(fun () ->
+         forced := true;
+         Value.Int 0L)
+       ~deposit:Amount.zero
+   with
+  | Error e ->
+      Alcotest.(check bool) "refused for funds" true (Astring.String.is_prefix ~affix:"insufficient" e)
+  | Ok _ -> Alcotest.fail "deployed with its only coin locked");
+  Alcotest.(check bool) "args thunk never forced" false !forced;
+  ignore (Engine.run ~stop:(fun () -> Node.confirmations node txid1 >= 1) ~until:200_000.0 w.engine);
+  match Wallet.build deployer ~outputs:[ { addr = Keys.address bob; amount = coin 1 } ] () with
+  | Ok tx -> Alcotest.(check int64) "refusal did not advance the nonce" 0L tx.Tx.nonce
+  | Error e -> Alcotest.fail e
+
+let test_wallet_sibling_deploys_distinct_contracts () =
+  (* Sibling wallets of one identity start at the same nonce, so
+     byte-identical deploy payloads in one tick differ only in the coins
+     they spend. The second wallet must take another coin or be
+     refused: the same coin would mean the same txid, hence the same
+     contract id. *)
+  let w = make_world ~seed:29 () in
+  let node = w.nodes.(0) in
+  let deploy_pair () =
+    let deploy wallet =
+      Wallet.deploy wallet ~code_id:"test-counter" ~args:(fun () -> Value.Int 7L) ~deposit:(coin 10)
+    in
+    let first = deploy (Wallet.create ~identity:alice ~node) in
+    (first, deploy (Wallet.create ~identity:alice ~node))
+  in
+  let confirm txid =
+    ignore (Engine.run ~stop:(fun () -> Node.confirmations node txid >= 1) ~until:200_000.0 w.engine)
+  in
+  (* One coin (the premine): the sibling is refused. *)
+  (match deploy_pair () with
+  | Ok (txid, _), Error e ->
+      Alcotest.(check bool) "one coin: sibling refused" true
+        (Astring.String.is_prefix ~affix:"insufficient" e);
+      confirm txid
+  | Ok _, Ok _ -> Alcotest.fail "one coin funded two deploys"
+  | Error e, _ -> Alcotest.fail e);
+  (* Split alice's change into two coins, then deploy the same payload
+     twice again: the sibling takes the other coin. *)
+  (match Wallet.pay (Wallet.create ~identity:alice ~node) ~to_:(Keys.address alice) ~amount:(coin 1_000_000) with
+  | Ok txid -> confirm txid
+  | Error e -> Alcotest.fail e);
+  match deploy_pair () with
+  | Ok (txid1, cid1), Ok (txid2, cid2) ->
+      Alcotest.(check bool) "distinct contract ids" false (String.equal cid1 cid2);
+      confirm txid1;
+      confirm txid2;
+      Alcotest.(check bool) "both contracts live" true
+        (Node.contract node cid1 <> None && Node.contract node cid2 <> None)
+  | Error e, _ | _, Error e -> Alcotest.fail e
 
 (* --- SPV ---------------------------------------------------------------------- *)
 
@@ -1290,7 +1377,8 @@ let test_wallet_deploy_and_call () =
   run_until_height w 2;
   let wallet = Wallet.create ~identity:alice ~node:w.nodes.(0) in
   match
-    Wallet.deploy wallet ~code_id:"test-counter" ~args:(Value.Int 41L) ~deposit:Amount.zero
+    Wallet.deploy wallet ~code_id:"test-counter" ~args:(fun () -> Value.Int 41L)
+      ~deposit:Amount.zero
   with
   | Error e -> Alcotest.fail e
   | Ok (txid, cid) -> (
@@ -1382,6 +1470,10 @@ let () =
             test_wallet_pending_outpoint_not_reused;
           Alcotest.test_case "sibling wallets serialize" `Slow
             test_wallet_siblings_serialize_on_outpoint;
+          Alcotest.test_case "refused deploy defers args" `Slow
+            test_wallet_refused_deploy_defers_args;
+          Alcotest.test_case "sibling deploys, distinct contracts" `Slow
+            test_wallet_sibling_deploys_distinct_contracts;
         ] );
       ( "spv",
         [

@@ -9,9 +9,10 @@
    - the engine is diffed event-by-event against the boxed-heap
      implementation it replaced (Reference.Engine) over randomized
      schedule/cancel/advance scripts;
-   - every digest path is computed with memo tables on and off
-     (Ac3_fast.Memo.set_enabled) and the results compared, including
-     after in-place mutation of already-hashed values;
+   - every memoized digest path is computed with memo tables on and
+     off (Ac3_fast.Memo.set_enabled) and the results compared, and the
+     transaction ids fixed at construction are checked against digests
+     of the encoding, including for rebuilt, foreign-witness copies;
    - reorged stores are diffed against fresh stores that only ever saw
      the winning branch, and chaos sweeps and corpus replays are
      rendered byte-for-byte under --jobs {1,2,4} and memo on/off. *)
@@ -180,27 +181,97 @@ let output_gen =
       (fun tag amount -> { Tx.addr = String.sub (Sha256.digest ("fast-addr:" ^ string_of_int tag)) 0 20; amount = Amount.of_int (amount + 1) })
       (int_bound 1000) (int_bound 1_000_000))
 
-(* Unsigned transactions: enough to drive txid/sighash without spending
-   signature budget per iteration. *)
-let tx_gen =
+let payload_gen =
   QCheck.Gen.(
-    map2
-      (fun inputs outputs ->
+    frequency
+      [
+        (1, return Tx.Transfer);
+        ( 1,
+          map2
+            (fun n deposit ->
+              Tx.Deploy { code_id = "fast-code"; args = Value.Int (Int64.of_int n); deposit = coin deposit })
+            (int_bound 1000) (int_bound 50) );
+        ( 1,
+          map2
+            (fun tag deposit ->
+              Tx.Call
+                {
+                  contract_id = Sha256.digest ("fast-contract:" ^ string_of_int tag);
+                  fn = "redeem";
+                  args = Value.Bytes (string_of_int tag);
+                  deposit = coin deposit;
+                })
+            (int_bound 1000) (int_bound 50) );
+      ])
+
+(* Unsigned transactions and coinbases: enough to drive the id fields
+   without spending signature budget per iteration. *)
+let unsigned_gen =
+  QCheck.Gen.(
+    map3
+      (fun inputs outputs (payload, nonce) ->
         Tx.make_unsigned ~chain:"fastchain"
           ~inputs:(List.map (fun op -> (op, Keys.public f_alice)) inputs)
-          ~outputs ~fee:(coin 7) ~nonce:42L ())
+          ~outputs ~payload ~fee:(coin 7) ~nonce:(Int64.of_int nonce) ())
       (list_size (int_range 1 4) outpoint_gen)
-      (list_size (int_range 1 4) output_gen))
+      (list_size (int_range 1 4) output_gen)
+      (pair payload_gen (int_bound 1_000_000)))
 
-let tx_arb = QCheck.make ~print:(fun tx -> hex (Tx.txid tx)) tx_gen
+let coinbase_gen =
+  QCheck.Gen.(
+    map2
+      (fun height (o : Tx.output) ->
+        Tx.coinbase ~chain:"fastchain" ~height ~miner_addr:o.addr ~reward:o.amount)
+      (int_bound 100_000) output_gen)
 
-let qcheck_txid_memo_differential =
-  QCheck.Test.make ~name:"txid/sighash: memoized == recomputed" ~count:100 tx_arb (fun tx ->
-      let id1 = Tx.txid tx and sh1 = Tx.sighash tx in
-      let id2 = Tx.txid tx and sh2 = Tx.sighash tx in
-      let id0, sh0 = memo_off (fun () -> (Tx.txid tx, Tx.sighash tx)) in
-      String.equal id1 id2 && String.equal id1 id0 && String.equal sh1 sh2
-      && String.equal sh1 sh0)
+(* Signed transactions of every spending payload kind, signed once at
+   module init by an identity of their own. *)
+let signed_txs =
+  let signer = Keys.create "fast-ids" in
+  let payloads =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 21 |]) ~n:6 payload_gen
+  in
+  Array.of_list
+    (List.mapi
+       (fun i payload ->
+         Tx.make ~chain:"fastchain"
+           ~inputs:
+             (List.init (1 + (i mod 2)) (fun k ->
+                  (Outpoint.create ~txid:(Sha256.digest ("fast-ids-op:" ^ string_of_int i)) ~index:k, signer)))
+           ~outputs:[ { Tx.addr = Keys.address f_bob; amount = coin (10 + i) } ]
+           ~payload ~fee:(coin 1) ~nonce:(Int64.of_int i) ())
+       payloads)
+
+let tx_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, unsigned_gen);
+        (1, coinbase_gen);
+        (2, map (Array.get signed_txs) (int_bound (Array.length signed_txs - 1)));
+      ])
+
+let tx_arb = QCheck.make ~print:(fun tx -> hex (Tx.to_bytes tx)) tx_gen
+
+(* The signed body, recovered from the full encoding of the same
+   transaction without its witnesses: that encoding ends in the 2-byte
+   witness count, here zero. *)
+let body_bytes (tx : Tx.t) =
+  let bare =
+    Tx.raw ~chain:tx.chain ~inputs:tx.inputs ~witnesses:[] ~outputs:tx.outputs ~payload:tx.payload
+      ~fee:tx.fee ~nonce:tx.nonce
+  in
+  let b = Tx.to_bytes bare in
+  String.sub b 0 (String.length b - 2)
+
+let qcheck_tx_ids_fixed_at_construction =
+  QCheck.Test.make ~name:"tx ids: fields == digests of the encoding, kept by decode" ~count:200
+    tx_arb (fun tx ->
+      let decoded = Tx.of_bytes (Tx.to_bytes tx) in
+      String.equal (Tx.txid tx) (Sha256.digest2 (Tx.to_bytes tx))
+      && String.equal (Tx.sighash tx) (Sha256.digest_list [ "tx-sighash"; body_bytes tx ])
+      && String.equal (Tx.txid decoded) (Tx.txid tx)
+      && String.equal (Tx.sighash decoded) (Tx.sighash tx))
 
 let qcheck_merkle_memo_differential =
   QCheck.Test.make ~name:"merkle root: memoized == recomputed" ~count:100
@@ -233,11 +304,16 @@ let qcheck_verify_memo_differential =
       in
       v_ok && Bool.equal v_ok v_ok0 && Bool.equal v_cross (i = j) && Bool.equal v_cross v_cross0)
 
-(* --- Invalidation: mutate after first digest -------------------------- *)
+(* --- Invalidation: a changed witness is a different transaction ------ *)
 
 let dummy_op tag = Outpoint.create ~txid:(Sha256.digest ("fast-mut:" ^ tag)) ~index:0
 
-let test_tx_mutation_invalidates () =
+(* [tx] rebuilt through the raw constructor with [witnesses]. *)
+let with_witnesses (tx : Tx.t) witnesses =
+  Tx.raw ~chain:tx.chain ~inputs:tx.inputs ~witnesses ~outputs:tx.outputs ~payload:tx.payload
+    ~fee:tx.fee ~nonce:tx.nonce
+
+let test_foreign_witness_new_txid () =
   let mk nonce op =
     Tx.make ~chain:"fastchain"
       ~inputs:[ (op, f_alice) ]
@@ -245,26 +321,20 @@ let test_tx_mutation_invalidates () =
       ~fee:(coin 1) ~nonce ()
   in
   let tx = mk 1L (dummy_op "a") and donor = mk 2L (dummy_op "b") in
-  let id_before = Tx.txid tx and sh_before = Tx.sighash tx in
   Alcotest.(check bool) "signed tx verifies" true (Tx.verify_signatures tx);
-  (* In-place witness mutation AFTER the digests were memoized: the
-     memo key is the full serialization, so the mutated tx must hash
-     (and verify) as if no cache existed. *)
-  let original = tx.Tx.witnesses.(0) in
-  tx.Tx.witnesses.(0) <- donor.Tx.witnesses.(0);
-  let id_mut = Tx.txid tx in
-  Alcotest.(check bool) "mutation changes txid" false (String.equal id_before id_mut);
-  Alcotest.(check string) "mutated txid == uncached" (hex (memo_off (fun () -> Tx.txid tx)))
-    (hex id_mut);
-  Alcotest.(check string) "sighash ignores witnesses" (hex sh_before) (hex (Tx.sighash tx));
-  Alcotest.(check bool) "foreign witness rejected, not served stale" false
-    (Tx.verify_signatures tx);
-  tx.Tx.witnesses.(0) <- original;
-  Alcotest.(check string) "restored tx re-hashes to the original" (hex id_before)
-    (hex (Tx.txid tx));
-  Alcotest.(check bool) "restored tx verifies again" true (Tx.verify_signatures tx)
+  let forged = with_witnesses tx donor.Tx.witnesses in
+  Alcotest.(check bool) "foreign witness changes txid" false
+    (String.equal (Tx.txid tx) (Tx.txid forged));
+  Alcotest.(check string) "forged txid == digest of its encoding"
+    (hex (Sha256.digest2 (Tx.to_bytes forged)))
+    (hex (Tx.txid forged));
+  Alcotest.(check string) "sighash ignores witnesses" (hex (Tx.sighash tx)) (hex (Tx.sighash forged));
+  Alcotest.(check bool) "foreign witness rejected" false (Tx.verify_signatures forged);
+  let rebuilt = with_witnesses forged tx.Tx.witnesses in
+  Alcotest.(check string) "own witness restores the txid" (hex (Tx.txid tx)) (hex (Tx.txid rebuilt));
+  Alcotest.(check bool) "rebuilt tx verifies" true (Tx.verify_signatures rebuilt)
 
-let test_block_mutation_invalidates () =
+let test_foreign_witness_new_root () =
   let txs =
     List.init 3 (fun i ->
         Tx.make ~chain:"fastchain"
@@ -275,17 +345,18 @@ let test_block_mutation_invalidates () =
           ())
   in
   let root_before = Block.merkle_root_of_txs txs in
-  let victim = List.nth txs 1 and donor = List.nth txs 2 in
-  let original = victim.Tx.witnesses.(0) in
-  victim.Tx.witnesses.(0) <- donor.Tx.witnesses.(0);
-  let root_mut = Block.merkle_root_of_txs txs in
-  Alcotest.(check bool) "witness mutation changes the tx merkle root" false
-    (String.equal root_before root_mut);
-  Alcotest.(check string) "mutated root == uncached root"
-    (hex (memo_off (fun () -> Block.merkle_root_of_txs txs)))
-    (hex root_mut);
-  victim.Tx.witnesses.(0) <- original;
-  Alcotest.(check string) "restored root" (hex root_before) (hex (Block.merkle_root_of_txs txs))
+  let donor = List.nth txs 2 in
+  let forged =
+    List.mapi (fun i tx -> if i = 1 then with_witnesses tx donor.Tx.witnesses else tx) txs
+  in
+  let root_forged = Block.merkle_root_of_txs forged in
+  Alcotest.(check bool) "foreign-witness tx changes the merkle root" false
+    (String.equal root_before root_forged);
+  Alcotest.(check string) "forged root == uncached root"
+    (hex (memo_off (fun () -> Block.merkle_root_of_txs forged)))
+    (hex root_forged);
+  Alcotest.(check string) "original root unchanged" (hex root_before)
+    (hex (Block.merkle_root_of_txs txs))
 
 let test_block_hash_memo_differential () =
   let cb = Tx.coinbase ~chain:"fastchain" ~height:1 ~miner_addr:(Keys.address f_alice) ~reward:(coin 100) in
@@ -434,15 +505,16 @@ let () =
       ("engine-differential", [ QCheck_alcotest.to_alcotest qcheck_engine_differential ]);
       ( "digest-memoization",
         [
-          QCheck_alcotest.to_alcotest qcheck_txid_memo_differential;
+          QCheck_alcotest.to_alcotest qcheck_tx_ids_fixed_at_construction;
           QCheck_alcotest.to_alcotest qcheck_merkle_memo_differential;
           QCheck_alcotest.to_alcotest qcheck_verify_memo_differential;
         ] );
       ( "invalidation",
         [
-          Alcotest.test_case "tx witness mutation invalidates" `Quick test_tx_mutation_invalidates;
-          Alcotest.test_case "block tx mutation invalidates" `Quick
-            test_block_mutation_invalidates;
+          Alcotest.test_case "foreign witness: new txid, same sighash" `Quick
+            test_foreign_witness_new_txid;
+          Alcotest.test_case "foreign-witness tx: new merkle root" `Quick
+            test_foreign_witness_new_root;
           Alcotest.test_case "block hash differential" `Quick test_block_hash_memo_differential;
         ] );
       ( "ledger-differential",
