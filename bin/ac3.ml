@@ -49,6 +49,8 @@ module Pool = Ac3_par.Pool
 module Obs = Ac3_obs.Obs
 module Metrics = Ac3_obs.Metrics
 module Span = Ac3_obs.Span
+module Flow = Ac3_flow.Flow
+module Protocol = Ac3_flow.Protocol
 
 (* Shared by the sweep-shaped subcommands (chaos, check, attack):
    worker-domain count, defaulting to what the hardware offers. Output
@@ -176,6 +178,15 @@ let merged_report_obs reports =
 type protocol = Ac3wn | Herlihy | Nolan | Ac3tw
 
 type scenario = Two_party | Ring | Cyclic | Disconnected | Supply_chain
+
+let all_scenarios = [ Two_party; Ring; Cyclic; Disconnected; Supply_chain ]
+
+(* Which scenarios each protocol family runs by default: single-leader
+   protocols (Herlihy, and Nolan on two parties) need a graph one
+   leader's secret can settle; the witness family takes every shape. *)
+let flow_scenarios = function
+  | Flow.Single_leader -> [ Two_party; Ring ]
+  | Flow.Witness -> all_scenarios
 
 (* Each built-in scenario's party count, chain names and graph builder:
    the one table behind both the simulated runs ([scenario_setup]) and
@@ -379,16 +390,15 @@ let run_verify protocol scenario parties delta slack max_nodes json quiet =
     match (protocol, scenario) with
     | Some Herlihy, Some s | Some Nolan, Some s -> herlihy_over [ s ]
     | Some Ac3wn, Some s | Some Ac3tw, Some s -> ac3wn_over [ s ]
-    | (Some Herlihy | Some Nolan), None -> herlihy_over [ Two_party; Ring ]
-    | (Some Ac3wn | Some Ac3tw), None ->
-        ac3wn_over [ Two_party; Ring; Cyclic; Disconnected; Supply_chain ]
+    | (Some Herlihy | Some Nolan), None -> herlihy_over (flow_scenarios Flow.Single_leader)
+    | (Some Ac3wn | Some Ac3tw), None -> ac3wn_over (flow_scenarios Flow.Witness)
     | None, Some s -> herlihy_over [ s ] @ ac3wn_over [ s ]
     | None, None ->
         (* The default gate: every built-in scenario under the protocol
            profile that would actually run it, plus the contract state
            machines. *)
-        herlihy_over [ Two_party; Ring ]
-        @ ac3wn_over [ Two_party; Ring; Cyclic; Disconnected; Supply_chain ]
+        herlihy_over (flow_scenarios Flow.Single_leader)
+        @ ac3wn_over (flow_scenarios Flow.Witness)
         @ contracts ()
   in
   finish_sections "verify" ~ok_summary:"all ok" ~json ~quiet
@@ -509,10 +519,7 @@ module Shrink = Ac3_chaos.Shrink
 module Repro = Ac3_chaos.Repro
 
 let chaos_protocol_conv =
-  Arg.enum
-    [
-      ("nolan", Runner.P_nolan); ("herlihy", Runner.P_herlihy); ("ac3wn", Runner.P_ac3wn);
-    ]
+  Arg.enum (List.map (fun (name, p) -> (name, Runner.of_shared p)) Protocol.names)
 
 let report_line (r : Runner.report) =
   let verdict =
@@ -678,8 +685,7 @@ let chaos_cmd =
 module MC = Ac3_model.Checker
 module Model_repro = Ac3_chaos.Model_repro
 
-let mc_protocol_conv =
-  Arg.enum [ ("herlihy", MC.Herlihy); ("nolan", MC.Nolan); ("ac3wn", MC.Ac3wn) ]
+let mc_protocol_conv = Arg.enum Protocol.names
 
 (* The chaos-spec equivalent of each built-in scenario, so an exported
    counterexample concretizes against exactly the graph that was
@@ -696,12 +702,13 @@ let check_spec ~scenario ~parties ~seed =
   | Supply_chain ->
       { Plan.seed; shape = Plan.Supply_chain; parties = 4; nchains = 3; extra_edges = 0; load = 1 }
 
-let all_scenarios = [ Two_party; Ring; Cyclic; Disconnected; Supply_chain ]
-
+(* The model checker refuses Nolan beyond the two-party swap (T000). *)
 let default_scenarios = function
-  | MC.Herlihy -> [ Two_party; Ring ]
   | MC.Nolan -> [ Two_party ]
-  | MC.Ac3wn -> all_scenarios
+  | (MC.Herlihy | MC.Ac3wn) as p -> flow_scenarios (Protocol.family p)
+
+(* Report order of [check] sections when no protocol is given. *)
+let check_protocols = MC.[ Herlihy; Nolan; Ac3wn ]
 
 let export_counterexample ~path results =
   match
@@ -716,9 +723,12 @@ let export_counterexample ~path results =
         Printf.sprintf "%s counterexample: %s on %s" v.Ac3_model.Rules.rule (MC.protocol_name p)
           (scenario_name s)
       in
-      let outcome =
-        Model_repro.concretize ~note ~spec ~protocol:p ~schedule:v.Ac3_model.Rules.schedule ()
+      let crashes =
+        List.filter_map
+          (function Ac3_model.Semantics.Crash party -> Some party | _ -> None)
+          v.Ac3_model.Rules.schedule
       in
+      let outcome = Model_repro.concretize ~note ~spec ~protocol:p ~crashes () in
       let oc = open_out_bin path in
       output_string oc (Repro.to_string outcome.Model_repro.repro);
       close_out oc;
@@ -753,11 +763,9 @@ let run_check protocol scenario parties delta slack crashes max_nodes json expor
     | None, Some s ->
         List.filter_map
           (fun p -> if List.mem s (default_scenarios p) then Some (p, s) else None)
-          [ MC.Herlihy; MC.Nolan; MC.Ac3wn ]
+          check_protocols
     | None, None ->
-        List.concat_map
-          (fun p -> List.map (fun s -> (p, s)) (default_scenarios p))
-          [ MC.Herlihy; MC.Nolan; MC.Ac3wn ]
+        List.concat_map (fun p -> List.map (fun s -> (p, s)) (default_scenarios p)) check_protocols
   in
   match
     Pool.map ~jobs ~sanitize
@@ -883,9 +891,7 @@ let check_cmd =
 
 (* --- flow ------------------------------------------------------------------- *)
 
-module Flow = Ac3_flow.Flow
 module Flow_lint = Ac3_verify.Flow_lint
-module Flow_repro = Ac3_chaos.Flow_repro
 
 let flow_profile_conv =
   Arg.enum [ ("single-leader", Flow.Single_leader); ("witness", Flow.Witness) ]
@@ -893,13 +899,6 @@ let flow_profile_conv =
 let flow_profile_name = function
   | Flow.Single_leader -> "single-leader"
   | Flow.Witness -> "witness"
-
-(* Which scenarios each commitment profile defaults to — the same
-   pairing the model checker uses (Herlihy/Nolan settle through a
-   single leader's secret; AC3WN settles through the witness network). *)
-let flow_scenarios = function
-  | Flow.Single_leader -> [ Two_party; Ring ]
-  | Flow.Witness -> all_scenarios
 
 let export_flow_witness ~path ~parties ~seed results =
   match
@@ -914,14 +913,14 @@ let export_flow_witness ~path ~parties ~seed results =
           (scenario_name s)
       in
       let outcome =
-        Flow_repro.concretize ~note ~spec ~protocol:MC.Herlihy ~victims:w.Flow.crash ()
+        Model_repro.concretize ~note ~spec ~protocol:Protocol.Herlihy ~crashes:w.Flow.crash ()
       in
       let oc = open_out_bin path in
-      output_string oc (Repro.to_string outcome.Flow_repro.repro);
+      output_string oc (Repro.to_string outcome.Model_repro.repro);
       close_out oc;
       Fmt.epr "export: F001 concretized in %d dynamic run(s), %s; reproducer written to %s@."
-        outcome.Flow_repro.attempts
-        (if outcome.Flow_repro.confirmed then "exposure CONFIRMED on the simulator"
+        outcome.Model_repro.attempts
+        (if outcome.Model_repro.confirmed then "exposure CONFIRMED on the simulator"
          else "not confirmed dynamically")
         path
 

@@ -42,7 +42,7 @@ let () =
   | Error e -> Fmt.pr "  error: %s@." e
   | Ok r ->
       Fmt.pr "  outcome: %a@." Outcome.pp r.T.outcome;
-      let locked = List.mem Outcome.Published (Outcome.statuses r.T.outcome) in
+      let locked = not (Outcome.settled r.T.outcome) in
       if locked then
         Fmt.pr "  ==> assets are LOCKED: with Trent down, neither T(ms(D),RD) nor@.";
       if locked then Fmt.pr "      T(ms(D),RF) can ever be issued.@.");

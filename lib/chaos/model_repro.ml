@@ -1,34 +1,23 @@
-(* Concretize model-checker counterexamples into replayable chaos
-   reproducers.
+(* Concretize static crash findings (model-checker counterexamples, F001
+   witnesses) into replayable chaos reproducers.
 
-   The checker's schedules are untimed event orders; the plan language
-   is timed faults. Only the fault moves need concretizing — the
-   conforming protocol moves happen on their own once the simulator
-   runs. A schedule's "crash P after its deploys, before its redeems"
-   becomes [Plan.Crash { party; at }] for a concrete [at]: we try a
-   small ladder of times (fractions of the universe's Δ after protocol
-   start) and keep the first plan whose dynamic run the oracle flags as
-   an atomicity violation. The runner is deterministic, so the final
+   The checker's schedules are untimed event orders and an F001 witness
+   is a crash set; the plan language is timed faults. Only the crashes
+   need concretizing — the conforming protocol moves happen on their own
+   once the simulator runs. "Crash P after its deploys, before its
+   redeems" becomes [Plan.Crash { party; at }] for a concrete [at]: we
+   try a small ladder of times (fractions of the universe's Δ after
+   protocol start) and keep the first plan whose dynamic run the oracle
+   flags as an atomicity violation. The runner is deterministic, so the final
    reproducer — whose expectations are the actual verdicts of a fresh
    [run_all] — replays bit-identically: [Repro.replay_ok] holds by
    construction. *)
-
-module Checker = Ac3_model.Checker
-module Semantics = Ac3_model.Semantics
 
 type outcome = {
   repro : Repro.t;
   confirmed : bool;
   attempts : int;  (** dynamic runs spent searching for a confirming time *)
 }
-
-let runner_protocol = function
-  | Checker.Herlihy -> Runner.P_herlihy
-  | Checker.Nolan -> Runner.P_nolan
-  | Checker.Ac3wn -> Runner.P_ac3wn
-
-let crash_parties schedule =
-  List.filter_map (function Semantics.Crash p -> Some p | _ -> None) schedule
 
 (* Candidate crash offsets as multiples of Δ past protocol start,
    mid-protocol first: late enough that the victim has deployed, early
@@ -41,11 +30,10 @@ let violates ~spec ~protocol plan =
   | Runner.Verdict v -> v.Oracle.deposit_lost
   | Runner.Rejected _ | Runner.Skipped _ -> false
 
-let concretize ?(note = "model-checker counterexample") ~spec ~protocol ~schedule () =
-  let target = runner_protocol protocol in
+let concretize ?(note = "model-checker counterexample") ~spec ~protocol ~crashes:parties () =
+  let target = Runner.of_shared protocol in
   let universe, _, _, _ = Runner.build_universe ~spec ~protocol:target () in
   let delta = Ac3_core.Universe.max_delta universe in
-  let parties = crash_parties schedule in
   let plan_at frac = List.map (fun p -> Plan.Crash { party = p; at = frac *. delta }) parties in
   let rec search attempts = function
     | [] -> (None, attempts)

@@ -18,16 +18,11 @@
 
 module Outcome = Ac3_core.Outcome
 module Universe = Ac3_core.Universe
-module Verify = Ac3_verify.Verify
+module Swap_template = Ac3_contract.Swap_template
 module Diagnostic = Ac3_verify.Diagnostic
 
-(* Which static obligation applies to the executed protocol. *)
-type static =
-  | Single_leader of { delta : float; timelock_slack : float; start_time : float }
-  | Witness
-
 type verdict = {
-  statuses : Outcome.contract_status list;  (** final, post-absorption *)
+  statuses : Swap_template.status array;  (** final, post-absorption *)
   atomic : bool;  (** strict all-or-nothing (Outcome.atomic) *)
   committed : bool;
   deposit_lost : bool;  (** mixed Redeemed/Refunded settlement *)
@@ -39,33 +34,20 @@ type verdict = {
 
 let absorb_window = 240.0
 
-let is_terminal = function
-  | Outcome.Redeemed | Outcome.Refunded -> true
-  | Outcome.Missing | Outcome.Published -> false
-
-let deposit_lost statuses =
-  List.exists (fun s -> s = Outcome.Redeemed) statuses
-  && List.exists (fun s -> s = Outcome.Refunded) statuses
-
-let static_errors ~graph = function
-  | Single_leader { delta; timelock_slack; start_time } ->
-      Diagnostic.errors (Verify.herlihy_preflight ~graph ~delta ~timelock_slack ~start_time)
-  | Witness -> Diagnostic.errors (Verify.ac3wn_preflight ~graph)
-
 (* Read the outcome, run [absorb_window] more virtual seconds, read it
    again. The universe is consumed: callers must not reuse it after. *)
-let check ~universe ~graph ~contracts ~static =
+let check ~universe ~graph ~contracts ~static_errors =
   let first = Outcome.evaluate universe ~graph ~contracts in
   let first_statuses = Outcome.statuses first in
   Universe.run_until universe (Universe.now universe +. absorb_window);
   let final = Outcome.evaluate universe ~graph ~contracts in
   let statuses = Outcome.statuses final in
   let absorbing =
-    List.for_all2
-      (fun before after -> (not (is_terminal before)) || before = after)
+    Array.for_all2
+      (fun before after -> (not (Swap_template.terminal before)) || before = after)
       first_statuses statuses
   in
-  let lost = deposit_lost statuses in
+  let lost = Swap_template.mixed statuses in
   {
     statuses;
     atomic = Outcome.atomic final;
@@ -73,14 +55,14 @@ let check ~universe ~graph ~contracts ~static =
     deposit_lost = lost;
     settled = Outcome.settled final;
     absorbing;
-    static_errors = static_errors ~graph static;
+    static_errors;
     pass = (not lost) && absorbing;
   }
 
 let static_ok v = v.static_errors = []
 
 let pp_statuses ppf statuses =
-  Fmt.pf ppf "[%a]" (Fmt.list ~sep:Fmt.comma Outcome.pp_status) statuses
+  Fmt.pf ppf "[%a]" (Fmt.array ~sep:Fmt.comma Outcome.pp_status) statuses
 
 let pp ppf v =
   Fmt.pf ppf "@[<v>%s statuses=%a atomic=%b committed=%b settled=%b absorbing=%b%s static=%s@]"

@@ -7,15 +7,11 @@
     participant wound liveness, not safety, and do not fail the oracle
     on their own. *)
 
-module Outcome = Ac3_core.Outcome
+module Swap_template = Ac3_contract.Swap_template
 module Diagnostic = Ac3_verify.Diagnostic
 
-type static =
-  | Single_leader of { delta : float; timelock_slack : float; start_time : float }
-  | Witness
-
 type verdict = {
-  statuses : Outcome.contract_status list;
+  statuses : Swap_template.status array;
   atomic : bool;
   committed : bool;
   deposit_lost : bool;
@@ -29,15 +25,15 @@ type verdict = {
 val absorb_window : float
 
 (** Evaluate the outcome, run the absorption window, evaluate again, and
-    judge. Consumes the universe (it is advanced in place). *)
+    judge. [static_errors] is the static verifier's error set for the
+    graph under the executed protocol's preflight; it is carried, not
+    judged. Consumes the universe (it is advanced in place). *)
 val check :
   universe:Ac3_core.Universe.t ->
   graph:Ac3_contract.Ac2t.t ->
   contracts:string option list ->
-  static:static ->
+  static_errors:Diagnostic.t list ->
   verdict
-
-val deposit_lost : Outcome.contract_status list -> bool
 
 val static_ok : verdict -> bool
 

@@ -24,18 +24,25 @@ module Herlihy = Ac3_core.Herlihy
 module Nolan = Ac3_core.Nolan
 module Driver = Ac3_core.Driver
 module Ac3wn = Ac3_core.Ac3wn
+module Verify = Ac3_verify.Verify
+module Diagnostic = Ac3_verify.Diagnostic
+module Flow = Ac3_flow.Flow
+module Protocol = Ac3_flow.Protocol
 
 type protocol = P_nolan | P_herlihy | P_ac3wn
 
+let shared = function
+  | P_nolan -> Protocol.Nolan
+  | P_herlihy -> Protocol.Herlihy
+  | P_ac3wn -> Protocol.Ac3wn
+
 let all_protocols = [ P_nolan; P_herlihy; P_ac3wn ]
 
-let protocol_name = function P_nolan -> "nolan" | P_herlihy -> "herlihy" | P_ac3wn -> "ac3wn"
+let of_shared p = List.find (fun q -> shared q = p) all_protocols
 
-let protocol_of_string = function
-  | "nolan" -> Some P_nolan
-  | "herlihy" -> Some P_herlihy
-  | "ac3wn" -> Some P_ac3wn
-  | _ -> None
+let protocol_name p = Protocol.name (shared p)
+
+let protocol_of_string s = Option.map of_shared (Protocol.of_string s)
 
 type exec =
   | Verdict of Oracle.verdict
@@ -47,7 +54,7 @@ type report = {
   spec : Plan.spec;
   plan : Plan.t;
   exec : exec;
-  flow_violations : Ac3_flow.Flow.violation list;
+  flow_violations : Flow.violation list;
       (** settled deltas outside the static value intervals — a lib/flow
           soundness bug by construction, like [unexplained] *)
   trace : Trace.t option;  (** the protocol's own event log *)
@@ -236,26 +243,23 @@ let run_one ?instrument ~spec ~plan ~protocol () =
      the settled per-(participant, chain) deltas the oracle observed
      must lie inside lib/flow's budget-1 hull. Any escape is a flow
      soundness bug, which the sweep surfaces like [unexplained]. *)
+  let profile = Protocol.family (shared protocol) in
   let flow_check (v : Oracle.verdict) =
-    let module Flow = Ac3_flow.Flow in
-    let profile =
-      match protocol with P_nolan | P_herlihy -> Flow.Single_leader | P_ac3wn -> Flow.Witness
-    in
-    let to_settlement = function
-      | Ac3_core.Outcome.Missing -> Flow.S_unpublished
-      | Ac3_core.Outcome.Published -> Flow.S_published
-      | Ac3_core.Outcome.Redeemed -> Flow.S_redeemed
-      | Ac3_core.Outcome.Refunded -> Flow.S_refunded
-    in
     let analysis = Flow.analyze ~fault_budget:1 ~static_races:true ~profile graph in
-    Flow.violations analysis graph (List.map to_settlement v.Oracle.statuses)
+    Flow.violations analysis graph v.Oracle.statuses
   in
   let delta = Universe.max_delta universe in
   let single_leader_config = { (Herlihy.default_config ~delta) with timeout = protocol_timeout } in
   let start_time = Universe.now universe in
-  let static_single =
-    Oracle.Single_leader
-      { delta; timelock_slack = single_leader_config.Herlihy.timelock_slack; start_time }
+  (* The static verifier's predicted errors for the executed family,
+     carried on the verdict for the [unexplained] cross-check. *)
+  let static_errors () =
+    Diagnostic.errors
+      (match profile with
+      | Flow.Single_leader ->
+          Verify.herlihy_preflight ~graph ~delta
+            ~timelock_slack:single_leader_config.Herlihy.timelock_slack ~start_time
+      | Flow.Witness -> Verify.ac3wn_preflight ~graph)
   in
   match protocol with
   | P_nolan ->
@@ -267,7 +271,7 @@ let run_one ?instrument ~spec ~plan ~protocol () =
         | Ok result ->
             let v =
               Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
-                ~static:static_single
+                ~static_errors:(static_errors ())
             in
             finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
         | Error msg -> finish (Rejected msg)
@@ -278,7 +282,7 @@ let run_one ?instrument ~spec ~plan ~protocol () =
       | Ok result ->
           let v =
             Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
-              ~static:static_single
+              ~static_errors:(static_errors ())
           in
           finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
       | Error msg -> finish (Rejected msg)
@@ -295,7 +299,10 @@ let run_one ?instrument ~spec ~plan ~protocol () =
       in
       match Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () with
       | Ok result ->
-          let v = Oracle.check ~universe ~graph ~contracts:result.Ac3wn.contracts ~static:Witness in
+          let v =
+            Oracle.check ~universe ~graph ~contracts:result.Ac3wn.contracts
+              ~static_errors:(static_errors ())
+          in
           finish ~trace:result.Ac3wn.trace ~flow:(flow_check v) (Verdict v)
       | Error msg -> finish (Rejected msg)
 
@@ -319,7 +326,7 @@ let report_fingerprint r =
   let flow =
     match r.flow_violations with
     | [] -> "flow-ok"
-    | vs -> String.concat ";" (List.map (Fmt.str "%a" Ac3_flow.Flow.pp_violation) vs)
+    | vs -> String.concat ";" (List.map (Fmt.str "%a" Flow.pp_violation) vs)
   in
   String.concat "|"
     [

@@ -5,7 +5,14 @@
     run, so repeated runs — including replays of a deserialized plan —
     produce byte-identical traces and outcomes. *)
 
+(** The chaos harness's own spelling of {!Ac3_flow.Protocol.t}, kept
+    as a separate enum because the benchmark worker names its
+    constructors. Names and families come from the shared table. *)
 type protocol = P_nolan | P_herlihy | P_ac3wn
+
+val shared : protocol -> Ac3_flow.Protocol.t
+
+val of_shared : Ac3_flow.Protocol.t -> protocol
 
 val all_protocols : protocol list
 

@@ -56,6 +56,22 @@ let is_redeemed state = get_status state = Ok status_redeemed
 
 let is_refunded state = get_status state = Ok status_refunded
 
+(* --- Per-edge settlement status ---------------------------------------- *)
+
+type status = Unpublished | Published | Redeemed | Refunded
+
+let classify state =
+  if is_redeemed state then Some Redeemed
+  else if is_refunded state then Some Refunded
+  else if is_published state then Some Published
+  else None
+
+let terminal = function Redeemed | Refunded -> true | Unpublished | Published -> false
+
+let mixed statuses = Array.exists (( = ) Redeemed) statuses && Array.exists (( = ) Refunded) statuses
+
+let settled statuses = Array.for_all (fun s -> s <> Published) statuses
+
 (* Constructor arguments common to all swap contracts: the recipient's
    public key paired with scheme-specific arguments. *)
 let make_args ~recipient_pk scheme_args =

@@ -54,6 +54,31 @@ val is_redeemed : Value.t -> bool
 
 val is_refunded : Value.t -> bool
 
+(** {2 Per-edge settlement status}
+
+    The one fact the atomicity criterion (Sec 3) is stated over: is an
+    edge's contract unpublished, published (deposit locked), redeemed
+    or refunded? The outcome reader, the chaos oracle, the model
+    checker and the flow interval check all speak this type. *)
+
+type status = Unpublished | Published | Redeemed | Refunded
+
+(** The status a template contract's state records; [None] when the
+    value is not a swap template's state. Never [Some Unpublished]: a
+    contract on chain has been published. *)
+val classify : Value.t -> status option
+
+(** Redeemed or refunded: the contract no longer moves. *)
+val terminal : status -> bool
+
+(** Some edge Redeemed while another is Refunded: somebody paid and was
+    not paid (Sec 3's "deposit lost"). *)
+val mixed : status array -> bool
+
+(** No edge is still Published ([Unpublished] counts as settled: the
+    deposit never left its owner). Allocation-free. *)
+val settled : status array -> bool
+
 (** Constructor arguments common to all swap contracts: recipient public
     key plus scheme-specific arguments. *)
 val make_args : recipient_pk:Ac3_crypto.Keys.public -> Value.t -> Value.t

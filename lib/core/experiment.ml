@@ -700,9 +700,7 @@ let availability ?(seed = 1100) () =
     match Ac3tw.execute u ~config ~trent ~graph ~participants () with
     | Error e -> { protocol = "AC3TW"; witness_failure = "Trent crashes"; result = "error: " ^ e }
     | Ok r ->
-        let locked =
-          List.exists (fun s -> s = Outcome.Published) (Outcome.statuses r.Ac3tw.outcome)
-        in
+        let locked = not (Outcome.settled r.Ac3tw.outcome) in
         {
           protocol = "AC3TW";
           witness_failure = "Trent crashes";

@@ -12,21 +12,18 @@ module Ac2t = Ac3_contract.Ac2t
 module Swap_template = Ac3_contract.Swap_template
 open Ac3_chain
 
-type contract_status = Missing | Published | Redeemed | Refunded
-
 type edge_outcome = {
   edge : Ac2t.edge;
   contract_id : string option;
-  status : contract_status;
+  status : Swap_template.status;
 }
 
 type t = { edges : edge_outcome list }
 
+(* A contract that is absent, or whose state is not a swap template's,
+   moved no deposit: it reads as never published ("missing"). *)
 let status_of_state state =
-  if Swap_template.is_redeemed state then Redeemed
-  else if Swap_template.is_refunded state then Refunded
-  else if Swap_template.is_published state then Published
-  else Missing
+  Option.value (Swap_template.classify state) ~default:Swap_template.Unpublished
 
 (* Read every edge contract's final status from its chain's gateway
    node. *)
@@ -36,11 +33,11 @@ let evaluate universe ~graph ~contracts =
       (fun (edge : Ac2t.edge) contract_id ->
         let status =
           match contract_id with
-          | None -> Missing
+          | None -> Swap_template.Unpublished
           | Some cid -> (
               let node = Universe.gateway universe edge.Ac2t.chain in
               match Node.contract node cid with
-              | None -> Missing
+              | None -> Swap_template.Unpublished
               | Some c -> status_of_state c.Ledger.state)
         in
         { edge; contract_id; status })
@@ -48,7 +45,7 @@ let evaluate universe ~graph ~contracts =
   in
   { edges }
 
-let statuses t = List.map (fun e -> e.status) t.edges
+let statuses t = Array.of_list (List.map (fun e -> e.status) t.edges)
 
 let all_redeemed t = List.for_all (fun e -> e.status = Redeemed) t.edges
 
@@ -59,20 +56,20 @@ let all_redeemed t = List.for_all (fun e -> e.status = Redeemed) t.edges
 let none_redeemed t = List.for_all (fun e -> e.status <> Redeemed) t.edges
 
 let all_refunded_or_missing t =
-  List.for_all (fun e -> e.status = Refunded || e.status = Missing) t.edges
+  List.for_all (fun e -> e.status = Refunded || e.status = Unpublished) t.edges
 
 (* The all-or-nothing property. *)
 let atomic t = all_redeemed t || none_redeemed t
 
 (* Strict finality: every contract settled (nothing still locked). *)
-let settled t = List.for_all (fun e -> e.status = Redeemed || e.status = Refunded || e.status = Missing) t.edges
+let settled t = Swap_template.settled (statuses t)
 
 let committed t = all_redeemed t
 
 let aborted t = none_redeemed t && settled t
 
-let pp_status ppf = function
-  | Missing -> Fmt.string ppf "missing"
+let pp_status ppf : Swap_template.status -> unit = function
+  | Unpublished -> Fmt.string ppf "missing"
   | Published -> Fmt.string ppf "P"
   | Redeemed -> Fmt.string ppf "RD"
   | Refunded -> Fmt.string ppf "RF"

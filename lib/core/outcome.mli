@@ -1,13 +1,14 @@
 (** Outcome evaluation: did the all-or-nothing property hold? *)
 
 module Ac2t = Ac3_contract.Ac2t
-
-type contract_status = Missing | Published | Redeemed | Refunded
+module Swap_template = Ac3_contract.Swap_template
 
 type edge_outcome = {
   edge : Ac2t.edge;
   contract_id : string option;
-  status : contract_status;
+  status : Swap_template.status;
+      (** [Unpublished] when the contract was never deployed, is not on
+          the gateway's chain, or does not hold a template state *)
 }
 
 type t = { edges : edge_outcome list }
@@ -17,7 +18,11 @@ type t = { edges : edge_outcome list }
     deployed. *)
 val evaluate : Universe.t -> graph:Ac2t.t -> contracts:string option list -> t
 
-val statuses : t -> contract_status list
+(** How {!evaluate} reads one contract's state: {!Swap_template.classify},
+    with a state that is not a swap template's read as [Unpublished]. *)
+val status_of_state : Ac3_chain.Value.t -> Swap_template.status
+
+val statuses : t -> Swap_template.status array
 
 val all_redeemed : t -> bool
 
@@ -28,14 +33,14 @@ val all_refunded_or_missing : t -> bool
 (** All-or-nothing: every asset transfer happened, or none did. *)
 val atomic : t -> bool
 
-(** Nothing left locked: every contract redeemed, refunded, or never
-    published. *)
+(** Nothing left locked: {!Swap_template.settled} over the statuses. *)
 val settled : t -> bool
 
 val committed : t -> bool
 
 val aborted : t -> bool
 
-val pp_status : Format.formatter -> contract_status -> unit
+(** ["missing"], ["P"], ["RD"] or ["RF"]. *)
+val pp_status : Format.formatter -> Swap_template.status -> unit
 
 val pp : Format.formatter -> t -> unit

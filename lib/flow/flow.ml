@@ -26,6 +26,7 @@ module Ac2t = Ac3_contract.Ac2t
 module Econ = Ac3_contract.Econ
 module Htlc = Ac3_contract.Htlc
 module Permissionless_sc = Ac3_contract.Permissionless_sc
+module Swap_template = Ac3_contract.Swap_template
 
 type profile = Single_leader | Witness
 
@@ -370,31 +371,29 @@ let screen ?econ ?(profile = Witness) graph =
 
 (* --- checking concrete settlements -------------------------------------- *)
 
-type settlement = S_unpublished | S_published | S_redeemed | S_refunded
-
 let settlement_deltas graph statuses =
   let edges = Ac2t.edges graph in
-  if List.length statuses <> List.length edges then
-    invalid_arg "Flow.settlement_deltas: status list does not match the edge count";
+  if Array.length statuses <> List.length edges then
+    invalid_arg "Flow.settlement_deltas: status array does not match the edge count";
   let tbl : (Keys.public * string, int64) Hashtbl.t = Hashtbl.create 16 in
   let bump pk chain v =
     let key = (pk, chain) in
     let cur = Option.value ~default:0L (Hashtbl.find_opt tbl key) in
     Hashtbl.replace tbl key (Int64.add cur v)
   in
-  List.iter2
-    (fun (e : Ac2t.edge) status ->
+  List.iteri
+    (fun i (e : Ac2t.edge) ->
       let a = Amount.to_int64 e.Ac2t.amount in
       (* Every incident pair gets an entry even when nothing moved. *)
       bump e.Ac2t.from_pk e.Ac2t.chain 0L;
       bump e.Ac2t.to_pk e.Ac2t.chain 0L;
-      match status with
-      | S_redeemed ->
+      match (statuses.(i) : Swap_template.status) with
+      | Redeemed ->
           bump e.Ac2t.from_pk e.Ac2t.chain (Int64.neg a);
           bump e.Ac2t.to_pk e.Ac2t.chain a
-      | S_published -> bump e.Ac2t.from_pk e.Ac2t.chain (Int64.neg a)
-      | S_unpublished | S_refunded -> ())
-    edges statuses;
+      | Published -> bump e.Ac2t.from_pk e.Ac2t.chain (Int64.neg a)
+      | Unpublished | Refunded -> ())
+    edges;
   List.concat_map
     (fun pk ->
       List.filter_map

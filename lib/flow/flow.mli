@@ -45,8 +45,18 @@
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 module Econ = Ac3_contract.Econ
+module Swap_template = Ac3_contract.Swap_template
 
-type profile = Single_leader | Witness
+(** The protocol family: how an edge's contract settles. The one
+    family type of the repo — the model checker's semantics, the graph
+    lints and every protocol-to-analysis map speak it. *)
+type profile =
+  | Single_leader  (** Nolan/Herlihy: hashlocks released by one leader's secret *)
+  | Witness  (** AC3WN/AC3TW: a witness decision settles every edge *)
+
+(** The family's shipped edge contract economics: HTLC under
+    [Single_leader], the AC3WN per-edge contract under [Witness]. *)
+val default_econ : profile -> Econ.t
 
 type interval = { lo : int64; hi : int64 }
 
@@ -146,16 +156,13 @@ val screen : ?econ:Econ.t -> ?profile:profile -> Ac2t.t -> issue list
 
 (** {2 Checking concrete outcomes against the intervals} *)
 
-(** Final contract status of each edge, in graph edge order (the chaos
-    oracle's view; [S_published] is a contract left locked). *)
-type settlement = S_unpublished | S_published | S_redeemed | S_refunded
-
-(** Net per-(participant, chain) deltas of a concrete settlement:
-    a redeemed edge pays its recipient and costs its sender; a
-    published (locked) edge costs its sender; refunded and unpublished
-    edges move nothing. Ordered like {!exposure} lists. *)
+(** Net per-(participant, chain) deltas of a concrete settlement, given
+    each edge's final status in graph edge order: a redeemed edge pays
+    its recipient and costs its sender; a published (locked) edge costs
+    its sender; refunded and unpublished edges move nothing. Ordered
+    like {!exposure} lists. *)
 val settlement_deltas :
-  Ac2t.t -> settlement list -> ((Keys.public * string) * int64) list
+  Ac2t.t -> Swap_template.status array -> ((Keys.public * string) * int64) list
 
 type violation = {
   v_pk : Keys.public;
@@ -166,8 +173,8 @@ type violation = {
 
 (** Soundness check: every concrete delta must lie inside its static
     interval. Returns the offenders (empty = sound). Raises
-    [Invalid_argument] if the settlement list length does not match the
+    [Invalid_argument] if the status array length does not match the
     edge count. *)
-val violations : analysis -> Ac2t.t -> settlement list -> violation list
+val violations : analysis -> Ac2t.t -> Swap_template.status array -> violation list
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -37,6 +37,8 @@ module Driver = Ac3_core.Driver
 module Herlihy = Ac3_core.Herlihy
 module Nolan = Ac3_core.Nolan
 module Ac3wn = Ac3_core.Ac3wn
+module Flow = Ac3_flow.Flow
+module Protocol = Ac3_flow.Protocol
 
 let funding = Amount.of_int 50_000_000
 
@@ -80,9 +82,9 @@ let phase_names = List.map (fun p -> p.Span.phase) (Herlihy.phases @ Ac3wn.phase
 
 let phase_durations protocol trace =
   let phases =
-    match protocol with
-    | Workload.Nolan | Workload.Herlihy -> Herlihy.phases
-    | Workload.Ac3wn -> Ac3wn.phases
+    match Protocol.family protocol with
+    | Flow.Single_leader -> Herlihy.phases
+    | Flow.Witness -> Ac3wn.phases
   in
   List.map (fun (name, start, stop) -> (name, stop -. start)) (Span.windows ~phases trace)
 
@@ -174,7 +176,7 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
   let on_free = ref (fun () -> ()) in
   let finish_swap idx live ~by_deadline =
     let now = Universe.now u in
-    let pname = Workload.protocol_name live.live_spec.Workload.protocol in
+    let pname = Protocol.name live.live_spec.Workload.protocol in
     let r = Driver.finish live.handle in
     let cls = classify ~by_deadline ~committed:r.Driver.committed ~outcome:r.Driver.outcome in
     let latency = if by_deadline then None else Some (now -. live.launched_at) in
@@ -222,20 +224,13 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
         ~timestamp:now
     in
     let participants = [ pa; pb ] in
-    let pname = Workload.protocol_name spec.protocol in
+    let pname = Protocol.name spec.protocol in
     (* Economic pre-launch screen: O(E) over the swap's graph. A spec
        whose contract economics mint value, strand deposits, or cannot
        refund is rejected before it ever touches a chain. The counter
        is registered lazily so clean workloads (every shipped profile)
        keep a byte-identical metrics registry. *)
-    let screened =
-      let profile =
-        match spec.protocol with
-        | Workload.Nolan | Workload.Herlihy -> Ac3_flow.Flow.Single_leader
-        | Workload.Ac3wn -> Ac3_flow.Flow.Witness
-      in
-      Ac3_flow.Flow.screen ~profile graph
-    in
+    let screened = Flow.screen ~profile:(Protocol.family spec.protocol) graph in
     if screened <> [] then begin
       Metrics.incr (Metrics.counter m ~labels:[ ("protocol", pname) ] "load.swap.screened");
       Metrics.incr (finished_c pname Rejected);
@@ -453,9 +448,9 @@ let render report =
   List.iter
     (fun p ->
       render_latency_line b
-        ("latency " ^ Workload.protocol_name p)
+        ("latency " ^ Protocol.name p)
         (latencies_by_protocol report p))
-    [ Workload.Nolan; Workload.Herlihy; Workload.Ac3wn ];
+    Protocol.all;
   List.iter
     (fun name ->
       match phase_samples report name with

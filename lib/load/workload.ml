@@ -15,9 +15,7 @@ type arrival =
   | Open_loop of { rate : float } (* Poisson arrivals, swaps per virtual second *)
   | Closed_loop of { clients : int; think : float }
 
-type protocol = Nolan | Herlihy | Ac3wn
-
-let protocol_name = function Nolan -> "nolan" | Herlihy -> "herlihy" | Ac3wn -> "ac3wn"
+type protocol = Ac3_flow.Protocol.t = Nolan | Herlihy | Ac3wn
 
 type mix = { nolan : float; herlihy : float; ac3wn : float }
 

@@ -13,9 +13,7 @@ type arrival =
       (** [clients] concurrent swappers, each launching its next swap
           [think] virtual seconds after its previous one finishes. *)
 
-type protocol = Nolan | Herlihy | Ac3wn
-
-val protocol_name : protocol -> string
+type protocol = Ac3_flow.Protocol.t = Nolan | Herlihy | Ac3wn
 
 (** Relative weights; must be non-negative and sum to a positive
     value. *)

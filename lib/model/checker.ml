@@ -10,16 +10,12 @@
 
 module Ac2t = Ac3_contract.Ac2t
 module Diagnostic = Ac3_verify.Diagnostic
+module Flow = Ac3_flow.Flow
+module Protocol = Ac3_flow.Protocol
 
-type protocol = Herlihy | Nolan | Ac3wn
+type protocol = Protocol.t = Nolan | Herlihy | Ac3wn
 
-let protocol_name = function Herlihy -> "herlihy" | Nolan -> "nolan" | Ac3wn -> "ac3wn"
-
-let protocol_of_string = function
-  | "herlihy" -> Some Herlihy
-  | "nolan" -> Some Nolan
-  | "ac3wn" -> Some Ac3wn
-  | _ -> None
+let protocol_name = Protocol.name
 
 type config = {
   delta : float;
@@ -51,7 +47,7 @@ type report = {
 let empty_stats = { nodes = 0; transitions = 0; por_skipped = 0; peak_frontier = 0; truncated = false }
 
 let check ~config ~protocol ~graph =
-  let sem_protocol = match protocol with Herlihy | Nolan -> Semantics.Herlihy | Ac3wn -> Semantics.Ac3wn in
+  let profile = Protocol.family protocol in
   let shape_error =
     match protocol with
     | Nolan when Ac2t.classify graph <> Ac2t.Simple_swap ->
@@ -69,7 +65,7 @@ let check ~config ~protocol ~graph =
       }
   | None -> (
       match
-        Semantics.make ~protocol:sem_protocol ~graph ~delta:config.delta
+        Semantics.make ~profile ~graph ~delta:config.delta
           ~timelock_slack:config.timelock_slack ~start_time:config.start_time
           ~crash_budget:config.crash_budget
       with
@@ -88,20 +84,15 @@ let check ~config ~protocol ~graph =
                settled state the explorer reaches, under the same crash
                budget. A timelock-order error is the statically-known
                race that widens the crash-free hull. *)
-            let profile =
-              match protocol with
-              | Herlihy | Nolan -> Ac3_flow.Flow.Single_leader
-              | Ac3wn -> Ac3_flow.Flow.Witness
-            in
             let static_races =
-              match protocol with
-              | Ac3wn -> false
-              | Herlihy | Nolan ->
+              match profile with
+              | Flow.Witness -> false
+              | Flow.Single_leader ->
                   Diagnostic.has_errors
                     (Ac3_verify.Timelock.verify ~graph ~delta:config.delta
                        ~timelock_slack:config.timelock_slack ~start_time:config.start_time)
             in
-            Ac3_flow.Flow.analyze ~fault_budget:config.crash_budget ~static_races ~profile graph
+            Flow.analyze ~fault_budget:config.crash_budget ~static_races ~profile graph
           in
           let diagnostics, violations = Rules.check ~flow t in
           {

@@ -10,11 +10,9 @@
 module Ac2t = Ac3_contract.Ac2t
 module Diagnostic = Ac3_verify.Diagnostic
 
-type protocol = Herlihy | Nolan | Ac3wn
+type protocol = Ac3_flow.Protocol.t = Nolan | Herlihy | Ac3wn
 
 val protocol_name : protocol -> string
-
-val protocol_of_string : string -> protocol option
 
 type config = {
   delta : float;  (** worst-case publish-to-confirm latency Δ *)

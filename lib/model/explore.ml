@@ -134,7 +134,7 @@ let can_settle_memo t =
     | Some v -> v
     | None ->
         let v =
-          Global_state.settled state
+          Ac3_contract.Swap_template.settled state.Global_state.edges
           ||
           let moves, _ = Semantics.reduced t.model state in
           List.exists (fun move -> go (Semantics.apply t.model state move)) moves

@@ -8,7 +8,7 @@
    timelock expiries: two clock values between the same two deadlines
    enable exactly the same moves, so nothing else is reachable. *)
 
-type edge_status = Unpublished | Published | Redeemed | Refunded
+module Swap_template = Ac3_contract.Swap_template
 
 type witness =
   | W_none  (** the protocol has no witness network (Nolan/Herlihy) *)
@@ -17,7 +17,7 @@ type witness =
   | W_refund
 
 type t = {
-  edges : edge_status array;  (** per-edge contract status, in graph edge order *)
+  edges : Swap_template.status array;  (** per-edge contract status, in graph edge order *)
   knows : bool array;  (** per-party: can produce the hashlock secret *)
   alive : bool array;  (** per-party: still acting (conforming until crashed) *)
   time : int;  (** how many distinct timelock deadlines have passed *)
@@ -25,7 +25,7 @@ type t = {
   crashes_left : int;  (** remaining fault budget *)
 }
 
-let status_char = function
+let status_char : Swap_template.status -> char = function
   | Unpublished -> 'U'
   | Published -> 'P'
   | Redeemed -> 'D'
@@ -48,17 +48,6 @@ let key s =
   Bytes.set b (o + 8) (witness_char s.witness);
   Bytes.set_int64_le b (o + 9) (Int64.of_int s.crashes_left);
   Bytes.unsafe_to_string b
-
-(* --- Predicates the M-rules are stated over -------------------------- *)
-
-(* Sec 3's "deposit lost": some deposit was redeemed while another was
-   refunded, so somebody paid and was not paid. *)
-let mixed_settlement s =
-  Array.exists (( = ) Redeemed) s.edges && Array.exists (( = ) Refunded) s.edges
-
-(* Nothing is left locked: every edge is either settled or was never
-   published (an unpublished contract holds no deposit). *)
-let settled s = Array.for_all (fun e -> e <> Published) s.edges
 
 (* Recovery closure for the deadlock rule: revive every crashed party and
    drop the remaining fault budget. A state counts as deadlocked only if

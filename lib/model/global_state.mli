@@ -11,8 +11,6 @@
     source ({!Semantics.apply}), so the arrays are read-only once a
     state exists. *)
 
-type edge_status = Unpublished | Published | Redeemed | Refunded
-
 type witness =
   | W_none  (** protocol has no witness (Nolan/Herlihy) *)
   | W_undecided
@@ -20,7 +18,7 @@ type witness =
   | W_refund  (** P -> RFauth buried *)
 
 type t = {
-  edges : edge_status array;  (** indexed like [Ac2t.edges] *)
+  edges : Ac3_contract.Swap_template.status array;  (** indexed like [Ac2t.edges] *)
   knows : bool array;  (** secret knowledge per party (first-appearance order) *)
   alive : bool array;  (** false once a party crashes (withholds forever) *)
   time : int;  (** number of distinct timelock deadlines already passed *)
@@ -33,21 +31,15 @@ type t = {
     char. Injective over states with the same edge and party counts. *)
 val key : t -> string
 
-(** Some edge Redeemed while another is Refunded: the M001 condition. *)
-val mixed_settlement : t -> bool
-
-(** No edge is still Published ([Unpublished] counts as settled: the
-    deposit never left its owner). *)
-val settled : t -> bool
-
 (** The recovery closure seed for M002: all parties acting again, no
     faults left. Returns its argument when nothing changes. *)
 val revive : t -> t
 
-val status_char : edge_status -> char
+(** ['U'], ['P'], ['D'] or ['F']: one byte of {!key}. *)
+val status_char : Ac3_contract.Swap_template.status -> char
 
 val witness_char : witness -> char
 
-val pp_status : Format.formatter -> edge_status -> unit
+val pp_status : Format.formatter -> Ac3_contract.Swap_template.status -> unit
 
 val pp : Format.formatter -> t -> unit

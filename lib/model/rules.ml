@@ -22,6 +22,8 @@
 module Diagnostic = Ac3_verify.Diagnostic
 module State_machine = Ac3_verify.State_machine
 module Probes = Ac3_verify.Probes
+module Swap_template = Ac3_contract.Swap_template
+module Flow = Ac3_flow.Flow
 open Global_state
 
 type violation = {
@@ -41,7 +43,7 @@ let render_schedule t moves = Fmt.str "%a" (Semantics.pp_schedule t.Explore.mode
 (* --- M001 ------------------------------------------------------------- *)
 
 let m001 t =
-  match Explore.find_first t (fun n -> mixed_settlement n.Explore.state) with
+  match Explore.find_first t (fun n -> Swap_template.mixed n.Explore.state.edges) with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M001-mixed-settlement" id in
@@ -81,8 +83,8 @@ let unsafe_party m s =
   let in_refunded = Array.make n false in
   Array.iteri
     (fun i st ->
-      if st = Redeemed then out_redeemed.(m.Semantics.edge_from.(i)) <- true;
-      if st = Refunded then in_refunded.(m.Semantics.edge_to.(i)) <- true)
+      if st = Swap_template.Redeemed then out_redeemed.(m.Semantics.edge_from.(i)) <- true;
+      if st = Swap_template.Refunded then in_refunded.(m.Semantics.edge_to.(i)) <- true)
     s.edges;
   let rec go p =
     if p >= n then None
@@ -115,7 +117,7 @@ let m003 t =
    transitions. *)
 let m004 t =
   let m = t.Explore.model in
-  if m.Semantics.protocol <> Semantics.Ac3wn then []
+  if m.Semantics.profile <> Flow.Witness then []
   else begin
     let forks = ref [] in
     Explore.iter_succs t (fun id _mv tgt ->
@@ -175,19 +177,10 @@ let m006 ?flow t =
   | None -> ([], [])
   | Some analysis -> (
       let m = t.Explore.model in
-      let to_settlement = function
-        | Unpublished -> Ac3_flow.Flow.S_unpublished
-        | Published -> Ac3_flow.Flow.S_published
-        | Redeemed -> Ac3_flow.Flow.S_redeemed
-        | Refunded -> Ac3_flow.Flow.S_refunded
-      in
-      let offenders s =
-        Ac3_flow.Flow.violations analysis m.Semantics.graph
-          (Array.to_list (Array.map to_settlement s.edges))
-      in
+      let offenders s = Flow.violations analysis m.Semantics.graph s.edges in
       match
         Explore.find_first t (fun n ->
-            Global_state.settled n.Explore.state && offenders n.Explore.state <> [])
+            Swap_template.settled n.Explore.state.edges && offenders n.Explore.state <> [])
       with
       | None -> ([], [])
       | Some id ->
@@ -196,7 +189,7 @@ let m006 ?flow t =
               Diagnostic.error ~rule:v.rule ~location:(loc id)
                 "a reachable settled state escapes the static value intervals (%a): the \
                  flow abstract interpretation is unsound on this graph; schedule:\n%s"
-                (Fmt.list ~sep:(Fmt.any ", ") Ac3_flow.Flow.pp_violation)
+                (Fmt.list ~sep:(Fmt.any ", ") Flow.pp_violation)
                 (offenders v.state) (render_schedule t v.schedule);
             ],
             [ v ] ))

@@ -22,9 +22,9 @@ module Ac2t = Ac3_contract.Ac2t
 module Keys = Ac3_crypto.Keys
 module Hex = Ac3_crypto.Hex
 module Timelock = Ac3_verify.Timelock
+module Flow = Ac3_flow.Flow
+module Swap_template = Ac3_contract.Swap_template
 open Global_state
-
-type protocol = Herlihy | Ac3wn
 
 type move =
   | Deploy of int  (** the edge's sender publishes its contract *)
@@ -36,7 +36,7 @@ type move =
   | W_abort  (** witness network authorizes refund (P -> RFauth) *)
 
 type model = {
-  protocol : protocol;
+  profile : Flow.profile;
   graph : Ac2t.t;
   parties : Keys.public array;  (** index 0 is the leader *)
   edges : Ac2t.edge array;
@@ -55,16 +55,16 @@ let party_index parties pk =
   let rec go i = if String.equal parties.(i) pk then i else go (i + 1) in
   go 0
 
-let make ~protocol ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
+let make ~profile ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
   let parties = Array.of_list (Ac2t.participants graph) in
   let edges = Array.of_list (Ac2t.edges graph) in
   let edge_from = Array.map (fun (e : Ac2t.edge) -> party_index parties e.Ac2t.from_pk) edges in
   let edge_to = Array.map (fun (e : Ac2t.edge) -> party_index parties e.Ac2t.to_pk) edges in
-  match protocol with
-  | Ac3wn ->
+  match profile with
+  | Flow.Witness ->
       Ok
         {
-          protocol;
+          profile;
           graph;
           parties;
           edges;
@@ -75,7 +75,7 @@ let make ~protocol ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
           n_deadlines = 0;
           crash_budget;
         }
-  | Herlihy -> (
+  | Flow.Single_leader -> (
       match Timelock.assign ~graph ~delta ~timelock_slack ~start_time with
       | Error e -> Error e
       | Ok assignments ->
@@ -92,7 +92,7 @@ let make ~protocol ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
           in
           Ok
             {
-              protocol;
+              profile;
               graph;
               parties;
               edges;
@@ -106,21 +106,21 @@ let make ~protocol ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
 
 let init m : Global_state.t =
   {
-    edges = Array.map (fun _ -> Unpublished) m.edges;
+    edges = Array.map (fun _ -> Swap_template.Unpublished) m.edges;
     (* Only the leader can produce the hashlock secret at the start. *)
-    knows = Array.mapi (fun i _ -> m.protocol = Herlihy && i = 0) m.parties;
+    knows = Array.mapi (fun i _ -> m.profile = Flow.Single_leader && i = 0) m.parties;
     alive = Array.map (fun _ -> true) m.parties;
     time = 0;
-    witness = (match m.protocol with Herlihy -> W_none | Ac3wn -> W_undecided);
+    witness = (match m.profile with Flow.Single_leader -> W_none | Flow.Witness -> W_undecided);
     crashes_left = m.crash_budget;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Enabledness *)
 
-let expired m (s : Global_state.t) i = m.protocol = Herlihy && m.expiry_rank.(i) < s.time
+let expired m (s : Global_state.t) i = m.profile = Flow.Single_leader && m.expiry_rank.(i) < s.time
 
-let all_published (s : Global_state.t) = Array.for_all (( <> ) Unpublished) s.edges
+let all_published (s : Global_state.t) = Array.for_all (( <> ) Swap_template.Unpublished) s.edges
 
 (* Herlihy deploys in sequential rounds by BFS depth: a conforming party
    publishes a round-d contract only once every earlier round's contract
@@ -128,34 +128,36 @@ let all_published (s : Global_state.t) = Array.for_all (( <> ) Unpublished) s.ed
 let round_ready m (s : Global_state.t) i =
   let d = m.depth.(i) in
   let ready = ref true in
-  Array.iteri (fun j dj -> if dj < d && s.edges.(j) = Unpublished then ready := false) m.depth;
+  Array.iteri
+    (fun j dj -> if dj < d && s.edges.(j) = Swap_template.Unpublished then ready := false)
+    m.depth;
   !ready
 
 let deploy_enabled m (s : Global_state.t) i =
-  s.edges.(i) = Unpublished
+  s.edges.(i) = Swap_template.Unpublished
   && s.alive.(m.edge_from.(i))
   &&
-  match m.protocol with
-  | Herlihy -> (not (expired m s i)) && round_ready m s i
-  | Ac3wn -> s.witness = W_undecided
+  match m.profile with
+  | Flow.Single_leader -> (not (expired m s i)) && round_ready m s i
+  | Flow.Witness -> s.witness = W_undecided
 
 let redeem_enabled m (s : Global_state.t) i =
-  s.edges.(i) = Published
+  s.edges.(i) = Swap_template.Published
   && s.alive.(m.edge_to.(i))
   &&
-  match m.protocol with
-  | Herlihy ->
+  match m.profile with
+  | Flow.Single_leader ->
       s.knows.(m.edge_to.(i))
       && (not (expired m s i))
       (* A conforming leader reveals the secret (by redeeming) only once
          every contract of the transaction is published. *)
       && (m.edge_to.(i) <> 0 || all_published s)
-  | Ac3wn -> s.witness = W_redeem
+  | Flow.Witness -> s.witness = W_redeem
 
 let refund_enabled m (s : Global_state.t) i =
-  s.edges.(i) = Published
+  s.edges.(i) = Swap_template.Published
   && s.alive.(m.edge_from.(i))
-  && match m.protocol with Herlihy -> expired m s i | Ac3wn -> s.witness = W_refund
+  && match m.profile with Flow.Single_leader -> expired m s i | Flow.Witness -> s.witness = W_refund
 
 (* Any conforming protocol action that maximal progress must not let a
    deadline overtake. *)
@@ -167,13 +169,13 @@ let urgent m s =
   in
   go 0
 
-let expire_enabled m s = m.protocol = Herlihy && s.time < m.n_deadlines && not (urgent m s)
+let expire_enabled m s = m.profile = Flow.Single_leader && s.time < m.n_deadlines && not (urgent m s)
 
 let crash_enabled s p = s.crashes_left > 0 && s.alive.(p)
 
-let w_commit_enabled m s = m.protocol = Ac3wn && s.witness = W_undecided && all_published s
+let w_commit_enabled m s = m.profile = Flow.Witness && s.witness = W_undecided && all_published s
 
-let w_abort_enabled m s = m.protocol = Ac3wn && s.witness = W_undecided
+let w_abort_enabled m s = m.profile = Flow.Witness && s.witness = W_undecided
 
 (* ------------------------------------------------------------------ *)
 (* Transition function *)
@@ -189,15 +191,15 @@ let apply m (s : Global_state.t) move =
     a
   in
   match move with
-  | Deploy i -> { s with edges = set s.edges i Published }
+  | Deploy i -> { s with edges = set s.edges i Swap_template.Published }
   | Redeem i ->
-      let edges = set s.edges i Redeemed in
+      let edges = set s.edges i Swap_template.Redeemed in
       (* The sender extracts the secret from the redeem transaction. *)
       let sender = m.edge_from.(i) in
-      if m.protocol = Herlihy && not s.knows.(sender) then
+      if m.profile = Flow.Single_leader && not s.knows.(sender) then
         { s with edges; knows = set s.knows sender true }
       else { s with edges }
-  | Refund i -> { s with edges = set s.edges i Refunded }
+  | Refund i -> { s with edges = set s.edges i Swap_template.Refunded }
   | Crash p -> { s with alive = set s.alive p false; crashes_left = s.crashes_left - 1 }
   | Expire -> { s with time = s.time + 1 }
   | W_commit -> { s with witness = W_redeem }
@@ -249,7 +251,7 @@ let reduced m s =
   let moves = enabled m s in
   let reducible =
     s.crashes_left = 0
-    && (m.protocol = Herlihy || s.witness = W_redeem || s.witness = W_refund)
+    && (m.profile = Flow.Single_leader || s.witness = W_redeem || s.witness = W_refund)
   in
   if not reducible then (moves, 0)
   else

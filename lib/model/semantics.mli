@@ -11,8 +11,7 @@
 
 module Ac2t = Ac3_contract.Ac2t
 module Keys = Ac3_crypto.Keys
-
-type protocol = Herlihy | Ac3wn
+module Flow = Ac3_flow.Flow
 
 type move =
   | Deploy of int  (** the edge's sender publishes its contract *)
@@ -24,7 +23,9 @@ type move =
   | W_abort  (** witness network authorizes refund (P -> RFauth) *)
 
 type model = {
-  protocol : protocol;
+  profile : Flow.profile;
+      (** [Single_leader] is Herlihy's round-by-round hashlock protocol
+          (Nolan is its two-party case); [Witness] is AC3WN *)
   graph : Ac2t.t;
   parties : Keys.public array;  (** index 0 is the leader *)
   edges : Ac2t.edge array;
@@ -36,11 +37,11 @@ type model = {
   crash_budget : int;
 }
 
-(** Builds the model; for Herlihy this runs {!Ac3_verify.Timelock.assign}
-    and fails on graphs it rejects (e.g. not single-leader
-    executable). *)
+(** Builds the model; for [Single_leader] this runs
+    {!Ac3_verify.Timelock.assign} and fails on graphs it rejects (e.g.
+    not single-leader executable). *)
 val make :
-  protocol:protocol ->
+  profile:Flow.profile ->
   graph:Ac2t.t ->
   delta:float ->
   timelock_slack:float ->

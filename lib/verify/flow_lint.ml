@@ -133,25 +133,11 @@ let f007 (a : Flow.analysis) =
 let of_analysis_with ~econ (a : Flow.analysis) =
   f000 a @ f001 a @ f002 a @ f003_f005 a @ f004 ~econ a @ f006 a @ f007 a
 
-let of_analysis (a : Flow.analysis) =
-  let econ =
-    match a.Flow.profile with
-    | Flow.Single_leader -> Ac3_contract.Htlc.econ
-    | Flow.Witness -> Ac3_contract.Permissionless_sc.econ
-  in
-  of_analysis_with ~econ a
+let of_analysis (a : Flow.analysis) = of_analysis_with ~econ:(Flow.default_econ a.Flow.profile) a
 
 let lint ?fault_budget ?econ ?static_races ~profile graph =
   let a = Flow.analyze ?fault_budget ?econ ?static_races ~profile graph in
-  let econ =
-    match econ with
-    | Some e -> e
-    | None -> (
-        match profile with
-        | Flow.Single_leader -> Ac3_contract.Htlc.econ
-        | Flow.Witness -> Ac3_contract.Permissionless_sc.econ)
-  in
-  of_analysis_with ~econ a
+  of_analysis_with ~econ:(Option.value econ ~default:(Flow.default_econ profile)) a
 
 (* --- G007/G009 aliases, read off the exposures -------------------------- *)
 

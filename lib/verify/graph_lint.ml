@@ -7,9 +7,8 @@
 
 module Ac2t = Ac3_contract.Ac2t
 module Hex = Ac3_crypto.Hex
+module Flow = Ac3_flow.Flow
 open Ac3_chain
-
-type profile = Single_leader | Witness
 
 let short pk = Hex.short ~n:6 pk
 
@@ -77,7 +76,7 @@ let structure_lints ~profile graph =
   let disconnected =
     if connected then []
     else
-      match profile with
+      match (profile : Flow.profile) with
       | Single_leader ->
           [
             Diagnostic.error ~rule:"G005-disconnected" ~location:"graph"
@@ -91,7 +90,7 @@ let structure_lints ~profile graph =
           ]
   in
   let leader_cycle =
-    match profile with
+    match (profile : Flow.profile) with
     | Witness -> []
     | Single_leader ->
         if connected && Ac2t.cyclic_without_leader graph leader then
@@ -138,7 +137,7 @@ let capacity_lints ~block_capacity edges =
                     n cap)
              else None)
 
-let lint ?(profile = Witness) ?block_capacity graph =
+let lint ?(profile = Flow.Witness) ?block_capacity graph =
   let edges = Ac2t.edges graph in
   lint_edges edges
   @ structure_lints ~profile graph

@@ -28,15 +28,14 @@
 
 module Ac2t = Ac3_contract.Ac2t
 
-(** Which protocol the graph is being checked for. [Single_leader]
-    (Nolan/Herlihy) enforces Sec 5.3's executability conditions; the
-    [Witness] profile (AC3WN/AC3TW) accepts any shape. *)
-type profile = Single_leader | Witness
-
 (** Pre-construction lints (G001-G004) on a raw edge list. *)
 val lint_edges : Ac2t.edge list -> Diagnostic.t list
 
-(** All lints on a built graph. The leader of a [Single_leader] check is
-    the graph's first participant, matching {!Ac3_core.Herlihy.execute}.
-    [block_capacity] bounds G008 (omit to skip the rule). *)
-val lint : ?profile:profile -> ?block_capacity:int -> Ac2t.t -> Diagnostic.t list
+(** All lints on a built graph for the protocol family [profile]
+    (default [Witness]). [Single_leader] (Nolan/Herlihy) enforces Sec
+    5.3's executability conditions, with the graph's first participant
+    as leader, matching {!Ac3_core.Herlihy.execute}; [Witness]
+    (AC3WN/AC3TW) accepts any shape. [block_capacity] bounds G008 (omit
+    to skip the rule). *)
+val lint :
+  ?profile:Ac3_flow.Flow.profile -> ?block_capacity:int -> Ac2t.t -> Diagnostic.t list

@@ -19,10 +19,11 @@ let stranger = Keys.create "ac3-verify:stranger"
 
 (* Classifier for Algorithm 1 template states. *)
 let swap_cls state =
-  if Swap_template.is_redeemed state then State_machine.Redeemed
-  else if Swap_template.is_refunded state then State_machine.Refunded
-  else if Swap_template.is_published state then State_machine.Published
-  else State_machine.Other
+  match Swap_template.classify state with
+  | Some Swap_template.Redeemed -> State_machine.Redeemed
+  | Some Swap_template.Refunded -> State_machine.Refunded
+  | Some Swap_template.Published -> State_machine.Published
+  | Some Swap_template.Unpublished | None -> State_machine.Other
 
 (* Settlement payee of a template state: redemption pays the recipient,
    refund pays the sender, nothing else may pay at all. *)

@@ -128,7 +128,7 @@ module Model = struct
     | Redeem i ->
         edges.(i) <- Redeemed;
         (* The sender extracts the secret from the redeem transaction. *)
-        if m.protocol = Herlihy then knows.(m.edge_from.(i)) <- true;
+        if m.profile = Ac3_flow.Flow.Single_leader then knows.(m.edge_from.(i)) <- true;
         base
     | Refund i ->
         edges.(i) <- Refunded;
@@ -255,7 +255,7 @@ module Model = struct
       | Some v -> v
       | None ->
           let v =
-            Global_state.settled state
+            Ac3_contract.Swap_template.settled state.Global_state.edges
             ||
             let moves, _ = Semantics.reduced t.model state in
             List.exists (fun move -> go (apply t.model state move)) moves

@@ -619,6 +619,92 @@ let test_permissionless_sc_depth_enforced () =
     (expect_ok
        (call fx.asset bob ~contract_id:fx.edge_contract ~fn:"redeem" ~args:(Evidence.to_value ev)))
 
+(* --- The shared settlement-status classifier ------------------------------ *)
+
+(* Settle a fixture's edge contract through a buried witness decision:
+   [`Redeem] authorizes redemption and redeems, [`Refund] authorizes the
+   refund and refunds. *)
+let settle_edge fx decision =
+  let caller, auth_fn, auth_args, edge_fn =
+    match decision with
+    | `Redeem -> (bob, "authorize_redeem", authorize_redeem_args fx, "redeem")
+    | `Refund -> (alice, "authorize_refund", Value.Unit, "refund")
+  in
+  let auth_txid, _ =
+    expect_ok (call fx.witness caller ~contract_id:fx.scw ~fn:auth_fn ~args:auth_args)
+  in
+  ignore (expect_ok (mine_into fx.witness []));
+  let checkpoint = (Store.genesis fx.witness).Block.header in
+  let ev = expect_ok (Evidence.build ~store:fx.witness ~checkpoint ~txid:auth_txid) in
+  ignore
+    (expect_ok
+       (call fx.asset caller ~contract_id:fx.edge_contract ~fn:edge_fn
+          ~args:(Evidence.to_value ev)));
+  contract_state fx.asset fx.edge_contract
+
+let test_status_classifier () =
+  let module Outcome = Ac3_core.Outcome in
+  let module SM = Ac3_verify.State_machine in
+  let swap_cls = (Ac3_verify.Probes.htlc ()).SM.classify in
+  let cls_name v = Fmt.str "%a" SM.pp_cls (swap_cls v) in
+  let htlc_deploy ~timelock =
+    let args =
+      Htlc.args ~recipient_pk:(Keys.public bob) ~hashlock:(Htlc.hashlock_of_secret "cls")
+        ~timelock
+    in
+    let store = mk_store () in
+    let _txid, cid = expect_ok (deploy store alice ~code_id:Htlc.code_id ~args ~deposit:(coin 50)) in
+    (store, cid)
+  in
+  let htlc_published, htlc_redeemed =
+    let store, cid = htlc_deploy ~timelock:1000.0 in
+    let published = contract_state store cid in
+    ignore
+      (expect_ok
+         (call store bob ~contract_id:cid ~fn:"redeem" ~args:(Htlc.redeem_args ~secret:"cls")));
+    (published, contract_state store cid)
+  in
+  let htlc_refunded =
+    let store, cid = htlc_deploy ~timelock:2.0 in
+    ignore (expect_ok (mine_into store []));
+    ignore (expect_ok (call store alice ~contract_id:cid ~fn:"refund" ~args:Htlc.refund_args));
+    contract_state store cid
+  in
+  let fx = make_fixture () in
+  let psc_published = contract_state fx.asset fx.edge_contract in
+  let psc_redeemed = settle_edge fx `Redeem in
+  let psc_refunded = settle_edge (make_fixture ()) `Refund in
+  List.iter
+    (fun (label, state, (expected : Swap_template.status), cls) ->
+      Alcotest.(check bool) (label ^ ": classify") true
+        (Swap_template.classify state = Some expected);
+      Alcotest.(check bool) (label ^ ": is_published agrees")
+        (expected = Published) (Swap_template.is_published state);
+      Alcotest.(check bool) (label ^ ": is_redeemed agrees")
+        (expected = Redeemed) (Swap_template.is_redeemed state);
+      Alcotest.(check bool) (label ^ ": is_refunded agrees")
+        (expected = Refunded) (Swap_template.is_refunded state);
+      Alcotest.(check bool) (label ^ ": outcome status") true
+        (Outcome.status_of_state state = expected);
+      Alcotest.(check string) (label ^ ": probe class") cls (cls_name state))
+    [
+      ("htlc P", htlc_published, Published, "P");
+      ("htlc RD", htlc_redeemed, Redeemed, "RD");
+      ("htlc RF", htlc_refunded, Refunded, "RF");
+      ("permissionless P", psc_published, Published, "P");
+      ("permissionless RD", psc_redeemed, Redeemed, "RD");
+      ("permissionless RF", psc_refunded, Refunded, "RF");
+    ];
+  (* Values that are not a swap template's state: the witness contract's
+     own state and a bare unit. *)
+  List.iter
+    (fun (label, v) ->
+      Alcotest.(check bool) (label ^ ": classify is None") true (Swap_template.classify v = None);
+      Alcotest.(check string) (label ^ ": outcome reads missing") "missing"
+        (Fmt.str "%a" Outcome.pp_status (Outcome.status_of_state v));
+      Alcotest.(check string) (label ^ ": probe class") "other" (cls_name v))
+    [ ("SCw state", scw_state fx); ("unit", Value.Unit) ]
+
 let () =
   Alcotest.run "contract"
     [
@@ -664,5 +750,10 @@ let () =
           Alcotest.test_case "rejects cross decisions" `Quick
             test_permissionless_sc_rejects_cross_decisions;
           Alcotest.test_case "depth enforced" `Quick test_permissionless_sc_depth_enforced;
+        ] );
+      ( "settlement status",
+        [
+          Alcotest.test_case "classifier agrees with is_* (htlc, permissionless)" `Quick
+            test_status_classifier;
         ] );
     ]

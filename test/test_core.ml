@@ -9,6 +9,7 @@ module Engine = Ac3_sim.Engine
 module Rng = Ac3_sim.Rng
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
+module Swap_template = Ac3_contract.Swap_template
 open Ac3_core
 
 let fast_universe ?(seed = 7) ~chains n =
@@ -150,8 +151,8 @@ let test_nolan_crash_violates_atomicity () =
   (* Specifically: eth edge redeemed (by Alice), btc edge refunded (to
      Alice). *)
   let statuses = Outcome.statuses r.Herlihy.outcome in
-  Alcotest.(check bool) "btc refunded" true (List.nth statuses 0 = Outcome.Refunded);
-  Alcotest.(check bool) "eth redeemed" true (List.nth statuses 1 = Outcome.Redeemed)
+  Alcotest.(check bool) "btc refunded" true (statuses.(0) = Swap_template.Refunded);
+  Alcotest.(check bool) "eth redeemed" true (statuses.(1) = Swap_template.Redeemed)
 
 let test_nolan_honest_commit () =
   let u, participants = fast_universe ~seed:109 ~chains:[ "btc"; "eth" ] 2 in
@@ -387,10 +388,11 @@ let mk_outcome statuses =
   { Outcome.edges = List.map (fun status -> { Outcome.edge; contract_id = None; status }) statuses }
 
 let test_outcome_logic () =
+  let open Swap_template in
   let open Outcome in
   Alcotest.(check bool) "all RD atomic" true (atomic (mk_outcome [ Redeemed; Redeemed ]));
   Alcotest.(check bool) "all RF atomic" true (atomic (mk_outcome [ Refunded; Refunded ]));
-  Alcotest.(check bool) "RF+missing atomic" true (atomic (mk_outcome [ Refunded; Missing ]));
+  Alcotest.(check bool) "RF+missing atomic" true (atomic (mk_outcome [ Refunded; Unpublished ]));
   Alcotest.(check bool) "mixed violates" false (atomic (mk_outcome [ Redeemed; Refunded ]));
   Alcotest.(check bool) "published counts as nothing-redeemed" true
     (atomic (mk_outcome [ Published; Refunded ]));
@@ -398,14 +400,15 @@ let test_outcome_logic () =
     (settled (mk_outcome [ Published; Refunded ]));
   Alcotest.(check bool) "committed = all redeemed" true (committed (mk_outcome [ Redeemed ]));
   Alcotest.(check bool) "aborted = settled and none redeemed" true
-    (aborted (mk_outcome [ Refunded; Missing ]));
+    (aborted (mk_outcome [ Refunded; Unpublished ]));
   Alcotest.(check bool) "unsettled is not aborted" false (aborted (mk_outcome [ Published ]))
 
 let test_outcome_status_pairs () =
   (* Exhaustive truth table over every two-edge status combination,
      with expectations computed from the statuses alone. *)
+  let open Swap_template in
   let open Outcome in
-  let all = [ Missing; Published; Redeemed; Refunded ] in
+  let all = [ Unpublished; Published; Redeemed; Refunded ] in
   List.iter
     (fun s1 ->
       List.iter
@@ -417,7 +420,7 @@ let test_outcome_status_pairs () =
           Alcotest.(check bool) (name "none_redeemed") (both (( <> ) Redeemed)) (none_redeemed o);
           Alcotest.(check bool)
             (name "all_refunded_or_missing")
-            (both (fun s -> s = Refunded || s = Missing))
+            (both (fun s -> s = Refunded || s = Unpublished))
             (all_refunded_or_missing o);
           Alcotest.(check bool) (name "atomic")
             (both (( = ) Redeemed) || both (( <> ) Redeemed))
@@ -425,17 +428,43 @@ let test_outcome_status_pairs () =
           Alcotest.(check bool) (name "settled") (both (( <> ) Published)) (settled o);
           Alcotest.(check bool) (name "committed") (both (( = ) Redeemed)) (committed o);
           Alcotest.(check bool) (name "aborted")
-            (both (fun s -> s = Refunded || s = Missing))
+            (both (fun s -> s = Refunded || s = Unpublished))
             (aborted o))
         all)
     all;
-  (* The Missing/Published boundary: neither redeems, so both pair
+  (* The Unpublished/Published boundary: neither redeems, so both pair
      atomically with a refund — but only the never-deployed contract
      counts as settled (a published one still holds locked assets). *)
-  Alcotest.(check bool) "missing+RF aborted" true (aborted (mk_outcome [ Missing; Refunded ]));
+  Alcotest.(check bool) "missing+RF aborted" true (aborted (mk_outcome [ Unpublished; Refunded ]));
   Alcotest.(check bool) "published+RF not aborted" false
     (aborted (mk_outcome [ Published; Refunded ]));
   Alcotest.(check bool) "published+RF atomic" true (atomic (mk_outcome [ Published; Refunded ]))
+
+(* [Outcome.atomic] (all or none redeemed) and the chaos oracle's "no
+   mixed settlement" ([Swap_template.mixed]) are two properties, not two
+   spellings of one. Over every status vector up to four edges: a mixed
+   settlement is never atomic, and the vectors that are neither atomic
+   nor mixed are exactly those where some edge redeemed, none refunded,
+   and some edge is still unpublished or published — a deposit left
+   behind while another was taken, which only liveness can resolve. *)
+let test_outcome_atomic_vs_mixed () =
+  let open Swap_template in
+  let all = [ Unpublished; Published; Redeemed; Refunded ] in
+  let rec vectors n =
+    if n = 0 then [ [] ]
+    else List.concat_map (fun v -> List.map (fun s -> s :: v) all) (vectors (n - 1))
+  in
+  List.iter
+    (fun v ->
+      let name = Fmt.str "[%a]" (Fmt.list ~sep:Fmt.semi Outcome.pp_status) v in
+      let atomic = Outcome.atomic (mk_outcome v) and mixed = mixed (Array.of_list v) in
+      Alcotest.(check bool) (name ^ " mixed => not atomic") true ((not mixed) || not atomic);
+      let has s = List.mem s v in
+      Alcotest.(check bool)
+        (name ^ " neither atomic nor mixed")
+        (has Redeemed && (not (has Refunded)) && (has Unpublished || has Published))
+        ((not atomic) && not mixed))
+    (List.concat_map vectors [ 0; 1; 2; 3; 4 ])
 
 (* --- Experiments (Sec 5.2, Sec 4.2 motivation, Lemma 5.3) -------------------- *)
 
@@ -532,6 +561,8 @@ let () =
         [
           Alcotest.test_case "atomicity logic" `Quick test_outcome_logic;
           Alcotest.test_case "exhaustive status pairs" `Quick test_outcome_status_pairs;
+          Alcotest.test_case "atomic vs mixed: the one disagreement" `Quick
+            test_outcome_atomic_vs_mixed;
         ] );
       ( "experiments",
         [

@@ -139,11 +139,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let checker_protocol = function
-  | Runner.P_nolan -> Checker.Nolan
-  | Runner.P_herlihy -> Checker.Herlihy
-  | Runner.P_ac3wn -> Checker.Ac3wn
-
 let test_corpus_predicted () =
   let files = Sys.readdir (corpus_dir ()) in
   Array.sort compare files;
@@ -171,7 +166,7 @@ let test_corpus_predicted () =
               let r =
                 Checker.check
                   ~config:(config ~crash_budget:budget ())
-                  ~protocol:(checker_protocol e.Repro.protocol) ~graph
+                  ~protocol:(Runner.shared e.Repro.protocol) ~graph
               in
               incr checked;
               if e.Repro.deposit_lost then
@@ -201,10 +196,10 @@ let test_counterexample_replays () =
   let r = Checker.check ~config:(config ()) ~protocol:Checker.Herlihy ~graph in
   Alcotest.(check bool) "static violation found" true (r.Checker.violations <> []);
   let v = List.hd r.Checker.violations in
-  let outcome =
-    Model_repro.concretize ~spec ~protocol:Checker.Herlihy
-      ~schedule:v.Ac3_model.Rules.schedule ()
+  let crashes =
+    List.filter_map (function Semantics.Crash p -> Some p | _ -> None) v.Ac3_model.Rules.schedule
   in
+  let outcome = Model_repro.concretize ~spec ~protocol:Checker.Herlihy ~crashes () in
   Alcotest.(check bool) "dynamically confirmed" true outcome.Model_repro.confirmed;
   Alcotest.(check bool) "reproducer replays" true
     (Repro.replay_ok (Repro.replay outcome.Model_repro.repro))
@@ -214,7 +209,7 @@ let test_counterexample_replays () =
    diagnostics (M004) are stable. *)
 let test_iter_succs_ascending () =
   match
-    Semantics.make ~protocol:Semantics.Ac3wn ~graph:(two_party ()) ~delta:15.0 ~timelock_slack:2.0
+    Semantics.make ~profile:Flow.Witness ~graph:(two_party ()) ~delta:15.0 ~timelock_slack:2.0
       ~start_time:0.0 ~crash_budget:1
   with
   | Error e -> Alcotest.fail e
@@ -231,19 +226,19 @@ let test_iter_succs_ascending () =
 
 (* --- Differential: the dense store against the reference explorer ----- *)
 
-(* A (protocol, graph, crash budget) drawn over the two-party swap, rings
-   of 2-7 parties and the supply chain. The node bound keeps the largest
-   rings cheap and exercises truncation on both sides. *)
+(* A (protocol family, graph, crash budget) drawn over the two-party
+   swap, rings of 2-7 parties and the supply chain. The node bound keeps
+   the largest rings cheap and exercises truncation on both sides. *)
 let gen_case =
   QCheck.Gen.(
     triple
-      (oneofl [ Semantics.Herlihy; Semantics.Ac3wn ])
+      (oneofl [ Flow.Single_leader; Flow.Witness ])
       (oneof [ return `Two_party; map (fun n -> `Ring n) (int_range 2 7); return `Supply_chain ])
       (int_range 0 2))
 
-let print_case (protocol, shape, budget) =
+let print_case (profile, shape, budget) =
   Printf.sprintf "%s %s crashes=%d"
-    (match protocol with Semantics.Herlihy -> "herlihy" | Semantics.Ac3wn -> "ac3wn")
+    (match profile with Flow.Single_leader -> "single-leader" | Flow.Witness -> "witness")
     (match shape with
     | `Two_party -> "two-party"
     | `Ring n -> Printf.sprintf "ring-%d" n
@@ -252,9 +247,9 @@ let print_case (protocol, shape, budget) =
 
 let graph_of = function `Two_party -> two_party () | `Ring n -> ring n | `Supply_chain -> supply_chain ()
 
-let model_of ((protocol, shape, crash_budget) as case) =
+let model_of ((profile, shape, crash_budget) as case) =
   match
-    Semantics.make ~protocol ~graph:(graph_of shape) ~delta:15.0 ~timelock_slack:2.0
+    Semantics.make ~profile ~graph:(graph_of shape) ~delta:15.0 ~timelock_slack:2.0
       ~start_time:0.0 ~crash_budget
   with
   | Ok m -> m
@@ -291,7 +286,7 @@ let rule_outputs ~flow t =
 let qcheck_explore_matches_reference =
   QCheck.Test.make ~name:"dense explorer == reference explorer" ~count:30
     (QCheck.make ~print:print_case gen_case)
-    (fun ((protocol, shape, budget) as case) ->
+    (fun ((profile, shape, budget) as case) ->
       let m = model_of case in
       let t = Explore.run ~max_nodes m in
       let r = Ref_model.run ~max_nodes m in
@@ -311,7 +306,6 @@ let qcheck_explore_matches_reference =
         if settles n.state <> ref_settles rn.state then
           Alcotest.failf "node %d: settlement reachability differs" id
       done;
-      let profile = match protocol with Semantics.Herlihy -> Flow.Single_leader | Ac3wn -> Flow.Witness in
       let flow = Flow.analyze ~fault_budget:budget ~profile (graph_of shape) in
       rule_outputs ~flow t = rule_outputs ~flow (explore_of_ref r))
 
@@ -333,7 +327,7 @@ let gen_state ~edges ~parties =
       (pair
          (triple
             (list_repeat edges
-               (oneofl Global_state.[ Unpublished; Published; Redeemed; Refunded ]))
+               (oneofl Ac3_contract.Swap_template.[ Unpublished; Published; Redeemed; Refunded ]))
             (list_repeat parties bool) (list_repeat parties bool))
          (triple counter (oneofl Global_state.[ W_none; W_undecided; W_redeem; W_refund ]) counter)))
 

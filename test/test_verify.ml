@@ -8,6 +8,7 @@ module Ac2t = Ac3_contract.Ac2t
 module Amount = Ac3_chain.Amount
 module D = Ac3_verify.Diagnostic
 module Graph_lint = Ac3_verify.Graph_lint
+module Flow = Ac3_flow.Flow
 module Timelock = Ac3_verify.Timelock
 module State_machine = Ac3_verify.State_machine
 module Probes = Ac3_verify.Probes
@@ -61,16 +62,16 @@ let test_lint_profiles () =
   (* Fig 7b: fatal for a single-leader protocol, fine for AC3WN. *)
   let d = disconnected () in
   Alcotest.(check bool) "disconnected fails single-leader" true
-    (has "G005-disconnected" (D.errors (Graph_lint.lint ~profile:Graph_lint.Single_leader d)));
-  let witness_view = Graph_lint.lint ~profile:Graph_lint.Witness d in
+    (has "G005-disconnected" (D.errors (Graph_lint.lint ~profile:Flow.Single_leader d)));
+  let witness_view = Graph_lint.lint ~profile:Flow.Witness d in
   Alcotest.(check bool) "disconnected passes witness" false (D.has_errors witness_view);
   Alcotest.(check bool) "but is still reported" true (has "G005-disconnected" witness_view);
   (* Fig 7a: cyclic for every choice of leader. *)
   let c = cyclic () in
   Alcotest.(check bool) "cyclic fails single-leader" true
-    (has "G006-leader-cycle" (D.errors (Graph_lint.lint ~profile:Graph_lint.Single_leader c)));
+    (has "G006-leader-cycle" (D.errors (Graph_lint.lint ~profile:Flow.Single_leader c)));
   Alcotest.(check bool) "cyclic passes witness" false
-    (D.has_errors (Graph_lint.lint ~profile:Graph_lint.Witness c))
+    (D.has_errors (Graph_lint.lint ~profile:Flow.Witness c))
 
 let test_lint_conservation_and_capacity () =
   (* A single transfer: the source pays and never receives. *)
