@@ -32,12 +32,13 @@ let work_of_target target =
 (* Grind the nonce of a serialized header — its final 8 bytes,
    big-endian — from 0 up until the double SHA-256 meets the target;
    returns the lowest winning nonce. The search itself runs in C
-   ([Sha256.grind_pow]: a midstate of the constant prefix, nonces in
-   2-lane pairs), in fixed chunks from this loop, so a long search
-   returns to OCaml between chunks and never holds its domain away from
-   a stop-the-world collection for long. [max_iters] bounds runaway
-   grinding at high difficulty; a target that is not 32 bytes is never
-   met, so it runs into that bound. *)
+   ([Sha256.grind_pow]: a midstate of the constant prefix, consecutive
+   nonces across the lanes of the lane compression), in fixed chunks
+   from this loop, so a long search returns to OCaml between chunks and
+   never holds its domain away from a stop-the-world collection for
+   long. [max_iters] bounds runaway grinding at high difficulty; a
+   target that is not 32 bytes is never met, so it runs into that
+   bound. *)
 let grind_chunk = 4096
 
 let grind ?(max_iters = 100_000_000) ~target header =

@@ -21,3 +21,8 @@ type prk
 val prk : seed:string -> label:string -> prk
 
 val expand_prk : prk -> int -> string
+
+(** [prk]'s HMAC pad midstates ({!Hmac.pad_states}): with these,
+    {!Sha256.wots_chains} computes [expand_prk] for many indices and
+    keys at once in the lane kernel. *)
+val pad_states : prk -> int array

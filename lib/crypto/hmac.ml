@@ -45,6 +45,8 @@ let precompute ~key =
   Sha256.feed_string outer0 (xor_with key 0x5c);
   { inner0; outer0 }
 
+let pad_states prk = Array.append (Sha256.midstate prk.inner0) (Sha256.midstate prk.outer0)
+
 (* Per-domain scratch context for [mac_prk]: the function cannot
    re-enter itself, and domains never share a scratch.
    ac3-lint: allow D008 — domain-local scratch; the tag is a pure function of (prk, msg) *)

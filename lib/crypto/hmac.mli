@@ -14,3 +14,8 @@ type prk
 val precompute : key:string -> prk
 
 val mac_prk : prk -> string -> string
+
+(** The two midstates as 16 words, inner pad's H0..H7 then outer pad's:
+    the form in which the lane kernels take an HMAC key
+    ({!Sha256.wots_chains}). *)
+val pad_states : prk -> int array

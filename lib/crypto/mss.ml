@@ -42,7 +42,7 @@ let node_hash l r = Sha256.digest_list [ "mss-node"; l; r ]
 let build_material ~height ~seed =
   let n = 1 lsl height in
   let leaf_secrets = Array.init n (fun i -> Wots.generate ~seed ~tag:(leaf_tag i)) in
-  let leaf_publics = Array.map Wots.public leaf_secrets in
+  let leaf_publics = Wots.publics leaf_secrets in
   let tree = Array.make (height + 1) [||] in
   tree.(0) <- Array.map leaf_hash leaf_publics;
   for level = 1 to height do

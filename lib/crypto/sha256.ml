@@ -17,8 +17,9 @@
    The two loops that issue the most digests — WOTS chain steps and
    proof-of-work nonces — do not come through this layer one message at
    a time: [wots_chains] and [grind_pow] run them as batched C kernels
-   that feed two messages at once through a 2-lane compression. The
-   wrappers below check every length before the stubs touch memory. *)
+   that feed many messages at once through the host's lane compression
+   (16 lanes with AVX-512F, otherwise 2). The wrappers below check every
+   length before the stubs touch memory. *)
 
 type ctx = {
   h : int array; (* working variables H0..H7, 32-bit values in native ints *)
@@ -38,7 +39,8 @@ external shani_available : unit -> bool = "ac3_sha256_shani_available_stub"
 
 external pair_stub : string -> string -> Bytes.t -> unit = "ac3_sha256_pair_stub" [@@noalloc]
 
-external wots_chains_stub : Bytes.t -> int -> int array -> unit = "ac3_sha256_wots_chains_stub"
+external wots_chains_stub : Bytes.t -> int -> int array -> int array -> unit
+  = "ac3_sha256_wots_chains_stub"
   [@@noalloc]
 
 external grind_pow_stub : string -> string -> int -> int -> int = "ac3_sha256_pow_grind_stub"
@@ -60,6 +62,10 @@ let copy ctx =
   c.buf_len <- ctx.buf_len;
   c.total <- ctx.total;
   c
+
+let midstate ctx =
+  if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: partial block buffered";
+  Array.copy ctx.h
 
 let restore ~src ~dst =
   Array.blit src.h 0 dst.h 0 8;
@@ -168,8 +174,8 @@ let digest_pair a b =
    plus the 9 bytes of padding must fit in two blocks. *)
 let wots_frame_max = 119
 
-let wots_chains frames ~frame_len ranges =
-  let n = Array.length ranges / 2 in
+let wots_chains ?(pads = [||]) frames ~frame_len ranges =
+  let n = Array.length ranges / 2 and keys = Array.length pads / 16 in
   if frame_len > wots_frame_max then
     invalid_arg
       (Printf.sprintf "Sha256.wots_chains: %d-byte frame exceeds %d bytes" frame_len
@@ -178,7 +184,11 @@ let wots_chains frames ~frame_len ranges =
      || Bytes.length frames <> n * frame_len
      || Array.exists (fun s -> s < 0 || s > 0x10000) ranges
   then invalid_arg "Sha256.wots_chains: malformed frames or ranges";
-  wots_chains_stub frames frame_len ranges
+  if Array.length pads <> 16 * keys
+     || (keys > 0 && n mod keys <> 0)
+     || Array.exists (fun v -> v < 0 || v > 0xFFFFFFFF) pads
+  then invalid_arg "Sha256.wots_chains: malformed pads";
+  wots_chains_stub frames frame_len ranges pads
 
 let grind_pow header ~target ~first ~count =
   if String.length header < 8 || first < 0 || count < 0 || first > max_int - count then

@@ -1,9 +1,10 @@
 (** SHA-256 (FIPS 180-4). Digests are 32-byte strings.
 
     The compression function runs in C — on the x86 SHA extensions when
-    the CPU has them, through a portable scalar loop otherwise. Both
-    compute the identical FIPS 180-4 function; digest values never
-    depend on which path ran. *)
+    the CPU has them, through a portable scalar loop otherwise — and the
+    batched kernels below run many messages at once, 16 lanes wide on
+    AVX-512F. Every path computes the identical FIPS 180-4 function;
+    digest values never depend on which path ran. *)
 
 type ctx
 
@@ -26,6 +27,11 @@ val finalize : ctx -> string
     many times (HMAC key pads, fixed message prefixes). *)
 val copy : ctx -> ctx
 
+(** H0..H7 of a context fed a whole number of blocks (an HMAC pad
+    midstate, say), as the lane kernels take a starting state. Raises
+    [Invalid_argument] if a partial block is buffered. *)
+val midstate : ctx -> int array
+
 (** Overwrite [dst] with [src]'s state without allocating. *)
 val restore : src:ctx -> dst:ctx -> unit
 
@@ -41,22 +47,34 @@ val hexdigest : string -> string
 (** Double SHA-256 ([digest (digest s)]), as used for Bitcoin-style ids. *)
 val digest2 : string -> string
 
-(** [digest_pair a b = (digest a, digest b)], computed through the
-    2-lane compression the batched kernels below run on. *)
+(** [digest_pair a b = (digest a, digest b)], computed in two lanes of
+    the lane compression the batched kernels below run on. *)
 val digest_pair : string -> string -> string * string
 
-(** [wots_chains frames ~frame_len ranges] walks n = [Array.length
-    ranges / 2] WOTS hash chains in one C call. [frames] holds n frames
-    of [frame_len] bytes; frame i is the message of chain i's steps and
-    ends [u16 chain | u16 step | 32-byte x], where the kernel writes
-    chain = i and step = s itself. Chain i runs steps [s = from_i, ...,
-    to_i - 1] with [from_i = ranges.(2i)], [to_i = ranges.(2i+1)]: each
-    step replaces x by the digest of the frame. On return frame i's x
-    holds the chain's end value (unchanged when [from_i >= to_i]).
+(** [wots_chains ?pads frames ~frame_len ranges] walks n = [Array.length
+    ranges / 2] WOTS hash chains in one C call, many at a time through
+    the lane compression. [frames] holds n frames of [frame_len] bytes;
+    frame i is the message of chain i's steps and ends [u16 chain | u16
+    step | 32-byte x]. The caller writes the chain index (the chain's
+    position within its own key); the kernel writes step = s itself.
+    Chain i runs steps [s = from_i, ..., to_i - 1] with [from_i =
+    ranges.(2i)], [to_i = ranges.(2i+1)]: each step replaces x by the
+    digest of the frame. On return frame i's x holds the chain's end
+    value (the start value when [from_i >= to_i]).
+
+    With [pads], the start values are generated, not read: [pads] holds
+    16 words per key, k keys in all, and frames [j*c, (j+1)*c) with [c
+    = n / k] belong to key j. Words [16j, 16j+8) and [16j+8, 16j+16)
+    are the inner and outer HMAC-SHA256 pad midstates ({!midstate}) of
+    key j's expansion key, and frame i's x is first set to the HMAC,
+    under key (i / c), of frame i's chain index as 16 lowercase hex
+    digits — [Drbg.expand_prk prk chain] bit for bit.
+
     Raises [Invalid_argument] if [frame_len] exceeds 119 bytes (the
-    kernel's two-block bound), if the lengths disagree, or if a range
-    bound lies outside [0, 65536]. *)
-val wots_chains : Bytes.t -> frame_len:int -> int array -> unit
+    kernel's two-block bound), if the lengths disagree, if a range bound
+    lies outside [0, 65536], or if [pads] is not 16 words per key for a
+    key count that divides n. *)
+val wots_chains : ?pads:int array -> Bytes.t -> frame_len:int -> int array -> unit
 
 (** [grind_pow header ~target ~first ~count] is the lowest nonce [n] in
     [first, first + count) such that the double SHA-256 of [header],

@@ -6,9 +6,10 @@
    512 x 32, at the cost of hash chains.
 
    Chain steps are domain-separated by (key tag, chain index, step index)
-   so chains from different keys or positions can never be spliced. All
-   67 chains of a key are walked in one call into a C kernel, which runs
-   them in pairs through a 2-lane SHA-256 compression (see [walk]). *)
+   so chains from different keys or positions can never be spliced. The
+   chains of one or more keys are walked in one call into a C kernel,
+   which runs them many at a time through a lane compression (see
+   [walk]). *)
 
 let w = 16
 
@@ -20,63 +21,114 @@ let checksum_chains = 3 (* max checksum 64*15 = 960 < 16^3 *)
 
 let num_chains = msg_chains + checksum_chains
 
-(* [prk] caches the HMAC midstates of the secret-element expansion
-   stream (seed, "wots:" ^ tag) so the 67 chain seeds of a key don't
-   each re-derive the stream key. *)
-type secret = { tag : string; prk : Drbg.prk }
+(* [pads] are the HMAC pad midstates of the secret-element expansion
+   stream (seed, "wots:" ^ tag): the kernel expands a key's 67 chain
+   seeds from them, [Drbg.expand_prk] bit for bit, without building
+   them as strings. *)
+type secret = { tag : string; pads : int array }
 
 type public = string (* 32-byte hash of all chain tops *)
 
 type signature = string array (* [num_chains] intermediate chain values *)
 
-(* Walk every chain of one key at once: chain i from step [from_ i] up
-   to (not including) [to_ i], starting from [xs.(i)]. Each step hashes
-   the [Codec]-framed record
+let frame_prefix tag =
+  Codec.encode
+    (fun w () ->
+      Codec.Writer.string w "wots-step";
+      Codec.Writer.string w tag)
+    ()
+
+(* Walk every chain of the keys [tags] at once, [num_chains] per key in
+   key order: chain i from step [from_ i] up to (not including) [to_ i].
+   Chains start from the keys' secret elements, expanded in the kernel
+   from [`Secrets pads] (the keys' pad midstates, concatenated), or from
+   [`Values xs]. Each step hashes the [Codec]-framed record
      string "wots-step" | string tag | u16 chain | u16 step | 32-byte x
-   — the tag binds every step to this key pair, the indices to its
-   position. The frame prefix is encoded once per key; the C kernel
-   ([Sha256.wots_chains]) patches the chain, step and x bytes in place
-   and runs the chains two at a time through the 2-lane compression.
-   Keygen, signing and verification all walk through here. *)
-let walk tag ~from_ ~to_ xs =
-  let prefix =
-    Codec.encode
-      (fun w () ->
-        Codec.Writer.string w "wots-step";
-        Codec.Writer.string w tag)
-      ()
-  in
-  let plen = String.length prefix in
+   — the tag binds every step to its key pair, the indices to its
+   position within the key. Each frame is written once, chain index
+   included; the C kernel ([Sha256.wots_chains]) patches the step and x
+   bytes in place, and on return frame i ends with chain i's end value.
+   One kernel call takes one frame length, so [tags] must all encode to
+   the same length. Keygen, signing and verification all walk through
+   here. *)
+let walk tags start ~from_ ~to_ =
+  let prefixes = Array.map frame_prefix tags in
+  let plen = String.length prefixes.(0) in
   let frame_len = plen + 36 in
-  let n = Array.length xs in
-  let frames = Bytes.create (n * frame_len) in
+  let n = Array.length tags * num_chains in
+  let frames = Bytes.make (n * frame_len) '\000' in
   let ranges = Array.make (2 * n) 0 in
-  Array.iteri
-    (fun i x ->
-      Bytes.blit_string prefix 0 frames (i * frame_len) plen;
-      Bytes.blit_string x 0 frames (((i + 1) * frame_len) - 32) 32;
-      ranges.(2 * i) <- from_ i;
-      ranges.((2 * i) + 1) <- to_ i)
-    xs;
-  Sha256.wots_chains frames ~frame_len ranges;
-  Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
+  for i = 0 to n - 1 do
+    let off = i * frame_len in
+    Bytes.blit_string prefixes.(i / num_chains) 0 frames off plen;
+    Bytes.set_uint16_be frames (off + plen) (i mod num_chains);
+    (match start with
+    | `Values xs -> Bytes.blit_string xs.(i) 0 frames (off + plen + 4) 32
+    | `Secrets _ -> ());
+    ranges.(2 * i) <- from_ i;
+    ranges.((2 * i) + 1) <- to_ i
+  done;
+  let pads = match start with `Secrets pads -> Some pads | `Values _ -> None in
+  Sha256.wots_chains ?pads frames ~frame_len ranges;
+  (frames, frame_len)
 
-let sk_element { prk; _ } i = Drbg.expand_prk prk i
+let end_offset (_, frame_len) i = ((i + 1) * frame_len) - 32
 
-let generate ~seed ~tag = { tag; prk = Drbg.prk ~seed ~label:("wots:" ^ tag) }
+let end_value ((frames, _) as walked) i = Bytes.sub_string frames (end_offset walked i) 32
 
-let secret_elements sk = Array.init num_chains (sk_element sk)
+(* The public key of key [j] of a walk: the digest of "wots-pk" | tag |
+   its [num_chains] chain tops, gathered into one message so it is
+   hashed in one pass. *)
+let public_of_walk ((frames, _) as walked) ~tag j =
+  let tlen = String.length tag in
+  let msg = Bytes.create (7 + tlen + (32 * num_chains)) in
+  Bytes.blit_string "wots-pk" 0 msg 0 7;
+  Bytes.blit_string tag 0 msg 7 tlen;
+  for c = 0 to num_chains - 1 do
+    Bytes.blit frames (end_offset walked ((j * num_chains) + c)) msg (7 + tlen + (32 * c)) 32
+  done;
+  Sha256.digest (Bytes.unsafe_to_string msg)
 
-let chain_tops sk = walk sk.tag ~from_:(fun _ -> 0) ~to_:(fun _ -> w - 1) (secret_elements sk)
+let generate ~seed ~tag = { tag; pads = Drbg.pad_states (Drbg.prk ~seed ~label:("wots:" ^ tag)) }
 
-let public_of_tops ~tag tops =
-  let ctx = Sha256.init () in
-  Sha256.feed_string ctx "wots-pk";
-  Sha256.feed_string ctx tag;
-  Array.iter (Sha256.feed_string ctx) tops;
-  Sha256.finalize ctx
+(* Key generation walks at most this many keys per kernel call: 1072
+   chains, about a millisecond with 16 lanes. So the [@@noalloc] call
+   never holds its domain away from a stop-the-world collection for long,
+   and the frame buffer stays near 70 KB whatever the key count. *)
+let keygen_batch = 16
 
-let public sk = public_of_tops ~tag:sk.tag (chain_tops sk)
+let publics sks =
+  let n = Array.length sks in
+  let out = Array.make n "" in
+  (* Group keys by tag length, stably (MSS leaves stay in index order),
+     then walk each run of equal lengths in batches. *)
+  let tag_len i = String.length sks.(i).tag in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (tag_len a) (tag_len b)) order;
+  let rec batches first =
+    if first < n then begin
+      let stop = ref (first + 1) in
+      while !stop < n && !stop - first < keygen_batch && tag_len order.(!stop) = tag_len order.(first) do
+        incr stop
+      done;
+      let batch = Array.init (!stop - first) (fun j -> sks.(order.(first + j))) in
+      let walked =
+        walk
+          (Array.map (fun sk -> sk.tag) batch)
+          (`Secrets (Array.concat (Array.to_list (Array.map (fun sk -> sk.pads) batch))))
+          ~from_:(fun _ -> 0)
+          ~to_:(fun _ -> w - 1)
+      in
+      Array.iteri
+        (fun j sk -> out.(order.(first + j)) <- public_of_walk walked ~tag:sk.tag j)
+        batch;
+      batches !stop
+    end
+  in
+  batches 0;
+  out
+
+let public sk = (publics [| sk |]).(0)
 
 (* Split a 32-byte digest into 64 base-16 symbols, then append the 3-symbol
    checksum of sum (w-1 - d_i). The checksum defeats signature mauling: an
@@ -99,9 +151,9 @@ let symbols_of_digest digest =
   msg
 
 let sign sk msg =
-  let digest = Sha256.digest msg in
-  let syms = symbols_of_digest digest in
-  walk sk.tag ~from_:(fun _ -> 0) ~to_:(Array.get syms) (secret_elements sk)
+  let syms = symbols_of_digest (Sha256.digest msg) in
+  let walked = walk [| sk.tag |] (`Secrets sk.pads) ~from_:(fun _ -> 0) ~to_:(Array.get syms) in
+  Array.init num_chains (end_value walked)
 
 (* Recompute the public key implied by a signature. Verification succeeds
    when it matches; MSS also uses this to recompute leaf values. *)
@@ -111,8 +163,8 @@ let public_from_signature ~tag msg signature =
   else begin
     let digest = Sha256.digest msg in
     let syms = symbols_of_digest digest in
-    let tops = walk tag ~from_:(Array.get syms) ~to_:(fun _ -> w - 1) signature in
-    Some (public_of_tops ~tag tops)
+    let walked = walk [| tag |] (`Values signature) ~from_:(Array.get syms) ~to_:(fun _ -> w - 1) in
+    Some (public_of_walk walked ~tag 0)
   end
 
 let verify ~tag pk msg signature =

@@ -16,6 +16,12 @@ val num_chains : int
 (** Deterministic key from [seed], domain-separated by [tag]. *)
 val generate : seed:string -> tag:string -> secret
 
+(** The public keys of many secrets, generated together: keys whose
+    tags have equal length share kernel calls of up to 16 keys (1072
+    chains) each. [publics sks = Array.map public sks]. *)
+val publics : secret array -> public array
+
+(** [public sk = (publics [| sk |]).(0)]. *)
 val public : secret -> public
 
 val sign : secret -> string -> signature

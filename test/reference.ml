@@ -1,5 +1,5 @@
 (* Slow reference implementations for the differential test harnesses
-   (test_fast.ml, test_model.ml).
+   (test_fast.ml, test_model.ml, test_crypto.ml).
 
    [Engine] is the boxed-heap event queue the simulator shipped with
    before the index-sorted arena (lib/fast/arena.ml) replaced it,
@@ -264,4 +264,89 @@ module Model = struct
           v
     in
     go
+end
+
+(* [Mss_keygen] is MSS key generation as it stood before the lane
+   kernel: one WOTS key per leaf, its 67 secret elements expanded one
+   [Drbg.expand_prk] at a time and its chains walked per key. Kept
+   verbatim from [Mss.build_material] and [Wots.public] except [walk],
+   which hashes every step with its own [Sha256.digest] instead of
+   calling the chain kernel, so the oracle shares no code with the
+   batched builder it checks (test_crypto.ml), and [auth_path], which
+   reads a material rather than a signer. *)
+module Mss_keygen = struct
+  open Ac3_crypto
+
+  let w = 16
+
+  let num_chains = 67
+
+  type secret = { tag : string; prk : Drbg.prk }
+
+  let walk tag ~from_ ~to_ xs =
+    Array.mapi
+      (fun i x ->
+        let v = ref x in
+        for s = from_ i to to_ i - 1 do
+          v :=
+            Sha256.digest
+              (Codec.encode
+                 (fun w () ->
+                   Codec.Writer.string w "wots-step";
+                   Codec.Writer.string w tag;
+                   Codec.Writer.u16 w i;
+                   Codec.Writer.u16 w s;
+                   Codec.Writer.fixed w ~len:32 !v)
+                 ())
+        done;
+        !v)
+      xs
+
+  let sk_element { prk; _ } i = Drbg.expand_prk prk i
+
+  let generate ~seed ~tag = { tag; prk = Drbg.prk ~seed ~label:("wots:" ^ tag) }
+
+  let secret_elements sk = Array.init num_chains (sk_element sk)
+
+  let chain_tops sk = walk sk.tag ~from_:(fun _ -> 0) ~to_:(fun _ -> w - 1) (secret_elements sk)
+
+  let public_of_tops ~tag tops =
+    let ctx = Sha256.init () in
+    Sha256.feed_string ctx "wots-pk";
+    Sha256.feed_string ctx tag;
+    Array.iter (Sha256.feed_string ctx) tops;
+    Sha256.finalize ctx
+
+  let public sk = public_of_tops ~tag:sk.tag (chain_tops sk)
+
+  type material = {
+    leaf_secrets : secret array;
+    leaf_publics : string array;
+    (* tree.(0) = leaf hashes, tree.(height) = [| root |] *)
+    tree : string array array;
+  }
+
+  let leaf_tag i = Printf.sprintf "mss-leaf:%d" i
+
+  let leaf_hash pk = Sha256.digest_list [ "mss-leaf-hash"; pk ]
+
+  let node_hash l r = Sha256.digest_list [ "mss-node"; l; r ]
+
+  let build_material ~height ~seed =
+    let n = 1 lsl height in
+    let leaf_secrets = Array.init n (fun i -> generate ~seed ~tag:(leaf_tag i)) in
+    let leaf_publics = Array.map public leaf_secrets in
+    let tree = Array.make (height + 1) [||] in
+    tree.(0) <- Array.map leaf_hash leaf_publics;
+    for level = 1 to height do
+      let below = tree.(level - 1) in
+      tree.(level) <-
+        Array.init (Array.length below / 2) (fun i -> node_hash below.(2 * i) below.((2 * i) + 1))
+    done;
+    { leaf_secrets; leaf_publics; tree }
+
+  let auth_path m ~height index =
+    Array.init height (fun level ->
+        let i = index lsr level in
+        m.tree.(level).(i lxor 1))
 end

@@ -358,32 +358,46 @@ let reference_chain tag i ~from_ ~to_ x =
   done;
   !v
 
-let kernel_chains tag ranges xs =
-  let prefix = wots_frame_prefix tag in
-  let plen = String.length prefix and n = Array.length xs in
+(* The kernel over the keys [tags], [per_key] chains each in key order,
+   every frame carrying its chain's index within its key. Chains start
+   from [xs], or with [prks] from the keys' secret elements, which the
+   kernel expands itself (over the [xs] already in the frames). *)
+let kernel_chains ?prks tags ~per_key ranges xs =
+  let prefixes = Array.map wots_frame_prefix tags in
+  let plen = String.length prefixes.(0) and n = Array.length xs in
   let frame_len = plen + 36 in
-  let frames = Bytes.create (n * frame_len) in
+  let frames = Bytes.make (n * frame_len) '\000' in
   Array.iteri
     (fun i x ->
-      Bytes.blit_string prefix 0 frames (i * frame_len) plen;
-      Bytes.blit_string x 0 frames (((i + 1) * frame_len) - 32) 32)
+      let off = i * frame_len in
+      Bytes.blit_string prefixes.(i / per_key) 0 frames off plen;
+      Bytes.set_uint16_be frames (off + plen) (i mod per_key);
+      Bytes.blit_string x 0 frames (off + plen + 4) 32)
     xs;
   let flat = Array.init (2 * n) (fun j -> (if j mod 2 = 0 then fst else snd) ranges.(j / 2)) in
-  Sha256.wots_chains frames ~frame_len flat;
+  let pads = Option.map (fun p -> Array.concat (Array.to_list (Array.map Drbg.pad_states p))) prks in
+  Sha256.wots_chains ?pads frames ~frame_len flat;
   Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
 
-(* Leaf tags of 1 to 5 digits (frames of 63 to 67 bytes), chain counts
-   including the odd 67 of a real key, and ranges that are full (0..15)
-   as in keygen, [0, s) as in signing, [s, 15) as in verification,
-   empty or arbitrary; the same for every chain or mixed per chain. *)
+(* One to four keys per call with leaf tags of 1 to 5 digits (frames of
+   63 to 67 bytes), 1 to 75 or the real 67 chains per key (1 to 300 in
+   all, so every lane tail occurs), and ranges that are full (0..15) as
+   in keygen, [0, s) as in signing, [s, 15) as in verification, empty or
+   arbitrary; the same for every chain or mixed per chain. Chains start
+   from given values or from the secret elements the kernel expands,
+   which an empty range returns as they are: [Drbg.expand_prk] is the
+   reference for both. *)
 let qcheck_wots_kernel =
   let gen =
     QCheck.Gen.(
       let* leaf =
-        oneof
+        oneofl
           [ int_range 0 9; int_range 10 99; int_range 100 999; int_range 1000 9999; int_range 10000 65535 ]
       in
-      let* n = oneof [ return 67; int_range 1 9 ] in
+      let* keys = int_range 1 4 in
+      let* per_key = oneof [ return 67; int_range 1 75 ] in
+      let* leaves = array_repeat keys leaf in
+      let n = keys * per_key in
       let step = int_range 0 15 in
       let range =
         oneof
@@ -397,22 +411,31 @@ let qcheck_wots_kernel =
       in
       let* uniform = bool in
       let* ranges = if uniform then map (Array.make n) range else array_repeat n range in
+      let* expand = bool in
       let* seed = string_size (return 8) in
-      return (Printf.sprintf "mss-leaf:%d" leaf, ranges, seed))
+      return (Array.map (Printf.sprintf "mss-leaf:%d") leaves, per_key, ranges, expand, seed))
   in
   QCheck.Test.make ~name:"WOTS chain kernel = one digest per step" ~count:60
     (QCheck.make
-       ~print:(fun (tag, ranges, _) ->
-         Printf.sprintf "%s, %d chains, ranges %s" tag (Array.length ranges)
+       ~print:(fun (tags, per_key, ranges, expand, _) ->
+         Printf.sprintf "%s, %d chains each, %s, ranges %s" (String.concat " " (Array.to_list tags))
+           per_key
+           (if expand then "expanded" else "given")
            (String.concat " "
               (Array.to_list (Array.map (fun (f, t) -> Printf.sprintf "[%d,%d)" f t) ranges))))
        gen)
-    (fun (tag, ranges, seed) ->
+    (fun (tags, per_key, ranges, expand, seed) ->
+      let prks = Array.map (fun tag -> Drbg.prk ~seed ~label:("wots:" ^ tag)) tags in
       let xs = Array.init (Array.length ranges) (fun i -> Sha256.digest (seed ^ string_of_int i)) in
       let expected =
-        Array.mapi (fun i x -> reference_chain tag i ~from_:(fst ranges.(i)) ~to_:(snd ranges.(i)) x) xs
+        Array.mapi
+          (fun i x ->
+            let key = i / per_key and chain = i mod per_key in
+            let x = if expand then Drbg.expand_prk prks.(key) chain else x in
+            reference_chain tags.(key) chain ~from_:(fst ranges.(i)) ~to_:(snd ranges.(i)) x)
+          xs
       in
-      kernel_chains tag ranges xs = expected)
+      kernel_chains ?prks:(if expand then Some prks else None) tags ~per_key ranges xs = expected)
 
 let test_wots_frame_bound () =
   let x = String.make 32 'x' in
@@ -422,11 +445,17 @@ let test_wots_frame_bound () =
       let tag = String.make len 't' in
       Alcotest.(check (array string)) (Printf.sprintf "%d-byte tag" len)
         [| reference_chain tag 0 ~from_:0 ~to_:3 x |]
-        (kernel_chains tag [| (0, 3) |] [| x |]))
+        (kernel_chains [| tag |] ~per_key:1 [| (0, 3) |] [| x |]))
     [ 0; 2; 10; 66 ];
   Alcotest.check_raises "120-byte frame refused"
     (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
-      ignore (kernel_chains (String.make 67 't') [| (0, 3) |] [| x |]));
+      ignore (kernel_chains [| String.make 67 't' |] ~per_key:1 [| (0, 3) |] [| x |]));
+  Alcotest.check_raises "pads for a key count that does not divide the chains refused"
+    (Invalid_argument "Sha256.wots_chains: malformed pads") (fun () ->
+      let prk = Drbg.prk ~seed:"s" ~label:"l" in
+      ignore
+        (kernel_chains ~prks:[| prk; prk |] (Array.make 3 "t") ~per_key:1 (Array.make 3 (0, 3))
+           (Array.make 3 x)));
   Alcotest.check_raises "signing with an over-long tag refused"
     (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
       ignore (Wots.sign (Wots.generate ~seed:"s" ~tag:(String.make 67 't')) "msg"))
@@ -466,6 +495,44 @@ let test_mss_codec_roundtrip () =
   let s' = Codec.decode Mss.decode_signature (Codec.encode Mss.encode_signature s) in
   Alcotest.(check bool) "roundtrip verifies" true (Mss.verify (Mss.public sk) "msg" s')
 
+(* The batched builder against the per-leaf one it replaced
+   ([Reference.Mss_keygen], which walks every chain one digest per step).
+   Heights 1 to 10 give leaf tags of 1 to 4 digits (frames of 63 to 66
+   bytes) and kernel calls of 2, 4, 6, 8, 10, 12 and 16 keys; the kernel
+   QCheck covers every other chain count. The root, every leaf public
+   key (through the same batched [Wots.publics] call [Mss] makes) and
+   every leaf's authentication path (the tail of its encoded signature)
+   must match. *)
+let test_mss_builder_matches_reference () =
+  for height = 1 to 10 do
+    let n = 1 lsl height in
+    let seed = Sha256.digest (Printf.sprintf "mss-differential:%d" height) in
+    let m = Reference.Mss_keygen.build_material ~height ~seed in
+    let sk = Mss.generate ~height ~seed () in
+    let at what = Printf.sprintf "height %d: %s" height what in
+    Alcotest.(check string) (at "root") (Hex.encode m.tree.(height).(0)) (Hex.encode (Mss.public sk));
+    let leaves =
+      Array.init n (fun i -> Wots.generate ~seed ~tag:(Reference.Mss_keygen.leaf_tag i))
+    in
+    Alcotest.(check (array string)) (at "leaf publics") m.leaf_publics (Wots.publics leaves);
+    for i = 0 to n - 1 do
+      let encoded = Codec.encode Mss.encode_signature (Mss.sign sk "auth path") in
+      let path = String.sub encoded (String.length encoded - (32 * height)) (32 * height) in
+      Alcotest.(check string)
+        (at (Printf.sprintf "auth path %d" i))
+        (String.concat "" (Array.to_list (Reference.Mss_keygen.auth_path m ~height i)))
+        path
+    done
+  done
+
+(* 2^11 leaves are 137 216 chains, more than one kernel call takes
+   (65 536): key generation must split them. *)
+let test_mss_height_11 () =
+  let sk = Mss.generate ~height:11 ~seed:"mss-height-11" () in
+  Alcotest.(check int) "capacity" 2048 (Mss.capacity sk);
+  let s = Mss.sign sk "msg" in
+  Alcotest.(check bool) "verifies" true (Mss.verify (Mss.public sk) "msg" s)
+
 (* --- Keys / identities --------------------------------------------------- *)
 
 let test_keys_deterministic () =
@@ -483,6 +550,28 @@ let test_keys_sign_verify () =
 let test_keys_address_len () =
   let id = Keys.create "addr-crypto-test" in
   Alcotest.(check int) "20 bytes" Keys.address_len (String.length (Keys.address id))
+
+(* Identity keys as the per-leaf builder computed them before the lane
+   kernel: a key generation change that moves a key fails here, not
+   only in the golden outputs. *)
+let test_keys_pinned () =
+  List.iter
+    (fun (height, label, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s at height %d" label height)
+        expected
+        (Hex.encode (Keys.public (Keys.create ~height label))))
+    [
+      (1, "alice", "b5d8e60ed7efc2ccc08252582458b83fe867f19413f9ec280926681bf0199cec");
+      (1, "bob", "cebc04e85cc565e0793018abbf3bb57f0435b712426b40ab4c007795a0b9ff2b");
+      (1, "miner-0", "01ad975cc64fe750360d01cae31d27490ed387a153d30a6c29fc36595c934c9b");
+      (6, "alice", "43e2bf99be4d5d01d0b84f853c8ada97c29563359dcb84dbe324ee306b83ef94");
+      (6, "bob", "603474681b1ac10590ebca7b21e4a1ccf5dfbfc1f1525e01fb1c21091b1b565f");
+      (6, "miner-0", "dbffe3a08942ae7c692cfffbd9fc65c6504af1f27f3bb9275083de1545c1cc5e");
+      (9, "alice", "6cc24c781628d441bab4d766996dd0c796d2d029b2d2ba7b750dcd22f7ca6901");
+      (9, "bob", "9fe2cf760389dec94b83bf8cf8b05c438b9153b98d4f341fa045874655c5549a");
+      (9, "miner-0", "6b5303da67409de53aba1f58f8de805f721168d510ec27b572153e2161536bf6");
+    ]
 
 (* --- Multisig ------------------------------------------------------------ *)
 
@@ -649,12 +738,16 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_mss_exhaustion;
           Alcotest.test_case "cross-key rejection" `Quick test_mss_cross_key_rejection;
           Alcotest.test_case "codec roundtrip" `Quick test_mss_codec_roundtrip;
+          Alcotest.test_case "builder = per-leaf reference, heights 1-10" `Slow
+            test_mss_builder_matches_reference;
+          Alcotest.test_case "height 11 builds and signs" `Slow test_mss_height_11;
         ] );
       ( "keys",
         [
           Alcotest.test_case "deterministic" `Quick test_keys_deterministic;
           Alcotest.test_case "sign/verify" `Quick test_keys_sign_verify;
           Alcotest.test_case "address length" `Quick test_keys_address_len;
+          Alcotest.test_case "public keys pinned" `Quick test_keys_pinned;
         ] );
       ( "multisig",
         [
