@@ -47,5 +47,3 @@ type prk = Hmac.prk
 let prk ~seed ~label = Hmac.precompute ~key:(Hmac.mac ~key:seed label)
 
 let expand_prk p i = Hmac.mac_prk p (counter_hex i)
-
-let pad_states = Hmac.pad_states

@@ -15,14 +15,11 @@ val expand : seed:string -> label:string -> int -> string
 
 (** Precomputed expansion key for a fixed (seed, label):
     [expand_prk (prk ~seed ~label) i = expand ~seed ~label i] bit for
-    bit, at half the compression cost per call. *)
-type prk
+    bit, at half the compression cost per call. Its
+    {!Hmac.pad_states} let {!Sha256.wots_chains} compute [expand_prk]
+    for many indices and keys at once in the lane kernel. *)
+type prk = Hmac.prk
 
 val prk : seed:string -> label:string -> prk
 
 val expand_prk : prk -> int -> string
-
-(** [prk]'s HMAC pad midstates ({!Hmac.pad_states}): with these,
-    {!Sha256.wots_chains} computes [expand_prk] for many indices and
-    keys at once in the lane kernel. *)
-val pad_states : prk -> int array

@@ -429,13 +429,10 @@ static void put_digest(unsigned char out[32], const uint32_t st[8])
 /* --- lane buffers ------------------------------------------------------- */
 
 /* A lane kernel's working set: up to two blocks of message rows and the
- * state rows, aligned for whole-row vector loads. [pre] is one more row
- * laid out right before the state, so a word per lane followed by the
- * digest is nine consecutive rows (a WOTS step's chain | step | x). */
+ * state rows, aligned for whole-row vector loads. */
 struct lanes {
     lane_row w[32] __attribute__((aligned(64)));
-    lane_row pre;
-    lane_row st[8];
+    lane_row st[8] __attribute__((aligned(64)));
 };
 
 static void lanes_clear(struct lanes *x) { memset(x, 0, sizeof *x); }
@@ -646,7 +643,8 @@ static void wots_expand(const struct impl *k, struct wots_job *job, value vpads)
                 in.st[j][l] = (uint32_t)Long_val(Field(vpads, 16 * key + j));
                 out.st[j][l] = (uint32_t)Long_val(Field(vpads, 16 * key + 8 + j));
             }
-            in.w[3][l] = ((uint32_t)hex[(c >> 12) & 15] << 24) | ((uint32_t)hex[(c >> 8) & 15] << 16)
+            in.w[3][l] = ((uint32_t)hex[(c >> 12) & 15] << 24)
+                       | ((uint32_t)hex[(c >> 8) & 15] << 16)
                        | ((uint32_t)hex[(c >> 4) & 15] << 8) | (uint32_t)hex[c & 15];
         }
         k->many(in.st, in.w, 1, NULL);
@@ -673,6 +671,7 @@ CAMLprim value ac3_sha256_wots_chains_stub(value vframes, value vflen, value vra
     struct wots_job job;
     struct lanes x;
     struct chain c[MAX_LANES];
+    lane_row chain_step;
     uint32_t wk[64];
     const uint32_t *shared = NULL;
     int live = 0;
@@ -707,8 +706,9 @@ CAMLprim value ac3_sha256_wots_chains_stub(value vframes, value vflen, value vra
         k->many(x.st, x.w, job.nb, shared);
         /* the next step's message: chain | step + 1 | this digest */
         for (int l = 0; l < k->lanes; l++)
-            x.pre[l] = (c[l].index << 16) | ((uint32_t)(c[l].step + 1) & 0xFFFF);
-        lanes_put_words(&x, k->lanes, job.flen - 36, &x.pre, 9);
+            chain_step[l] = (c[l].index << 16) | ((uint32_t)(c[l].step + 1) & 0xFFFF);
+        lanes_put_words(&x, k->lanes, job.flen - 36, &chain_step, 1);
+        lanes_put_words(&x, k->lanes, xoff, x.st, 8);
         for (int l = 0; l < k->lanes; l++) {
             if (c[l].frame == NULL || ++c[l].step < c[l].to) continue;
             lane_digest(c[l].frame + xoff, &x, l);

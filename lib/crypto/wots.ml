@@ -89,7 +89,7 @@ let public_of_walk ((frames, _) as walked) ~tag j =
   done;
   Sha256.digest (Bytes.unsafe_to_string msg)
 
-let generate ~seed ~tag = { tag; pads = Drbg.pad_states (Drbg.prk ~seed ~label:("wots:" ^ tag)) }
+let generate ~seed ~tag = { tag; pads = Hmac.pad_states (Drbg.prk ~seed ~label:("wots:" ^ tag)) }
 
 (* Key generation walks at most this many keys per kernel call: 1072
    chains, about a millisecond with 16 lanes. So the [@@noalloc] call
@@ -108,7 +108,9 @@ let publics sks =
   let rec batches first =
     if first < n then begin
       let stop = ref (first + 1) in
-      while !stop < n && !stop - first < keygen_batch && tag_len order.(!stop) = tag_len order.(first) do
+      while
+        !stop < n && !stop - first < keygen_batch && tag_len order.(!stop) = tag_len order.(first)
+      do
         incr stop
       done;
       let batch = Array.init (!stop - first) (fun j -> sks.(order.(first + j))) in

@@ -375,7 +375,9 @@ let kernel_chains ?prks tags ~per_key ranges xs =
       Bytes.blit_string x 0 frames (off + plen + 4) 32)
     xs;
   let flat = Array.init (2 * n) (fun j -> (if j mod 2 = 0 then fst else snd) ranges.(j / 2)) in
-  let pads = Option.map (fun p -> Array.concat (Array.to_list (Array.map Drbg.pad_states p))) prks in
+  let pads =
+    Option.map (fun p -> Array.concat (Array.to_list (Array.map Hmac.pad_states p))) prks
+  in
   Sha256.wots_chains ?pads frames ~frame_len flat;
   Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
 
@@ -447,6 +449,35 @@ let test_wots_frame_bound () =
         [| reference_chain tag 0 ~from_:0 ~to_:3 x |]
         (kernel_chains [| tag |] ~per_key:1 [| (0, 3) |] [| x |]))
     [ 0; 2; 10; 66 ];
+  (* Every frame length the kernel takes, 36 to 119 bytes (one block or
+     two, the chain value word-aligned or not), over a raw prefix. *)
+  let u16 n =
+    let b = Bytes.create 2 in
+    Bytes.set_uint16_be b 0 n;
+    Bytes.to_string b
+  in
+  let ranges = [| (0, 3); (2, 5); (4, 4) |] in
+  for frame_len = 36 to 119 do
+    let prefix = String.init (frame_len - 36) (fun i -> Char.chr ((7 * i) land 0xFF)) in
+    let frame chain s v = prefix ^ u16 chain ^ u16 s ^ v in
+    let expected =
+      Array.mapi
+        (fun chain (from_, to_) ->
+          let v = ref x in
+          for s = from_ to to_ - 1 do
+            v := Sha256.digest (frame chain s !v)
+          done;
+          !v)
+        ranges
+    in
+    let frames = Bytes.of_string (String.concat "" (List.init 3 (fun chain -> frame chain 0 x))) in
+    Sha256.wots_chains frames ~frame_len
+      (Array.concat (Array.to_list (Array.map (fun (f, t) -> [| f; t |]) ranges)));
+    Alcotest.(check (array string))
+      (Printf.sprintf "%d-byte frame" frame_len)
+      expected
+      (Array.init 3 (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32))
+  done;
   Alcotest.check_raises "120-byte frame refused"
     (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
       ignore (kernel_chains [| String.make 67 't' |] ~per_key:1 [| (0, 3) |] [| x |]));
@@ -510,7 +541,8 @@ let test_mss_builder_matches_reference () =
     let m = Reference.Mss_keygen.build_material ~height ~seed in
     let sk = Mss.generate ~height ~seed () in
     let at what = Printf.sprintf "height %d: %s" height what in
-    Alcotest.(check string) (at "root") (Hex.encode m.tree.(height).(0)) (Hex.encode (Mss.public sk));
+    Alcotest.(check string)
+      (at "root") (Hex.encode m.tree.(height).(0)) (Hex.encode (Mss.public sk));
     let leaves =
       Array.init n (fun i -> Wots.generate ~seed ~tag:(Reference.Mss_keygen.leaf_tag i))
     in
