@@ -89,9 +89,10 @@ let qcheck_sha256_boundary_lengths =
       String.iter (fun c -> Sha256.feed_string ctx (String.make 1 c)) s;
       Sha256.finalize ctx = Sha256.digest s)
 
-(* The FIPS 180-4 vectors again, two at a time through the 2-lane
-   compression: a different message in each lane, 1-block and 2-block
-   inputs in every combination (the shorter lane finishes alone). *)
+(* The FIPS 180-4 vectors again, two at a time through two lanes of the
+   lane compression the host selects (16 lanes wide with AVX-512F): a
+   different message in each lane, 1-block and 2-block inputs in every
+   combination (the longer message's last block runs alone). *)
 let test_sha256_vectors_two_lanes () =
   List.iter
     (fun (a, ha) ->
