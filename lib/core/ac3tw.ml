@@ -17,6 +17,8 @@
 module Span = Ac3_obs.Span
 module Ac2t = Ac3_contract.Ac2t
 module Centralized_sc = Ac3_contract.Centralized_sc
+module Protocol = Ac3_flow.Protocol
+module Guard = Protocol.Witness
 include Driver.Shared
 
 let src = Logs.Src.create "ac3.tw" ~doc:"AC3TW protocol"
@@ -34,34 +36,43 @@ let phases =
     { Span.phase = "refund"; opens = "refund:"; closes = [ "refund:" ] };
   ]
 
-type state = { trent : Trent.t; ms_id : string; mutable decision : Trent.decision option }
+(* Trent's decision once he gives one, with his signature on it: the
+   secret every contract's redeem or refund takes. *)
+type state = {
+  trent : Trent.t;
+  ms_id : string;
+  mutable signed : (Protocol.decision * Ac3_crypto.Keys.signature) option;
+}
+
+let decision s = match s.signed with Some (d, _) -> d | None -> Protocol.Undecided
 
 (* Ask Trent for a decision until he gives one: the refund signature
    once an abort was requested, otherwise the redeem signature once
    every contract is confirmed. *)
 let try_decide s t =
-  if s.decision = None then
-    if Driver.abort_requested t then begin
-      match Trent.request_refund s.trent ~ms_id:s.ms_id with
-      | Ok sg ->
-          s.decision <- Some (Trent.Refund_signed sg);
-          Driver.record t "refund_signed"
-      | Error e -> Log.debug (fun m -> m "Trent refused refund: %s" e)
-    end
-    else if Driver.all_deployed t then begin
-      let contracts =
-        Array.to_list
-          (Array.map (fun (es : Driver.edge_state) -> Option.get es.contract_id) (Driver.edges t))
-      in
-      match Trent.request_redeem s.trent ~ms_id:s.ms_id ~contracts with
-      | Ok sg ->
-          s.decision <- Some (Trent.Redeem_signed sg);
-          Driver.record t "redeem_signed"
-      | Error e -> Log.debug (fun m -> m "Trent refused redeem: %s" e)
-    end
+  let d = decision s in
+  if Guard.abort d ~abort_requested:(Driver.abort_requested t) then begin
+    match Trent.request_refund s.trent ~ms_id:s.ms_id with
+    | Ok sg ->
+        s.signed <- Some (Protocol.Abort, sg);
+        Driver.record t "refund_signed"
+    | Error e -> Log.debug (fun m -> m "Trent refused refund: %s" e)
+  end
+  else if Guard.commit d ~all_published:(Driver.all_deployed t) then begin
+    let contracts =
+      Array.to_list
+        (Array.map (fun (es : Driver.edge_state) -> Option.get es.contract_id) (Driver.edges t))
+    in
+    match Trent.request_redeem s.trent ~ms_id:s.ms_id ~contracts with
+    | Ok sg ->
+        s.signed <- Some (Protocol.Commit, sg);
+        Driver.record t "redeem_signed"
+    | Error e -> Log.debug (fun m -> m "Trent refused redeem: %s" e)
+  end
 
 let step s t p =
   Driver.deploy t p ~code_id:Centralized_sc.code_id
+    ~ready:(fun _ _ -> Guard.deploy (decision s))
     ~args:(fun _ es ->
       Centralized_sc.args ~recipient_pk:es.Driver.edge.Ac2t.to_pk ~ms_id:s.ms_id
         ~trent_pk:(Trent.public s.trent))
@@ -73,9 +84,10 @@ let step s t p =
       ~args:(fun _ -> Some (Centralized_sc.secret_args signature))
       ~label:(fun i _ -> Printf.sprintf "%s:%d" fn i)
   in
-  match s.decision with
-  | Some (Trent.Redeem_signed sg) -> settle `Redeem "redeem" sg
-  | Some (Trent.Refund_signed sg) -> settle `Refund "refund" sg
+  match s.signed with
+  | Some (d, sg) ->
+      if Guard.redeem d then settle `Redeem "redeem" sg;
+      if Guard.refund d then settle `Refund "refund" sg
   | None -> ()
 
 let execute universe ~config ~trent ~graph ~participants ?abort_after () =
@@ -83,7 +95,7 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
   let ms = Ac2t.multisign graph (List.map Participant.identity participants) in
   Trent.register trent ~graph ~ms
   |> Result.map (fun ms_id ->
-         let s = { trent; ms_id; decision = None } in
+         let s = { trent; ms_id; signed = None } in
          Driver.execute ~timeout:config.timeout
            (Driver.launch universe ~graph ~participants ~hooks:[]
               ~poll_interval:config.poll_interval ~abort_after
@@ -91,11 +103,7 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
                 Driver.name = "ac3tw";
                 phases;
                 step = step s;
-                aborted =
-                  (fun _ ->
-                    match s.decision with Some (Trent.Refund_signed _) -> true | _ -> false);
-                abortable =
-                  (fun _ ->
-                    match s.decision with Some (Trent.Redeem_signed _) -> false | _ -> true);
+                aborted = (fun _ -> decision s = Protocol.Abort);
+                abortable = (fun _ -> decision s = Protocol.Undecided);
                 observe = ignore;
               }))

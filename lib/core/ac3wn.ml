@@ -30,6 +30,8 @@ module Witness_sc = Ac3_contract.Witness_sc
 module Permissionless_sc = Ac3_contract.Permissionless_sc
 module Evidence = Ac3_contract.Evidence
 module Swap_template = Ac3_contract.Swap_template
+module Protocol = Ac3_flow.Protocol
+module Guard = Protocol.Witness
 open Ac3_chain
 include Driver.Shared
 
@@ -105,14 +107,24 @@ let scw_state s t =
       | Some c -> Some c.Ledger.state
       | None -> None)
 
-let scw_status s t =
-  match scw_state s t with
-  | None -> `Unknown
-  | Some state ->
-      if Witness_sc.state_is state Witness_sc.status_published then `P
-      else if Witness_sc.state_is state Witness_sc.status_redeem_authorized then `RDauth
-      else if Witness_sc.state_is state Witness_sc.status_refund_authorized then `RFauth
-      else `Unknown
+(* SCw's decision at the witness gateway's tip, or [None] while SCw is
+   not readable there. *)
+let scw_decision s t =
+  Option.bind (scw_state s t) (fun state ->
+      List.find_map
+        (fun (status, d) -> if Witness_sc.state_is state status then Some d else None)
+        [
+          (Witness_sc.status_published, Protocol.Undecided);
+          (Witness_sc.status_redeem_authorized, Protocol.Commit);
+          (Witness_sc.status_refund_authorized, Protocol.Abort);
+        ])
+
+(* The SCw call that takes each decision. *)
+let authorize_fns =
+  [
+    (Protocol.Commit, Permissionless_sc.authorize_redeem_fn);
+    (Protocol.Abort, Permissionless_sc.authorize_refund_fn);
+  ]
 
 (* --- Individual protocol actions ------------------------------------- *)
 
@@ -147,9 +159,10 @@ let observe_scw_confirmation s t =
   | _ -> ()
 
 (* Step 3/4: a participant deploys the contracts for its outgoing edges,
-   in parallel, once SCw is confirmed. *)
-let try_deploy_edges s t p scw =
+   in parallel, once SCw is confirmed and while it is undecided. *)
+let try_deploy_edges s t p scw decision =
   Driver.deploy t p ~code_id:Permissionless_sc.code_id
+    ~ready:(fun _ _ -> Guard.deploy decision)
     ~args:(fun _ es ->
       let witness_checkpoint =
         Universe.stable_checkpoint (Driver.universe t) s.config.witness_chain
@@ -178,7 +191,8 @@ let all_edges_evidenced s t =
    verifies SCw is still in P. Any participant may do this; a few
    seconds of duplicate submissions are harmless (the second call is
    rejected by miners). *)
-let try_authorize s t p scw ~fn ~args =
+let try_authorize s t p scw decision ~args =
+  let fn = List.assoc decision authorize_fns in
   let now = Universe.now (Driver.universe t) in
   let witness_params = Universe.params (Driver.universe t) s.config.witness_chain in
   let retry_after = 2.0 *. witness_params.Params.block_interval in
@@ -199,60 +213,50 @@ let try_authorize s t p scw ~fn ~args =
         | Error e -> Log.debug (fun m -> m "%s rejected: %s" fn e))
 
 let redeem_evidence s t () =
-  if not (all_edges_evidenced s t) then None
-  else
-    match scw_state s t with
-    | None -> None
-    | Some state ->
-        let evidences =
-          Array.to_list (Driver.edges t)
-          |> List.map (fun (es : Driver.edge_state) ->
-                 let chain = es.edge.Ac2t.chain in
-                 match (es.deploy_txid, Witness_sc.checkpoint_for state chain) with
-                 | Some txid, Ok checkpoint ->
-                     let store = Node.store (Universe.gateway (Driver.universe t) chain) in
-                     Evidence.build ~store ~checkpoint ~txid
-                     |> Result.map_error (Printf.sprintf "%s: %s" chain)
-                 | _ -> Error (chain ^ ": deployment or checkpoint missing"))
-        in
-        match List.find_map (function Error e -> Some e | Ok _ -> None) evidences with
-        | Some e ->
-            Log.debug (fun m -> m "redeem evidence failed: %s" e);
-            None
-        | None ->
-            let evidences = List.map Result.get_ok evidences in
-            List.iter (observe_evidence t) evidences;
-            Some (Value.List (List.map Evidence.to_value evidences))
+  match scw_state s t with
+  | None -> None
+  | Some state -> (
+      let evidences =
+        Array.to_list (Driver.edges t)
+        |> List.map (fun (es : Driver.edge_state) ->
+               let chain = es.edge.Ac2t.chain in
+               match (es.deploy_txid, Witness_sc.checkpoint_for state chain) with
+               | Some txid, Ok checkpoint ->
+                   let store = Node.store (Universe.gateway (Driver.universe t) chain) in
+                   Evidence.build ~store ~checkpoint ~txid
+                   |> Result.map_error (Printf.sprintf "%s: %s" chain)
+               | _ -> Error (chain ^ ": deployment or checkpoint missing"))
+      in
+      match List.find_map (function Error e -> Some e | Ok _ -> None) evidences with
+      | Some e ->
+          Log.debug (fun m -> m "redeem evidence failed: %s" e);
+          None
+      | None ->
+          let evidences = List.map Result.get_ok evidences in
+          List.iter (observe_evidence t) evidences;
+          Some (Value.List (List.map Evidence.to_value evidences)))
 
-(* The decision call on SCw, read from the witness chain's call index
-   on every poll: (fn, txid). SCw accepts one authorize call, so at most
-   one of the two sits on the active chain, and a reorg that orphans it
-   drops it from the index. *)
-let locate_decision s t scw =
-  let store = Node.store (witness_node s t) in
-  let check fn =
-    Option.map (fun (txid, _h) -> (fn, txid)) (Store.find_call store ~contract_id:scw ~fn)
-  in
-  match check Permissionless_sc.authorize_redeem_fn with
-  | Some d -> Some d
-  | None -> check Permissionless_sc.authorize_refund_fn
-
-(* The decision, once buried at depth d (the commit/abort point of the
-   protocol). *)
+(* The decision call on SCw once buried at depth d (the commit/abort
+   point of the protocol): (decision, txid). It is read from the witness
+   chain's call index on every poll. SCw accepts one authorize call, so
+   at most one of the two sits on the active chain, and a reorg that
+   orphans it drops it from the index. *)
 let confirmed_decision s t scw =
-  match locate_decision s t scw with
-  | Some (fn, txid) when Node.confirmations (witness_node s t) txid > s.config.decision_depth ->
-      Some (fn, txid)
-  | _ -> None
+  let node = witness_node s t in
+  List.find_map
+    (fun (decision, fn) ->
+      match Store.find_call (Node.store node) ~contract_id:scw ~fn with
+      | Some (txid, _h) when Node.confirmations node txid > s.config.decision_depth ->
+          Some (decision, txid)
+      | _ -> None)
+    authorize_fns
 
 (* Step 5/6 completion: settle own edges once the decision is buried at
    depth d. Recipients redeem incoming edges; senders refund outgoing
    ones, each with evidence of the decision. *)
-let try_settle_edges s t p (decision_fn, decision_txid) =
+let try_settle_edges s t p action decision_txid =
   let witness_store = Node.store (witness_node s t) in
-  let redeeming = String.equal decision_fn Permissionless_sc.authorize_redeem_fn in
-  Driver.settle t p
-    (if redeeming then `Redeem else `Refund)
+  Driver.settle t p action
     ~ready:(fun _ _ -> true)
     ~args:(fun state ->
       (* The deployed contract recorded which witness checkpoint its
@@ -272,7 +276,8 @@ let try_settle_edges s t p (decision_fn, decision_txid) =
               observe_evidence t evidence;
               Some (Evidence.to_value evidence)))
     ~label:(fun _ es ->
-      (if redeeming then "redeem_submitted:" else "refund_submitted:") ^ es.Driver.edge.Ac2t.chain)
+      (match action with `Redeem -> "redeem_submitted:" | `Refund -> "refund_submitted:")
+      ^ es.Driver.edge.Ac2t.chain)
 
 (* One poll step for one participant. *)
 let step s t p =
@@ -280,17 +285,19 @@ let step s t p =
   match s.scw_id with
   | None -> if String.equal (Participant.public p) s.registrar then try_register_scw s t p
   | Some scw -> (
-      (match scw_status s t with
-      | `P ->
-          try_deploy_edges s t p scw;
-          if Driver.abort_requested t then
-            try_authorize s t p scw ~fn:"authorize_refund" ~args:(fun () -> Some Value.Unit)
-          else try_authorize s t p scw ~fn:"authorize_redeem" ~args:(redeem_evidence s t)
-      | `RDauth | `RFauth | `Unknown -> ());
+      (match scw_decision s t with
+      | Some d ->
+          try_deploy_edges s t p scw d;
+          if Guard.abort d ~abort_requested:(Driver.abort_requested t) then
+            try_authorize s t p scw Protocol.Abort ~args:(fun () -> Some Value.Unit)
+          else if Guard.commit d ~all_published:(all_edges_evidenced s t) then
+            try_authorize s t p scw Protocol.Commit ~args:(redeem_evidence s t)
+      | None -> ());
       match confirmed_decision s t scw with
-      | Some decision ->
-          Driver.record t ("decision_confirmed:" ^ fst decision);
-          try_settle_edges s t p decision
+      | Some (d, txid) ->
+          Driver.record t ("decision_confirmed:" ^ List.assoc d authorize_fns);
+          if Guard.redeem d then try_settle_edges s t p `Redeem txid;
+          if Guard.refund d then try_settle_edges s t p `Refund txid
       | None -> ())
 
 (* Witness-decision latency: first authorize submission to the decision
@@ -344,11 +351,8 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
              (fun t ->
                match s.scw_id with
                | None -> false
-               | Some scw -> (
-                   match confirmed_decision s t scw with
-                   | Some (fn, _) -> String.equal fn Permissionless_sc.authorize_refund_fn
-                   | None -> false));
-           abortable = (fun t -> scw_status s t = `P || s.scw_id = None);
+               | Some scw -> Option.map fst (confirmed_decision s t scw) = Some Protocol.Abort);
+           abortable = (fun t -> s.scw_id = None || scw_decision s t = Some Protocol.Undecided);
            observe = observe_decision_latency;
          })
   end

@@ -91,11 +91,11 @@ let confirmed t ~chain = function
 let all_deployed t =
   Array.for_all (fun es -> confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid) t.edges
 
-let deploy t p ~code_id ~args ~label =
+let deploy t p ~code_id ~ready ~args ~label =
   let pk = Participant.public p in
   Array.iteri
     (fun i es ->
-      if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None then begin
+      if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None && ready i es then begin
         let wallet = Participant.wallet p es.edge.Ac2t.chain in
         match
           Wallet.deploy wallet ~code_id ~args:(fun () -> args i es) ~deposit:es.edge.Ac2t.amount

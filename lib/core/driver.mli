@@ -75,14 +75,16 @@ val confirmed : t -> chain:string -> string option -> bool
 val all_deployed : t -> bool
 
 (** Deploy the participant's outgoing edge contracts that are not yet
-    deployed, in graph order: [args i e] builds edge [i]'s contract
-    arguments, and only once the wallet has selected the coins to fund
-    it; a successful deploy is charged as [Edge_deploy] and
-    recorded under [label i e contract_id] (a label and its attrs). *)
+    deployed and are [ready], in graph order: [ready i e] gates edge
+    [i]; [args i e] builds its contract arguments, and only once the
+    wallet has selected the coins to fund it; a successful deploy is
+    charged as [Edge_deploy] and recorded under [label i e contract_id]
+    (a label and its attrs). *)
 val deploy :
   t ->
   Participant.t ->
   code_id:string ->
+  ready:(int -> edge_state -> bool) ->
   args:(int -> edge_state -> Value.t) ->
   label:(int -> edge_state -> string -> string * (string * string) list) ->
   unit

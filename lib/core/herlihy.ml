@@ -26,6 +26,7 @@ module Keys = Ac3_crypto.Keys
 module Sha256 = Ac3_crypto.Sha256
 module Ac2t = Ac3_contract.Ac2t
 module Htlc = Ac3_contract.Htlc
+module Guard = Ac3_flow.Protocol.Single_leader
 open Ac3_chain
 include Driver.Shared
 
@@ -58,26 +59,24 @@ type state = {
   mutable knows_secret : Keys.public list;
 }
 
-(* A participant may publish its outgoing contracts once every contract
-   it receives on is safely confirmed (the leader starts unconditionally:
-   round 0). *)
+(* A contract counts as published once its deployment is confirmed. A
+   non-leader uses the hashlock it observed in its incoming contracts; in
+   this implementation that equals [s.hashlock] once any incoming
+   contract exists. *)
 let try_deploy s t p =
   let pk = Participant.public p in
-  let incoming_confirmed () =
-    Array.for_all
-      (fun (es : Driver.edge_state) ->
-        (not (String.equal es.edge.Ac2t.to_pk pk))
-        || Driver.confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid)
-      (Driver.edges t)
-  in
-  if String.equal pk s.leader || incoming_confirmed () then
-    (* A non-leader uses the hashlock it observed in its incoming
-       contracts; in this implementation that equals [s.hashlock] once
-       any incoming contract exists. *)
-    Driver.deploy t p ~code_id:Htlc.code_id
-      ~args:(fun i es ->
-        Htlc.args ~recipient_pk:es.edge.Ac2t.to_pk ~hashlock:s.hashlock ~timelock:s.timelocks.(i))
-      ~label:(fun i es _ -> (Printf.sprintf "deploy:%d" i, [ ("chain", es.edge.Ac2t.chain) ]))
+  Driver.deploy t p ~code_id:Htlc.code_id
+    ~ready:(fun _ _ ->
+      Guard.deploy ~leader:(String.equal pk s.leader)
+        ~inputs_published:
+          (Array.for_all
+             (fun (es : Driver.edge_state) ->
+               (not (String.equal es.edge.Ac2t.to_pk pk))
+               || Driver.confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid)
+             (Driver.edges t)))
+    ~args:(fun i es ->
+      Htlc.args ~recipient_pk:es.edge.Ac2t.to_pk ~hashlock:s.hashlock ~timelock:s.timelocks.(i))
+    ~label:(fun i es _ -> (Printf.sprintf "deploy:%d" i, [ ("chain", es.edge.Ac2t.chain) ]))
 
 (* Scan the redeem calls of the participant's outgoing contracts for the
    revealed secret. *)
@@ -109,17 +108,15 @@ let learn_secret s t p =
     end
   end
 
-(* Redeem incoming contracts once the secret is known. The leader only
-   starts after observing that the entire graph is published (revealing s
-   earlier would let early recipients cash out while later contracts are
-   missing). *)
 let try_redeem s t p =
   let pk = Participant.public p in
-  if List.mem pk s.knows_secret && ((not (String.equal pk s.leader)) || Driver.all_deployed t) then
-    Driver.settle t p `Redeem
-      ~ready:(fun _ _ -> true)
-      ~args:(fun _ -> Some (Htlc.redeem_args ~secret:s.secret))
-      ~label:(fun i _ -> Printf.sprintf "redeem:%d" i)
+  Driver.settle t p `Redeem
+    ~ready:(fun _ _ ->
+      Guard.redeem
+        ~knows_secret:(List.mem pk s.knows_secret)
+        ~leader:(String.equal pk s.leader) ~all_published:(Driver.all_deployed t))
+    ~args:(fun _ -> Some (Htlc.redeem_args ~secret:s.secret))
+    ~label:(fun i _ -> Printf.sprintf "redeem:%d" i)
 
 (* Refund expired outgoing contracts. This is each sender's rational
    self-protection — and the source of atomicity violations when a
@@ -127,7 +124,8 @@ let try_redeem s t p =
 let try_refund s t p =
   let now = Universe.now (Driver.universe t) in
   Driver.settle t p `Refund
-    ~ready:(fun i (es : Driver.edge_state) -> es.redeem_txid = None && now >= s.timelocks.(i))
+    ~ready:(fun i (es : Driver.edge_state) ->
+      es.redeem_txid = None && Guard.refund ~expired:(now >= s.timelocks.(i)))
     ~args:(fun _ -> Some Htlc.refund_args)
     ~label:(fun i _ -> Printf.sprintf "refund:%d" i)
 

@@ -13,11 +13,14 @@ module Multisig = Ac3_crypto.Multisig
 module Ac2t = Ac3_contract.Ac2t
 module Centralized_sc = Ac3_contract.Centralized_sc
 module Swap_template = Ac3_contract.Swap_template
+module Protocol = Ac3_flow.Protocol
 open Ac3_chain
 
-type decision = Redeem_signed of Keys.signature | Refund_signed of Keys.signature
-
-type entry = { graph : Ac2t.t; ms : Multisig.t; mutable decision : decision option }
+type entry = {
+  graph : Ac2t.t;
+  ms : Multisig.t;
+  mutable decision : (Protocol.decision * Keys.signature) option;
+}
 
 type t = {
   identity : Keys.t;
@@ -70,42 +73,36 @@ let contract_matches_edge t ~ms_id (edge : Ac2t.edge) contract_id =
                 = Ok (public t)
          | Error _ -> false)
 
-(* Witness the redemption: only if ms(D) is registered, undecided, and
-   every edge contract is deployed and correct. *)
-let request_redeem t ~ms_id ~contracts =
+(* Sign [decision] on ms(D), or return the signature already issued on
+   it: only if ms(D) is registered, not decided the other way, and
+   [verify] accepts its entry. *)
+let decide t ~ms_id decision ~verify =
   if not t.available then Error "witness unavailable"
   else
-  match Hashtbl.find_opt t.store ms_id with
-  | None -> Error "unknown ms(D)"
-  | Some entry -> (
-      match entry.decision with
-      | Some (Redeem_signed s) -> Ok s (* idempotent *)
-      | Some (Refund_signed _) -> Error "already decided: refund"
-      | None ->
-          let edges = Ac2t.edges entry.graph in
-          if List.length contracts <> List.length edges then Error "contract list arity"
-          else if
-            not (List.for_all2 (fun e cid -> contract_matches_edge t ~ms_id e cid) edges contracts)
-          then Error "verification failed: not all contracts deployed and correct"
-          else begin
-            let s =
-              Keys.sign t.identity (Centralized_sc.decision_message ~ms_id `Redeem)
-            in
-            entry.decision <- Some (Redeem_signed s);
-            Ok s
-          end)
+    match Hashtbl.find_opt t.store ms_id with
+    | None -> Error "unknown ms(D)"
+    | Some entry -> (
+        match entry.decision with
+        | Some (d, s) when d = decision -> Ok s
+        | Some (Protocol.Commit, _) -> Error "already decided: redeem"
+        | Some _ -> Error "already decided: refund"
+        | None ->
+            Result.map
+              (fun () ->
+                let kind = if decision = Protocol.Commit then `Redeem else `Refund in
+                let s = Keys.sign t.identity (Centralized_sc.decision_message ~ms_id kind) in
+                entry.decision <- Some (decision, s);
+                s)
+              (verify entry))
 
-(* Witness the refund: only if registered and undecided. *)
-let request_refund t ~ms_id =
-  if not t.available then Error "witness unavailable"
-  else
-  match Hashtbl.find_opt t.store ms_id with
-  | None -> Error "unknown ms(D)"
-  | Some entry -> (
-      match entry.decision with
-      | Some (Refund_signed s) -> Ok s
-      | Some (Redeem_signed _) -> Error "already decided: redeem"
-      | None ->
-          let s = Keys.sign t.identity (Centralized_sc.decision_message ~ms_id `Refund) in
-          entry.decision <- Some (Refund_signed s);
-          Ok s)
+(* Witness the redemption: only if every edge contract is deployed and
+   correct. *)
+let request_redeem t ~ms_id ~contracts =
+  decide t ~ms_id Protocol.Commit ~verify:(fun entry ->
+      let edges = Ac2t.edges entry.graph in
+      if List.length contracts <> List.length edges then Error "contract list arity"
+      else if not (List.for_all2 (fun e cid -> contract_matches_edge t ~ms_id e cid) edges contracts)
+      then Error "verification failed: not all contracts deployed and correct"
+      else Ok ())
+
+let request_refund t ~ms_id = decide t ~ms_id Protocol.Abort ~verify:(fun _ -> Ok ())

@@ -8,8 +8,6 @@ module Keys = Ac3_crypto.Keys
 module Multisig = Ac3_crypto.Multisig
 module Ac2t = Ac3_contract.Ac2t
 
-type decision = Redeem_signed of Keys.signature | Refund_signed of Keys.signature
-
 type t
 
 val create : Universe.t -> name:string -> t

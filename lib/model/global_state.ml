@@ -9,19 +9,14 @@
    enable exactly the same moves, so nothing else is reachable. *)
 
 module Swap_template = Ac3_contract.Swap_template
-
-type witness =
-  | W_none  (** the protocol has no witness network (Nolan/Herlihy) *)
-  | W_undecided
-  | W_redeem
-  | W_refund
+module Protocol = Ac3_flow.Protocol
 
 type t = {
   edges : Swap_template.status array;  (** per-edge contract status, in graph edge order *)
   knows : bool array;  (** per-party: can produce the hashlock secret *)
   alive : bool array;  (** per-party: still acting (conforming until crashed) *)
   time : int;  (** how many distinct timelock deadlines have passed *)
-  witness : witness;
+  decision : Protocol.decision;
   crashes_left : int;  (** remaining fault budget *)
 }
 
@@ -31,7 +26,7 @@ let status_char : Swap_template.status -> char = function
   | Redeemed -> 'D'
   | Refunded -> 'F'
 
-let witness_char = function W_none -> '-' | W_undecided -> '?' | W_redeem -> 'D' | W_refund -> 'F'
+let decision_char : Protocol.decision -> char = function Undecided -> '?' | Commit -> 'D' | Abort -> 'F'
 
 (* Canonical byte key: interning two states with equal keys merges the
    commuting-diamond interleavings that reach them. Every field has a
@@ -45,7 +40,7 @@ let key s =
   Array.iteri (fun i a -> Bytes.set b (ne + nk + i) (if a then '1' else '0')) s.alive;
   let o = ne + nk + na in
   Bytes.set_int64_le b o (Int64.of_int s.time);
-  Bytes.set b (o + 8) (witness_char s.witness);
+  Bytes.set b (o + 8) (decision_char s.decision);
   Bytes.set_int64_le b (o + 9) (Int64.of_int s.crashes_left);
   Bytes.unsafe_to_string b
 
@@ -66,4 +61,4 @@ let pp ppf s =
     (Fmt.array ~sep:Fmt.nop (fun ppf k -> Fmt.char ppf (if k then '1' else '0')))
     s.knows
     (Fmt.array ~sep:Fmt.nop (fun ppf a -> Fmt.char ppf (if a then '1' else '0')))
-    s.alive s.time (witness_char s.witness)
+    s.alive s.time (decision_char s.decision)

@@ -11,23 +11,19 @@
     source ({!Semantics.apply}), so the arrays are read-only once a
     state exists. *)
 
-type witness =
-  | W_none  (** protocol has no witness (Nolan/Herlihy) *)
-  | W_undecided
-  | W_redeem  (** P -> RDauth buried *)
-  | W_refund  (** P -> RFauth buried *)
-
 type t = {
   edges : Ac3_contract.Swap_template.status array;  (** indexed like [Ac2t.edges] *)
   knows : bool array;  (** secret knowledge per party (first-appearance order) *)
   alive : bool array;  (** false once a party crashes (withholds forever) *)
   time : int;  (** number of distinct timelock deadlines already passed *)
-  witness : witness;
+  decision : Ac3_flow.Protocol.decision;
+      (** the witness's (AC3WN: P -> RDauth is [Commit], P -> RFauth
+          [Abort]); always [Undecided] for Nolan/Herlihy *)
   crashes_left : int;
 }
 
 (** Canonical byte-string key for hashing/interning: one byte per edge
-    and per flag, fixed-width [time] and [crashes_left], and the witness
+    and per flag, fixed-width [time] and [crashes_left], and the decision
     char. Injective over states with the same edge and party counts. *)
 val key : t -> string
 
@@ -38,7 +34,7 @@ val revive : t -> t
 (** ['U'], ['P'], ['D'] or ['F']: one byte of {!key}. *)
 val status_char : Ac3_contract.Swap_template.status -> char
 
-val witness_char : witness -> char
+val decision_char : Ac3_flow.Protocol.decision -> char
 
 val pp_status : Format.formatter -> Ac3_contract.Swap_template.status -> unit
 

@@ -121,10 +121,9 @@ let m004 t =
   else begin
     let forks = ref [] in
     Explore.iter_succs t (fun id _mv tgt ->
-        let before = (Explore.node t id).Explore.state.witness in
-        let after = (Explore.node t tgt).Explore.state.witness in
-        let decided = function W_redeem | W_refund -> true | W_none | W_undecided -> false in
-        if decided before && after <> before then
+        let before = (Explore.node t id).Explore.state.decision in
+        let after = (Explore.node t tgt).Explore.state.decision in
+        if before <> Ac3_flow.Protocol.Undecided && after <> before then
           forks :=
             Diagnostic.error ~rule:"M004-witness-fork" ~location:(loc id)
               "the witness decision changed after being set: RDauth/RFauth are not absorbing \

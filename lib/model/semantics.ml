@@ -1,9 +1,10 @@
 (* Protocol semantics for the product automaton.
 
    Moves are the protocol-level events whose interleavings decide
-   atomicity: conforming deploys/redeems/refunds (gated exactly as the
-   dynamic protocols gate them), timelock expiry, the witness network's
-   decision, and a budgeted crash fault per party.
+   atomicity: conforming deploys/redeems/refunds (gated by the guards in
+   [Ac3_flow.Protocol], which the dynamic protocols call too), timelock
+   expiry, the witness network's decision, and a budgeted crash fault
+   per party.
 
    Time follows maximal-progress semantics: the [Expire] move (advancing
    past the next timelock deadline) is enabled only when no conforming
@@ -23,6 +24,7 @@ module Keys = Ac3_crypto.Keys
 module Hex = Ac3_crypto.Hex
 module Timelock = Ac3_verify.Timelock
 module Flow = Ac3_flow.Flow
+module Protocol = Ac3_flow.Protocol
 module Swap_template = Ac3_contract.Swap_template
 open Global_state
 
@@ -42,7 +44,6 @@ type model = {
   edges : Ac2t.edge array;
   edge_from : int array;  (** sender party index per edge *)
   edge_to : int array;  (** recipient party index per edge *)
-  depth : int array;  (** Herlihy deployment round per edge *)
   expiry_rank : int array;  (** rank of the edge's expiry among distinct deadlines *)
   n_deadlines : int;
   crash_budget : int;
@@ -56,53 +57,31 @@ let party_index parties pk =
   go 0
 
 let make ~profile ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
-  let parties = Array.of_list (Ac2t.participants graph) in
-  let edges = Array.of_list (Ac2t.edges graph) in
-  let edge_from = Array.map (fun (e : Ac2t.edge) -> party_index parties e.Ac2t.from_pk) edges in
-  let edge_to = Array.map (fun (e : Ac2t.edge) -> party_index parties e.Ac2t.to_pk) edges in
-  match profile with
-  | Flow.Witness ->
-      Ok
-        {
-          profile;
-          graph;
-          parties;
-          edges;
-          edge_from;
-          edge_to;
-          depth = Array.map (fun _ -> 0) edges;
-          expiry_rank = Array.map (fun _ -> 0) edges;
-          n_deadlines = 0;
-          crash_budget;
-        }
-  | Flow.Single_leader -> (
-      match Timelock.assign ~graph ~delta ~timelock_slack ~start_time with
-      | Error e -> Error e
-      | Ok assignments ->
-          let arr = Array.of_list assignments in
-          let deadlines =
-            List.sort_uniq Float.compare (Array.to_list (Array.map (fun a -> a.Timelock.expiry) arr))
-          in
-          let rank expiry =
-            let rec go i = function
-              | [] -> invalid_arg "Semantics.make: missing deadline"
-              | d :: rest -> if d = expiry then i else go (i + 1) rest
-            in
-            go 0 deadlines
-          in
-          Ok
-            {
-              profile;
-              graph;
-              parties;
-              edges;
-              edge_from;
-              edge_to;
-              depth = Array.map (fun a -> a.Timelock.depth) arr;
-              expiry_rank = Array.map (fun a -> rank a.Timelock.expiry) arr;
-              n_deadlines = List.length deadlines;
-              crash_budget;
-            })
+  let expiries =
+    match profile with
+    | Flow.Witness -> Ok []
+    | Flow.Single_leader ->
+        Timelock.assign ~graph ~delta ~timelock_slack ~start_time
+        |> Result.map (List.map (fun a -> a.Timelock.expiry))
+  in
+  Result.map
+    (fun expiries ->
+      let parties = Array.of_list (Ac2t.participants graph) in
+      let edges = Array.of_list (Ac2t.edges graph) in
+      let deadlines = List.sort_uniq Float.compare expiries in
+      let rank expiry = List.length (List.filter (fun d -> d < expiry) deadlines) in
+      {
+        profile;
+        graph;
+        parties;
+        edges;
+        edge_from = Array.map (fun (e : Ac2t.edge) -> party_index parties e.Ac2t.from_pk) edges;
+        edge_to = Array.map (fun (e : Ac2t.edge) -> party_index parties e.Ac2t.to_pk) edges;
+        expiry_rank = Array.of_list (List.map rank expiries);
+        n_deadlines = List.length deadlines;
+        crash_budget;
+      })
+    expiries
 
 let init m : Global_state.t =
   {
@@ -111,71 +90,68 @@ let init m : Global_state.t =
     knows = Array.mapi (fun i _ -> m.profile = Flow.Single_leader && i = 0) m.parties;
     alive = Array.map (fun _ -> true) m.parties;
     time = 0;
-    witness = (match m.profile with Flow.Single_leader -> W_none | Flow.Witness -> W_undecided);
+    decision = Protocol.Undecided;
     crashes_left = m.crash_budget;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Enabledness *)
+(* Enabledness: the abstract state's facts, fed to the shared guards *)
 
-let expired m (s : Global_state.t) i = m.profile = Flow.Single_leader && m.expiry_rank.(i) < s.time
+let all_published (s : Global_state.t) =
+  Array.for_all (fun e -> e <> Swap_template.Unpublished) s.edges
 
-let all_published (s : Global_state.t) = Array.for_all (( <> ) Swap_template.Unpublished) s.edges
-
-(* Herlihy deploys in sequential rounds by BFS depth: a conforming party
-   publishes a round-d contract only once every earlier round's contract
-   is on chain (it verifies its predecessors before locking funds). *)
-let round_ready m (s : Global_state.t) i =
-  let d = m.depth.(i) in
-  let ready = ref true in
-  Array.iteri
-    (fun j dj -> if dj < d && s.edges.(j) = Swap_template.Unpublished then ready := false)
-    m.depth;
-  !ready
+(* Every contract party [p] receives on is published. *)
+let inputs_published m (s : Global_state.t) p =
+  let rec go j =
+    j < 0 || ((m.edge_to.(j) <> p || s.edges.(j) <> Swap_template.Unpublished) && go (j - 1))
+  in
+  go (Array.length m.edges - 1)
 
 let deploy_enabled m (s : Global_state.t) i =
+  let p = m.edge_from.(i) in
   s.edges.(i) = Swap_template.Unpublished
-  && s.alive.(m.edge_from.(i))
-  &&
-  match m.profile with
-  | Flow.Single_leader -> (not (expired m s i)) && round_ready m s i
-  | Flow.Witness -> s.witness = W_undecided
-
-let redeem_enabled m (s : Global_state.t) i =
-  s.edges.(i) = Swap_template.Published
-  && s.alive.(m.edge_to.(i))
+  && s.alive.(p)
   &&
   match m.profile with
   | Flow.Single_leader ->
-      s.knows.(m.edge_to.(i))
-      && (not (expired m s i))
-      (* A conforming leader reveals the secret (by redeeming) only once
-         every contract of the transaction is published. *)
-      && (m.edge_to.(i) <> 0 || all_published s)
-  | Flow.Witness -> s.witness = W_redeem
+      Protocol.Single_leader.deploy ~leader:(p = 0) ~inputs_published:(inputs_published m s p)
+  | Flow.Witness -> Protocol.Witness.deploy s.decision
+
+let redeem_enabled m (s : Global_state.t) ~all_published i =
+  let p = m.edge_to.(i) in
+  s.edges.(i) = Swap_template.Published
+  && s.alive.(p)
+  &&
+  match m.profile with
+  | Flow.Single_leader ->
+      Protocol.Single_leader.redeem ~knows_secret:s.knows.(p) ~leader:(p = 0) ~all_published
+  | Flow.Witness -> Protocol.Witness.redeem s.decision
 
 let refund_enabled m (s : Global_state.t) i =
   s.edges.(i) = Swap_template.Published
   && s.alive.(m.edge_from.(i))
-  && match m.profile with Flow.Single_leader -> expired m s i | Flow.Witness -> s.witness = W_refund
+  &&
+  match m.profile with
+  | Flow.Single_leader -> Protocol.Single_leader.refund ~expired:(m.expiry_rank.(i) < s.time)
+  | Flow.Witness -> Protocol.Witness.refund s.decision
 
 (* Any conforming protocol action that maximal progress must not let a
    deadline overtake. *)
-let urgent m s =
+let urgent m s ~all_published =
   let n = Array.length m.edges in
   let rec go i =
     i < n
-    && (deploy_enabled m s i || redeem_enabled m s i || refund_enabled m s i || go (i + 1))
+    && (deploy_enabled m s i
+       || redeem_enabled m s ~all_published i
+       || refund_enabled m s i
+       || go (i + 1))
   in
   go 0
 
-let expire_enabled m s = m.profile = Flow.Single_leader && s.time < m.n_deadlines && not (urgent m s)
+let expire_enabled m s ~all_published =
+  m.profile = Flow.Single_leader && s.time < m.n_deadlines && not (urgent m s ~all_published)
 
 let crash_enabled s p = s.crashes_left > 0 && s.alive.(p)
-
-let w_commit_enabled m s = m.profile = Flow.Witness && s.witness = W_undecided && all_published s
-
-let w_abort_enabled m s = m.profile = Flow.Witness && s.witness = W_undecided
 
 (* ------------------------------------------------------------------ *)
 (* Transition function *)
@@ -202,21 +178,25 @@ let apply m (s : Global_state.t) move =
   | Refund i -> { s with edges = set s.edges i Swap_template.Refunded }
   | Crash p -> { s with alive = set s.alive p false; crashes_left = s.crashes_left - 1 }
   | Expire -> { s with time = s.time + 1 }
-  | W_commit -> { s with witness = W_redeem }
-  | W_abort -> { s with witness = W_refund }
+  | W_commit -> { s with decision = Protocol.Commit }
+  | W_abort -> { s with decision = Protocol.Abort }
 
 (* All enabled moves, in a canonical order (determinism). *)
 let enabled m s =
+  let all_published = all_published s in
   let acc = ref [] in
   for p = Array.length m.parties - 1 downto 0 do
     if crash_enabled s p then acc := Crash p :: !acc
   done;
-  if expire_enabled m s then acc := Expire :: !acc;
-  if w_abort_enabled m s then acc := W_abort :: !acc;
-  if w_commit_enabled m s then acc := W_commit :: !acc;
+  if expire_enabled m s ~all_published then acc := Expire :: !acc;
+  if m.profile = Flow.Witness then begin
+    (* An abort may be requested at any moment: the model explores every timing. *)
+    if Protocol.Witness.abort s.decision ~abort_requested:true then acc := W_abort :: !acc;
+    if Protocol.Witness.commit s.decision ~all_published then acc := W_commit :: !acc
+  end;
   for i = Array.length m.edges - 1 downto 0 do
     if refund_enabled m s i then acc := Refund i :: !acc;
-    if redeem_enabled m s i then acc := Redeem i :: !acc;
+    if redeem_enabled m s ~all_published i then acc := Redeem i :: !acc;
     if deploy_enabled m s i then acc := Deploy i :: !acc
   done;
   !acc
@@ -251,7 +231,7 @@ let reduced m s =
   let moves = enabled m s in
   let reducible =
     s.crashes_left = 0
-    && (m.profile = Flow.Single_leader || s.witness = W_redeem || s.witness = W_refund)
+    && (m.profile = Flow.Single_leader || s.decision <> Protocol.Undecided)
   in
   if not reducible then (moves, 0)
   else

@@ -1,5 +1,7 @@
 (** Protocol semantics for the product automaton: moves, enabledness,
-    transition function, and the partial-order reduction.
+    transition function, and the partial-order reduction. Every
+    deploy, redeem, refund and witness move is gated by the family's
+    guard in {!Ac3_flow.Protocol}, evaluated over the abstract state.
 
     Time follows maximal-progress semantics — [Expire] is enabled only
     when no conforming alive party has an enabled protocol action. This
@@ -24,15 +26,16 @@ type move =
 
 type model = {
   profile : Flow.profile;
-      (** [Single_leader] is Herlihy's round-by-round hashlock protocol
+      (** [Single_leader] is Herlihy's hashlock protocol
           (Nolan is its two-party case); [Witness] is AC3WN *)
   graph : Ac2t.t;
   parties : Keys.public array;  (** index 0 is the leader *)
   edges : Ac2t.edge array;
   edge_from : int array;  (** sender party index per edge *)
   edge_to : int array;  (** recipient party index per edge *)
-  depth : int array;  (** Herlihy deployment round per edge *)
-  expiry_rank : int array;  (** rank of the edge's expiry among distinct deadlines *)
+  expiry_rank : int array;
+      (** rank of the edge's expiry among distinct deadlines; empty for
+          [Witness], whose contracts carry no timelock *)
   n_deadlines : int;
   crash_budget : int;
 }

@@ -23,17 +23,12 @@
 module Ac2t = Ac3_contract.Ac2t
 module Hex = Ac3_crypto.Hex
 
-type assignment = {
-  edge : Ac2t.edge;
-  depth : int;
-  expiry : float;
-}
+type assignment = { edge : Ac2t.edge; expiry : float }
 
 let short pk = Hex.short ~n:6 pk
 
-(* BFS depths from the leader over directed edges: each participant's
-   deployment round under Herlihy's protocol, which takes its timelocks
-   from [assign]. *)
+(* BFS depths from the leader over directed edges: [assign] scales each
+   edge's timelock by its source's depth. *)
 let depths_from_leader graph leader =
   let dist = Hashtbl.create 8 in
   Hashtbl.replace dist leader 0;
@@ -76,7 +71,7 @@ let assign ~graph ~delta ~timelock_slack ~start_time =
                    start_time
                    +. (delta *. (float_of_int ((2 * diam) - depth) +. timelock_slack))
                  in
-                 { edge = e; depth; expiry })
+                 { edge = e; expiry })
                (Ac2t.edges graph))
 
 (* Reverse BFS to the leader: for each participant, the hop count of the

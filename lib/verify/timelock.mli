@@ -35,7 +35,6 @@ module Ac2t = Ac3_contract.Ac2t
 
 type assignment = {
   edge : Ac2t.edge;
-  depth : int;  (** BFS depth of the edge's source from the leader *)
   expiry : float;  (** absolute timelock *)
 }
 

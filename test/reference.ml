@@ -87,7 +87,8 @@ end
    dense id-indexed store: node and successor tables in polymorphic
    [Hashtbl]s keyed by id, a [Buffer]-built state key, and an [apply]
    that copies all three state arrays on every move. Kept verbatim
-   (only the module paths of [key], [revive] and [apply] differ) so
+   (only the module paths of [key], [revive] and [apply] and the name
+   of the decision component differ) so
    test_model.ml can hold [Ac3_model.Explore] to the same ids, BFS tree,
    successor lists and statistics. *)
 module Model = struct
@@ -105,7 +106,7 @@ module Model = struct
     Array.iter (fun a -> Buffer.add_char b (if a then '1' else '0')) s.alive;
     Buffer.add_char b '|';
     Buffer.add_string b (string_of_int s.time);
-    Buffer.add_char b (witness_char s.witness);
+    Buffer.add_char b (decision_char s.decision);
     Buffer.add_string b (string_of_int s.crashes_left);
     Buffer.contents b
 
@@ -137,8 +138,8 @@ module Model = struct
         alive.(p) <- false;
         { base with crashes_left = s.crashes_left - 1 }
     | Expire -> { base with time = s.time + 1 }
-    | W_commit -> { base with witness = W_redeem }
-    | W_abort -> { base with witness = W_refund }
+    | W_commit -> { base with decision = Ac3_flow.Protocol.Commit }
+    | W_abort -> { base with decision = Ac3_flow.Protocol.Abort }
 
   type node = {
     id : int;

@@ -7,6 +7,7 @@
 
 module Engine = Ac3_sim.Engine
 module Rng = Ac3_sim.Rng
+module Trace = Ac3_sim.Trace
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 module Swap_template = Ac3_contract.Swap_template
@@ -250,6 +251,36 @@ let test_ac3tw_abort () =
   | Ok r ->
       Alcotest.(check bool) "atomic" true r.Ac3tw.atomic;
       Alcotest.(check bool) "not committed" false r.Ac3tw.committed
+
+(* Trent's decision gates deploys as well as settlements: once he has
+   signed the refund, no sender publishes a contract that could only be
+   refunded again. An abort requested 0.1 s after launch lands before
+   the second party's first poll. *)
+let test_ac3tw_no_deploy_after_decision () =
+  let u, participants =
+    Scenarios.make_universe ~seed:5 ~chains:[ "btc"; "eth" ]
+      (Scenarios.identities ~ns:"tw-abort" 2)
+      ()
+  in
+  Universe.run_until u 60.0;
+  let trent = Trent.create u ~name:"tw-abort-trent" in
+  let ids = List.map Participant.identity participants in
+  let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+  let r =
+    Ac3tw.execute u ~config:Ac3tw.default_config ~trent ~graph ~participants ~abort_after:0.1 ()
+    |> ok
+  in
+  let labels = List.map (fun (x : Trace.record) -> x.Trace.label) (Trace.records r.Ac3tw.trace) in
+  let rec after_decision = function
+    | [] -> Alcotest.fail "no refund_signed in the trace"
+    | "refund_signed" :: rest -> rest
+    | _ :: rest -> after_decision rest
+  in
+  Alcotest.(check (list string))
+    "no deploy after refund_signed" []
+    (List.filter (String.starts_with ~prefix:"deploy:") (after_decision labels));
+  Alcotest.(check bool) "atomic" true r.Ac3tw.atomic;
+  Alcotest.(check int) "one deploy and its refund" 2 (List.length r.Ac3tw.fees)
 
 let test_trent_mutual_exclusion () =
   let u, _ = fast_universe ~seed:114 ~chains:[ "btc" ] 2 in
@@ -532,6 +563,8 @@ let () =
         [
           Alcotest.test_case "commit" `Slow test_ac3tw_commit;
           Alcotest.test_case "abort" `Slow test_ac3tw_abort;
+          Alcotest.test_case "no deploy after the decision" `Quick
+            test_ac3tw_no_deploy_after_decision;
           Alcotest.test_case "trent mutual exclusion" `Quick test_trent_mutual_exclusion;
         ] );
       ( "analysis",

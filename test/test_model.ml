@@ -204,6 +204,58 @@ let test_counterexample_replays () =
   Alcotest.(check bool) "reproducer replays" true
     (Repro.replay_ok (Repro.replay outcome.Model_repro.repro))
 
+(* --- Differential: the driver's trace projects onto the checker ------- *)
+
+(* Fault-free Herlihy on seeded chord graphs: every [deploy:i] and
+   [redeem:i] the driver records, up to its first refund, must be a move
+   [Semantics.enabled] offers at that point of the replay, with [Expire]
+   taken only where the checker enables it. The driver and the checker
+   call the same guards, so a rule changed on one side shows up on the
+   other. AC3WN is left out: its labels name chains, not edges, and
+   each one is recorded only once. *)
+let driver_moves trace =
+  let rec go = function
+    | [] -> []
+    | (r : Ac3_sim.Trace.record) :: rest -> (
+        match String.split_on_char ':' r.Ac3_sim.Trace.label with
+        | [ "refund"; _ ] -> []
+        | [ "deploy"; i ] -> Semantics.Deploy (int_of_string i) :: go rest
+        | [ "redeem"; i ] -> Semantics.Redeem (int_of_string i) :: go rest
+        | _ -> go rest)
+  in
+  go (Ac3_sim.Trace.records trace)
+
+let test_driver_trace_projects () =
+  List.iter
+    (fun (seed, parties, extra_edges) ->
+      let spec = { Plan.seed; shape = Plan.Random; parties; nchains = 3; extra_edges; load = 1 } in
+      let name = Printf.sprintf "seed %d, %d parties, %d extra edges" seed parties extra_edges in
+      let r = Runner.run_one ~spec ~plan:[] ~protocol:Runner.P_herlihy () in
+      (* The graph's edge order depends on the spec alone, so any
+         identities index the same edges as the run's. *)
+      let ids = Scenarios.identities ~ns:"model-test" parties in
+      let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
+      let m =
+        match
+          Semantics.make ~profile:Flow.Single_leader ~graph ~delta:15.0 ~timelock_slack:2.0
+            ~start_time:0.0 ~crash_budget:0
+        with
+        | Ok m -> m
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let rec take s mv =
+        let enabled = Semantics.enabled m s in
+        if List.mem mv enabled then Semantics.apply m s mv
+        else if List.mem Semantics.Expire enabled then take (Semantics.apply m s Semantics.Expire) mv
+        else
+          Alcotest.failf "%s: the driver took %a, which the checker does not enable in %a" name
+            (Semantics.pp_move m) mv Global_state.pp s
+      in
+      let moves = driver_moves (Option.get r.Runner.trace) in
+      Alcotest.(check bool) (name ^ ": trace has moves") true (moves <> []);
+      ignore (List.fold_left take (Semantics.init m) moves))
+    [ (1, 4, 2); (1, 6, 1); (2, 4, 2); (4, 6, 1); (7, 4, 3); (7, 5, 1); (3, 5, 0); (10, 6, 2) ]
+
 (* Regression for the D001 fix in Explore.iter_succs: edges are visited
    in ascending source-node id, not hash-bucket order, so downstream
    diagnostics (M004) are stable. *)
@@ -315,13 +367,13 @@ let gen_state ~edges ~parties =
   QCheck.Gen.(
     let counter = oneof [ int_range 0 12; int_range 10 100_000 ] in
     map
-      (fun ((e, k, a), (time, witness, crashes_left)) ->
+      (fun ((e, k, a), (time, decision, crashes_left)) ->
         {
           Global_state.edges = Array.of_list e;
           knows = Array.of_list k;
           alive = Array.of_list a;
           time;
-          witness;
+          decision;
           crashes_left;
         })
       (pair
@@ -329,7 +381,7 @@ let gen_state ~edges ~parties =
             (list_repeat edges
                (oneofl Ac3_contract.Swap_template.[ Unpublished; Published; Redeemed; Refunded ]))
             (list_repeat parties bool) (list_repeat parties bool))
-         (triple counter (oneofl Global_state.[ W_none; W_undecided; W_redeem; W_refund ]) counter)))
+         (triple counter (oneofl Ac3_flow.Protocol.[ Undecided; Commit; Abort ]) counter)))
 
 (* Pairs of one shape: half independent, half a copy with at most one
    component redrawn, so equal and near-equal pairs both occur. *)
@@ -350,7 +402,7 @@ let gen_state_pair =
         return (a, { (copy a) with knows = c.knows });
         return (a, { (copy a) with alive = c.alive });
         return (a, { a with time = c.time });
-        return (a, { a with witness = c.witness });
+        return (a, { a with decision = c.decision });
         return (a, { a with crashes_left = c.crashes_left });
         return (a, { a with time = c.crashes_left; crashes_left = c.time });
       ])
@@ -417,5 +469,7 @@ let () =
         [
           Alcotest.test_case "counterexample concretizes and replays" `Slow
             test_counterexample_replays;
+          Alcotest.test_case "driver trace projects onto checker moves" `Slow
+            test_driver_trace_projects;
         ] );
     ]
