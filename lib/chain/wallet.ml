@@ -50,8 +50,9 @@ let select_coins t ~total =
 
 (* Build a transaction paying [outputs], carrying [payload ()], with any
    excess returned to the wallet as change. [payload] is forced only
-   once coin selection succeeds, so a refused build never encodes a
-   contract's arguments. On chains that verify signatures the inputs
+   once coin selection succeeds, so a refused build never builds a
+   contract's arguments; a payload that fails returns its [Error]
+   before the nonce is taken. On chains that verify signatures the inputs
    are signed (consuming MSS signature budget); on
    [verify_signatures = false] chains the wallet emits witness-free
    transactions, so a hot identity can drive an unbounded number of
@@ -66,20 +67,22 @@ let build_deferred t ~fee ~deposit ~outputs payload =
         (Printf.sprintf
            "insufficient funds: need %s, have %s spendable (%s locked by pending spends)"
            (Amount.to_string total) (Amount.to_string spendable) (Amount.to_string locked))
-  | Ok (coins, change) ->
-      let payload = payload () in
-      let outputs =
-        if Amount.is_zero change then outputs
-        else outputs @ [ ({ addr = address t; amount = change } : Tx.output) ]
-      in
-      let chain = params.Params.chain_id in
-      let nonce = next_nonce t in
-      if params.Params.verify_signatures then
-        let inputs = List.map (fun op -> (op, t.identity)) coins in
-        Ok (Tx.make ~chain ~inputs ~outputs ~payload ~fee ~nonce ())
-      else
-        let inputs = List.map (fun op -> (op, Keys.public t.identity)) coins in
-        Ok (Tx.make_unsigned ~chain ~inputs ~outputs ~payload ~fee ~nonce ())
+  | Ok (coins, change) -> (
+      match payload () with
+      | Error e -> Error e
+      | Ok payload ->
+          let outputs =
+            if Amount.is_zero change then outputs
+            else outputs @ [ ({ addr = address t; amount = change } : Tx.output) ]
+          in
+          let chain = params.Params.chain_id in
+          let nonce = next_nonce t in
+          if params.Params.verify_signatures then
+            let inputs = List.map (fun op -> (op, t.identity)) coins in
+            Ok (Tx.make ~chain ~inputs ~outputs ~payload ~fee ~nonce ())
+          else
+            let inputs = List.map (fun op -> (op, Keys.public t.identity)) coins in
+            Ok (Tx.make_unsigned ~chain ~inputs ~outputs ~payload ~fee ~nonce ()))
 
 let build t ?(payload = Tx.Transfer) ~outputs () =
   let deposit =
@@ -90,7 +93,7 @@ let build t ?(payload = Tx.Transfer) ~outputs () =
   build_deferred t
     ~fee:(Params.required_fee (Node.params t.node) payload)
     ~deposit ~outputs
-    (fun () -> payload)
+    (fun () -> Ok payload)
 
 (* Submit to the wallet's node. Returns the txid. *)
 let submit_built t = function
@@ -104,17 +107,22 @@ let submit t ?payload ~outputs () = submit_built t (build t ?payload ~outputs ()
 
 let pay t ~to_ ~amount = submit t ~outputs:[ ({ addr = to_; amount } : Tx.output) ] ()
 
+(* Deploy and call share the deferred build: their contract arguments
+   are built inside the payload thunk, after coin selection. *)
 let deploy t ~code_id ~args ~deposit =
   let fee = (Node.params t.node).Params.deploy_fee in
   match
     submit_built t
       (build_deferred t ~fee ~deposit ~outputs:[] (fun () ->
-           Tx.Deploy { code_id; args = args (); deposit }))
+           Ok (Tx.Deploy { code_id; args = args (); deposit })))
   with
   | Error e -> Error e
   | Ok txid -> Ok (txid, Contract_iface.contract_id_of_deploy ~txid)
 
 let call t ~contract_id ~fn ~args ?(deposit = Amount.zero) () =
-  submit t ~payload:(Tx.Call { contract_id; fn; args; deposit }) ~outputs:[] ()
+  let fee = (Node.params t.node).Params.call_fee in
+  submit_built t
+    (build_deferred t ~fee ~deposit ~outputs:[] (fun () ->
+         Result.map (fun args -> Tx.Call { contract_id; fn; args; deposit }) (args ())))
 
 let confirmations t txid = Node.confirmations t.node txid

@@ -48,12 +48,17 @@ val deploy :
   deposit:Amount.t ->
   (string * string, string) result
 
-(** Invoke a contract function, optionally attaching a deposit. *)
+(** Invoke a contract function, optionally attaching a deposit;
+    returns the txid. [args] is forced only after coin selection
+    succeeds, on the same deferred path as {!deploy}. A refused call
+    never builds its arguments; a thunk that returns [Error] refuses
+    the call with that message. Either way nothing is submitted and the
+    nonce does not advance. *)
 val call :
   t ->
   contract_id:string ->
   fn:string ->
-  args:Value.t ->
+  args:(unit -> (Value.t, string) result) ->
   ?deposit:Amount.t ->
   unit ->
   (string, string) result

@@ -86,61 +86,57 @@ let build ~store ~checkpoint ~txid =
      2. the transaction's block is among checkpoint+headers;
      3. the Merkle proof places txid in that block;
      4. the block is buried under >= [depth] headers (stability);
-   and returns the decoded transaction for parameter inspection. *)
+   and returns the decoded transaction for parameter inspection. Each
+   presented header is hashed once: that hash proves its PoW, is the
+   parent the next header must name, and is matched against the
+   transaction's block. *)
 let verify ~checkpoint ~depth t =
-  let cp_hash = Block.hash_header checkpoint in
   let target = checkpoint.Block.target in
   let chain = checkpoint.Block.chain in
   if not (String.equal t.chain chain) then Error "evidence for a different chain"
   else begin
-    (* 1. Header chain validity. *)
-    let rec check_links prev_hash prev_height = function
-      | [] -> Ok ()
+    (* 1 and 2. Walk the header chain, remembering the first block whose
+       hash is the transaction's; the walk ends at the bundle's tip. *)
+    let located hash header found =
+      match found with
+      | None when String.equal hash t.tx_block_hash -> Some header
+      | found -> found
+    in
+    let rec walk prev_hash (prev : Block.header) found = function
+      | [] -> Ok (prev.Block.height, found)
       | (h : Block.header) :: rest ->
           if not (String.equal h.Block.chain chain) then Error "header from wrong chain"
           else if not (String.equal h.Block.target target) then Error "header at wrong target"
           else if not (String.equal h.Block.parent prev_hash) then Error "broken header linkage"
-          else if h.Block.height <> prev_height + 1 then Error "broken header heights"
-          else if not (Block.header_pow_ok h) then Error "header fails proof of work"
-          else check_links (Block.hash_header h) h.Block.height rest
+          else if h.Block.height <> prev.Block.height + 1 then Error "broken header heights"
+          else
+            let hash = Block.hash_header h in
+            if not (Pow.meets_target ~hash ~target) then Error "header fails proof of work"
+            else walk hash h (located hash h found) rest
     in
-    match check_links cp_hash checkpoint.Block.height t.headers with
+    let cp_hash = Block.hash_header checkpoint in
+    match walk cp_hash checkpoint (located cp_hash checkpoint None) t.headers with
     | Error e -> Error e
-    | Ok () -> (
-        (* 2. Locate the transaction's block. *)
-        let all = checkpoint :: t.headers in
-        let rec locate i = function
-          | [] -> None
-          | (h : Block.header) :: rest ->
-              if String.equal (Block.hash_header h) t.tx_block_hash then Some (i, h)
-              else locate (i + 1) rest
-        in
-        match locate 0 all with
-        | None -> Error "transaction block not covered by evidence"
-        | Some (pos, header) ->
-            (* 4. Stability: blocks above the tx block within the bundle. *)
-            let burial = List.length all - 1 - pos in
-            if burial < depth then
-              Error
-                (Printf.sprintf "insufficient burial: %d < required depth %d" burial depth)
-            else begin
-              (* 3. Inclusion. *)
-              let tx =
-                try Ok (Tx.of_bytes t.tx_bytes)
-                with Codec.Decode_error e -> Error ("malformed transaction: " ^ e)
-              in
-              match tx with
-              | Error e -> Error e
-              | Ok tx ->
-                  if
-                    Block.verify_tx_inclusion ~header ~txid:(Tx.txid tx) t.tx_proof
-                  then Ok tx
-                  else Error "Merkle inclusion proof invalid"
-            end)
+    | Ok (_, None) -> Error "transaction block not covered by evidence"
+    | Ok (tip_height, Some header) ->
+        (* 4. Stability: blocks above the tx block within the bundle
+           (heights are consecutive, so the height gap counts them). *)
+        let burial = tip_height - header.Block.height in
+        if burial < depth then
+          Error (Printf.sprintf "insufficient burial: %d < required depth %d" burial depth)
+        else begin
+          (* 3. Inclusion. *)
+          let tx =
+            try Ok (Tx.of_bytes t.tx_bytes)
+            with Codec.Decode_error e -> Error ("malformed transaction: " ^ e)
+          in
+          match tx with
+          | Error e -> Error e
+          | Ok tx ->
+              if Block.verify_tx_inclusion ~header ~txid:(Tx.txid tx) t.tx_proof then Ok tx
+              else Error "Merkle inclusion proof invalid"
+        end
   end
-
-(* Rough wire size of a bundle in bytes, for the ablation benchmark. *)
-let size t = String.length (Codec.encode encode t)
 
 (* --- Alternative validation strategies (for the Sec 4.3 ablation) ------ *)
 

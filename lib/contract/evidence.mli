@@ -32,9 +32,6 @@ val build : store:Store.t -> checkpoint:checkpoint -> txid:string -> (t, string)
     the decoded transaction for parameter inspection. *)
 val verify : checkpoint:checkpoint -> depth:int -> t -> (Tx.t, string) result
 
-(** Wire size in bytes (ablation metric). *)
-val size : t -> int
-
 (** Strawman 1 of Sec 4.3: consult a full replica of the validated chain. *)
 val verify_by_full_replication :
   replica:Store.t -> txid:string -> depth:int -> (Tx.t, string) result

@@ -81,7 +81,7 @@ let step s t p =
   let settle action fn signature =
     Driver.settle t p action
       ~ready:(fun _ _ -> true)
-      ~args:(fun _ -> Some (Centralized_sc.secret_args signature))
+      ~args:(fun _ -> Ok (Centralized_sc.secret_args signature))
       ~label:(fun i _ -> Printf.sprintf "%s:%d" fn i)
   in
   match s.signed with

@@ -87,17 +87,24 @@ let obs_labels = [ ("protocol", "ac3wn") ]
 (* Evidence bundles are where AC3WN pays its validation bill: each
    carries the header chain from the checkpoint to the proven
    transaction, and the contract walks all of it. Header count and wire
-   bytes are the cost observables. *)
-let observe_evidence t ev =
+   bytes are the cost observables. A bundle is built only inside a call
+   the wallet has funded, and its bytes are read off the argument the
+   call carries, so each bundle is encoded once. *)
+let evidence_arg t ev =
   let m = Universe.metrics (Driver.universe t) in
+  let arg = Evidence.to_value ev in
   Metrics.incr (Metrics.counter m ~labels:obs_labels "core.evidence.built");
   Metrics.observe
     (Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:100.0 ~buckets:20 "core.evidence.headers")
     (float_of_int (List.length ev.Evidence.headers));
-  Metrics.observe
-    (Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:20_000.0 ~buckets:20
-       "core.evidence.bytes")
-    (float_of_int (Evidence.size ev))
+  Result.iter
+    (fun bytes ->
+      Metrics.observe
+        (Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:20_000.0 ~buckets:20
+           "core.evidence.bytes")
+        (float_of_int (String.length bytes)))
+    (Value.as_bytes arg);
+  arg
 
 let scw_state s t =
   match s.scw_id with
@@ -200,21 +207,20 @@ let try_authorize s t p scw decision ~args =
     s.authorize_attempt_at > 0.0 && now -. s.authorize_attempt_at < retry_after
   in
   if not already_pending then
-    match args () with
-    | None -> ()
-    | Some args -> (
-        let wallet = Participant.wallet p s.config.witness_chain in
-        match Wallet.call wallet ~contract_id:scw ~fn ~args () with
-        | Ok _txid ->
-            s.authorize_attempt_at <- now;
-            Driver.charge t ~payer:(Participant.public p) ~kind:Authorize
-              ~fee:witness_params.Params.call_fee;
-            Driver.record t (fn ^ "_submitted")
-        | Error e -> Log.debug (fun m -> m "%s rejected: %s" fn e))
+    let wallet = Participant.wallet p s.config.witness_chain in
+    match Wallet.call wallet ~contract_id:scw ~fn ~args () with
+    | Ok _txid ->
+        s.authorize_attempt_at <- now;
+        Driver.charge t ~payer:(Participant.public p) ~kind:Authorize
+          ~fee:witness_params.Params.call_fee;
+        Driver.record t (fn ^ "_submitted")
+    | Error e -> Log.debug (fun m -> m "%s rejected: %s" fn e)
 
+(* authorize_redeem's argument: one bundle per edge, proving its
+   deployment against the checkpoint SCw registered for that chain. *)
 let redeem_evidence s t () =
   match scw_state s t with
-  | None -> None
+  | None -> Error "SCw not readable"
   | Some state -> (
       let evidences =
         Array.to_list (Driver.edges t)
@@ -228,13 +234,8 @@ let redeem_evidence s t () =
                | _ -> Error (chain ^ ": deployment or checkpoint missing"))
       in
       match List.find_map (function Error e -> Some e | Ok _ -> None) evidences with
-      | Some e ->
-          Log.debug (fun m -> m "redeem evidence failed: %s" e);
-          None
-      | None ->
-          let evidences = List.map Result.get_ok evidences in
-          List.iter (observe_evidence t) evidences;
-          Some (Value.List (List.map Evidence.to_value evidences)))
+      | Some e -> Error ("redeem evidence failed: " ^ e)
+      | None -> Ok (Value.List (List.map (fun ev -> evidence_arg t (Result.get_ok ev)) evidences)))
 
 (* The decision call on SCw once buried at depth d (the commit/abort
    point of the protocol): (decision, txid). It is read from the witness
@@ -265,16 +266,12 @@ let try_settle_edges s t p action decision_txid =
         Result.bind (Swap_template.get_commitment state) (fun commitment ->
             Result.bind (Value.field commitment "witness_checkpoint") Value.as_bytes)
       with
-      | Error _ -> None
+      | Error e -> Error ("no witness checkpoint: " ^ e)
       | Ok bytes -> (
           let checkpoint = Ac3_crypto.Codec.decode Block.decode_header bytes in
           match Evidence.build ~store:witness_store ~checkpoint ~txid:decision_txid with
-          | Error e ->
-              Log.debug (fun m -> m "evidence for settlement failed: %s" e);
-              None
-          | Ok evidence ->
-              observe_evidence t evidence;
-              Some (Evidence.to_value evidence)))
+          | Error e -> Error ("evidence for settlement failed: " ^ e)
+          | Ok evidence -> Ok (evidence_arg t evidence)))
     ~label:(fun _ es ->
       (match action with `Redeem -> "redeem_submitted:" | `Refund -> "refund_submitted:")
       ^ es.Driver.edge.Ac2t.chain)
@@ -289,7 +286,7 @@ let step s t p =
       | Some d ->
           try_deploy_edges s t p scw d;
           if Guard.abort d ~abort_requested:(Driver.abort_requested t) then
-            try_authorize s t p scw Protocol.Abort ~args:(fun () -> Some Value.Unit)
+            try_authorize s t p scw Protocol.Abort ~args:(fun () -> Ok Value.Unit)
           else if Guard.commit d ~all_published:(all_edges_evidenced s t) then
             try_authorize s t p scw Protocol.Commit ~args:(redeem_evidence s t)
       | None -> ());

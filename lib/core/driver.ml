@@ -116,7 +116,8 @@ let deploy t p ~code_id ~ready ~args ~label =
 
 (* Redeem is the recipient's call on an incoming edge, refund the
    sender's on an outgoing one; either needs the contract still
-   published (not already settled the other way). *)
+   published (not already settled the other way). The call's arguments
+   are built only once the wallet has funded it. *)
 let settle t p action ~ready ~args ~label =
   let pk = Participant.public p in
   let redeeming = action = `Redeem in
@@ -130,20 +131,17 @@ let settle t p action ~ready ~args ~label =
           let node = Universe.gateway t.universe es.edge.Ac2t.chain in
           match Node.contract node cid with
           | Some c when Swap_template.is_published c.Ledger.state -> (
-              match args c.Ledger.state with
-              | None -> ()
-              | Some args -> (
-                  let wallet = Participant.wallet p es.edge.Ac2t.chain in
-                  match Wallet.call wallet ~contract_id:cid ~fn ~args () with
-                  | Ok txid ->
-                      if redeeming then es.redeem_txid <- Some txid
-                      else es.refund_txid <- Some txid;
-                      charge t ~payer:pk
-                        ~kind:(if redeeming then Redeem else Refund)
-                        ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.call_fee;
-                      record t (label i es)
-                  | Error e ->
-                      Log.debug (fun m -> m "%s on %s failed: %s" fn es.edge.Ac2t.chain e)))
+              let wallet = Participant.wallet p es.edge.Ac2t.chain in
+              match
+                Wallet.call wallet ~contract_id:cid ~fn ~args:(fun () -> args c.Ledger.state) ()
+              with
+              | Ok txid ->
+                  if redeeming then es.redeem_txid <- Some txid else es.refund_txid <- Some txid;
+                  charge t ~payer:pk
+                    ~kind:(if redeeming then Redeem else Refund)
+                    ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.call_fee;
+                  record t (label i es)
+              | Error e -> Log.debug (fun m -> m "%s on %s failed: %s" fn es.edge.Ac2t.chain e))
           | _ -> ())
       | _ -> ())
     t.edges

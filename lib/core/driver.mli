@@ -93,14 +93,15 @@ val deploy :
     [refund] on its outgoing ones, that are [ready], published and not
     yet settled that way. [ready i e] gates edge [i] before its contract
     is looked up; [args state] builds the call's arguments from the
-    contract's state, or [None] to skip the edge this poll. A successful
+    contract's state, and only once the wallet has selected the coins
+    to fund the call; an [Error] skips the edge this poll. A successful
     call is charged and recorded under [label i e]. *)
 val settle :
   t ->
   Participant.t ->
   [ `Redeem | `Refund ] ->
   ready:(int -> edge_state -> bool) ->
-  args:(Value.t -> Value.t option) ->
+  args:(Value.t -> (Value.t, string) Stdlib.result) ->
   label:(int -> edge_state -> string) ->
   unit
 

@@ -453,9 +453,12 @@ let fork_trial ~seed ~d ~window =
           in
           let r1 =
             Wallet.call w_alice ~contract_id:scw ~fn:"authorize_redeem"
-              ~args:(Value.List [ Evidence.to_value evidence ]) ()
+              ~args:(fun () -> Ok (Value.List [ Evidence.to_value evidence ]))
+              ()
           in
-          let r2 = Wallet.call w_bob ~contract_id:scw ~fn:"authorize_refund" ~args:Value.Unit () in
+          let r2 =
+            Wallet.call w_bob ~contract_id:scw ~fn:"authorize_refund" ~args:(fun () -> Ok Value.Unit) ()
+          in
           (match (r1, r2) with
           | Ok _, Ok _ -> ()
           | Error e, _ | _, Error e -> failwith ("fork trial submission failed: " ^ e));
@@ -581,7 +584,9 @@ let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
       | Error e -> failwith ("ablation evidence invalid: " ^ e));
       {
         headers_spanned = span;
-        bundle_bytes = Evidence.size ev;
+        (* The bytes a call carries: the same encoding core.evidence.bytes observes. *)
+        bundle_bytes =
+          Value.as_bytes (Evidence.to_value ev) |> Result.fold ~ok:String.length ~error:(fun _ -> 0);
         in_contract_us = time_us (fun () -> ignore (Evidence.verify ~checkpoint ~depth ev));
         spv_us =
           time_us (fun () ->

@@ -115,7 +115,7 @@ let try_redeem s t p =
       Guard.redeem
         ~knows_secret:(List.mem pk s.knows_secret)
         ~leader:(String.equal pk s.leader) ~all_published:(Driver.all_deployed t))
-    ~args:(fun _ -> Some (Htlc.redeem_args ~secret:s.secret))
+    ~args:(fun _ -> Ok (Htlc.redeem_args ~secret:s.secret))
     ~label:(fun i _ -> Printf.sprintf "redeem:%d" i)
 
 (* Refund expired outgoing contracts. This is each sender's rational
@@ -126,7 +126,7 @@ let try_refund s t p =
   Driver.settle t p `Refund
     ~ready:(fun i (es : Driver.edge_state) ->
       es.redeem_txid = None && Guard.refund ~expired:(now >= s.timelocks.(i)))
-    ~args:(fun _ -> Some Htlc.refund_args)
+    ~args:(fun _ -> Ok Htlc.refund_args)
     ~label:(fun i _ -> Printf.sprintf "refund:%d" i)
 
 let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy") () =

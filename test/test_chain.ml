@@ -1077,6 +1077,43 @@ let test_wallet_refused_deploy_defers_args () =
   | Ok tx -> Alcotest.(check int64) "refusal did not advance the nonce" 0L tx.Tx.nonce
   | Error e -> Alcotest.fail e
 
+let test_wallet_refused_call_defers_args () =
+  (* The call twin of the deploy case above. A call the wallet cannot
+     fund never forces its argument thunk; a funded call whose thunk
+     fails submits nothing. Neither advances the nonce. *)
+  let w = make_world ~seed:30 () in
+  let node = w.nodes.(0) in
+  let payer = Wallet.create ~identity:alice ~node in
+  let caller = Wallet.create ~identity:alice ~node in
+  let txid1 =
+    match Wallet.pay payer ~to_:(Keys.address bob) ~amount:(coin 100) with
+    | Ok txid -> txid
+    | Error e -> Alcotest.fail e
+  in
+  let forced = ref 0 in
+  let call args =
+    Wallet.call caller ~contract_id:(String.make 32 'c') ~fn:"incr"
+      ~args:(fun () ->
+        incr forced;
+        args)
+      ()
+  in
+  (match call (Ok Value.Unit) with
+  | Error e ->
+      Alcotest.(check bool) "refused for funds" true (Astring.String.is_prefix ~affix:"insufficient" e)
+  | Ok _ -> Alcotest.fail "called with its only coin locked");
+  Alcotest.(check int) "args thunk never forced" 0 !forced;
+  ignore (Engine.run ~stop:(fun () -> Node.confirmations node txid1 >= 1) ~until:200_000.0 w.engine);
+  let pending = Mempool.size (Node.mempool node) in
+  (match call (Error "no evidence yet") with
+  | Error e -> Alcotest.(check string) "thunk's error returned" "no evidence yet" e
+  | Ok _ -> Alcotest.fail "submitted a call whose arguments failed");
+  Alcotest.(check int) "funded call forced its thunk" 1 !forced;
+  Alcotest.(check int) "nothing submitted" pending (Mempool.size (Node.mempool node));
+  match Wallet.build caller ~outputs:[ { addr = Keys.address bob; amount = coin 1 } ] () with
+  | Ok tx -> Alcotest.(check int64) "refusals did not advance the nonce" 0L tx.Tx.nonce
+  | Error e -> Alcotest.fail e
+
 let test_wallet_sibling_deploys_distinct_contracts () =
   (* Sibling wallets of one identity start at the same nonce, so
      byte-identical deploy payloads in one tick differ only in the coins
@@ -1386,7 +1423,7 @@ let test_wallet_deploy_and_call () =
         (Engine.run
            ~stop:(fun () -> Node.confirmations w.nodes.(0) txid >= 1)
            ~until:200_000.0 w.engine);
-      match Wallet.call wallet ~contract_id:cid ~fn:"incr" ~args:Value.Unit () with
+      match Wallet.call wallet ~contract_id:cid ~fn:"incr" ~args:(fun () -> Ok Value.Unit) () with
       | Error e -> Alcotest.fail e
       | Ok call_txid ->
           ignore
@@ -1472,6 +1509,7 @@ let () =
             test_wallet_siblings_serialize_on_outpoint;
           Alcotest.test_case "refused deploy defers args" `Slow
             test_wallet_refused_deploy_defers_args;
+          Alcotest.test_case "refused call defers args" `Slow test_wallet_refused_call_defers_args;
           Alcotest.test_case "sibling deploys, distinct contracts" `Slow
             test_wallet_sibling_deploys_distinct_contracts;
         ] );

@@ -364,7 +364,36 @@ let test_evidence_rejects_tampering () =
   (* Wrong checkpoint chain. *)
   (match Evidence.verify ~checkpoint:{ checkpoint with Block.chain = "c2" } ~depth:1 ev with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong chain accepted")
+  | Ok _ -> Alcotest.fail "wrong chain accepted");
+  (* Tamper with the tip header, which no later header links to, so only
+     its own checks can catch it. *)
+  let with_tip tip =
+    let rest = List.rev (List.tl (List.rev ev.Evidence.headers)) in
+    { ev with Evidence.headers = rest @ [ tip ] }
+  in
+  let tip = List.nth ev.Evidence.headers (List.length ev.Evidence.headers - 1) in
+  let rejected what expected ev =
+    match Evidence.verify ~checkpoint ~depth:1 ev with
+    | Error e -> Alcotest.(check string) what expected e
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  (* Re-nonced: the first nonce above the mined one whose hash misses
+     the target. *)
+  let renonced =
+    let rec search n tries =
+      let h = { tip with Block.nonce = n } in
+      if not (Block.header_pow_ok h) then h
+      else if tries = 0 then Alcotest.fail "no failing nonce found"
+      else search (Int64.succ n) (tries - 1)
+    in
+    search (Int64.succ tip.Block.nonce) 1_000
+  in
+  rejected "re-nonced header" "header fails proof of work" (with_tip renonced);
+  (* The easiest target, which the tip's hash meets: PoW at its own
+     target proves nothing when the chain's target is harder. *)
+  let easy = { tip with Block.target = String.make 32 '\xff' } in
+  Alcotest.(check bool) "easy target met" true (Block.header_pow_ok easy);
+  rejected "wrong-target header" "header at wrong target" (with_tip easy)
 
 let test_evidence_strawmen () =
   (* Full replication and SPV validation strategies agree with the

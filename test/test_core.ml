@@ -58,6 +58,29 @@ let test_ac3wn_fees_match_model () =
   Alcotest.(check int) "1 authorize call" 1 (count Ac3wn.Authorize);
   Alcotest.(check int) "N redeems" 2 (count Ac3wn.Redeem)
 
+let test_ac3wn_evidence_only_for_sent_calls () =
+  (* Evidence bundles are built inside calls the wallet has funded, so
+     the count matches the calls that were sent: one bundle per edge in
+     each authorize_redeem, one per redeem or refund. On this seed the
+     first authorize waits in the mempool past its retry window, so it
+     is sent again, and a retry whose coin is still locked must not
+     build its bundles. *)
+  let u, participants = fast_universe ~seed:116 ~chains:[ "btc"; "eth" ] 2 in
+  Universe.run_until u 50.0;
+  let ids = List.map Participant.identity participants in
+  let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> ok in
+  Alcotest.(check bool) "committed" true r.Ac3wn.committed;
+  let count kind = List.length (List.filter (fun f -> f.Ac3wn.kind = kind) r.Ac3wn.fees) in
+  let edges = List.length (Ac2t.edges graph) in
+  let sent = (edges * count Ac3wn.Authorize) + count Ac3wn.Redeem + count Ac3wn.Refund in
+  let built =
+    Ac3_obs.Metrics.counter_value
+      (Ac3_obs.Metrics.counter (Universe.metrics u) ~labels:[ ("protocol", "ac3wn") ]
+         "core.evidence.built")
+  in
+  Alcotest.(check int) "one bundle per sent call" sent built
+
 let test_ac3wn_abort_refunds_all () =
   (* Bob never deploys (crashes immediately); the others request the
      refund authorization, and Alice's contract is refunded: atomic. *)
@@ -543,6 +566,7 @@ let () =
         [
           Alcotest.test_case "two-party commit" `Slow test_ac3wn_two_party_commit;
           Alcotest.test_case "fees match Sec 6.2 model" `Slow test_ac3wn_fees_match_model;
+          Alcotest.test_case "evidence only for sent calls" `Slow test_ac3wn_evidence_only_for_sent_calls;
           Alcotest.test_case "abort refunds all" `Slow test_ac3wn_abort_refunds_all;
           Alcotest.test_case "crash after decision still atomic" `Slow
             test_ac3wn_crash_after_decision_still_atomic;
