@@ -28,7 +28,9 @@ let opt_delta = function Some v -> Fmt.str "%5.2f" v | None -> "  -  "
 
 let print_timeline (t : E.timeline) =
   Fmt.pr "%s (Diam(D) = %d), event times in Δ units:@." t.E.protocol t.E.diam;
-  List.iter (fun (label, time) -> Fmt.pr "  %6.2f Δ  %s@." time label) t.E.events
+  List.iter
+    (fun (event, time) -> Fmt.pr "  %6.2f Δ  %a@." time Ac3_flow.Protocol.pp_event event)
+    t.E.events
 
 let fig8_fig9 () =
   section "E1 / Figure 8 — Herlihy: sequential deploy and redeem phases";

@@ -227,8 +227,8 @@ let scenario_setup ~scenario ~parties ~seed =
    crashes at the protocol's critical moment (under AC3WN it recovers
    2000 s later and still redeems). *)
 let execute_protocol ~crash u participants graph protocol =
-  let crash_at label =
-    if crash then [ (label, fun () -> P.crash (List.nth participants 1)) ] else []
+  let crash_at event =
+    if crash then [ (event, fun () -> P.crash (List.nth participants 1)) ] else []
   in
   match protocol with
   | Ac3wn ->
@@ -239,10 +239,12 @@ let execute_protocol ~crash u participants graph protocol =
          ignore
            (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
                 P.recover (List.nth participants 1))));
-      A.execute u ~config ~graph ~participants ~hooks:(crash_at "authorize_redeem_submitted") ()
+      A.execute u ~config ~graph ~participants
+        ~hooks:(crash_at (Protocol.Authorize_submitted Protocol.Commit))
+        ()
   | Herlihy | Nolan ->
       let config = { (H.default_config ~delta:(U.max_delta u)) with H.timeout = 100_000.0 } in
-      let hooks = crash_at "redeem:1" in
+      let hooks = crash_at (Protocol.Redeem 1) in
       if protocol = Nolan then N.execute u ~config ~graph ~participants ~hooks ()
       else H.execute u ~config ~graph ~participants ~hooks ()
   | Ac3tw ->
@@ -264,7 +266,7 @@ let run_swap protocol scenario parties seed crash verbose metrics_out trace_out 
     match execute_protocol ~crash u participants graph protocol with
     | Error e -> refused e
     | Ok r ->
-        Fmt.pr "@.Trace:@.%a@." Ac3_sim.Trace.pp r.D.trace;
+        Fmt.pr "@.Trace:@.%a@." (Ac3_sim.Trace.pp Protocol.pp_event) r.D.trace;
         Fmt.pr "Outcome: %a@." Ac3_core.Outcome.pp r.D.outcome;
         Fmt.pr "committed = %b, atomic = %b@." r.D.committed r.D.atomic;
         (match r.D.latency with
@@ -604,12 +606,12 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
           Option.iter
             (fun t ->
               Fmt.pr "@.trace of the shrunk %s run:@.%a@." (Runner.protocol_name target)
-                Ac3_sim.Trace.pp t)
+                (Ac3_sim.Trace.pp Protocol.pp_event) t)
             trace;
           Option.iter
             (fun t ->
               if Ac3_sim.Trace.records t <> [] then
-                Fmt.pr "@.faults that fired:@.%a@." Ac3_sim.Trace.pp t)
+                Fmt.pr "@.faults that fired:@.%a@." (Ac3_sim.Trace.pp Protocol.pp_event) t)
             chaos_trace
       | None -> ());
       0

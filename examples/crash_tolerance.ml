@@ -40,7 +40,7 @@ let () =
   show_balances "before" alice1 bob1;
   (* Crash Bob the instant Alice's redeem of SC2 hits the chain (edge 1
      is Bob -> Alice on eth); he stays down past every timelock. *)
-  let hooks = [ ("redeem:1", fun () -> P.crash bob1) ] in
+  let hooks = [ (Ac3_flow.Protocol.Redeem 1, fun () -> P.crash bob1) ] in
   let config = { (H.default_config ~delta:(U.max_delta u1)) with H.timeout = 5000.0 } in
   let r1 = N.execute u1 ~config ~graph:graph1 ~participants:ps1 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
   show_balances "after " alice1 bob1;
@@ -64,7 +64,7 @@ let () =
      ruined him under Nolan's protocol. *)
   let hooks =
     [
-      ( "authorize_redeem_submitted",
+      ( Ac3_flow.Protocol.(Authorize_submitted Commit),
         fun () ->
           P.crash bob2;
           ignore

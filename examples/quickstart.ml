@@ -42,7 +42,7 @@ let () =
   let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
 
   (* 4. Inspect the outcome. *)
-  Fmt.pr "Protocol trace:@.%a@." Ac3_sim.Trace.pp result.A.trace;
+  Fmt.pr "Protocol trace:@.%a@." (Ac3_sim.Trace.pp Ac3_flow.Protocol.pp_event) result.A.trace;
   Fmt.pr "committed = %b, atomic = %b@." result.A.committed result.A.atomic;
   (match result.A.latency with
   | Some l ->

@@ -4,9 +4,9 @@
    Every fault is installed on the universe's own discrete-event engine,
    so injection shares the single virtual clock and RNG discipline with
    the protocols under test — a chaos run is exactly as deterministic as
-   a fault-free one. Each fault firing also records a "chaos:..." event
-   in the universe trace, so reproducer logs show faults interleaved
-   with protocol steps. *)
+   a fault-free one. Each fault firing also records a [Fault] event in
+   the universe trace, so reproducer logs show faults interleaved with
+   protocol steps. *)
 
 module Engine = Ac3_sim.Engine
 module Network = Ac3_chain.Network
@@ -25,14 +25,9 @@ let with_chain u name k = match Universe.chain u name with
   | exception Invalid_argument _ -> ()
 
 (* Every fault firing leaves a trace record and bumps the per-kind hit
-   counter — the "chaos:" prefix is stripped to make the metric label. *)
-let note u label attrs =
-  Universe.record u ~attrs label;
-  let kind =
-    match String.index_opt label ':' with
-    | Some i -> String.sub label (i + 1) (String.length label - i - 1)
-    | None -> label
-  in
+   counter. *)
+let note u kind attrs =
+  Universe.record u ~attrs (Ac3_flow.Protocol.Fault kind);
   Ac3_obs.Metrics.incr
     (Ac3_obs.Metrics.counter (Universe.metrics u) ~labels:[ ("kind", kind) ] "chaos.fault")
 
@@ -43,12 +38,12 @@ let install ~universe:u ~participants (plan : Plan.t) =
     | Plan.Crash { party = i; at } ->
         schedule u ~at (fun () ->
             let p = party i in
-            note u "chaos:crash" [ ("party", Participant.name p) ];
+            note u "crash" [ ("party", Participant.name p) ];
             Participant.crash p)
     | Plan.Restart { party = i; at } ->
         schedule u ~at (fun () ->
             let p = party i in
-            note u "chaos:restart" [ ("party", Participant.name p) ];
+            note u "restart" [ ("party", Participant.name p) ];
             Participant.recover p)
     | Plan.Partition { chain; at; duration; cut } ->
         schedule u ~at (fun () ->
@@ -58,11 +53,11 @@ let install ~universe:u ~participants (plan : Plan.t) =
                 let island =
                   Array.to_list (Array.sub c.Universe.nodes 0 cut) |> List.map Node.id
                 in
-                note u "chaos:partition" [ ("chain", chain); ("cut", string_of_int cut) ];
+                note u "partition" [ ("chain", chain); ("cut", string_of_int cut) ];
                 Network.partition c.Universe.network [ island ]));
         schedule u ~at:(at +. duration) (fun () ->
             with_chain u chain (fun c ->
-                note u "chaos:heal" [ ("chain", chain) ];
+                note u "heal" [ ("chain", chain) ];
                 Network.heal c.Universe.network))
     | Plan.Delay { chain; at; duration; factor } ->
         let saved = ref None in
@@ -71,7 +66,7 @@ let install ~universe:u ~participants (plan : Plan.t) =
                 let net = c.Universe.network in
                 let lo, hi = Network.delays net in
                 saved := Some (lo, hi);
-                note u "chaos:delay"
+                note u "delay"
                   [ ("chain", chain); ("factor", Printf.sprintf "%.1f" factor) ];
                 Network.set_delays net ~min_delay:(lo *. factor) ~max_delay:(hi *. factor)));
         schedule u ~at:(at +. duration) (fun () ->
@@ -79,30 +74,30 @@ let install ~universe:u ~participants (plan : Plan.t) =
                 match !saved with
                 | None -> ()
                 | Some (lo, hi) ->
-                    note u "chaos:delay_end" [ ("chain", chain) ];
+                    note u "delay_end" [ ("chain", chain) ];
                     Network.set_delays c.Universe.network ~min_delay:lo ~max_delay:hi))
     | Plan.Drop { chain; at; duration; p } ->
         schedule u ~at (fun () ->
             with_chain u chain (fun c ->
-                note u "chaos:drop" [ ("chain", chain); ("p", Printf.sprintf "%.2f" p) ];
+                note u "drop" [ ("chain", chain); ("p", Printf.sprintf "%.2f" p) ];
                 Network.set_drop_probability c.Universe.network p));
         schedule u ~at:(at +. duration) (fun () ->
             with_chain u chain (fun c ->
-                note u "chaos:drop_end" [ ("chain", chain) ];
+                note u "drop_end" [ ("chain", chain) ];
                 Network.set_drop_probability c.Universe.network 0.0))
     | Plan.Mining_stall { chain; at; duration } ->
         schedule u ~at (fun () ->
             with_chain u chain (fun c ->
-                note u "chaos:mining_stall" [ ("chain", chain) ];
+                note u "mining_stall" [ ("chain", chain) ];
                 Array.iter Miner.stop c.Universe.miners));
         schedule u ~at:(at +. duration) (fun () ->
             with_chain u chain (fun c ->
-                note u "chaos:mining_resume" [ ("chain", chain) ];
+                note u "mining_resume" [ ("chain", chain) ];
                 Array.iter Miner.start c.Universe.miners))
     | Plan.Mining_burst { chain; at; blocks } ->
         schedule u ~at (fun () ->
             with_chain u chain (fun c ->
-                note u "chaos:mining_burst"
+                note u "mining_burst"
                   [ ("chain", chain); ("blocks", string_of_int blocks) ];
                 let miners = c.Universe.miners in
                 if Array.length miners > 0 then
@@ -112,12 +107,12 @@ let install ~universe:u ~participants (plan : Plan.t) =
     | Plan.Witness_outage { at; duration } ->
         schedule u ~at (fun () ->
             with_chain u "witness" (fun c ->
-                note u "chaos:witness_outage" [];
+                note u "witness_outage" [];
                 Array.iter Miner.stop c.Universe.miners;
                 Array.iter Node.crash c.Universe.nodes));
         schedule u ~at:(at +. duration) (fun () ->
             with_chain u "witness" (fun c ->
-                note u "chaos:witness_recover" [];
+                note u "witness_recover" [];
                 Array.iter Node.recover c.Universe.nodes;
                 Array.iter Miner.start c.Universe.miners))
   in

@@ -3,7 +3,7 @@
     Fault times are interpreted relative to the virtual time at which
     [install] runs (protocol start). Party indexes are taken modulo the
     participant count; faults naming chains the universe lacks are
-    skipped. Every firing records a ["chaos:..."] event in the universe
+    skipped. Every firing records a [Fault kind] event in the universe
     trace. *)
 
 val install :

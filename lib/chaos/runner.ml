@@ -57,8 +57,9 @@ type report = {
   flow_violations : Flow.violation list;
       (** settled deltas outside the static value intervals — a lib/flow
           soundness bug by construction, like [unexplained] *)
-  trace : Trace.t option;  (** the protocol's own event log *)
-  chaos_trace : Trace.t option;  (** universe log: the faults that fired *)
+  trace : Ac3_flow.Protocol.event Trace.t option;  (** the protocol's own event log *)
+  chaos_trace : Ac3_flow.Protocol.event Trace.t option;
+      (** universe log: the faults that fired *)
   obs : Obs.t;  (** the run universe's metrics and spans *)
 }
 

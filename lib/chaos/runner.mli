@@ -34,8 +34,9 @@ type report = {
       (** settled per-(participant, chain) deltas outside the static
           {!Ac3_flow.Flow} budget-1 intervals — a flow soundness bug by
           construction, surfaced like [unexplained] *)
-  trace : Ac3_sim.Trace.t option;  (** the protocol's own event log *)
-  chaos_trace : Ac3_sim.Trace.t option;  (** universe log: faults that fired *)
+  trace : Ac3_flow.Protocol.event Ac3_sim.Trace.t option;  (** the protocol's own event log *)
+  chaos_trace : Ac3_flow.Protocol.event Ac3_sim.Trace.t option;
+      (** universe log: faults that fired *)
   obs : Ac3_obs.Obs.t;  (** the run universe's metrics and spans *)
 }
 

@@ -14,7 +14,6 @@
    on a trusted, available Trent — the single point of failure AC3WN
    removes. *)
 
-module Span = Ac3_obs.Span
 module Ac2t = Ac3_contract.Ac2t
 module Centralized_sc = Ac3_contract.Centralized_sc
 module Protocol = Ac3_flow.Protocol
@@ -28,13 +27,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type config = { poll_interval : float; timeout : float }
 
 let default_config = { poll_interval = 2.0; timeout = 10_000.0 }
-
-let phases =
-  [
-    { Span.phase = "deploy"; opens = "deploy:"; closes = [ "deploy:" ] };
-    { Span.phase = "redeem"; opens = "redeem:"; closes = [ "redeem:" ] };
-    { Span.phase = "refund"; opens = "refund:"; closes = [ "refund:" ] };
-  ]
 
 (* Trent's decision once he gives one, with his signature on it: the
    secret every contract's redeem or refund takes. *)
@@ -55,7 +47,7 @@ let try_decide s t =
     match Trent.request_refund s.trent ~ms_id:s.ms_id with
     | Ok sg ->
         s.signed <- Some (Protocol.Abort, sg);
-        Driver.record t "refund_signed"
+        Driver.record t (Protocol.Signed Protocol.Abort)
     | Error e -> Log.debug (fun m -> m "Trent refused refund: %s" e)
   end
   else if Guard.commit d ~all_published:(Driver.all_deployed t) then begin
@@ -66,7 +58,7 @@ let try_decide s t =
     match Trent.request_redeem s.trent ~ms_id:s.ms_id ~contracts with
     | Ok sg ->
         s.signed <- Some (Protocol.Commit, sg);
-        Driver.record t "redeem_signed"
+        Driver.record t (Protocol.Signed Protocol.Commit)
     | Error e -> Log.debug (fun m -> m "Trent refused redeem: %s" e)
   end
 
@@ -76,18 +68,17 @@ let step s t p =
     ~args:(fun _ es ->
       Centralized_sc.args ~recipient_pk:es.Driver.edge.Ac2t.to_pk ~ms_id:s.ms_id
         ~trent_pk:(Trent.public s.trent))
-    ~label:(fun i _ _ -> (Printf.sprintf "deploy:%d" i, []));
+    ~attrs:(fun _ _ -> []);
   try_decide s t;
-  let settle action fn signature =
+  let settle action signature =
     Driver.settle t p action
       ~ready:(fun _ _ -> true)
       ~args:(fun _ -> Ok (Centralized_sc.secret_args signature))
-      ~label:(fun i _ -> Printf.sprintf "%s:%d" fn i)
   in
   match s.signed with
   | Some (d, sg) ->
-      if Guard.redeem d then settle `Redeem "redeem" sg;
-      if Guard.refund d then settle `Refund "refund" sg
+      if Guard.redeem d then settle `Redeem sg;
+      if Guard.refund d then settle `Refund sg
   | None -> ()
 
 let execute universe ~config ~trent ~graph ~participants ?abort_after () =
@@ -101,7 +92,7 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
               ~poll_interval:config.poll_interval ~abort_after
               {
                 Driver.name = "ac3tw";
-                phases;
+                phases = Driver.edge_phases;
                 step = step s;
                 aborted = (fun _ -> decision s = Protocol.Abort);
                 abortable = (fun _ -> decision s = Protocol.Undecided);

@@ -58,15 +58,24 @@ let default_config ~witness_chain =
     timeout = 10_000.0;
   }
 
+let authorizing = function Protocol.Authorize_submitted _ -> true | _ -> false
+
+let decided = function Protocol.Decision_confirmed _ -> true | _ -> false
+
 let phases =
+  let deployed = function Protocol.Deploy _ -> true | _ -> false in
   [
-    { Span.phase = "scw_deploy"; opens = "scw_deployed"; closes = [ "scw_confirmed" ] };
-    { Span.phase = "edge_deploy"; opens = "edge_deployed:"; closes = [ "edge_deployed:" ] };
-    { Span.phase = "decision"; opens = "authorize_"; closes = [ "decision_confirmed:" ] };
+    {
+      Span.phase = "scw_deploy";
+      opens = ( = ) Protocol.Scw_deployed;
+      closes = ( = ) Protocol.Scw_confirmed;
+    };
+    { Span.phase = "edge_deploy"; opens = deployed; closes = deployed };
+    { Span.phase = "decision"; opens = authorizing; closes = decided };
     {
       Span.phase = "settle";
-      opens = "decision_confirmed:";
-      closes = [ "redeem_submitted:"; "refund_submitted:" ];
+      opens = decided;
+      closes = (function Protocol.Redeem _ | Protocol.Refund _ -> true | _ -> false);
     };
   ]
 
@@ -153,7 +162,7 @@ let try_register_scw s t p =
         s.scw_deploy_txid <- Some txid;
         Driver.charge t ~payer:(Participant.public p) ~kind:Scw_deploy
           ~fee:(Universe.params universe s.config.witness_chain).Params.deploy_fee;
-        Driver.record t "scw_deployed" ~attrs:[ ("scw", Hex.short contract_id) ]
+        Driver.record t Protocol.Scw_deployed ~attrs:[ ("scw", Hex.short contract_id) ]
     | Error e -> Log.debug (fun m -> m "SCw registration failed: %s" e)
   end
 
@@ -162,7 +171,7 @@ let observe_scw_confirmation s t =
   match (s.scw_id, s.scw_deploy_txid) with
   | None, Some txid when Driver.confirmed t ~chain:s.config.witness_chain (Some txid) ->
       s.scw_id <- Some (Contract_iface.contract_id_of_deploy ~txid);
-      Driver.record t "scw_confirmed"
+      Driver.record t Protocol.Scw_confirmed
   | _ -> ()
 
 (* Step 3/4: a participant deploys the contracts for its outgoing edges,
@@ -177,8 +186,7 @@ let try_deploy_edges s t p scw decision =
       Permissionless_sc.args ~recipient_pk:es.Driver.edge.Ac2t.to_pk
         ~witness_chain:s.config.witness_chain ~scw ~depth:s.config.decision_depth
         ~witness_checkpoint)
-    ~label:(fun _ es contract_id ->
-      ("edge_deployed:" ^ es.Driver.edge.Ac2t.chain, [ ("contract", Hex.short contract_id) ]))
+    ~attrs:(fun _ contract_id -> [ ("contract", Hex.short contract_id) ])
 
 (* Are all edge deployments buried deeply enough for evidence? *)
 let all_edges_evidenced s t =
@@ -213,7 +221,7 @@ let try_authorize s t p scw decision ~args =
         s.authorize_attempt_at <- now;
         Driver.charge t ~payer:(Participant.public p) ~kind:Authorize
           ~fee:witness_params.Params.call_fee;
-        Driver.record t (fn ^ "_submitted")
+        Driver.record t (Protocol.Authorize_submitted decision)
     | Error e -> Log.debug (fun m -> m "%s rejected: %s" fn e)
 
 (* authorize_redeem's argument: one bundle per edge, proving its
@@ -272,9 +280,6 @@ let try_settle_edges s t p action decision_txid =
           match Evidence.build ~store:witness_store ~checkpoint ~txid:decision_txid with
           | Error e -> Error ("evidence for settlement failed: " ^ e)
           | Ok evidence -> Ok (evidence_arg t evidence)))
-    ~label:(fun _ es ->
-      (match action with `Redeem -> "redeem_submitted:" | `Refund -> "refund_submitted:")
-      ^ es.Driver.edge.Ac2t.chain)
 
 (* One poll step for one participant. *)
 let step s t p =
@@ -292,7 +297,7 @@ let step s t p =
       | None -> ());
       match confirmed_decision s t scw with
       | Some (d, txid) ->
-          Driver.record t ("decision_confirmed:" ^ List.assoc d authorize_fns);
+          Driver.record t (Protocol.Decision_confirmed d);
           if Guard.redeem d then try_settle_edges s t p `Redeem txid;
           if Guard.refund d then try_settle_edges s t p `Refund txid
       | None -> ())
@@ -301,18 +306,18 @@ let step s t p =
    call sitting at decision depth on the witness chain. Derived from the
    trace the protocol already records, so it cannot perturb a run. *)
 let observe_decision_latency t =
-  let first_with prefix =
-    List.find_opt
-      (fun (r : Trace.record) -> String.starts_with ~prefix r.Trace.label)
+  let first p =
+    List.find_map
+      (fun (r : _ Trace.record) -> if p r.Trace.event then Some r.Trace.time else None)
       (Trace.records (Driver.trace t))
   in
-  match (first_with "authorize_", first_with "decision_confirmed:") with
-  | Some a, Some d when d.Trace.time >= a.Trace.time ->
+  match (first authorizing, first decided) with
+  | Some a, Some d when d >= a ->
       Metrics.observe
         (Metrics.histogram
            (Universe.metrics (Driver.universe t))
            ~labels:obs_labels ~lo:0.0 ~hi:200.0 ~buckets:40 "core.witness.decision_latency")
-        (d.Trace.time -. a.Trace.time)
+        (d -. a)
   | _ -> ()
 
 let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =

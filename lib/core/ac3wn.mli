@@ -25,16 +25,19 @@ type config = {
 
 val default_config : witness_chain:string -> config
 
-(** Phase windows of a run's trace: scw_deploy, edge_deploy, decision,
-    settle. *)
-val phases : Ac3_obs.Span.phase list
+(** Phase windows of a run's trace: scw_deploy, edge_deploy (first to
+    last [Deploy]), decision (first [Authorize_submitted] to
+    [Decision_confirmed]) and settle (to the last [Redeem] or
+    [Refund]). *)
+val phases : Ac3_flow.Protocol.event Ac3_obs.Span.phase list
 
 (** Set up an AC2T and schedule its poll loops without running the
     engine; drive the universe and {!Driver.finish} the handle.
-    [participants] must cover the graph's vertices. [hooks] bind trace
-    labels (e.g. ["scw_confirmed"], ["authorize_redeem_submitted"]) to
-    callbacks, letting experiments crash participants at precise
-    protocol phases. [abort_after] requests the refund path after that
+    [participants] must cover the graph's vertices. [hooks] bind events
+    (e.g. [Scw_confirmed], [Authorize_submitted Commit], [Redeem 1]) to
+    callbacks fired at the event's first record, letting experiments
+    crash participants at precise protocol phases. Edge events carry
+    the edge's index in graph order. [abort_after] requests the refund path after that
     many virtual seconds if SCw is still undecided. [Error] on a
     missing participant, before anything touches a chain. *)
 val launch :
@@ -42,7 +45,7 @@ val launch :
   config:config ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
-  ?hooks:(string * (unit -> unit)) list ->
+  ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?abort_after:float ->
   unit ->
   (handle, string) Stdlib.result
@@ -54,7 +57,7 @@ val execute :
   config:config ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
-  ?hooks:(string * (unit -> unit)) list ->
+  ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?abort_after:float ->
   unit ->
   (result, string) Stdlib.result

@@ -9,7 +9,7 @@
    participants: each is deployed, then redeemed or refunded once its
    owner learns the decision. This module runs that skeleton; each
    protocol supplies a [rule] — how it deploys, where its decision
-   comes from, and which trace labels delimit its phases.
+   comes from, and which trace events delimit its phases.
 
    Every participant acts through an independent poll loop over its own
    view of the chains. A crashed participant simply skips its polls and
@@ -22,6 +22,7 @@ module Span = Ac3_obs.Span
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 module Swap_template = Ac3_contract.Swap_template
+module Protocol = Ac3_flow.Protocol
 open Ac3_chain
 
 let src = Logs.Src.create "ac3.driver" ~doc:"AC2T driver kernel"
@@ -40,7 +41,7 @@ module Shared = struct
     atomic : bool;
     committed : bool;
     latency : float option; (* launch to last confirmed settlement *)
-    trace : Trace.t;
+    trace : Protocol.event Trace.t;
     fees : fee_entry list;
   }
 
@@ -60,8 +61,8 @@ type edge_state = {
 type t = {
   universe : Universe.t;
   edges : edge_state array;
-  trace : Trace.t;
-  hooks : (string * (unit -> unit)) list;
+  trace : Protocol.event Trace.t;
+  hooks : (Protocol.event * (unit -> unit)) list;
   mutable fees : fee_entry list;
   mutable abort_requested : bool;
 }
@@ -74,10 +75,10 @@ let trace t = t.trace
 
 let abort_requested t = t.abort_requested
 
-let record t ?attrs label =
-  if Trace.time_of t.trace label = None then begin
-    Trace.record t.trace ~time:(Universe.now t.universe) ?attrs label;
-    match List.assoc_opt label t.hooks with Some hook -> hook () | None -> ()
+let record t ?attrs event =
+  if Trace.time_of t.trace event = None then begin
+    Trace.record t.trace ~time:(Universe.now t.universe) ?attrs event;
+    match List.assoc_opt event t.hooks with Some hook -> hook () | None -> ()
   end
 
 let charge t ~payer ~kind ~fee = t.fees <- { payer; kind; fee } :: t.fees
@@ -91,7 +92,7 @@ let confirmed t ~chain = function
 let all_deployed t =
   Array.for_all (fun es -> confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid) t.edges
 
-let deploy t p ~code_id ~ready ~args ~label =
+let deploy t p ~code_id ~ready ~args ~attrs =
   let pk = Participant.public p in
   Array.iteri
     (fun i es ->
@@ -105,8 +106,7 @@ let deploy t p ~code_id ~ready ~args ~label =
             es.contract_id <- Some contract_id;
             charge t ~payer:pk ~kind:Edge_deploy
               ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.deploy_fee;
-            let label, attrs = label i es contract_id in
-            record t ~attrs label
+            record t ~attrs:(attrs es contract_id) (Protocol.Deploy i)
         | Error e ->
             Log.debug (fun m ->
                 m "%s: %s deploy on %s failed: %s" (Participant.name p) code_id
@@ -118,7 +118,7 @@ let deploy t p ~code_id ~ready ~args ~label =
    sender's on an outgoing one; either needs the contract still
    published (not already settled the other way). The call's arguments
    are built only once the wallet has funded it. *)
-let settle t p action ~ready ~args ~label =
+let settle t p action ~ready ~args =
   let pk = Participant.public p in
   let redeeming = action = `Redeem in
   let fn = if redeeming then "redeem" else "refund" in
@@ -140,15 +140,24 @@ let settle t p action ~ready ~args ~label =
                   charge t ~payer:pk
                     ~kind:(if redeeming then Redeem else Refund)
                     ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.call_fee;
-                  record t (label i es)
+                  record t (if redeeming then Protocol.Redeem i else Protocol.Refund i)
               | Error e -> Log.debug (fun m -> m "%s on %s failed: %s" fn es.edge.Ac2t.chain e))
           | _ -> ())
       | _ -> ())
     t.edges
 
+(* The phases of a protocol whose only trace events are per edge. *)
+let edge_phases =
+  let phase name is = { Span.phase = name; opens = is; closes = is } in
+  [
+    phase "deploy" (function Protocol.Deploy _ -> true | _ -> false);
+    phase "redeem" (function Protocol.Redeem _ -> true | _ -> false);
+    phase "refund" (function Protocol.Refund _ -> true | _ -> false);
+  ]
+
 type rule = {
   name : string;
-  phases : Span.phase list;
+  phases : Protocol.event Span.phase list;
   step : t -> Participant.t -> unit;
   aborted : t -> bool;
   abortable : t -> bool;
@@ -185,7 +194,7 @@ let launch universe ~graph ~participants ~hooks ~poll_interval ~abort_after rule
       abort_requested = false;
     }
   in
-  record run "start";
+  record run Protocol.Start;
   let start_time = Universe.now universe in
   (match abort_after with
   | Some delay ->
@@ -193,7 +202,7 @@ let launch universe ~graph ~participants ~hooks ~poll_interval ~abort_after rule
         (Engine.schedule (Universe.engine universe) ~delay (fun () ->
              if rule.abortable run then begin
                run.abort_requested <- true;
-               record run "abort_requested"
+               record run Protocol.Abort_requested
              end))
   | None -> ());
   (* One poll loop per participant, staggered so they do not act in
@@ -248,7 +257,7 @@ let finish h =
   let run = h.run in
   h.stopped := true;
   let finished = settled h in
-  if finished then record run "completed";
+  if finished then record run Protocol.Completed;
   observe_run h ~finished;
   let contracts = Array.to_list (Array.map (fun es -> es.contract_id) run.edges) in
   let outcome = Outcome.evaluate run.universe ~graph:h.graph ~contracts in

@@ -4,7 +4,7 @@
     contracts are the participants, each deployed and then redeemed or
     refunded once its owner learns the decision. The driver owns what
     does not depend on who decides — per-edge state, the trace and its
-    label hooks, the fee ledger, the abort timer and per-participant
+    event hooks, the fee ledger, the abort timer and per-participant
     poll loops, edge settlement, and the run's observability. A
     protocol plugs in a {!rule}: its deploy step, its decision source
     and its phase list. *)
@@ -28,7 +28,7 @@ module Shared : sig
     committed : bool;
     latency : float option;
         (** launch to last confirmed settlement, in virtual seconds *)
-    trace : Ac3_sim.Trace.t;
+    trace : Ac3_flow.Protocol.event Ac3_sim.Trace.t;
     fees : fee_entry list;
   }
 
@@ -56,15 +56,15 @@ val universe : t -> Universe.t
 
 val edges : t -> edge_state array
 
-val trace : t -> Ac3_sim.Trace.t
+val trace : t -> Ac3_flow.Protocol.event Ac3_sim.Trace.t
 
 (** Set by the abort timer (see {!launch}). *)
 val abort_requested : t -> bool
 
-(** Record a trace label once, at the current virtual time; the first
+(** Record an event once, at the current virtual time; the first
     occurrence fires any hook bound to it (experiments crash
     participants at protocol phases this way). *)
-val record : t -> ?attrs:(string * string) list -> string -> unit
+val record : t -> ?attrs:(string * string) list -> Ac3_flow.Protocol.event -> unit
 
 val charge : t -> payer:Keys.public -> kind:kind -> fee:Amount.t -> unit
 
@@ -78,15 +78,15 @@ val all_deployed : t -> bool
     deployed and are [ready], in graph order: [ready i e] gates edge
     [i]; [args i e] builds its contract arguments, and only once the
     wallet has selected the coins to fund it; a successful deploy is
-    charged as [Edge_deploy] and recorded under [label i e contract_id]
-    (a label and its attrs). *)
+    charged as [Edge_deploy] and recorded as [Deploy i], with the
+    attributes [attrs e contract_id]. *)
 val deploy :
   t ->
   Participant.t ->
   code_id:string ->
   ready:(int -> edge_state -> bool) ->
   args:(int -> edge_state -> Value.t) ->
-  label:(int -> edge_state -> string -> string * (string * string) list) ->
+  attrs:(edge_state -> string -> (string * string) list) ->
   unit
 
 (** Call [redeem] on the participant's incoming edge contracts, or
@@ -95,20 +95,25 @@ val deploy :
     is looked up; [args state] builds the call's arguments from the
     contract's state, and only once the wallet has selected the coins
     to fund the call; an [Error] skips the edge this poll. A successful
-    call is charged and recorded under [label i e]. *)
+    call is charged and recorded as [Redeem i] or [Refund i]. *)
 val settle :
   t ->
   Participant.t ->
   [ `Redeem | `Refund ] ->
   ready:(int -> edge_state -> bool) ->
   args:(Value.t -> (Value.t, string) Stdlib.result) ->
-  label:(int -> edge_state -> string) ->
   unit
+
+(** The deploy, redeem and refund phases, each spanning its edge
+    events: the phases of a protocol that records nothing else per
+    edge (Herlihy, Nolan, AC3TW). *)
+val edge_phases : Ac3_flow.Protocol.event Ac3_obs.Span.phase list
 
 (** A protocol as a decision rule over the shared skeleton. *)
 type rule = {
   name : string;  (** labels the run's metrics and root span *)
-  phases : Ac3_obs.Span.phase list;  (** trace windows turned into phase spans *)
+  phases : Ac3_flow.Protocol.event Ac3_obs.Span.phase list;
+      (** trace windows turned into phase spans *)
   step : t -> Participant.t -> unit;  (** one poll of one live participant *)
   aborted : t -> bool;
       (** the decision is a confirmed abort, so an edge that was never
@@ -123,16 +128,18 @@ type rule = {
     exactly once. *)
 type handle
 
-(** Record ["start"], schedule the abort timer (if [abort_after]: once
+(** Record [Start], schedule the abort timer (if [abort_after]: once
     that many virtual seconds pass, a still-[abortable] run records
-    ["abort_requested"] and sets {!abort_requested}), then one poll
+    [Abort_requested] and sets {!abort_requested}), then one poll
     loop per participant, in list order, staggered by a tenth of
-    [poll_interval] each. Nothing runs until the caller drives time. *)
+    [poll_interval] each. Nothing runs until the caller drives time.
+    [hooks] bind events to callbacks; each fires once, at the event's
+    first {!record}. *)
 val launch :
   Universe.t ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
-  hooks:(string * (unit -> unit)) list ->
+  hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   poll_interval:float ->
   abort_after:float option ->
   rule ->
@@ -142,7 +149,7 @@ val launch :
     deployed under an {!rule.aborted} decision. *)
 val settled : handle -> bool
 
-(** Stop the poll loops, record ["completed"] if {!settled}, fold the
+(** Stop the poll loops, record [Completed] if {!settled}, fold the
     run's counters and phase spans into the universe's observability
     context, and evaluate the outcome. Call exactly once, whether the
     run settled or a deadline expired with it still in flight. *)

@@ -8,6 +8,7 @@ module Trace = Ac3_sim.Trace
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 module Evidence = Ac3_contract.Evidence
+module Protocol = Ac3_flow.Protocol
 open Ac3_chain
 
 (* Chains used by the latency/cost experiments: uniform Δ across chains,
@@ -46,16 +47,18 @@ let ring_setup ~seed n =
 
 (* --- E1 / Fig 8: Herlihy phase timeline --------------------------------- *)
 
-type timeline = { protocol : string; diam : int; events : (string * float) list }
+type timeline = { protocol : string; diam : int; events : (Protocol.event * float) list }
 
 (* Normalized event times (in Δ units from protocol start). *)
 let normalize trace =
-  match Trace.time_of trace "start" with
+  match Trace.time_of trace Protocol.Start with
   | None -> []
   | Some t0 ->
       List.filter_map
-        (fun (r : Trace.record) ->
-          if r.Trace.label = "start" then None else Some (r.Trace.label, (r.Trace.time -. t0) /. delta))
+        (fun (r : _ Trace.record) ->
+          match r.Trace.event with
+          | Protocol.Start -> None
+          | e -> Some (e, (r.Trace.time -. t0) /. delta))
         (Trace.records trace)
 
 let fig8 ?(seed = 81) ?(n = 3) () =
@@ -323,7 +326,7 @@ let crash_experiment ?(seed = 800) () =
     Universe.run_until u 60.0;
     let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
     let bob = List.nth participants 1 in
-    let hooks = [ ("redeem:1", fun () -> Participant.crash bob) ] in
+    let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
     let config = { (Herlihy.default_config ~delta) with Herlihy.timeout = 5000.0 } in
     let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> get in
     {
@@ -343,7 +346,7 @@ let crash_experiment ?(seed = 800) () =
     let bob = List.nth participants 1 in
     let hooks =
       [
-        ( "authorize_redeem_submitted",
+        ( Protocol.Authorize_submitted Protocol.Commit,
           fun () ->
             Participant.crash bob;
             ignore

@@ -19,7 +19,11 @@ val ac3wn_config : Ac3wn.config
 
 (** {2 E1/E2 — Figures 8 and 9: phase timelines} *)
 
-type timeline = { protocol : string; diam : int; events : (string * float) list }
+type timeline = {
+  protocol : string;
+  diam : int;
+  events : (Ac3_flow.Protocol.event * float) list;
+}
 
 (** Herlihy on an [n]-ring; event times in Δ from protocol start. *)
 val fig8 : ?seed:int -> ?n:int -> unit -> timeline

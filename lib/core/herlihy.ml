@@ -21,12 +21,12 @@
    As a rule for the shared driver there is no coordinator: the decision
    source is knowledge of the secret, and the timelocks decide refunds. *)
 
-module Span = Ac3_obs.Span
 module Keys = Ac3_crypto.Keys
 module Sha256 = Ac3_crypto.Sha256
 module Ac2t = Ac3_contract.Ac2t
 module Htlc = Ac3_contract.Htlc
-module Guard = Ac3_flow.Protocol.Single_leader
+module Protocol = Ac3_flow.Protocol
+module Guard = Protocol.Single_leader
 open Ac3_chain
 include Driver.Shared
 
@@ -41,13 +41,6 @@ type config = {
 
 let default_config ~delta =
   { delta; timelock_slack = 2.0; poll_interval = 2.0; timeout = 10_000.0 }
-
-let phases =
-  [
-    { Span.phase = "deploy"; opens = "deploy:"; closes = [ "deploy:" ] };
-    { Span.phase = "redeem"; opens = "redeem:"; closes = [ "redeem:" ] };
-    { Span.phase = "refund"; opens = "refund:"; closes = [ "refund:" ] };
-  ]
 
 type state = {
   leader : Keys.public;
@@ -76,7 +69,7 @@ let try_deploy s t p =
              (Driver.edges t)))
     ~args:(fun i es ->
       Htlc.args ~recipient_pk:es.edge.Ac2t.to_pk ~hashlock:s.hashlock ~timelock:s.timelocks.(i))
-    ~label:(fun i es _ -> (Printf.sprintf "deploy:%d" i, [ ("chain", es.edge.Ac2t.chain) ]))
+    ~attrs:(fun es _ -> [ ("chain", es.edge.Ac2t.chain) ])
 
 (* Scan the redeem calls of the participant's outgoing contracts for the
    revealed secret. *)
@@ -104,7 +97,7 @@ let learn_secret s t p =
     in
     if learned then begin
       s.knows_secret <- pk :: s.knows_secret;
-      Driver.record t ("learned_secret:" ^ Ac3_crypto.Hex.short ~n:6 pk)
+      Driver.record t (Protocol.Learned_secret (Ac3_crypto.Hex.short ~n:6 pk))
     end
   end
 
@@ -116,7 +109,6 @@ let try_redeem s t p =
         ~knows_secret:(List.mem pk s.knows_secret)
         ~leader:(String.equal pk s.leader) ~all_published:(Driver.all_deployed t))
     ~args:(fun _ -> Ok (Htlc.redeem_args ~secret:s.secret))
-    ~label:(fun i _ -> Printf.sprintf "redeem:%d" i)
 
 (* Refund expired outgoing contracts. This is each sender's rational
    self-protection — and the source of atomicity violations when a
@@ -127,7 +119,6 @@ let try_refund s t p =
     ~ready:(fun i (es : Driver.edge_state) ->
       es.redeem_txid = None && Guard.refund ~expired:(now >= s.timelocks.(i)))
     ~args:(fun _ -> Ok Htlc.refund_args)
-    ~label:(fun i _ -> Printf.sprintf "refund:%d" i)
 
 let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy") () =
   (* Timelocks decrease with distance from the leader: contracts
@@ -153,7 +144,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "her
          ~abort_after:None
          {
            Driver.name = obs_name;
-           phases;
+           phases = Driver.edge_phases;
            step =
              (fun t p ->
                learn_secret s t p;

@@ -25,16 +25,14 @@ type config = {
 
 val default_config : delta:float -> config
 
-(** Phase windows of a run's trace: deploy, redeem, refund. *)
-val phases : Ac3_obs.Span.phase list
-
 (** Set up the swap with the graph's first participant as leader and
     schedule its per-participant poll loops — without running the
     engine; drive the universe and {!Driver.finish} the handle. Edge
     timelocks come from {!Ac3_verify.Timelock.assign}. [Error] if the
     graph is not single-leader executable (disconnected, or cyclic once
-    the leader is removed — Sec 5.3). [hooks] fire on trace labels such
-    as ["deploy:2"] or ["redeem:1"] (per-edge indexes in graph order).
+    the leader is removed — Sec 5.3). [hooks] fire on the first record
+    of an event such as [Deploy 2] or [Redeem 1] (per-edge indexes in
+    graph order).
     [obs_name] (default ["herlihy"]) labels the metrics and phase spans
     the run folds into the universe's observability context — Nolan's
     delegation passes its own name. *)
@@ -43,7 +41,7 @@ val launch :
   config:config ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
-  ?hooks:(string * (unit -> unit)) list ->
+  ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?obs_name:string ->
   unit ->
   (handle, string) Stdlib.result
@@ -55,7 +53,7 @@ val execute :
   config:config ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
-  ?hooks:(string * (unit -> unit)) list ->
+  ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?obs_name:string ->
   unit ->
   (result, string) Stdlib.result

@@ -11,14 +11,15 @@ type result = Herlihy.result
 type handle = Herlihy.handle
 
 (** Launch a two-party swap without running the engine; drive the
-    universe and {!Driver.finish} it. [Error] under the same conditions
-    as {!execute}. *)
+    universe and {!Driver.finish} it. [hooks] fire as in
+    {!Herlihy.launch}. [Error] under the same conditions as
+    {!execute}. *)
 val launch :
   Universe.t ->
   config:config ->
   graph:Ac3_contract.Ac2t.t ->
   participants:Participant.t list ->
-  ?hooks:(string * (unit -> unit)) list ->
+  ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   unit ->
   (handle, string) Stdlib.result
 
@@ -29,6 +30,6 @@ val execute :
   config:config ->
   graph:Ac3_contract.Ac2t.t ->
   participants:Participant.t list ->
-  ?hooks:(string * (unit -> unit)) list ->
+  ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   unit ->
   (result, string) Stdlib.result

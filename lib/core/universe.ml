@@ -24,7 +24,7 @@ type t = {
   rng : Rng.t;
   registry : Contract_iface.registry;
   mutable chains : (string * chain) list;
-  trace : Trace.t;
+  trace : Ac3_flow.Protocol.event Trace.t;
   obs : Obs.t;
 }
 
@@ -57,7 +57,7 @@ let spans t = t.obs.Obs.spans
 
 let now t = Engine.now t.engine
 
-let record t ?attrs label = Trace.record t.trace ~time:(now t) ?attrs label
+let record t ?attrs event = Trace.record t.trace ~time:(now t) ?attrs event
 
 (* Spin up a chain: [nodes] full nodes on a fresh network, each mining an
    equal share of the chain's hash power. *)

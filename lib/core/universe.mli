@@ -23,7 +23,8 @@ val engine : t -> Ac3_sim.Engine.t
 
 val rng : t -> Ac3_sim.Rng.t
 
-val trace : t -> Ac3_sim.Trace.t
+(** The universe's own log: the faults injected into it. *)
+val trace : t -> Ac3_flow.Protocol.event Ac3_sim.Trace.t
 
 (** The universe's observability context (metrics + spans on the
     virtual clock); chains created by {!add_chain} record into it. *)
@@ -41,7 +42,7 @@ val snapshot_metrics : t -> unit
 val now : t -> float
 
 (** Record a trace event at the current virtual time. *)
-val record : t -> ?attrs:(string * string) list -> string -> unit
+val record : t -> ?attrs:(string * string) list -> Ac3_flow.Protocol.event -> unit
 
 (** Spin up a chain with [nodes] mining full nodes on a fresh gossip
     network. *)

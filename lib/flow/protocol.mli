@@ -29,6 +29,35 @@ val family : t -> Flow.profile
     taken. *)
 type decision = Undecided | Commit | Abort
 
+(** {1 Events}
+
+    The closed alphabet of a run's trace, shared by every protocol
+    driver, the chaos injector and the readers of a trace (phase spans,
+    hooks, the model checker's projection). Edge events name the edge
+    by its index in graph order. No constructor carries a preimage or
+    key material: a trace can be printed or exported as it stands. *)
+type event =
+  | Start  (** the run launched *)
+  | Completed  (** every edge settled to confirmation depth *)
+  | Abort_requested  (** the abort timer fired while the run could still abort *)
+  | Deploy of int  (** the edge's contract deployment was submitted *)
+  | Redeem of int  (** the edge's redeem call was submitted *)
+  | Refund of int  (** the edge's refund call was submitted *)
+  | Learned_secret of string
+      (** Herlihy: a participant, named by a hex prefix of its public
+          key, read the secret off a redeem on chain *)
+  | Signed of decision  (** AC3TW: Trent signed the decision *)
+  | Scw_deployed  (** AC3WN: the witness contract's deployment was submitted *)
+  | Scw_confirmed  (** AC3WN: SCw is confirmed on the witness chain *)
+  | Authorize_submitted of decision  (** AC3WN: a state-change request was sent to SCw *)
+  | Decision_confirmed of decision  (** AC3WN: SCw's decision is buried at depth d *)
+  | Fault of string  (** an injected fault fired; the payload is its kind *)
+
+(** The event's trace label: [deploy:2], [redeem_signed],
+    [authorize_redeem_submitted], [decision_confirmed:authorize_refund],
+    [chaos:crash], ... *)
+val pp_event : Format.formatter -> event -> unit
+
 (** {1 Guards}
 
     One rule table for the protocol drivers ({!Ac3_core.Herlihy},

@@ -78,12 +78,12 @@ type report = {
 (* The phase windows each protocol's run already folds into the
    universe's spans, as plain durations for the report's percentiles.
    Report order: Herlihy's phases (Nolan's too), then AC3WN's. *)
-let phase_names = List.map (fun p -> p.Span.phase) (Herlihy.phases @ Ac3wn.phases)
+let phase_names = List.map (fun p -> p.Span.phase) (Driver.edge_phases @ Ac3wn.phases)
 
 let phase_durations protocol trace =
   let phases =
     match Protocol.family protocol with
-    | Flow.Single_leader -> Herlihy.phases
+    | Flow.Single_leader -> Driver.edge_phases
     | Flow.Witness -> Ac3wn.phases
   in
   List.map (fun (name, start, stop) -> (name, stop -. start)) (Span.windows ~phases trace)

@@ -77,25 +77,17 @@ let add t ?parent ?(attrs = []) ~name ~start ~stop () =
 
 (* --- Phase derivation from traces ------------------------------------- *)
 
-type phase = { phase : string; opens : string; closes : string list }
+type 'e phase = { phase : string; opens : 'e -> bool; closes : 'e -> bool }
 
 let windows ~phases trace =
   let records = Trace.records trace in
-  let first_with prefix =
-    List.find_opt (fun (r : Trace.record) -> String.starts_with ~prefix r.Trace.label) records
-  in
-  let last_with prefixes =
-    List.fold_left
-      (fun acc (r : Trace.record) ->
-        if List.exists (fun prefix -> String.starts_with ~prefix r.Trace.label) prefixes then
-          Some r
-        else acc)
-      None records
-  in
+  let newest_first = List.rev records in
   List.filter_map
     (fun { phase; opens; closes } ->
-      match (first_with opens, last_with closes) with
-      | Some a, Some b when b.Trace.time >= a.Trace.time -> Some (phase, a.Trace.time, b.Trace.time)
+      let first = List.find_opt (fun (r : _ Trace.record) -> opens r.event) records in
+      let last = List.find_opt (fun (r : _ Trace.record) -> closes r.event) newest_first in
+      match (first, last) with
+      | Some a, Some b when b.time >= a.time -> Some (phase, a.time, b.time)
       | _ -> None)
     phases
 

@@ -4,7 +4,7 @@
     attributes and children. Spans either bracket live execution
     ({!enter}/{!exit}, {!with_span}) or are derived after the fact from
     an existing {!Ac3_sim.Trace} event log ({!of_trace}) — the phase
-    spans of the protocol runs come from the trace labels the protocols
+    spans of the protocol runs come from the trace events the protocols
     already record, so enabling tracing cannot perturb a run.
 
     Timestamps come from the [clock] passed at creation (virtual
@@ -35,20 +35,20 @@ val add :
   t -> ?parent:span -> ?attrs:(string * string) list -> name:string -> start:float -> stop:float ->
   unit -> span
 
-(** A phase of a protocol run, recognized in a trace by label prefixes:
-    the phase starts at the first record whose label starts with
-    [opens] and ends at the last record whose label starts with any of
+(** A phase of a protocol run, recognized in a trace by predicates over
+    its events: the phase starts at the first record whose event
+    satisfies [opens] and ends at the last record whose event satisfies
     [closes]. *)
-type phase = { phase : string; opens : string; closes : string list }
+type 'e phase = { phase : string; opens : 'e -> bool; closes : 'e -> bool }
 
 (** [windows ~phases trace] is the [(phase, start, stop)] window of each
     recognizable phase (both endpoints present, stop >= start), in the
     order given. *)
-val windows : phases:phase list -> Ac3_sim.Trace.t -> (string * float * float) list
+val windows : phases:'e phase list -> 'e Ac3_sim.Trace.t -> (string * float * float) list
 
 (** [of_trace t ~phases trace] appends one span per {!windows} entry,
     in the order given. *)
-val of_trace : t -> ?parent:span -> phases:phase list -> Ac3_sim.Trace.t -> unit
+val of_trace : t -> ?parent:span -> phases:'e phase list -> 'e Ac3_sim.Trace.t -> unit
 
 (** [import ~into src] appends [src]'s root spans (in creation order)
     as roots of [into]. Importing per-run recorders in a fixed run

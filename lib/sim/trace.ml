@@ -1,82 +1,43 @@
 (* Structured event traces for experiments.
 
-   A trace is an append-only log of (virtual time, label, attributes)
+   A trace is an append-only log of (virtual time, event, attributes)
    records. Experiments use traces to measure protocol phase durations
    (e.g. the deployment and redemption phases of Figures 8 and 9).
 
    Records are stored in arrival order in a growable array, so the hot
-   lookups of long chaos runs stay cheap: [find] is a forward scan that
-   stops at the first match (O(position)) and [last_time_of] a backward
-   scan, instead of reversing the whole log per call. *)
+   lookup of long chaos runs stays cheap: [time_of] is a forward scan
+   that stops at the first match (O(position)). *)
 
-type record = { time : float; label : string; attrs : (string * string) list }
+type 'e record = { time : float; event : 'e; attrs : (string * string) list }
 
-type t = { mutable arr : record array; mutable count : int }
-
-let dummy = { time = nan; label = ""; attrs = [] }
+type 'e t = { mutable arr : 'e record array; mutable count : int }
 
 let create () = { arr = [||]; count = 0 }
 
-let record t ~time ?(attrs = []) label =
+let record t ~time ?(attrs = []) event =
+  let r = { time; event; attrs } in
   if t.count = Array.length t.arr then begin
-    let grown = Array.make (max 16 (2 * Array.length t.arr)) dummy in
+    let grown = Array.make (max 16 (2 * Array.length t.arr)) r in
     Array.blit t.arr 0 grown 0 t.count;
     t.arr <- grown
   end;
-  t.arr.(t.count) <- { time; label; attrs };
+  t.arr.(t.count) <- r;
   t.count <- t.count + 1
-
-let length t = t.count
 
 let records t = Array.to_list (Array.sub t.arr 0 t.count)
 
-(* First occurrence in arrival order. *)
-let find t label =
+let time_of t event =
   let rec go i =
     if i >= t.count then None
-    else if String.equal t.arr.(i).label label then Some t.arr.(i)
+    else if t.arr.(i).event = event then Some t.arr.(i).time
     else go (i + 1)
   in
   go 0
 
-let find_all t label =
-  let out = ref [] in
-  for i = t.count - 1 downto 0 do
-    if String.equal t.arr.(i).label label then out := t.arr.(i) :: !out
-  done;
-  !out
-
-let time_of t label =
-  match find t label with Some r -> Some r.time | None -> None
-
-(* Duration between the first occurrence of [from_] and the first
-   occurrence of [to_]; [None] if either is missing. *)
-let span t ~from_ ~to_ =
-  match (time_of t from_, time_of t to_) with
-  | Some a, Some b -> Some (b -. a)
-  | _ -> None
-
-let last_time_of t label =
-  let rec go i =
-    if i < 0 then None
-    else if String.equal t.arr.(i).label label then Some t.arr.(i).time
-    else go (i - 1)
-  in
-  go (t.count - 1)
-
-(* Span from first [from_] to the *last* [to_]; used when a phase ends with
-   the last of several parallel completions. *)
-let span_to_last t ~from_ ~to_ =
-  match (time_of t from_, last_time_of t to_) with
-  | Some a, Some b -> Some (b -. a)
-  | _ -> None
-
-let pp ppf t =
+let pp pp_event ppf t =
   for i = 0 to t.count - 1 do
     let r = t.arr.(i) in
-    Fmt.pf ppf "%10.3f  %s" r.time r.label;
+    Fmt.pf ppf "%10.3f  %a" r.time pp_event r.event;
     List.iter (fun (k, v) -> Fmt.pf ppf " %s=%s" k v) r.attrs;
     Fmt.pf ppf "@."
   done
-
-let to_string t = Fmt.str "%a" pp t

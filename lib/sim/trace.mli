@@ -1,36 +1,22 @@
-(** Append-only structured event traces for experiments. *)
+(** Append-only structured event traces for experiments, over any event
+    type ['e]. Events are compared with structural equality, so ['e]
+    must not hold functions. *)
 
-type record = { time : float; label : string; attrs : (string * string) list }
+type 'e record = { time : float; event : 'e; attrs : (string * string) list }
 
-type t
+type 'e t
 
-val create : unit -> t
+val create : unit -> 'e t
 
-(** [record t ~time ?attrs label] appends a record. *)
-val record : t -> time:float -> ?attrs:(string * string) list -> string -> unit
-
-val length : t -> int
+(** [record t ~time ?attrs event] appends a record. *)
+val record : 'e t -> time:float -> ?attrs:(string * string) list -> 'e -> unit
 
 (** Records in chronological (insertion) order. *)
-val records : t -> record list
+val records : 'e t -> 'e record list
 
-(** First record carrying [label]. *)
-val find : t -> string -> record option
+(** Time of the first record carrying [event]. *)
+val time_of : 'e t -> 'e -> float option
 
-val find_all : t -> string -> record list
-
-(** Time of the first record carrying [label]. *)
-val time_of : t -> string -> float option
-
-(** Time of the last record carrying [label]. *)
-val last_time_of : t -> string -> float option
-
-(** Duration from first [from_] to first [to_]. *)
-val span : t -> from_:string -> to_:string -> float option
-
-(** Duration from first [from_] to last [to_]. *)
-val span_to_last : t -> from_:string -> to_:string -> float option
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
+(** One record per line: time, the event by [pp_event], then its
+    attributes as [key=value]. *)
+val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit

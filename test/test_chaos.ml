@@ -15,7 +15,7 @@ module Repro = Ac3_chaos.Repro
 module Json = Ac3_crypto.Codec.Json
 module Trace = Ac3_sim.Trace
 
-let trace_string t = Fmt.str "%a" Trace.pp t
+let trace_string t = Fmt.str "%a" (Trace.pp Ac3_flow.Protocol.pp_event) t
 
 let verdict_string (r : Runner.report) =
   match r.exec with

@@ -11,6 +11,7 @@ module Trace = Ac3_sim.Trace
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 module Swap_template = Ac3_contract.Swap_template
+module Protocol = Ac3_flow.Protocol
 open Ac3_core
 
 let fast_universe ?(seed = 7) ~chains n =
@@ -89,7 +90,7 @@ let test_ac3wn_abort_refunds_all () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let bob = List.nth participants 1 in
-  let hooks = [ ("scw_confirmed", fun () -> Participant.crash bob) ] in
+  let hooks = [ (Protocol.Scw_confirmed, fun () -> Participant.crash bob) ] in
   let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks ~abort_after:300.0 () |> ok in
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
   Alcotest.(check bool) "not committed" false r.Ac3wn.committed;
@@ -107,7 +108,7 @@ let test_ac3wn_crash_after_decision_still_atomic () =
   let bob = List.nth participants 1 in
   let hooks =
     [
-      ( "authorize_redeem_submitted",
+      ( Protocol.Authorize_submitted Protocol.Commit,
         fun () ->
           Participant.crash bob;
           (* Recover long after every timelock-style deadline would have
@@ -120,16 +121,53 @@ let test_ac3wn_crash_after_decision_still_atomic () =
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic despite crash" true r.Ac3wn.atomic
 
+(* Figure 7a's cyclic graph: 6 edges on 3 chains, two per chain. One
+   run serves both tests below. *)
+let cyclic_run =
+  lazy
+    (let u, participants = fast_universe ~seed:105 ~chains:[ "c1"; "c2"; "c3" ] 3 in
+     Universe.run_until u 50.0;
+     let ids = List.map Participant.identity participants in
+     let graph = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
+     ( graph,
+       Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants ()
+       |> ok ))
+
 let test_ac3wn_cyclic_graph () =
   (* Figure 7a: executable by AC3WN. *)
-  let u, participants = fast_universe ~seed:105 ~chains:[ "c1"; "c2"; "c3" ] 3 in
-  Universe.run_until u 50.0;
-  let ids = List.map Participant.identity participants in
-  let graph = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
+  let graph, r = Lazy.force cyclic_run in
   Alcotest.(check bool) "graph is cyclic" true (Ac2t.classify graph = Ac2t.Cyclic);
-  let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic
+
+let test_ac3wn_cyclic_events_per_edge () =
+  (* Every edge's deploy and redeem is its own event, so an edge that
+     shares its chain with another still reaches the trace, and the
+     edge_deploy phase closes at the last edge's deploy. *)
+  let graph, r = Lazy.force cyclic_run in
+  let records = Trace.records r.Ac3wn.trace in
+  let count event =
+    List.length (List.filter (fun (x : _ Trace.record) -> x.Trace.event = event) records)
+  in
+  let edges = List.length (Ac2t.edges graph) in
+  Alcotest.(check int) "6 edges" 6 edges;
+  for i = 0 to edges - 1 do
+    Alcotest.(check int) (Printf.sprintf "one Deploy %d" i) 1 (count (Protocol.Deploy i));
+    Alcotest.(check int) (Printf.sprintf "one Redeem %d" i) 1 (count (Protocol.Redeem i))
+  done;
+  let last_deploy =
+    List.fold_left
+      (fun acc (x : _ Trace.record) ->
+        match x.Trace.event with Protocol.Deploy _ -> Some x.Trace.time | _ -> acc)
+      None records
+  in
+  let edge_deploy_stop =
+    List.find_map
+      (fun (name, _, stop) -> if name = "edge_deploy" then Some stop else None)
+      (Ac3_obs.Span.windows ~phases:Ac3wn.phases r.Ac3wn.trace)
+  in
+  Alcotest.(check (option (float 1e-9))) "edge_deploy closes at the last deploy" last_deploy
+    edge_deploy_stop
 
 let test_ac3wn_disconnected_graph () =
   (* Figure 7b: executable by AC3WN. *)
@@ -168,7 +206,7 @@ let test_nolan_crash_violates_atomicity () =
   let bob = List.nth participants 1 in
   (* Edge 1 = (Bob -> Alice) on eth; its redemption by Alice reveals the
      secret — the moment Bob crashes. *)
-  let hooks = [ ("redeem:1", fun () -> Participant.crash bob) ] in
+  let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
   let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
   let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> ok in
   Alcotest.(check bool) "NOT atomic (Bob lost his coins)" false r.Herlihy.atomic;
@@ -235,7 +273,7 @@ let test_herlihy_sequential_deployment () =
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check bool) "committed" true r.Herlihy.committed;
-      let t n = Option.get (Ac3_sim.Trace.time_of r.Herlihy.trace (Printf.sprintf "deploy:%d" n)) in
+      let t n = Option.get (Trace.time_of r.Herlihy.trace (Protocol.Deploy n)) in
       Alcotest.(check bool) "round 1 after round 0" true (t 1 -. t 0 > 5.0);
       Alcotest.(check bool) "round 2 after round 1" true (t 2 -. t 1 > 5.0)
 
@@ -293,15 +331,17 @@ let test_ac3tw_no_deploy_after_decision () =
     Ac3tw.execute u ~config:Ac3tw.default_config ~trent ~graph ~participants ~abort_after:0.1 ()
     |> ok
   in
-  let labels = List.map (fun (x : Trace.record) -> x.Trace.label) (Trace.records r.Ac3tw.trace) in
+  let events = List.map (fun (x : _ Trace.record) -> x.Trace.event) (Trace.records r.Ac3tw.trace) in
   let rec after_decision = function
-    | [] -> Alcotest.fail "no refund_signed in the trace"
-    | "refund_signed" :: rest -> rest
+    | [] -> Alcotest.fail "no refund signature in the trace"
+    | Protocol.Signed Protocol.Abort :: rest -> rest
     | _ :: rest -> after_decision rest
   in
   Alcotest.(check (list string))
     "no deploy after refund_signed" []
-    (List.filter (String.starts_with ~prefix:"deploy:") (after_decision labels));
+    (List.filter_map
+       (function Protocol.Deploy _ as e -> Some (Fmt.str "%a" Protocol.pp_event e) | _ -> None)
+       (after_decision events));
   Alcotest.(check bool) "atomic" true r.Ac3tw.atomic;
   Alcotest.(check int) "one deploy and its refund" 2 (List.length r.Ac3tw.fees)
 
@@ -571,6 +611,8 @@ let () =
           Alcotest.test_case "crash after decision still atomic" `Slow
             test_ac3wn_crash_after_decision_still_atomic;
           Alcotest.test_case "cyclic graph (Fig 7a)" `Slow test_ac3wn_cyclic_graph;
+          Alcotest.test_case "cyclic graph: one event per edge" `Slow
+            test_ac3wn_cyclic_events_per_edge;
           Alcotest.test_case "disconnected graph (Fig 7b)" `Slow test_ac3wn_disconnected_graph;
         ] );
       ( "baselines",

@@ -14,6 +14,8 @@ module Explore = Ac3_model.Explore
 module Global_state = Ac3_model.Global_state
 module Rules = Ac3_model.Rules
 module Flow = Ac3_flow.Flow
+module Protocol = Ac3_flow.Protocol
+module Ac2t = Ac3_contract.Ac2t
 module Ref_model = Reference.Model
 module Diagnostic = Ac3_verify.Diagnostic
 module Scenarios = Ac3_core.Scenarios
@@ -206,55 +208,79 @@ let test_counterexample_replays () =
 
 (* --- Differential: the driver's trace projects onto the checker ------- *)
 
-(* Fault-free Herlihy on seeded chord graphs: every [deploy:i] and
-   [redeem:i] the driver records, up to its first refund, must be a move
-   [Semantics.enabled] offers at that point of the replay, with [Expire]
-   taken only where the checker enables it. The driver and the checker
-   call the same guards, so a rule changed on one side shows up on the
-   other. AC3WN is left out: its labels name chains, not edges, and
-   each one is recorded only once. *)
+(* Fault-free runs on seeded chord graphs: every edge event the driver
+   records, up to its first refund, must be a move [Semantics.enabled]
+   offers at that point of the replay, with [Expire] taken only where
+   the checker enables it. [Deploy i] and [Redeem i] project onto the
+   moves of the same name, and AC3WN's confirmed commit onto
+   [W_commit]. The driver and the checker call the same guards, so a
+   rule changed on one side shows up on the other. *)
 let driver_moves trace =
   let rec go = function
     | [] -> []
-    | (r : Ac3_sim.Trace.record) :: rest -> (
-        match String.split_on_char ':' r.Ac3_sim.Trace.label with
-        | [ "refund"; _ ] -> []
-        | [ "deploy"; i ] -> Semantics.Deploy (int_of_string i) :: go rest
-        | [ "redeem"; i ] -> Semantics.Redeem (int_of_string i) :: go rest
+    | (r : _ Ac3_sim.Trace.record) :: rest -> (
+        match r.Ac3_sim.Trace.event with
+        | Protocol.Refund _ -> []
+        | Protocol.Deploy i -> Semantics.Deploy i :: go rest
+        | Protocol.Redeem i -> Semantics.Redeem i :: go rest
+        | Protocol.Decision_confirmed Protocol.Commit -> Semantics.W_commit :: go rest
         | _ -> go rest)
   in
   go (Ac3_sim.Trace.records trace)
 
+let project_driver_trace ~protocol (seed, parties, extra_edges) =
+  let spec = { Plan.seed; shape = Plan.Random; parties; nchains = 3; extra_edges; load = 1 } in
+  let name =
+    Printf.sprintf "%s, seed %d, %d parties, %d extra edges" (Runner.protocol_name protocol) seed
+      parties extra_edges
+  in
+  let r = Runner.run_one ~spec ~plan:[] ~protocol () in
+  (* The graph's edge order depends on the spec alone, so any
+     identities index the same edges as the run's. *)
+  let ids = Scenarios.identities ~ns:"model-test" parties in
+  let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
+  let m =
+    match
+      Semantics.make
+        ~profile:(Protocol.family (Runner.shared protocol))
+        ~graph ~delta:15.0 ~timelock_slack:2.0 ~start_time:0.0 ~crash_budget:0
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let rec take s mv =
+    let enabled = Semantics.enabled m s in
+    if List.mem mv enabled then Semantics.apply m s mv
+    else if List.mem Semantics.Expire enabled then take (Semantics.apply m s Semantics.Expire) mv
+    else
+      Alcotest.failf "%s: the driver took %a, which the checker does not enable in %a" name
+        (Semantics.pp_move m) mv Global_state.pp s
+  in
+  let moves = driver_moves (Option.get r.Runner.trace) in
+  Alcotest.(check bool) (name ^ ": trace has moves") true (moves <> []);
+  ignore (List.fold_left take (Semantics.init m) moves);
+  (graph, moves)
+
 let test_driver_trace_projects () =
   List.iter
-    (fun (seed, parties, extra_edges) ->
-      let spec = { Plan.seed; shape = Plan.Random; parties; nchains = 3; extra_edges; load = 1 } in
-      let name = Printf.sprintf "seed %d, %d parties, %d extra edges" seed parties extra_edges in
-      let r = Runner.run_one ~spec ~plan:[] ~protocol:Runner.P_herlihy () in
-      (* The graph's edge order depends on the spec alone, so any
-         identities index the same edges as the run's. *)
-      let ids = Scenarios.identities ~ns:"model-test" parties in
-      let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
-      let m =
-        match
-          Semantics.make ~profile:Flow.Single_leader ~graph ~delta:15.0 ~timelock_slack:2.0
-            ~start_time:0.0 ~crash_budget:0
-        with
-        | Ok m -> m
-        | Error e -> Alcotest.failf "%s: %s" name e
-      in
-      let rec take s mv =
-        let enabled = Semantics.enabled m s in
-        if List.mem mv enabled then Semantics.apply m s mv
-        else if List.mem Semantics.Expire enabled then take (Semantics.apply m s Semantics.Expire) mv
-        else
-          Alcotest.failf "%s: the driver took %a, which the checker does not enable in %a" name
-            (Semantics.pp_move m) mv Global_state.pp s
-      in
-      let moves = driver_moves (Option.get r.Runner.trace) in
-      Alcotest.(check bool) (name ^ ": trace has moves") true (moves <> []);
-      ignore (List.fold_left take (Semantics.init m) moves))
-    [ (1, 4, 2); (1, 6, 1); (2, 4, 2); (4, 6, 1); (7, 4, 3); (7, 5, 1); (3, 5, 0); (10, 6, 2) ]
+    (fun case -> ignore (project_driver_trace ~protocol:Runner.P_herlihy case))
+    [ (1, 4, 2); (1, 6, 1); (2, 4, 2); (4, 6, 1); (7, 4, 3); (7, 5, 1); (3, 5, 0); (10, 6, 2) ];
+  (* AC3WN commits fault-free, so each of its projections decides and
+     redeems every edge. A chain carrying two edges is where events
+     named by chain would drop one of them. *)
+  let shared_chain = ref false in
+  List.iter
+    (fun case ->
+      let graph, moves = project_driver_trace ~protocol:Runner.P_ac3wn case in
+      let chains = List.map (fun (e : Ac2t.edge) -> e.Ac2t.chain) (Ac2t.edges graph) in
+      if List.length (List.sort_uniq String.compare chains) < List.length chains then
+        shared_chain := true;
+      Alcotest.(check int) "one commit" 1
+        (List.length (List.filter (( = ) Semantics.W_commit) moves));
+      Alcotest.(check int) "a redeem per edge" (List.length chains)
+        (List.length (List.filter (function Semantics.Redeem _ -> true | _ -> false) moves)))
+    [ (1, 4, 2); (2, 4, 2); (3, 5, 0); (7, 5, 1) ];
+  Alcotest.(check bool) "some chain carries two edges" true !shared_chain
 
 (* Regression for the D001 fix in Explore.iter_succs: edges are visited
    in ascending source-node id, not hash-bucket order, so downstream

@@ -392,37 +392,25 @@ let test_engine_free_list_reuse_at_scale () =
 
 (* --- Trace ------------------------------------------------------------ *)
 
-let test_trace_spans () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 "start";
-  Trace.record tr ~time:2.0 "deploy";
-  Trace.record tr ~time:4.0 "deploy";
-  Trace.record tr ~time:9.0 "done";
-  Alcotest.(check (option (float 1e-9))) "span" (Some 8.0) (Trace.span tr ~from_:"start" ~to_:"done");
-  Alcotest.(check (option (float 1e-9)))
-    "span_to_last" (Some 3.0)
-    (Trace.span_to_last tr ~from_:"start" ~to_:"deploy");
-  Alcotest.(check int) "find_all" 2 (List.length (Trace.find_all tr "deploy"));
-  Alcotest.(check (option (float 1e-9))) "missing" None (Trace.span tr ~from_:"start" ~to_:"nope")
-
 let test_trace_find_first_occurrence () =
-  (* Records live in arrival order: [find]/[time_of] must return the
-     *first* occurrence of a label, [last_time_of] the last — under
-     repeated lookups (chaos runs make traces hot) and growth across the
-     internal array-doubling boundary. *)
+  (* Records live in arrival order: [time_of] must return the *first*
+     occurrence of an event — under repeated lookups (chaos runs make
+     traces hot) and growth across the internal array-doubling
+     boundary. *)
   let tr = Trace.create () in
   for i = 0 to 99 do
-    Trace.record tr ~time:(float_of_int i) ~attrs:[ ("n", string_of_int i) ] "tick"
+    Trace.record tr ~time:(float_of_int i) ~attrs:[ ("n", string_of_int i) ] (`Tick (i mod 2))
   done;
-  Alcotest.(check int) "length" 100 (Trace.length tr);
-  (match Trace.find tr "tick" with
-  | None -> Alcotest.fail "find missed"
-  | Some r ->
+  Alcotest.(check int) "length" 100 (List.length (Trace.records tr));
+  (match Trace.records tr with
+  | [] -> Alcotest.fail "no records"
+  | r :: _ ->
       Alcotest.(check (float 1e-9)) "first time" 0.0 r.Trace.time;
       Alcotest.(check (list (pair string string))) "first attrs" [ ("n", "0") ] r.Trace.attrs);
-  Alcotest.(check (option (float 1e-9))) "time_of = first" (Some 0.0) (Trace.time_of tr "tick");
-  Alcotest.(check (option (float 1e-9))) "last_time_of = last" (Some 99.0)
-    (Trace.last_time_of tr "tick");
+  Alcotest.(check (option (float 1e-9))) "time_of = first" (Some 0.0) (Trace.time_of tr (`Tick 0));
+  Alcotest.(check (option (float 1e-9))) "time_of matches the payload" (Some 1.0)
+    (Trace.time_of tr (`Tick 1));
+  Alcotest.(check (option (float 1e-9))) "missing" None (Trace.time_of tr (`Tick 2));
   (* Chronological order is preserved end to end. *)
   let times = List.map (fun r -> r.Trace.time) (Trace.records tr) in
   Alcotest.(check (list (float 1e-9))) "arrival order" (List.init 100 float_of_int) times
@@ -516,7 +504,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "spans" `Quick test_trace_spans;
           Alcotest.test_case "find returns first occurrence" `Quick
             test_trace_find_first_occurrence;
         ] );
