@@ -94,6 +94,15 @@ let balance_of t addr =
       (* ac3-lint: allow D001 — commutative sum over amounts; fold order cannot change the total *)
       Outpoint.Table.fold (fun _ (o : Tx.output) acc -> Amount.(acc + o.amount)) b Amount.zero
 
+(* Hash order: for order-insensitive callers (sums), which skip the
+   list and sort of [utxos_of]. *)
+let fold_utxos_of t addr f init =
+  match Hashtbl.find_opt t.by_addr addr with
+  | None -> init
+  | Some b ->
+      (* ac3-lint: allow D001 — unordered by contract; callers only sum *)
+      Outpoint.Table.fold f b init
+
 (* Sorted by outpoint so callers (wallet coin selection, experiment
    reports) observe the same order on every run. *)
 let utxos_of t addr =

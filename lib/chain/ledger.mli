@@ -35,6 +35,12 @@ val balance_of : t -> string -> Amount.t
     {!balance_of}. *)
 val utxos_of : t -> string -> (Outpoint.t * Tx.output) list
 
+(** [fold_utxos_of t addr f init] folds [f] over the UTXOs owned by
+    [addr] in unspecified order, without building a list: for
+    order-insensitive callers such as sums. Indexed like
+    {!balance_of}. *)
+val fold_utxos_of : t -> string -> (Outpoint.t -> Tx.output -> 'a -> 'a) -> 'a -> 'a
+
 (** UTXO total plus contract balances; grows only by block rewards. *)
 val total_supply : t -> Amount.t
 

@@ -32,21 +32,32 @@ let next_nonce t =
    are off limits: reusing one would build a double spend that miners
    silently drop. The check is an O(1) probe of the mempool's spent-
    outpoint index per candidate coin, so identities reused across many
-   concurrent swaps don't pay a pool scan on every selection. A refusal
-   reports what the walk saw: the spendable total and the amount locked
-   by pending spends. *)
+   concurrent swaps don't pay a pool scan on every selection.
+
+   Most selections under load are refusals, so one unordered pass first
+   sums the spendable and the locked coins. A refusal reports those two
+   totals, which are exactly what a full greedy walk would have seen;
+   only a selection that can succeed sorts the coins and walks them. *)
 let select_coins t ~total =
-  let mempool = Node.mempool t.node in
-  let rec pick acc covered locked = function
-    | _ when Amount.compare covered total >= 0 -> Ok (List.rev acc, Amount.(covered - total))
-    | [] -> Error (covered, locked)
-    | (op, (o : Tx.output)) :: rest ->
-        if Mempool.spends mempool op then pick acc covered Amount.(locked + o.amount) rest
-        else pick (op :: acc) Amount.(covered + o.amount) locked rest
-  in
-  (* [Ledger.utxos_of] is already outpoint-sorted, so selection order is
-     deterministic and runs replay identically. *)
-  pick [] Amount.zero Amount.zero (Ledger.utxos_of (Node.ledger t.node) (address t))
+  let mempool = Node.mempool t.node and ledger = Node.ledger t.node in
+  let spendable = ref Amount.zero and locked = ref Amount.zero in
+  Ledger.fold_utxos_of ledger (address t)
+    (fun op (o : Tx.output) () ->
+      if Mempool.spends mempool op then locked := Amount.(!locked + o.amount)
+      else spendable := Amount.(!spendable + o.amount))
+    ();
+  if Amount.compare !spendable total < 0 then Error (!spendable, !locked)
+  else
+    let rec pick acc covered = function
+      | _ when Amount.compare covered total >= 0 -> Ok (List.rev acc, Amount.(covered - total))
+      | [] -> assert false (* the spendable coins cover [total] *)
+      | (op, (o : Tx.output)) :: rest ->
+          if Mempool.spends mempool op then pick acc covered rest
+          else pick (op :: acc) Amount.(covered + o.amount) rest
+    in
+    (* [Ledger.utxos_of] is already outpoint-sorted, so selection order is
+       deterministic and runs replay identically. *)
+    pick [] Amount.zero (Ledger.utxos_of ledger (address t))
 
 (* Build a transaction paying [outputs], carrying [payload ()], with any
    excess returned to the wallet as change. [payload] is forced only
@@ -64,9 +75,16 @@ let build_deferred t ~fee ~deposit ~outputs payload =
   match select_coins t ~total with
   | Error (spendable, locked) ->
       Error
-        (Printf.sprintf
-           "insufficient funds: need %s, have %s spendable (%s locked by pending spends)"
-           (Amount.to_string total) (Amount.to_string spendable) (Amount.to_string locked))
+        (String.concat ""
+           [
+             "insufficient funds: need ";
+             Amount.to_string total;
+             ", have ";
+             Amount.to_string spendable;
+             " spendable (";
+             Amount.to_string locked;
+             " locked by pending spends)";
+           ])
   | Ok (coins, change) -> (
       match payload () with
       | Error e -> Error e

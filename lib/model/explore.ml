@@ -1,34 +1,43 @@
 (* Bounded breadth-first exploration of the product automaton.
 
-   States are interned by their canonical byte key, so all interleavings
-   of commuting moves that reach the same global state share one node.
-   BFS order means the first node satisfying a violation predicate has a
-   shortest-possible event schedule, which the rules report verbatim as
-   the counterexample. *)
+   States are interned as themselves (a state is its own byte key), so
+   all interleavings of commuting moves that reach the same global state
+   share one node. BFS order means the first node satisfying a violation
+   predicate has a shortest-possible event schedule, which the rules
+   report verbatim as the counterexample.
+
+   The store is flat: the BFS tree is four id-indexed arrays, and the
+   successors are one table filled in BFS order, a start offset per
+   node plus parallel target and move arrays. The arrays grow by
+   doubling and are handed to the caller at their final capacity;
+   [n_nodes] and [n_transitions] bound the live prefix. *)
 
 type node = {
   id : int;
   state : Global_state.t;
-  pred : (int * Semantics.move) option;  (** BFS tree edge used to reach this node *)
+  pred : (int * Semantics.move) option;
   depth : int;
 }
 
 type t = {
   model : Semantics.model;
-  nodes : node array;  (** indexed by id; exactly [n_nodes] entries *)
-  succs : (Semantics.move * int) list array;  (** indexed by source id, like [nodes] *)
+  states : Global_state.t array;
+  pred_id : int array;
+  pred_move : Semantics.move array;
+  depth : int array;
+  succ_start : int array;
+  succ_target : int array;
+  succ_move : Semantics.move array;
   n_nodes : int;
   n_transitions : int;
-  por_skipped : int;  (** transitions pruned by the partial-order reduction *)
+  por_skipped : int;
   peak_frontier : int;
   truncated : bool;
 }
 
-(* State keys are strings: hash and compare them as such rather than
-   through the polymorphic primitives. *)
 module Index = Hashtbl.Make (String)
 
-(* Slot [n] of a doubling array, padded with [fill]. *)
+(* [a] with room for slot [n], doubled and padded with [fill] when full. *)
 let ensure a n fill =
   if n < Array.length a then a
   else begin
@@ -40,8 +49,15 @@ let ensure a n fill =
 let run ?(max_nodes = 20_000) model =
   let index = Index.create 1024 in
   let init = Semantics.init model in
-  let nodes = ref (Array.make 1024 { id = 0; state = init; pred = None; depth = 0 }) in
-  let succs = ref (Array.make 1024 []) in
+  (* The root's [pred_move] slot is never read; any move fills it. *)
+  let filler = Semantics.Expire in
+  let states = ref (Array.make 1024 init) in
+  let pred_id = ref (Array.make 1024 (-1)) in
+  let pred_move = ref (Array.make 1024 filler) in
+  let depth = ref (Array.make 1024 0) in
+  let succ_start = ref (Array.make 1024 0) in
+  let succ_target = ref (Array.make 1024 0) in
+  let succ_move = ref (Array.make 1024 filler) in
   let count = ref 0 in
   (* Ids are handed out in discovery order and expanded in the same
      order, so the BFS queue is exactly the id range [next, count). *)
@@ -50,48 +66,58 @@ let run ?(max_nodes = 20_000) model =
   let por_skipped = ref 0 in
   let peak_frontier = ref 0 in
   let truncated = ref false in
-  let intern ~pred ~depth state =
-    let k = Global_state.key state in
+  let intern ~pred ~move ~d state =
+    let k = (state : Global_state.t :> string) in
     match Index.find_opt index k with
     | Some id -> id
     | None ->
         let id = !count in
         Index.add index k id;
-        nodes := ensure !nodes id !nodes.(0);
-        !nodes.(id) <- { id; state; pred; depth };
+        states := ensure !states id init;
+        pred_id := ensure !pred_id id (-1);
+        pred_move := ensure !pred_move id filler;
+        depth := ensure !depth id 0;
+        !states.(id) <- state;
+        !pred_id.(id) <- pred;
+        !pred_move.(id) <- move;
+        !depth.(id) <- d;
         count := id + 1;
         peak_frontier := max !peak_frontier (!count - !next);
         id
   in
-  ignore (intern ~pred:None ~depth:0 init);
+  ignore (intern ~pred:(-1) ~move:filler ~d:0 init);
   while !next < !count do
     let id = !next in
     incr next;
-    let n = !nodes.(id) in
-    let moves, skipped = Semantics.reduced model n.state in
+    let state = !states.(id) and d = !depth.(id) + 1 in
+    let moves, skipped = Semantics.reduced model state in
     por_skipped := !por_skipped + skipped;
-    let out =
-      List.filter_map
-        (fun move ->
-          if !count >= max_nodes then begin
-            truncated := true;
-            None
-          end
-          else begin
-            let state' = Semantics.apply model n.state move in
-            let target = intern ~pred:(Some (id, move)) ~depth:(n.depth + 1) state' in
-            incr n_transitions;
-            Some (move, target)
-          end)
-        moves
-    in
-    succs := ensure !succs id [];
-    !succs.(id) <- out
+    succ_start := ensure !succ_start (id + 1) 0;
+    !succ_start.(id) <- !n_transitions;
+    List.iter
+      (fun move ->
+        if !count >= max_nodes then truncated := true
+        else begin
+          let target = intern ~pred:id ~move ~d (Semantics.apply model state move) in
+          let e = !n_transitions in
+          succ_target := ensure !succ_target e 0;
+          succ_move := ensure !succ_move e filler;
+          !succ_target.(e) <- target;
+          !succ_move.(e) <- move;
+          n_transitions := e + 1
+        end)
+      moves
   done;
+  !succ_start.(!count) <- !n_transitions;
   {
     model;
-    nodes = Array.sub !nodes 0 !count;
-    succs = Array.sub !succs 0 !count;
+    states = !states;
+    pred_id = !pred_id;
+    pred_move = !pred_move;
+    depth = !depth;
+    succ_start = !succ_start;
+    succ_target = !succ_target;
+    succ_move = !succ_move;
     n_nodes = !count;
     n_transitions = !n_transitions;
     por_skipped = !por_skipped;
@@ -99,24 +125,31 @@ let run ?(max_nodes = 20_000) model =
     truncated = !truncated;
   }
 
-let node t id = t.nodes.(id)
+let state t id = t.states.(id)
+
+let node t id =
+  let pred = if t.pred_id.(id) < 0 then None else Some (t.pred_id.(id), t.pred_move.(id)) in
+  { id; state = t.states.(id); pred; depth = t.depth.(id) }
 
 (* The BFS tree path from the initial state to [id], as a move list. *)
 let schedule t id =
-  let rec walk acc id =
-    match (node t id).pred with None -> acc | Some (p, move) -> walk (move :: acc) p
-  in
+  let rec walk acc id = if t.pred_id.(id) < 0 then acc else walk (t.pred_move.(id) :: acc) t.pred_id.(id) in
   walk [] id
 
 (* Visit nodes in id (BFS) order: the first match has a shortest
    schedule. *)
 let find_first t pred =
-  let rec go id = if id >= t.n_nodes then None else if pred (node t id) then Some id else go (id + 1) in
+  let rec go id = if id >= t.n_nodes then None else if pred t.states.(id) then Some id else go (id + 1) in
   go 0
 
 (* Visit edges in ascending source-node id, which keeps diagnostics
    stable. *)
-let iter_succs t f = Array.iteri (fun id out -> List.iter (fun (mv, tgt) -> f id mv tgt) out) t.succs
+let iter_succs t f =
+  for id = 0 to t.n_nodes - 1 do
+    for e = t.succ_start.(id) to t.succ_start.(id + 1) - 1 do
+      f id t.succ_move.(e) t.succ_target.(e)
+    done
+  done
 
 (* --- Settlement reachability under the recovery closure --------------- *)
 
@@ -129,12 +162,12 @@ let can_settle_memo t =
   let memo = Index.create 256 in
   let rec go state =
     let state = Global_state.revive state in
-    let k = Global_state.key state in
+    let k = (state : Global_state.t :> string) in
     match Index.find_opt memo k with
     | Some v -> v
     | None ->
         let v =
-          Ac3_contract.Swap_template.settled state.Global_state.edges
+          Global_state.settled state
           ||
           let moves, _ = Semantics.reduced t.model state in
           List.exists (fun move -> go (Semantics.apply t.model state move)) moves

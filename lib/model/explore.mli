@@ -1,11 +1,21 @@
 (** Bounded breadth-first exploration of the product automaton.
 
-    States are interned by their canonical byte key, so all
-    interleavings of commuting moves reaching the same global state
-    share one node; BFS order makes the first node satisfying any
-    predicate carry a shortest event schedule. Node ids are dense
-    ([0 .. n_nodes - 1]) and index the node and successor arrays. *)
+    States are interned as themselves ({!Global_state.t} is its own byte
+    key), so all interleavings of commuting moves reaching the same
+    global state share one node; BFS order makes the first node
+    satisfying any predicate carry a shortest event schedule. Node ids
+    are dense ([0 .. n_nodes - 1]).
 
+    The store is flat. The BFS tree is four id-indexed arrays
+    ([states], [pred_id], [pred_move], [depth]). The successors are one
+    table filled in BFS order: node [id]'s outgoing transitions, in the
+    order {!Semantics.reduced} returned their moves, are the slots
+    [succ_start.(id) .. succ_start.(id + 1) - 1] of [succ_target] and
+    [succ_move]. The arrays keep the capacity they grew to: only the
+    first [n_nodes] (tree), [n_nodes + 1] ([succ_start]) and
+    [n_transitions] (successor) slots are meaningful. *)
+
+(** One node of the BFS tree, assembled on demand by {!node}. *)
 type node = {
   id : int;
   state : Global_state.t;
@@ -15,8 +25,13 @@ type node = {
 
 type t = {
   model : Semantics.model;
-  nodes : node array;  (** indexed by id; exactly [n_nodes] entries *)
-  succs : (Semantics.move * int) list array;  (** indexed by source id, like [nodes] *)
+  states : Global_state.t array;
+  pred_id : int array;  (** BFS tree predecessor; [-1] for the initial state *)
+  pred_move : Semantics.move array;  (** move on the BFS tree edge; unread for the initial state *)
+  depth : int array;
+  succ_start : int array;
+  succ_target : int array;
+  succ_move : Semantics.move array;
   n_nodes : int;
   n_transitions : int;
   por_skipped : int;  (** transitions pruned by the partial-order reduction *)
@@ -26,15 +41,19 @@ type t = {
 
 val run : ?max_nodes:int -> Semantics.model -> t
 
+val state : t -> int -> Global_state.t
+
 val node : t -> int -> node
 
 (** The BFS tree path from the initial state to the node. *)
 val schedule : t -> int -> Semantics.move list
 
-(** First node (in BFS id order, hence with a shortest schedule)
-    satisfying the predicate. *)
-val find_first : t -> (node -> bool) -> int option
+(** First node id (in BFS order, hence with a shortest schedule) whose
+    state satisfies the predicate. *)
+val find_first : t -> (Global_state.t -> bool) -> int option
 
+(** Every transition as [f source move target], in ascending source id
+    and, per source, in successor order. *)
 val iter_succs : t -> (int -> Semantics.move -> int -> unit) -> unit
 
 (** [can_settle_memo t state] — can [state] still reach a fully settled

@@ -6,19 +6,28 @@
    passed, and (for AC3WN) the witness network's decision. Continuous
    time is abstracted into an index over the finitely many distinct
    timelock expiries: two clock values between the same two deadlines
-   enable exactly the same moves, so nothing else is reachable. *)
+   enable exactly the same moves, so nothing else is reachable.
+
+   The state is packed into one string that doubles as its interning
+   key: interning two equal states merges the commuting-diamond
+   interleavings that reach them. The header carries the edge and party
+   counts, so the per-party offsets are two reads away, and every field
+   after it has a fixed width, so the encoding is injective without
+   separators. The trailer (time, decision, crashes_left) sits at a
+   fixed distance from the end. *)
 
 module Swap_template = Ac3_contract.Swap_template
 module Protocol = Ac3_flow.Protocol
 
-type t = {
-  edges : Swap_template.status array;  (** per-edge contract status, in graph edge order *)
-  knows : bool array;  (** per-party: can produce the hashlock secret *)
-  alive : bool array;  (** per-party: still acting (conforming until crashed) *)
-  time : int;  (** how many distinct timelock deadlines have passed *)
-  decision : Protocol.decision;
-  crashes_left : int;  (** remaining fault budget *)
-}
+type t = string
+
+type draft = Bytes.t
+
+let header = 4
+
+(* time (8 bytes) at [length - 17], decision (1) at [length - 9],
+   crashes_left (8) at [length - 8] *)
+let trailer = 17
 
 let status_char : Swap_template.status -> char = function
   | Unpublished -> 'U'
@@ -26,39 +35,100 @@ let status_char : Swap_template.status -> char = function
   | Redeemed -> 'D'
   | Refunded -> 'F'
 
+let status_of_char : char -> Swap_template.status = function
+  | 'U' -> Unpublished
+  | 'P' -> Published
+  | 'D' -> Redeemed
+  | _ -> Refunded
+
 let decision_char : Protocol.decision -> char = function Undecided -> '?' | Commit -> 'D' | Abort -> 'F'
 
-(* Canonical byte key: interning two states with equal keys merges the
-   commuting-diamond interleavings that reach them. Every field has a
-   fixed width, so no separators are needed for the key to be injective
-   over the states of one model. *)
-let key s =
-  let ne = Array.length s.edges and nk = Array.length s.knows and na = Array.length s.alive in
-  let b = Bytes.create (ne + nk + na + 17) in
-  Array.iteri (fun i e -> Bytes.set b i (status_char e)) s.edges;
-  Array.iteri (fun i k -> Bytes.set b (ne + i) (if k then '1' else '0')) s.knows;
-  Array.iteri (fun i a -> Bytes.set b (ne + nk + i) (if a then '1' else '0')) s.alive;
-  let o = ne + nk + na in
-  Bytes.set_int64_le b o (Int64.of_int s.time);
-  Bytes.set b (o + 8) (decision_char s.decision);
-  Bytes.set_int64_le b (o + 9) (Int64.of_int s.crashes_left);
-  Bytes.unsafe_to_string b
+let decision_of_char : char -> Protocol.decision = function
+  | '?' -> Undecided
+  | 'D' -> Commit
+  | _ -> Abort
+
+let flag b = if b then '1' else '0'
+
+let n_edges s = String.get_uint16_le s 0
+
+let n_parties s = String.get_uint16_le s 2
+
+let edge s i = status_of_char s.[header + i]
+
+let knows s p = s.[header + n_edges s + p] = '1'
+
+let alive s p = s.[header + n_edges s + n_parties s + p] = '1'
+
+let time s = Int64.to_int (String.get_int64_le s (String.length s - trailer))
+
+let decision s = decision_of_char s.[String.length s - 9]
+
+let crashes_left s = Int64.to_int (String.get_int64_le s (String.length s - 8))
+
+let edges s = Array.init (n_edges s) (edge s)
+
+(* Some edge byte from index [i] on is [c]; top-level recursion, so the
+   scans allocate no closure. *)
+let rec has_edge s c i = i < header + n_edges s && (s.[i] = c || has_edge s c (i + 1))
+
+let settled s = not (has_edge s 'P' header)
+
+let mixed s = has_edge s 'D' header && has_edge s 'F' header
+
+let draft s = Bytes.of_string s
+
+let set_edge d i st = Bytes.set d (header + i) (status_char st)
+
+let set_knows d p v = Bytes.set d (header + Bytes.get_uint16_le d 0 + p) (flag v)
+
+let set_alive d p v =
+  Bytes.set d (header + Bytes.get_uint16_le d 0 + Bytes.get_uint16_le d 2 + p) (flag v)
+
+let set_time d v = Bytes.set_int64_le d (Bytes.length d - trailer) (Int64.of_int v)
+
+let set_decision d v = Bytes.set d (Bytes.length d - 9) (decision_char v)
+
+let set_crashes_left d v = Bytes.set_int64_le d (Bytes.length d - 8) (Int64.of_int v)
+
+let freeze = Bytes.unsafe_to_string
+
+let make ~edges ~knows ~alive ~time ~decision ~crashes_left =
+  let ne = Array.length edges and np = Array.length knows in
+  if Array.length alive <> np then invalid_arg "Global_state.make: knows and alive differ in length";
+  if ne > 0xFFFF || np > 0xFFFF then invalid_arg "Global_state.make: too many edges or parties";
+  let d = Bytes.create (header + ne + (2 * np) + trailer) in
+  Bytes.set_uint16_le d 0 ne;
+  Bytes.set_uint16_le d 2 np;
+  Array.iteri (set_edge d) edges;
+  Array.iteri (set_knows d) knows;
+  Array.iteri (set_alive d) alive;
+  set_time d time;
+  set_decision d decision;
+  set_crashes_left d crashes_left;
+  freeze d
 
 (* Recovery closure for the deadlock rule: revive every crashed party and
    drop the remaining fault budget. A state counts as deadlocked only if
    it cannot settle even after every party comes back. A state that is
    already revived is returned as is. *)
+let rec all_set s i stop = i >= stop || (s.[i] = '1' && all_set s (i + 1) stop)
+
 let revive s =
-  if s.crashes_left = 0 && Array.for_all Fun.id s.alive then s
-  else { s with alive = Array.make (Array.length s.alive) true; crashes_left = 0 }
+  let alive_at = header + n_edges s + n_parties s in
+  if crashes_left s = 0 && all_set s alive_at (alive_at + n_parties s) then s
+  else begin
+    let d = draft s in
+    Bytes.fill d alive_at (n_parties s) '1';
+    set_crashes_left d 0;
+    freeze d
+  end
 
-let pp_status ppf e = Fmt.char ppf (status_char e)
-
+(* The status and flag bytes are the printed characters. *)
 let pp ppf s =
-  Fmt.pf ppf "edges=[%a] knows=[%a] alive=[%a] time=%d witness=%c"
-    (Fmt.array ~sep:Fmt.nop pp_status)
-    s.edges
-    (Fmt.array ~sep:Fmt.nop (fun ppf k -> Fmt.char ppf (if k then '1' else '0')))
-    s.knows
-    (Fmt.array ~sep:Fmt.nop (fun ppf a -> Fmt.char ppf (if a then '1' else '0')))
-    s.alive s.time (decision_char s.decision)
+  let ne = n_edges s and np = n_parties s in
+  Fmt.pf ppf "edges=[%s] knows=[%s] alive=[%s] time=%d witness=%c" (String.sub s header ne)
+    (String.sub s (header + ne) np)
+    (String.sub s (header + ne + np) np)
+    (time s)
+    s.[String.length s - 9]

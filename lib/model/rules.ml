@@ -24,7 +24,6 @@ module State_machine = Ac3_verify.State_machine
 module Probes = Ac3_verify.Probes
 module Swap_template = Ac3_contract.Swap_template
 module Flow = Ac3_flow.Flow
-open Global_state
 
 type violation = {
   rule : string;
@@ -34,7 +33,7 @@ type violation = {
 }
 
 let violation t rule id =
-  { rule; node = id; state = (Explore.node t id).Explore.state; schedule = Explore.schedule t id }
+  { rule; node = id; state = Explore.state t id; schedule = Explore.schedule t id }
 
 let loc id = Fmt.str "product state #%d" id
 
@@ -43,7 +42,7 @@ let render_schedule t moves = Fmt.str "%a" (Semantics.pp_schedule t.Explore.mode
 (* --- M001 ------------------------------------------------------------- *)
 
 let m001 t =
-  match Explore.find_first t (fun n -> Swap_template.mixed n.Explore.state.edges) with
+  match Explore.find_first t Global_state.mixed with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M001-mixed-settlement" id in
@@ -59,7 +58,7 @@ let m001 t =
 
 let m002 t =
   let can_settle = Explore.can_settle_memo t in
-  match Explore.find_first t (fun n -> not (can_settle n.Explore.state)) with
+  match Explore.find_first t (fun s -> not (can_settle s)) with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M002-global-deadlock" id in
@@ -76,30 +75,32 @@ let m002 t =
 (* Every executed action in the model is conforming (the only fault is
    withholding), so any party with a redeemed outgoing edge and a
    refunded incoming edge is a conforming-history victim: it ends worse
-   than the all-refund outcome Herlihy's safety notion guarantees. *)
-let unsafe_party m s =
-  let n = Array.length m.Semantics.parties in
-  let out_redeemed = Array.make n false in
-  let in_refunded = Array.make n false in
-  Array.iteri
-    (fun i st ->
-      if st = Swap_template.Redeemed then out_redeemed.(m.Semantics.edge_from.(i)) <- true;
-      if st = Swap_template.Refunded then in_refunded.(m.Semantics.edge_to.(i)) <- true)
-    s.edges;
-  let rec go p =
-    if p >= n then None
-    else if out_redeemed.(p) && in_refunded.(p) then Some p
-    else go (p + 1)
-  in
-  go 0
+   than the all-refund outcome Herlihy's safety notion guarantees.
+   Top-level recursion, so the scan allocates no closure per state. *)
+
+(* Some edge [j >= i] with endpoint [ends.(j) = p] has status [st]. *)
+let rec touches ends s st p i =
+  i < Global_state.n_edges s
+  && ((ends.(i) = p && Global_state.edge s i = st) || touches ends s st p (i + 1))
+
+(* The lowest unsafe party index from [p] on, or -1. *)
+let rec unsafe_from m s p =
+  if p >= Global_state.n_parties s then -1
+  else if
+    touches m.Semantics.edge_from s Swap_template.Redeemed p 0
+    && touches m.Semantics.edge_to s Swap_template.Refunded p 0
+  then p
+  else unsafe_from m s (p + 1)
+
+let unsafe_party m s = unsafe_from m s 0
 
 let m003 t =
   let m = t.Explore.model in
-  match Explore.find_first t (fun n -> unsafe_party m n.Explore.state <> None) with
+  match Explore.find_first t (fun s -> unsafe_party m s >= 0) with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M003-deviation-unsafe" id in
-      let p = Option.get (unsafe_party m v.state) in
+      let p = unsafe_party m v.state in
       ( [
           Diagnostic.error ~rule:v.rule ~location:(loc id)
             "party %a ends worse than all-refund although its executed history is conforming \
@@ -121,8 +122,8 @@ let m004 t =
   else begin
     let forks = ref [] in
     Explore.iter_succs t (fun id _mv tgt ->
-        let before = (Explore.node t id).Explore.state.decision in
-        let after = (Explore.node t tgt).Explore.state.decision in
+        let before = Global_state.decision (Explore.state t id) in
+        let after = Global_state.decision (Explore.state t tgt) in
         if before <> Ac3_flow.Protocol.Undecided && after <> before then
           forks :=
             Diagnostic.error ~rule:"M004-witness-fork" ~location:(loc id)
@@ -176,11 +177,9 @@ let m006 ?flow t =
   | None -> ([], [])
   | Some analysis -> (
       let m = t.Explore.model in
-      let offenders s = Flow.violations analysis m.Semantics.graph s.edges in
-      match
-        Explore.find_first t (fun n ->
-            Swap_template.settled n.Explore.state.edges && offenders n.Explore.state <> [])
-      with
+      (* Edges are decoded only for settled states. *)
+      let offenders s = Flow.violations analysis m.Semantics.graph (Global_state.edges s) in
+      match Explore.find_first t (fun s -> Global_state.settled s && offenders s <> []) with
       | None -> ([], [])
       | Some id ->
           let v = violation t "M006-interval-unsound" id in

@@ -26,7 +26,6 @@ module Timelock = Ac3_verify.Timelock
 module Flow = Ac3_flow.Flow
 module Protocol = Ac3_flow.Protocol
 module Swap_template = Ac3_contract.Swap_template
-open Global_state
 
 type move =
   | Deploy of int  (** the edge's sender publishes its contract *)
@@ -36,6 +35,13 @@ type move =
   | Expire  (** the next distinct timelock deadline passes *)
   | W_commit  (** witness network authorizes redemption (P -> RDauth) *)
   | W_abort  (** witness network authorizes refund (P -> RFauth) *)
+
+type moves = {
+  deploy : move array;
+  redeem : move array;
+  refund : move array;
+  crash : move array;
+}
 
 type model = {
   profile : Flow.profile;
@@ -47,6 +53,7 @@ type model = {
   expiry_rank : int array;  (** rank of the edge's expiry among distinct deadlines *)
   n_deadlines : int;
   crash_budget : int;
+  moves : moves;  (** the per-edge and per-party moves, allocated once *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -80,60 +87,67 @@ let make ~profile ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
         expiry_rank = Array.of_list (List.map rank expiries);
         n_deadlines = List.length deadlines;
         crash_budget;
+        moves =
+          {
+            deploy = Array.mapi (fun i _ -> Deploy i) edges;
+            redeem = Array.mapi (fun i _ -> Redeem i) edges;
+            refund = Array.mapi (fun i _ -> Refund i) edges;
+            crash = Array.mapi (fun p _ -> Crash p) parties;
+          };
       })
     expiries
 
-let init m : Global_state.t =
-  {
-    edges = Array.map (fun _ -> Swap_template.Unpublished) m.edges;
-    (* Only the leader can produce the hashlock secret at the start. *)
-    knows = Array.mapi (fun i _ -> m.profile = Flow.Single_leader && i = 0) m.parties;
-    alive = Array.map (fun _ -> true) m.parties;
-    time = 0;
-    decision = Protocol.Undecided;
-    crashes_left = m.crash_budget;
-  }
+(* Only the leader can produce the hashlock secret at the start. *)
+let init m =
+  Global_state.make
+    ~edges:(Array.map (fun _ -> Swap_template.Unpublished) m.edges)
+    ~knows:(Array.mapi (fun i _ -> m.profile = Flow.Single_leader && i = 0) m.parties)
+    ~alive:(Array.map (fun _ -> true) m.parties)
+    ~time:0 ~decision:Protocol.Undecided ~crashes_left:m.crash_budget
 
 (* ------------------------------------------------------------------ *)
 (* Enabledness: the abstract state's facts, fed to the shared guards *)
 
-let all_published (s : Global_state.t) =
-  Array.for_all (fun e -> e <> Swap_template.Unpublished) s.edges
+let unpublished s i = Global_state.edge s i = Swap_template.Unpublished
+
+let all_published s =
+  let rec go i = i < 0 || ((not (unpublished s i)) && go (i - 1)) in
+  go (Global_state.n_edges s - 1)
 
 (* Every contract party [p] receives on is published. *)
-let inputs_published m (s : Global_state.t) p =
-  let rec go j =
-    j < 0 || ((m.edge_to.(j) <> p || s.edges.(j) <> Swap_template.Unpublished) && go (j - 1))
-  in
+let inputs_published m s p =
+  let rec go j = j < 0 || ((m.edge_to.(j) <> p || not (unpublished s j)) && go (j - 1)) in
   go (Array.length m.edges - 1)
 
-let deploy_enabled m (s : Global_state.t) i =
+let deploy_enabled m s i =
   let p = m.edge_from.(i) in
-  s.edges.(i) = Swap_template.Unpublished
-  && s.alive.(p)
+  unpublished s i
+  && Global_state.alive s p
   &&
   match m.profile with
   | Flow.Single_leader ->
       Protocol.Single_leader.deploy ~leader:(p = 0) ~inputs_published:(inputs_published m s p)
-  | Flow.Witness -> Protocol.Witness.deploy s.decision
+  | Flow.Witness -> Protocol.Witness.deploy (Global_state.decision s)
 
-let redeem_enabled m (s : Global_state.t) ~all_published i =
+let redeem_enabled m s ~all_published i =
   let p = m.edge_to.(i) in
-  s.edges.(i) = Swap_template.Published
-  && s.alive.(p)
+  Global_state.edge s i = Swap_template.Published
+  && Global_state.alive s p
   &&
   match m.profile with
   | Flow.Single_leader ->
-      Protocol.Single_leader.redeem ~knows_secret:s.knows.(p) ~leader:(p = 0) ~all_published
-  | Flow.Witness -> Protocol.Witness.redeem s.decision
+      Protocol.Single_leader.redeem ~knows_secret:(Global_state.knows s p) ~leader:(p = 0)
+        ~all_published
+  | Flow.Witness -> Protocol.Witness.redeem (Global_state.decision s)
 
-let refund_enabled m (s : Global_state.t) i =
-  s.edges.(i) = Swap_template.Published
-  && s.alive.(m.edge_from.(i))
+let refund_enabled m s i =
+  Global_state.edge s i = Swap_template.Published
+  && Global_state.alive s m.edge_from.(i)
   &&
   match m.profile with
-  | Flow.Single_leader -> Protocol.Single_leader.refund ~expired:(m.expiry_rank.(i) < s.time)
-  | Flow.Witness -> Protocol.Witness.refund s.decision
+  | Flow.Single_leader ->
+      Protocol.Single_leader.refund ~expired:(m.expiry_rank.(i) < Global_state.time s)
+  | Flow.Witness -> Protocol.Witness.refund (Global_state.decision s)
 
 (* Any conforming protocol action that maximal progress must not let a
    deadline overtake. *)
@@ -149,55 +163,51 @@ let urgent m s ~all_published =
   go 0
 
 let expire_enabled m s ~all_published =
-  m.profile = Flow.Single_leader && s.time < m.n_deadlines && not (urgent m s ~all_published)
+  m.profile = Flow.Single_leader
+  && Global_state.time s < m.n_deadlines
+  && not (urgent m s ~all_published)
 
-let crash_enabled s p = s.crashes_left > 0 && s.alive.(p)
+let crash_enabled s p = Global_state.crashes_left s > 0 && Global_state.alive s p
 
 (* ------------------------------------------------------------------ *)
 (* Transition function *)
 
-(* Copy-on-write: a move copies only the array it writes and shares the
-   rest with [s]. Sharing is safe because this function is the only
-   writer of state arrays, and it writes only the fresh copies it has
-   just made, so no state reachable from the explorer ever changes. *)
-let apply m (s : Global_state.t) move =
-  let set a i v =
-    let a = Array.copy a in
-    a.(i) <- v;
-    a
-  in
-  match move with
-  | Deploy i -> { s with edges = set s.edges i Swap_template.Published }
+(* One copy of the source, then the one or two fields the move writes. *)
+let apply m s move =
+  let d = Global_state.draft s in
+  (match move with
+  | Deploy i -> Global_state.set_edge d i Swap_template.Published
   | Redeem i ->
-      let edges = set s.edges i Swap_template.Redeemed in
+      Global_state.set_edge d i Swap_template.Redeemed;
       (* The sender extracts the secret from the redeem transaction. *)
-      let sender = m.edge_from.(i) in
-      if m.profile = Flow.Single_leader && not s.knows.(sender) then
-        { s with edges; knows = set s.knows sender true }
-      else { s with edges }
-  | Refund i -> { s with edges = set s.edges i Swap_template.Refunded }
-  | Crash p -> { s with alive = set s.alive p false; crashes_left = s.crashes_left - 1 }
-  | Expire -> { s with time = s.time + 1 }
-  | W_commit -> { s with decision = Protocol.Commit }
-  | W_abort -> { s with decision = Protocol.Abort }
+      if m.profile = Flow.Single_leader then Global_state.set_knows d m.edge_from.(i) true
+  | Refund i -> Global_state.set_edge d i Swap_template.Refunded
+  | Crash p ->
+      Global_state.set_alive d p false;
+      Global_state.set_crashes_left d (Global_state.crashes_left s - 1)
+  | Expire -> Global_state.set_time d (Global_state.time s + 1)
+  | W_commit -> Global_state.set_decision d Protocol.Commit
+  | W_abort -> Global_state.set_decision d Protocol.Abort);
+  Global_state.freeze d
 
 (* All enabled moves, in a canonical order (determinism). *)
 let enabled m s =
   let all_published = all_published s in
   let acc = ref [] in
   for p = Array.length m.parties - 1 downto 0 do
-    if crash_enabled s p then acc := Crash p :: !acc
+    if crash_enabled s p then acc := m.moves.crash.(p) :: !acc
   done;
   if expire_enabled m s ~all_published then acc := Expire :: !acc;
   if m.profile = Flow.Witness then begin
+    let decision = Global_state.decision s in
     (* An abort may be requested at any moment: the model explores every timing. *)
-    if Protocol.Witness.abort s.decision ~abort_requested:true then acc := W_abort :: !acc;
-    if Protocol.Witness.commit s.decision ~all_published then acc := W_commit :: !acc
+    if Protocol.Witness.abort decision ~abort_requested:true then acc := W_abort :: !acc;
+    if Protocol.Witness.commit decision ~all_published then acc := W_commit :: !acc
   end;
   for i = Array.length m.edges - 1 downto 0 do
-    if refund_enabled m s i then acc := Refund i :: !acc;
-    if redeem_enabled m s ~all_published i then acc := Redeem i :: !acc;
-    if deploy_enabled m s i then acc := Deploy i :: !acc
+    if refund_enabled m s i then acc := m.moves.refund.(i) :: !acc;
+    if redeem_enabled m s ~all_published i then acc := m.moves.redeem.(i) :: !acc;
+    if deploy_enabled m s i then acc := m.moves.deploy.(i) :: !acc
   done;
   !acc
 
@@ -230,8 +240,8 @@ let same_edge a b =
 let reduced m s =
   let moves = enabled m s in
   let reducible =
-    s.crashes_left = 0
-    && (m.profile = Flow.Single_leader || s.decision <> Protocol.Undecided)
+    Global_state.crashes_left s = 0
+    && (m.profile = Flow.Single_leader || Global_state.decision s <> Protocol.Undecided)
   in
   if not reducible then (moves, 0)
   else

@@ -24,6 +24,16 @@ type move =
   | W_commit  (** witness network authorizes redemption (P -> RDauth) *)
   | W_abort  (** witness network authorizes refund (P -> RFauth) *)
 
+(** Every [Deploy], [Redeem], [Refund] and [Crash] value of one model,
+    indexed by edge or party: {!enabled} returns these rather than
+    allocating a move per explored state. *)
+type moves = {
+  deploy : move array;
+  redeem : move array;
+  refund : move array;
+  crash : move array;
+}
+
 type model = {
   profile : Flow.profile;
       (** [Single_leader] is Herlihy's hashlock protocol
@@ -38,6 +48,7 @@ type model = {
           [Witness], whose contracts carry no timelock *)
   n_deadlines : int;
   crash_budget : int;
+  moves : moves;
 }
 
 (** Builds the model; for [Single_leader] this runs
@@ -54,8 +65,9 @@ val make :
 
 val init : model -> Global_state.t
 
-(** The successor state. Never mutates its input: it copies only the
-    array the move writes and shares the others with the source. *)
+(** The successor state: one copy of the source's bytes with the one or
+    two fields the move writes changed. States are immutable strings, so
+    the input is never mutated. *)
 val apply : model -> Global_state.t -> move -> Global_state.t
 
 (** All enabled moves, in a canonical (deterministic) order. *)

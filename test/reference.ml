@@ -1,5 +1,5 @@
 (* Slow reference implementations for the differential test harnesses
-   (test_fast.ml, test_model.ml, test_crypto.ml).
+   (test_fast.ml, test_model.ml, test_crypto.ml, test_chain.ml).
 
    [Engine] is the boxed-heap event queue the simulator shipped with
    before the index-sorted arena (lib/fast/arena.ml) replaced it,
@@ -87,17 +87,48 @@ end
    dense id-indexed store: node and successor tables in polymorphic
    [Hashtbl]s keyed by id, a [Buffer]-built state key, and an [apply]
    that copies all three state arrays on every move. Kept verbatim
-   (only the module paths of [key], [revive] and [apply] and the name
-   of the decision component differ) so
-   test_model.ml can hold [Ac3_model.Explore] to the same ids, BFS tree,
-   successor lists and statistics. *)
+   except that a state is handled as its decoded components ([parts]):
+   [key], [revive] and [apply] decode the packed state, work on fresh
+   arrays and re-encode with [Global_state.make], so they share no code
+   with the byte setters of [Ac3_model.Semantics.apply]. test_model.ml
+   holds [Ac3_model.Explore] to the same ids, BFS tree, successor lists
+   and statistics. *)
 module Model = struct
   module Semantics = Ac3_model.Semantics
   module Global_state = Ac3_model.Global_state
+  module Swap_template = Ac3_contract.Swap_template
   open Semantics
-  open Global_state
 
-  let key s =
+  type parts = {
+    edges : Swap_template.status array;
+    knows : bool array;
+    alive : bool array;
+    time : int;
+    decision : Ac3_flow.Protocol.decision;
+    crashes_left : int;
+  }
+
+  let decode s =
+    let np = Global_state.n_parties s in
+    {
+      edges = Array.init (Global_state.n_edges s) (Global_state.edge s);
+      knows = Array.init np (Global_state.knows s);
+      alive = Array.init np (Global_state.alive s);
+      time = Global_state.time s;
+      decision = Global_state.decision s;
+      crashes_left = Global_state.crashes_left s;
+    }
+
+  let encode p =
+    Global_state.make ~edges:p.edges ~knows:p.knows ~alive:p.alive ~time:p.time
+      ~decision:p.decision ~crashes_left:p.crashes_left
+
+  let status_char = Global_state.status_char
+
+  let decision_char = Global_state.decision_char
+
+  let key state =
+    let s = decode state in
     let b = Buffer.create 64 in
     Array.iter (fun e -> Buffer.add_char b (status_char e)) s.edges;
     Buffer.add_char b '|';
@@ -110,14 +141,19 @@ module Model = struct
     Buffer.add_string b (string_of_int s.crashes_left);
     Buffer.contents b
 
-  let revive s =
-    {
-      s with
-      alive = Array.map (fun _ -> true) s.alive;
-      crashes_left = 0;
-    }
+  let revive state =
+    let s = decode state in
+    encode
+      {
+        s with
+        alive = Array.map (fun _ -> true) s.alive;
+        crashes_left = 0;
+      }
 
-  let apply m (s : Global_state.t) move =
+  let apply m state move =
+    let s = decode state in
+    encode
+    @@
     let edges = Array.copy s.edges in
     let knows = Array.copy s.knows in
     let alive = Array.copy s.alive in
@@ -256,7 +292,7 @@ module Model = struct
       | Some v -> v
       | None ->
           let v =
-            Ac3_contract.Swap_template.settled state.Global_state.edges
+            Swap_template.settled (decode state).edges
             ||
             let moves, _ = Semantics.reduced t.model state in
             List.exists (fun move -> go (apply t.model state move)) moves
@@ -265,6 +301,37 @@ module Model = struct
           v
     in
     go
+end
+
+(* [Wallet_select] is [Ac3_chain.Wallet]'s coin selection and refusal
+   message as they stood before the summing pre-pass: one greedy walk
+   over the outpoint-sorted coins that also totals a refusal's
+   spendable and locked amounts, the message formatted with [Printf].
+   Kept verbatim except that it takes a node and an address rather than
+   a wallet, so test_chain.ml can hold [Wallet.build] to the same coins,
+   change and refusal bytes. *)
+module Wallet_select = struct
+  open Ac3_chain
+
+  let select_coins node addr ~total =
+    let mempool = Node.mempool node in
+    let rec pick acc covered locked = function
+      | _ when Amount.compare covered total >= 0 -> Ok (List.rev acc, Amount.(covered - total))
+      | [] -> Error (covered, locked)
+      | (op, (o : Tx.output)) :: rest ->
+          if Mempool.spends mempool op then pick acc covered Amount.(locked + o.amount) rest
+          else pick (op :: acc) Amount.(covered + o.amount) locked rest
+    in
+    pick [] Amount.zero Amount.zero (Ledger.utxos_of (Node.ledger node) addr)
+
+  let build node addr ~total =
+    match select_coins node addr ~total with
+    | Error (spendable, locked) ->
+        Error
+          (Printf.sprintf
+             "insufficient funds: need %s, have %s spendable (%s locked by pending spends)"
+             (Amount.to_string total) (Amount.to_string spendable) (Amount.to_string locked))
+    | Ok selection -> Ok selection
 end
 
 (* [Mss_keygen] is MSS key generation as it stood before the lane

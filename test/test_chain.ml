@@ -962,6 +962,63 @@ let test_wallet_insufficient_funds () =
         e
   | Ok _ -> Alcotest.fail "spent a coin locked by a pending spend"
 
+(* Coin sets of one owner (premined outputs of 2..60 units) with a
+   random subset locked by pending spends, and a random payment: the
+   wallet must select the same coins and change as the reference greedy
+   walk, or refuse with the same message bytes. *)
+let gen_coins_case =
+  QCheck.Gen.(
+    list_size (int_range 0 8) (pair (int_range 2 60) bool) >>= fun coins ->
+    let sum = List.fold_left (fun acc (a, _) -> acc + a) 0 coins in
+    map (fun pay -> (coins, pay)) (int_range 1 (sum + 5)))
+
+let print_coins_case (coins, pay) =
+  Printf.sprintf "coins=[%s] pay=%d"
+    (String.concat "; "
+       (List.map (fun (a, locked) -> Printf.sprintf "%d%s" a (if locked then " locked" else "")) coins))
+    pay
+
+let qcheck_wallet_select =
+  QCheck.Test.make ~name:"wallet build = reference coin walk" ~count:200
+    (QCheck.make ~print:print_coins_case gen_coins_case)
+    (fun (coins, pay) ->
+      let engine = Engine.create () in
+      let network = Network.create ~engine ~rng:(Rng.create 1) () in
+      let owner = Keys.address alice in
+      let params =
+        Params.make "coinchain" ~transfer_fee:(coin 1) ~verify_signatures:false
+          ~premine:((Keys.address bob, coin 7) :: List.map (fun (a, _) -> (owner, coin a)) coins)
+      in
+      let node = Node.create ~engine ~network ~params ~registry:(test_registry ()) "coin-node" in
+      (* Genesis outputs keep premine order after bob's, so the owner's
+         coins sorted by outpoint line up with [coins]. *)
+      List.iteri
+        (fun i ((op, (o : Tx.output)), (_, locked)) ->
+          if locked then
+            match
+              Node.submit_tx node
+                (Tx.make_unsigned ~chain:"coinchain"
+                   ~inputs:[ (op, Keys.public alice) ]
+                   ~outputs:[ { addr = Keys.address bob; amount = Amount.(o.amount - coin 1) } ]
+                   ~fee:(coin 1) ~nonce:(Int64.of_int i) ())
+            with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail e)
+        (List.combine (Ledger.utxos_of (Node.ledger node) owner) coins);
+      let wallet = Wallet.create ~identity:alice ~node in
+      let payment : Tx.output = { addr = Keys.address bob; amount = coin pay } in
+      let expected =
+        Reference.Wallet_select.build node owner ~total:Amount.(coin pay + coin 1)
+        |> Result.map (fun (ops, change) ->
+               (ops, if Amount.is_zero change then [ payment ] else [ payment; { addr = owner; amount = change } ]))
+      in
+      let got =
+        Wallet.build wallet ~outputs:[ payment ] ()
+        |> Result.map (fun (tx : Tx.t) ->
+               (List.map (fun (i : Tx.input) -> i.outpoint) tx.inputs, tx.outputs))
+      in
+      got = expected)
+
 let test_wallet_change () =
   let store = mk_store () in
   (* A wallet needs a node; build a tiny world around the shared store via
@@ -1502,6 +1559,7 @@ let () =
       ( "wallet",
         [
           Alcotest.test_case "insufficient funds" `Quick test_wallet_insufficient_funds;
+          QCheck_alcotest.to_alcotest qcheck_wallet_select;
           Alcotest.test_case "change output" `Slow test_wallet_change;
           Alcotest.test_case "pending outpoint not reused" `Slow
             test_wallet_pending_outpoint_not_reused;

@@ -214,36 +214,30 @@ let test_counterexample_replays () =
    the checker enables it. [Deploy i] and [Redeem i] project onto the
    moves of the same name, and AC3WN's confirmed commit onto
    [W_commit]. The driver and the checker call the same guards, so a
-   rule changed on one side shows up on the other. *)
-let driver_moves trace =
+   rule changed on one side shows up on the other. With [~refunds],
+   the projection also maps [Refund i] and a confirmed abort
+   ([W_abort]) instead of stopping at the first refund: AC3WN's refunds
+   follow the witness's decision, not a race against timelocks. *)
+let driver_moves ?(refunds = false) trace =
   let rec go = function
     | [] -> []
     | (r : _ Ac3_sim.Trace.record) :: rest -> (
         match r.Ac3_sim.Trace.event with
-        | Protocol.Refund _ -> []
+        | Protocol.Refund i -> if refunds then Semantics.Refund i :: go rest else []
         | Protocol.Deploy i -> Semantics.Deploy i :: go rest
         | Protocol.Redeem i -> Semantics.Redeem i :: go rest
         | Protocol.Decision_confirmed Protocol.Commit -> Semantics.W_commit :: go rest
+        | Protocol.Decision_confirmed Protocol.Abort -> Semantics.W_abort :: go rest
         | _ -> go rest)
   in
   go (Ac3_sim.Trace.records trace)
 
-let project_driver_trace ~protocol (seed, parties, extra_edges) =
-  let spec = { Plan.seed; shape = Plan.Random; parties; nchains = 3; extra_edges; load = 1 } in
-  let name =
-    Printf.sprintf "%s, seed %d, %d parties, %d extra edges" (Runner.protocol_name protocol) seed
-      parties extra_edges
-  in
-  let r = Runner.run_one ~spec ~plan:[] ~protocol () in
-  (* The graph's edge order depends on the spec alone, so any
-     identities index the same edges as the run's. *)
-  let ids = Scenarios.identities ~ns:"model-test" parties in
-  let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
+(* Replays projected moves on the fault-free model of [graph]. *)
+let replay_on_checker ~name ~profile graph moves =
   let m =
     match
-      Semantics.make
-        ~profile:(Protocol.family (Runner.shared protocol))
-        ~graph ~delta:15.0 ~timelock_slack:2.0 ~start_time:0.0 ~crash_budget:0
+      Semantics.make ~profile ~graph ~delta:15.0 ~timelock_slack:2.0 ~start_time:0.0
+        ~crash_budget:0
     with
     | Ok m -> m
     | Error e -> Alcotest.failf "%s: %s" name e
@@ -256,9 +250,22 @@ let project_driver_trace ~protocol (seed, parties, extra_edges) =
       Alcotest.failf "%s: the driver took %a, which the checker does not enable in %a" name
         (Semantics.pp_move m) mv Global_state.pp s
   in
-  let moves = driver_moves (Option.get r.Runner.trace) in
   Alcotest.(check bool) (name ^ ": trace has moves") true (moves <> []);
-  ignore (List.fold_left take (Semantics.init m) moves);
+  ignore (List.fold_left take (Semantics.init m) moves)
+
+let project_driver_trace ~protocol (seed, parties, extra_edges) =
+  let spec = { Plan.seed; shape = Plan.Random; parties; nchains = 3; extra_edges; load = 1 } in
+  let name =
+    Printf.sprintf "%s, seed %d, %d parties, %d extra edges" (Runner.protocol_name protocol) seed
+      parties extra_edges
+  in
+  let r = Runner.run_one ~spec ~plan:[] ~protocol () in
+  (* The graph's edge order depends on the spec alone, so any
+     identities index the same edges as the run's. *)
+  let ids = Scenarios.identities ~ns:"model-test" parties in
+  let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
+  let moves = driver_moves (Option.get r.Runner.trace) in
+  replay_on_checker ~name ~profile:(Protocol.family (Runner.shared protocol)) graph moves;
   (graph, moves)
 
 let test_driver_trace_projects () =
@@ -281,6 +288,56 @@ let test_driver_trace_projects () =
         (List.length (List.filter (function Semantics.Redeem _ -> true | _ -> false) moves)))
     [ (1, 4, 2); (2, 4, 2); (3, 5, 0); (7, 5, 1) ];
   Alcotest.(check bool) "some chain carries two edges" true !shared_chain
+
+(* AC3WN's abort path, run the way the load engine runs an abandoned
+   swap: the refund path is requested one block interval after launch.
+   The witness decides [Abort] once, and every contract deployed before
+   the decision is refunded, each step a move the checker enables. *)
+let test_ac3wn_abort_projects () =
+  let block_interval = 5.0 in
+  let config =
+    {
+      (Ac3_core.Ac3wn.default_config ~witness_chain:"witness") with
+      Ac3_core.Ac3wn.evidence_depth = 2;
+      decision_depth = 3;
+      timeout = 5000.0;
+    }
+  in
+  List.iter
+    (fun (name, seed, n, build) ->
+      let chains = List.init n (Printf.sprintf "c%d") in
+      let u, participants =
+        Scenarios.make_universe ~seed ~block_interval ~confirm_depth:3 ~chains
+          (Scenarios.identities ~ns:("model-abort-" ^ name) n)
+          ()
+      in
+      Ac3_core.Universe.run_until u 50.0;
+      let ids = List.map Ac3_core.Participant.identity participants in
+      let graph = build ~chains ids ~timestamp:(Ac3_core.Universe.now u) in
+      let r =
+        match
+          Ac3_core.Ac3wn.execute u ~config ~graph ~participants ~abort_after:block_interval ()
+        with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let moves = driver_moves ~refunds:true r.Ac3_core.Ac3wn.trace in
+      replay_on_checker ~name ~profile:Flow.Witness graph moves;
+      let edges_with f = List.sort compare (List.filter_map f moves) in
+      let deployed = edges_with (function Semantics.Deploy i -> Some i | _ -> None) in
+      Alcotest.(check bool) (name ^ ": some contract deployed before the abort") true
+        (deployed <> []);
+      Alcotest.(check int) (name ^ ": one abort") 1
+        (List.length (List.filter (( = ) Semantics.W_abort) moves));
+      Alcotest.(check (list int)) (name ^ ": a refund per deployed edge") deployed
+        (edges_with (function Semantics.Refund i -> Some i | _ -> None));
+      Alcotest.(check bool) (name ^ ": not committed") false r.Ac3_core.Ac3wn.committed)
+    [
+      ("two-party", 1, 2, fun ~chains ids ~timestamp ->
+          Scenarios.two_party_graph ~chain1:(List.nth chains 0) ~chain2:(List.nth chains 1) ids ~timestamp);
+      ("ring-3", 2, 3, Scenarios.ring_graph);
+      ("ring-4", 3, 4, Scenarios.ring_graph);
+    ]
 
 (* Regression for the D001 fix in Explore.iter_succs: edges are visited
    in ascending source-node id, not hash-bucket order, so downstream
@@ -335,17 +392,25 @@ let model_of ((profile, shape, crash_budget) as case) =
 
 let max_nodes = 3_000
 
-(* The reference result re-indexed as an [Explore.t], so [Rules.check]
-   runs over it unchanged. *)
+(* The reference result laid out as an [Explore.t] (exact-length flat
+   arrays), so [Rules.check] runs over it unchanged. *)
 let explore_of_ref (r : Ref_model.t) =
-  let node id =
-    let n = Ref_model.node r id in
-    { Explore.id = n.Ref_model.id; state = n.state; pred = n.pred; depth = n.depth }
-  in
+  let node id = Ref_model.node r id in
+  let pred id = (node id).Ref_model.pred in
+  let succs = List.concat_map (Hashtbl.find r.succs) (List.init r.n_nodes Fun.id) in
+  let start = Array.make (r.n_nodes + 1) 0 in
+  for id = 0 to r.n_nodes - 1 do
+    start.(id + 1) <- start.(id) + List.length (Hashtbl.find r.succs id)
+  done;
   {
     Explore.model = r.Ref_model.model;
-    nodes = Array.init r.n_nodes node;
-    succs = Array.init r.n_nodes (Hashtbl.find r.succs);
+    states = Array.init r.n_nodes (fun id -> (node id).Ref_model.state);
+    pred_id = Array.init r.n_nodes (fun id -> Option.fold ~none:(-1) ~some:fst (pred id));
+    pred_move = Array.init r.n_nodes (fun id -> Option.fold ~none:Semantics.Expire ~some:snd (pred id));
+    depth = Array.init r.n_nodes (fun id -> (node id).Ref_model.depth);
+    succ_start = start;
+    succ_target = Array.of_list (List.map snd succs);
+    succ_move = Array.of_list (List.map fst succs);
     n_nodes = r.n_nodes;
     n_transitions = r.n_transitions;
     por_skipped = r.por_skipped;
@@ -358,7 +423,7 @@ let rule_outputs ~flow t =
   ( diags,
     List.map
       (fun v ->
-        (v.Rules.rule, v.Rules.node, Global_state.key v.Rules.state, v.Rules.schedule))
+        (v.Rules.rule, v.Rules.node, v.Rules.state, v.Rules.schedule))
       violations )
 
 let qcheck_explore_matches_reference =
@@ -373,13 +438,17 @@ let qcheck_explore_matches_reference =
         <> (r.n_nodes, r.n_transitions, r.por_skipped, r.peak_frontier, r.truncated)
       then Alcotest.fail "stats differ";
       let settles = Explore.can_settle_memo t and ref_settles = Ref_model.can_settle_memo r in
+      let succs = Array.make t.n_nodes [] in
+      Explore.iter_succs t (fun id mv tgt -> succs.(id) <- (mv, tgt) :: succs.(id));
       for id = 0 to t.n_nodes - 1 do
         let n = Explore.node t id and rn = Ref_model.node r id in
-        if Global_state.key n.state <> Global_state.key rn.state then
+        if n.state <> rn.state || Explore.state t id <> rn.state then
           Alcotest.failf "node %d: state differs" id;
         if n.id <> id || n.pred <> rn.pred || n.depth <> rn.depth then
           Alcotest.failf "node %d: BFS tree entry differs" id;
-        if t.succs.(id) <> Hashtbl.find r.succs id then
+        if Explore.schedule t id <> Ref_model.schedule r id then
+          Alcotest.failf "node %d: schedule differs" id;
+        if List.rev succs.(id) <> Hashtbl.find r.succs id then
           Alcotest.failf "node %d: successor list differs" id;
         if settles n.state <> ref_settles rn.state then
           Alcotest.failf "node %d: settlement reachability differs" id
@@ -387,7 +456,17 @@ let qcheck_explore_matches_reference =
       let flow = Flow.analyze ~fault_budget:budget ~profile (graph_of shape) in
       rule_outputs ~flow t = rule_outputs ~flow (explore_of_ref r))
 
-(* --- Key injectivity and apply's input immutability ------------------ *)
+(* --- The packed state's encoding and apply's input immutability ------ *)
+
+(* A state's components, as [Global_state.make] takes them. *)
+type parts = Ref_model.parts = {
+  edges : Ac3_contract.Swap_template.status array;
+  knows : bool array;
+  alive : bool array;
+  time : int;
+  decision : Protocol.decision;
+  crashes_left : int;
+}
 
 let gen_state ~edges ~parties =
   QCheck.Gen.(
@@ -395,7 +474,7 @@ let gen_state ~edges ~parties =
     map
       (fun ((e, k, a), (time, decision, crashes_left)) ->
         {
-          Global_state.edges = Array.of_list e;
+          edges = Array.of_list e;
           knows = Array.of_list k;
           alive = Array.of_list a;
           time;
@@ -416,7 +495,7 @@ let gen_state_pair =
     pair (int_range 1 6) (int_range 1 6) >>= fun (edges, parties) ->
     let state = gen_state ~edges ~parties in
     state >>= fun a ->
-    let copy (s : Global_state.t) =
+    let copy s =
       { s with edges = Array.copy s.edges; knows = Array.copy s.knows; alive = Array.copy s.alive }
     in
     state >>= fun c ->
@@ -433,17 +512,23 @@ let gen_state_pair =
         return (a, { a with time = c.crashes_left; crashes_left = c.time });
       ])
 
-let print_state s = Fmt.str "%a crashes_left=%d" Global_state.pp s s.Global_state.crashes_left
+let print_state s = Fmt.str "%a crashes_left=%d" Global_state.pp s (Global_state.crashes_left s)
 
-let qcheck_key_injective =
-  QCheck.Test.make ~name:"Global_state.key is injective on one shape" ~count:500
-    (QCheck.make ~print:QCheck.Print.(pair print_state print_state) gen_state_pair)
-    (fun (a, b) -> Global_state.key a = Global_state.key b = (a = b))
+let print_parts p = print_state (Ref_model.encode p)
+
+(* [make] then the accessors gives the components back, and two packed
+   states of one shape are equal exactly when their components are. *)
+let qcheck_make_roundtrip =
+  QCheck.Test.make ~name:"Global_state.make: accessors and equality" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair print_parts print_parts) gen_state_pair)
+    (fun (a, b) ->
+      let sa = Ref_model.encode a and sb = Ref_model.encode b in
+      Ref_model.decode sa = a && Ref_model.decode sb = b && (sa = sb) = (a = b))
 
 (* Random walks from the initial state: at each step every enabled move
    is applied to the current state, and no state met so far on the walk
-   may change its key. Successors share arrays with their sources, so an
-   in-place write anywhere on the walk shows up here. *)
+   may change its bytes. A successor is a copy of its source's bytes, so
+   a write to the source instead of the copy shows up here. *)
 let qcheck_apply_immutable =
   QCheck.Test.make ~name:"Semantics.apply never mutates its input" ~count:30
     (QCheck.make
@@ -453,11 +538,11 @@ let qcheck_apply_immutable =
       let m = model_of case in
       let rng = Random.State.make [| seed |] in
       let rec walk trail s =
-        let trail = (s, Global_state.key s) :: trail in
+        let trail = (s, Bytes.of_string (s : Global_state.t :> string)) :: trail in
         let succs = List.map (Semantics.apply m s) (Semantics.enabled m s) in
         List.iter
           (fun (s, k) ->
-            if Global_state.key s <> k then
+            if Bytes.to_string k <> (s : Global_state.t :> string) then
               Alcotest.failf "state %s changed under apply" (print_state s))
           trail;
         if succs <> [] then walk trail (List.nth succs (Random.State.int rng (List.length succs)))
@@ -486,7 +571,7 @@ let () =
           Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
           Alcotest.test_case "iter_succs ascending" `Quick test_iter_succs_ascending;
           QCheck_alcotest.to_alcotest qcheck_explore_matches_reference;
-          QCheck_alcotest.to_alcotest qcheck_key_injective;
+          QCheck_alcotest.to_alcotest qcheck_make_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_apply_immutable;
         ] );
       ( "corpus",
@@ -497,5 +582,7 @@ let () =
             test_counterexample_replays;
           Alcotest.test_case "driver trace projects onto checker moves" `Slow
             test_driver_trace_projects;
+          Alcotest.test_case "ac3wn abort path projects onto checker moves" `Slow
+            test_ac3wn_abort_projects;
         ] );
     ]
