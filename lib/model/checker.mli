@@ -19,6 +19,7 @@ type config = {
   timelock_slack : float;
   start_time : float;
   max_nodes : int;
+      (** at most {!Explore.max_nodes_limit}; {!check} raises [Invalid_argument] above it *)
   crash_budget : int;  (** how many parties the adversary may crash *)
 }
 

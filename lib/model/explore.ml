@@ -10,7 +10,14 @@
    successors are one table filled in BFS order, a start offset per
    node plus parallel target and move arrays. The arrays grow by
    doubling and are handed to the caller at their final capacity;
-   [n_nodes] and [n_transitions] bound the live prefix. *)
+   [n_nodes] and [n_transitions] bound the live prefix.
+
+   The intern table is one [int array] of slots with linear probing. A
+   slot is [empty] or [(String.hash state lsl 32) lor id]: the hash
+   bits are compared before any string, and [states.(id)] stays the
+   only reference to a state string. The table doubles when half full
+   and re-places every slot by its stored hash bits, so no state is
+   hashed twice. *)
 
 type node = {
   id : int;
@@ -35,7 +42,38 @@ type t = {
   truncated : bool;
 }
 
-module Index = Hashtbl.Make (String)
+(* Ids take the low 32 bits of a slot and [String.hash] (30 bits) the
+   bits above them, so every occupied slot is non-negative. *)
+let id_bits = 32
+
+let id_mask = (1 lsl id_bits) - 1
+
+let max_nodes_limit = 1 lsl id_bits
+
+let empty = -1
+
+(* The id of state [k] (hash [h]) probing from slot [i], or [-1 - j]
+   for the empty slot [j] where it belongs. *)
+let rec find slots states h k i =
+  let v = slots.(i) in
+  if v = empty then -1 - i
+  else if
+    v lsr id_bits = h && String.equal (states.(v land id_mask) : Global_state.t :> string) k
+  then v land id_mask
+  else find slots states h k ((i + 1) land (Array.length slots - 1))
+
+(* The first empty slot probing from [i]. *)
+let rec free slots i =
+  if slots.(i) = empty then i else free slots ((i + 1) land (Array.length slots - 1))
+
+(* [slots] at twice the size, every entry re-placed by its hash bits. *)
+let grow slots =
+  let bigger = Array.make (2 * Array.length slots) empty in
+  let mask = Array.length bigger - 1 in
+  Array.iter
+    (fun v -> if v <> empty then bigger.(free bigger ((v lsr id_bits) land mask)) <- v)
+    slots;
+  bigger
 
 (* [a] with room for slot [n], doubled and padded with [fill] when full. *)
 let ensure a n fill =
@@ -47,7 +85,11 @@ let ensure a n fill =
   end
 
 let run ?(max_nodes = 20_000) model =
-  let index = Index.create 1024 in
+  if max_nodes > max_nodes_limit then
+    invalid_arg
+      (Printf.sprintf "Explore.run: max_nodes must be at most %d (got %d)" max_nodes_limit
+         max_nodes);
+  let slots = ref (Array.make 2048 empty) in
   let init = Semantics.init model in
   (* The root's [pred_move] slot is never read; any move fills it. *)
   let filler = Semantics.Expire in
@@ -68,22 +110,25 @@ let run ?(max_nodes = 20_000) model =
   let truncated = ref false in
   let intern ~pred ~move ~d state =
     let k = (state : Global_state.t :> string) in
-    match Index.find_opt index k with
-    | Some id -> id
-    | None ->
-        let id = !count in
-        Index.add index k id;
-        states := ensure !states id init;
-        pred_id := ensure !pred_id id (-1);
-        pred_move := ensure !pred_move id filler;
-        depth := ensure !depth id 0;
-        !states.(id) <- state;
-        !pred_id.(id) <- pred;
-        !pred_move.(id) <- move;
-        !depth.(id) <- d;
-        count := id + 1;
-        peak_frontier := max !peak_frontier (!count - !next);
-        id
+    let h = String.hash k in
+    let found = find !slots !states h k (h land (Array.length !slots - 1)) in
+    if found >= 0 then found
+    else begin
+      let id = !count in
+      !slots.(-1 - found) <- (h lsl id_bits) lor id;
+      if 2 * (id + 1) >= Array.length !slots then slots := grow !slots;
+      states := ensure !states id init;
+      pred_id := ensure !pred_id id (-1);
+      pred_move := ensure !pred_move id filler;
+      depth := ensure !depth id 0;
+      !states.(id) <- state;
+      !pred_id.(id) <- pred;
+      !pred_move.(id) <- move;
+      !depth.(id) <- d;
+      count := id + 1;
+      peak_frontier := max !peak_frontier (!count - !next);
+      id
+    end
   in
   ignore (intern ~pred:(-1) ~move:filler ~d:0 init);
   while !next < !count do
@@ -153,17 +198,19 @@ let iter_succs t f =
 
 (* --- Settlement reachability under the recovery closure --------------- *)
 
+module Memo = Hashtbl.Make (String)
+
 (* Can [state] still reach a fully settled state if every crashed party
    recovers? Used by M002: a state that cannot is a true global deadlock,
    not a liveness wound. Explored over the revived state space with its
    own memo table (shared across queries); the space is a small quotient
    of the explored one because alive/crash components are normalized. *)
 let can_settle_memo t =
-  let memo = Index.create 256 in
+  let memo = Memo.create 256 in
   let rec go state =
     let state = Global_state.revive state in
     let k = (state : Global_state.t :> string) in
-    match Index.find_opt memo k with
+    match Memo.find_opt memo k with
     | Some v -> v
     | None ->
         let v =
@@ -172,7 +219,7 @@ let can_settle_memo t =
           let moves, _ = Semantics.reduced t.model state in
           List.exists (fun move -> go (Semantics.apply t.model state move)) moves
         in
-        Index.replace memo k v;
+        Memo.replace memo k v;
         v
   in
   go

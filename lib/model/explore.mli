@@ -13,7 +13,14 @@
     [succ_start.(id) .. succ_start.(id + 1) - 1] of [succ_target] and
     [succ_move]. The arrays keep the capacity they grew to: only the
     first [n_nodes] (tree), [n_nodes + 1] ([succ_start]) and
-    [n_transitions] (successor) slots are meaningful. *)
+    [n_transitions] (successor) slots are meaningful.
+
+    {!run} interns a state in one [int array] of slots with linear
+    probing: a slot packs [(String.hash state lsl 32) lor id], so a
+    lookup compares hash bits before it compares bytes, and [states]
+    holds the only reference to each state string. The table doubles
+    when half full and re-places each slot by its stored hash bits
+    without hashing a string again. Ids therefore fit in 32 bits. *)
 
 (** One node of the BFS tree, assembled on demand by {!node}. *)
 type node = {
@@ -39,6 +46,12 @@ type t = {
   truncated : bool;
 }
 
+(** The largest accepted [max_nodes]: [2{^32}], so every id fits in the
+    low 32 bits of an intern slot. *)
+val max_nodes_limit : int
+
+(** Explores at most [max_nodes] states (default 20 000). Raises
+    [Invalid_argument] when [max_nodes] exceeds {!max_nodes_limit}. *)
 val run : ?max_nodes:int -> Semantics.model -> t
 
 val state : t -> int -> Global_state.t

@@ -8,7 +8,8 @@
      M003-deviation-unsafe   a party whose executed history is conforming
                              (a crash is pure withholding) ends worse
                              than all-refund: an outgoing deposit is
-                             redeemed while an incoming one refunds
+                             redeemed while an incoming one refunds;
+                             one pass over a state's edges, O(E)
      M004-witness-fork       the witness decision is not absorbing —
                              checked both on the product and against the
                              real SCw code (lib/contract/witness_sc.ml)
@@ -76,21 +77,37 @@ let m002 t =
    withholding), so any party with a redeemed outgoing edge and a
    refunded incoming edge is a conforming-history victim: it ends worse
    than the all-refund outcome Herlihy's safety notion guarantees.
-   Top-level recursion, so the scan allocates no closure per state. *)
 
-(* Some edge [j >= i] with endpoint [ends.(j) = p] has status [st]. *)
-let rec touches ends s st p i =
-  i < Global_state.n_edges s
-  && ((ends.(i) = p && Global_state.edge s i = st) || touches ends s st p (i + 1))
+   One pass over the edge bytes finds all of them at once, for the
+   parties [base .. base + block - 1]: bit [p - base] of [paid] is set
+   when party [p] sends a redeemed edge, of [lost] when it receives a
+   refunded one. Their lowest common bit is the lowest unsafe party.
+   Graphs above [block] parties repeat the pass per block, so a state
+   costs O(E) for up to [block] parties. A block stops short of the
+   sign bit, so a mask is never negative. Top-level recursion, so the
+   scan allocates no closure per state. *)
+let block = 62
 
-(* The lowest unsafe party index from [p] on, or -1. *)
-let rec unsafe_from m s p =
-  if p >= Global_state.n_parties s then -1
-  else if
-    touches m.Semantics.edge_from s Swap_template.Redeemed p 0
-    && touches m.Semantics.edge_to s Swap_template.Refunded p 0
-  then p
-  else unsafe_from m s (p + 1)
+let bit p base = if p >= base && p < base + block then 1 lsl (p - base) else 0
+
+let rec victims m s base i paid lost =
+  if i >= Global_state.n_edges s then paid land lost
+  else
+    match Global_state.edge s i with
+    | Swap_template.Redeemed ->
+        victims m s base (i + 1) (paid lor bit m.Semantics.edge_from.(i) base) lost
+    | Swap_template.Refunded ->
+        victims m s base (i + 1) paid (lost lor bit m.Semantics.edge_to.(i) base)
+    | Swap_template.Unpublished | Swap_template.Published -> victims m s base (i + 1) paid lost
+
+let rec lowest_bit mask p = if mask land 1 = 1 then p else lowest_bit (mask lsr 1) (p + 1)
+
+(* The lowest unsafe party index from block [base] on, or -1. *)
+let rec unsafe_from m s base =
+  if base >= Global_state.n_parties s then -1
+  else
+    let both = victims m s base 0 0 0 in
+    if both <> 0 then lowest_bit both base else unsafe_from m s (base + block)
 
 let unsafe_party m s = unsafe_from m s 0
 

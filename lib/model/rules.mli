@@ -33,3 +33,8 @@ type violation = {
     order, violations with schedules). [flow], when given, enables the
     M006 cross-validation against the static value intervals. *)
 val check : ?flow:Ac3_flow.Flow.analysis -> Explore.t -> Ac3_verify.Diagnostic.t list * violation list
+
+(** The lowest party index (M003) with a redeemed outgoing edge and a
+    refunded incoming edge in the state, or [-1]. One pass over the
+    edge statuses per block of 62 parties. *)
+val unsafe_party : Semantics.model -> Global_state.t -> int

@@ -303,6 +303,33 @@ module Model = struct
     go
 end
 
+(* [M003] is the model checker's M003 victim search as it stood before
+   the one-pass bitmask scan: for each party in turn, one scan over all
+   edges for a redeemed outgoing edge and one for a refunded incoming
+   edge, stopping at the first party that has both. test_model.ml holds
+   [Ac3_model.Rules.unsafe_party] to the same party index. *)
+module M003 = struct
+  module Semantics = Ac3_model.Semantics
+  module Global_state = Ac3_model.Global_state
+  module Swap_template = Ac3_contract.Swap_template
+
+  (* Some edge [j >= i] with endpoint [ends.(j) = p] has status [st]. *)
+  let rec touches ends s st p i =
+    i < Global_state.n_edges s
+    && ((ends.(i) = p && Global_state.edge s i = st) || touches ends s st p (i + 1))
+
+  (* The lowest unsafe party index from [p] on, or -1. *)
+  let rec unsafe_from m s p =
+    if p >= Global_state.n_parties s then -1
+    else if
+      touches m.Semantics.edge_from s Swap_template.Redeemed p 0
+      && touches m.Semantics.edge_to s Swap_template.Refunded p 0
+    then p
+    else unsafe_from m s (p + 1)
+
+  let unsafe_party m s = unsafe_from m s 0
+end
+
 (* [Wallet_select] is [Ac3_chain.Wallet]'s coin selection and refusal
    message as they stood before the summing pre-pass: one greedy walk
    over the outpoint-sorted coins that also totals a refusal's

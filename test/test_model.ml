@@ -426,35 +426,104 @@ let rule_outputs ~flow t =
         (v.Rules.rule, v.Rules.node, v.Rules.state, v.Rules.schedule))
       violations )
 
+(* Ids, states, BFS tree, schedules, per-node successor order, stats,
+   [can_settle_memo] answers and [Rules.check] output all equal the
+   reference explorer's. *)
+let matches_reference ~max_nodes ((profile, shape, budget) as case) =
+  let m = model_of case in
+  let t = Explore.run ~max_nodes m in
+  let r = Ref_model.run ~max_nodes m in
+  if
+    (t.n_nodes, t.n_transitions, t.por_skipped, t.peak_frontier, t.truncated)
+    <> (r.n_nodes, r.n_transitions, r.por_skipped, r.peak_frontier, r.truncated)
+  then Alcotest.fail "stats differ";
+  let settles = Explore.can_settle_memo t and ref_settles = Ref_model.can_settle_memo r in
+  let succs = Array.make t.n_nodes [] in
+  Explore.iter_succs t (fun id mv tgt -> succs.(id) <- (mv, tgt) :: succs.(id));
+  for id = 0 to t.n_nodes - 1 do
+    let n = Explore.node t id and rn = Ref_model.node r id in
+    if n.state <> rn.state || Explore.state t id <> rn.state then
+      Alcotest.failf "node %d: state differs" id;
+    if n.id <> id || n.pred <> rn.pred || n.depth <> rn.depth then
+      Alcotest.failf "node %d: BFS tree entry differs" id;
+    if Explore.schedule t id <> Ref_model.schedule r id then
+      Alcotest.failf "node %d: schedule differs" id;
+    if List.rev succs.(id) <> Hashtbl.find r.succs id then
+      Alcotest.failf "node %d: successor list differs" id;
+    if settles n.state <> ref_settles rn.state then
+      Alcotest.failf "node %d: settlement reachability differs" id
+  done;
+  let flow = Flow.analyze ~fault_budget:budget ~profile (graph_of shape) in
+  (t, rule_outputs ~flow t = rule_outputs ~flow (explore_of_ref r))
+
 let qcheck_explore_matches_reference =
   QCheck.Test.make ~name:"dense explorer == reference explorer" ~count:30
     (QCheck.make ~print:print_case gen_case)
-    (fun ((profile, shape, budget) as case) ->
-      let m = model_of case in
-      let t = Explore.run ~max_nodes m in
-      let r = Ref_model.run ~max_nodes m in
-      if
-        (t.n_nodes, t.n_transitions, t.por_skipped, t.peak_frontier, t.truncated)
-        <> (r.n_nodes, r.n_transitions, r.por_skipped, r.peak_frontier, r.truncated)
-      then Alcotest.fail "stats differ";
-      let settles = Explore.can_settle_memo t and ref_settles = Ref_model.can_settle_memo r in
-      let succs = Array.make t.n_nodes [] in
-      Explore.iter_succs t (fun id mv tgt -> succs.(id) <- (mv, tgt) :: succs.(id));
-      for id = 0 to t.n_nodes - 1 do
-        let n = Explore.node t id and rn = Ref_model.node r id in
-        if n.state <> rn.state || Explore.state t id <> rn.state then
-          Alcotest.failf "node %d: state differs" id;
-        if n.id <> id || n.pred <> rn.pred || n.depth <> rn.depth then
-          Alcotest.failf "node %d: BFS tree entry differs" id;
-        if Explore.schedule t id <> Ref_model.schedule r id then
-          Alcotest.failf "node %d: schedule differs" id;
-        if List.rev succs.(id) <> Hashtbl.find r.succs id then
-          Alcotest.failf "node %d: successor list differs" id;
-        if settles n.state <> ref_settles rn.state then
-          Alcotest.failf "node %d: settlement reachability differs" id
-      done;
-      let flow = Flow.analyze ~fault_budget:budget ~profile (graph_of shape) in
-      rule_outputs ~flow t = rule_outputs ~flow (explore_of_ref r))
+    (fun case -> snd (matches_reference ~max_nodes case))
+
+(* The intern table starts at 2048 slots and doubles whenever it is half
+   full, so exploring past 8192 states grows it at least four times
+   (at 1024, 2048, 4096 and 8192 states); every re-placed slot must
+   still find its state. The ring is larger than the bound, so the run
+   is also truncated. *)
+let test_table_growth_matches_reference () =
+  let case = (Flow.Witness, `Ring 8, 1) in
+  let t, rules_equal = matches_reference ~max_nodes:20_000 case in
+  Alcotest.(check int) "explored up to the bound" 20_000 t.n_nodes;
+  Alcotest.(check bool) "truncated" true t.truncated;
+  Alcotest.(check bool) "Rules.check output equal" true rules_equal
+
+(* Ids live in the low 32 bits of an intern slot. *)
+let test_max_nodes_limit () =
+  let m = model_of (Flow.Witness, `Two_party, 0) in
+  Alcotest.check_raises "above the limit"
+    (Invalid_argument
+       (Printf.sprintf "Explore.run: max_nodes must be at most %d (got %d)"
+          Explore.max_nodes_limit (Explore.max_nodes_limit + 1)))
+    (fun () -> ignore (Explore.run ~max_nodes:(Explore.max_nodes_limit + 1) m));
+  Alcotest.(check bool) "at the limit" false
+    (Explore.run ~max_nodes:Explore.max_nodes_limit m).truncated
+
+(* --- M003: the one-pass victim search against the per-party scan ----- *)
+
+(* A packed state over [np] parties (2-70, so some graphs need a second
+   62-party block) and random edges: endpoints drawn from a random
+   suffix [lo, np) of the parties, so victims above 62 occur, and random
+   statuses. *)
+let gen_m003_case =
+  QCheck.Gen.(
+    int_range 2 70 >>= fun np ->
+    int_range 1 90 >>= fun ne ->
+    int_bound (np - 1) >>= fun lo ->
+    let party = int_range lo (np - 1) in
+    map
+      (fun (ends, statuses) ->
+        ( np,
+          Array.of_list (List.map fst ends),
+          Array.of_list (List.map snd ends),
+          Array.of_list statuses ))
+      (pair
+         (list_repeat ne (pair party party))
+         (list_repeat ne
+            (oneofl Ac3_contract.Swap_template.[ Unpublished; Published; Redeemed; Refunded ]))))
+
+let print_m003_case (np, from, to_, statuses) =
+  Printf.sprintf "%d parties, edges %s" np
+    (String.concat " "
+       (List.init (Array.length from) (fun i ->
+            Printf.sprintf "%d->%d:%c" from.(i) to_.(i) (Global_state.status_char statuses.(i)))))
+
+let qcheck_m003_matches_reference =
+  let base = model_of (Flow.Single_leader, `Two_party, 0) in
+  QCheck.Test.make ~name:"Rules.unsafe_party == per-party reference scan" ~count:500
+    (QCheck.make ~print:print_m003_case gen_m003_case)
+    (fun (np, edge_from, edge_to, edges) ->
+      let m = { base with Semantics.edge_from; edge_to } in
+      let s =
+        Global_state.make ~edges ~knows:(Array.make np false) ~alive:(Array.make np true) ~time:0
+          ~decision:Protocol.Undecided ~crashes_left:0
+      in
+      Rules.unsafe_party m s = Reference.M003.unsafe_party m s)
 
 (* --- The packed state's encoding and apply's input immutability ------ *)
 
@@ -571,6 +640,10 @@ let () =
           Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
           Alcotest.test_case "iter_succs ascending" `Quick test_iter_succs_ascending;
           QCheck_alcotest.to_alcotest qcheck_explore_matches_reference;
+          Alcotest.test_case "intern table growth == reference explorer" `Quick
+            test_table_growth_matches_reference;
+          Alcotest.test_case "max_nodes above the id range refused" `Quick test_max_nodes_limit;
+          QCheck_alcotest.to_alcotest qcheck_m003_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_make_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_apply_immutable;
         ] );
