@@ -4,10 +4,22 @@
    Everything downstream of (spec, plan, protocol) is deterministic: the
    universe is rebuilt fresh from spec.seed for every protocol (so a
    fault schedule perturbs each protocol identically, not a universe
-   already mutated by the previous run), identities are namespaced by
-   seed and protocol so MSS keys are fresh, and the graph is derived
-   from spec.seed alone. Running the same plan twice yields byte-equal
-   traces. *)
+   already mutated by the previous run), and the graph is derived from
+   spec.seed alone. Running the same plan twice yields byte-equal
+   traces.
+
+   A plan's protocol runs share one set of parties: identities are
+   namespaced by the plan seed alone ([plan_ns]), so the per-domain MSS
+   key-material memo generates each party's key once per plan. Every
+   run still gets a full, unconsumed signature budget ([Keys.fresh]).
+   Reusing one-time leaves across runs is safe because each run's
+   universe is separate: no message or transaction ever crosses from
+   one universe to another.
+
+   A protocol that does not apply to the plan's graph (Nolan beyond two
+   parties) is skipped before any universe exists, and a finished
+   report carries a detached observability context ([Obs.detach]), so
+   a sweep holds at most one live universe per worker. *)
 
 module Rng = Ac3_sim.Rng
 module Pool = Ac3_par.Pool
@@ -60,7 +72,7 @@ type report = {
   trace : Ac3_flow.Protocol.event Trace.t option;  (** the protocol's own event log *)
   chaos_trace : Ac3_flow.Protocol.event Trace.t option;
       (** universe log: the faults that fired *)
-  obs : Obs.t;  (** the run universe's metrics and spans *)
+  obs : Obs.t;  (** the run universe's metrics and spans, detached *)
 }
 
 let failed r = match r.exec with Verdict v -> not v.Oracle.pass | Rejected _ | Skipped _ -> false
@@ -127,9 +139,15 @@ let build_graph ~spec ~ids ~timestamp =
   | Plan.Supply_chain -> Scenarios.supply_chain_graph ~chains ids ~timestamp
   | Plan.Random -> random_graph ~spec ~ids ~timestamp
 
-let build_universe ?instrument ~spec ~protocol () =
-  let ns = Printf.sprintf "chaos%d-%s" spec.Plan.seed (protocol_name protocol) in
-  let ids = Scenarios.identities ~ns ~fresh:true spec.Plan.parties in
+let plan_ns spec = Printf.sprintf "chaos%d" spec.Plan.seed
+
+let plan_identities spec = Scenarios.identities ~ns:(plan_ns spec) ~fresh:true spec.Plan.parties
+
+(* [protocol] selects nothing: every protocol of a plan gets the same
+   parties and the same universe. *)
+let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
+  let ns = plan_ns spec in
+  let ids = plan_identities spec in
   (* Background-load identities (spec.load - 1 extra swaps, two parties
      each) must exist at genesis to be premined; with load = 1 the list
      is empty and the universe is byte-identical to before the knob. *)
@@ -190,44 +208,73 @@ let launch_background ~universe ~spec ~bg =
       | Ok h -> h
       | Error e -> failwith ("chaos background swap refused: " ^ e))
 
-let run_one ?instrument ~spec ~plan ~protocol () =
-  let universe, participants, ids, bg = build_universe ?instrument ~spec ~protocol () in
-  let run_span =
-    Span.enter (Universe.spans universe)
-      ~attrs:
-        [
-          ("seed", string_of_int spec.Plan.seed); ("protocol", protocol_name protocol);
-        ]
-      "run"
+let run_attrs ~spec ~protocol =
+  [ ("seed", string_of_int spec.Plan.seed); ("protocol", protocol_name protocol) ]
+
+(* The counters every report carries, whatever its outcome. *)
+let count_run m ~plan ~protocol exec =
+  let verdict =
+    match exec with
+    | Verdict v -> if v.Oracle.pass then "pass" else "violation"
+    | Rejected _ -> "rejected"
+    | Skipped _ -> "skipped"
   in
+  Metrics.incr
+    (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol); ("verdict", verdict) ] "chaos.run");
+  Metrics.add
+    (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol) ] "chaos.faults_planned")
+    (List.length plan)
+
+(* Nolan applies to two-party swaps only. A graph's shape does not
+   depend on its timestamp, so this needs no universe. *)
+let applies ~spec protocol =
+  match protocol with
+  | P_nolan ->
+      Ac2t.classify (build_graph ~spec ~ids:(plan_identities spec) ~timestamp:warmup)
+      = Ac2t.Simple_swap
+  | P_herlihy | P_ac3wn -> true
+
+(* A skipped run builds no universe. Its report is the one it had when
+   it built and warmed one first: the [run] span at warmup, the verdict
+   counters, and an empty fault log. *)
+let skip_report ?(instrument = true) ~spec ~plan ~protocol reason =
+  let obs = Obs.create ~enabled:instrument ~clock:(fun () -> warmup) () in
+  Span.exit obs.Obs.spans (Span.enter obs.Obs.spans ~attrs:(run_attrs ~spec ~protocol) "run");
+  let exec = Skipped reason in
+  count_run obs.Obs.metrics ~plan ~protocol exec;
+  {
+    protocol;
+    spec;
+    plan;
+    exec;
+    flow_violations = [];
+    trace = None;
+    chaos_trace = Some (Trace.create ());
+    obs;
+  }
+
+let run_in_universe ?instrument ~spec ~plan ~protocol () =
+  let universe, participants, ids, bg = build_universe ?instrument ~spec ~protocol () in
+  let run_span = Span.enter (Universe.spans universe) ~attrs:(run_attrs ~spec ~protocol) "run" in
   let bg_handles = launch_background ~universe ~spec ~bg in
+  (* [finish] is the last thing that records into the universe. The
+     report keeps a detached context, so the universe is garbage once
+     the run returns. *)
   let finish ?trace ?(flow = []) exec =
     let bg_settled = List.length (List.filter Driver.settled bg_handles) in
     List.iter (fun h -> ignore (Driver.finish h : Driver.result)) bg_handles;
-    (if bg_handles <> [] then
-       let m = Universe.metrics universe in
-       Metrics.add
-         (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol) ] "chaos.load.launched")
-         (List.length bg_handles);
-       Metrics.add
-         (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol) ] "chaos.load.settled")
-         bg_settled);
+    let m = Universe.metrics universe in
+    if bg_handles <> [] then begin
+      Metrics.add
+        (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol) ] "chaos.load.launched")
+        (List.length bg_handles);
+      Metrics.add
+        (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol) ] "chaos.load.settled")
+        bg_settled
+    end;
     Span.exit (Universe.spans universe) run_span;
     Universe.snapshot_metrics universe;
-    let m = Universe.metrics universe in
-    let verdict =
-      match exec with
-      | Verdict v -> if v.Oracle.pass then "pass" else "violation"
-      | Rejected _ -> "rejected"
-      | Skipped _ -> "skipped"
-    in
-    Metrics.incr
-      (Metrics.counter m
-         ~labels:[ ("protocol", protocol_name protocol); ("verdict", verdict) ]
-         "chaos.run");
-    Metrics.add
-      (Metrics.counter m ~labels:[ ("protocol", protocol_name protocol) ] "chaos.faults_planned")
-      (List.length plan);
+    count_run m ~plan ~protocol exec;
     {
       protocol;
       spec;
@@ -236,7 +283,7 @@ let run_one ?instrument ~spec ~plan ~protocol () =
       flow_violations = flow;
       trace;
       chaos_trace = Some (Universe.trace universe);
-      obs = Universe.obs universe;
+      obs = Obs.detach (Universe.obs universe);
     }
   in
   let graph = build_graph ~spec ~ids ~timestamp:(Universe.now universe) in
@@ -262,24 +309,15 @@ let run_one ?instrument ~spec ~plan ~protocol () =
             ~timelock_slack:single_leader_config.Herlihy.timelock_slack ~start_time
       | Flow.Witness -> Verify.ac3wn_preflight ~graph)
   in
+  Inject.install ~universe ~participants plan;
   match protocol with
-  | P_nolan ->
-      if Ac2t.classify graph <> Ac2t.Simple_swap then
-        finish (Skipped "nolan: not a two-party swap")
-      else begin
-        Inject.install ~universe ~participants plan;
-        match Nolan.execute universe ~config:single_leader_config ~graph ~participants () with
-        | Ok result ->
-            let v =
-              Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
-                ~static_errors:(static_errors ())
-            in
-            finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
-        | Error msg -> finish (Rejected msg)
-      end
-  | P_herlihy -> begin
-      Inject.install ~universe ~participants plan;
-      match Herlihy.execute universe ~config:single_leader_config ~graph ~participants () with
+  | P_nolan | P_herlihy -> begin
+      let executed =
+        if protocol = P_nolan then
+          Nolan.execute universe ~config:single_leader_config ~graph ~participants ()
+        else Herlihy.execute universe ~config:single_leader_config ~graph ~participants ()
+      in
+      match executed with
       | Ok result ->
           let v =
             Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
@@ -288,8 +326,7 @@ let run_one ?instrument ~spec ~plan ~protocol () =
           finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
       | Error msg -> finish (Rejected msg)
     end
-  | P_ac3wn ->
-      Inject.install ~universe ~participants plan;
+  | P_ac3wn -> (
       let config =
         {
           (Ac3wn.default_config ~witness_chain:"witness") with
@@ -305,7 +342,11 @@ let run_one ?instrument ~spec ~plan ~protocol () =
               ~static_errors:(static_errors ())
           in
           finish ~trace:result.Ac3wn.trace ~flow:(flow_check v) (Verdict v)
-      | Error msg -> finish (Rejected msg)
+      | Error msg -> finish (Rejected msg))
+
+let run_one ?instrument ~spec ~plan ~protocol () =
+  if applies ~spec protocol then run_in_universe ?instrument ~spec ~plan ~protocol ()
+  else skip_report ?instrument ~spec ~plan ~protocol "nolan: not a two-party swap"
 
 (* Fingerprint of everything observable about a report. Reports hold
    closures and custom blocks (obs contexts, traces), so the generic

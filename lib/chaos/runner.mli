@@ -3,7 +3,10 @@
     Everything downstream of (spec, plan, protocol) is deterministic:
     the universe is rebuilt fresh from [spec.seed] for every protocol
     run, so repeated runs — including replays of a deserialized plan —
-    produce byte-identical traces and outcomes. *)
+    produce byte-identical traces and outcomes. All protocol runs of
+    one plan share its parties ({!plan_identities}); a run that does
+    not apply is skipped before any universe is built, and a finished
+    report no longer holds its universe. *)
 
 (** The chaos harness's own spelling of {!Ac3_flow.Protocol.t}, kept
     as a separate enum because the benchmark worker names its
@@ -37,7 +40,10 @@ type report = {
   trace : Ac3_flow.Protocol.event Ac3_sim.Trace.t option;  (** the protocol's own event log *)
   chaos_trace : Ac3_flow.Protocol.event Ac3_sim.Trace.t option;
       (** universe log: faults that fired *)
-  obs : Ac3_obs.Obs.t;  (** the run universe's metrics and spans *)
+  obs : Ac3_obs.Obs.t;
+      (** the run universe's metrics and spans, detached from the
+          universe ({!Ac3_obs.Obs.detach}); a skipped run's holds only
+          its [run] span and [chaos.*] counters *)
 }
 
 (** Did the oracle fail this run? (Rejected/Skipped never count.) *)
@@ -53,9 +59,19 @@ val warmup : float
 (** Simulation horizon handed to each protocol's [timeout]. *)
 val protocol_timeout : float
 
-(** Returns (universe, protocol participants, their identities,
-    background-load participants — [2 * (spec.load - 1)] of them,
-    premined but not part of the protocol's graph). *)
+(** The plan's protocol parties: [spec.parties] identities namespaced by
+    [spec.seed] alone, each with a full, unconsumed signature budget
+    on every call. Key material comes from the per-domain MSS memo
+    after the first call, so the protocols of a plan pay for one
+    keygen. *)
+val plan_identities : Plan.spec -> Ac3_crypto.Keys.t list
+
+(** Returns (universe, protocol participants, their identities —
+    {!plan_identities} — and background-load participants —
+    [2 * (spec.load - 1)] of them, premined but not part of the
+    protocol's graph). [protocol] no longer selects the identities:
+    every protocol of a plan gets the same parties and the same
+    universe. *)
 val build_universe :
   ?instrument:bool ->
   spec:Plan.spec ->

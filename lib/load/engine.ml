@@ -380,7 +380,7 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
 
 let run ?instrument ~seed config =
   let report, u = run_universe ?instrument ~seed config in
-  (report, Universe.obs u)
+  (report, Obs.detach (Universe.obs u))
 
 (* --- Conservation -------------------------------------------------------- *)
 

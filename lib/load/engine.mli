@@ -44,8 +44,9 @@ type report = {
 
 (** Execute one workload in a fresh universe seeded by [seed]; returns
     the report and the universe's observability context (metrics under
-    [load.*] plus the per-swap phase spans). Raises [Invalid_argument]
-    on an invalid config. *)
+    [load.*] plus the per-swap phase spans), detached from the universe
+    ({!Ac3_obs.Obs.detach}) so a sweep does not keep every run's
+    universe alive. Raises [Invalid_argument] on an invalid config. *)
 val run : ?instrument:bool -> seed:int -> Workload.config -> report * Obs.t
 
 (** Like {!run} but hands back the whole universe, for post-mortem

@@ -7,5 +7,7 @@ let create ?(enabled = true) ~clock () =
 
 let is_enabled t = Metrics.is_enabled t.metrics
 
+let detach t = { t with spans = Span.detach t.spans }
+
 let to_json t =
   Json.Obj [ ("metrics", Metrics.to_json t.metrics); ("trace", Span.to_json t.spans) ]

@@ -15,5 +15,10 @@ val create : ?enabled:bool -> clock:(unit -> float) -> unit -> t
 
 val is_enabled : t -> bool
 
+(** The same registry and spans, with the span clock frozen at its
+    current reading ({!Span.detach}): a finished run's context no
+    longer keeps its universe alive. *)
+val detach : t -> t
+
 (** [{"metrics": ..., "trace": ...}] — both parts schema-stable. *)
 val to_json : t -> Ac3_crypto.Codec.Json.t

@@ -26,6 +26,13 @@ let create ?(enabled = true) ~clock () = { clock; on = enabled; roots_rev = []; 
 
 let is_enabled t = t.on
 
+(* A copy whose clock reads the original's current time for good: the
+   spans and the open stack are the same, but the copy no longer
+   reaches whatever the original clock closes over. *)
+let detach t =
+  let now = t.clock () in
+  { t with clock = (fun () -> now) }
+
 let dummy = { name = ""; attrs = []; start = 0.0; stop = Some 0.0; children_rev = [] }
 
 let attach t parent span =

@@ -19,6 +19,13 @@ val create : ?enabled:bool -> clock:(unit -> float) -> unit -> t
 
 val is_enabled : t -> bool
 
+(** [detach t] is a recorder with [t]'s spans whose clock is frozen at
+    [t]'s current time. It holds nothing [t]'s clock closes over (a
+    universe's engine, say), so a finished run's recorder can outlive
+    its universe. Record nothing into [t] afterwards: the two share
+    their spans but not the roots or the open stack added later. *)
+val detach : t -> t
+
 (** [enter t name] opens a span starting now. Without [?parent] the span
     nests under the innermost open {!enter}ed span, or becomes a root. *)
 val enter : t -> ?parent:span -> ?attrs:(string * string) list -> string -> span

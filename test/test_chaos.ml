@@ -13,7 +13,10 @@ module Runner = Ac3_chaos.Runner
 module Shrink = Ac3_chaos.Shrink
 module Repro = Ac3_chaos.Repro
 module Json = Ac3_crypto.Codec.Json
+module Keys = Ac3_crypto.Keys
 module Trace = Ac3_sim.Trace
+module Metrics = Ac3_obs.Metrics
+module Span = Ac3_obs.Span
 
 let trace_string t = Fmt.str "%a" (Trace.pp Ac3_flow.Protocol.pp_event) t
 
@@ -199,6 +202,84 @@ let test_corpus_has_crash_schedule () =
   in
   Alcotest.(check bool) "a crash schedule breaks herlihy but not ac3wn" true (witnesses <> [])
 
+(* --- one set of parties per plan, one live universe --------------------- *)
+
+(* Seed 1 samples a ring: every protocol but Nolan applies. *)
+let ring_plan () =
+  let spec, plan = Plan.sample ~seed:1 () in
+  Alcotest.(check bool) "seed 1 samples a ring" true (spec.Plan.shape = Plan.Ring);
+  (spec, plan)
+
+let capacity = Keys.remaining_signatures (Keys.fresh "test-chaos:capacity")
+
+let full_budgets ids = List.for_all (fun id -> Keys.remaining_signatures id = capacity) ids
+
+let test_plan_shares_parties () =
+  let spec, _ = ring_plan () in
+  let expected = List.map Keys.public (Runner.plan_identities spec) in
+  List.iter
+    (fun protocol ->
+      let _, _, ids, _ = Runner.build_universe ~spec ~protocol () in
+      let name = Runner.protocol_name protocol in
+      Alcotest.(check (list string)) (name ^ ": the plan's parties") expected
+        (List.map Keys.public ids);
+      Alcotest.(check bool) (name ^ ": full signature budgets") true (full_budgets ids))
+    Runner.all_protocols;
+  (* An AC3WN run signs with its universe's keys; the next run of the
+     same plan still starts with full budgets. *)
+  let universe, participants, ids, _ = Runner.build_universe ~spec ~protocol:Runner.P_ac3wn () in
+  let graph = Runner.build_graph ~spec ~ids ~timestamp:(Ac3_core.Universe.now universe) in
+  let config = Ac3_core.Ac3wn.default_config ~witness_chain:"witness" in
+  (match Ac3_core.Ac3wn.execute universe ~config ~graph ~participants () with
+  | Ok result -> Alcotest.(check bool) "ac3wn commits" true result.Ac3_core.Ac3wn.committed
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "the run signed" false (full_budgets ids);
+  let _, _, next, _ = Runner.build_universe ~spec ~protocol:Runner.P_herlihy () in
+  Alcotest.(check bool) "the next run's budgets are full" true (full_budgets next)
+
+let test_skip_builds_nothing () =
+  let spec, plan = ring_plan () in
+  let r = Runner.run_one ~spec ~plan ~protocol:Runner.P_nolan () in
+  Alcotest.(check string) "exec" "skipped: nolan: not a two-party swap" (verdict_string r);
+  let run_span =
+    Json.Obj
+      [
+        ("name", Json.String "run");
+        ("start", Json.Float Runner.warmup);
+        ("end", Json.Float Runner.warmup);
+        ("attrs", Json.Obj [ ("seed", Json.String "1"); ("protocol", Json.String "nolan") ]);
+        ("children", Json.List []);
+      ]
+  in
+  Alcotest.(check string) "the run span at warmup"
+    (Json.to_string (Json.Obj [ ("spans", Json.List [ run_span ]) ]))
+    (Json.to_string (Span.to_json r.Runner.obs.Ac3_obs.Obs.spans));
+  let expected = Metrics.create () in
+  Metrics.incr
+    (Metrics.counter expected ~labels:[ ("protocol", "nolan"); ("verdict", "skipped") ] "chaos.run");
+  Metrics.add
+    (Metrics.counter expected ~labels:[ ("protocol", "nolan") ] "chaos.faults_planned")
+    (List.length plan);
+  Alcotest.(check string) "only the chaos counters"
+    (Json.to_string (Metrics.to_json expected))
+    (Json.to_string (Metrics.to_json r.Runner.obs.Ac3_obs.Obs.metrics))
+
+let test_report_drops_universe () =
+  let spec, plan = ring_plan () in
+  let universe_words =
+    let universe, _, _, _ = Runner.build_universe ~spec ~protocol:Runner.P_ac3wn () in
+    Obj.reachable_words (Obj.repr universe)
+  in
+  List.iter
+    (fun protocol ->
+      let report = Runner.run_one ~spec ~plan ~protocol () in
+      let words = Obj.reachable_words (Obj.repr report) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s report (%d words) far below a fresh universe (%d words)"
+           (Runner.protocol_name protocol) words universe_words)
+        true (words * 5 < universe_words))
+    Runner.all_protocols
+
 (* --- the bounded smoke sweep ------------------------------------------- *)
 
 let test_smoke_sweep () =
@@ -268,6 +349,12 @@ let () =
         [
           Alcotest.test_case "every reproducer replays" `Quick test_corpus_replays;
           Alcotest.test_case "sec 3 crash schedule present" `Quick test_corpus_has_crash_schedule;
+        ] );
+      ( "parties",
+        [
+          Alcotest.test_case "a plan's runs share parties" `Quick test_plan_shares_parties;
+          Alcotest.test_case "skipped nolan builds no universe" `Quick test_skip_builds_nothing;
+          Alcotest.test_case "finished report holds no universe" `Quick test_report_drops_universe;
         ] );
       ( "sweep", [ Alcotest.test_case "50-run smoke sweep" `Slow test_smoke_sweep ] );
       ( "shrink",
