@@ -631,7 +631,8 @@ let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose me
         else begin
           let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
           let on_report = if verbose then Some report_line else None in
-          match Runner.sweep ~protocols ?on_report ~jobs ~sanitize ~load ~seed ~runs () with
+          let spans = Option.is_some trace_out in
+          match Runner.sweep ~protocols ?on_report ~jobs ~spans ~sanitize ~load ~seed ~runs () with
           | summary ->
               export_obs ?metrics_out ?trace_out summary.Runner.obs;
               Fmt.pr "%a@." Runner.pp_summary summary;

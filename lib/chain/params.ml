@@ -55,6 +55,10 @@ let make ?(symbol = "COIN") ?(block_interval = 10.0) ?(block_capacity = 100) ?(p
     regular_blocks;
   }
 
+(* Confirmation latency: how long until a transaction sits at its
+   confirmation depth, in expectation. This is the Δ of Sec 6.1. *)
+let delta t = float_of_int t.confirm_depth *. t.block_interval
+
 (* Throughput in transactions per second implied by the parameters. *)
 let tps t = float_of_int t.block_capacity /. t.block_interval
 

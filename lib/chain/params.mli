@@ -38,6 +38,10 @@ val make :
   string ->
   t
 
+(** Δ of Sec 6.1: confirmation depth x block interval, the expected
+    time until a transaction sits at its confirmation depth. *)
+val delta : t -> float
+
 (** Transactions per second implied by capacity / interval. *)
 val tps : t -> float
 

@@ -6,12 +6,12 @@
    need concretizing — the conforming protocol moves happen on their own
    once the simulator runs. "Crash P after its deploys, before its
    redeems" becomes [Plan.Crash { party; at }] for a concrete [at]: we
-   try a small ladder of times (fractions of the universe's Δ after
-   protocol start) and keep the first plan whose dynamic run the oracle
-   flags as an atomicity violation. The runner is deterministic, so the final
-   reproducer — whose expectations are the actual verdicts of a fresh
-   [run_all] — replays bit-identically: [Repro.replay_ok] holds by
-   construction. *)
+   try a small ladder of times (fractions of the chaos chains' Δ,
+   [Runner.delta], after protocol start) and keep the first plan whose
+   dynamic run the oracle flags as an atomicity violation. The runner
+   is deterministic, so the final reproducer — whose expectations are
+   the actual verdicts of a fresh [run_all] — replays bit-identically:
+   [Repro.replay_ok] holds by construction. *)
 
 type outcome = {
   repro : Repro.t;
@@ -32,9 +32,9 @@ let violates ~spec ~protocol plan =
 
 let concretize ?(note = "model-checker counterexample") ~spec ~protocol ~crashes:parties () =
   let target = Runner.of_shared protocol in
-  let universe, _, _, _ = Runner.build_universe ~spec ~protocol:target () in
-  let delta = Ac3_core.Universe.max_delta universe in
-  let plan_at frac = List.map (fun p -> Plan.Crash { party = p; at = frac *. delta }) parties in
+  let plan_at frac =
+    List.map (fun p -> Plan.Crash { party = p; at = frac *. Runner.delta }) parties
+  in
   let rec search attempts = function
     | [] -> (None, attempts)
     | frac :: rest ->

@@ -8,18 +8,20 @@
    spec.seed alone. Running the same plan twice yields byte-equal
    traces.
 
-   A plan's protocol runs share one set of parties: identities are
-   namespaced by the plan seed alone ([plan_ns]), so the per-domain MSS
-   key-material memo generates each party's key once per plan. Every
-   run still gets a full, unconsumed signature budget ([Keys.fresh]).
-   Reusing one-time leaves across runs is safe because each run's
-   universe is separate: no message or transaction ever crosses from
-   one universe to another.
+   Every plan draws its parties from one fixed cast, the namespace
+   [cast_ns]: chaos:alice, chaos:bob, ... and chaos:bg<k> for background
+   load. So the per-domain MSS key-material memo generates each party's
+   key once per domain per process, not once per plan. Every run still
+   gets a full, unconsumed signature budget ([Keys.fresh]). Reusing
+   one-time leaves across runs and across plans is safe because each
+   run's universe is separate: no message or transaction ever crosses
+   from one universe to another.
 
    A protocol that does not apply to the plan's graph (Nolan beyond two
-   parties) is skipped before any universe exists, and a finished
-   report carries a detached observability context ([Obs.detach]), so
-   a sweep holds at most one live universe per worker. *)
+   parties) is skipped before any universe exists, a finished report
+   carries a detached observability context ([Obs.detach]), and a sweep
+   merges each plan's reports as they finish ([Pool.fold]), so its
+   memory does not grow with its run count. *)
 
 module Rng = Ac3_sim.Rng
 module Pool = Ac3_par.Pool
@@ -139,14 +141,19 @@ let build_graph ~spec ~ids ~timestamp =
   | Plan.Supply_chain -> Scenarios.supply_chain_graph ~chains ids ~timestamp
   | Plan.Random -> random_graph ~spec ~ids ~timestamp
 
-let plan_ns spec = Printf.sprintf "chaos%d" spec.Plan.seed
+let cast_ns = "chaos"
 
-let plan_identities spec = Scenarios.identities ~ns:(plan_ns spec) ~fresh:true spec.Plan.parties
+let plan_identities spec = Scenarios.identities ~ns:cast_ns ~fresh:true spec.Plan.parties
+
+(* Every chain of a chaos universe, the witness chain included, gets
+   these parameters, so their Δ is the universe's [max_delta]. *)
+let delta =
+  Ac3_chain.Params.delta
+    (Scenarios.chain_params ~block_interval ~confirm_depth ~premine:[] "witness")
 
 (* [protocol] selects nothing: every protocol of a plan gets the same
    parties and the same universe. *)
 let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
-  let ns = plan_ns spec in
   let ids = plan_identities spec in
   (* Background-load identities (spec.load - 1 extra swaps, two parties
      each) must exist at genesis to be premined; with load = 1 the list
@@ -154,7 +161,7 @@ let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
   let bg_ids =
     List.init
       (2 * (spec.Plan.load - 1))
-      (fun k -> Keys.fresh (Printf.sprintf "%s:bg%d" ns k))
+      (fun k -> Keys.fresh (Printf.sprintf "%s:bg%d" cast_ns k))
   in
   let universe, participants =
     Scenarios.make_universe ~seed:spec.Plan.seed ~block_interval ~confirm_depth ~nodes:2
@@ -379,8 +386,8 @@ let report_fingerprint r =
 (* Protocols are independent runs over universes rebuilt from the same
    spec, so they parallelize; collection preserves protocol order.
    [sanitize] re-executes sampled runs and compares report fingerprints
-   — sound here because every run rebuilds its universe and identities
-   from the spec seed alone. *)
+   — sound here because every run rebuilds its universe from the spec
+   seed and takes fresh signature budgets for the fixed cast. *)
 let run_all ?(protocols = all_protocols) ?(jobs = 1) ?(sanitize = false) ?instrument ~spec ~plan
     () =
   Pool.map ~jobs ~sanitize ~fingerprint:report_fingerprint
@@ -446,46 +453,50 @@ let tally c = function
    isolation as [ac3 chaos --seed <fail_seed> --runs 1].
 
    With [jobs > 1] the runs execute on an ac3_par domain pool. Each
-   task's entire state — universe, identities, fault plan — derives
-   from its own run seed, never from pool scheduling, and tallying
-   happens afterwards over the order-preserved task results in exactly
-   the sequential (run, protocol) order; the summary and every
-   [on_report] callback are therefore byte-identical for every [jobs]
-   (locked in by test/test_par.ml). *)
+   task's entire state — universe, fault plan, and fresh signature
+   budgets for the fixed cast — derives from its own run seed, never
+   from pool scheduling. [Pool.fold] hands each plan's reports to the
+   tally below in exactly the sequential (run, protocol) order, as soon
+   as every earlier plan has merged, and then drops them; the summary
+   and every [on_report] callback are therefore byte-identical for every
+   [jobs] (locked in by test/test_par.ml), and a sweep holds at most a
+   window of unmerged plans. *)
 let sweep ?(protocols = all_protocols) ?on_report ?(jobs = 1) ?(instrument = true)
-    ?(sanitize = false) ?(load = 1) ~seed ~runs () =
+    ?(spans = true) ?(sanitize = false) ?(load = 1) ~seed ~runs () =
   let sweep_task_fingerprint (run_seed, reports) =
     String.concat "\n" (string_of_int run_seed :: List.map report_fingerprint reports)
-  in
-  let reports_by_run =
-    Pool.run ~jobs ~sanitize ~fingerprint:sweep_task_fingerprint
-      (List.init runs (fun k () ->
-           let run_seed = seed + k in
-           let spec, plan = Plan.sample ~load ~seed:run_seed () in
-           ( run_seed,
-             List.map (fun protocol -> run_one ~instrument ~spec ~plan ~protocol ()) protocols )))
   in
   let per = List.map (fun p -> (p, zero_counts ())) protocols in
   let failures = ref [] in
   let unexplained_failures = ref 0 in
   let interval_violations = ref 0 in
   (* Per-run observability contexts merge in the same sequential (run,
-     protocol) order as the tally below, which is what makes the merged
+     protocol) order as the tally, which is what makes the merged
      registry and span forest byte-identical for every [jobs]. *)
-  let obs = Obs.create ~enabled:instrument ~clock:(fun () -> 0.0) () in
-  List.iter
-    (fun (run_seed, reports) ->
-      List.iter2
-        (fun (_, counts) r ->
-          tally counts r.exec;
-          if failed r then failures := { fail_seed = run_seed; fail_protocol = r.protocol } :: !failures;
-          if unexplained r then incr unexplained_failures;
-          if r.flow_violations <> [] then incr interval_violations;
-          Metrics.merge_into ~into:obs.Obs.metrics r.obs.Obs.metrics;
-          Span.import ~into:obs.Obs.spans r.obs.Obs.spans;
-          match on_report with None -> () | Some f -> f r)
-        per reports)
-    reports_by_run;
+  let clock () = 0.0 in
+  let obs = Obs.create ~enabled:instrument ~clock () in
+  let obs = if spans then obs else { obs with Obs.spans = Span.create ~enabled:false ~clock () } in
+  let merge () (run_seed, reports) =
+    List.iter2
+      (fun (_, counts) r ->
+        tally counts r.exec;
+        if failed r then failures := { fail_seed = run_seed; fail_protocol = r.protocol } :: !failures;
+        if unexplained r then incr unexplained_failures;
+        if r.flow_violations <> [] then incr interval_violations;
+        Metrics.merge_into ~into:obs.Obs.metrics r.obs.Obs.metrics;
+        Span.import ~into:obs.Obs.spans r.obs.Obs.spans;
+        match on_report with None -> () | Some f -> f r)
+      per reports
+  in
+  Pool.fold ~jobs ~sanitize ~fingerprint:sweep_task_fingerprint ~init:() ~merge
+    (List.init runs (fun k () ->
+         let run_seed = seed + k in
+         (* The previous plan's block hashes and verdicts are dead
+            weight here; the cast's key material is kept. *)
+         Ac3_fast.Memo.clear_transient ();
+         let spec, plan = Plan.sample ~load ~seed:run_seed () in
+         ( run_seed,
+           List.map (fun protocol -> run_one ~instrument ~spec ~plan ~protocol ()) protocols )));
   {
     sweep_seed = seed;
     sweep_runs = runs;

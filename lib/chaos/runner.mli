@@ -3,10 +3,11 @@
     Everything downstream of (spec, plan, protocol) is deterministic:
     the universe is rebuilt fresh from [spec.seed] for every protocol
     run, so repeated runs — including replays of a deserialized plan —
-    produce byte-identical traces and outcomes. All protocol runs of
-    one plan share its parties ({!plan_identities}); a run that does
-    not apply is skipped before any universe is built, and a finished
-    report no longer holds its universe. *)
+    produce byte-identical traces and outcomes. Every plan draws its
+    parties from one fixed cast ({!plan_identities}); a run that does
+    not apply is skipped before any universe is built, a finished
+    report no longer holds its universe, and a {!sweep} drops each
+    plan's reports once it has tallied them. *)
 
 (** The chaos harness's own spelling of {!Ac3_flow.Protocol.t}, kept
     as a separate enum because the benchmark worker names its
@@ -59,19 +60,26 @@ val warmup : float
 (** Simulation horizon handed to each protocol's [timeout]. *)
 val protocol_timeout : float
 
-(** The plan's protocol parties: [spec.parties] identities namespaced by
-    [spec.seed] alone, each with a full, unconsumed signature budget
-    on every call. Key material comes from the per-domain MSS memo
-    after the first call, so the protocols of a plan pay for one
-    keygen. *)
+(** The plan's protocol parties: the first [spec.parties] members of
+    the fixed cast [chaos:alice], [chaos:bob], ..., the same names and
+    public keys for every plan, each with a full, unconsumed signature
+    budget on every call. Key material comes from the per-domain MSS
+    memo after the first call, so a domain pays for each party's keygen
+    once per process, not once per plan. Universes never exchange
+    messages, so reusing keys across plans is safe. *)
 val plan_identities : Plan.spec -> Ac3_crypto.Keys.t list
+
+(** Δ of every chain in a chaos universe ({!Ac3_chain.Params.delta} of
+    the parameters {!build_universe} fixes): the universe's
+    [max_delta], known without building one. *)
+val delta : float
 
 (** Returns (universe, protocol participants, their identities —
     {!plan_identities} — and background-load participants —
-    [2 * (spec.load - 1)] of them, premined but not part of the
-    protocol's graph). [protocol] no longer selects the identities:
-    every protocol of a plan gets the same parties and the same
-    universe. *)
+    [2 * (spec.load - 1)] of them, [chaos:bg<k>] from the same fixed
+    cast, premined but not part of the protocol's graph). [protocol]
+    no longer selects the identities: every protocol of a plan gets the
+    same parties and the same universe. *)
 val build_universe :
   ?instrument:bool ->
   spec:Plan.spec ->
@@ -102,7 +110,9 @@ val run_one :
     [sanitize] (default [false]) re-executes sampled runs sequentially
     and compares report fingerprints, raising
     [Ac3_par.Pool.Interference] on divergence — sound because each run
-    rebuilds its universe and identities from the spec seed alone. *)
+    rebuilds its universe from the spec seed and takes fresh signature
+    budgets ([Keys.fresh]) for the fixed cast, so no run consumes
+    another's one-time keys. *)
 val run_all :
   ?protocols:protocol list ->
   ?jobs:int ->
@@ -143,14 +153,22 @@ type summary = {
 (** Run [runs] sampled plans (per-run seeds [seed], [seed+1], ...), each
     against every protocol in [protocols]. [on_report] sees every
     report in sequential (run, protocol) order — even under [jobs > 1],
-    where runs execute on an [Ac3_par.Pool] but tallying and callbacks
-    happen afterwards over the order-preserved results, so the summary
-    is byte-identical for every [jobs] value (default 1).
+    where runs execute on an [Ac3_par.Pool] whose ordered fold tallies
+    each plan's reports, and calls [on_report], on the calling domain
+    in run order — so the summary is byte-identical for every [jobs]
+    value (default 1). Reports are dropped once tallied: memory does
+    not grow with [runs].
 
     [sanitize] spot-checks the pool's isolation contract: sampled runs
     are re-executed after the sweep and their report fingerprints
     compared, raising [Ac3_par.Pool.Interference] with the offending
     run index on divergence.
+
+    [spans] (default [true]) keeps every run's span tree in the
+    summary's [obs]; it is the one part of a summary that grows with
+    [runs], so a caller that exports no trace passes [false]. Between
+    plans a task drops its domain's transient memo entries
+    ({!Ac3_fast.Memo.clear_transient}).
 
     [load] (default 1) layers [load - 1] concurrent background swaps
     onto every run's universe ({!Ac3_chaos.Plan.spec.load}): crashes
@@ -161,6 +179,7 @@ val sweep :
   ?on_report:(report -> unit) ->
   ?jobs:int ->
   ?instrument:bool ->
+  ?spans:bool ->
   ?sanitize:bool ->
   ?load:int ->
   seed:int ->

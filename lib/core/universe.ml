@@ -99,11 +99,7 @@ let gateway t id = (chain t id).nodes.(0)
 
 let params t id = (chain t id).params
 
-(* Confirmation latency of a chain: how long until a transaction sits at
-   its confirmation depth, in expectation. This is the Δ of Sec 6.1. *)
-let delta t id =
-  let p = params t id in
-  float_of_int p.Params.confirm_depth *. p.Params.block_interval
+let delta t id = Params.delta (params t id)
 
 (* The largest Δ across all chains: the Δ used in the paper's uniform
    latency analysis. *)

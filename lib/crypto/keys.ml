@@ -4,9 +4,11 @@
    Identities are deterministic from a seed string, so simulated
    participants ("alice", "bob", miners, ...) are reproducible. Key
    generation is the expensive step (2^height WOTS key generations), so
-   generated key material is memoized by (seed, height); callers that need
-   independent signers across trials should embed the trial id in the
-   seed. *)
+   generated key material is memoized by (seed, height). Independent
+   signers across trials need independent signature budgets, not
+   independent keys: [fresh] gives every call a full budget over the
+   memoized material, so trials that never exchange messages (the
+   chaos sweep's universes) reuse one fixed cast of labels. *)
 
 type public = string (* 32-byte MSS root *)
 
@@ -19,7 +21,8 @@ let address_len = 20
 (* Address = truncated hash of the public key, like Bitcoin's HASH160.
    Memoized by the public key itself: input resolution re-derives the
    owner address of every spent input on every admission poll. *)
-let address_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.address" ~cap:1024
+let address_memo : string Ac3_fast.Memo.t =
+  Ac3_fast.Memo.create ~durable:true ~name:"keys.address" ~cap:1024 ()
 
 let address_of_public pk =
   Ac3_fast.Memo.memo address_memo pk (fun () ->
@@ -85,7 +88,7 @@ let sign t msg = Mss.sign t.secret msg
    small: a serialized MSS triple is a couple of kilobytes, and
    re-verification is frequent enough that the allocation shows up as
    GC time. Verdicts are pure functions of the key. *)
-let verify_memo : bool Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.verify" ~cap:4096
+let verify_memo : bool Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.verify" ~cap:4096 ()
 
 let verify_key pk msg signature =
   let w = Codec.Writer.create () in

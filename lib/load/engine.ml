@@ -476,26 +476,24 @@ let run_fingerprint (report, obs) =
   render report ^ "\n" ^ Json.to_string (Metrics.to_json obs.Obs.metrics)
 
 (* Per-run seeds are consecutive so any sweep result reproduces in
-   isolation as [ac3 load --seed <run_seed> --runs 1]. Tallying and the
-   observability merge happen afterwards over the order-preserved task
-   results, which is what makes the sweep byte-identical for every
-   [jobs] (the chaos harness discipline). *)
+   isolation as [ac3 load --seed <run_seed> --runs 1]. The pool's
+   ordered fold merges each run's observability context in run order as
+   soon as every earlier run has merged, which is what makes the sweep
+   byte-identical for every [jobs] (the chaos harness discipline); only
+   the small reports are kept. *)
 let sweep ?(jobs = 1) ?(sanitize = false) ?(instrument = true) ~seed ~runs config =
   if runs < 1 then invalid_arg "Engine.sweep: runs must be >= 1";
-  let per_run =
-    Pool.run ~jobs ~sanitize ~fingerprint:run_fingerprint
+  let obs = Obs.create ~enabled:instrument ~clock:(fun () -> 0.0) () in
+  let merge reports (report, run_obs) =
+    Metrics.merge_into ~into:obs.Obs.metrics run_obs.Obs.metrics;
+    Span.import ~into:obs.Obs.spans run_obs.Obs.spans;
+    report :: reports
+  in
+  let reports =
+    Pool.fold ~jobs ~sanitize ~fingerprint:run_fingerprint ~init:[] ~merge
       (List.init runs (fun k () -> run ~instrument ~seed:(seed + k) config))
   in
-  let obs = Obs.create ~enabled:instrument ~clock:(fun () -> 0.0) () in
-  let reports =
-    List.map
-      (fun (report, run_obs) ->
-        Metrics.merge_into ~into:obs.Obs.metrics run_obs.Obs.metrics;
-        Span.import ~into:obs.Obs.spans run_obs.Obs.spans;
-        report)
-      per_run
-  in
-  { sweep_seed = seed; sweep_runs = runs; reports; obs }
+  { sweep_seed = seed; sweep_runs = runs; reports = List.rev reports; obs }
 
 let render_sweep s =
   let b = Buffer.create 1024 in

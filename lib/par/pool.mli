@@ -1,12 +1,15 @@
 (** Deterministic work-stealing domain pool.
 
-    [run tasks] executes the thunks on up to [jobs] OCaml 5 domains:
-    every idle worker (the calling domain included) repeatedly steals
-    the next unclaimed task off a shared counter, so the pool
-    self-balances regardless of task-length skew. Results are collected
-    by task index, so the returned list is in task order and identical
-    for every [jobs] value — including 1, which runs everything
-    sequentially in the calling domain with no domains spawned.
+    {!fold} executes thunks on up to [jobs] OCaml 5 domains: every idle
+    worker (the calling domain included) claims the next unclaimed task,
+    so the pool self-balances regardless of task-length skew. Each
+    result goes to a sequential merge callback on the calling domain, in
+    task order, as soon as every earlier result has merged; at most a
+    window of results waits to merge, so a sweep's memory does not grow
+    with its task count. [jobs = 1] runs everything sequentially in the
+    calling domain with no domains spawned, and every [jobs] value
+    merges the same results in the same order. {!run} is the fold that
+    collects a list.
 
     Determinism contract: the pool never hands a task any
     scheduling-dependent state. A task that needs randomness must
@@ -19,13 +22,13 @@
     universe from the task's seed, so their tasks are isolated by
     construction. *)
 
-(** Raised when [run] (or a wrapper) is called from inside a pool
-    task. Nested pools would deadlock the fixed worker budget, so the
+(** Raised when {!fold} (or a wrapper) is called from inside a pool
+    task or a merge callback. Nested pools would deadlock the fixed worker budget, so the
     attempt is rejected eagerly; restructure the work as one flat task
     list instead. *)
 exception Nested
 
-(** Raised by {!run} under [~sanitize:true] when a re-executed task's
+(** Raised by {!fold} under [~sanitize:true] when a re-executed task's
     result fingerprint differs from the one recorded during the
     parallel batch: task [index] is not idempotent, i.e. it observed
     mutable state that other tasks (or its own first execution)
@@ -47,8 +50,8 @@ val default_jobs : unit -> int
 val split_seed : root:int -> index:int -> int
 
 (** [(batches, tasks)] submitted to the pool by this process so far.
-    Work is counted as *submitted*, not as *scheduled*: {!run}/{!map}
-    count their full task list and {!first_success} counts its whole
+    Work is counted as *submitted*, not as *scheduled*: {!fold} and its
+    wrappers count their full task list and {!first_success} counts its whole
     candidate list (not the jobs-dependent number it actually
     evaluates), so the totals are the same for every [jobs] value and
     safe to export as deterministic metrics. Per-domain utilization is
@@ -62,18 +65,44 @@ val stats : unit -> int * int
     runs, e.g. closures capturing fresh refs. *)
 val fingerprint : 'a -> string
 
-(** [run ?jobs tasks] executes every thunk and returns the results in
-    task order. If any task raises, the remaining tasks still run and
-    the exception of the lowest-indexed failing task is re-raised (with
-    its backtrace) once all workers have drained.
+(** [fold ?jobs ~init ~merge tasks] executes every thunk and folds the
+    results with [merge] in task order, starting from [init]. [merge]
+    runs on the calling domain only, one result at a time, each as soon
+    as every earlier result has merged — so it may print, or fill
+    structures the caller owns, without locks.
 
-    [sanitize] (default [false]) re-executes up to 16 evenly spaced
-    tasks sequentially in the calling domain after the batch and
-    compares result fingerprints; a mismatch raises {!Interference}
-    with the lowest offending task index. Under the pool's determinism
-    contract tasks are idempotent — they rebuild their world from their
-    own seed — so the rerun is free of observable effects and any
-    divergence means cross-task mutable interference. *)
+    [window] (default [4 * jobs]) bounds the results computed but not
+    yet merged: a worker that would run past [next merged + window]
+    blocks until the merge catches up.
+
+    If a task raises, every task still runs, results from the first
+    failing index on are dropped unmerged, and that lowest-indexed
+    exception is re-raised (with its backtrace) once all workers have
+    drained. If [merge] raises, no further task starts and its
+    exception is re-raised once the workers have drained.
+
+    [sanitize] (default [false]) records the result fingerprints of up
+    to 16 evenly spaced tasks as they merge — fingerprints only, never
+    the results — then re-executes those tasks sequentially in the
+    calling domain after the fold and compares; a mismatch raises
+    {!Interference} with the lowest offending task index. Under the
+    pool's determinism contract tasks are idempotent — they rebuild
+    their world from their own seed — so the rerun is free of
+    observable effects and any divergence means cross-task mutable
+    interference. *)
+val fold :
+  ?jobs:int ->
+  ?window:int ->
+  ?sanitize:bool ->
+  ?fingerprint:('a -> string) ->
+  init:'acc ->
+  merge:('acc -> 'a -> 'acc) ->
+  (unit -> 'a) list ->
+  'acc
+
+(** [run ?jobs tasks] is the {!fold} that returns every result in task
+    order, with a window as large as the batch (it holds every result
+    anyway). Exceptions and [sanitize] behave as in {!fold}. *)
 val run :
   ?jobs:int -> ?sanitize:bool -> ?fingerprint:('a -> string) -> (unit -> 'a) list -> 'a list
 

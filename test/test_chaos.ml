@@ -202,7 +202,7 @@ let test_corpus_has_crash_schedule () =
   in
   Alcotest.(check bool) "a crash schedule breaks herlihy but not ac3wn" true (witnesses <> [])
 
-(* --- one set of parties per plan, one live universe --------------------- *)
+(* --- one cast of parties for every plan, one live universe --------------- *)
 
 (* Seed 1 samples a ring: every protocol but Nolan applies. *)
 let ring_plan () =
@@ -236,6 +236,42 @@ let test_plan_shares_parties () =
   Alcotest.(check bool) "the run signed" false (full_budgets ids);
   let _, _, next, _ = Runner.build_universe ~spec ~protocol:Runner.P_herlihy () in
   Alcotest.(check bool) "the next run's budgets are full" true (full_budgets next)
+
+(* The cast is one namespace for every plan: the same name is the same
+   key, whichever seed the plan came from. *)
+let test_cast_shared_across_plans () =
+  let spec seed parties =
+    { Plan.seed; shape = Plan.Ring; parties; nchains = parties; extra_edges = 0; load = 1 }
+  in
+  let keyed spec =
+    List.map (fun id -> (Keys.label id, Keys.public id)) (Runner.plan_identities spec)
+  in
+  let five = keyed (spec 1 5) and three = keyed (spec 2 3) in
+  Alcotest.(check (list (pair string string)))
+    "seed 2's parties are seed 1's first three" (List.filteri (fun i _ -> i < 3) five) three
+
+(* Every key a sweep's runs use comes from the cast: at most one per
+   identity-pool name, plus the background-load keys. *)
+let test_sweep_uses_one_cast () =
+  let load = 2 in
+  let specs = ref [] in
+  let on_report (r : Runner.report) =
+    if not (List.mem r.Runner.spec !specs) then specs := r.Runner.spec :: !specs
+  in
+  ignore (Runner.sweep ~on_report ~load ~seed:1 ~runs:40 ());
+  Alcotest.(check int) "one spec per plan" 40 (List.length !specs);
+  let party_keys = Hashtbl.create 16 and bg_keys = Hashtbl.create 4 in
+  List.iter
+    (fun spec ->
+      let _, _, ids, bg = Runner.build_universe ~spec ~protocol:Runner.P_ac3wn () in
+      List.iter (fun id -> Hashtbl.replace party_keys (Keys.public id) ()) ids;
+      List.iter (fun p -> Hashtbl.replace bg_keys (Ac3_core.Participant.public p) ()) bg)
+    !specs;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d party keys over 40 plans" (Hashtbl.length party_keys))
+    true
+    (Hashtbl.length party_keys <= Ac3_core.Scenarios.max_identities);
+  Alcotest.(check int) "the bg keys" (2 * (load - 1)) (Hashtbl.length bg_keys)
 
 let test_skip_builds_nothing () =
   let spec, plan = ring_plan () in
@@ -353,6 +389,8 @@ let () =
       ( "parties",
         [
           Alcotest.test_case "a plan's runs share parties" `Quick test_plan_shares_parties;
+          Alcotest.test_case "plans share one cast" `Quick test_cast_shared_across_plans;
+          Alcotest.test_case "a 40-plan sweep uses one cast" `Slow test_sweep_uses_one_cast;
           Alcotest.test_case "skipped nolan builds no universe" `Quick test_skip_builds_nothing;
           Alcotest.test_case "finished report holds no universe" `Quick test_report_drops_universe;
         ] );

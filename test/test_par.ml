@@ -116,6 +116,122 @@ let test_first_success () =
         (Pool.first_success ~jobs thunks))
     jobs_values
 
+(* --- the ordered fold ---------------------------------------------------- *)
+
+let fold_jobs = [ 1; 2; 4 ]
+
+(* Early tasks are the slowest, so workers race ahead of the merge. *)
+let spin_task n i =
+  let acc = ref 0 in
+  for k = 1 to (n - i) * 5_000 do
+    acc := (!acc + k) land 0xFFFF
+  done;
+  ignore !acc
+
+let test_fold_order () =
+  let n = 30 in
+  List.iter
+    (fun jobs ->
+      let merged =
+        Pool.fold ~jobs ~init:[] ~merge:(fun acc i -> i :: acc)
+          (List.init n (fun i () ->
+               spin_task n i;
+               i))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "merge order is task order at jobs %d" jobs)
+        (List.init n Fun.id) (List.rev merged))
+    fold_jobs
+
+(* Every task counts itself as computed when it finishes and the merge
+   counts it out again, so the counter is exactly the number of results
+   waiting to merge; its high-water mark must stay within the window. *)
+let test_fold_window () =
+  let n = 40 in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (window, label) ->
+          let waiting = Atomic.make 0 and high = Atomic.make 0 in
+          let rec raise_high v =
+            let h = Atomic.get high in
+            if v > h && not (Atomic.compare_and_set high h v) then raise_high v
+          in
+          let total =
+            Pool.fold ~jobs ?window ~init:0
+              ~merge:(fun acc i ->
+                Atomic.decr waiting;
+                acc + i)
+              (List.init n (fun i () ->
+                   spin_task n i;
+                   raise_high (Atomic.fetch_and_add waiting 1 + 1);
+                   i))
+          in
+          Alcotest.(check int) "every result merged" (n * (n - 1) / 2) total;
+          let bound = match window with Some w -> w | None -> 4 * jobs in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d, %s: %d waiting <= %d" jobs label (Atomic.get high) bound)
+            true
+            (Atomic.get high <= bound))
+        [ (Some 1, "window 1"); (Some 3, "window 3"); (None, "default window") ])
+    fold_jobs
+
+let test_fold_exception () =
+  List.iter
+    (fun jobs ->
+      let n = 12 in
+      let ran = Array.make n false in
+      let merged = ref [] in
+      (match
+         Pool.fold ~jobs ~window:2 ~init:()
+           ~merge:(fun () i -> merged := i :: !merged)
+           (List.init n (fun i () ->
+                spin_task n i;
+                ran.(i) <- true;
+                if i = 3 || i = 7 then raise (Boom i);
+                i))
+       with
+      | () -> Alcotest.failf "jobs %d: expected Boom" jobs
+      | exception Boom i ->
+          Alcotest.(check int) (Printf.sprintf "lowest failing index at jobs %d" jobs) 3 i);
+      Alcotest.(check (list int))
+        (Printf.sprintf "only the results before the failure merged at jobs %d" jobs)
+        [ 0; 1; 2 ] (List.rev !merged);
+      Alcotest.(check bool)
+        (Printf.sprintf "every task ran before the raise at jobs %d" jobs)
+        true (Array.for_all Fun.id ran))
+    fold_jobs
+
+(* A task that reads a counter other executions bump is not idempotent:
+   its sequential rerun sees a later value. *)
+let test_fold_sanitize () =
+  List.iter
+    (fun jobs ->
+      let counter = Atomic.make 0 in
+      match
+        Pool.fold ~jobs ~sanitize:true ~init:0 ~merge:( + )
+          (List.init 6 (fun _ () -> Atomic.fetch_and_add counter 1))
+      with
+      | _ -> Alcotest.failf "jobs %d: sanitizer missed the shared counter" jobs
+      | exception Pool.Interference { index; first; rerun } ->
+          Alcotest.(check bool) "offending index in range" true (index >= 0 && index < 6);
+          Alcotest.(check bool) "fingerprints differ" true (first <> rerun))
+    fold_jobs
+
+let test_fold_nested () =
+  List.iter
+    (fun jobs ->
+      let inner () = Pool.fold ~jobs ~init:0 ~merge:( + ) [ (fun () -> 1) ] in
+      (match Pool.fold ~jobs ~init:0 ~merge:( + ) [ (fun () -> inner ()); (fun () -> 0) ] with
+      | _ -> Alcotest.failf "jobs %d: a fold inside a task should raise" jobs
+      | exception Pool.Nested -> ());
+      (match Pool.fold ~jobs ~init:0 ~merge:(fun acc v -> acc + v + inner ()) [ (fun () -> 0) ] with
+      | _ -> Alcotest.failf "jobs %d: a fold inside the merge should raise" jobs
+      | exception Pool.Nested -> ());
+      Alcotest.(check int) "usable afterwards" 3
+        (Pool.fold ~jobs ~init:0 ~merge:( + ) [ (fun () -> 1); (fun () -> 2) ]))
+    fold_jobs
+
 (* --- seed splitting ---------------------------------------------------- *)
 
 let test_split_seed () =
@@ -384,6 +500,14 @@ let () =
           Alcotest.test_case "nested use rejected" `Quick test_nested_rejected;
           Alcotest.test_case "reusable after failures" `Quick test_pool_reusable;
           Alcotest.test_case "first_success = find_map" `Quick test_first_success;
+        ] );
+      ( "fold",
+        [
+          Alcotest.test_case "merge order is task order" `Quick test_fold_order;
+          Alcotest.test_case "unmerged results stay within the window" `Quick test_fold_window;
+          Alcotest.test_case "lowest-index exception after the drain" `Quick test_fold_exception;
+          Alcotest.test_case "sanitize flags a non-idempotent task" `Quick test_fold_sanitize;
+          Alcotest.test_case "nested fold rejected" `Quick test_fold_nested;
         ] );
       ( "seeds",
         [ Alcotest.test_case "split_seed: stable, positive, collision-free" `Quick test_split_seed ] );
