@@ -42,7 +42,7 @@ let header_bytes h = Codec.encode encode_header h
 (* Header-hash memo keyed by the serialized header. Every depth poll,
    evidence check and fork walk re-hashes the same headers; [mine]
    below deliberately bypasses this table (grinding would churn it). *)
-let hash_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.hash" ~cap:4096 ()
+let hash_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.hash" ~cap:1024
 
 let hash_header h =
   let bytes = header_bytes h in
@@ -57,7 +57,7 @@ let genesis_parent = String.make 32 '\x00'
    recompute the same commitment; the per-node memos inside
    [Merkle.root] additionally make a near-miss (one tx appended) reuse
    the shared subtree hashes. *)
-let merkle_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.merkle" ~cap:1024 ()
+let merkle_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.merkle" ~cap:256
 
 let merkle_root_of_txs txs =
   let ids = List.map Tx.txid txs in

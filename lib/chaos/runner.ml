@@ -460,7 +460,7 @@ let tally c = function
    as every earlier plan has merged, and then drops them; the summary
    and every [on_report] callback are therefore byte-identical for every
    [jobs] (locked in by test/test_par.ml), and a sweep holds at most a
-   window of unmerged plans. *)
+   window (4 x jobs) of unmerged plans. *)
 let sweep ?(protocols = all_protocols) ?on_report ?(jobs = 1) ?(instrument = true)
     ?(spans = true) ?(sanitize = false) ?(load = 1) ~seed ~runs () =
   let sweep_task_fingerprint (run_seed, reports) =
@@ -491,9 +491,6 @@ let sweep ?(protocols = all_protocols) ?on_report ?(jobs = 1) ?(instrument = tru
   Pool.fold ~jobs ~sanitize ~fingerprint:sweep_task_fingerprint ~init:() ~merge
     (List.init runs (fun k () ->
          let run_seed = seed + k in
-         (* The previous plan's block hashes and verdicts are dead
-            weight here; the cast's key material is kept. *)
-         Ac3_fast.Memo.clear_transient ();
          let spec, plan = Plan.sample ~load ~seed:run_seed () in
          ( run_seed,
            List.map (fun protocol -> run_one ~instrument ~spec ~plan ~protocol ()) protocols )));

@@ -166,9 +166,7 @@ type summary = {
 
     [spans] (default [true]) keeps every run's span tree in the
     summary's [obs]; it is the one part of a summary that grows with
-    [runs], so a caller that exports no trace passes [false]. Between
-    plans a task drops its domain's transient memo entries
-    ({!Ac3_fast.Memo.clear_transient}).
+    [runs], so a caller that exports no trace passes [false].
 
     [load] (default 1) layers [load - 1] concurrent background swaps
     onto every run's universe ({!Ac3_chaos.Plan.spec.load}): crashes

@@ -21,8 +21,7 @@ let address_len = 20
 (* Address = truncated hash of the public key, like Bitcoin's HASH160.
    Memoized by the public key itself: input resolution re-derives the
    owner address of every spent input on every admission poll. *)
-let address_memo : string Ac3_fast.Memo.t =
-  Ac3_fast.Memo.create ~durable:true ~name:"keys.address" ~cap:1024 ()
+let address_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.address" ~cap:1024
 
 let address_of_public pk =
   Ac3_fast.Memo.memo address_memo pk (fun () ->
@@ -88,7 +87,7 @@ let sign t msg = Mss.sign t.secret msg
    small: a serialized MSS triple is a couple of kilobytes, and
    re-verification is frequent enough that the allocation shows up as
    GC time. Verdicts are pure functions of the key. *)
-let verify_memo : bool Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.verify" ~cap:4096 ()
+let verify_memo : bool Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.verify" ~cap:1024
 
 let verify_key pk msg signature =
   let w = Codec.Writer.create () in

@@ -17,9 +17,9 @@
    depend only on the concatenated input bytes (the prefix is a
    constant), so the concatenation is a sound key; separate tables keep
    the 0x00/0x01 domains apart. *)
-let leaf_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"merkle.leaf" ~cap:8192 ()
+let leaf_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"merkle.leaf" ~cap:2048
 
-let node_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"merkle.node" ~cap:8192 ()
+let node_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"merkle.node" ~cap:2048
 
 let leaf_hash data =
   Ac3_fast.Memo.memo leaf_memo data (fun () -> Sha256.digest_list [ "\x00"; data ])

@@ -55,8 +55,7 @@ let build_material ~height ~seed =
 (* Material is a pure function of (height, seed), so identical keys
    re-created by replay runs share one build through the per-domain
    memo. *)
-let material_memo : material Ac3_fast.Memo.t =
-  Ac3_fast.Memo.create ~durable:true ~name:"mss.material" ~cap:128 ()
+let material_memo : material Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"mss.material" ~cap:128
 
 let material ~height ~seed =
   Ac3_fast.Memo.memo material_memo (string_of_int height ^ ":" ^ seed) (fun () ->

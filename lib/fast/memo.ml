@@ -17,18 +17,17 @@ type 'a t = {
   key : (string, 'a) Hashtbl.t Domain.DLS.key;
 }
 
-(* Clear hooks for the calling domain, one per table, with the table's
-   durability (used by tests to reset between differential rounds, and
-   by sweeps between universes). Registered at table creation, which
-   happens at module-initialization time in the main domain. *)
-let clearers : (bool * (unit -> unit)) list ref = ref []
+(* Clear hooks for the calling domain, one per table (used by tests to
+   reset between differential rounds). Registered at table creation,
+   which happens at module-initialization time in the main domain. *)
+let clearers : (unit -> unit) list ref = ref []
 
-let create ?(durable = false) ~name ~cap () =
+let create ~name ~cap =
   (* ac3-lint: allow D008 — see the table-type note above *)
   let key = Domain.DLS.new_key (fun () -> Hashtbl.create 256) in
   let t = { name; cap; key } in
   (* ac3-lint: allow D008 — clear hook for the calling domain's table *)
-  clearers := (durable, fun () -> Hashtbl.reset (Domain.DLS.get key)) :: !clearers;
+  clearers := (fun () -> Hashtbl.reset (Domain.DLS.get key)) :: !clearers;
   t
 
 (* ac3-lint: allow D008 — reads the calling domain's own table *)
@@ -46,7 +45,4 @@ let memo t k f =
         Hashtbl.replace tbl k v;
         v
 
-let clear_all () = List.iter (fun (_, clear) -> clear ()) !clearers
-
-let clear_transient () =
-  List.iter (fun (durable, clear) -> if not durable then clear ()) !clearers
+let clear_all () = List.iter (fun f -> f ()) !clearers

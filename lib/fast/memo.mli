@@ -19,25 +19,16 @@
 
 type 'a t
 
-(** [create ~name ~cap ()] — [cap] bounds the per-domain table; on
+(** [create ~name ~cap] — [cap] bounds the per-domain table; on
     overflow the table is dropped wholesale (the workloads are
-    phase-local enough that rebuilding is cheap). [durable] (default
-    [false]) marks a table whose keys belong to no one universe (key
-    material, addresses), so {!clear_transient} keeps it. *)
-val create : ?durable:bool -> name:string -> cap:int -> unit -> 'a t
+    phase-local enough that rebuilding is cheap). *)
+val create : name:string -> cap:int -> 'a t
 
 (** [memo t key f] — cached [f ()], computing and remembering on miss. *)
 val memo : 'a t -> string -> (unit -> 'a) -> 'a
 
 (** Drop the current domain's entries of every table ever created. *)
 val clear_all : unit -> unit
-
-(** Drop the current domain's entries of every table not created
-    [~durable:true]: block hashes, Merkle nodes and signature verdicts
-    that a finished universe left behind and a universe built from
-    another seed never asks for. A sweep calls it between plans, so
-    these tables hold one plan's entries, not a run count's. *)
-val clear_transient : unit -> unit
 
 (** Global switch, [true] by default. With [false] every [memo] call
     computes [f ()] and remembers nothing. *)

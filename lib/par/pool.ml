@@ -224,7 +224,8 @@ let fingerprint v =
       | h -> Printf.sprintf "unmarshalable:%d" h
       | exception _ -> "unfingerprintable")
 
-let fold ?jobs ?window ?(sanitize = false) ?(fingerprint = fingerprint) ~init ~merge tasks =
+(* [window] defaults to [4 * jobs] in [fold_uncounted]. *)
+let fold_window ?jobs ?window ?(sanitize = false) ?(fingerprint = fingerprint) ~init ~merge tasks =
   count_batch (List.length tasks);
   if not sanitize then fold_uncounted ?jobs ?window ~on_merge:(fun _ _ -> ()) ~merge ~init tasks
   else begin
@@ -245,11 +246,14 @@ let fold ?jobs ?window ?(sanitize = false) ?(fingerprint = fingerprint) ~init ~m
     acc
   end
 
-(* Every result is kept anyway, so the window spans the whole batch and
-   no worker ever waits on a slow early task. *)
+let fold ?jobs ?sanitize ?fingerprint ~init ~merge tasks =
+  fold_window ?jobs ?sanitize ?fingerprint ~init ~merge tasks
+
+(* Every result is kept anyway, so a window as large as the batch holds
+   nothing a smaller one would drop. *)
 let run ?jobs ?sanitize ?fingerprint tasks =
   List.rev
-    (fold ?jobs ~window:(List.length tasks) ?sanitize ?fingerprint ~init:[]
+    (fold_window ?jobs ~window:(List.length tasks) ?sanitize ?fingerprint ~init:[]
        ~merge:(fun acc v -> v :: acc)
        tasks)
 

@@ -23,9 +23,9 @@
     construction. *)
 
 (** Raised when {!fold} (or a wrapper) is called from inside a pool
-    task or a merge callback. Nested pools would deadlock the fixed worker budget, so the
-    attempt is rejected eagerly; restructure the work as one flat task
-    list instead. *)
+    task or a merge callback. Nested pools would deadlock the fixed
+    worker budget, so the attempt is rejected eagerly; restructure the
+    work as one flat task list instead. *)
 exception Nested
 
 (** Raised by {!fold} under [~sanitize:true] when a re-executed task's
@@ -71,9 +71,9 @@ val fingerprint : 'a -> string
     as every earlier result has merged — so it may print, or fill
     structures the caller owns, without locks.
 
-    [window] (default [4 * jobs]) bounds the results computed but not
-    yet merged: a worker that would run past [next merged + window]
-    blocks until the merge catches up.
+    At most [4 * jobs] results are computed but not yet merged: a
+    worker that would run further ahead of the merge blocks until it
+    catches up.
 
     If a task raises, every task still runs, results from the first
     failing index on are dropped unmerged, and that lowest-indexed
@@ -92,7 +92,6 @@ val fingerprint : 'a -> string
     interference. *)
 val fold :
   ?jobs:int ->
-  ?window:int ->
   ?sanitize:bool ->
   ?fingerprint:('a -> string) ->
   init:'acc ->

@@ -160,25 +160,6 @@ let memo_off f =
 
 let hex = Ac3_crypto.Hex.encode
 
-(* [clear_transient] empties the tables a finished universe filled and
-   keeps the durable ones: a durable entry is served again, a transient
-   one is recomputed. *)
-let test_clear_transient () =
-  let durable = Memo.create ~durable:true ~name:"test.durable" ~cap:8 () in
-  let transient = Memo.create ~name:"test.transient" ~cap:8 () in
-  let calls = ref 0 in
-  let compute () =
-    incr calls;
-    !calls
-  in
-  let d1 = Memo.memo durable "k" compute and t1 = Memo.memo transient "k" compute in
-  Memo.clear_transient ();
-  Alcotest.(check int) "durable entry kept" d1 (Memo.memo durable "k" compute);
-  Alcotest.(check bool) "transient entry recomputed" true (Memo.memo transient "k" compute > t1);
-  Memo.clear_all ();
-  Alcotest.(check bool) "clear_all drops durable too" true (Memo.memo durable "k" compute > d1)
-
-
 (* Deterministic identities for the whole file. Created once: MSS
    signing budgets (64 each) are consumed across test cases, so no test
    below signs inside a QCheck iteration. *)
@@ -535,7 +516,6 @@ let () =
           Alcotest.test_case "foreign-witness tx: new merkle root" `Quick
             test_foreign_witness_new_root;
           Alcotest.test_case "block hash differential" `Quick test_block_hash_memo_differential;
-          Alcotest.test_case "clear_transient keeps durable tables" `Quick test_clear_transient;
         ] );
       ( "ledger-differential",
         [ Alcotest.test_case "incremental reorg == from-scratch" `Quick test_reorg_differential ] );

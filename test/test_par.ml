@@ -145,35 +145,32 @@ let test_fold_order () =
 
 (* Every task counts itself as computed when it finishes and the merge
    counts it out again, so the counter is exactly the number of results
-   waiting to merge; its high-water mark must stay within the window. *)
+   waiting to merge; its high-water mark must stay within the fold's
+   window of 4 x jobs. *)
 let test_fold_window () =
   let n = 40 in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun (window, label) ->
-          let waiting = Atomic.make 0 and high = Atomic.make 0 in
-          let rec raise_high v =
-            let h = Atomic.get high in
-            if v > h && not (Atomic.compare_and_set high h v) then raise_high v
-          in
-          let total =
-            Pool.fold ~jobs ?window ~init:0
-              ~merge:(fun acc i ->
-                Atomic.decr waiting;
-                acc + i)
-              (List.init n (fun i () ->
-                   spin_task n i;
-                   raise_high (Atomic.fetch_and_add waiting 1 + 1);
-                   i))
-          in
-          Alcotest.(check int) "every result merged" (n * (n - 1) / 2) total;
-          let bound = match window with Some w -> w | None -> 4 * jobs in
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs %d, %s: %d waiting <= %d" jobs label (Atomic.get high) bound)
-            true
-            (Atomic.get high <= bound))
-        [ (Some 1, "window 1"); (Some 3, "window 3"); (None, "default window") ])
+      let waiting = Atomic.make 0 and high = Atomic.make 0 in
+      let rec raise_high v =
+        let h = Atomic.get high in
+        if v > h && not (Atomic.compare_and_set high h v) then raise_high v
+      in
+      let total =
+        Pool.fold ~jobs ~init:0
+          ~merge:(fun acc i ->
+            Atomic.decr waiting;
+            acc + i)
+          (List.init n (fun i () ->
+               spin_task n i;
+               raise_high (Atomic.fetch_and_add waiting 1 + 1);
+               i))
+      in
+      Alcotest.(check int) "every result merged" (n * (n - 1) / 2) total;
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: %d waiting <= %d" jobs (Atomic.get high) (4 * jobs))
+        true
+        (Atomic.get high <= 4 * jobs))
     fold_jobs
 
 let test_fold_exception () =
@@ -183,7 +180,7 @@ let test_fold_exception () =
       let ran = Array.make n false in
       let merged = ref [] in
       (match
-         Pool.fold ~jobs ~window:2 ~init:()
+         Pool.fold ~jobs ~init:()
            ~merge:(fun () i -> merged := i :: !merged)
            (List.init n (fun i () ->
                 spin_task n i;
