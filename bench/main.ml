@@ -1,23 +1,18 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sec 6) on the simulator and prints paper-expected vs
-   measured values, then the CI-gated E14-E17 sections.
+   measured values.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- quick   # skip the slowest sections
-     dune exec bench/main.exe -- obs     # only E14 (observability overhead, 100 runs)
-     dune exec bench/main.exe -- load    # only E15 (load engine, 1000 swaps)
-     dune exec bench/main.exe -- flow    # only E16 (flow analyzer throughput)
-     dune exec bench/main.exe -- fast    # only E17 (hot-path speedups, 100 runs)
 
-   Experiment ids (E1..E11, E14..E17, A1, A2) are indexed in DESIGN.md
-   and results are recorded in EXPERIMENTS.md. *)
+   Experiment ids (E1..E11, A1, A2) are indexed in DESIGN.md and results
+   are recorded in EXPERIMENTS.md. Wall-clock performance is measured by
+   perfbench/ (see BENCHMARK.json), not here. *)
 
 module E = Ac3_core.Experiment
 module Analysis = Ac3_core.Analysis
 module Attack = Ac3_core.Attack
-module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
 
 let section title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -216,540 +211,11 @@ let depth_latency () =
       Fmt.pr "  %2d | %9b | %.2f@." r.E.depth r.E.committed r.E.latency_delta)
     (E.depth_latency ())
 
-module Json = Ac3_crypto.Codec.Json
-module Runner = Ac3_chaos.Runner
-
-(* --- E14: observability overhead ------------------------------------------ *)
-
-(* Wall-clock of the same chaos sweep with instrumentation off vs on.
-   Instruments are one predicted branch plus a hashtable update on the
-   hot paths, so the overhead budget is 5%; results land in
-   BENCH_obs.json together with the instrument count, so regressions in
-   either cost or coverage are visible. *)
-let obs_overhead ~runs () =
-  section "E14 / ac3_obs — metrics + span instrumentation overhead";
-  Fmt.pr "%d-run sweep, instrument:false vs instrument:true (sequential).@.@." runs;
-  let time_sweep instrument =
-    let t0 = Unix.gettimeofday () in
-    let summary = Runner.sweep ~jobs:1 ~instrument ~seed:1 ~runs () in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (elapsed, summary)
-  in
-  let baseline_s, base_summary = time_sweep false in
-  let instrumented_s, inst_summary = time_sweep true in
-  let identical =
-    String.equal
-      (Fmt.str "%a" Runner.pp_summary base_summary)
-      (Fmt.str "%a" Runner.pp_summary inst_summary)
-  in
-  let overhead_pct =
-    if baseline_s > 0.0 then (instrumented_s -. baseline_s) /. baseline_s *. 100.0 else 0.0
-  in
-  let instruments = Ac3_obs.Metrics.size inst_summary.Runner.obs.Ac3_obs.Obs.metrics in
-  Fmt.pr "  instrument:false %7.2f s@." baseline_s;
-  Fmt.pr "  instrument:true  %7.2f s  (+%.1f%%, %d instruments)@." instrumented_s overhead_pct
-    instruments;
-  Fmt.pr "  summaries identical = %b@." identical;
-  let oc = open_out_bin "BENCH_obs.json" in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ("runs", Json.Int runs);
-            ("baseline_s", Json.Float baseline_s);
-            ("instrumented_s", Json.Float instrumented_s);
-            ("overhead_pct", Json.Float overhead_pct);
-            ("instruments", Json.Int instruments);
-            ("summaries_identical", Json.Bool identical);
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "  results written to BENCH_obs.json@."
-
-(* --- E15: load engine throughput + contract-lookup scaling ----------------- *)
-
-module Load = Ac3_load.Engine
-module Workload = Ac3_load.Workload
-
-(* The committed gate: a 1000-swap open-loop workload through three
-   shared chains must sustain >= 100 swaps per wall-clock second end to
-   end — identity keygen, the shared-universe simulation, classification
-   and reporting all included. Saturating on purpose: 12 Zipf-skewed
-   users cannot absorb 8 swaps/s, so the run exercises outpoint
-   contention, mempool pressure and timelock expiry, not a warm idle
-   path. *)
-let load_bench_config =
-  {
-    Workload.default with
-    Workload.swaps = 1000;
-    users = 12;
-    chains = 3;
-    arrival = Workload.Open_loop { rate = 8.0 };
-    deadline = 200.0;
-  }
-
-(* Minimal contract for populating stores: deploys with Int state,
-   every call increments. *)
-module Bench_counter = struct
-  let code_id = "bench-counter"
-
-  let init _ctx args =
-    match args with Value.Int _ -> Ok args | _ -> Error "expected int argument"
-
-  let call _ctx ~state ~fn:_ ~args:_ =
-    match state with
-    | Value.Int n -> Contract_iface.ok (Value.Int (Int64.add n 1L))
-    | _ -> Contract_iface.reject "corrupt state"
-end
-
-(* Mean cost of one [find_call] + [calls_on] pair on a store holding
-   [contracts] contracts with one call each, in ns. Lookups are served
-   by the per-contract call index, so the cost must not scale with the
-   store's contract count. *)
-let contract_lookup_ns ~contracts =
-  let registry = Contract_iface.create_registry () in
-  Contract_iface.register registry (module Bench_counter : Contract_iface.CODE);
-  let owner = Keys.create "bench-load-lookup" in
-  let coin = Amount.of_int 1_000_000 in
-  let premine = List.init contracts (fun _ -> (Keys.address owner, coin)) in
-  let params =
-    Params.make "bench-lookup" ~pow_bits:0 ~block_capacity:(contracts + 1)
-      ~verify_signatures:false ~premine
-  in
-  let store = Store.create ~params ~registry in
-  let mine txs =
-    let parent = Store.tip store in
-    let height = parent.Block.header.Block.height + 1 in
-    let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-    let cb =
-      Tx.coinbase ~chain:"bench-lookup" ~height ~miner_addr:(Keys.address owner)
-        ~reward:Amount.(params.Params.block_reward + fees)
-    in
-    let b =
-      Block.mine ~chain:"bench-lookup" ~height ~parent:(Block.hash parent)
-        ~time:(float_of_int height) ~target:(Pow.target_of_bits 0) ~txs:(cb :: txs)
-    in
-    match Store.add_block store b with
-    | Store.Added _ -> ()
-    | Store.Duplicate | Store.Orphaned -> failwith "bench-lookup: block not added"
-    | Store.Invalid e -> failwith ("bench-lookup: invalid block: " ^ e)
-  in
-  let deploy_fee = params.Params.deploy_fee and call_fee = params.Params.call_fee in
-  let cb_txid = Tx.txid (List.hd (Store.genesis store).Block.txs) in
-  let deploys =
-    List.init contracts (fun i ->
-        Tx.make_unsigned ~chain:"bench-lookup"
-          ~inputs:[ (Outpoint.create ~txid:cb_txid ~index:i, Keys.public owner) ]
-          ~outputs:[ { Tx.addr = Keys.address owner; amount = Amount.(coin - deploy_fee) } ]
-          ~payload:
-            (Tx.Deploy { code_id = Bench_counter.code_id; args = Value.Int 0L; deposit = Amount.zero })
-          ~fee:deploy_fee ~nonce:(Int64.of_int i) ())
-  in
-  mine deploys;
-  let ids =
-    Array.of_list
-      (List.map (fun tx -> Contract_iface.contract_id_of_deploy ~txid:(Tx.txid tx)) deploys)
-  in
-  let calls =
-    List.mapi
-      (fun i deploy ->
-        Tx.make_unsigned ~chain:"bench-lookup"
-          ~inputs:[ (Outpoint.create ~txid:(Tx.txid deploy) ~index:0, Keys.public owner) ]
-          ~outputs:
-            [ { Tx.addr = Keys.address owner; amount = Amount.(coin - deploy_fee - call_fee) } ]
-          ~payload:
-            (Tx.Call { contract_id = ids.(i); fn = "incr"; args = Value.Unit; deposit = Amount.zero })
-          ~fee:call_fee
-          ~nonce:(Int64.of_int (contracts + i))
-          ())
-      deploys
-  in
-  mine calls;
-  let lookups = 100_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to lookups - 1 do
-    let cid = ids.(i * 7919 mod contracts) in
-    (match Store.find_call store ~contract_id:cid ~fn:"incr" with
-    | Some _ -> ()
-    | None -> failwith "bench-lookup: indexed call missing");
-    ignore (Store.calls_on store ~contract_id:cid)
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int lookups
-
-let load_bench () =
-  section "E15 / ac3 load — many-swap workload engine under contention";
-  Fmt.pr "1000 open-loop swaps, 12 Zipf users, 3 shared chains (+witness), mixed@.";
-  Fmt.pr "protocols; gate: >= 100 swaps per wall-clock second, end to end.@.@.";
-  let t0 = Unix.gettimeofday () in
-  let report, _ = Load.run ~seed:42 load_bench_config in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let swaps_per_sec = float_of_int report.Load.launched /. wall_s in
-  Fmt.pr "  launched %d: committed=%d aborted=%d timed_out=%d non_atomic=%d in_flight=%d@."
-    report.Load.launched report.Load.committed report.Load.aborted report.Load.timed_out
-    report.Load.non_atomic report.Load.in_flight;
-  Fmt.pr "  wall %.2f s  =>  %.1f swaps/s  (virtual throughput %.2f swaps/s over %.0f s)@."
-    wall_s swaps_per_sec report.Load.throughput report.Load.makespan;
-  (* The guard for the linear scans the call index replaced: the same
-     lookups on a 16x bigger contract store must stay far below the 16x
-     a rescan would cost. *)
-  let small_ns = contract_lookup_ns ~contracts:256 in
-  let large_ns = contract_lookup_ns ~contracts:4096 in
-  let ratio = if small_ns > 0.0 then large_ns /. small_ns else 0.0 in
-  let sublinear = ratio < 4.0 in
-  Fmt.pr "  contract lookup: %.0f ns @@ 256 contracts, %.0f ns @@ 4096 => ratio %.2f (linear ~16): %s@."
-    small_ns large_ns ratio
-    (if sublinear then "sublinear" else "NOT SUBLINEAR");
-  let oc = open_out_bin "BENCH_load.json" in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ("swaps", Json.Int report.Load.launched);
-            ("wall_s", Json.Float wall_s);
-            ("swaps_per_sec", Json.Float swaps_per_sec);
-            ("committed", Json.Int report.Load.committed);
-            ("aborted", Json.Int report.Load.aborted);
-            ("timed_out", Json.Int report.Load.timed_out);
-            ("non_atomic", Json.Int report.Load.non_atomic);
-            ("in_flight", Json.Int report.Load.in_flight);
-            ("makespan_virtual_s", Json.Float report.Load.makespan);
-            ("throughput_virtual", Json.Float report.Load.throughput);
-            ("lookup_256_ns", Json.Float small_ns);
-            ("lookup_4096_ns", Json.Float large_ns);
-            ("lookup_ratio", Json.Float ratio);
-            ("lookup_sublinear", Json.Bool sublinear);
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "  results written to BENCH_load.json@."
-
-(* --- flow analyzer: throughput over sampled specs ------------------------ *)
-
-module Flow = Ac3_flow.Flow
-module Plan = Ac3_chaos.Plan
-
-(* E16: the flow pass must stay cheap enough to screen every spec a
-   load run launches (lib/load calls Flow.screen on the launch path).
-   Analyze a stream of sampled chaos specs — graph build excluded, the
-   screen includes it — and gate on specs analyzed per second. *)
-let flow_bench () =
-  section "E16 / ac3 flow — abstract-interpretation throughput over sampled specs";
-  let specs = 20_000 in
-  Fmt.pr "%d sampled specs, budget-1 analysis + budget-0 screen per spec;@." specs;
-  Fmt.pr "gate: >= 5000 specs per wall-clock second.@.@.";
-  let inputs =
-    Array.init specs (fun i ->
-        let spec, _ = Plan.sample ~seed:(9000 + i) () in
-        let ids = Ac3_core.Scenarios.identities ~ns:"bench-flow" spec.Plan.parties in
-        let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
-        let profile = if i mod 2 = 0 then Flow.Single_leader else Flow.Witness in
-        (graph, profile))
-  in
-  let exposures = ref 0 in
-  let witnesses = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun (graph, profile) ->
-      let a = Flow.analyze ~fault_budget:1 ~static_races:true ~profile graph in
-      exposures := !exposures + List.length a.Flow.exposures;
-      witnesses := !witnesses + List.length a.Flow.witnesses;
-      ignore (Flow.screen ~profile graph))
-    inputs;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let specs_per_sec = float_of_int specs /. wall_s in
-  Fmt.pr "  %d specs in %.3f s  =>  %.0f specs/s  (%d exposures, %d crash witnesses)@." specs
-    wall_s specs_per_sec !exposures !witnesses;
-  let oc = open_out_bin "BENCH_flow.json" in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ("specs", Json.Int specs);
-            ("wall_s", Json.Float wall_s);
-            ("specs_per_sec", Json.Float specs_per_sec);
-            ("exposures", Json.Int !exposures);
-            ("witnesses", Json.Int !witnesses);
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "  results written to BENCH_flow.json@."
-
-(* --- E17: hot-path speedups over the reference implementations ------------ *)
-
-module Memo = Ac3_fast.Memo
-module Sha256 = Ac3_crypto.Sha256
-module Engine = Ac3_sim.Engine
-module Sim_heap = Ac3_sim.Heap
-
-(* The boxed-heap dispatch loop the index-sorted arena replaced, reduced
-   to its essentials (one record per event, records ordered in the
-   heap). test/reference.ml keeps the full engine compiled for the
-   differential harness; this copy exists so the benchmark can put a
-   number on the same comparison. *)
-module Boxed_dispatch = struct
-  type ev = { time : float; seq : int; cb : unit -> unit; mutable cancelled : bool }
-
-  let cmp a b =
-    let c = Float.compare a.time b.time in
-    if c <> 0 then c else Int.compare a.seq b.seq
-
-  let run n acc =
-    let h = Sim_heap.create cmp in
-    for i = 0 to n - 1 do
-      Sim_heap.push h
-        { time = float_of_int (i land 255); seq = i; cb = (fun () -> incr acc); cancelled = false }
-    done;
-    let rec drain () =
-      match Sim_heap.pop h with
-      | None -> ()
-      | Some e ->
-          if not e.cancelled then e.cb ();
-          drain ()
-    in
-    drain ()
-end
-
-let arena_dispatch_run n acc =
-  let e = Engine.create () in
-  for i = 0 to n - 1 do
-    ignore (Engine.schedule_at e ~time:(float_of_int (i land 255)) (fun () -> incr acc))
-  done;
-  ignore (Engine.run e)
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-(* Mine [n] blocks on top of [parent] (no txs) and return them
-   oldest-first together with the new tip. *)
-let mine_branch ~params ~miner ~parent ~start_height n =
-  let target = Pow.target_of_bits params.Params.pow_bits in
-  let rec go parent height acc k =
-    if k = 0 then (List.rev acc, parent)
-    else begin
-      let cb =
-        Tx.coinbase ~chain:params.Params.chain_id ~height ~miner_addr:(Keys.address miner)
-          ~reward:params.Params.block_reward
-      in
-      let b =
-        Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent)
-          ~time:(float_of_int height) ~target ~txs:[ cb ]
-      in
-      go b (height + 1) (b :: acc) (k - 1)
-    end
-  in
-  go parent start_height [] n
-
-(* Incremental reorg vs rescan: a store with a [prefix]-block shared
-   chain flip-flops between two competing branches. The undo-log path
-   disconnects and reconnects only the divergent suffix; the reference
-   a rescanning implementation would run rebuilds the winning chain from
-   genesis on every switch. Both must land on the same state digest. *)
-let reorg_kernel ~prefix ~flips () =
-  let miner = Keys.create "bench-fast-miner" in
-  (* Each branch mines to its own address: competing blocks at the same
-     height must differ, or the second branch's blocks are duplicates of
-     the first's. *)
-  let branch_miners = [| Keys.create "bench-fast-miner-a"; Keys.create "bench-fast-miner-b" |] in
-  let params =
-    Params.make "bench-fast" ~pow_bits:0 ~verify_signatures:false
-      ~premine:[ (Keys.address miner, Amount.of_int 1_000_000) ]
-  in
-  let registry = Contract_iface.create_registry () in
-  let store = Store.create ~params ~registry in
-  let trunk, fork_point =
-    mine_branch ~params ~miner ~parent:(Store.genesis store) ~start_height:1 prefix
-  in
-  List.iter
-    (fun b ->
-      match Store.add_block store b with
-      | Store.Added _ -> ()
-      | _ -> failwith "bench-fast: trunk block rejected")
-    trunk;
-  (* Two branch tips off the same fork point; alternately extend the
-     losing one past the winner, forcing a reorg each time. *)
-  let all_blocks = ref [] in
-  let tips = [| fork_point; fork_point |] in
-  let heights = [| prefix + 1; prefix + 1 |] in
-  let reorgs = ref 0 in
-  let feed b =
-    match Store.add_block store b with
-    | Store.Added { disconnected; _ } -> if disconnected <> [] then incr reorgs
-    | Store.Duplicate | Store.Orphaned -> failwith "bench-fast: branch block not added"
-    | Store.Invalid e -> failwith ("bench-fast: invalid branch block: " ^ e)
-  in
-  let inc_s, () =
-    wall (fun () ->
-        for flip = 0 to flips - 1 do
-          let side = flip mod 2 in
-          (* Overtake the other branch by one block. *)
-          let need = heights.(1 - side) - heights.(side) + 1 in
-          let need = max need 1 in
-          let blocks, tip =
-            mine_branch ~params ~miner:branch_miners.(side) ~parent:tips.(side)
-              ~start_height:heights.(side) need
-          in
-          tips.(side) <- tip;
-          heights.(side) <- heights.(side) + need;
-          all_blocks := List.rev_append blocks !all_blocks;
-          List.iter feed blocks
-        done)
-  in
-  let final_digest = Ledger.state_digest (Store.ledger store) in
-  (* Reference: rebuild the final active chain from genesis once — the
-     work a rescan pays per switch. *)
-  let rebuild_s, scratch_digest =
-    wall (fun () ->
-        let fresh = Store.create ~params ~registry in
-        List.iter
-          (fun b -> ignore (Store.add_block fresh b : Store.add_result))
-          (trunk @ List.rev !all_blocks);
-        Ledger.state_digest (Store.ledger fresh))
-  in
-  if not (String.equal final_digest scratch_digest) then
-    failwith "bench-fast: reorged store diverged from from-scratch rebuild";
-  let inc_per_reorg = inc_s /. float_of_int (max 1 !reorgs) in
-  (inc_per_reorg, rebuild_s, !reorgs)
-
-let fast_bench ~runs () =
-  section "E17 / lib fast — hot-path speedups, gated >= 5x on the E14 baseline";
-  (* The committed E14 measurement of this sweep on the seed tree
-     (BENCH_obs.json: baseline_s at runs=100, before lib/fast). *)
-  let e14_baseline_s = 308.184 in
-  let baseline_s = e14_baseline_s *. (float_of_int runs /. 100.0) in
-  Fmt.pr "SHA extensions available: %b@." (Sha256.shani_available ());
-  Fmt.pr "%d-run chaos sweep (jobs=1, instrument off) vs the committed@." runs;
-  Fmt.pr "seed-tree baseline of %.1f s; gate: >= 5x.@.@." baseline_s;
-  let sweep_s, (_ : Runner.summary) = wall (fun () -> Runner.sweep ~jobs:1 ~seed:1 ~runs ()) in
-  let speedup = baseline_s /. sweep_s in
-  let gate = speedup >= 5.0 in
-  Fmt.pr "  sweep %7.2f s  =>  %.2fx vs baseline  [%s]@.@." sweep_s speedup
-    (if gate then "PASS" else "FAIL");
-  (* Kernel 1: repeat MSS verification — memo hit vs full recompute. *)
-  let signer = Keys.create "bench-fast-verify" in
-  let pk = Keys.public signer in
-  let msgs = Array.init 8 (Printf.sprintf "bench-fast-msg-%d") in
-  let sigs = Array.map (Keys.sign signer) msgs in
-  let verify_all () =
-    for _ = 1 to 50 do
-      Array.iteri (fun i m -> assert (Keys.verify pk m sigs.(i))) msgs
-    done
-  in
-  Memo.set_enabled false;
-  Memo.clear_all ();
-  Gc.compact ();
-  let verify_off_s, () = wall verify_all in
-  Memo.set_enabled true;
-  Memo.clear_all ();
-  Gc.compact ();
-  let verify_on_s, () = wall verify_all in
-  let verify_x = verify_off_s /. verify_on_s in
-  Fmt.pr "  repeat MSS verify:   %7.1f ms -> %7.1f ms  (%.0fx)@." (1000. *. verify_off_s)
-    (1000. *. verify_on_s) verify_x;
-  (* Kernel 2: repeat Merkle roots of an unchanged 100-tx block, served
-     from the content-addressed root memo. Txids are fields fixed at
-     construction, so the timed loop pays for the commitment alone. *)
-  let d_signer = Keys.create "bench-fast-digest" in
-  let block_txs =
-    List.init 100 (fun i ->
-        Tx.make_unsigned ~chain:"bench-fast"
-          ~inputs:[ (Outpoint.create ~txid:(Sha256.digest "bench-fast-prev") ~index:i, Keys.public d_signer) ]
-          ~outputs:[ { Tx.addr = Keys.address d_signer; amount = Amount.of_int 1 } ]
-          ~fee:Amount.zero ~nonce:(Int64.of_int i) ())
-  in
-  let root_all () =
-    for _ = 1 to 200 do
-      ignore (Block.merkle_root_of_txs block_txs : string)
-    done
-  in
-  Memo.set_enabled false;
-  Memo.clear_all ();
-  Gc.compact ();
-  let root_off_s, () = wall root_all in
-  Memo.set_enabled true;
-  Memo.clear_all ();
-  Gc.compact ();
-  let root_on_s, () = wall root_all in
-  let root_x = root_off_s /. root_on_s in
-  Fmt.pr "  repeat merkle root:  %7.1f ms -> %7.1f ms  (%.1fx)@." (1000. *. root_off_s)
-    (1000. *. root_on_s) root_x;
-  (* Kernel 3: reorg via undo-log vs from-scratch rebuild. *)
-  let inc_per_reorg, rebuild_s, reorgs = reorg_kernel ~prefix:300 ~flips:10 () in
-  let reorg_x = rebuild_s /. inc_per_reorg in
-  Fmt.pr "  reorg (%d flips):    %7.2f ms/reorg incremental vs %7.1f ms rescan  (%.0fx)@." reorgs
-    (1000. *. inc_per_reorg) (1000. *. rebuild_s) reorg_x;
-  (* Kernel 4: event dispatch, index-sorted arena vs boxed heap. *)
-  let acc = ref 0 in
-  let boxed_s, () = wall (fun () -> for _ = 1 to 20 do Boxed_dispatch.run 20_000 acc done) in
-  let arena_s, () = wall (fun () -> for _ = 1 to 20 do arena_dispatch_run 20_000 acc done) in
-  let dispatch_x = boxed_s /. arena_s in
-  Fmt.pr "  event dispatch:      %7.1f ms -> %7.1f ms  (%.2fx)@." (1000. *. boxed_s)
-    (1000. *. arena_s) dispatch_x;
-  let kernel ns xs =
-    Json.Obj [ ("reference_s", Json.Float ns); ("optimized_s", Json.Float xs); ("speedup", Json.Float (ns /. xs)) ]
-  in
-  let oc = open_out_bin "BENCH_fast.json" in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ("shani", Json.Bool (Sha256.shani_available ()));
-            ("runs", Json.Int runs);
-            ("e14_baseline_s", Json.Float baseline_s);
-            ("sweep_s", Json.Float sweep_s);
-            ("speedup", Json.Float speedup);
-            ("gate_5x", Json.Bool gate);
-            ( "kernels",
-              Json.Obj
-                [
-                  ("verify_memo", kernel verify_off_s verify_on_s);
-                  ("merkle_memo", kernel root_off_s root_on_s);
-                  ( "reorg_incremental",
-                    Json.Obj
-                      [
-                        ("incremental_s_per_reorg", Json.Float inc_per_reorg);
-                        ("rescan_s_per_reorg", Json.Float rebuild_s);
-                        ("reorgs", Json.Int reorgs);
-                        ("speedup", Json.Float reorg_x);
-                      ] );
-                  ("dispatch_arena", kernel boxed_s arena_s);
-                ] );
-          ]));
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "  results written to BENCH_fast.json@.";
-  if not gate then exit 1
-
 let () =
   let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let obs_only = Array.exists (fun a -> a = "obs") Sys.argv in
-  let load_only = Array.exists (fun a -> a = "load") Sys.argv in
-  let flow_only = Array.exists (fun a -> a = "flow") Sys.argv in
-  let fast_only = Array.exists (fun a -> a = "fast") Sys.argv in
   Fmt.pr "AC3WN reproduction benchmark harness (seeded, deterministic).@.";
   Fmt.pr "Δ = %.0f virtual seconds (confirm depth %d x %.0f s blocks) in protocol runs.@."
     E.delta E.confirm_depth E.block_interval;
-  if obs_only then begin
-    obs_overhead ~runs:100 ();
-    Fmt.pr "@.Done.@.";
-    exit 0
-  end;
-  if load_only then begin
-    load_bench ();
-    Fmt.pr "@.Done.@.";
-    exit 0
-  end;
-  if flow_only then begin
-    flow_bench ();
-    Fmt.pr "@.Done.@.";
-    exit 0
-  end;
-  if fast_only then begin
-    fast_bench ~runs:100 ();
-    Fmt.pr "@.Done.@.";
-    exit 0
-  end;
   fig8_fig9 ();
   fig10 ();
   cost ();
@@ -762,8 +228,4 @@ let () =
   availability ();
   evidence ();
   if not quick then depth_latency ();
-  if not quick then obs_overhead ~runs:50 ();
-  if not quick then load_bench ();
-  if not quick then flow_bench ();
-  if not quick then fast_bench ~runs:100 ();
   Fmt.pr "@.Done.@."

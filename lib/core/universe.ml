@@ -29,9 +29,9 @@ type t = {
 }
 
 (* [instrument:false] keeps the observability context but makes every
-   instrument inert — one boolean check per operation, the baseline of
-   bench E14. Either way the context never touches the RNG or the
-   engine, so protocol runs are byte-identical with metrics on or off. *)
+   instrument inert — one boolean check per operation. Either way the
+   context never touches the RNG or the engine, so protocol runs are
+   byte-identical with metrics on or off. *)
 let create ?(seed = 1) ?(instrument = true) () =
   let engine = Engine.create () in
   {

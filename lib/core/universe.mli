@@ -14,9 +14,8 @@ type t
 
 (** [instrument] (default [true]) controls the observability context:
     [false] makes every instrument inert (one boolean check per
-    operation — the bench E14 baseline). The context never draws from
-    the RNG or schedules events, so runs are byte-identical either
-    way. *)
+    operation). The context never draws from the RNG or schedules
+    events, so runs are byte-identical either way. *)
 val create : ?seed:int -> ?instrument:bool -> unit -> t
 
 val engine : t -> Ac3_sim.Engine.t

@@ -110,9 +110,9 @@ let classify ~by_deadline ~committed ~outcome =
 
 let chain_name i = Printf.sprintf "c%d" i
 
-let run_universe ?(instrument = true) ~seed (config : Workload.config) =
+let run_universe ~seed (config : Workload.config) =
   Workload.validate config;
-  let u = Universe.create ~seed ~instrument () in
+  let u = Universe.create ~seed () in
   (* The workload stream is independent of the universe's RNG: specs
      and arrival offsets are sampled up front from their own generator,
      so protocol-internal draws can never shift the offered load. *)
@@ -378,8 +378,8 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
   in
   (report, u)
 
-let run ?instrument ~seed config =
-  let report, u = run_universe ?instrument ~seed config in
+let run ~seed config =
+  let report, u = run_universe ~seed config in
   (report, Obs.detach (Universe.obs u))
 
 (* --- Conservation -------------------------------------------------------- *)
@@ -481,9 +481,9 @@ let run_fingerprint (report, obs) =
    soon as every earlier run has merged, which is what makes the sweep
    byte-identical for every [jobs] (the chaos harness discipline); only
    the small reports are kept. *)
-let sweep ?(jobs = 1) ?(sanitize = false) ?(instrument = true) ~seed ~runs config =
+let sweep ?(jobs = 1) ?(sanitize = false) ~seed ~runs config =
   if runs < 1 then invalid_arg "Engine.sweep: runs must be >= 1";
-  let obs = Obs.create ~enabled:instrument ~clock:(fun () -> 0.0) () in
+  let obs = Obs.create ~clock:(fun () -> 0.0) () in
   let merge reports (report, run_obs) =
     Metrics.merge_into ~into:obs.Obs.metrics run_obs.Obs.metrics;
     Span.import ~into:obs.Obs.spans run_obs.Obs.spans;
@@ -491,7 +491,7 @@ let sweep ?(jobs = 1) ?(sanitize = false) ?(instrument = true) ~seed ~runs confi
   in
   let reports =
     Pool.fold ~jobs ~sanitize ~fingerprint:run_fingerprint ~init:[] ~merge
-      (List.init runs (fun k () -> run ~instrument ~seed:(seed + k) config))
+      (List.init runs (fun k () -> run ~seed:(seed + k) config))
   in
   { sweep_seed = seed; sweep_runs = runs; reports = List.rev reports; obs }
 

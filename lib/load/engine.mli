@@ -47,11 +47,11 @@ type report = {
     [load.*] plus the per-swap phase spans), detached from the universe
     ({!Ac3_obs.Obs.detach}) so a sweep does not keep every run's
     universe alive. Raises [Invalid_argument] on an invalid config. *)
-val run : ?instrument:bool -> seed:int -> Workload.config -> report * Obs.t
+val run : seed:int -> Workload.config -> report * Obs.t
 
 (** Like {!run} but hands back the whole universe, for post-mortem
     checks ({!supply_check}) and white-box tests. *)
-val run_universe : ?instrument:bool -> seed:int -> Workload.config -> report * Universe.t
+val run_universe : seed:int -> Workload.config -> report * Universe.t
 
 (** Per-chain [(chain, expected, actual)] supply: the premine plus one
     block reward per mined block. Swaps move value; they must never
@@ -75,7 +75,6 @@ type sweep_summary = {
 val sweep :
   ?jobs:int ->
   ?sanitize:bool ->
-  ?instrument:bool ->
   seed:int ->
   runs:int ->
   Workload.config ->

@@ -20,8 +20,8 @@ type gauge
 type histogram
 
 (** [create ()] makes an empty registry. [enabled:false] yields a
-    registry whose instruments ignore all observations (used to measure
-    instrumentation overhead, bench E14). *)
+    registry whose instruments ignore all observations (for components
+    run without a registry, and for shrinking, which discards it). *)
 val create : ?enabled:bool -> unit -> t
 
 val is_enabled : t -> bool

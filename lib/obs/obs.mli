@@ -4,8 +4,7 @@
     A context is carried by each {e universe} (simulation instance);
     layered components pull instruments out of it at creation. A
     context created with [~enabled:false] makes every instrument inert,
-    which is how bench E14 measures instrumentation overhead without
-    rebuilding. *)
+    so a run whose metrics are discarded (shrinking) records nothing. *)
 
 type t = { metrics : Metrics.t; spans : Span.t }
 

@@ -1,5 +1,6 @@
-(* Array-backed binary min-heap used as the event queue of the discrete
-   event engine. Keys are compared with a user-supplied total order. *)
+(* Array-backed binary min-heap: the event queue of the boxed-heap
+   reference engine in reference.ml. Keys are compared with a
+   user-supplied total order. *)
 
 type 'a t = {
   mutable data : 'a array;
@@ -7,9 +8,7 @@ type 'a t = {
   compare : 'a -> 'a -> int;
 }
 
-let create ?(capacity = 16) cmp =
-  ignore capacity;
-  { data = [||]; size = 0; compare = cmp }
+let create cmp = { data = [||]; size = 0; compare = cmp }
 
 let length h = h.size
 

@@ -3,7 +3,7 @@
 type 'a t
 
 (** [create compare] builds an empty heap ordered by [compare]. *)
-val create : ?capacity:int -> ('a -> 'a -> int) -> 'a t
+val create : ('a -> 'a -> int) -> 'a t
 
 (** Number of elements. *)
 val length : 'a t -> int

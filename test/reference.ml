@@ -9,7 +9,6 @@
    ledger hot paths need no separate copy — their reference mode is
    the same code with every memo table passed through
    ([Ac3_fast.Memo.set_enabled false]), which the harness toggles. *)
-module Heap = Ac3_sim.Heap
 
 module Engine = struct
   type event = { time : float; seq : int; callback : unit -> unit; mutable cancelled : bool }

@@ -685,6 +685,77 @@ let test_store_call_index_follows_reorg () =
     "branch B call replaces A's" (Some (hex call_b, 2)) (found ());
   Alcotest.(check (list string)) "calls_on after reorg" [ hex call_b ] (calls ())
 
+(* A store holding [contracts] test counters, each deployed and called
+   once, and their contract ids. Every deploy spends its own premine
+   coin, so both blocks are built without a wallet. *)
+let lookup_store ~contracts =
+  let owner = Keys.create "chain-test-lookup" in
+  let each = coin 1_000_000 in
+  let params =
+    Params.make "testchain" ~pow_bits:0 ~block_capacity:(contracts + 1)
+      ~verify_signatures:false
+      ~premine:(List.init contracts (fun _ -> (Keys.address owner, each)))
+  in
+  let store = Store.create ~params ~registry:(test_registry ()) in
+  let deploy_fee = params.Params.deploy_fee and call_fee = params.Params.call_fee in
+  let premine_txid = Tx.txid (List.hd (Store.genesis store).Block.txs) in
+  let deploys =
+    List.init contracts (fun i ->
+        Tx.make_unsigned ~chain:"testchain"
+          ~inputs:[ (Outpoint.create ~txid:premine_txid ~index:i, Keys.public owner) ]
+          ~outputs:[ { addr = Keys.address owner; amount = Amount.(each - deploy_fee) } ]
+          ~payload:
+            (Tx.Deploy { code_id = Counter.code_id; args = Value.Int 0L; deposit = Amount.zero })
+          ~fee:deploy_fee ~nonce:(Int64.of_int i) ())
+  in
+  expect_added (snd (mine_into store deploys));
+  let ids =
+    Array.of_list
+      (List.map (fun tx -> Contract_iface.contract_id_of_deploy ~txid:(Tx.txid tx)) deploys)
+  in
+  let calls =
+    List.mapi
+      (fun i deploy ->
+        Tx.make_unsigned ~chain:"testchain"
+          ~inputs:[ (Outpoint.create ~txid:(Tx.txid deploy) ~index:0, Keys.public owner) ]
+          ~outputs:[ { addr = Keys.address owner; amount = Amount.(each - deploy_fee - call_fee) } ]
+          ~payload:
+            (Tx.Call { contract_id = ids.(i); fn = "incr"; args = Value.Unit; deposit = Amount.zero })
+          ~fee:call_fee
+          ~nonce:(Int64.of_int (contracts + i))
+          ())
+      deploys
+  in
+  expect_added (snd (mine_into store calls));
+  (store, ids)
+
+(* CPU seconds for 100k [find_call] + [calls_on] pairs spread over the
+   store's contracts. *)
+let lookup_seconds (store, ids) =
+  let contracts = Array.length ids in
+  let t0 = Sys.time () in
+  for i = 0 to 99_999 do
+    let cid = ids.(i * 7919 mod contracts) in
+    if Option.is_none (Store.find_call store ~contract_id:cid ~fn:"incr") then
+      Alcotest.fail "indexed call missing";
+    ignore (Store.calls_on store ~contract_id:cid)
+  done;
+  Sys.time () -. t0
+
+(* Contract lookup is the poll loop's hot path and is served by the
+   per-contract call index, so its cost must not grow with the number
+   of contracts on the chain: on a 16x bigger store a rescan of every
+   contract costs about 16x, the index about the same. Best of three
+   rounds per size, so one descheduled round cannot decide it. *)
+let test_store_call_lookup_sublinear () =
+  let best store = List.fold_left min infinity (List.init 3 (fun _ -> lookup_seconds store)) in
+  let small = best (lookup_store ~contracts:256) in
+  let large = best (lookup_store ~contracts:4096) in
+  let ratio = large /. small in
+  if not (ratio < 4.0) then
+    Alcotest.failf "lookup at 4096 vs 256 contracts costs %.2fx (%.1f vs %.1f ms), not < 4x" ratio
+      (1000. *. large) (1000. *. small)
+
 let test_store_confirmations () =
   let store = mk_store () in
   let tx = spend_premine store ~from_:alice ~to_:bob ~amount:(coin 10) ~fee:(coin 100) in
@@ -1539,6 +1610,8 @@ let () =
           Alcotest.test_case "reorg restores ledger" `Quick test_store_reorg_restores_ledger;
           Alcotest.test_case "call index follows a reorg" `Quick
             test_store_call_index_follows_reorg;
+          Alcotest.test_case "call lookup sublinear in contracts" `Slow
+            test_store_call_lookup_sublinear;
           Alcotest.test_case "confirmations" `Quick test_store_confirmations;
           Alcotest.test_case "headers_from" `Quick test_store_headers_from;
         ] );
