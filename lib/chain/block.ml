@@ -16,7 +16,11 @@ type header = {
   nonce : int64;
 }
 
-type t = { header : header; txs : Tx.t list }
+(* [hash] is the header's double SHA-256, fixed when the block is built
+   (every constructor below goes through [raw]), like a transaction's
+   id: a block's hash is its identity, read by every depth poll, fork
+   walk and store lookup. *)
+type t = { header : header; txs : Tx.t list; hash : string }
 
 let encode_header w h =
   Codec.Writer.string w h.chain;
@@ -39,29 +43,15 @@ let decode_header r =
 
 let header_bytes h = Codec.encode encode_header h
 
-(* Header-hash memo keyed by the serialized header. Every depth poll,
-   evidence check and fork walk re-hashes the same headers; [mine]
-   below deliberately bypasses this table (grinding would churn it). *)
-let hash_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.hash" ~cap:1024
+let hash_header h = Sha256.digest2 (header_bytes h)
 
-let hash_header h =
-  let bytes = header_bytes h in
-  Ac3_fast.Memo.memo hash_memo bytes (fun () -> Sha256.digest2 bytes)
+let raw ~header ~txs = { header; txs; hash = hash_header header }
 
-let hash t = hash_header t.header
+let hash t = t.hash
 
 let genesis_parent = String.make 32 '\x00'
 
-(* Root memo keyed by the concatenated txids (fixed 32-byte records, so
-   the key is self-delimiting). Candidate assembly and body validation
-   recompute the same commitment; the per-node memos inside
-   [Merkle.root] additionally make a near-miss (one tx appended) reuse
-   the shared subtree hashes. *)
-let merkle_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.merkle" ~cap:256
-
-let merkle_root_of_txs txs =
-  let ids = List.map Tx.txid txs in
-  Ac3_fast.Memo.memo merkle_memo (String.concat "" ids) (fun () -> Merkle.root ids)
+let merkle_root_of_txs txs = Merkle.root (List.map Tx.txid txs)
 
 (* Inclusion proof for the [i]-th transaction; verified by light clients
    and by cross-chain evidence checks. *)
@@ -95,7 +85,7 @@ let genesis ?(premine = []) ~chain ~time ~target () =
     }
   in
   (* Genesis is exempt from PoW: it is a fixed constant of the chain. *)
-  { header; txs }
+  raw ~header ~txs
 
 (* Assemble and mine a block on [parent_hash]. The header is serialized
    once; [Pow.grind] patches the nonce — the final 8 bytes of the
@@ -105,4 +95,4 @@ let mine ~chain ~height ~parent ~time ~target ~txs =
   let merkle_root = merkle_root_of_txs txs in
   let base = { chain; height; parent; merkle_root; time; target; nonce = 0L } in
   let nonce = Pow.grind ~target (header_bytes base) in
-  { header = { base with nonce }; txs }
+  raw ~header:{ base with nonce } ~txs

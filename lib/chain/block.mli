@@ -10,7 +10,13 @@ type header = {
   nonce : int64;
 }
 
-type t = { header : header; txs : Tx.t list }
+(** [hash] is {!hash_header} of [header], fixed when the block is built:
+    every block comes from {!genesis}, {!mine} or {!raw}. *)
+type t = private { header : header; txs : Tx.t list; hash : string }
+
+(** A block over any header, mined or not: for forged blocks in tests.
+    Its [hash] is computed here, and nothing is validated. *)
+val raw : header:header -> txs:Tx.t list -> t
 
 val encode_header : Ac3_crypto.Codec.Writer.t -> header -> unit
 
@@ -21,6 +27,7 @@ val header_bytes : header -> string
 (** Double SHA-256 of the header. *)
 val hash_header : header -> string
 
+(** The block's [hash] field. *)
 val hash : t -> string
 
 (** All-zero parent of the genesis block. *)
@@ -33,8 +40,8 @@ val tx_proof : t -> int -> Ac3_crypto.Merkle.proof
 
 val verify_tx_inclusion : header:header -> txid:string -> Ac3_crypto.Merkle.proof -> bool
 
-(** PoW check on the header (genesis is exempt by convention; see
-    {!genesis}). *)
+(** PoW check on a bare header (evidence, SPV); genesis is exempt by
+    convention, see {!genesis}. *)
 val header_pow_ok : header -> bool
 
 (** Structural validity: Merkle root matches, exactly one leading

@@ -281,7 +281,8 @@ let rec add_block t (block : Block.t) : add_result =
     if not (String.equal header.Block.chain t.params.Params.chain_id) then
       Invalid "wrong chain id"
     else if not (String.equal header.Block.target (target t)) then Invalid "wrong target"
-    else if not (Block.header_pow_ok header) then Invalid "proof of work not met"
+    else if not (Pow.meets_target ~hash ~target:header.Block.target) then
+      Invalid "proof of work not met"
     else if not (Block.body_ok block) then Invalid "malformed body"
     else if
       List.length block.Block.txs - 1 > t.params.Params.block_capacity

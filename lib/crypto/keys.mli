@@ -29,7 +29,8 @@ val label : t -> string
 
 val public : t -> public
 
-(** 20-byte address derived from the public key. *)
+(** 20-byte address derived from the public key, fixed when the
+    identity is built: [address k = address_of_public (public k)]. *)
 val address : t -> string
 
 val address_of_public : public -> string
@@ -41,7 +42,7 @@ val remaining_signatures : t -> int
 val sign : t -> string -> signature
 
 (** Verify a signature. Verdicts are memoized by the full
-    (pk, msg, signature) serialization — see {!Ac3_fast.Memo}. *)
+    (pk, msg, signature) serialization — see {!Memo}. *)
 val verify : public -> string -> signature -> bool
 
 val encode_signature : Codec.Writer.t -> signature -> unit

@@ -11,6 +11,13 @@ let set_enabled b = enabled_flag := b
 
 let enabled () = !enabled_flag
 
+(* The table type. Each table is one [Hashtbl] per domain, reached
+   through a [Domain.DLS] key — per-domain state, which the linter
+   (D008) confines to [lib/par] because it could make output depend on
+   which domain ran which task. Here it cannot: every entry is a pure
+   function of its key, so a lookup answers exactly what computing the
+   value would, whichever domain holds the table and however warm it
+   is. That is the note the D008 suppressions below point to. *)
 type 'a t = {
   name : string;
   cap : int;
@@ -23,7 +30,7 @@ type 'a t = {
 let clearers : (unit -> unit) list ref = ref []
 
 let create ~name ~cap =
-  (* ac3-lint: allow D008 — see the table-type note above *)
+  (* ac3-lint: allow D008 — pure-function table, see the table-type note above *)
   let key = Domain.DLS.new_key (fun () -> Hashtbl.create 256) in
   let t = { name; cap; key } in
   (* ac3-lint: allow D008 — clear hook for the calling domain's table *)

@@ -1,7 +1,10 @@
-(** Content-addressed memo tables for pure, expensive functions
-    (signature verification, addresses, MSS key material, Merkle roots,
-    block hashes). Transaction ids are not cached here: they are fields
-    fixed when a transaction ([Ac3_chain.Tx.t]) is built.
+(** Content-addressed memo tables for pure, expensive functions. Two
+    tables exist: signature verdicts ([Keys.verify], table
+    [keys.verify]) and MSS key material ([Mss.generate], table
+    [mss.material]). Cheap values an object can own are not cached
+    here but fixed when the object is built: transaction ids
+    ([Ac3_chain.Tx.t]), block hashes ([Ac3_chain.Block.t]) and key
+    addresses ([Keys.t]).
 
     Keys are the FULL serialized input — structural identity, never
     physical identity — so mutating a value after its first digest

@@ -9,23 +9,9 @@
    interior nodes as leaves. An odd node at any level is paired with
    itself, Bitcoin-style. *)
 
-(* Leaf and node hashes are memoized by their full input — this is the
-   incremental builder: rebuilding a root after appending one leaf (a
-   miner extending its candidate block) re-derives only the O(log n)
-   nodes on the changed path and takes every untouched subtree from the
-   table. Evidence re-verification hits the same way. The hashes
-   depend only on the concatenated input bytes (the prefix is a
-   constant), so the concatenation is a sound key; separate tables keep
-   the 0x00/0x01 domains apart. *)
-let leaf_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"merkle.leaf" ~cap:2048
+let leaf_hash data = Sha256.digest_list [ "\x00"; data ]
 
-let node_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"merkle.node" ~cap:2048
-
-let leaf_hash data =
-  Ac3_fast.Memo.memo leaf_memo data (fun () -> Sha256.digest_list [ "\x00"; data ])
-
-let node_hash left right =
-  Ac3_fast.Memo.memo node_memo (left ^ right) (fun () -> Sha256.digest_list [ "\x01"; left; right ])
+let node_hash left right = Sha256.digest_list [ "\x01"; left; right ]
 
 let empty_root = Sha256.digest "merkle:empty"
 

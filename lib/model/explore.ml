@@ -198,7 +198,7 @@ let iter_succs t f =
 
 (* --- Settlement reachability under the recovery closure --------------- *)
 
-module Memo = Hashtbl.Make (String)
+module State_tbl = Hashtbl.Make (String)
 
 (* Can [state] still reach a fully settled state if every crashed party
    recovers? Used by M002: a state that cannot is a true global deadlock,
@@ -206,11 +206,11 @@ module Memo = Hashtbl.Make (String)
    own memo table (shared across queries); the space is a small quotient
    of the explored one because alive/crash components are normalized. *)
 let can_settle_memo t =
-  let memo = Memo.create 256 in
+  let memo = State_tbl.create 256 in
   let rec go state =
     let state = Global_state.revive state in
     let k = (state : Global_state.t :> string) in
-    match Memo.find_opt memo k with
+    match State_tbl.find_opt memo k with
     | Some v -> v
     | None ->
         let v =
@@ -219,7 +219,7 @@ let can_settle_memo t =
           let moves, _ = Semantics.reduced t.model state in
           List.exists (fun move -> go (Semantics.apply t.model state move)) moves
         in
-        Memo.replace memo k v;
+        State_tbl.replace memo k v;
         v
   in
   go

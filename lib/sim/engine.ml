@@ -5,7 +5,7 @@
    broken by a monotonically increasing sequence number), which keeps runs
    deterministic. Callbacks may schedule further events.
 
-   The queue is an index-sorted arena (Ac3_fast.Arena): timestamps in a
+   The queue is an index-sorted arena (Arena): timestamps in a
    flat unboxed float array, slot indices in the heap, freed slots
    recycled through a free list. The dispatch loop moves integers only —
    no event records, no options — which matters because every layer of
@@ -13,8 +13,6 @@
    through this loop. Observable semantics are identical to the boxed
    heap this replaces; test/test_fast.ml diffs the two implementations
    event by event. *)
-
-module Arena = Ac3_fast.Arena
 
 type t = {
   mutable now : float;

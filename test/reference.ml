@@ -2,13 +2,13 @@
    (test_fast.ml, test_model.ml, test_crypto.ml, test_chain.ml).
 
    [Engine] is the boxed-heap event queue the simulator shipped with
-   before the index-sorted arena (lib/fast/arena.ml) replaced it,
+   before the index-sorted arena (lib/sim/arena.ml) replaced it,
    kept compiled under test verbatim so the optimized engine always
    has a live semantic baseline: same (time, seq) dispatch order, same
-   flag-only cancellation, same clock-advance rules. The hash and
+   flag-only cancellation, same clock-advance rules. The verify and
    ledger hot paths need no separate copy — their reference mode is
    the same code with every memo table passed through
-   ([Ac3_fast.Memo.set_enabled false]), which the harness toggles. *)
+   ([Ac3_crypto.Memo.set_enabled false]), which the harness toggles. *)
 
 module Engine = struct
   type event = { time : float; seq : int; callback : unit -> unit; mutable cancelled : bool }

@@ -563,23 +563,30 @@ let test_store_rejects_bad_pow () =
     Tx.coinbase ~chain:"testchain" ~height:1 ~miner_addr:(Keys.address carol)
       ~reward:params.Params.block_reward
   in
-  (* Forge a header without grinding. *)
-  let header =
+  (* Forge a header whose hash misses the target: walk the nonces until
+     one fails, so the rejection below is certain, not likely. *)
+  let target = Pow.target_of_bits params.Params.pow_bits in
+  let forged nonce =
     {
       Block.chain = "testchain";
       height = 1;
       parent = Block.hash parent;
       merkle_root = Block.merkle_root_of_txs [ cb ];
       time = 1.0;
-      target = Pow.target_of_bits params.Params.pow_bits;
-      nonce = 0L;
+      target;
+      nonce;
     }
   in
-  let block = { Block.header; txs = [ cb ] } in
-  let ok = match Store.add_block store block with Store.Invalid _ -> true | _ -> false in
-  (* The forged nonce could accidentally satisfy an 4-bit target; accept
-     either Invalid or (rarely) Added. With pow_bits 4, P(valid) = 1/16. *)
-  ignore ok
+  let rec missing nonce =
+    let header = forged nonce in
+    if Pow.meets_target ~hash:(Block.hash_header header) ~target then missing (Int64.succ nonce)
+    else header
+  in
+  let block = Block.raw ~header:(missing 0L) ~txs:[ cb ] in
+  match Store.add_block store block with
+  | Store.Invalid "proof of work not met" -> ()
+  | Store.Invalid e -> Alcotest.failf "rejected for the wrong reason: %s" e
+  | Store.Added _ | Store.Duplicate | Store.Orphaned -> Alcotest.fail "forged block accepted"
 
 let test_store_reorg_switches_to_heavier_branch () =
   (* Build two stores sharing genesis; mine a longer branch on the second

@@ -181,6 +181,100 @@ let test_corpus_replays () =
       Alcotest.(check bool) (path ^ " has expectations") true (results <> []))
     (corpus_files ())
 
+(* --- hostile reproducers: the decoder refuses, never crashes ----------- *)
+
+(* One mutation of a corpus file's JSON tree, at the [n]-th node in
+   pre-order: drop a key of an object, replace the node with a value of
+   the wrong type or out of range, or duplicate an item of a list.
+   Mutations that do not apply to the chosen node leave it as is. *)
+type mutation = Drop_key of int | Replace of Json.t | Dup_item of int
+
+let hostile_values =
+  Json.
+    [
+      Null;
+      Bool true;
+      Int (-1);
+      Int 0;
+      Int max_int;
+      Int min_int;
+      Float (-1.5);
+      Float 1e300;
+      Float infinity;
+      String "";
+      String "nowhere";
+      List [];
+      Obj [];
+      Obj [ ("kind", String "crash") ];
+    ]
+
+let rec mutate n m (j : Json.t) =
+  (* [n] counts down through the pre-order walk; the result carries the
+     count left over for the siblings that follow. *)
+  if n = 0 then
+    let j' =
+      match (m, j) with
+      | Replace v, _ -> v
+      | Drop_key k, Json.Obj fields when fields <> [] ->
+          Json.Obj (List.filteri (fun i _ -> i <> k mod List.length fields) fields)
+      | Dup_item k, Json.List items when items <> [] ->
+          let k = k mod List.length items in
+          Json.List (List.concat (List.mapi (fun i x -> if i = k then [ x; x ] else [ x ]) items))
+      | _ -> j
+    in
+    (j', -1)
+  else
+    let n = n - 1 in
+    let rec children n = function
+      | [] -> ([], n)
+      | x :: rest ->
+          let x', n = if n < 0 then (x, n) else mutate n m x in
+          let rest', n = children n rest in
+          (x' :: rest', n)
+    in
+    match j with
+    | Json.List items ->
+        let items, n = children n items in
+        (Json.List items, n)
+    | Json.Obj fields ->
+        let keys = List.map fst fields in
+        let values, n = children n (List.map snd fields) in
+        (Json.Obj (List.combine keys values), n)
+    | _ -> (j, n)
+
+let mutation_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun k -> Drop_key k) (int_bound 15));
+        (3, map (fun v -> Replace v) (oneofl hostile_values));
+        (2, map (fun k -> Dup_item k) (int_bound 15));
+      ])
+
+(* 1..3 mutations of one corpus file, as the text a replay would read. *)
+let hostile_repro_arb =
+  let corpus = List.map (fun path -> Json.of_string (read_file path)) (corpus_files ()) in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun j muts ->
+          List.fold_left (fun j (n, m) -> fst (mutate n m j)) j muts
+          |> Json.to_string_pretty)
+        (oneofl corpus)
+        (list_size (int_range 1 3) (pair (int_bound 40) mutation_gen)))
+  in
+  QCheck.make ~print:Fun.id gen
+
+(* `ac3 chaos --replay` turns exactly these two exceptions into a
+   refusal with exit 1; anything else would escape as a crash. *)
+let qcheck_hostile_repro_refused =
+  QCheck.Test.make ~name:"mutated corpus file: decodes or is refused" ~count:500
+    hostile_repro_arb (fun text ->
+      match Repro.of_string text with
+      | _ -> true
+      | exception (Plan.Malformed _ | Ac3_crypto.Codec.Decode_error _) -> true
+      | exception e -> QCheck.Test.fail_reportf "uncaught %s" (Printexc.to_string e))
+
 (* The acceptance-criterion entry: a Sec 3-style crash schedule under
    which Herlihy loses a deposit while AC3WN commits atomically. *)
 let test_corpus_has_crash_schedule () =
@@ -385,6 +479,7 @@ let () =
         [
           Alcotest.test_case "every reproducer replays" `Quick test_corpus_replays;
           Alcotest.test_case "sec 3 crash schedule present" `Quick test_corpus_has_crash_schedule;
+          QCheck_alcotest.to_alcotest qcheck_hostile_repro_refused;
         ] );
       ( "parties",
         [

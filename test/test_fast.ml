@@ -1,26 +1,26 @@
-(* Differential harness for the lib/fast hot-path optimizations.
+(* Differential harness for the hot-path optimizations.
 
    Three rewrites ride behind existing interfaces: the index-sorted
-   arena event queue (Ac3_sim.Engine), content-addressed digest
-   memoization (Ac3_crypto, Ac3_chain), and incremental UTXO/ledger
+   arena event queue (Ac3_sim.Engine), values fixed at construction or
+   memoized (Ac3_crypto, Ac3_chain), and incremental UTXO/ledger
    indexing across reorgs (Ac3_chain.Store). Each must be observably
    identical to its slow reference:
 
    - the engine is diffed event-by-event against the boxed-heap
      implementation it replaced (Reference.Engine) over randomized
      schedule/cancel/advance scripts;
-   - every memoized digest path is computed with memo tables on and
-     off (Ac3_fast.Memo.set_enabled) and the results compared, and the
-     transaction ids fixed at construction are checked against digests
-     of the encoding, including for rebuilt, foreign-witness copies;
+   - signature verdicts are computed with the memo tables on and off
+     (Ac3_crypto.Memo.set_enabled) and the results compared, and the
+     fields fixed at construction (transaction ids, block hashes, key
+     addresses) are checked against their derivations, including for
+     rebuilt, foreign-witness copies;
    - reorged stores are diffed against fresh stores that only ever saw
      the winning branch, and chaos sweeps and corpus replays are
      rendered byte-for-byte under --jobs {1,2,4} and memo on/off. *)
 
 module Engine = Ac3_sim.Engine
-module Memo = Ac3_fast.Memo
+module Memo = Ac3_crypto.Memo
 module Sha256 = Ac3_crypto.Sha256
-module Merkle = Ac3_crypto.Merkle
 module Keys = Ac3_crypto.Keys
 module Json = Ac3_crypto.Codec.Json
 module Runner = Ac3_chaos.Runner
@@ -149,7 +149,7 @@ let qcheck_engine_differential =
           slow;
       true)
 
-(* --- Digest memoization: memo-on == memo-off -------------------------- *)
+(* --- Digests: fixed at construction, or memo-on == memo-off ------------ *)
 
 (* Compute [f] with every memo table bypassed and cleared — the
    reference mode. Re-enables the tables afterwards even on failure. *)
@@ -273,14 +273,57 @@ let qcheck_tx_ids_fixed_at_construction =
       && String.equal (Tx.txid decoded) (Tx.txid tx)
       && String.equal (Tx.sighash decoded) (Tx.sighash tx))
 
-let qcheck_merkle_memo_differential =
-  QCheck.Test.make ~name:"merkle root: memoized == recomputed" ~count:100
-    QCheck.(list_of_size Gen.(0 -- 12) (string_of_size Gen.(0 -- 40)))
-    (fun leaves ->
-      let r1 = Merkle.root leaves in
-      let r2 = Merkle.root leaves in
-      let r0 = memo_off (fun () -> Merkle.root leaves) in
-      String.equal r1 r2 && String.equal r1 r0)
+(* Blocks from all three constructors: genesis, mined at an easy
+   target, and raw over an arbitrary (usually unmined) header. *)
+let block_gen =
+  QCheck.Gen.(
+    let header_fields =
+      triple (int_bound 1000) (int_bound 1000) (list_size (int_range 1 3) coinbase_gen)
+    in
+    frequency
+      [
+        ( 1,
+          map2
+            (fun time (o : Tx.output) ->
+              Block.genesis ~premine:[ (o.addr, o.amount) ] ~chain:"fastchain"
+                ~time:(float_of_int time) ~target:(Pow.target_of_bits 4) ())
+            (int_bound 1000) output_gen );
+        ( 2,
+          map
+            (fun (height, tag, txs) ->
+              Block.mine ~chain:"fastchain" ~height ~parent:(Sha256.digest (string_of_int tag))
+                ~time:(float_of_int height) ~target:(Pow.target_of_bits 4) ~txs)
+            header_fields );
+        ( 2,
+          map2
+            (fun (height, tag, txs) nonce ->
+              let header =
+                {
+                  Block.chain = "fastchain";
+                  height;
+                  parent = Sha256.digest (string_of_int tag);
+                  merkle_root = Block.merkle_root_of_txs txs;
+                  time = float_of_int height;
+                  target = Pow.target_of_bits 4;
+                  nonce = Int64.of_int nonce;
+                }
+              in
+              Block.raw ~header ~txs)
+            header_fields (int_bound 1_000_000) );
+      ])
+
+let qcheck_block_hash_fixed_at_construction =
+  QCheck.Test.make ~name:"block hash: field == hash of the header" ~count:100
+    (QCheck.make ~print:(fun b -> hex (Block.header_bytes b.Block.header)) block_gen)
+    (fun b -> String.equal (Block.hash b) (Block.hash_header b.Block.header))
+
+let qcheck_key_address_fixed_at_construction =
+  QCheck.Test.make ~name:"key address: field == address of the public key" ~count:20
+    QCheck.(triple bool (int_bound 1000) (int_range 1 3))
+    (fun (cached, tag, height) ->
+      let label = Printf.sprintf "fast-addr-key:%d" tag in
+      let k = if cached then Keys.create ~height label else Keys.fresh ~height label in
+      String.equal (Keys.address k) (Keys.address_of_public (Keys.public k)))
 
 (* A small pool of real signatures, signed once at module init. *)
 let signed_pool =
@@ -352,23 +395,8 @@ let test_foreign_witness_new_root () =
   let root_forged = Block.merkle_root_of_txs forged in
   Alcotest.(check bool) "foreign-witness tx changes the merkle root" false
     (String.equal root_before root_forged);
-  Alcotest.(check string) "forged root == uncached root"
-    (hex (memo_off (fun () -> Block.merkle_root_of_txs forged)))
-    (hex root_forged);
   Alcotest.(check string) "original root unchanged" (hex root_before)
     (hex (Block.merkle_root_of_txs txs))
-
-let test_block_hash_memo_differential () =
-  let cb = Tx.coinbase ~chain:"fastchain" ~height:1 ~miner_addr:(Keys.address f_alice) ~reward:(coin 100) in
-  let block =
-    Block.mine ~chain:"fastchain" ~height:1 ~parent:(Sha256.digest "fast-parent") ~time:1.0
-      ~target:(Pow.target_of_bits 4) ~txs:[ cb ]
-  in
-  let h1 = Block.hash block in
-  let h0 = memo_off (fun () -> Block.hash block) in
-  Alcotest.(check string) "block hash: memoized == recomputed" (hex h0) (hex h1);
-  Alcotest.(check bool) "meets target" true
-    (Pow.meets_target ~target:block.Block.header.Block.target ~hash:h1)
 
 (* --- Ledger / store: incremental reorg == from-scratch ---------------- *)
 
@@ -506,7 +534,8 @@ let () =
       ( "digest-memoization",
         [
           QCheck_alcotest.to_alcotest qcheck_tx_ids_fixed_at_construction;
-          QCheck_alcotest.to_alcotest qcheck_merkle_memo_differential;
+          QCheck_alcotest.to_alcotest qcheck_block_hash_fixed_at_construction;
+          QCheck_alcotest.to_alcotest qcheck_key_address_fixed_at_construction;
           QCheck_alcotest.to_alcotest qcheck_verify_memo_differential;
         ] );
       ( "invalidation",
@@ -515,7 +544,6 @@ let () =
             test_foreign_witness_new_txid;
           Alcotest.test_case "foreign-witness tx: new merkle root" `Quick
             test_foreign_witness_new_root;
-          Alcotest.test_case "block hash differential" `Quick test_block_hash_memo_differential;
         ] );
       ( "ledger-differential",
         [ Alcotest.test_case "incremental reorg == from-scratch" `Quick test_reorg_differential ] );

@@ -254,9 +254,9 @@ let test_engine_schedule_boundaries () =
   Alcotest.(check bool) "time = now fires" true !fired;
   Alcotest.(check (float 1e-9)) "clock unchanged" 1.0 (Engine.now e)
 
-(* --- Arena (lib/fast): slot recycling and stale handles ---------------- *)
+(* --- Arena: slot recycling and stale handles ---------------------------- *)
 
-module Arena = Ac3_fast.Arena
+module Arena = Ac3_sim.Arena
 
 let test_arena_cancel_live () =
   let a = Arena.create () in
