@@ -94,6 +94,14 @@ let with_parties cmd parties run =
     refuse cmd "--parties must be at most %d (got %d)" S.max_identities parties
   else run ()
 
+(* [--jobs] sizes the domain pool: below 1 there is no worker at all,
+   and above [Pool.max_jobs] a sweep would spawn domains past the
+   runtime's limit. *)
+let with_jobs cmd jobs run =
+  if jobs < 1 || jobs > Pool.max_jobs then
+    refuse cmd "--jobs must be between 1 and %d (got %d)" Pool.max_jobs jobs
+  else run ()
+
 (* [--delta] and [--slack] feed the timelock arithmetic, where a NaN or
    infinity slips past every later comparison, and [--max-nodes] below 1
    would report a verdict over no exploration at all. [max_nodes_limit]
@@ -238,10 +246,9 @@ let execute_protocol ~crash u participants graph protocol =
       let config =
         { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
       in
-      (if crash then
-         ignore
-           (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
-                P.recover (List.nth participants 1))));
+      if crash then
+        Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
+            P.recover (List.nth participants 1));
       A.execute u ~config ~graph ~participants
         ~hooks:(crash_at (Protocol.Authorize_submitted Protocol.Commit))
         ()
@@ -475,6 +482,7 @@ let analyze_cmd =
 (* --- attack -------------------------------------------------------------------- *)
 
 let run_attack q trials seed jobs metrics_out trace_out =
+  with_jobs "attack" jobs @@ fun () ->
   if not (q > 0.0 && q < 1.0) then refuse "attack" "-q must be in (0, 1) (got %g)" q
   else if trials < 1 then refuse "attack" "--trials must be positive (got %d)" trials
   else begin
@@ -620,6 +628,7 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       0
 
 let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
+  with_jobs "chaos" jobs @@ fun () ->
   match replay with
   | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
   | None when runs < 0 -> refuse "chaos" "--runs must be non-negative (got %d)" runs
@@ -756,6 +765,7 @@ let check_stats_json (s : MC.stats) =
 
 let run_check protocol scenario parties delta slack crashes max_nodes json export seed jobs
     sanitize quiet metrics_out trace_out =
+  with_jobs "check" jobs @@ fun () ->
   with_parties "check" parties @@ fun () ->
   with_bounds "check" ~max_nodes_limit:Ac3_model.Explore.max_nodes_limit ~delta ~slack ~max_nodes
   @@ fun () ->
@@ -932,6 +942,7 @@ let export_flow_witness ~path ~parties ~seed results =
         path
 
 let run_flow profile scenario parties budget json export seed jobs sanitize quiet =
+  with_jobs "flow" jobs @@ fun () ->
   with_parties "flow" parties @@ fun () ->
   if budget < 0 then refuse "flow" "--fault-budget must be non-negative (got %d)" budget else
   let pairs =
@@ -1080,6 +1091,7 @@ module Load = Ac3_load.Engine
 
 let run_load swaps seed users chains rate clients think zipf mix abandon deadline block_interval
     confirm_depth mempool_capacity runs jobs sanitize metrics_out trace_out =
+  with_jobs "load" jobs @@ fun () ->
   setup_logs false;
   let nolan, herlihy, ac3wn = mix in
   let arrival =

@@ -67,8 +67,7 @@ let () =
       ( Ac3_flow.Protocol.(Authorize_submitted Commit),
         fun () ->
           P.crash bob2;
-          ignore
-            (Ac3_sim.Engine.schedule (U.engine u2) ~delay:600.0 (fun () -> P.recover bob2)) );
+          Ac3_sim.Engine.schedule (U.engine u2) ~delay:600.0 (fun () -> P.recover bob2) );
     ]
   in
   let config =

@@ -29,10 +29,9 @@ let () =
   let trent = Trent.create u1 ~name:"trent-outage" in
   (* Trent is DoS'd 10 virtual seconds in — after registration, before the
      contracts confirm. *)
-  ignore
-    (Ac3_sim.Engine.schedule (U.engine u1) ~delay:10.0 (fun () ->
-         Fmt.pr "  [t=+10s] Trent goes down (denial of service)@.";
-         Trent.crash trent));
+  Ac3_sim.Engine.schedule (U.engine u1) ~delay:10.0 (fun () ->
+      Fmt.pr "  [t=+10s] Trent goes down (denial of service)@.";
+      Trent.crash trent);
   let graph1 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u1) in
   (match
      T.execute u1
@@ -54,10 +53,9 @@ let () =
   let u2, ps2 = S.make_universe ~seed:607 ~chains:[ "btc"; "eth" ] ids () in
   U.run_until u2 100.0;
   let witness = U.chain u2 "witness" in
-  ignore
-    (Ac3_sim.Engine.schedule (U.engine u2) ~delay:10.0 (fun () ->
-         Fmt.pr "  [t=+10s] witness miner %s crashes@." (Node.id witness.U.nodes.(1));
-         Node.crash witness.U.nodes.(1)));
+  Ac3_sim.Engine.schedule (U.engine u2) ~delay:10.0 (fun () ->
+      Fmt.pr "  [t=+10s] witness miner %s crashes@." (Node.id witness.U.nodes.(1));
+      Node.crash witness.U.nodes.(1));
   let graph2 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u2) in
   let config = { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4 } in
   let r = A.execute u2 ~config ~graph:graph2 ~participants:ps2 () |> Result.fold ~ok:Fun.id ~error:failwith in

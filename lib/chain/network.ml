@@ -97,7 +97,7 @@ let reconnect t id = Hashtbl.remove t.partition_groups id
 
 let deliver_later t ?(extra = 0.0) endpoint msg =
   let delay = extra +. Rng.uniform_range t.rng ~lo:t.min_delay ~hi:t.max_delay in
-  ignore (Engine.schedule t.engine ~delay (fun () -> endpoint.deliver msg))
+  Engine.schedule t.engine ~delay (fun () -> endpoint.deliver msg)
 
 (* One message to one reachable endpoint, through the fault surface:
    hook verdict first, then the Bernoulli link drop. Messages crossing a

@@ -16,7 +16,7 @@ module Universe = Ac3_core.Universe
 module Participant = Ac3_core.Participant
 
 let schedule u ~at thunk =
-  if at >= 0.0 then ignore (Engine.schedule (Universe.engine u) ~delay:at thunk)
+  if at >= 0.0 then Engine.schedule (Universe.engine u) ~delay:at thunk
 
 (* Plans may reference chains a hand-edited spec does not have; skip
    those faults rather than crashing the harness. *)

@@ -147,6 +147,11 @@ let fault_chains spec = chain_names spec @ [ "witness" ]
 
 let sample_time rng = 5.0 +. Rng.float rng (horizon -. 5.0)
 
+(* Largest mining burst a plan may hold: the sampler draws 1 .. this,
+   and the decoder refuses more, since [Inject] mines a burst all at
+   once (tens of thousands of blocks take seconds and hundreds of MB). *)
+let max_burst_blocks = 5
+
 let sample_fault rng ~spec =
   let pick_chain () =
     let cs = Array.of_list (fault_chains spec) in
@@ -172,7 +177,10 @@ let sample_fault rng ~spec =
       [ Drop { chain = pick_chain (); at = sample_time rng; duration = duration (); p } ]
   | 7 -> [ Mining_stall { chain = pick_chain (); at = sample_time rng; duration = duration () } ]
   | 8 ->
-      [ Mining_burst { chain = pick_chain (); at = sample_time rng; blocks = 1 + Rng.int rng 5 } ]
+      [
+        Mining_burst
+          { chain = pick_chain (); at = sample_time rng; blocks = 1 + Rng.int rng max_burst_blocks };
+      ]
   | _ -> [ Witness_outage { at = sample_time rng; duration = duration () } ]
 
 let sample_faults rng ~spec =
@@ -299,7 +307,13 @@ let fault_of_json j =
   | "drop" -> Drop { chain = st "chain"; at = nonneg "at"; duration = nonneg "duration"; p = prob () }
   | "mining_stall" ->
       Mining_stall { chain = st "chain"; at = nonneg "at"; duration = nonneg "duration" }
-  | "mining_burst" -> Mining_burst { chain = st "chain"; at = nonneg "at"; blocks = count "blocks" }
+  | "mining_burst" ->
+      let blocks =
+        match count "blocks" with
+        | n when n <= max_burst_blocks -> n
+        | n -> fail "mining burst of %d blocks exceeds %d" n max_burst_blocks
+      in
+      Mining_burst { chain = st "chain"; at = nonneg "at"; blocks }
   | "witness_outage" -> Witness_outage { at = nonneg "at"; duration = nonneg "duration" }
   | k -> fail "unknown fault kind %S" k
 

@@ -198,27 +198,22 @@ let launch universe ~graph ~participants ~hooks ~poll_interval ~abort_after rule
   let start_time = Universe.now universe in
   (match abort_after with
   | Some delay ->
-      ignore
-        (Engine.schedule (Universe.engine universe) ~delay (fun () ->
-             if rule.abortable run then begin
-               run.abort_requested <- true;
-               record run Protocol.Abort_requested
-             end))
+      Engine.schedule (Universe.engine universe) ~delay (fun () ->
+          if rule.abortable run then begin
+            run.abort_requested <- true;
+            record run Protocol.Abort_requested
+          end)
   | None -> ());
   (* One poll loop per participant, staggered so they do not act in
      lockstep. *)
   let stopped = ref false in
   List.iteri
     (fun i p ->
-      let _stop : unit -> unit =
-        Engine.schedule_repeating
-          ~while_:(fun () -> not !stopped)
-          (Universe.engine universe)
-          ~first:(poll_interval *. (1.0 +. (0.1 *. float_of_int i)))
-          ~every:poll_interval
-          (fun () -> if not (Participant.is_crashed p) then rule.step run p)
-      in
-      ())
+      Engine.schedule_repeating (Universe.engine universe)
+        ~while_:(fun () -> not !stopped)
+        ~first:(poll_interval *. (1.0 +. (0.1 *. float_of_int i)))
+        ~every:poll_interval
+        (fun () -> if not (Participant.is_crashed p) then rule.step run p))
     participants;
   { run; graph; rule; start_time; stopped }
 

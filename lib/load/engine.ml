@@ -291,9 +291,8 @@ let run_universe ~seed (config : Workload.config) =
   | Workload.Open_loop _ ->
       Array.iteri
         (fun i spec ->
-          ignore
-            (Ac3_sim.Engine.schedule_at engine ~time:(warmup +. offsets.(i)) (fun () ->
-                 launch_spec spec)))
+          Ac3_sim.Engine.schedule_at engine ~time:(warmup +. offsets.(i)) (fun () ->
+              launch_spec spec))
         specs
   | Workload.Closed_loop { clients; think } ->
       let next = ref 0 in
@@ -310,13 +309,12 @@ let run_universe ~seed (config : Workload.config) =
       on_free :=
         (fun () ->
           if !next < config.swaps then
-            ignore (Ac3_sim.Engine.schedule engine ~delay:think launch_next));
+            Ac3_sim.Engine.schedule engine ~delay:think launch_next);
       let initial = min clients config.swaps in
       for i = 0 to initial - 1 do
-        ignore
-          (Ac3_sim.Engine.schedule_at engine
-             ~time:(warmup +. (0.001 *. float_of_int i))
-             (fun () -> launch_next ()))
+        Ac3_sim.Engine.schedule_at engine
+          ~time:(warmup +. (0.001 *. float_of_int i))
+          (fun () -> launch_next ())
       done);
   (* The reaper: finish settled and deadline-expired swaps, in
      swap-index order for determinism. *)
@@ -331,11 +329,9 @@ let run_universe ~seed (config : Workload.config) =
             else if now >= live.deadline_at then finish_swap i live ~by_deadline:true)
       active
   in
-  let _stop : unit -> unit =
-    Ac3_sim.Engine.schedule_repeating engine
-      ~while_:(fun () -> !accounted < config.swaps)
-      ~first:(warmup +. config.poll_interval) ~every:config.poll_interval reap
-  in
+  Ac3_sim.Engine.schedule_repeating engine
+    ~while_:(fun () -> !accounted < config.swaps)
+    ~first:(warmup +. config.poll_interval) ~every:config.poll_interval reap;
   let completed =
     Universe.run_while u ~timeout:500_000.0 (fun () -> !accounted >= config.swaps)
   in

@@ -26,6 +26,8 @@ let () =
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
+let max_jobs = 128
+
 let resolve_jobs = function Some j -> max 1 j | None -> default_jobs ()
 
 (* SplitMix64: jump the state directly to [index] gammas past [root]

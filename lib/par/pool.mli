@@ -42,6 +42,11 @@ exception Interference of { index : int; first : string; rerun : string }
     the CLI [--jobs] flag. *)
 val default_jobs : unit -> int
 
+(** Most domains a pool may run on, the calling one included: OCaml
+    5.1's [Max_domains] (caml/domain.h), past which [Domain.spawn]
+    fails. The CLI refuses a larger [--jobs]. *)
+val max_jobs : int
+
 (** [split_seed ~root ~index] is a SplitMix64-derived, non-negative
     per-task seed: the [index]-th element of the stream anchored at
     [root]. Distinct (root, index) pairs give independent seeds, and

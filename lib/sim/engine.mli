@@ -1,12 +1,11 @@
 (** Discrete-event simulation engine with a virtual clock.
 
     Events at equal timestamps fire in scheduling order, so simulations are
-    deterministic. Time is in abstract seconds. *)
+    deterministic. Time is in abstract seconds. A scheduled event always
+    fires once its time is reached: there is no cancellation, callbacks
+    that may become moot check their own condition when they run. *)
 
 type t
-
-(** Handle to a scheduled event, usable for cancellation. *)
-type handle
 
 (** Fresh engine with the clock at 0. *)
 val create : unit -> t
@@ -17,20 +16,13 @@ val now : t -> float
 (** Total number of events executed so far. *)
 val executed_events : t -> int
 
-(** Number of events still queued and not cancelled. O(queue). *)
-val pending_events : t -> int
-
 (** [schedule_at t ~time f] runs [f] at absolute virtual [time].
     Raises [Invalid_argument] if [time] is in the past. *)
-val schedule_at : t -> time:float -> (unit -> unit) -> handle
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
-(** [schedule t ~delay f] runs [f] after [delay] virtual seconds. *)
-val schedule : t -> delay:float -> (unit -> unit) -> handle
-
-(** Cancel a pending event; a no-op if it already fired. *)
-val cancel : handle -> unit
-
-val is_cancelled : handle -> bool
+(** [schedule t ~delay f] runs [f] after [delay] virtual seconds.
+    Raises [Invalid_argument] if [delay] is negative. *)
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [run ?until ?stop t] executes queued events in time order until the
     queue drains, the next event lies beyond [until], or [stop ()] is true.
@@ -41,8 +33,8 @@ val run : ?until:float -> ?stop:(unit -> bool) -> t -> int
 (** [run_until t horizon] is [ignore (run ~until:horizon t)]. *)
 val run_until : t -> float -> unit
 
-(** [schedule_repeating t ~first ~every f] runs [f] at [now + first] and
-    then every [every] seconds while [while_] (default: always) holds.
-    Returns a thunk that stops the repetition. *)
+(** [schedule_repeating t ~while_ ~first ~every f] runs [f] at
+    [now + first] and then every [every] seconds for as long as
+    [while_ ()] holds, checked before and after each run of [f]. *)
 val schedule_repeating :
-  ?while_:(unit -> bool) -> t -> first:float -> every:float -> (unit -> unit) -> unit -> unit
+  t -> while_:(unit -> bool) -> first:float -> every:float -> (unit -> unit) -> unit

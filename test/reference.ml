@@ -1,86 +1,11 @@
 (* Slow reference implementations for the differential test harnesses
-   (test_fast.ml, test_model.ml, test_crypto.ml, test_chain.ml).
+   (test_model.ml, test_crypto.ml, test_chain.ml).
 
-   [Engine] is the boxed-heap event queue the simulator shipped with
-   before the index-sorted arena (lib/sim/arena.ml) replaced it,
-   kept compiled under test verbatim so the optimized engine always
-   has a live semantic baseline: same (time, seq) dispatch order, same
-   flag-only cancellation, same clock-advance rules. The verify and
-   ledger hot paths need no separate copy — their reference mode is
-   the same code with every memo table passed through
-   ([Ac3_crypto.Memo.set_enabled false]), which the harness toggles. *)
-
-module Engine = struct
-  type event = { time : float; seq : int; callback : unit -> unit; mutable cancelled : bool }
-
-  type handle = event
-
-  type t = {
-    mutable now : float;
-    mutable next_seq : int;
-    queue : event Heap.t;
-    mutable executed : int;
-  }
-
-  let compare_event a b =
-    let c = Float.compare a.time b.time in
-    if c <> 0 then c else Int.compare a.seq b.seq
-
-  let create () = { now = 0.0; next_seq = 0; queue = Heap.create compare_event; executed = 0 }
-
-  let now t = t.now
-
-  let executed_events t = t.executed
-
-  let pending_events t =
-    let live = ref 0 in
-    Heap.iter t.queue (fun ev -> if not ev.cancelled then incr live);
-    !live
-
-  let schedule_at t ~time callback =
-    if time < t.now then
-      invalid_arg
-        (Printf.sprintf "Engine.schedule_at: time %.6f is in the past (now %.6f)" time t.now);
-    let ev = { time; seq = t.next_seq; callback; cancelled = false } in
-    t.next_seq <- t.next_seq + 1;
-    Heap.push t.queue ev;
-    ev
-
-  let schedule t ~delay callback =
-    if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-    schedule_at t ~time:(t.now +. delay) callback
-
-  let cancel handle = handle.cancelled <- true
-
-  let is_cancelled handle = handle.cancelled
-
-  let run ?(until = infinity) ?stop t =
-    let should_stop () = match stop with None -> false | Some f -> f () in
-    let count = ref 0 in
-    let rec loop () =
-      if should_stop () then ()
-      else
-        match Heap.peek t.queue with
-        | None -> ()
-        | Some ev when ev.time > until -> ()
-        | Some _ -> (
-            match Heap.pop t.queue with
-            | None -> ()
-            | Some ev ->
-                if not ev.cancelled then begin
-                  t.now <- ev.time;
-                  incr count;
-                  t.executed <- t.executed + 1;
-                  ev.callback ()
-                end;
-                loop ())
-    in
-    loop ();
-    if (not (should_stop ())) && until < infinity && t.now < until then t.now <- until;
-    !count
-
-  let run_until t horizon = ignore (run ~until:horizon t)
-end
+   test_fast.ml needs no copy here. Its verify and ledger reference mode
+   is the same code with every memo table passed through
+   ([Ac3_crypto.Memo.set_enabled false]), which the harness toggles, and
+   it holds the event engine to a sorted-list model of the pending
+   events. *)
 
 (* [Model] is the model checker's exploration as it stood before the
    dense id-indexed store: node and successor tables in polymorphic

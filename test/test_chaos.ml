@@ -79,6 +79,7 @@ let test_plan_rejects_malformed () =
   raises {|[{"kind":"mining_stall","chain":"c0","at":-5.0,"duration":5.0}]|};
   raises {|[{"kind":"witness_outage","at":1.0,"duration":-5.0}]|};
   raises {|[{"kind":"mining_burst","chain":"c0","at":1.0,"blocks":-1}]|};
+  raises {|[{"kind":"mining_burst","chain":"c0","at":1.0,"blocks":6}]|};
   raises {|[{"kind":"partition","chain":"c0","at":1.0,"duration":5.0,"cut":-1}]|};
   ignore (Plan.of_string {|[{"kind":"drop","chain":"nowhere","at":1.0,"duration":5.0,"p":1.0}]|});
   (* spec arity must match the shape *)

@@ -1,14 +1,13 @@
-(* Differential harness for the hot-path optimizations.
+(* Properties for the hot paths and the structures behind them.
 
-   Three rewrites ride behind existing interfaces: the index-sorted
-   arena event queue (Ac3_sim.Engine), values fixed at construction or
-   memoized (Ac3_crypto, Ac3_chain), and incremental UTXO/ledger
-   indexing across reorgs (Ac3_chain.Store). Each must be observably
-   identical to its slow reference:
+   The event engine and three rewrites behind existing interfaces —
+   values fixed at construction or memoized (Ac3_crypto, Ac3_chain), and
+   incremental UTXO/ledger indexing across reorgs (Ac3_chain.Store) —
+   must each be observably identical to a slow reference:
 
-   - the engine is diffed event-by-event against the boxed-heap
-     implementation it replaced (Reference.Engine) over randomized
-     schedule/cancel/advance scripts;
+   - the engine is run side by side with a sorted-list model of its
+     pending events over randomized schedule/advance scripts, comparing
+     fire order and timestamps, run counts, clock and executed total;
    - signature verdicts are computed with the memo tables on and off
      (Ac3_crypto.Memo.set_enabled) and the results compared, and the
      fields fixed at construction (transaction ids, block hashes, key
@@ -29,21 +28,19 @@ module Metrics = Ac3_obs.Metrics
 module Obs = Ac3_obs.Obs
 open Ac3_chain
 
-(* --- Engine vs boxed-heap reference ----------------------------------- *)
+(* --- Engine vs sorted-list model --------------------------------------- *)
 
 (* Scripts quantize delays to quarter seconds and horizons to half
-   seconds so equal-timestamp collisions (the tie-break path) are
-   common, not accidental. *)
+   seconds so equal-timestamp collisions (the tie-break path) and events
+   exactly at a horizon are common, not accidental. *)
 type op =
   | Schedule of int * int  (* delay in 1/4 s, label *)
   | Nested of int * int  (* outer delay, inner delay: callback schedules *)
-  | Cancel of int  (* cancel the (k mod created)-th handle *)
   | Advance of int  (* run ~until:(now + k/2 s) *)
 
 let pp_op = function
   | Schedule (d, l) -> Printf.sprintf "Schedule(%d,%d)" d l
   | Nested (a, b) -> Printf.sprintf "Nested(%d,%d)" a b
-  | Cancel k -> Printf.sprintf "Cancel(%d)" k
   | Advance q -> Printf.sprintf "Advance(%d)" q
 
 let op_gen =
@@ -52,7 +49,6 @@ let op_gen =
       [
         (5, map2 (fun d l -> Schedule (d, l)) (int_bound 16) (int_bound 99));
         (2, map2 (fun a b -> Nested (a, b)) (int_bound 16) (int_bound 8));
-        (2, map (fun k -> Cancel k) (int_bound 31));
         (3, map (fun q -> Advance q) (int_bound 8));
       ])
 
@@ -62,91 +58,87 @@ let script_arb =
     QCheck.Gen.(list_size (int_range 1 40) op_gen)
 
 (* Everything the script needs from an engine, so the same interpreter
-   drives both implementations. *)
-type 'h iface = {
-  schedule : float -> (unit -> unit) -> 'h;
-  cancel : 'h -> unit;
-  is_cancelled : 'h -> bool;
+   drives the engine and the model. *)
+type iface = {
+  schedule : float -> (unit -> unit) -> unit;
   run_upto : float -> int;
   now : unit -> float;
-  pending : unit -> int;
   executed : unit -> int;
 }
 
-let fast_iface () =
+let engine_iface () =
   let e = Engine.create () in
   {
     schedule = (fun delay f -> Engine.schedule e ~delay f);
-    cancel = Engine.cancel;
-    is_cancelled = Engine.is_cancelled;
     run_upto = (fun u -> Engine.run ~until:u e);
     now = (fun () -> Engine.now e);
-    pending = (fun () -> Engine.pending_events e);
     executed = (fun () -> Engine.executed_events e);
   }
 
-let ref_iface () =
-  let e = Reference.Engine.create () in
+(* The model: pending (time, seq, callback) triples in a list kept
+   sorted by time, then seq. A run pops from the head while the head's
+   time is within the horizon, then moves the clock up to the horizon. *)
+let model_iface () =
+  let now = ref 0.0 and seq = ref 0 and executed = ref 0 and pending = ref [] in
+  let rec insert ((t, s, _) as ev) = function
+    | ((t', s', _) as x) :: rest when t' < t || (t' = t && s' < s) -> x :: insert ev rest
+    | rest -> ev :: rest
+  in
+  let rec run_upto u ran =
+    match !pending with
+    | (t, _, f) :: rest when t <= u ->
+        pending := rest;
+        now := t;
+        incr executed;
+        f ();
+        run_upto u (ran + 1)
+    | _ ->
+        if !now < u then now := u;
+        ran
+  in
   {
-    schedule = (fun delay f -> Reference.Engine.schedule e ~delay f);
-    cancel = Reference.Engine.cancel;
-    is_cancelled = Reference.Engine.is_cancelled;
-    run_upto = (fun u -> Reference.Engine.run ~until:u e);
-    now = (fun () -> Reference.Engine.now e);
-    pending = (fun () -> Reference.Engine.pending_events e);
-    executed = (fun () -> Reference.Engine.executed_events e);
+    schedule =
+      (fun delay f ->
+        pending := insert (!now +. delay, !seq, f) !pending;
+        incr seq);
+    run_upto = (fun u -> run_upto u 0);
+    now = (fun () -> !now);
+    executed = (fun () -> !executed);
   }
 
 (* Interpret [ops], logging every observable: fire order with
-   timestamps, cancellation flags, run counts, clock, pending and
-   executed totals. Two engines are equivalent iff their logs match. *)
+   timestamps, run counts, clock and executed total. The engine matches
+   the model iff their logs match. *)
 let interp iface ops =
   let buf = Buffer.create 512 in
   let log fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let handles = ref [] in
-  let n_handles = ref 0 in
   List.iter
     (fun op ->
       match op with
       | Schedule (d, l) ->
-          let h = iface.schedule (float_of_int d /. 4.0) (fun () -> log "fire %d @ %g" l (iface.now ())) in
-          handles := h :: !handles;
-          incr n_handles
+          iface.schedule (float_of_int d /. 4.0) (fun () -> log "fire %d @ %g" l (iface.now ()))
       | Nested (a, b) ->
-          let h =
-            iface.schedule (float_of_int a /. 4.0) (fun () ->
-                log "outer %d @ %g" a (iface.now ());
-                ignore
-                  (iface.schedule (float_of_int b /. 4.0) (fun () ->
-                       log "inner %d.%d @ %g" a b (iface.now ()))))
-          in
-          handles := h :: !handles;
-          incr n_handles
-      | Cancel k ->
-          if !n_handles > 0 then begin
-            let i = k mod !n_handles in
-            let h = List.nth !handles i in
-            log "cancel %d was=%b" i (iface.is_cancelled h);
-            iface.cancel h
-          end
+          iface.schedule (float_of_int a /. 4.0) (fun () ->
+              log "outer %d @ %g" a (iface.now ());
+              iface.schedule (float_of_int b /. 4.0) (fun () ->
+                  log "inner %d.%d @ %g" a b (iface.now ())))
       | Advance q ->
           let u = iface.now () +. (float_of_int q /. 2.0) in
           let ran = iface.run_upto u in
-          log "advance %g ran=%d now=%g pending=%d" u ran (iface.now ()) (iface.pending ()))
+          log "advance %g ran=%d now=%g" u ran (iface.now ()))
     ops;
   let ran = iface.run_upto 1e6 in
-  log "drain ran=%d now=%g pending=%d executed=%d" ran (iface.now ()) (iface.pending ())
-    (iface.executed ());
+  log "drain ran=%d now=%g executed=%d" ran (iface.now ()) (iface.executed ());
   Buffer.contents buf
 
-let qcheck_engine_differential =
-  QCheck.Test.make ~name:"arena engine == boxed-heap engine on random scripts" ~count:300
-    script_arb (fun ops ->
-      let fast = interp (fast_iface ()) ops in
-      let slow = interp (ref_iface ()) ops in
-      if not (String.equal fast slow) then
-        QCheck.Test.fail_reportf "engine traces diverge:@.--- arena ---@.%s@.--- heap ---@.%s" fast
-          slow;
+let qcheck_engine_model =
+  QCheck.Test.make ~name:"engine == sorted-list model on random scripts" ~count:300 script_arb
+    (fun ops ->
+      let engine = interp (engine_iface ()) ops in
+      let model = interp (model_iface ()) ops in
+      if not (String.equal engine model) then
+        QCheck.Test.fail_reportf "engine trace diverges:@.--- engine ---@.%s@.--- model ---@.%s"
+          engine model;
       true)
 
 (* --- Digests: fixed at construction, or memo-on == memo-off ------------ *)
@@ -530,7 +522,7 @@ let test_corpus_replay_memo_differential () =
 let () =
   Alcotest.run "fast"
     [
-      ("engine-differential", [ QCheck_alcotest.to_alcotest qcheck_engine_differential ]);
+      ("engine-model", [ QCheck_alcotest.to_alcotest qcheck_engine_model ]);
       ( "digest-memoization",
         [
           QCheck_alcotest.to_alcotest qcheck_tx_ids_fixed_at_construction;
