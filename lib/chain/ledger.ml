@@ -159,7 +159,7 @@ let apply_tx t ~block_height ~block_time (tx : Tx.t) : (applied_tx, string) resu
           match utxo t i.outpoint with
           | None -> error "input %a missing or spent" (fun () -> Fmt.str "%a" Outpoint.pp) i.outpoint
           | Some o ->
-              if not (String.equal o.addr (Keys.address_of_public i.pubkey)) then
+              if not (String.equal o.addr i.address) then
                 error "input %a not owned by signer" (fun () -> Fmt.str "%a" Outpoint.pp) i.outpoint
               else resolve ((i.outpoint, o) :: acc) rest)
     in

@@ -18,6 +18,11 @@ type entry = {
   mutable invalid : bool;
 }
 
+(* Where a transaction sits on the active chain. The height is fixed
+   when its block connects, so a depth check is one probe of [tx_index]
+   against [tip_height]. *)
+type tx_loc = { tx_block : string; tx_pos : int; tx_height : int }
+
 (* One Call transaction on the active chain, as seen by the per-contract
    call index. *)
 type call_rec = { call_txid : string; call_fn : string; call_args : Value.t; call_height : int }
@@ -27,9 +32,10 @@ type t = {
   registry : Contract_iface.registry;
   blocks : (string, entry) Hashtbl.t; (* by header hash *)
   mutable tip : string;
+  mutable tip_height : int; (* the tip block's height *)
   active : (string, int) Hashtbl.t; (* hash -> height, active chain only *)
   by_height : (int, string) Hashtbl.t; (* height -> hash, active chain only *)
-  tx_index : (string, string * int) Hashtbl.t; (* txid -> (block hash, index), active *)
+  tx_index : (string, tx_loc) Hashtbl.t; (* txid -> its location, active chain only *)
   (* contract id -> its Call transactions on the active chain, newest
      first. Maintained incrementally by connect/disconnect, so protocol
      polls ([find_call]/[calls_on], the hottest loops under many-swap
@@ -57,8 +63,10 @@ let target t = Pow.target_of_bits t.params.Params.pow_bits
 
 (* Record a connected block's transactions in the tx index. *)
 let index_txs t (block : Block.t) hash =
+  let tx_height = block.Block.header.Block.height in
   List.iteri
-    (fun i (tx : Tx.t) -> Hashtbl.replace t.tx_index (Tx.txid tx) (hash, i))
+    (fun i (tx : Tx.t) ->
+      Hashtbl.replace t.tx_index (Tx.txid tx) { tx_block = hash; tx_pos = i; tx_height })
     block.Block.txs
 
 let create ~params ~registry =
@@ -76,6 +84,7 @@ let create ~params ~registry =
           registry;
           blocks = Hashtbl.create 256;
           tip = ghash;
+          tip_height = 0;
           active = Hashtbl.create 256;
           by_height = Hashtbl.create 256;
           tx_index = Hashtbl.create 256;
@@ -111,7 +120,7 @@ let tip t = (Hashtbl.find t.blocks t.tip).block
 
 let tip_hash t = t.tip
 
-let tip_height t = (tip t).Block.header.Block.height
+let tip_height t = t.tip_height
 
 let find t hash = Option.map (fun e -> e.block) (Hashtbl.find_opt t.blocks hash)
 
@@ -124,17 +133,18 @@ let is_active t hash = Hashtbl.mem t.active hash
 let find_tx t txid =
   match Hashtbl.find_opt t.tx_index txid with
   | None -> None
-  | Some (bhash, index) -> (
-      match Hashtbl.find_opt t.blocks bhash with
+  | Some loc -> (
+      match Hashtbl.find_opt t.blocks loc.tx_block with
       | None -> None
-      | Some e -> Some (e.block, index))
+      | Some e -> Some (e.block, loc.tx_pos))
 
 (* Number of blocks on top of (and including) the block holding [txid];
-   0 when unconfirmed. This is the paper's depth-d finality measure. *)
+   0 when unconfirmed. This is the paper's depth-d finality measure, and
+   every protocol poll asks it: one probe, allocation-free. *)
 let confirmations t txid =
-  match find_tx t txid with
-  | None -> 0
-  | Some (block, _) -> tip_height t - block.Block.header.Block.height + 1
+  match Hashtbl.find t.tx_index txid with
+  | loc -> t.tip_height - loc.tx_height + 1
+  | exception Not_found -> 0
 
 (* Headers of the active chain from height [from_] to the tip, ascending. *)
 let headers_from t ~from_ =
@@ -198,6 +208,7 @@ let connect_block t entry =
       index_txs t entry.block entry.hash;
       index_calls t entry.block ~height:h;
       t.tip <- entry.hash;
+      t.tip_height <- h;
       Ok events
 
 let disconnect_tip t =
@@ -211,6 +222,7 @@ let disconnect_tip t =
   List.iter (fun (tx : Tx.t) -> Hashtbl.remove t.tx_index (Tx.txid tx)) e.block.Block.txs;
   unindex_calls t e.block ~height:h;
   t.tip <- e.block.Block.header.Block.parent;
+  t.tip_height <- h - 1;
   e.block
 
 (* Path of entries from [hash] (exclusive of the active ancestor) down to

@@ -14,7 +14,13 @@ module Keys = Ac3_crypto.Keys
 
 type output = { addr : string; amount : Amount.t }
 
-type input = { outpoint : Outpoint.t; pubkey : Keys.public }
+(* [address] is [Keys.address_of_public pubkey]: copied from the owner's
+   identity by [make] and [make_unsigned], derived once by [decode]. The
+   ledger's ownership check compares it with the spent output's address
+   on every admission, selection and application, and would otherwise
+   hash the public key each time. It is not encoded, so it never moves a
+   txid. *)
+type input = { outpoint : Outpoint.t; pubkey : Keys.public; address : string }
 
 type payload =
   | Transfer
@@ -56,7 +62,7 @@ let encode_input w (i : input) =
 let decode_input r =
   let outpoint = Outpoint.decode r in
   let pubkey = Codec.Reader.fixed r ~len:32 in
-  { outpoint; pubkey }
+  { outpoint; pubkey; address = Keys.address_of_public pubkey }
 
 let encode_payload w = function
   | Transfer -> Codec.Writer.u8 w 0
@@ -160,21 +166,24 @@ let deposit t =
 
 let is_coinbase t = match t.payload with Coinbase _ -> true | _ -> false
 
+let of_identity (op, id) = { outpoint = op; pubkey = Keys.public id; address = Keys.address id }
+
 (* Build and sign in one step. [inputs] pairs each spent outpoint with the
    identity that owns it; the same identity may appear several times. *)
+
 let make ~chain ~inputs ~outputs ?(payload = Transfer) ~fee ~nonce () =
   let signers = List.map snd inputs in
-  let inputs = List.map (fun (op, id) -> { outpoint = op; pubkey = Keys.public id }) inputs in
+  let inputs = List.map of_identity inputs in
   let body = body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce in
   let sighash = sighash_of_body body in
   let witnesses = List.map (fun id -> Keys.sign id sighash) signers in
   assemble ~body ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
 
 (* Unsigned transaction for throughput stress runs on chains configured
-   with [verify_signatures = false]; carries the claimed public keys but
+   with [verify_signatures = false]; carries the owners' public keys but
    no witnesses. *)
 let make_unsigned ~chain ~inputs ~outputs ?(payload = Transfer) ~fee ~nonce () =
-  let inputs = List.map (fun (op, pk) -> { outpoint = op; pubkey = pk }) inputs in
+  let inputs = List.map of_identity inputs in
   raw ~chain ~inputs ~witnesses:[] ~outputs ~payload ~fee ~nonce
 
 let coinbase_with ~chain ~height ~outputs =

@@ -6,7 +6,10 @@ module Keys = Ac3_crypto.Keys
 
 type output = { addr : string; amount : Amount.t }
 
-type input = { outpoint : Outpoint.t; pubkey : Keys.public }
+(** A spent outpoint and the public key that claims it. [address] is
+    [Keys.address_of_public pubkey], fixed by the constructors and
+    {!decode}; it is not part of the encoding. *)
+type input = private { outpoint : Outpoint.t; pubkey : Keys.public; address : string }
 
 type payload =
   | Transfer
@@ -66,10 +69,12 @@ val make :
   t
 
 (** Unsigned transaction (no witnesses); valid only on chains with
-    [verify_signatures = false] — used by throughput stress benches. *)
+    [verify_signatures = false] — used by throughput stress benches.
+    [inputs] pairs each spent outpoint with the identity that owns it,
+    as for {!make}, but nothing is signed. *)
 val make_unsigned :
   chain:string ->
-  inputs:(Outpoint.t * Keys.public) list ->
+  inputs:(Outpoint.t * Keys.t) list ->
   outputs:output list ->
   ?payload:payload ->
   fee:Amount.t ->

@@ -8,6 +8,27 @@ module Keys = Ac3_crypto.Keys
 
 type t = { identity : Keys.t; node : Node.t; mutable nonce : int64 }
 
+(* Most protocol polls that reach the wallet are refused for funds, and
+   almost none of those refusals is ever printed, so the refusal is a
+   value and its message is built only on demand. *)
+type refusal =
+  | Insufficient of { need : Amount.t; spendable : Amount.t; locked : Amount.t }
+  | Rejected of string
+
+let refusal_message = function
+  | Insufficient { need; spendable; locked } ->
+      String.concat ""
+        [
+          "insufficient funds: need ";
+          Amount.to_string need;
+          ", have ";
+          Amount.to_string spendable;
+          " spendable (";
+          Amount.to_string locked;
+          " locked by pending spends)";
+        ]
+  | Rejected e -> e
+
 let create ~identity ~node = { identity; node; nonce = 0L }
 
 let identity t = t.identity
@@ -62,9 +83,9 @@ let select_coins t ~total =
 (* Build a transaction paying [outputs], carrying [payload ()], with any
    excess returned to the wallet as change. [payload] is forced only
    once coin selection succeeds, so a refused build never builds a
-   contract's arguments; a payload that fails returns its [Error]
-   before the nonce is taken. On chains that verify signatures the inputs
-   are signed (consuming MSS signature budget); on
+   contract's arguments; a payload that fails is refused with its
+   [Error] before the nonce is taken. On chains that verify signatures
+   the inputs are signed (consuming MSS signature budget); on
    [verify_signatures = false] chains the wallet emits witness-free
    transactions, so a hot identity can drive an unbounded number of
    swaps in throughput runs without exhausting its key. *)
@@ -73,21 +94,10 @@ let build_deferred t ~fee ~deposit ~outputs payload =
   let declared = Amount.sum (List.map (fun (o : Tx.output) -> o.amount) outputs) in
   let total = Amount.(declared + fee + deposit) in
   match select_coins t ~total with
-  | Error (spendable, locked) ->
-      Error
-        (String.concat ""
-           [
-             "insufficient funds: need ";
-             Amount.to_string total;
-             ", have ";
-             Amount.to_string spendable;
-             " spendable (";
-             Amount.to_string locked;
-             " locked by pending spends)";
-           ])
+  | Error (spendable, locked) -> Error (Insufficient { need = total; spendable; locked })
   | Ok (coins, change) -> (
       match payload () with
-      | Error e -> Error e
+      | Error e -> Error (Rejected e)
       | Ok payload ->
           let outputs =
             if Amount.is_zero change then outputs
@@ -95,14 +105,12 @@ let build_deferred t ~fee ~deposit ~outputs payload =
           in
           let chain = params.Params.chain_id in
           let nonce = next_nonce t in
+          let inputs = List.map (fun op -> (op, t.identity)) coins in
           if params.Params.verify_signatures then
-            let inputs = List.map (fun op -> (op, t.identity)) coins in
             Ok (Tx.make ~chain ~inputs ~outputs ~payload ~fee ~nonce ())
-          else
-            let inputs = List.map (fun op -> (op, Keys.public t.identity)) coins in
-            Ok (Tx.make_unsigned ~chain ~inputs ~outputs ~payload ~fee ~nonce ()))
+          else Ok (Tx.make_unsigned ~chain ~inputs ~outputs ~payload ~fee ~nonce ()))
 
-let build t ?(payload = Tx.Transfer) ~outputs () =
+let prepare t ?(payload = Tx.Transfer) ~outputs () =
   let deposit =
     match payload with
     | Tx.Deploy { deposit; _ } | Tx.Call { deposit; _ } -> deposit
@@ -113,15 +121,19 @@ let build t ?(payload = Tx.Transfer) ~outputs () =
     ~deposit ~outputs
     (fun () -> Ok payload)
 
+let build t ?payload ~outputs () =
+  Result.map_error refusal_message (prepare t ?payload ~outputs ())
+
 (* Submit to the wallet's node. Returns the txid. *)
 let submit_built t = function
   | Error e -> Error e
   | Ok tx -> (
       match Node.submit_tx t.node tx with
       | Ok () -> Ok (Tx.txid tx)
-      | Error e -> Error e)
+      | Error e -> Error (Rejected e))
 
-let submit t ?payload ~outputs () = submit_built t (build t ?payload ~outputs ())
+let submit t ?payload ~outputs () =
+  Result.map_error refusal_message (submit_built t (prepare t ?payload ~outputs ()))
 
 let pay t ~to_ ~amount = submit t ~outputs:[ ({ addr = to_; amount } : Tx.output) ] ()
 

@@ -12,7 +12,7 @@
    [cast_ns]: chaos:alice, chaos:bob, ... and chaos:bg<k> for background
    load. So the per-domain MSS key-material memo generates each party's
    key once per domain per process, not once per plan. Every run still
-   gets a full, unconsumed signature budget ([Keys.fresh]). Reusing
+   gets a full, unconsumed signature budget ([Keys.create]). Reusing
    one-time leaves across runs and across plans is safe because each
    run's universe is separate: no message or transaction ever crosses
    from one universe to another.
@@ -143,7 +143,7 @@ let build_graph ~spec ~ids ~timestamp =
 
 let cast_ns = "chaos"
 
-let plan_identities spec = Scenarios.identities ~ns:cast_ns ~fresh:true spec.Plan.parties
+let plan_identities spec = Scenarios.identities ~ns:cast_ns spec.Plan.parties
 
 (* Every chain of a chaos universe, the witness chain included, gets
    these parameters, so their Δ is the universe's [max_delta]. *)
@@ -161,7 +161,7 @@ let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
   let bg_ids =
     List.init
       (2 * (spec.Plan.load - 1))
-      (fun k -> Keys.fresh (Printf.sprintf "%s:bg%d" cast_ns k))
+      (fun k -> Keys.create (Printf.sprintf "%s:bg%d" cast_ns k))
   in
   let universe, participants =
     Scenarios.make_universe ~seed:spec.Plan.seed ~block_interval ~confirm_depth ~nodes:2

@@ -111,7 +111,7 @@ val run_one :
     and compares report fingerprints, raising
     [Ac3_par.Pool.Interference] on divergence — sound because each run
     rebuilds its universe from the spec seed and takes fresh signature
-    budgets ([Keys.fresh]) for the fixed cast, so no run consumes
+    budgets ([Keys.create]) for the fixed cast, so no run consumes
     another's one-time keys. *)
 val run_all :
   ?protocols:protocol list ->

@@ -12,6 +12,7 @@
 module Keys = Ac3_crypto.Keys
 open Ac3_chain
 
+(* The three status tags; [classify] matches the same literals. *)
 let status_published = Value.Tagged ("P", Value.Unit)
 
 let status_redeemed = Value.Tagged ("RD", Value.Unit)
@@ -50,21 +51,24 @@ let get_asset state = Result.bind (Value.field state "asset") Value.as_int
 
 let get_commitment state = Value.field state "commitment"
 
-let is_published state = get_status state = Ok status_published
-
-let is_redeemed state = get_status state = Ok status_redeemed
-
-let is_refunded state = get_status state = Ok status_refunded
-
 (* --- Per-edge settlement status ---------------------------------------- *)
 
 type status = Unpublished | Published | Redeemed | Refunded
 
+(* One field lookup and a match on the status constructor: protocol
+   polls ask this of every contract they watch. *)
 let classify state =
-  if is_redeemed state then Some Redeemed
-  else if is_refunded state then Some Refunded
-  else if is_published state then Some Published
-  else None
+  match get_status state with
+  | Ok (Value.Tagged ("P", Value.Unit)) -> Some Published
+  | Ok (Value.Tagged ("RD", Value.Unit)) -> Some Redeemed
+  | Ok (Value.Tagged ("RF", Value.Unit)) -> Some Refunded
+  | Ok _ | Error _ -> None
+
+let is_published state = match classify state with Some Published -> true | _ -> false
+
+let is_redeemed state = match classify state with Some Redeemed -> true | _ -> false
+
+let is_refunded state = match classify state with Some Refunded -> true | _ -> false
 
 let terminal = function Redeemed | Refunded -> true | Unpublished | Published -> false
 

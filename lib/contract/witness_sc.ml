@@ -54,7 +54,8 @@ let args ~graph ~ms ~checkpoints ~evidence_depth =
 
 let get_status state = Value.field state "status"
 
-let state_is state status = get_status state = Ok status
+let state_is state status =
+  match get_status state with Ok v -> Value.equal v status | Error _ -> false
 
 let get_graph state =
   match Result.bind (Value.field state "graph") Value.as_bytes with

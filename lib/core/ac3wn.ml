@@ -84,12 +84,12 @@ type state = {
   graph : Ac2t.t;
   ms : Ac3_crypto.Multisig.t;
   registrar : Keys.public;
+  witness : Node.t; (* the witness chain's gateway, resolved at launch *)
+  witness_depth : int; (* its confirmation depth *)
   mutable scw_deploy_txid : string option;
   mutable scw_id : string option;
   mutable authorize_attempt_at : float; (* for resubmission *)
 }
-
-let witness_node s t = Universe.gateway (Driver.universe t) s.config.witness_chain
 
 let obs_labels = [ ("protocol", "ac3wn") ]
 
@@ -115,25 +115,26 @@ let evidence_arg t ev =
     (Value.as_bytes arg);
   arg
 
-let scw_state s t =
+let scw_state s =
   match s.scw_id with
   | None -> None
   | Some scw -> (
-      match Node.contract (witness_node s t) scw with
+      match Node.contract s.witness scw with
       | Some c -> Some c.Ledger.state
       | None -> None)
 
 (* SCw's decision at the witness gateway's tip, or [None] while SCw is
    not readable there. *)
-let scw_decision s t =
-  Option.bind (scw_state s t) (fun state ->
-      List.find_map
-        (fun (status, d) -> if Witness_sc.state_is state status then Some d else None)
-        [
-          (Witness_sc.status_published, Protocol.Undecided);
-          (Witness_sc.status_redeem_authorized, Protocol.Commit);
-          (Witness_sc.status_refund_authorized, Protocol.Abort);
-        ])
+let scw_decision s =
+  match scw_state s with
+  | None -> None
+  | Some state ->
+      if Witness_sc.state_is state Witness_sc.status_published then Some Protocol.Undecided
+      else if Witness_sc.state_is state Witness_sc.status_redeem_authorized then
+        Some Protocol.Commit
+      else if Witness_sc.state_is state Witness_sc.status_refund_authorized then
+        Some Protocol.Abort
+      else None
 
 (* The SCw call that takes each decision. *)
 let authorize_fns =
@@ -146,7 +147,7 @@ let authorize_fns =
 
 (* Step 2 of the protocol summary: the registrar publishes SCw. *)
 let try_register_scw s t p =
-  if s.scw_deploy_txid = None then begin
+  if Option.is_none s.scw_deploy_txid then begin
     let universe = Driver.universe t in
     let args () =
       let checkpoints =
@@ -163,13 +164,13 @@ let try_register_scw s t p =
         Driver.charge t ~payer:(Participant.public p) ~kind:Scw_deploy
           ~fee:(Universe.params universe s.config.witness_chain).Params.deploy_fee;
         Driver.record t Protocol.Scw_deployed ~attrs:[ ("scw", Hex.short contract_id) ]
-    | Error e -> Log.debug (fun m -> m "SCw registration failed: %s" e)
+    | Error e -> Log.debug (fun m -> m "SCw registration failed: %s" (Wallet.refusal_message e))
   end
 
 (* Watch the SCw deployment until it is confirmed on the witness chain. *)
 let observe_scw_confirmation s t =
   match (s.scw_id, s.scw_deploy_txid) with
-  | None, Some txid when Driver.confirmed t ~chain:s.config.witness_chain (Some txid) ->
+  | None, Some txid when Node.confirmations s.witness txid >= s.witness_depth ->
       s.scw_id <- Some (Contract_iface.contract_id_of_deploy ~txid);
       Driver.record t Protocol.Scw_confirmed
   | _ -> ()
@@ -197,8 +198,7 @@ let all_edges_evidenced s t =
       | Some txid ->
           (* Evidence burial counts blocks on top of the transaction's
              block; confirmations counts the block itself. *)
-          let node = Universe.gateway (Driver.universe t) es.edge.Ac2t.chain in
-          Node.confirmations node txid > s.config.evidence_depth)
+          Node.confirmations es.node txid > s.config.evidence_depth)
     (Driver.edges t)
 
 (* Steps 3/5: submit a state-change request to SCw — redeem with
@@ -222,12 +222,12 @@ let try_authorize s t p scw decision ~args =
         Driver.charge t ~payer:(Participant.public p) ~kind:Authorize
           ~fee:witness_params.Params.call_fee;
         Driver.record t (Protocol.Authorize_submitted decision)
-    | Error e -> Log.debug (fun m -> m "%s rejected: %s" fn e)
+    | Error e -> Log.debug (fun m -> m "%s rejected: %s" fn (Wallet.refusal_message e))
 
 (* authorize_redeem's argument: one bundle per edge, proving its
    deployment against the checkpoint SCw registered for that chain. *)
 let redeem_evidence s t () =
-  match scw_state s t with
+  match scw_state s with
   | None -> Error "SCw not readable"
   | Some state -> (
       let evidences =
@@ -236,8 +236,7 @@ let redeem_evidence s t () =
                let chain = es.edge.Ac2t.chain in
                match (es.deploy_txid, Witness_sc.checkpoint_for state chain) with
                | Some txid, Ok checkpoint ->
-                   let store = Node.store (Universe.gateway (Driver.universe t) chain) in
-                   Evidence.build ~store ~checkpoint ~txid
+                   Evidence.build ~store:(Node.store es.node) ~checkpoint ~txid
                    |> Result.map_error (Printf.sprintf "%s: %s" chain)
                | _ -> Error (chain ^ ": deployment or checkpoint missing"))
       in
@@ -250,12 +249,11 @@ let redeem_evidence s t () =
    chain's call index on every poll. SCw accepts one authorize call, so
    at most one of the two sits on the active chain, and a reorg that
    orphans it drops it from the index. *)
-let confirmed_decision s t scw =
-  let node = witness_node s t in
+let confirmed_decision s scw =
   List.find_map
     (fun (decision, fn) ->
-      match Store.find_call (Node.store node) ~contract_id:scw ~fn with
-      | Some (txid, _h) when Node.confirmations node txid > s.config.decision_depth ->
+      match Store.find_call (Node.store s.witness) ~contract_id:scw ~fn with
+      | Some (txid, _h) when Node.confirmations s.witness txid > s.config.decision_depth ->
           Some (decision, txid)
       | _ -> None)
     authorize_fns
@@ -264,7 +262,7 @@ let confirmed_decision s t scw =
    depth d. Recipients redeem incoming edges; senders refund outgoing
    ones, each with evidence of the decision. *)
 let try_settle_edges s t p action decision_txid =
-  let witness_store = Node.store (witness_node s t) in
+  let witness_store = Node.store s.witness in
   Driver.settle t p action
     ~ready:(fun _ _ -> true)
     ~args:(fun state ->
@@ -287,7 +285,7 @@ let step s t p =
   match s.scw_id with
   | None -> if String.equal (Participant.public p) s.registrar then try_register_scw s t p
   | Some scw -> (
-      (match scw_decision s t with
+      (match scw_decision s with
       | Some d ->
           try_deploy_edges s t p scw d;
           if Guard.abort d ~abort_requested:(Driver.abort_requested t) then
@@ -295,7 +293,7 @@ let step s t p =
           else if Guard.commit d ~all_published:(all_edges_evidenced s t) then
             try_authorize s t p scw Protocol.Commit ~args:(redeem_evidence s t)
       | None -> ());
-      match confirmed_decision s t scw with
+      match confirmed_decision s scw with
       | Some (d, txid) ->
           Driver.record t (Protocol.Decision_confirmed d);
           if Guard.redeem d then try_settle_edges s t p `Redeem txid;
@@ -323,18 +321,21 @@ let observe_decision_latency t =
 let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
   let covered =
     List.for_all
-      (fun pk -> List.exists (fun p -> Participant.public p = pk) participants)
+      (fun pk -> List.exists (fun p -> String.equal (Participant.public p) pk) participants)
       (Ac2t.participants graph)
   in
   if not covered then Error "missing participant"
   else begin
     (* Phase 1: off-chain agreement — every participant signs (D, t). *)
+    let witness = Universe.gateway universe config.witness_chain in
     let s =
       {
         config;
         graph;
         ms = Ac2t.multisign graph (List.map Participant.identity participants);
         registrar = List.hd (Ac2t.participants graph);
+        witness;
+        witness_depth = (Node.params witness).Params.confirm_depth;
         scw_deploy_txid = None;
         scw_id = None;
         authorize_attempt_at = 0.0;
@@ -350,11 +351,12 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
            (* Edges whose contract was never published are settled by a
               confirmed abort decision. *)
            aborted =
-             (fun t ->
-               match s.scw_id with
-               | None -> false
-               | Some scw -> Option.map fst (confirmed_decision s t scw) = Some Protocol.Abort);
-           abortable = (fun t -> s.scw_id = None || scw_decision s t = Some Protocol.Undecided);
+             (fun _ ->
+               match Option.bind s.scw_id (confirmed_decision s) with
+               | Some (Protocol.Abort, _) -> true
+               | _ -> false);
+           abortable =
+             (fun _ -> Option.is_none s.scw_id || scw_decision s = Some Protocol.Undecided);
            observe = observe_decision_latency;
          })
   end

@@ -52,6 +52,8 @@ include Shared
 
 type edge_state = {
   edge : Ac2t.edge;
+  node : Node.t;
+  depth : int;
   mutable deploy_txid : string option;
   mutable contract_id : string option;
   mutable redeem_txid : string option;
@@ -76,43 +78,43 @@ let trace t = t.trace
 let abort_requested t = t.abort_requested
 
 let record t ?attrs event =
-  if Trace.time_of t.trace event = None then begin
+  if Option.is_none (Trace.time_of t.trace event) then begin
     Trace.record t.trace ~time:(Universe.now t.universe) ?attrs event;
     match List.assoc_opt event t.hooks with Some hook -> hook () | None -> ()
   end
 
 let charge t ~payer ~kind ~fee = t.fees <- { payer; kind; fee } :: t.fees
 
-let confirmed t ~chain = function
+let confirmed es = function
   | None -> false
-  | Some txid ->
-      let node = Universe.gateway t.universe chain in
-      Node.confirmations node txid >= (Node.params node).Params.confirm_depth
+  | Some txid -> Node.confirmations es.node txid >= es.depth
 
-let all_deployed t =
-  Array.for_all (fun es -> confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid) t.edges
+let all_deployed t = Array.for_all (fun es -> confirmed es es.deploy_txid) t.edges
 
+(* [deploy] and [settle] run on every poll of every participant, and
+   most polls find nothing to do: they walk the edges in a loop, which
+   allocates no closure. *)
 let deploy t p ~code_id ~ready ~args ~attrs =
   let pk = Participant.public p in
-  Array.iteri
-    (fun i es ->
-      if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None && ready i es then begin
-        let wallet = Participant.wallet p es.edge.Ac2t.chain in
-        match
-          Wallet.deploy wallet ~code_id ~args:(fun () -> args i es) ~deposit:es.edge.Ac2t.amount
-        with
-        | Ok (txid, contract_id) ->
-            es.deploy_txid <- Some txid;
-            es.contract_id <- Some contract_id;
-            charge t ~payer:pk ~kind:Edge_deploy
-              ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.deploy_fee;
-            record t ~attrs:(attrs es contract_id) (Protocol.Deploy i)
-        | Error e ->
-            Log.debug (fun m ->
-                m "%s: %s deploy on %s failed: %s" (Participant.name p) code_id
-                  es.edge.Ac2t.chain e)
-      end)
-    t.edges
+  for i = 0 to Array.length t.edges - 1 do
+    let es = t.edges.(i) in
+    if String.equal es.edge.Ac2t.from_pk pk && Option.is_none es.deploy_txid && ready i es then begin
+      let wallet = Participant.wallet p es.edge.Ac2t.chain in
+      match
+        Wallet.deploy wallet ~code_id ~args:(fun () -> args i es) ~deposit:es.edge.Ac2t.amount
+      with
+      | Ok (txid, contract_id) ->
+          es.deploy_txid <- Some txid;
+          es.contract_id <- Some contract_id;
+          charge t ~payer:pk ~kind:Edge_deploy
+            ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.deploy_fee;
+          record t ~attrs:(attrs es contract_id) (Protocol.Deploy i)
+      | Error e ->
+          Log.debug (fun m ->
+              m "%s: %s deploy on %s failed: %s" (Participant.name p) code_id es.edge.Ac2t.chain
+                (Wallet.refusal_message e))
+    end
+  done
 
 (* Redeem is the recipient's call on an incoming edge, refund the
    sender's on an outgoing one; either needs the contract still
@@ -120,31 +122,32 @@ let deploy t p ~code_id ~ready ~args ~attrs =
    are built only once the wallet has funded it. *)
 let settle t p action ~ready ~args =
   let pk = Participant.public p in
-  let redeeming = action = `Redeem in
+  let redeeming = match action with `Redeem -> true | `Refund -> false in
   let fn = if redeeming then "redeem" else "refund" in
-  Array.iteri
-    (fun i es ->
-      let owner = if redeeming then es.edge.Ac2t.to_pk else es.edge.Ac2t.from_pk in
-      let pending = (if redeeming then es.redeem_txid else es.refund_txid) = None in
-      match es.contract_id with
-      | Some cid when String.equal owner pk && pending && ready i es -> (
-          let node = Universe.gateway t.universe es.edge.Ac2t.chain in
-          match Node.contract node cid with
-          | Some c when Swap_template.is_published c.Ledger.state -> (
-              let wallet = Participant.wallet p es.edge.Ac2t.chain in
-              match
-                Wallet.call wallet ~contract_id:cid ~fn ~args:(fun () -> args c.Ledger.state) ()
-              with
-              | Ok txid ->
-                  if redeeming then es.redeem_txid <- Some txid else es.refund_txid <- Some txid;
-                  charge t ~payer:pk
-                    ~kind:(if redeeming then Redeem else Refund)
-                    ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.call_fee;
-                  record t (if redeeming then Protocol.Redeem i else Protocol.Refund i)
-              | Error e -> Log.debug (fun m -> m "%s on %s failed: %s" fn es.edge.Ac2t.chain e))
-          | _ -> ())
-      | _ -> ())
-    t.edges
+  for i = 0 to Array.length t.edges - 1 do
+    let es = t.edges.(i) in
+    let owner = if redeeming then es.edge.Ac2t.to_pk else es.edge.Ac2t.from_pk in
+    let pending = Option.is_none (if redeeming then es.redeem_txid else es.refund_txid) in
+    match es.contract_id with
+    | Some cid when String.equal owner pk && pending && ready i es -> (
+        match Node.contract es.node cid with
+        | Some c when Swap_template.is_published c.Ledger.state -> (
+            let wallet = Participant.wallet p es.edge.Ac2t.chain in
+            match
+              Wallet.call wallet ~contract_id:cid ~fn ~args:(fun () -> args c.Ledger.state) ()
+            with
+            | Ok txid ->
+                if redeeming then es.redeem_txid <- Some txid else es.refund_txid <- Some txid;
+                charge t ~payer:pk
+                  ~kind:(if redeeming then Redeem else Refund)
+                  ~fee:(Universe.params t.universe es.edge.Ac2t.chain).Params.call_fee;
+                record t (if redeeming then Protocol.Redeem i else Protocol.Refund i)
+            | Error e ->
+                Log.debug (fun m ->
+                    m "%s on %s failed: %s" fn es.edge.Ac2t.chain (Wallet.refusal_message e)))
+        | _ -> ())
+    | _ -> ()
+  done
 
 (* The phases of a protocol whose only trace events are per edge. *)
 let edge_phases =
@@ -180,8 +183,11 @@ let launch universe ~graph ~participants ~hooks ~poll_interval ~abort_after rule
         Array.of_list
           (List.map
              (fun edge ->
+               let node = Universe.gateway universe edge.Ac2t.chain in
                {
                  edge;
+                 node;
+                 depth = (Node.params node).Params.confirm_depth;
                  deploy_txid = None;
                  contract_id = None;
                  redeem_txid = None;
@@ -217,13 +223,13 @@ let launch universe ~graph ~participants ~hooks ~poll_interval ~abort_after rule
     participants;
   { run; graph; rule; start_time; stopped }
 
-let edge_settled run es =
-  confirmed run ~chain:es.edge.Ac2t.chain es.redeem_txid
-  || confirmed run ~chain:es.edge.Ac2t.chain es.refund_txid
+let edge_settled es = confirmed es es.redeem_txid || confirmed es es.refund_txid
 
 let settled h =
   let aborted = h.rule.aborted h.run in
-  Array.for_all (fun es -> edge_settled h.run es || (es.deploy_txid = None && aborted)) h.run.edges
+  Array.for_all
+    (fun es -> edge_settled es || (Option.is_none es.deploy_txid && aborted))
+    h.run.edges
 
 (* Fold the run into the universe's observability context. The phase
    spans are derived from the trace the protocol already records, so
@@ -233,7 +239,7 @@ let observe_run h ~finished =
   let m = Universe.metrics run.universe in
   let labels = [ ("protocol", h.rule.name) ] in
   let count field =
-    Array.fold_left (fun acc es -> if field es <> None then acc + 1 else acc) 0 run.edges
+    Array.fold_left (fun acc es -> if Option.is_some (field es) then acc + 1 else acc) 0 run.edges
   in
   Metrics.add (Metrics.counter m ~labels "core.deploy.submitted") (count (fun es -> es.deploy_txid));
   Metrics.add (Metrics.counter m ~labels "core.redeem.submitted") (count (fun es -> es.redeem_txid));

@@ -40,8 +40,13 @@ include module type of struct
   include Shared
 end
 
+(** One edge of the run. Its gateway node and confirmation depth are
+    resolved once, at {!launch}, so the depth checks every poll makes
+    read two fields instead of looking the chain up by name. *)
 type edge_state = {
   edge : Ac2t.edge;
+  node : Node.t;  (** the gateway of the edge's chain *)
+  depth : int;  (** that chain's confirmation depth *)
   mutable deploy_txid : string option;
   mutable contract_id : string option;
   mutable redeem_txid : string option;
@@ -68,8 +73,8 @@ val record : t -> ?attrs:(string * string) list -> Ac3_flow.Protocol.event -> un
 
 val charge : t -> payer:Keys.public -> kind:kind -> fee:Amount.t -> unit
 
-(** A transaction at confirmation depth on [chain]'s gateway. *)
-val confirmed : t -> chain:string -> string option -> bool
+(** A transaction at the edge's confirmation depth on its gateway. *)
+val confirmed : edge_state -> string option -> bool
 
 (** Every edge contract's deployment confirmed. *)
 val all_deployed : t -> bool

@@ -198,7 +198,7 @@ let measure_tps ?(blocks = 2) params =
   let txs =
     List.init n_txs (fun i ->
         Tx.make_unsigned ~chain:params.Params.chain_id
-          ~inputs:[ (Outpoint.create ~txid:cb_txid ~index:i, Keys.public spender) ]
+          ~inputs:[ (Outpoint.create ~txid:cb_txid ~index:i, spender) ]
           ~outputs:
             [ { Tx.addr = Keys.address spender; amount = Amount.(Amount.of_int 1_000_000 - fee) } ]
           ~fee ~nonce:(Int64.of_int i) ())
@@ -411,7 +411,7 @@ let fork_trial ~seed ~d ~window =
       ~args:(fun () -> scw_args)
       ~deposit:Amount.zero
   with
-  | Error e -> failwith e
+  | Error e -> failwith (Wallet.refusal_message e)
   | Ok (_scw_txid, scw) -> (
       (* Deploy the edge contract and bury it. *)
       let edge_args =
@@ -423,7 +423,7 @@ let fork_trial ~seed ~d ~window =
           ~args:(fun () -> edge_args)
           ~deposit:(Amount.of_int 10_000)
       with
-      | Error e -> failwith e
+      | Error e -> failwith (Wallet.refusal_message e)
       | Ok (edge_txid, _edge_contract) ->
           let ok =
             Universe.run_while u ~timeout:2000.0 (fun () ->
@@ -462,7 +462,7 @@ let fork_trial ~seed ~d ~window =
           in
           (match (r1, r2) with
           | Ok _, Ok _ -> ()
-          | Error e, _ | _, Error e -> failwith ("fork trial submission failed: " ^ e));
+          | Error e, _ | _, Error e -> failwith ("fork trial submission failed: " ^ Wallet.refusal_message e));
           Universe.run_until u (Universe.now u +. window);
           (* Did each side bury its own decision at depth >= d? *)
           let buried node fn =

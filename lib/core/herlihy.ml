@@ -52,6 +52,8 @@ type state = {
   mutable knows_secret : Keys.public list;
 }
 
+let knows_secret s pk = List.exists (String.equal pk) s.knows_secret
+
 (* A contract counts as published once its deployment is confirmed. A
    non-leader uses the hashlock it observed in its incoming contracts; in
    this implementation that equals [s.hashlock] once any incoming
@@ -64,8 +66,7 @@ let try_deploy s t p =
         ~inputs_published:
           (Array.for_all
              (fun (es : Driver.edge_state) ->
-               (not (String.equal es.edge.Ac2t.to_pk pk))
-               || Driver.confirmed t ~chain:es.edge.Ac2t.chain es.deploy_txid)
+               (not (String.equal es.edge.Ac2t.to_pk pk)) || Driver.confirmed es es.deploy_txid)
              (Driver.edges t)))
     ~args:(fun i es ->
       Htlc.args ~recipient_pk:es.edge.Ac2t.to_pk ~hashlock:s.hashlock ~timelock:s.timelocks.(i))
@@ -75,7 +76,7 @@ let try_deploy s t p =
    revealed secret. *)
 let learn_secret s t p =
   let pk = Participant.public p in
-  if not (List.mem pk s.knows_secret) then begin
+  if not (knows_secret s pk) then begin
     let learned =
       Array.exists
         (fun (es : Driver.edge_state) ->
@@ -84,7 +85,6 @@ let learn_secret s t p =
           match es.contract_id with
           | None -> false
           | Some cid ->
-              let store = Node.store (Universe.gateway (Driver.universe t) es.edge.Ac2t.chain) in
               List.exists
                 (fun (_txid, fn, args) ->
                   String.equal fn "redeem"
@@ -92,7 +92,7 @@ let learn_secret s t p =
                   match args with
                   | Value.Bytes s' -> String.equal (Sha256.digest s') s.hashlock
                   | _ -> false)
-                (Store.calls_on store ~contract_id:cid))
+                (Store.calls_on (Node.store es.node) ~contract_id:cid))
         (Driver.edges t)
     in
     if learned then begin
@@ -106,7 +106,7 @@ let try_redeem s t p =
   Driver.settle t p `Redeem
     ~ready:(fun _ _ ->
       Guard.redeem
-        ~knows_secret:(List.mem pk s.knows_secret)
+        ~knows_secret:(knows_secret s pk)
         ~leader:(String.equal pk s.leader) ~all_published:(Driver.all_deployed t))
     ~args:(fun _ -> Ok (Htlc.redeem_args ~secret:s.secret))
 
@@ -117,7 +117,7 @@ let try_refund s t p =
   let now = Universe.now (Driver.universe t) in
   Driver.settle t p `Refund
     ~ready:(fun i (es : Driver.edge_state) ->
-      es.redeem_txid = None && Guard.refund ~expired:(now >= s.timelocks.(i)))
+      Option.is_none es.redeem_txid && Guard.refund ~expired:(now >= s.timelocks.(i)))
     ~args:(fun _ -> Ok Htlc.refund_args)
 
 let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy") () =

@@ -36,10 +36,14 @@ let crash t = t.crashed <- true
 
 let recover t = t.crashed <- false
 
+let rec find_wallet chain_id = function
+  | (id, w) :: rest -> if String.equal id chain_id then w else find_wallet chain_id rest
+  | [] -> raise Not_found
+
 let wallet t chain_id =
-  match List.assoc_opt chain_id t.wallets with
-  | Some w -> w
-  | None ->
+  match find_wallet chain_id t.wallets with
+  | w -> w
+  | exception Not_found ->
       (* Lazily attach a wallet when a protocol needs the participant on a
          chain it was not pre-registered for (e.g. to redeem an incoming
          edge). *)

@@ -20,14 +20,13 @@ let participant_names =
 
 let max_identities = Array.length participant_names
 
-(* [ns] namespaces the identities: every run that must not share (and
-   exhaust) MSS signing keys with other runs passes its own namespace. *)
-let identities ?(ns = "") ?(fresh = false) n =
+(* [ns] namespaces the identities' labels; each identity has its own
+   full signature budget whatever its label. *)
+let identities ?(ns = "") n =
   if n > max_identities then invalid_arg "Scenarios.identities: too many";
-  let make = if fresh then Keys.fresh ?height:None else Keys.create ?height:None in
   List.init n (fun i ->
       let name = participant_names.(i) in
-      make (if ns = "" then name else ns ^ ":" ^ name))
+      Keys.create (if ns = "" then name else ns ^ ":" ^ name))
 
 (* A fast generic chain for protocol experiments. *)
 let chain_params ?(block_interval = 10.0) ?(confirm_depth = 4) ?(regular_blocks = false) ~premine

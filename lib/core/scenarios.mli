@@ -11,12 +11,11 @@ val funding : Amount.t
 (** Size of the identity pool: {!identities} refuses a larger [n]. *)
 val max_identities : int
 
-(** The first [n] of alice, bob, carol, ... — namespaced by [ns] so
-    separate runs get fresh (unexhausted) MSS signing keys. [fresh]
-    additionally bypasses the key cache ({!Keys.fresh}), so repeated
-    calls with the same namespace are stateless replicas — required for
-    byte-identical replay of the same run. *)
-val identities : ?ns:string -> ?fresh:bool -> int -> Keys.t list
+(** The first [n] of alice, bob, carol, ... — labels namespaced by
+    [ns]. Each call returns new identities with full signature budgets
+    ({!Keys.create}), so repeated calls with the same namespace are
+    stateless replicas, as byte-identical replay of a run needs. *)
+val identities : ?ns:string -> int -> Keys.t list
 
 (** Fast generic chain parameters for protocol experiments. *)
 val chain_params :

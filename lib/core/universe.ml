@@ -63,7 +63,8 @@ let record t ?attrs event = Trace.record t.trace ~time:(now t) ?attrs event
    equal share of the chain's hash power. *)
 let add_chain ?(nodes = 3) ?(min_delay = 0.05) ?(max_delay = 0.5) t params =
   let id = params.Params.chain_id in
-  if List.mem_assoc id t.chains then invalid_arg (Printf.sprintf "Universe: duplicate chain %s" id);
+  if List.exists (fun (id', _) -> String.equal id' id) t.chains then
+    invalid_arg (Printf.sprintf "Universe: duplicate chain %s" id);
   let network = Network.create ~min_delay ~max_delay ~engine:t.engine ~rng:(Rng.split t.rng) () in
   let node_arr =
     Array.init nodes (fun i ->
@@ -84,10 +85,11 @@ let add_chain ?(nodes = 3) ?(min_delay = 0.05) ?(max_delay = 0.5) t params =
   t.chains <- t.chains @ [ (id, chain) ];
   chain
 
-let chain t id =
-  match List.assoc_opt id t.chains with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Universe: unknown chain %s" id)
+let rec find_chain id = function
+  | (id', c) :: rest -> if String.equal id' id then c else find_chain id rest
+  | [] -> invalid_arg (Printf.sprintf "Universe: unknown chain %s" id)
+
+let chain t id = find_chain id t.chains
 
 let chains t = t.chains
 

@@ -5,10 +5,10 @@
    participants ("alice", "bob", miners, ...) are reproducible. Key
    generation is the expensive step (2^height WOTS key generations), so
    generated key material is memoized by (seed, height). Independent
-   signers across trials need independent signature budgets, not
-   independent keys: [fresh] gives every call a full budget over the
-   memoized material, so trials that never exchange messages (the
-   chaos sweep's universes) reuse one fixed cast of labels. *)
+   signers need independent signature budgets, not independent keys:
+   [create] gives every call a full budget over the memoized material,
+   so trials that never exchange messages (the chaos sweep's universes)
+   reuse one fixed cast of labels. *)
 
 type public = string (* 32-byte MSS root *)
 
@@ -18,7 +18,7 @@ let address_len = 20
 
 (* Address = truncated hash of the public key, like Bitcoin's HASH160.
    An identity's own address is a field fixed when it is built
-   ([create], [fresh]); this derivation serves public keys seen bare on
+   ([create]); this derivation serves public keys seen bare on
    the wire (transaction inputs, contract arguments). *)
 let address_of_public pk = String.sub (Sha256.digest_list [ "addr"; pk ]) 0 address_len
 
@@ -28,39 +28,17 @@ let of_secret label secret =
   let public = Mss.public secret in
   { label; secret; public; address = address_of_public public }
 
-(* The memo table is shared process state: parallel sweeps (ac3_par
-   domains) create identities concurrently, so every access holds the
-   mutex — an unguarded Hashtbl corrupts its buckets under domains.
-   Generation happens inside the lock on purpose: two domains racing on
-   the same cold label must agree on ONE secret (secrets carry a
-   mutable signature counter), not insert two equal-valued copies and
-   hand out different ones. Contention only exists on cold labels. *)
-let cache : (string * int, t) Hashtbl.t = Hashtbl.create 64
-
-(* ac3-lint: allow D004 — this lock IS the determinism fix for the shared memo table (see comment above) *)
-let cache_mutex = Mutex.create ()
-
 let default_height = 6 (* 64 signatures per identity *)
 
-let generate_secret ~height label =
-  Mss.generate ~height ~seed:(Sha256.digest ("identity:" ^ label)) ()
-
+(* Every call builds a new signer with a full, unconsumed signature
+   budget: identities never share a counter, so neither repeated runs in
+   one process nor domains of a parallel sweep can exhaust or reuse each
+   other's leaves. Only the immutable key material is shared, through
+   the [mss.material] memo. *)
 let create ?(height = default_height) label =
-  let key = (label, height) in
-  (* ac3-lint: allow D004 — guards the cross-domain memo table; the held value is seed-deterministic *)
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache key with
-      | Some id -> id
-      | None ->
-          let id = of_secret label (generate_secret ~height label) in
-          Hashtbl.add cache key id;
-          id)
+  of_secret label (Mss.generate ~height ~seed:(Sha256.digest ("identity:" ^ label)) ())
 
-(* Same key material as [create] but never memoized: every call starts
-   with a full, unconsumed signature budget. Repeated identical runs
-   (chaos replays) need this — sharing a cached secret across runs would
-   leak signature-counter state from one run into the next. *)
-let fresh ?(height = default_height) label = of_secret label (generate_secret ~height label)
+let fresh = create
 
 let label t = t.label
 

@@ -12,17 +12,13 @@ type t
 (** Address length in bytes (truncated public-key hash). *)
 val address_len : int
 
-(** [create ?height label] is the identity for [label]. Repeated calls
-    with the same label share the (stateful) signing key. The memo
-    table is mutex-protected, so concurrent domains may create
-    identities freely; note that {!sign} on one shared identity is
-    still a single-domain affair (the signature counter is not
-    atomic) — parallel runs use {!fresh} or per-task labels. *)
+(** [create ?height label] is the identity for [label], with a full,
+    unconsumed signature budget on every call: two identities with one
+    label share key material (the [mss.material] memo) but never a
+    signature counter. *)
 val create : ?height:int -> string -> t
 
-(** Like {!create} but never memoized: a full, unconsumed signature
-    budget on every call. For repeated identical runs (chaos replays)
-    that must not share signature-counter state. *)
+(** [fresh] is {!create}, under its earlier name. *)
 val fresh : ?height:int -> string -> t
 
 val label : t -> string

@@ -137,11 +137,12 @@ let run_universe ~seed (config : Workload.config) =
     let rec go h = if h >= 16 || 1 lsl h >= n + 8 then h else go (h + 1) in
     go 6
   in
-  (* Identities are namespaced by seed and never memoized: parallel
-     sweep tasks must not share (or exhaust) MSS signing keys. *)
+  (* Identities are namespaced by seed, and each has its own signature
+     budget, so parallel sweep tasks never share a signing key's
+     counter. *)
   let ids =
     Array.init config.users (fun i ->
-        Keys.fresh ~height:(height_for ac3wn_swaps.(i)) (Printf.sprintf "load-%d:u%d" seed i))
+        Keys.create ~height:(height_for ac3wn_swaps.(i)) (Printf.sprintf "load-%d:u%d" seed i))
   in
   let premine = Array.to_list (Array.map (fun id -> (Keys.address id, funding)) ids) in
   let names = List.init config.chains chain_name @ [ "witness" ] in

@@ -155,12 +155,13 @@ let run ?(until = infinity) ?stop t =
 
 let run_until t horizon = ignore (run ~until:horizon t)
 
+(* One tick closure per timer, built here and re-queued as is: a re-arm
+   allocates nothing once the queue has grown. *)
 let schedule_repeating t ~while_ ~first ~every callback =
-  let rec arm delay =
-    schedule t ~delay (fun () ->
-        if while_ () then begin
-          callback ();
-          if while_ () then arm every
-        end)
+  let rec tick () =
+    if while_ () then begin
+      callback ();
+      if while_ () then schedule t ~delay:every tick
+    end
   in
-  arm first
+  schedule t ~delay:first tick

@@ -1,7 +1,9 @@
 (* Canned state-machine specs for the repo's contracts.
 
-   Identities are namespaced under "ac3-verify:" so exploration never
-   shares (or exhausts) MSS signing keys with simulation runs. *)
+   Identities are namespaced under "ac3-verify:". Each [Keys.create]
+   has its own signature budget, so the probes a model check runs on
+   every call never exhaust a key, however many checks one process
+   runs. *)
 
 module Keys = Ac3_crypto.Keys
 module Htlc = Ac3_contract.Htlc

@@ -285,6 +285,24 @@ module Wallet_select = struct
     | Ok selection -> Ok selection
 end
 
+(* [Store_depth] is [Ac3_chain.Store]'s two depth queries as they stood
+   before the store kept its tip height in a field and each indexed
+   transaction's height in its index entry: the tip height read off the
+   tip block, and a transaction's depth through [Store.find_tx]'s block
+   (a probe of the tx index, then of the block table). test_chain.ml
+   holds [Store.tip_height] and [Store.confirmations] to them over
+   random block trees with reorgs. *)
+module Store_depth = struct
+  open Ac3_chain
+
+  let tip_height store = (Store.tip store).Block.header.Block.height
+
+  let confirmations store txid =
+    match Store.find_tx store txid with
+    | None -> 0
+    | Some (block, _) -> tip_height store - block.Block.header.Block.height + 1
+end
+
 (* [Mss_keygen] is MSS key generation as it stood before the lane
    kernel: one WOTS key per leaf, its 67 secret elements expanded one
    [Drbg.expand_prk] at a time and its chains walked per key. Kept

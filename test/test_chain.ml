@@ -166,6 +166,46 @@ let test_tx_roundtrip () =
     (Ac3_crypto.Hex.encode (Tx.txid tx'));
   Alcotest.(check bool) "signatures survive roundtrip" true (Tx.verify_signatures tx')
 
+(* Every input's [address] is its public key's address, whichever
+   constructor built the transaction, and decoding re-derives it: the
+   field is not on the wire. Owners are new identities per case, so no
+   case spends another's signature budget. *)
+let qcheck_tx_input_address =
+  QCheck.Test.make ~name:"tx input address = address_of_public" ~count:100
+    QCheck.(pair (small_list (int_bound 3)) (small_list (int_bound 1000)))
+    (fun (signers, owners) ->
+      let outputs = [ ({ addr = Keys.address bob; amount = coin 5 } : Tx.output) ] in
+      let signed =
+        Tx.make ~chain:"c"
+          ~inputs:
+            (List.mapi
+               (fun i k ->
+                 (dummy_outpoint i, Keys.create ~height:2 (Printf.sprintf "chain-test-input-%d" k)))
+               signers)
+          ~outputs ~fee:(coin 1) ~nonce:1L ()
+      in
+      let unsigned =
+        Tx.make_unsigned ~chain:"c"
+          ~inputs:
+            (List.mapi
+               (fun i k ->
+                 (dummy_outpoint (100 + i), Keys.create ~height:1 (Printf.sprintf "chain-test-owner-%d" k)))
+               owners)
+          ~outputs ~fee:(coin 1) ~nonce:2L ()
+      in
+      let raw =
+        Tx.raw ~chain:"c" ~inputs:(signed.Tx.inputs @ unsigned.Tx.inputs)
+          ~witnesses:signed.Tx.witnesses ~outputs ~payload:Tx.Transfer ~fee:(coin 1) ~nonce:3L
+      in
+      let owned (tx : Tx.t) =
+        List.for_all
+          (fun (i : Tx.input) -> String.equal i.address (Keys.address_of_public i.pubkey))
+          tx.inputs
+      in
+      List.for_all
+        (fun tx -> owned tx && owned (Tx.of_bytes (Tx.to_bytes tx)))
+        [ signed; unsigned; raw ])
+
 let test_tx_signature_binds_body () =
   let tx =
     Tx.make ~chain:"c" ~inputs:[ (dummy_outpoint 1, alice) ]
@@ -632,6 +672,49 @@ let test_store_reorg_restores_ledger () =
     (Ledger.balance_of (Store.ledger store_a) (Keys.address bob));
   Alcotest.(check int) "confirmations reset" 0 (Store.confirmations store_a (Tx.txid tx))
 
+(* The O(1) depth queries against their [find_tx]-based definitions
+   ([Reference.Store_depth]) over random block trees: each step mines a
+   block on a randomly chosen known block, so side branches grow, tie
+   and overtake the active chain, and every reorg disconnects and
+   reconnects indexed transactions. After every step, every coinbase
+   ever mined (active or not) and one unknown txid are asked. *)
+let qcheck_store_depth_differential =
+  QCheck.Test.make ~name:"store depth = find_tx reference" ~count:60
+    QCheck.(list_of_size (Gen.int_range 1 24) (int_bound 1000))
+    (fun picks ->
+      let store = mk_store () in
+      let params = Store.params store in
+      let blocks = ref [| Store.genesis store |] in
+      let txids = ref (List.map Tx.txid (Store.genesis store).Block.txs) in
+      let agree () =
+        Store.tip_height store = Reference.Store_depth.tip_height store
+        && List.for_all
+             (fun txid ->
+               Store.confirmations store txid = Reference.Store_depth.confirmations store txid)
+             (Ac3_crypto.Sha256.digest "never mined" :: !txids)
+      in
+      List.for_all
+        (fun (step, pick) ->
+          let parent = !blocks.(pick mod Array.length !blocks) in
+          let height = parent.Block.header.Block.height + 1 in
+          let coinbase =
+            Tx.coinbase ~chain:params.Params.chain_id ~height
+              ~miner_addr:(Printf.sprintf "depth-miner-%d" step)
+              ~reward:params.Params.block_reward
+          in
+          let block =
+            Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent)
+              ~time:(float_of_int step) ~target:(Pow.target_of_bits params.Params.pow_bits)
+              ~txs:[ coinbase ]
+          in
+          (match Store.add_block store block with
+          | Store.Added _ -> ()
+          | Store.Duplicate | Store.Orphaned | Store.Invalid _ -> QCheck.Test.fail_report "block refused");
+          blocks := Array.append !blocks [| block |];
+          txids := Tx.txid coinbase :: !txids;
+          agree ())
+        (List.mapi (fun step pick -> (step, pick)) picks))
+
 (* A call on the test counter, paid from [from_]'s first coin. *)
 let counter_call store ~from_ ~cid ~nonce =
   let op, (o : Tx.output) = List.hd (Ledger.utxos_of (Store.ledger store) (Keys.address from_)) in
@@ -709,7 +792,7 @@ let lookup_store ~contracts =
   let deploys =
     List.init contracts (fun i ->
         Tx.make_unsigned ~chain:"testchain"
-          ~inputs:[ (Outpoint.create ~txid:premine_txid ~index:i, Keys.public owner) ]
+          ~inputs:[ (Outpoint.create ~txid:premine_txid ~index:i, owner) ]
           ~outputs:[ { addr = Keys.address owner; amount = Amount.(each - deploy_fee) } ]
           ~payload:
             (Tx.Deploy { code_id = Counter.code_id; args = Value.Int 0L; deposit = Amount.zero })
@@ -724,7 +807,7 @@ let lookup_store ~contracts =
     List.mapi
       (fun i deploy ->
         Tx.make_unsigned ~chain:"testchain"
-          ~inputs:[ (Outpoint.create ~txid:(Tx.txid deploy) ~index:0, Keys.public owner) ]
+          ~inputs:[ (Outpoint.create ~txid:(Tx.txid deploy) ~index:0, owner) ]
           ~outputs:[ { addr = Keys.address owner; amount = Amount.(each - deploy_fee - call_fee) } ]
           ~payload:
             (Tx.Call { contract_id = ids.(i); fn = "incr"; args = Value.Unit; deposit = Amount.zero })
@@ -1076,7 +1159,7 @@ let qcheck_wallet_select =
             match
               Node.submit_tx node
                 (Tx.make_unsigned ~chain:"coinchain"
-                   ~inputs:[ (op, Keys.public alice) ]
+                   ~inputs:[ (op, alice) ]
                    ~outputs:[ { addr = Keys.address bob; amount = Amount.(o.amount - coin 1) } ]
                    ~fee:(coin 1) ~nonce:(Int64.of_int i) ())
             with
@@ -1203,8 +1286,8 @@ let test_wallet_refused_deploy_defers_args () =
          Value.Int 0L)
        ~deposit:Amount.zero
    with
-  | Error e ->
-      Alcotest.(check bool) "refused for funds" true (Astring.String.is_prefix ~affix:"insufficient" e)
+  | Error (Wallet.Insufficient _) -> ()
+  | Error (Wallet.Rejected e) -> Alcotest.failf "refused for another reason: %s" e
   | Ok _ -> Alcotest.fail "deployed with its only coin locked");
   Alcotest.(check bool) "args thunk never forced" false !forced;
   ignore (Engine.run ~stop:(fun () -> Node.confirmations node txid1 >= 1) ~until:200_000.0 w.engine);
@@ -1234,14 +1317,15 @@ let test_wallet_refused_call_defers_args () =
       ()
   in
   (match call (Ok Value.Unit) with
-  | Error e ->
-      Alcotest.(check bool) "refused for funds" true (Astring.String.is_prefix ~affix:"insufficient" e)
+  | Error (Wallet.Insufficient _) -> ()
+  | Error (Wallet.Rejected e) -> Alcotest.failf "refused for another reason: %s" e
   | Ok _ -> Alcotest.fail "called with its only coin locked");
   Alcotest.(check int) "args thunk never forced" 0 !forced;
   ignore (Engine.run ~stop:(fun () -> Node.confirmations node txid1 >= 1) ~until:200_000.0 w.engine);
   let pending = Mempool.size (Node.mempool node) in
   (match call (Error "no evidence yet") with
-  | Error e -> Alcotest.(check string) "thunk's error returned" "no evidence yet" e
+  | Error e ->
+      Alcotest.(check string) "thunk's error returned" "no evidence yet" (Wallet.refusal_message e)
   | Ok _ -> Alcotest.fail "submitted a call whose arguments failed");
   Alcotest.(check int) "funded call forced its thunk" 1 !forced;
   Alcotest.(check int) "nothing submitted" pending (Mempool.size (Node.mempool node));
@@ -1271,10 +1355,10 @@ let test_wallet_sibling_deploys_distinct_contracts () =
   (match deploy_pair () with
   | Ok (txid, _), Error e ->
       Alcotest.(check bool) "one coin: sibling refused" true
-        (Astring.String.is_prefix ~affix:"insufficient" e);
+        (Astring.String.is_prefix ~affix:"insufficient" (Wallet.refusal_message e));
       confirm txid
   | Ok _, Ok _ -> Alcotest.fail "one coin funded two deploys"
-  | Error e, _ -> Alcotest.fail e);
+  | Error e, _ -> Alcotest.fail (Wallet.refusal_message e));
   (* Split alice's change into two coins, then deploy the same payload
      twice again: the sibling takes the other coin. *)
   (match Wallet.pay (Wallet.create ~identity:alice ~node) ~to_:(Keys.address alice) ~amount:(coin 1_000_000) with
@@ -1287,7 +1371,7 @@ let test_wallet_sibling_deploys_distinct_contracts () =
       confirm txid2;
       Alcotest.(check bool) "both contracts live" true
         (Node.contract node cid1 <> None && Node.contract node cid2 <> None)
-  | Error e, _ | _, Error e -> Alcotest.fail e
+  | Error e, _ | _, Error e -> Alcotest.fail (Wallet.refusal_message e)
 
 (* --- SPV ---------------------------------------------------------------------- *)
 
@@ -1552,14 +1636,14 @@ let test_wallet_deploy_and_call () =
     Wallet.deploy wallet ~code_id:"test-counter" ~args:(fun () -> Value.Int 41L)
       ~deposit:Amount.zero
   with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Wallet.refusal_message e)
   | Ok (txid, cid) -> (
       ignore
         (Engine.run
            ~stop:(fun () -> Node.confirmations w.nodes.(0) txid >= 1)
            ~until:200_000.0 w.engine);
       match Wallet.call wallet ~contract_id:cid ~fn:"incr" ~args:(fun () -> Ok Value.Unit) () with
-      | Error e -> Alcotest.fail e
+      | Error e -> Alcotest.fail (Wallet.refusal_message e)
       | Ok call_txid ->
           ignore
             (Engine.run
@@ -1587,6 +1671,7 @@ let () =
           Alcotest.test_case "codec roundtrip" `Quick test_tx_roundtrip;
           Alcotest.test_case "signature binds body" `Quick test_tx_signature_binds_body;
           Alcotest.test_case "chain binding (no replay)" `Quick test_tx_chain_binding;
+          QCheck_alcotest.to_alcotest qcheck_tx_input_address;
         ] );
       ( "pow",
         [
@@ -1621,6 +1706,7 @@ let () =
             test_store_call_lookup_sublinear;
           Alcotest.test_case "confirmations" `Quick test_store_confirmations;
           Alcotest.test_case "headers_from" `Quick test_store_headers_from;
+          QCheck_alcotest.to_alcotest qcheck_store_depth_differential;
         ] );
       ( "mempool",
         [

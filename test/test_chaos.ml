@@ -305,7 +305,7 @@ let ring_plan () =
   Alcotest.(check bool) "seed 1 samples a ring" true (spec.Plan.shape = Plan.Ring);
   (spec, plan)
 
-let capacity = Keys.remaining_signatures (Keys.fresh "test-chaos:capacity")
+let capacity = Keys.remaining_signatures (Keys.create "test-chaos:capacity")
 
 let full_budgets ids = List.for_all (fun id -> Keys.remaining_signatures id = capacity) ids
 

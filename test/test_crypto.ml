@@ -574,6 +574,37 @@ let test_keys_deterministic () =
   Alcotest.(check string) "same public key" (Keys.public a) (Keys.public b);
   Alcotest.(check string) "same address" (Keys.address a) (Keys.address b)
 
+(* Two identities built from one label share their key but not their
+   signature counter: whatever the first has spent, the second starts
+   with the full budget, and both sign valid signatures under the one
+   public key until each has spent its own. *)
+let qcheck_keys_independent_budgets =
+  QCheck.Test.make ~name:"same label, independent signature budgets" ~count:40
+    QCheck.(triple (int_range 1 3) (int_range 0 8) small_printable_string)
+    (fun (height, spent, suffix) ->
+      let label = "budget-crypto-test:" ^ suffix in
+      let capacity = 1 lsl height in
+      let spent = min spent capacity in
+      let a = Keys.create ~height label in
+      for i = 1 to spent do
+        ignore (Keys.sign a (string_of_int i))
+      done;
+      let b = Keys.create ~height label in
+      let signs_all id =
+        List.for_all
+          (fun i ->
+            let m = Printf.sprintf "%s/%d" label i in
+            Keys.verify (Keys.public id) m (Keys.sign id m))
+          (List.init (Keys.remaining_signatures id) Fun.id)
+      in
+      String.equal (Keys.public a) (Keys.public b)
+      && Keys.remaining_signatures a = capacity - spent
+      && Keys.remaining_signatures b = capacity
+      && signs_all b
+      && Keys.remaining_signatures a = capacity - spent
+      && signs_all a
+      && Keys.remaining_signatures a = 0)
+
 let test_keys_sign_verify () =
   let id = Keys.create "signer-crypto-test" in
   let s = Keys.sign id "payload" in
@@ -781,6 +812,7 @@ let () =
           Alcotest.test_case "sign/verify" `Quick test_keys_sign_verify;
           Alcotest.test_case "address length" `Quick test_keys_address_len;
           Alcotest.test_case "public keys pinned" `Quick test_keys_pinned;
+          QCheck_alcotest.to_alcotest qcheck_keys_independent_budgets;
         ] );
       ( "multisig",
         [

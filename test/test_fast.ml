@@ -203,7 +203,7 @@ let unsigned_gen =
     map3
       (fun inputs outputs (payload, nonce) ->
         Tx.make_unsigned ~chain:"fastchain"
-          ~inputs:(List.map (fun op -> (op, Keys.public f_alice)) inputs)
+          ~inputs:(List.map (fun op -> (op, f_alice)) inputs)
           ~outputs ~payload ~fee:(coin 7) ~nonce:(Int64.of_int nonce) ())
       (list_size (int_range 1 4) outpoint_gen)
       (list_size (int_range 1 4) output_gen)
@@ -311,10 +311,10 @@ let qcheck_block_hash_fixed_at_construction =
 
 let qcheck_key_address_fixed_at_construction =
   QCheck.Test.make ~name:"key address: field == address of the public key" ~count:20
-    QCheck.(triple bool (int_bound 1000) (int_range 1 3))
-    (fun (cached, tag, height) ->
+    QCheck.(pair (int_bound 1000) (int_range 1 3))
+    (fun (tag, height) ->
       let label = Printf.sprintf "fast-addr-key:%d" tag in
-      let k = if cached then Keys.create ~height label else Keys.fresh ~height label in
+      let k = Keys.create ~height label in
       String.equal (Keys.address k) (Keys.address_of_public (Keys.public k)))
 
 (* A small pool of real signatures, signed once at module init. *)

@@ -83,6 +83,29 @@ let test_ac3wn_clean_under_crash () =
       ("supply-chain", supply_chain ());
     ]
 
+(* --- Signature budgets across many checks ------------------------------ *)
+
+(* Every AC3WN check probes the witness contract, which multisigns with
+   two identities made from fixed labels. 200 checks in one process, on
+   one domain and on two, must all come back clean: when identities of
+   one label shared a signature counter, the 65th check raised
+   [Mss.Key_exhausted] (a height-6 key signs 64 times). *)
+let test_many_ac3wn_checks () =
+  let graph = ring 3 in
+  List.iter
+    (fun jobs ->
+      let reports =
+        Ac3_par.Pool.map ~jobs
+          (fun _ -> Checker.check ~config:(config ()) ~protocol:Checker.Ac3wn ~graph)
+          (List.init 200 Fun.id)
+      in
+      Alcotest.(check int) (Printf.sprintf "jobs %d: every check ran" jobs) 200 (List.length reports);
+      List.iteri
+        (fun i r ->
+          Alcotest.(check (list string)) (Printf.sprintf "jobs %d: check %d clean" jobs i) [] (error_rules r))
+        reports)
+    [ 1; 2 ]
+
 (* --- Fault-free Herlihy on the supply chain: the T001 graph ----------- *)
 
 (* The supply-chain graph pays the carrier on a chain whose timelock
@@ -634,6 +657,7 @@ let () =
           Alcotest.test_case "herlihy supply chain: fault-free M001" `Quick
             test_herlihy_supply_chain_violates_fault_free;
           Alcotest.test_case "nolan: shape gate" `Quick test_nolan_shape_gate;
+          Alcotest.test_case "ac3wn: 200 checks in one process" `Quick test_many_ac3wn_checks;
         ] );
       ( "exploration",
         [

@@ -1,5 +1,5 @@
 (* ac3_par tests: pool semantics (ordering, exceptions, nesting), seed
-   splitting, domain-safety of the key cache, and the determinism
+   splitting, identity creation under domains, and the determinism
    contract — parallel sweeps, model checks, replays and shrinks must be
    byte-identical to their sequential runs for every --jobs value.
 
@@ -256,13 +256,11 @@ let test_split_seed () =
   in
   Alcotest.(check bool) "streams differ" true (first_draw 0 <> first_draw 1)
 
-(* --- key cache under concurrent domains -------------------------------- *)
+(* --- identity creation under concurrent domains ------------------------ *)
 
-(* Two domains hammer Keys.create on overlapping labels: same label must
-   yield one shared identity (equal addresses), distinct labels distinct
-   identities, and nothing crashes. This is the regression test for the
-   cache mutex — before it, two domains racing on a cold label could
-   each generate a different secret. *)
+(* Two domains hammer Keys.create on overlapping labels, each through
+   its own key-material memo: same label must yield the same key (equal
+   addresses), distinct labels distinct keys, and nothing crashes. *)
 let test_keys_concurrent_create () =
   let label k = Printf.sprintf "par-keys-%d" k in
   let worker () = Array.init 24 (fun k -> Keys.address (Keys.create ~height:4 (label k))) in
@@ -275,7 +273,7 @@ let test_keys_concurrent_create () =
   Array.iteri
     (fun k a ->
       Alcotest.(check string)
-        (Printf.sprintf "cache agrees with domains for %s" (label k))
+        (Printf.sprintf "main domain agrees with workers for %s" (label k))
         a
         (Keys.address (Keys.create ~height:4 (label k))))
     a1
@@ -283,7 +281,7 @@ let test_keys_concurrent_create () =
 (* --- interference sanitizer -------------------------------------------- *)
 
 (* Isolated tasks: each rebuilds its identity from its own label with a
-   full signature budget ([Keys.fresh]), the discipline every sweep in
+   full signature budget ([Keys.create]), the discipline every sweep in
    this repo follows. Reruns reproduce the same result, so the
    sanitizer stays silent at every jobs value. *)
 let test_sanitize_clean () =
@@ -292,7 +290,7 @@ let test_sanitize_clean () =
       let results =
         Pool.run ~jobs ~sanitize:true
           (List.init 12 (fun i () ->
-               let id = Keys.fresh ~height:4 (Printf.sprintf "sanitize-clean-%d" i) in
+               let id = Keys.create ~height:4 (Printf.sprintf "sanitize-clean-%d" i) in
                ignore (Keys.sign id "msg");
                (Keys.address id, Keys.remaining_signatures id)))
       in
@@ -302,8 +300,9 @@ let test_sanitize_clean () =
         results)
     jobs_values
 
-(* A deliberately racy identity cache: the unlocked memo table
-   [Keys.create] used before its mutex. Two domains racing a cold label
+(* A deliberately racy identity cache: an unlocked per-label table of
+   shared signers, the kind of cache [Keys.create] must not keep. Two
+   domains racing a cold label
    can each build a secret and hand out different objects (equal key
    material, independent signature counters); when the race window is
    missed, every task shares ONE memoized mutable counter. *)
@@ -311,7 +310,7 @@ let racy_create cache label =
   match Hashtbl.find_opt cache label with
   | Some id -> id
   | None ->
-      let id = Keys.fresh ~height:5 label in
+      let id = Keys.create ~height:5 label in
       Hashtbl.add cache label id;
       id
 

@@ -70,7 +70,7 @@ let random_transfer rng store =
            else [ ({ addr = Keys.address from_; amount = change } : Tx.output) ])
         in
         Some
-          (Tx.make_unsigned ~chain:"props" ~inputs:[ (op, Keys.public from_) ] ~outputs ~fee
+          (Tx.make_unsigned ~chain:"props" ~inputs:[ (op, from_) ] ~outputs ~fee
              ~nonce:(Rng.int64 rng) ())
       end
 

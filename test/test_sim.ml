@@ -199,6 +199,27 @@ let test_engine_allocation () =
   let per_event = (Gc.minor_words () -. before) /. float_of_int n in
   if per_event > 4.0 then Alcotest.failf "%.2f minor words per event, over 4" per_event
 
+(* A repeating timer re-queues the one tick closure it built when it was
+   scheduled, so once the queue has grown a tick allocates only what any
+   dispatch does, the boxed clock value (2 words). Building a closure
+   per re-arm made it 9. The bound of 4 is the dispatch gate's. *)
+let test_engine_repeating_allocation () =
+  let e = Engine.create () in
+  let ticks = ref 0 in
+  for i = 0 to 7 do
+    Engine.schedule_repeating e
+      ~while_:(fun () -> true)
+      ~first:(0.1 *. float_of_int i)
+      ~every:1.0
+      (fun () -> incr ticks)
+  done;
+  Engine.run_until e 100.0;
+  let before = Gc.minor_words () and ticked = !ticks in
+  Engine.run_until e 20_100.0;
+  let per_tick = (Gc.minor_words () -. before) /. float_of_int (!ticks - ticked) in
+  Alcotest.(check int) "eight ticks a second" (8 * 20_000) (!ticks - ticked);
+  if per_tick > 4.0 then Alcotest.failf "%.2f minor words per repeating tick, over 4" per_tick
+
 (* --- Trace ------------------------------------------------------------ *)
 
 let test_trace_find_first_occurrence () =
@@ -287,6 +308,7 @@ let () =
           Alcotest.test_case "schedule boundaries" `Quick test_engine_schedule_boundaries;
           Alcotest.test_case "free-list reuse at scale" `Quick test_engine_free_list_reuse_at_scale;
           Alcotest.test_case "allocation per event" `Quick test_engine_allocation;
+          Alcotest.test_case "allocation per repeating tick" `Quick test_engine_repeating_allocation;
         ] );
       ( "trace",
         [
