@@ -244,7 +244,7 @@ let execute_protocol ~crash u participants graph protocol =
   match protocol with
   | Ac3wn ->
       let config =
-        { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
+        { A.default_config with A.decision_depth = 4; timeout = 50_000.0 }
       in
       if crash then
         Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->

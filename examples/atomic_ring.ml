@@ -35,7 +35,7 @@ let () =
     (Ac3_core.Analysis.ac3wn_latency *. delta);
 
   let config =
-    { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
+    { A.default_config with A.decision_depth = 4; timeout = 20_000.0 }
   in
   let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN result: committed = %b, atomic = %b@." result.A.committed result.A.atomic;

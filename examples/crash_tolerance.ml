@@ -71,7 +71,7 @@ let () =
     ]
   in
   let config =
-    { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
+    { A.default_config with A.decision_depth = 4; timeout = 20_000.0 }
   in
   let r2 = A.execute u2 ~config ~graph:graph2 ~participants:ps2 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
   show_balances "after " alice2 bob2;

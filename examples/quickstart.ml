@@ -36,7 +36,7 @@ let () =
   (* 3. Execute AC3WN: register SCw on the witness chain, deploy both
      swap contracts in parallel, authorize redemption with cross-chain
      evidence, and redeem both legs in parallel. *)
-  let config = { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4 } in
+  let config = { A.default_config with A.decision_depth = 4 } in
   let before_alice_eth = P.balance_on alice "eth" in
   let before_bob_btc = P.balance_on bob "btc" in
   let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in

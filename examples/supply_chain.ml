@@ -33,7 +33,7 @@ let run_case ~name ~seed ~chains ~graph_of n =
   | Error e -> Fmt.pr "Herlihy baseline: REFUSED — %s@." e
   | Ok _ -> Fmt.pr "Herlihy baseline: executable@.");
   let config =
-    { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
+    { A.default_config with A.decision_depth = 4; timeout = 20_000.0 }
   in
   let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN: committed = %b, atomic = %b%a@.@." result.A.committed result.A.atomic

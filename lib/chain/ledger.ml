@@ -31,13 +31,6 @@ type t = {
   mutable height : int; (* height of the last applied block; -1 = empty *)
 }
 
-type undo = {
-  spent : (Outpoint.t * Tx.output) list;
-  created : Outpoint.t list;
-  contracts_prev : (string * contract option) list;
-  prev_height : int;
-}
-
 type event = { contract_id : string; name : string; payload : Value.t }
 
 let create ~params ~registry =
@@ -125,12 +118,20 @@ let total_supply t =
 
 (* --- Transaction validation and execution --------------------------- *)
 
-type applied_tx = {
-  tx_undo_spent : (Outpoint.t * Tx.output) list;
-  tx_undo_created : Outpoint.t list;
-  tx_undo_contracts : (string * contract option) list;
-  tx_events : event list;
+(* What one applied transaction changed, enough to reverse it exactly:
+   the outputs it spent, the outpoints it created and each touched
+   contract's previous record. *)
+type tx_undo = {
+  spent : (Outpoint.t * Tx.output) list;
+  created : Outpoint.t list;
+  contracts_prev : (string * contract option) list;
 }
+
+(* A block's undo is its transactions' undos, newest first (the coinbase
+   credit is the newest), so replaying them in list order walks the
+   block backwards and a transaction spending an earlier one's output in
+   the same block is reversed before that output is deleted. *)
+type undo = { txs : tx_undo list; prev_height : int }
 
 let error fmt = Printf.ksprintf (fun s -> Error s) fmt
 
@@ -141,8 +142,9 @@ let rec no_duplicate_outpoints = function
       && no_duplicate_outpoints rest
 
 (* Execute a validated non-coinbase transaction against the ledger,
-   mutating it. Returns undo data, or an error with no mutation. *)
-let apply_tx t ~block_height ~block_time (tx : Tx.t) : (applied_tx, string) result =
+   mutating it. Returns undo data and the contract events it emitted,
+   or an error with no mutation. *)
+let apply_tx t ~block_height ~block_time (tx : Tx.t) : (tx_undo * event list, string) result =
   let txid = Tx.txid tx in
   if Tx.is_coinbase tx then error "coinbase outside block head"
   else if not (String.equal tx.chain t.params.chain_id) then
@@ -291,25 +293,19 @@ let apply_tx t ~block_height ~block_time (tx : Tx.t) : (applied_tx, string) resu
                     (id, prev))
                   contract_updates
               in
-              Ok
-                {
-                  tx_undo_spent = resolved;
-                  tx_undo_created = created;
-                  tx_undo_contracts = contracts_prev;
-                  tx_events = events;
-                }
+              Ok ({ spent = resolved; created; contracts_prev }, events)
         end)
   end
 
-let undo_applied_tx t (a : applied_tx) =
-  List.iter (fun op -> utxo_delete t op) a.tx_undo_created;
-  List.iter (fun (op, o) -> utxo_put t op o) a.tx_undo_spent;
+let undo_tx t (u : tx_undo) =
+  List.iter (fun op -> utxo_delete t op) u.created;
+  List.iter (fun (op, o) -> utxo_put t op o) u.spent;
   List.iter
     (fun (id, prev) ->
       match prev with
       | Some c -> Hashtbl.replace t.contracts id c
       | None -> Hashtbl.remove t.contracts id)
-    a.tx_undo_contracts
+    u.contracts_prev
 
 (* --- Block application ----------------------------------------------- *)
 
@@ -335,24 +331,25 @@ let apply_block t (block : Block.t) : (undo * event list, string) result =
               (Amount.to_string (Tx.output_total coinbase))
               (Amount.to_string max_reward)
           else begin
-            (* Apply txs in order, rolling back on failure. *)
-            let rec go acc events = function
-              | [] -> Ok (List.rev acc, List.rev events)
+            (* Apply txs in order, rolling back on failure. [undos] is
+               newest first, the order [undo_block] replays. *)
+            let rec go undos events = function
+              | [] -> Ok (undos, List.rev events)
               | tx :: txs -> (
                   match
                     apply_tx t ~block_height:header.Block.height ~block_time:header.Block.time tx
                   with
-                  | Ok applied -> go (applied :: acc) (List.rev_append applied.tx_events events) txs
+                  | Ok (u, evs) -> go (u :: undos) (List.rev_append evs events) txs
                   | Error e ->
-                      List.iter (undo_applied_tx t) acc;
+                      List.iter (undo_tx t) undos;
                       error "tx %s invalid: %s" (Hex.short (Tx.txid tx)) e)
             in
             match go [] [] rest with
             | Error e -> Error e
-            | Ok (applied, events) ->
+            | Ok (undos, events) ->
                 (* Credit the coinbase outputs. *)
                 let cb_id = Tx.txid coinbase in
-                let cb_created =
+                let created =
                   List.mapi
                     (fun i (o : Tx.output) ->
                       let op = Outpoint.create ~txid:cb_id ~index:i in
@@ -362,39 +359,22 @@ let apply_block t (block : Block.t) : (undo * event list, string) result =
                 in
                 let prev_height = t.height in
                 t.height <- header.Block.height;
-                let undo =
-                  {
-                    spent = List.concat_map (fun a -> a.tx_undo_spent) applied;
-                    created = cb_created @ List.concat_map (fun a -> a.tx_undo_created) applied;
-                    contracts_prev =
-                      (* Reverse order so earlier snapshots win on undo when a
-                         contract is touched twice in one block. *)
-                      List.concat_map (fun a -> a.tx_undo_contracts) (List.rev applied);
-                    prev_height;
-                  }
-                in
-                Ok (undo, events)
+                let coinbase_undo = { spent = []; created; contracts_prev = [] } in
+                Ok ({ txs = coinbase_undo :: undos; prev_height }, events)
           end
         end)
   end
 
 let undo_block t (u : undo) =
-  List.iter (fun op -> utxo_delete t op) u.created;
-  List.iter (fun (op, o) -> utxo_put t op o) u.spent;
-  List.iter
-    (fun (id, prev) ->
-      match prev with
-      | Some c -> Hashtbl.replace t.contracts id c
-      | None -> Hashtbl.remove t.contracts id)
-    u.contracts_prev;
+  List.iter (undo_tx t) u.txs;
   t.height <- u.prev_height
 
 (* Lightweight admissibility check for the mempool: would this tx apply on
    the current state? Executes against the ledger and rolls right back. *)
 let check_tx t ~block_time (tx : Tx.t) : (unit, string) result =
   match apply_tx t ~block_height:(t.height + 1) ~block_time tx with
-  | Ok applied ->
-      undo_applied_tx t applied;
+  | Ok (u, _) ->
+      undo_tx t u;
       Ok ()
   | Error e -> Error e
 
@@ -402,18 +382,18 @@ let check_tx t ~block_time (tx : Tx.t) : (unit, string) result =
    transactions that applies in order on the current state. Leaves the
    ledger unchanged. *)
 let select_valid t ~block_height ~block_time txs =
-  let applied = ref [] in
+  let undos = ref [] in
   let selected =
     List.filter
       (fun tx ->
         match apply_tx t ~block_height ~block_time tx with
-        | Ok a ->
-            applied := a :: !applied;
+        | Ok (u, _) ->
+            undos := u :: !undos;
             true
         | Error _ -> false)
       txs
   in
-  List.iter (undo_applied_tx t) !applied;
+  List.iter (undo_tx t) !undos;
   selected
 
 (* Canonical digest of the full ledger state (UTXO set + contracts +

@@ -6,25 +6,21 @@
 
    Two additions harden the pool for sustained many-swap load:
 
-   - a multiset index of the outpoints spent by live entries, so wallets
-     can ask "is this coin already promised to a pending tx?" in O(1)
-     instead of scanning [to_list] on every coin selection;
+   - a multiset index of the outpoints spent by pooled transactions, so
+     wallets can ask "is this coin already promised to a pending tx?" in
+     O(1) instead of scanning the pool on every coin selection;
    - an optional [capacity]: when full, admission evicts the lowest
      (class, fee) entry, where settlement-critical payloads outrank
      plain value movement (Call > Deploy > Transfer). A newcomer that
      does not strictly beat the cheapest resident is rejected instead.
      Unbounded pools (the default) behave exactly as before. *)
 
-type entry = { tx : Tx.t; seq : int }
+module By_arrival = Map.Make (Int)
 
-(* Removal is lazy: the index is authoritative and dead entries are
-   swept out of the list only when it is next traversed, keeping
-   [remove] O(1) even for block-sized batches. *)
 type t = {
-  mutable entries : entry list; (* newest first; may contain dead entries *)
-  mutable entries_len : int; (* length of [entries], dead included *)
-  index : (string, entry) Hashtbl.t;
-  spent : int Outpoint.Table.t; (* outpoint -> live txs spending it *)
+  mutable order : Tx.t By_arrival.t; (* arrival number -> tx *)
+  index : (string, int) Hashtbl.t; (* txid -> its arrival number *)
+  spent : int Outpoint.Table.t; (* outpoint -> pooled txs spending it *)
   capacity : int option;
   mutable next_seq : int;
 }
@@ -34,8 +30,7 @@ let create ?capacity () =
   | Some c when c < 1 -> invalid_arg "Mempool.create: capacity must be >= 1"
   | _ -> ());
   {
-    entries = [];
-    entries_len = 0;
+    order = By_arrival.empty;
     index = Hashtbl.create 64;
     spent = Outpoint.Table.create 64;
     capacity;
@@ -74,55 +69,33 @@ let untrack_spent t tx =
       | Some n -> Outpoint.Table.replace t.spent i.outpoint (n - 1))
     tx.Tx.inputs
 
-(* A list entry is live iff the index still points at this exact entry —
-   plain [mem] would resurrect a stale list node if the same txid were
-   ever removed and re-added. *)
-let live t e =
-  match Hashtbl.find_opt t.index (Tx.txid e.tx) with Some e' -> e' == e | None -> false
-
-let sweep t =
-  if t.entries_len > 16 && t.entries_len > 2 * Hashtbl.length t.index then begin
-    t.entries <- List.filter (live t) t.entries;
-    t.entries_len <- List.length t.entries
-  end
-
 let remove t txid =
-  (match Hashtbl.find_opt t.index txid with
+  match Hashtbl.find_opt t.index txid with
   | None -> ()
-  | Some e -> untrack_spent t e.tx);
-  Hashtbl.remove t.index txid;
-  sweep t
+  | Some seq ->
+      untrack_spent t (By_arrival.find seq t.order);
+      Hashtbl.remove t.index txid;
+      t.order <- By_arrival.remove seq t.order
 
 (* Strict lexicographic (class, fee) order; used both to pick the victim
    and to decide whether a newcomer beats it. Ties never evict. *)
-let beats ~cls_a ~fee_a ~cls_b ~fee_b =
-  cls_a > cls_b || (cls_a = cls_b && Amount.compare fee_a fee_b > 0)
+let beats a b =
+  let ca = priority_class a and cb = priority_class b in
+  ca > cb || (ca = cb && Amount.compare a.Tx.fee b.Tx.fee > 0)
 
-(* Lowest (class, fee) live entry; among equals the newest goes first so
-   earlier arrivals keep their place. O(live) — only runs on overflow. *)
+(* Lowest (class, fee) entry; among equals the newest goes first so
+   earlier arrivals keep their place. The scan runs oldest first, so a
+   later entry replaces the pick unless it strictly beats it. O(size) —
+   only runs on overflow. *)
 let victim t =
-  (* ac3-lint: allow D001 — min-selection over the total (class, fee, seq) order is fold-order-independent *)
-  Hashtbl.fold
-    (fun _ e acc ->
-      match acc with
-      | None -> Some e
-      | Some best ->
-          let ec = priority_class e.tx and bc = priority_class best.tx in
-          if
-            ec < bc
-            || (ec = bc
-               && (Amount.compare e.tx.Tx.fee best.tx.Tx.fee < 0
-                  || (Amount.equal e.tx.Tx.fee best.tx.Tx.fee && e.seq > best.seq)))
-          then Some e
-          else acc)
-    t.index None
+  By_arrival.fold
+    (fun _ tx pick -> match pick with Some v when beats tx v -> pick | _ -> Some tx)
+    t.order None
 
 let insert t tx =
-  let entry = { tx; seq = t.next_seq } in
-  Hashtbl.replace t.index (Tx.txid tx) entry;
+  Hashtbl.replace t.index (Tx.txid tx) t.next_seq;
+  t.order <- By_arrival.add t.next_seq tx t.order;
   track_spent t tx;
-  t.entries <- entry :: t.entries;
-  t.entries_len <- t.entries_len + 1;
   t.next_seq <- t.next_seq + 1
 
 (* Returns the evicted transactions (at most one) so the node can count
@@ -134,30 +107,16 @@ let add t tx =
     match t.capacity with
     | Some cap when Hashtbl.length t.index >= cap -> (
         match victim t with
-        | Some v
-          when beats ~cls_a:(priority_class tx) ~fee_a:tx.Tx.fee
-                 ~cls_b:(priority_class v.tx) ~fee_b:v.tx.Tx.fee ->
-            remove t (Tx.txid v.tx);
+        | Some v when beats tx v ->
+            remove t (Tx.txid v);
             insert t tx;
-            Ok [ v.tx ]
+            Ok [ v ]
         | Some _ | None -> Error "mempool full")
     | _ ->
         insert t tx;
         Ok []
 
 (* Oldest-first candidates for the next block. The caller filters out
-   transactions that no longer apply. [entries] is newest-first with
-   monotonically increasing [seq], so a reverse IS the seq-sort — no
-   O(n log n) comparison sort on the per-block hot path. *)
+   transactions that no longer apply. *)
 let candidates t ~limit =
-  let live = List.filter (live t) t.entries in
-  t.entries <- live;
-  t.entries_len <- List.length live;
-  let oldest_first = List.rev live in
-  let rec take n = function
-    | [] -> []
-    | e :: rest -> if n = 0 then [] else e.tx :: take (n - 1) rest
-  in
-  take limit oldest_first
-
-let to_list t = List.filter_map (fun e -> if live t e then Some e.tx else None) t.entries
+  By_arrival.to_seq t.order |> Seq.take limit |> Seq.map snd |> List.of_seq

@@ -16,13 +16,10 @@ val size : t -> int
 
 val mem : t -> string -> bool
 
-(** [spends t outpoint] is [true] iff some live transaction in the pool
+(** [spends t outpoint] is [true] iff some transaction in the pool
     consumes [outpoint]. O(1); lets wallets avoid promising the same
     coin to two pending transactions without scanning the pool. *)
 val spends : t -> Outpoint.t -> bool
-
-(** Eviction class of a transaction: Call = 2, Deploy = 1, others 0. *)
-val priority_class : Tx.t -> int
 
 (** Insert; [Ok evicted] lists the transactions displaced to make room
     (empty for unbounded pools, at most one otherwise). [Error] on
@@ -34,5 +31,3 @@ val remove : t -> string -> unit
 
 (** Up to [limit] transactions, oldest first. *)
 val candidates : t -> limit:int -> Tx.t list
-
-val to_list : t -> Tx.t list

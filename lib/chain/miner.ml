@@ -19,7 +19,6 @@ type t = {
   address : string; (* coinbase payout address *)
   share : float; (* fraction of the chain's total hash power *)
   mutable running : bool;
-  mutable blocks_mined : int;
   mined_meter : Metrics.counter;
   mempool_depth : Metrics.histogram;
 }
@@ -35,13 +34,10 @@ let create ~engine ~rng ~node ~address ~share ?metrics () =
     address;
     share;
     running = false;
-    blocks_mined = 0;
     mined_meter = Metrics.counter metrics ~labels "chain.block.mined";
     mempool_depth =
       Metrics.histogram metrics ~labels ~lo:0.0 ~hi:200.0 ~buckets:20 "chain.mempool.depth";
   }
-
-let blocks_mined t = t.blocks_mined
 
 (* Assemble a block on the current tip from mempool candidates. *)
 let assemble t =
@@ -66,7 +62,6 @@ let assemble t =
 let mine_one t =
   if not (Node.is_crashed t.node) then begin
     let block = assemble t in
-    t.blocks_mined <- t.blocks_mined + 1;
     Metrics.incr t.mined_meter;
     ignore (Node.submit_block t.node block)
   end

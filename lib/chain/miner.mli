@@ -17,8 +17,6 @@ val create :
   unit ->
   t
 
-val blocks_mined : t -> int
-
 (** Assemble and PoW-mine one block on the node's current tip without
     scheduling (used by adversarial miners and tests). *)
 val assemble : t -> Block.t

@@ -18,9 +18,6 @@ type message =
 
 type endpoint = { id : string; deliver : message -> unit }
 
-(* What a fault hook may do to one message in flight. *)
-type fault_action = Pass | Drop_msg | Delay_extra of float
-
 type t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -30,10 +27,9 @@ type t = {
   (* endpoint id -> partition group; endpoints absent from the table are in
      the implicit group -1 (all connected to each other). *)
   partition_groups : (string, int) Hashtbl.t;
-  (* Chaos-injection surface: every reachable message first consults the
-     fault hook, then survives an independent Bernoulli drop. *)
+  (* Chaos-injection surface: every reachable message survives an
+     independent Bernoulli drop. *)
   mutable drop_probability : float;
-  mutable fault_hook : (from:string -> to_:string -> message -> fault_action) option;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -49,7 +45,6 @@ let create ?(min_delay = 0.05) ?(max_delay = 0.5) ~engine ~rng () =
     max_delay;
     partition_groups = Hashtbl.create 16;
     drop_probability = 0.0;
-    fault_hook = None;
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -65,12 +60,6 @@ let delays t = (t.min_delay, t.max_delay)
 let set_drop_probability t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_drop_probability";
   t.drop_probability <- p
-
-let drop_probability t = t.drop_probability
-
-let set_fault_hook t hook = t.fault_hook <- Some hook
-
-let clear_fault_hook t = t.fault_hook <- None
 
 let register t ~id deliver =
   if List.exists (fun e -> String.equal e.id id) t.endpoints then
@@ -89,36 +78,19 @@ let partition t groups =
 
 let heal t = Hashtbl.reset t.partition_groups
 
-(* Isolate a single endpoint from everyone else. *)
-(* ac3-lint: allow D005 — hash of an immutable string id, only used to mint a distinct group tag *)
-let isolate t id = Hashtbl.replace t.partition_groups id (1000000 + Hashtbl.hash id)
-
-let reconnect t id = Hashtbl.remove t.partition_groups id
-
-let deliver_later t ?(extra = 0.0) endpoint msg =
-  let delay = extra +. Rng.uniform_range t.rng ~lo:t.min_delay ~hi:t.max_delay in
-  Engine.schedule t.engine ~delay (fun () -> endpoint.deliver msg)
-
-(* One message to one reachable endpoint, through the fault surface:
-   hook verdict first, then the Bernoulli link drop. Messages crossing a
-   partition are dropped before either (cut links carry nothing). *)
+(* One message to one endpoint: dropped if it crosses a partition (cut
+   links carry nothing), else it survives the Bernoulli link drop and
+   arrives after a uniform random delay. *)
 let transmit t ~from e msg =
   t.sent <- t.sent + 1;
   if not (reachable t ~from ~to_:e.id) then t.dropped <- t.dropped + 1
-  else
-    let action =
-      match t.fault_hook with None -> Pass | Some hook -> hook ~from ~to_:e.id msg
-    in
-    match action with
-    | Drop_msg -> t.dropped <- t.dropped + 1
-    | Pass | Delay_extra _ ->
-        if t.drop_probability > 0.0 && Rng.bernoulli t.rng t.drop_probability then
-          t.dropped <- t.dropped + 1
-        else begin
-          t.delivered <- t.delivered + 1;
-          let extra = match action with Delay_extra d -> max 0.0 d | Pass | Drop_msg -> 0.0 in
-          deliver_later t ~extra e msg
-        end
+  else if t.drop_probability > 0.0 && Rng.bernoulli t.rng t.drop_probability then
+    t.dropped <- t.dropped + 1
+  else begin
+    t.delivered <- t.delivered + 1;
+    let delay = Rng.uniform_range t.rng ~lo:t.min_delay ~hi:t.max_delay in
+    Engine.schedule t.engine ~delay (fun () -> e.deliver msg)
+  end
 
 let send t ~from ~to_ msg =
   match List.find_opt (fun e -> String.equal e.id to_) t.endpoints with

@@ -2,8 +2,8 @@
    selection and reorganizations.
 
    Every received block is kept (valid headers only); the active chain is
-   the branch with the most cumulative proof-of-work, ties broken by
-   arrival order — the longest-chain rule the paper relies on for fork
+   the branch with the most cumulative proof-of-work, ties keeping the
+   branch seen first — the longest-chain rule the paper relies on for fork
    resolution (Sec 4.2). Connecting a block executes it against the
    ledger; a branch whose block fails execution is marked invalid and the
    previous chain is restored. *)
@@ -12,15 +12,14 @@ module Hex = Ac3_crypto.Hex
 
 type entry = {
   block : Block.t;
-  hash : string;
   cum_work : float;
-  seq : int; (* arrival order, breaks work ties *)
   mutable invalid : bool;
+  mutable undo : Ledger.undo option; (* Some iff on the active chain *)
 }
 
 (* Where a transaction sits on the active chain. The height is fixed
    when its block connects, so a depth check is one probe of [tx_index]
-   against [tip_height]. *)
+   against the ledger's height. *)
 type tx_loc = { tx_block : string; tx_pos : int; tx_height : int }
 
 (* One Call transaction on the active chain, as seen by the per-contract
@@ -32,8 +31,6 @@ type t = {
   registry : Contract_iface.registry;
   blocks : (string, entry) Hashtbl.t; (* by header hash *)
   mutable tip : string;
-  mutable tip_height : int; (* the tip block's height *)
-  active : (string, int) Hashtbl.t; (* hash -> height, active chain only *)
   by_height : (int, string) Hashtbl.t; (* height -> hash, active chain only *)
   tx_index : (string, tx_loc) Hashtbl.t; (* txid -> its location, active chain only *)
   (* contract id -> its Call transactions on the active chain, newest
@@ -42,9 +39,7 @@ type t = {
      load) cost O(calls on that contract) instead of a scan over every
      transaction of the active chain. *)
   call_index : (string, call_rec list) Hashtbl.t;
-  undo_data : (string, Ledger.undo) Hashtbl.t; (* for connected blocks *)
-  ledger : Ledger.t;
-  mutable next_seq : int;
+  ledger : Ledger.t; (* at the tip: its height is the tip's *)
   orphans : (string, Block.t list) Hashtbl.t; (* parent hash -> waiting blocks *)
   genesis_hash : string;
   (* Notified on every successful reorganization with the blocks that were
@@ -84,24 +79,18 @@ let create ~params ~registry =
           registry;
           blocks = Hashtbl.create 256;
           tip = ghash;
-          tip_height = 0;
-          active = Hashtbl.create 256;
           by_height = Hashtbl.create 256;
           tx_index = Hashtbl.create 256;
           call_index = Hashtbl.create 256;
-          undo_data = Hashtbl.create 256;
           ledger;
-          next_seq = 1;
           orphans = Hashtbl.create 16;
           genesis_hash = ghash;
           on_reorg = None;
         }
       in
       Hashtbl.replace t.blocks ghash
-        { block = genesis; hash = ghash; cum_work = 0.0; seq = 0; invalid = false };
-      Hashtbl.replace t.active ghash 0;
+        { block = genesis; cum_work = 0.0; invalid = false; undo = Some undo };
       Hashtbl.replace t.by_height 0 ghash;
-      Hashtbl.replace t.undo_data ghash undo;
       index_txs t genesis ghash;
       t
   | Error e -> invalid_arg ("Store.create: genesis failed to apply: " ^ e))
@@ -120,14 +109,17 @@ let tip t = (Hashtbl.find t.blocks t.tip).block
 
 let tip_hash t = t.tip
 
-let tip_height t = t.tip_height
+let tip_height t = Ledger.height t.ledger
 
 let find t hash = Option.map (fun e -> e.block) (Hashtbl.find_opt t.blocks hash)
 
 let block_at_height t h =
   Option.bind (Hashtbl.find_opt t.by_height h) (fun hash -> find t hash)
 
-let is_active t hash = Hashtbl.mem t.active hash
+let is_active t hash =
+  match Hashtbl.find_opt t.blocks hash with
+  | None -> false
+  | Some e -> Option.is_some e.undo
 
 (* Transaction lookup on the active chain. *)
 let find_tx t txid =
@@ -143,7 +135,7 @@ let find_tx t txid =
    every protocol poll asks it: one probe, allocation-free. *)
 let confirmations t txid =
   match Hashtbl.find t.tx_index txid with
-  | loc -> t.tip_height - loc.tx_height + 1
+  | loc -> Ledger.height t.ledger - loc.tx_height + 1
   | exception Not_found -> 0
 
 (* Headers of the active chain from height [from_] to the tip, ascending. *)
@@ -201,28 +193,24 @@ let connect_block t entry =
   match Ledger.apply_block t.ledger entry.block with
   | Error e -> Error e
   | Ok (undo, events) ->
+      let hash = Block.hash entry.block in
       let h = entry.block.Block.header.Block.height in
-      Hashtbl.replace t.active entry.hash h;
-      Hashtbl.replace t.by_height h entry.hash;
-      Hashtbl.replace t.undo_data entry.hash undo;
-      index_txs t entry.block entry.hash;
+      entry.undo <- Some undo;
+      Hashtbl.replace t.by_height h hash;
+      index_txs t entry.block hash;
       index_calls t entry.block ~height:h;
-      t.tip <- entry.hash;
-      t.tip_height <- h;
+      t.tip <- hash;
       Ok events
 
 let disconnect_tip t =
   let e = Hashtbl.find t.blocks t.tip in
-  let undo = Hashtbl.find t.undo_data t.tip in
-  Ledger.undo_block t.ledger undo;
+  Ledger.undo_block t.ledger (Option.get e.undo);
+  e.undo <- None;
   let h = e.block.Block.header.Block.height in
-  Hashtbl.remove t.active e.hash;
   Hashtbl.remove t.by_height h;
-  Hashtbl.remove t.undo_data e.hash;
   List.iter (fun (tx : Tx.t) -> Hashtbl.remove t.tx_index (Tx.txid tx)) e.block.Block.txs;
   unindex_calls t e.block ~height:h;
   t.tip <- e.block.Block.header.Block.parent;
-  t.tip_height <- h - 1;
   e.block
 
 (* Path of entries from [hash] (exclusive of the active ancestor) down to
@@ -273,7 +261,9 @@ let reorganize t new_tip_hash =
                         failwith
                           (Printf.sprintf "Store.reorganize: cannot restore previous chain: %s" e'))
                   !disconnected;
-                Error (Printf.sprintf "block %s invalid on connect: %s" (Hex.short entry.hash) e))
+                Error
+                  (Printf.sprintf "block %s invalid on connect: %s"
+                     (Hex.short (Block.hash entry.block)) e))
       in
       (match connect_all [] to_connect with
       | Ok connected ->
@@ -316,13 +306,11 @@ let rec add_block t (block : Block.t) : add_result =
             let entry =
               {
                 block;
-                hash;
                 cum_work = parent.cum_work +. Pow.work_of_target header.Block.target;
-                seq = t.next_seq;
                 invalid = false;
+                undo = None;
               }
             in
-            t.next_seq <- t.next_seq + 1;
             Hashtbl.replace t.blocks hash entry;
             let current = Hashtbl.find t.blocks t.tip in
             let result =

@@ -106,12 +106,12 @@ let install ~universe:u ~participants (plan : Plan.t) =
                   done))
     | Plan.Witness_outage { at; duration } ->
         schedule u ~at (fun () ->
-            with_chain u "witness" (fun c ->
+            with_chain u Ac3_core.Ac3wn.witness_chain (fun c ->
                 note u "witness_outage" [];
                 Array.iter Miner.stop c.Universe.miners;
                 Array.iter Node.crash c.Universe.nodes));
         schedule u ~at:(at +. duration) (fun () ->
-            with_chain u "witness" (fun c ->
+            with_chain u Ac3_core.Ac3wn.witness_chain (fun c ->
                 note u "witness_recover" [];
                 Array.iter Node.recover c.Universe.nodes;
                 Array.iter Miner.start c.Universe.miners))

@@ -143,7 +143,7 @@ let sample_spec rng ~seed ~load =
 (* Chains a fault may target: every asset chain plus the witness chain
    (so witness-side partitions and stalls are in scope, not just the
    dedicated Witness_outage). *)
-let fault_chains spec = chain_names spec @ [ "witness" ]
+let fault_chains spec = chain_names spec @ [ Ac3_core.Ac3wn.witness_chain ]
 
 let sample_time rng = 5.0 +. Rng.float rng (horizon -. 5.0)
 

@@ -149,7 +149,7 @@ let plan_identities spec = Scenarios.identities ~ns:cast_ns spec.Plan.parties
    these parameters, so their Δ is the universe's [max_delta]. *)
 let delta =
   Ac3_chain.Params.delta
-    (Scenarios.chain_params ~block_interval ~confirm_depth ~premine:[] "witness")
+    (Scenarios.chain_params ~block_interval ~confirm_depth ~premine:[] Ac3wn.witness_chain)
 
 (* [protocol] selects nothing: every protocol of a plan gets the same
    parties and the same universe. *)
@@ -336,8 +336,7 @@ let run_in_universe ?instrument ~spec ~plan ~protocol () =
   | P_ac3wn -> (
       let config =
         {
-          (Ac3wn.default_config ~witness_chain:"witness") with
-          evidence_depth = 2;
+          Ac3wn.default_config with
           decision_depth = 3;
           timeout = protocol_timeout;
         }

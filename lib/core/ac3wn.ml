@@ -43,16 +43,19 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type config = {
   witness_chain : string;
-  evidence_depth : int; (* burial required of deploy evidence *)
   decision_depth : int; (* d: burial required of the SCw decision *)
   poll_interval : float;
   timeout : float; (* give up running the simulation after this long *)
 }
 
-let default_config ~witness_chain =
+let witness_chain = "witness"
+
+(* Burial SCw requires of each edge deployment's evidence. *)
+let evidence_depth = 2
+
+let default_config =
   {
     witness_chain;
-    evidence_depth = 2;
     decision_depth = 6;
     poll_interval = 2.0;
     timeout = 10_000.0;
@@ -155,7 +158,7 @@ let try_register_scw s t p =
           (fun chain -> (chain, Universe.stable_checkpoint universe chain))
           (Ac2t.chains s.graph)
       in
-      Witness_sc.args ~graph:s.graph ~ms:s.ms ~checkpoints ~evidence_depth:s.config.evidence_depth
+      Witness_sc.args ~graph:s.graph ~ms:s.ms ~checkpoints ~evidence_depth
     in
     let wallet = Participant.wallet p s.config.witness_chain in
     match Wallet.deploy wallet ~code_id:Witness_sc.code_id ~args ~deposit:Amount.zero with
@@ -190,7 +193,7 @@ let try_deploy_edges s t p scw decision =
     ~attrs:(fun _ contract_id -> [ ("contract", Hex.short contract_id) ])
 
 (* Are all edge deployments buried deeply enough for evidence? *)
-let all_edges_evidenced s t =
+let all_edges_evidenced t =
   Array.for_all
     (fun (es : Driver.edge_state) ->
       match es.deploy_txid with
@@ -198,7 +201,7 @@ let all_edges_evidenced s t =
       | Some txid ->
           (* Evidence burial counts blocks on top of the transaction's
              block; confirmations counts the block itself. *)
-          Node.confirmations es.node txid > s.config.evidence_depth)
+          Node.confirmations es.node txid > evidence_depth)
     (Driver.edges t)
 
 (* Steps 3/5: submit a state-change request to SCw — redeem with
@@ -290,7 +293,7 @@ let step s t p =
           try_deploy_edges s t p scw d;
           if Guard.abort d ~abort_requested:(Driver.abort_requested t) then
             try_authorize s t p scw Protocol.Abort ~args:(fun () -> Ok Value.Unit)
-          else if Guard.commit d ~all_published:(all_edges_evidenced s t) then
+          else if Guard.commit d ~all_published:(all_edges_evidenced t) then
             try_authorize s t p scw Protocol.Commit ~args:(redeem_evidence s t)
       | None -> ());
       match confirmed_decision s scw with

@@ -15,15 +15,21 @@ end
 
 type handle = Driver.handle
 
+(** The witness chain every scenario universe carries, and the one
+    {!default_config} registers SCw on. *)
+val witness_chain : string
+
 type config = {
-  witness_chain : string;
-  evidence_depth : int;  (** burial required of deployment evidence *)
+  witness_chain : string;  (** where SCw lives *)
   decision_depth : int;  (** d: burial required of the SCw decision *)
   poll_interval : float;
   timeout : float;  (** horizon for the simulation run *)
 }
 
-val default_config : witness_chain:string -> config
+(** SCw on {!witness_chain}, d = 6, a 2 s poll and a 10,000 s horizon.
+    In every config, SCw accepts an edge deployment's evidence once 2
+    blocks sit on top of the deployment's block. *)
+val default_config : config
 
 (** Phase windows of a run's trace: scw_deploy, edge_deploy (first to
     last [Deploy]), decision (first [Authorize_submitted] to

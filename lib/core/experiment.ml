@@ -25,9 +25,8 @@ let get = function Ok r -> r | Error e -> failwith e
 
 let ac3wn_config =
   {
-    (Ac3wn.default_config ~witness_chain:"witness") with
-    Ac3wn.evidence_depth = confirm_depth - 1;
-    decision_depth = confirm_depth;
+    Ac3wn.default_config with
+    Ac3wn.decision_depth = confirm_depth;
     timeout = 30_000.0;
   }
 
@@ -399,7 +398,7 @@ let fork_trial ~seed ~d ~window =
       ~timestamp:(Universe.now u)
   in
   let ms = Ac2t.multisign graph ids in
-  let witness = Universe.chain u "witness" in
+  let witness = Universe.chain u Ac3wn.witness_chain in
   let asset_node = Universe.gateway u "asset" in
   let w_alice = Wallet.create ~identity:alice ~node:witness.Universe.nodes.(0) in
   let w_bob = Wallet.create ~identity:bob ~node:witness.Universe.nodes.(1) in
@@ -415,8 +414,8 @@ let fork_trial ~seed ~d ~window =
   | Ok (_scw_txid, scw) -> (
       (* Deploy the edge contract and bury it. *)
       let edge_args =
-        Ac3_contract.Permissionless_sc.args ~recipient_pk:(Keys.public bob) ~witness_chain:"witness"
-          ~scw ~depth:d ~witness_checkpoint:(Universe.stable_checkpoint u "witness")
+        Ac3_contract.Permissionless_sc.args ~recipient_pk:(Keys.public bob) ~witness_chain:Ac3wn.witness_chain
+          ~scw ~depth:d ~witness_checkpoint:(Universe.stable_checkpoint u Ac3wn.witness_chain)
       in
       match
         Wallet.deploy asset_wallet ~code_id:Ac3_contract.Permissionless_sc.code_id
@@ -624,11 +623,13 @@ let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
       List.concat_map (fun pair -> List.map (fun id -> (Keys.address id, Scenarios.funding)) pair) ids
     in
     (* Chains: 2 asset chains per AC2T plus witness chain(s). *)
-    let witness_of i = if shared_witness then "witness" else Printf.sprintf "witness%d" i in
+    let witness_of i =
+      if shared_witness then Ac3wn.witness_chain else Printf.sprintf "witness%d" i
+    in
     let chain_names =
       List.concat
         (List.init k (fun i -> [ Printf.sprintf "a%d" i; Printf.sprintf "b%d" i ]))
-      @ (if shared_witness then [ "witness" ] else List.init k witness_of)
+      @ (if shared_witness then [ Ac3wn.witness_chain ] else List.init k witness_of)
     in
     List.iter
       (fun name ->
@@ -724,7 +725,7 @@ let availability ?(seed = 1100) () =
     Universe.run_until u 60.0;
     (* One of the witness-network's nodes crashes at the same point; the
        chain keeps producing blocks and the protocol commits. *)
-    let witness = Universe.chain u "witness" in
+    let witness = Universe.chain u Ac3wn.witness_chain in
     Engine.schedule (Universe.engine u) ~delay:30.0 (fun () ->
         Node.crash witness.Universe.nodes.(1));
     let graph =

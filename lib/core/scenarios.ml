@@ -40,7 +40,7 @@ let make_universe ?(seed = 7) ?(block_interval = 10.0) ?(confirm_depth = 4) ?(no
     ?(regular_blocks = false) ?instrument ~chains ids () =
   let u = Universe.create ~seed ?instrument () in
   let premine = List.map (fun id -> (Keys.address id, funding)) ids in
-  let all_chains = chains @ [ "witness" ] in
+  let all_chains = chains @ [ Ac3wn.witness_chain ] in
   List.iter
     (fun name ->
       ignore

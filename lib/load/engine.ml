@@ -145,7 +145,7 @@ let run_universe ~seed (config : Workload.config) =
         Keys.create ~height:(height_for ac3wn_swaps.(i)) (Printf.sprintf "load-%d:u%d" seed i))
   in
   let premine = Array.to_list (Array.map (fun id -> (Keys.address id, funding)) ids) in
-  let names = List.init config.chains chain_name @ [ "witness" ] in
+  let names = List.init config.chains chain_name @ [ Ac3wn.witness_chain ] in
   List.iter
     (fun name ->
       ignore
@@ -196,7 +196,7 @@ let run_universe ~seed (config : Workload.config) =
     if now < !first_launch then first_launch := now;
     incr launched;
     let ca = chain_name spec.chain_a and cb = chain_name spec.chain_b in
-    let swap_chains = [ ca; cb; "witness" ] in
+    let swap_chains = [ ca; cb; Ac3wn.witness_chain ] in
     (* Fresh per-swap participants over shared identities: concurrent
        swaps of one user run sibling wallets whose coin selection is
        serialized by the mempool's spent-outpoint index. *)
@@ -259,7 +259,7 @@ let run_universe ~seed (config : Workload.config) =
       | Workload.Ac3wn ->
           let wconfig =
             {
-              (Ac3wn.default_config ~witness_chain:"witness") with
+              Ac3wn.default_config with
               decision_depth = config.confirm_depth;
               poll_interval = config.poll_interval;
             }

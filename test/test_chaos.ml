@@ -324,7 +324,7 @@ let test_plan_shares_parties () =
      same plan still starts with full budgets. *)
   let universe, participants, ids, _ = Runner.build_universe ~spec ~protocol:Runner.P_ac3wn () in
   let graph = Runner.build_graph ~spec ~ids ~timestamp:(Ac3_core.Universe.now universe) in
-  let config = Ac3_core.Ac3wn.default_config ~witness_chain:"witness" in
+  let config = Ac3_core.Ac3wn.default_config in
   (match Ac3_core.Ac3wn.execute universe ~config ~graph ~participants () with
   | Ok result -> Alcotest.(check bool) "ac3wn commits" true result.Ac3_core.Ac3wn.committed
   | Error e -> Alcotest.fail e);

@@ -23,9 +23,8 @@ let ok = function Ok r -> r | Error e -> Alcotest.fail e
 
 let ac3wn_config =
   {
-    (Ac3wn.default_config ~witness_chain:"witness") with
-    Ac3wn.evidence_depth = 2;
-    decision_depth = 3;
+    Ac3wn.default_config with
+    Ac3wn.decision_depth = 3;
     timeout = 5000.0;
   }
 

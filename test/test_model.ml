@@ -321,9 +321,8 @@ let test_ac3wn_abort_projects () =
   let block_interval = 5.0 in
   let config =
     {
-      (Ac3_core.Ac3wn.default_config ~witness_chain:"witness") with
-      Ac3_core.Ac3wn.evidence_depth = 2;
-      decision_depth = 3;
+      Ac3_core.Ac3wn.default_config with
+      Ac3_core.Ac3wn.decision_depth = 3;
       timeout = 5000.0;
     }
   in

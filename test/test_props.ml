@@ -74,6 +74,48 @@ let random_transfer rng store =
              ~nonce:(Rng.int64 rng) ())
       end
 
+(* Two transfers where the second spends the first one's payment, built
+   on the largest coin of a random identity (the premine keeps it far
+   above the fees). A block holding both is reversed exactly only if its
+   transactions are undone newest first. *)
+let chained_transfers rng store =
+  let p = Store.params store in
+  let fee = p.Params.transfer_fee in
+  let pick () = ids.(Rng.int rng (Array.length ids)) in
+  let from_ = pick () in
+  let mid = pick () in
+  let to_ = pick () in
+  let largest =
+    List.fold_left
+      (fun best ((_, (o : Tx.output)) as u) ->
+        match best with
+        | Some (_, (b : Tx.output)) when Amount.compare b.amount o.amount >= 0 -> best
+        | _ -> Some u)
+      None
+      (Ledger.utxos_of (Store.ledger store) (Keys.address from_))
+  in
+  match largest with
+  | None -> failwith "identity without coins"
+  | Some (op, o) ->
+      let extra = coin (1 + Rng.int rng 1000) in
+      let pay = Amount.(fee + extra) in
+      let tx1 =
+        Tx.make_unsigned ~chain:"props" ~inputs:[ (op, from_) ]
+          ~outputs:
+            [
+              { addr = Keys.address mid; amount = pay };
+              { addr = Keys.address from_; amount = Amount.(o.amount - pay - fee) };
+            ]
+          ~fee ~nonce:(Rng.int64 rng) ()
+      in
+      let tx2 =
+        Tx.make_unsigned ~chain:"props"
+          ~inputs:[ (Outpoint.create ~txid:(Tx.txid tx1) ~index:0, mid) ]
+          ~outputs:[ { addr = Keys.address to_; amount = Amount.(pay - fee) } ]
+          ~fee ~nonce:(Rng.int64 rng) ()
+      in
+      [ tx1; tx2 ]
+
 (* --- Conservation under random workloads --------------------------------- *)
 
 let qcheck_conservation =
@@ -122,25 +164,29 @@ let qcheck_reorg_reversible =
     QCheck.(int_range 0 1000)
     (fun seed ->
       let rng = Rng.create (seed + 9000) in
-      (* Store A advances 2 blocks with random txs; snapshot digest. An
-         independent store B (same genesis) builds a 3-block branch, which
-         A adopts (reorg). Then A extends the ORIGINAL branch by 2 more
-         blocks mined on store C (a replica of A's original chain),
-         making it heaviest again; the state must replay consistently. *)
+      (* Store A advances 2 blocks with random txs, the second opening
+         with a transfer and its in-block spend. An independent store B
+         (same genesis) builds a 3-block branch, which A adopts (reorg):
+         A's state must then equal B's. Then A extends the ORIGINAL
+         branch by 2 more blocks mined on store C (a replica of A's
+         original chain), making it heaviest again; the state must
+         replay consistently. *)
       let store_a = mk_store () in
       let store_c = mk_store () in
       let sync tx_block = ignore (Store.add_block store_c tx_block) in
-      for _ = 1 to 2 do
+      for round = 1 to 2 do
+        let chained = if round = 2 then chained_transfers rng store_a else [] in
         let txs = List.filter_map (fun _ -> random_transfer rng store_a) (List.init 3 Fun.id) in
         let txs =
           Ledger.select_valid (Store.ledger store_a)
-            ~block_height:(Store.tip_height store_a + 1) ~block_time:0.0 txs
+            ~block_height:(Store.tip_height store_a + 1) ~block_time:0.0 (chained @ txs)
         in
+        if not (List.for_all (fun tx -> List.memq tx txs) chained) then
+          failwith "chained transfers not selected";
         let block, r = mine_into store_a txs in
         (match r with Store.Added _ -> () | _ -> failwith "original branch rejected");
         sync block
       done;
-      let digest_original = Ledger.state_digest (Store.ledger store_a) in
       let tip_original = Store.tip_hash store_a in
       (* Competing branch from genesis on a fresh store. *)
       let store_b = mk_store () in
@@ -154,7 +200,12 @@ let qcheck_reorg_reversible =
         | Some b -> ignore (Store.add_block store_a b)
         | None -> failwith "missing branch b block"
       done;
-      let reorged = not (String.equal (Store.tip_hash store_a) tip_original) in
+      let reorged =
+        (not (String.equal (Store.tip_hash store_a) tip_original))
+        && String.equal
+             (Ledger.state_digest (Store.ledger store_a))
+             (Ledger.state_digest (Store.ledger store_b))
+      in
       (* Extend the original branch to 4 blocks via store C and feed to A. *)
       for _ = 1 to 2 do
         let block, r = mine_into ~miner:"props-extender" store_c [] in
@@ -170,7 +221,6 @@ let qcheck_reorg_reversible =
              (Ledger.state_digest (Store.ledger store_a))
              (Ledger.state_digest (Store.ledger store_c))
       in
-      ignore digest_original;
       reorged && back)
 
 (* --- The swap-contract state machine ------------------------------------------ *)
