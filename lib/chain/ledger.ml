@@ -7,15 +7,12 @@
    contract deposit), and miners execute contract code and record state
    changes in the chain. *)
 
-module Keys = Ac3_crypto.Keys
 module Hex = Ac3_crypto.Hex
 
 type contract = {
   code_id : string;
   state : Value.t;
   balance : Amount.t;
-  creator : Keys.public;
-  created_height : int;
 }
 
 type t = {
@@ -211,16 +208,7 @@ let apply_tx t ~block_height ~block_time (tx : Tx.t) : (tx_undo * event list, st
                       match C.init ctx args with
                       | Error e -> error "constructor rejected: %s" e
                       | Ok state ->
-                          let c =
-                            {
-                              code_id;
-                              state;
-                              balance = deposit;
-                              creator = sender;
-                              created_height = block_height;
-                            }
-                          in
-                          Ok ([], [ (contract_id, Some c) ], [])))
+                          Ok ([], [ (contract_id, Some { code_id; state; balance = deposit }) ], [])))
             | Tx.Call { contract_id; fn; args; deposit } -> (
                 match contract t contract_id with
                 | None -> error "unknown contract %s" (Hex.short contract_id)
@@ -309,6 +297,11 @@ let undo_tx t (u : tx_undo) =
 
 (* --- Block application ----------------------------------------------- *)
 
+(* The most a coinbase over [txs] may pay: the block reward plus their
+   fees (Sec 2.3). Builders pay exactly this; [apply_block] refuses more. *)
+let max_reward (params : Params.t) txs =
+  Amount.(params.block_reward + sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs))
+
 (* Apply a block's transactions. The caller (the chain store) has already
    validated the header and body structure. On error the ledger is left
    exactly as it was. *)
@@ -322,10 +315,9 @@ let apply_block t (block : Block.t) : (undo * event list, string) result =
     | coinbase :: rest -> (
         if not (Tx.is_coinbase coinbase) then error "block head is not coinbase"
         else begin
-          let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) rest) in
           (* Genesis is a chain constant: its premine is exempt from the
              reward limit. *)
-          let max_reward = Amount.(t.params.block_reward + fees) in
+          let max_reward = max_reward t.params rest in
           if header.Block.height > 0 && Amount.compare (Tx.output_total coinbase) max_reward > 0 then
             error "coinbase pays %s, max %s"
               (Amount.to_string (Tx.output_total coinbase))
@@ -424,8 +416,6 @@ let state_digest t =
       Codec.Writer.string w id;
       Codec.Writer.string w c.code_id;
       Value.encode w c.state;
-      Amount.encode w c.balance;
-      Codec.Writer.fixed w ~len:32 c.creator;
-      Codec.Writer.u32 w c.created_height)
+      Amount.encode w c.balance)
     contracts;
   Ac3_crypto.Sha256.digest (Codec.Writer.contents w)

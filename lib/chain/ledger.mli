@@ -1,14 +1,10 @@
 (** The ledger: UTXO set plus contract store, with checked block
     application and exact undo for reorganizations. *)
 
-module Keys = Ac3_crypto.Keys
-
 type contract = {
   code_id : string;
   state : Value.t;
   balance : Amount.t;
-  creator : Keys.public;
-  created_height : int;
 }
 
 type t
@@ -43,6 +39,11 @@ val fold_utxos_of : t -> string -> (Outpoint.t -> Tx.output -> 'a -> 'a) -> 'a -
 
 (** UTXO total plus contract balances; grows only by block rewards. *)
 val total_supply : t -> Amount.t
+
+(** The most a coinbase over these transactions may pay: the block
+    reward plus their fees. {!apply_block} refuses a coinbase paying
+    more. *)
+val max_reward : Params.t -> Tx.t list -> Amount.t
 
 (** Apply a structurally valid block. Validates and executes every
     transaction (signatures, ownership, conservation, contract code) and

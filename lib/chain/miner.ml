@@ -39,25 +39,28 @@ let create ~engine ~rng ~node ~address ~share ?metrics () =
       Metrics.histogram metrics ~labels ~lo:0.0 ~hi:200.0 ~buckets:20 "chain.mempool.depth";
   }
 
+(* The one block builder: [txs] on [parent], under a coinbase paying
+   [miner_addr] exactly the ceiling [Ledger.apply_block] enforces. *)
+let block ~(params : Params.t) ~parent ~time ~miner_addr txs =
+  let height = parent.Block.header.Block.height + 1 in
+  let coinbase =
+    Tx.coinbase ~chain:params.chain_id ~height ~miner_addr ~reward:(Ledger.max_reward params txs)
+  in
+  Block.mine ~chain:params.chain_id ~height ~parent:(Block.hash parent) ~time
+    ~target:(Pow.target_of_bits params.pow_bits) ~txs:(coinbase :: txs)
+
 (* Assemble a block on the current tip from mempool candidates. *)
 let assemble t =
-  let store = Node.store t.node in
   let params = Node.params t.node in
-  let ledger = Node.ledger t.node in
-  let parent = Store.tip store in
-  let height = parent.Block.header.Block.height + 1 in
+  let parent = Store.tip (Node.store t.node) in
   let time = Engine.now t.engine in
   Metrics.observe t.mempool_depth (float_of_int (Mempool.size (Node.mempool t.node)));
   let candidates = Mempool.candidates (Node.mempool t.node) ~limit:params.Params.block_capacity in
-  let txs = Ledger.select_valid ledger ~block_height:height ~block_time:time candidates in
-  let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-  let reward = Amount.(params.Params.block_reward + fees) in
-  let coinbase =
-    Tx.coinbase ~chain:params.Params.chain_id ~height ~miner_addr:t.address ~reward
+  let txs =
+    Ledger.select_valid (Node.ledger t.node) ~block_height:(parent.Block.header.Block.height + 1)
+      ~block_time:time candidates
   in
-  Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent) ~time
-    ~target:(Pow.target_of_bits params.Params.pow_bits)
-    ~txs:(coinbase :: txs)
+  block ~params ~parent ~time ~miner_addr:t.address txs
 
 let mine_one t =
   if not (Node.is_crashed t.node) then begin

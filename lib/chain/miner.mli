@@ -17,9 +17,14 @@ val create :
   unit ->
   t
 
-(** Assemble and PoW-mine one block on the node's current tip without
-    scheduling (used by adversarial miners and tests). *)
-val assemble : t -> Block.t
+(** [block ~params ~parent ~time ~miner_addr txs] PoW-mines [txs] on
+    [parent] at height parent + 1, under a coinbase paying [miner_addr]
+    {!Ledger.max_reward} (the block reward plus the fees of [txs]). The
+    one builder of a valid block: the miner, the experiments and the
+    tests all mine through it. [txs] must apply in order on [parent]'s
+    state for the block to be accepted. *)
+val block :
+  params:Params.t -> parent:Block.t -> time:float -> miner_addr:string -> Tx.t list -> Block.t
 
 (** Mine and submit one block immediately (no-op if the node crashed). *)
 val mine_one : t -> unit

@@ -317,38 +317,21 @@ let run_in_universe ?instrument ~spec ~plan ~protocol () =
       | Flow.Witness -> Verify.ac3wn_preflight ~graph)
   in
   Inject.install ~universe ~participants plan;
-  match protocol with
-  | P_nolan | P_herlihy -> begin
-      let executed =
-        if protocol = P_nolan then
-          Nolan.execute universe ~config:single_leader_config ~graph ~participants ()
-        else Herlihy.execute universe ~config:single_leader_config ~graph ~participants ()
+  let executed =
+    match protocol with
+    | P_nolan -> Nolan.execute universe ~config:single_leader_config ~graph ~participants ()
+    | P_herlihy -> Herlihy.execute universe ~config:single_leader_config ~graph ~participants ()
+    | P_ac3wn ->
+        let config = { Ac3wn.default_config with decision_depth = 3; timeout = protocol_timeout } in
+        Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 ()
+  in
+  match executed with
+  | Ok (result : Driver.result) ->
+      let v =
+        Oracle.check ~universe ~graph ~contracts:result.contracts ~static_errors:(static_errors ())
       in
-      match executed with
-      | Ok result ->
-          let v =
-            Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
-              ~static_errors:(static_errors ())
-          in
-          finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
-      | Error msg -> finish (Rejected msg)
-    end
-  | P_ac3wn -> (
-      let config =
-        {
-          Ac3wn.default_config with
-          decision_depth = 3;
-          timeout = protocol_timeout;
-        }
-      in
-      match Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () with
-      | Ok result ->
-          let v =
-            Oracle.check ~universe ~graph ~contracts:result.Ac3wn.contracts
-              ~static_errors:(static_errors ())
-          in
-          finish ~trace:result.Ac3wn.trace ~flow:(flow_check v) (Verdict v)
-      | Error msg -> finish (Rejected msg))
+      finish ~trace:result.trace ~flow:(flow_check v) (Verdict v)
+  | Error msg -> finish (Rejected msg)
 
 let run_one ?instrument ~spec ~plan ~protocol () =
   if applies ~spec protocol then run_in_universe ?instrument ~spec ~plan ~protocol ()

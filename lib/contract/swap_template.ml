@@ -39,10 +39,6 @@ end
 (* Template state accessors shared with protocol drivers and tests. *)
 let get_status state = Value.field state "status"
 
-let get_sender_addr state = Result.bind (Value.field state "sender_addr") Value.as_bytes
-
-let get_recipient_addr state = Result.bind (Value.field state "recipient_addr") Value.as_bytes
-
 let get_recipient_pk state = Result.bind (Value.field state "recipient_pk") Value.as_bytes
 
 let get_sender_pk state = Result.bind (Value.field state "sender_pk") Value.as_bytes
@@ -96,9 +92,7 @@ module Make (C : COMMITMENT) : Contract_iface.CODE = struct
         (record
            [
              ("sender_pk", Bytes ctx.sender);
-             ("sender_addr", Bytes (Keys.address_of_public ctx.sender));
              ("recipient_pk", Bytes recipient);
-             ("recipient_addr", Bytes (Keys.address_of_public recipient));
              ("asset", Int (Amount.to_int64 ctx.value));
              ("status", status_published);
              ("commitment", commitment);
@@ -122,8 +116,9 @@ module Make (C : COMMITMENT) : Contract_iface.CODE = struct
           let* ok = C.is_redeemable ctx ~commitment ~secret:args in
           if not ok then Contract_iface.reject "redemption secret invalid"
           else
-            let* recipient = get_recipient_addr state in
-            transition ctx state ~to_:status_redeemed ~pay_to:recipient ~event:"redeemed"
+            let* recipient = get_recipient_pk state in
+            transition ctx state ~to_:status_redeemed ~pay_to:(Keys.address_of_public recipient)
+              ~event:"redeemed"
     | "refund" ->
         if not (is_published state) then Contract_iface.reject "not in state P"
         else
@@ -131,7 +126,8 @@ module Make (C : COMMITMENT) : Contract_iface.CODE = struct
           let* ok = C.is_refundable ctx ~commitment ~secret:args in
           if not ok then Contract_iface.reject "refund secret invalid"
           else
-            let* sender = get_sender_addr state in
-            transition ctx state ~to_:status_refunded ~pay_to:sender ~event:"refunded"
+            let* sender = get_sender_pk state in
+            transition ctx state ~to_:status_refunded ~pay_to:(Keys.address_of_public sender)
+              ~event:"refunded"
     | other -> Contract_iface.reject "unknown function %s" other
 end

@@ -36,10 +36,6 @@ end
 
 val get_status : Value.t -> (Value.t, string) result
 
-val get_sender_addr : Value.t -> (string, string) result
-
-val get_recipient_addr : Value.t -> (string, string) result
-
 val get_recipient_pk : Value.t -> (string, string) result
 
 val get_sender_pk : Value.t -> (string, string) result

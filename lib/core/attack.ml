@@ -96,32 +96,26 @@ let run_reorg_demo ~fork_depth () =
   in
   let registry = Contract_iface.create_registry () in
   let store = Store.create ~params ~registry in
-  let target = Pow.target_of_bits params.Params.pow_bits in
-  let mine_on parent_hash height ~tag =
-    let coinbase =
-      Tx.coinbase ~chain:"attack-demo" ~height
-        ~miner_addr:(Ac3_crypto.Keys.address (Ac3_crypto.Keys.create tag))
-        ~reward:params.Params.block_reward
-    in
-    Block.mine ~chain:"attack-demo" ~height ~parent:parent_hash ~time:(float_of_int height)
-      ~target ~txs:[ coinbase ]
-  in
   (* Public chain: genesis + fork_depth blocks (the "decision" is in the
      first of them, now buried at depth fork_depth). *)
-  let rec extend parent height n tag acc =
+  let rec extend parent n ~miner_addr acc =
     if n = 0 then List.rev acc
     else begin
-      let b = mine_on parent height ~tag in
+      let time = float_of_int (parent.Block.header.Block.height + 1) in
+      let b = Miner.block ~params ~parent ~time ~miner_addr [] in
       ignore (Store.add_block store b);
-      extend (Block.hash b) (height + 1) (n - 1) tag (b :: acc)
+      extend b (n - 1) ~miner_addr (b :: acc)
     end
   in
-  let public_chain = extend (Store.genesis_hash store) 1 fork_depth "honest-miner" [] in
+  let miner tag = Ac3_crypto.Keys.address (Ac3_crypto.Keys.create tag) in
+  let public_chain =
+    extend (Store.genesis store) fork_depth ~miner_addr:(miner "honest-miner") []
+  in
   let decision_block = List.hd public_chain in
   let tip_before = Store.tip_hash store in
   (* Private branch: one block longer, from genesis. *)
   let _private_chain =
-    extend (Store.genesis_hash store) 1 (fork_depth + 1) "attacker-miner" []
+    extend (Store.genesis store) (fork_depth + 1) ~miner_addr:(miner "attacker-miner") []
   in
   let flipped = not (String.equal (Store.tip_hash store) tip_before) in
   let decision_still_active = Store.is_active store (Block.hash decision_block) in

@@ -203,7 +203,6 @@ let measure_tps ?(blocks = 2) params =
           ~fee ~nonce:(Int64.of_int i) ())
   in
   let remaining = ref txs in
-  let target = Pow.target_of_bits params.Params.pow_bits in
   let included = ref 0 in
   for b = 1 to blocks do
     let parent = Store.tip store in
@@ -218,16 +217,7 @@ let measure_tps ?(blocks = 2) params =
     let selected =
       Ledger.select_valid (Store.ledger store) ~block_height:height ~block_time:time candidates
     in
-    let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) selected) in
-    let coinbase =
-      Tx.coinbase ~chain:params.Params.chain_id ~height
-        ~miner_addr:(Keys.address spender)
-        ~reward:Amount.(params.Params.block_reward + fees)
-    in
-    let block =
-      Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent) ~time ~target
-        ~txs:(coinbase :: selected)
-    in
+    let block = Miner.block ~params ~parent ~time ~miner_addr:(Keys.address spender) selected in
     (match Store.add_block store block with
     | Store.Added _ -> included := !included + List.length selected
     | _ -> failwith "tps block rejected")
@@ -520,19 +510,10 @@ let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
   in
   let registry = Ac3_contract.Registry.standard () in
   let store = Store.create ~params ~registry in
-  let target = Pow.target_of_bits params.Params.pow_bits in
   let mine txs =
     let parent = Store.tip store in
-    let height = parent.Block.header.Block.height + 1 in
-    let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-    let cb =
-      Tx.coinbase ~chain:"abl" ~height ~miner_addr:(Keys.address who)
-        ~reward:Amount.(params.Params.block_reward + fees)
-    in
-    let b =
-      Block.mine ~chain:"abl" ~height ~parent:(Block.hash parent) ~time:(float_of_int height)
-        ~target ~txs:(cb :: txs)
-    in
+    let time = float_of_int (parent.Block.header.Block.height + 1) in
+    let b = Miner.block ~params ~parent ~time ~miner_addr:(Keys.address who) txs in
     ignore (Store.add_block store b);
     b
   in
@@ -639,17 +620,7 @@ let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
                 name)))
       chain_names;
     Universe.run_until u 60.0;
-    (* Launch all AC2Ts at the same instant; collect results when all
-       poll loops have settled. AC3WN's execute runs the engine itself,
-       so for concurrency we interleave by starting each run's
-       participants and sharing the single engine: execute one at a time
-       would serialize the *simulation*; instead we re-run with a shared
-       horizon by starting all runs' loops first. To keep the driver
-       unchanged, we exploit that execute only runs the engine until its
-       own completion; later runs find their chains already advanced.
-       Virtual time is shared, so measured latencies still reflect
-       concurrent execution pressure on shared chains. *)
-    let results =
+    let handles =
       List.mapi
         (fun i pair ->
           let participants =
@@ -664,8 +635,23 @@ let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
               ~chain2:(Printf.sprintf "b%d" i) pair ~timestamp:(Universe.now u +. float_of_int i)
           in
           let config = { ac3wn_config with Ac3wn.witness_chain = witness_of i } in
-          Ac3wn.execute u ~config ~graph ~participants () |> get)
+          Ac3wn.launch u ~config ~graph ~participants () |> get)
         ids
+    in
+    (* Each AC2T is finished the moment it settles, so its latency is
+       its own, not the slowest one's. *)
+    let finished = Array.make k None in
+    let all_settled () =
+      List.iteri
+        (fun i h ->
+          if Option.is_none finished.(i) && Driver.settled h then
+            finished.(i) <- Some (Driver.finish h))
+        handles;
+      Array.for_all Option.is_some finished
+    in
+    ignore (Universe.run_while u ~timeout:ac3wn_config.Ac3wn.timeout all_settled : bool);
+    let results =
+      List.mapi (fun i h -> match finished.(i) with Some r -> r | None -> Driver.finish h) handles
     in
     let latencies =
       List.filter_map (fun (r : Ac3wn.result) -> Option.map (fun l -> l /. delta) r.Ac3wn.latency) results

@@ -31,8 +31,10 @@ let swap_cls state =
    refund pays the sender, nothing else may pay at all. *)
 let swap_payee state cls =
   match (cls : State_machine.cls) with
-  | State_machine.Redeemed -> Result.to_option (Swap_template.get_recipient_addr state)
-  | State_machine.Refunded -> Result.to_option (Swap_template.get_sender_addr state)
+  | State_machine.Redeemed ->
+      Result.to_option (Result.map Keys.address_of_public (Swap_template.get_recipient_pk state))
+  | State_machine.Refunded ->
+      Result.to_option (Result.map Keys.address_of_public (Swap_template.get_sender_pk state))
   | State_machine.Published | State_machine.Other -> None
 
 let probe ~label ~fn ~args ~caller ~time = { State_machine.label; fn; args; caller; time }

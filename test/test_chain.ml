@@ -343,18 +343,10 @@ let mk_store () =
    blocks. *)
 let mine_into ?(miner = "chain-test-miner") store txs =
   let parent = Store.tip store in
-  let params = Store.params store in
-  let height = parent.Block.header.Block.height + 1 in
-  let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-  let coinbase =
-    Tx.coinbase ~chain:params.Params.chain_id ~height
-      ~miner_addr:(Keys.address (Keys.create miner))
-      ~reward:Amount.(params.Params.block_reward + fees)
-  in
   let block =
-    Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent)
-      ~time:(float_of_int height) ~target:(Pow.target_of_bits params.Params.pow_bits)
-      ~txs:(coinbase :: txs)
+    Miner.block ~params:(Store.params store) ~parent
+      ~time:(float_of_int (parent.Block.header.Block.height + 1))
+      ~miner_addr:(Keys.address (Keys.create miner)) txs
   in
   (block, Store.add_block store block)
 
@@ -420,14 +412,9 @@ let test_ledger_undo_chained_spend () =
       ~outputs:[ { addr = Keys.address carol; amount = coin 900 } ]
       ~fee:(coin 100) ~nonce:1L ()
   in
-  let coinbase =
-    Tx.coinbase ~chain:"testchain" ~height:1 ~miner_addr:(Keys.address carol)
-      ~reward:Amount.(params.Params.block_reward + coin 200)
-  in
   let block =
-    Block.mine ~chain:"testchain" ~height:1 ~parent:(Store.genesis_hash store) ~time:1.0
-      ~target:(Pow.target_of_bits params.Params.pow_bits)
-      ~txs:[ coinbase; tx1; tx2 ]
+    Miner.block ~params ~parent:(Store.genesis store) ~time:1.0 ~miner_addr:(Keys.address carol)
+      [ tx1; tx2 ]
   in
   match Ledger.apply_block ledger block with
   | Error e -> Alcotest.fail e
@@ -441,6 +428,40 @@ let test_ledger_undo_chained_spend () =
       Alcotest.(check int) "height restored" 0 (Ledger.height ledger);
       Alcotest.(check string) "digest restored" (Ac3_crypto.Hex.encode digest0)
         (Ac3_crypto.Hex.encode (Ledger.state_digest ledger))
+
+(* The builder's coinbase pays exactly [Ledger.max_reward]: its block is
+   added, and the same transactions under a coinbase one unit higher are
+   refused with the ceiling named. *)
+let test_coinbase_pays_the_ceiling () =
+  let store = mk_store () in
+  let params = Store.params store in
+  let parent = Store.tip store in
+  let tx = spend_premine store ~from_:alice ~to_:bob ~amount:(coin 1000) ~fee:(coin 100) in
+  let ceiling = Ledger.max_reward params [ tx ] in
+  Alcotest.(check int64) "block reward plus fees" Amount.(params.Params.block_reward + coin 100)
+    ceiling;
+  let block = Miner.block ~params ~parent ~time:1.0 ~miner_addr:(Keys.address carol) [ tx ] in
+  Alcotest.(check int64) "builder pays the ceiling" ceiling
+    (Tx.output_total (List.hd block.Block.txs));
+  let over =
+    Tx.coinbase ~chain:"testchain" ~height:1 ~miner_addr:(Keys.address carol)
+      ~reward:Amount.(ceiling + coin 1)
+  in
+  let overpaid =
+    Block.mine ~chain:"testchain" ~height:1 ~parent:(Block.hash parent) ~time:1.0
+      ~target:(Pow.target_of_bits params.Params.pow_bits) ~txs:[ over; tx ]
+  in
+  (match Store.add_block store overpaid with
+  | Store.Invalid e ->
+      let refusal =
+        Printf.sprintf "coinbase pays %s, max %s"
+          (Amount.to_string Amount.(ceiling + coin 1))
+          (Amount.to_string ceiling)
+      in
+      Alcotest.(check bool) ("refusal names the ceiling: " ^ e) true
+        (String.ends_with ~suffix:refusal e)
+  | _ -> Alcotest.fail "overpaying coinbase accepted");
+  expect_added (Store.add_block store block)
 
 let test_ledger_premine () =
   let store = mk_store () in
@@ -737,22 +758,15 @@ let qcheck_store_depth_differential =
       List.for_all
         (fun (step, pick) ->
           let parent = !blocks.(pick mod Array.length !blocks) in
-          let height = parent.Block.header.Block.height + 1 in
-          let coinbase =
-            Tx.coinbase ~chain:params.Params.chain_id ~height
-              ~miner_addr:(Printf.sprintf "depth-miner-%d" step)
-              ~reward:params.Params.block_reward
-          in
           let block =
-            Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent)
-              ~time:(float_of_int step) ~target:(Pow.target_of_bits params.Params.pow_bits)
-              ~txs:[ coinbase ]
+            Miner.block ~params ~parent ~time:(float_of_int step)
+              ~miner_addr:(Printf.sprintf "depth-miner-%d" step) []
           in
           (match Store.add_block store block with
           | Store.Added _ -> ()
           | Store.Duplicate | Store.Orphaned | Store.Invalid _ -> QCheck.Test.fail_report "block refused");
           blocks := Array.append !blocks [| block |];
-          txids := Tx.txid coinbase :: !txids;
+          txids := Tx.txid (List.hd block.Block.txs) :: !txids;
           agree ())
         (List.mapi (fun step pick -> (step, pick)) picks))
 
@@ -1702,6 +1716,8 @@ let () =
           Alcotest.test_case "contract lifecycle" `Quick test_ledger_contract_lifecycle;
           Alcotest.test_case "vault deposit/payout" `Quick test_ledger_vault_payout;
           Alcotest.test_case "undo reverses a chained spend" `Quick test_ledger_undo_chained_spend;
+          Alcotest.test_case "coinbase pays the ceiling, no more" `Quick
+            test_coinbase_pays_the_ceiling;
         ] );
       ( "store",
         [

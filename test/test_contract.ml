@@ -130,19 +130,10 @@ let mk_store () = Store.create ~params:(params [ alice; bob; carol ]) ~registry:
 
 let mine_into ?(time_step = 1.0) store txs =
   let parent = Store.tip store in
-  let p = Store.params store in
-  let height = parent.Block.header.Block.height + 1 in
-  let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-  let coinbase =
-    Tx.coinbase ~chain:p.Params.chain_id ~height
-      ~miner_addr:(Keys.address (Keys.create "contract-test-miner"))
-      ~reward:Amount.(p.Params.block_reward + fees)
-  in
   let block =
-    Block.mine ~chain:p.Params.chain_id ~height ~parent:(Block.hash parent)
-      ~time:(float_of_int height *. time_step)
-      ~target:(Pow.target_of_bits p.Params.pow_bits)
-      ~txs:(coinbase :: txs)
+    Miner.block ~params:(Store.params store) ~parent
+      ~time:(float_of_int (parent.Block.header.Block.height + 1) *. time_step)
+      ~miner_addr:(Keys.address (Keys.create "contract-test-miner")) txs
   in
   match Store.add_block store block with
   | Store.Added _ -> Ok block

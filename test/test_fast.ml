@@ -400,18 +400,10 @@ let mk_store () =
 
 let mine_into ?(miner = "fast-miner") store txs =
   let parent = Store.tip store in
-  let params = Store.params store in
-  let height = parent.Block.header.Block.height + 1 in
-  let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-  let coinbase =
-    Tx.coinbase ~chain:params.Params.chain_id ~height
-      ~miner_addr:(Keys.address (Keys.create miner))
-      ~reward:Amount.(params.Params.block_reward + fees)
-  in
   let block =
-    Block.mine ~chain:params.Params.chain_id ~height ~parent:(Block.hash parent)
-      ~time:(float_of_int height) ~target:(Pow.target_of_bits params.Params.pow_bits)
-      ~txs:(coinbase :: txs)
+    Miner.block ~params:(Store.params store) ~parent
+      ~time:(float_of_int (parent.Block.header.Block.height + 1))
+      ~miner_addr:(Keys.address (Keys.create miner)) txs
   in
   match Store.add_block store block with
   | Store.Added _ -> block

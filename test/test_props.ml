@@ -31,19 +31,10 @@ let mk_store ?(premine_each = 10_000_000) () =
 
 let mine_into ?(miner = "props-miner") store txs =
   let parent = Store.tip store in
-  let p = Store.params store in
-  let height = parent.Block.header.Block.height + 1 in
-  let fees = Amount.sum (List.map (fun (tx : Tx.t) -> tx.Tx.fee) txs) in
-  let coinbase =
-    Tx.coinbase ~chain:p.Params.chain_id ~height
-      ~miner_addr:(Keys.address (Keys.create miner))
-      ~reward:Amount.(p.Params.block_reward + fees)
-  in
   let block =
-    Block.mine ~chain:p.Params.chain_id ~height ~parent:(Block.hash parent)
-      ~time:(float_of_int height)
-      ~target:(Pow.target_of_bits p.Params.pow_bits)
-      ~txs:(coinbase :: txs)
+    Miner.block ~params:(Store.params store) ~parent
+      ~time:(float_of_int (parent.Block.header.Block.height + 1))
+      ~miner_addr:(Keys.address (Keys.create miner)) txs
   in
   (block, Store.add_block store block)
 
@@ -503,15 +494,8 @@ let test_block_capacity () =
           ~fee:Amount.zero ~nonce:(Int64.of_int i) ())
   in
   (* A block with 5 txs exceeds capacity 3 and must be rejected. *)
-  let parent = Store.tip store in
-  let coinbase =
-    Tx.coinbase ~chain:"cap" ~height:1 ~miner_addr:(Keys.address alice)
-      ~reward:params.Params.block_reward
-  in
   let block =
-    Block.mine ~chain:"cap" ~height:1 ~parent:(Block.hash parent) ~time:1.0
-      ~target:(Pow.target_of_bits params.Params.pow_bits)
-      ~txs:(coinbase :: txs)
+    Miner.block ~params ~parent:(Store.tip store) ~time:1.0 ~miner_addr:(Keys.address alice) txs
   in
   match Store.add_block store block with
   | Store.Invalid reason ->
