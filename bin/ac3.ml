@@ -4,7 +4,7 @@
      ac3 verify   — static verification: graph lints, timelocks, state machines
      ac3 check    — model-check whole transactions across every interleaving
      ac3 flow     — economic-safety abstract interpretation: value-flow intervals
-     ac3 analyze  — print the paper's analytical models (Sec 6)
+     ac3 analyze  — regenerate the paper's evaluation (Sec 6) next to its models
      ac3 attack   — run 51% witness-attack races (Sec 6.3)
      ac3 chaos    — seeded fault-injection sweeps with the atomicity oracle
      ac3 load     — many-swap workload engine: concurrent AC2Ts over shared chains
@@ -450,34 +450,10 @@ let verify_cmd =
 
 (* --- analyze ----------------------------------------------------------------- *)
 
-let run_analyze () =
-  Fmt.pr "Sec 6.1 — latency (in Δ):@.";
-  List.iter
-    (fun (diam, h, w) -> Fmt.pr "  Diam=%2d  Herlihy=%5.1f  AC3WN=%.1f@." diam h w)
-    (Analysis.figure10 ~max_diam:10);
-  Fmt.pr "@.Sec 6.2 — cost (fd = 4000, ffc = 2000 chain units):@.";
-  List.iter
-    (fun n ->
-      Fmt.pr "  N=%2d  Herlihy=%8.0f  AC3WN=%8.0f  overhead=1/N=%.3f@." n
-        (Analysis.herlihy_cost ~n ~fd:4000.0 ~ffc:2000.0)
-        (Analysis.ac3wn_cost ~n ~fd:4000.0 ~ffc:2000.0)
-        (Analysis.cost_overhead_ratio ~n))
-    [ 1; 2; 4; 8; 16 ];
-  Fmt.pr "@.Sec 6.3 — required depth (Bitcoin witness):@.";
-  List.iter
-    (fun va ->
-      Fmt.pr "  Va=$%-10.0f d > %d@." va (Analysis.required_depth ~va ~dh:6.0 ~ch:300_000.0))
-    [ 10_000.0; 100_000.0; 1_000_000.0; 10_000_000.0 ];
-  Fmt.pr "@.Table 1 / Sec 6.4 — throughput:@.";
-  List.iter (fun (c, tps) -> Fmt.pr "  %-13s %4.0f tps@." c tps) Analysis.table1;
-  Fmt.pr "  example: ETH x LTC witnessed by BTC => %.0f tps@."
-    (Analysis.paper_example_throughput ());
-  0
-
 let analyze_cmd =
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Print the paper's analytical models (Sec 6)")
-    Term.(const run_analyze $ const ())
+    (Cmd.info "analyze" ~doc:"Regenerate the paper's evaluation (Sec 6) next to its models")
+    Term.(const (fun () -> Paper.print (); 0) $ const ())
 
 (* --- attack -------------------------------------------------------------------- *)
 

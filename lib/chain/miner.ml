@@ -4,9 +4,11 @@
    after an exponential delay with mean [interval / share], where [share]
    is this miner's fraction of the chain's hash power. Combining several
    miners yields the chain's configured block interval, and near-
-   simultaneous finds on different nodes create natural forks. The PoW
-   nonce grinding is real (against the chain's low target), so every block
-   carries a verifiable proof of work. *)
+   simultaneous finds on different nodes create natural forks. With
+   [regular_blocks], miner [index] of [n] owns every [n]th slot instead, so
+   a regular chain never forks. The PoW nonce grinding is real (against
+   the chain's low target), so every block carries a verifiable proof of
+   work. *)
 
 module Engine = Ac3_sim.Engine
 module Rng = Ac3_sim.Rng
@@ -18,12 +20,14 @@ type t = {
   rng : Rng.t;
   address : string; (* coinbase payout address *)
   share : float; (* fraction of the chain's total hash power *)
+  index : int; (* this miner's slot among the chain's regular miners *)
   mutable running : bool;
+  mutable epoch : int; (* bumped by [start]; a timer from an older epoch drops itself *)
   mined_meter : Metrics.counter;
   mempool_depth : Metrics.histogram;
 }
 
-let create ~engine ~rng ~node ~address ~share ?metrics () =
+let create ~engine ~rng ~node ~address ~share ~index ?metrics () =
   if share <= 0.0 || share > 1.0 then invalid_arg "Miner.create: share must be in (0, 1]";
   let metrics = match metrics with Some m -> m | None -> Metrics.create ~enabled:false () in
   let labels = [ ("chain", (Node.params node).Params.chain_id) ] in
@@ -33,7 +37,9 @@ let create ~engine ~rng ~node ~address ~share ?metrics () =
     rng;
     address;
     share;
+    index;
     running = false;
+    epoch = 0;
     mined_meter = Metrics.counter metrics ~labels "chain.block.mined";
     mempool_depth =
       Metrics.histogram metrics ~labels ~lo:0.0 ~hi:200.0 ~buckets:20 "chain.mempool.depth";
@@ -69,33 +75,28 @@ let mine_one t =
     ignore (Node.submit_block t.node block)
   end
 
-let schedule_next t =
-  let params = Node.params t.node in
-  let mean = params.Params.block_interval /. t.share in
-  let rec arm () =
-    let delay =
-      if params.Params.regular_blocks then mean
-      else Rng.exponential t.rng ~mean
-    in
-    Engine.schedule t.engine ~delay (fun () ->
-        if t.running then begin
-          mine_one t;
-          arm ()
-        end)
-  in
-  arm ()
-
 let start t =
   if not t.running then begin
     t.running <- true;
-    (* Random initial offset so regular miners interleave instead of
-       colliding on the same instants. *)
+    t.epoch <- t.epoch + 1;
+    let epoch = t.epoch in
     let params = Node.params t.node in
-    if params.Params.regular_blocks then begin
-      let offset = Rng.float t.rng (params.Params.block_interval /. t.share) in
-      Engine.schedule t.engine ~delay:offset (fun () -> if t.running then schedule_next t)
-    end
-    else schedule_next t
+    let mean = params.Params.block_interval /. t.share in
+    let next () = if params.Params.regular_blocks then mean else Rng.exponential t.rng ~mean in
+    let rec arm delay =
+      Engine.schedule t.engine ~delay (fun () ->
+          if t.running && t.epoch = epoch then begin
+            mine_one t;
+            arm (next ())
+          end)
+    in
+    (* Slot k is the instant k * block_interval after [start]. With equal
+       shares the period is n slots, and miner [index] mines slots
+       index + 1 + n, index + 1 + 2n, ...: one producer per slot. *)
+    arm
+      (if params.Params.regular_blocks then
+         (float_of_int (t.index + 1) *. params.Params.block_interval) +. mean
+       else next ())
   end
 
 let stop t = t.running <- false

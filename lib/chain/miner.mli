@@ -4,7 +4,10 @@
 type t
 
 (** [share] is this miner's fraction of the chain's hash power; its blocks
-    arrive with mean inter-arrival [block_interval / share]. With
+    arrive with mean inter-arrival [block_interval / share]. On a
+    [regular_blocks] chain they arrive exactly that far apart, and
+    [index] (this miner's position among the chain's equal-share
+    miners, from 0) picks its slot, so no two miners share one. With
     [?metrics], the miner counts mined blocks and samples the mempool
     depth at every block assembly, labelled [{chain=<chain_id>}]. *)
 val create :
@@ -13,6 +16,7 @@ val create :
   node:Node.t ->
   address:string ->
   share:float ->
+  index:int ->
   ?metrics:Ac3_obs.Metrics.t ->
   unit ->
   t
@@ -29,6 +33,8 @@ val block :
 (** Mine and submit one block immediately (no-op if the node crashed). *)
 val mine_one : t -> unit
 
+(** Begin mining. A {!stop} then {!start} leaves one block timer
+    running: timers armed before the stop drop themselves. *)
 val start : t -> unit
 
 val stop : t -> unit

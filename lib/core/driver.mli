@@ -27,7 +27,10 @@ module Shared : sig
     atomic : bool;
     committed : bool;
     latency : float option;
-        (** launch to last confirmed settlement, in virtual seconds *)
+        (** launch to the {!finish} call, in virtual seconds, if the run
+            had settled by then; [None] otherwise. It equals the time to
+            the last confirmed settlement only when the caller finishes
+            the run as soon as {!settled} holds. *)
     trace : Ac3_flow.Protocol.event Ac3_sim.Trace.t;
     fees : fee_entry list;
   }
@@ -157,7 +160,10 @@ val settled : handle -> bool
 (** Stop the poll loops, record [Completed] if {!settled}, fold the
     run's counters and phase spans into the universe's observability
     context, and evaluate the outcome. Call exactly once, whether the
-    run settled or a deadline expired with it still in flight. *)
+    run settled or a deadline expired with it still in flight. The
+    result's [latency] is stamped with the time of this call, not of
+    the settlement, so a caller that wants settlement latency must
+    finish the run as soon as {!settled} holds, as {!execute} does. *)
 val finish : handle -> result
 
 (** Run the universe until the run settles (or [timeout]), then

@@ -1,7 +1,7 @@
 (* Experiment harness: one function per table/figure of the paper's
-   evaluation, each returning structured rows that the benchmark binary
-   prints next to the paper's expected values. Experiment ids follow
-   DESIGN.md (E1..E9, A1). *)
+   evaluation, each returning structured rows that `ac3 analyze` prints
+   next to the paper's expected values. Experiment ids follow DESIGN.md
+   (E1..E11, A1, A2). *)
 
 module Engine = Ac3_sim.Engine
 module Trace = Ac3_sim.Trace
@@ -496,9 +496,9 @@ let fork_table ?(jobs = 1) ?(seed = 900) ?(trials = 8) ?(window = 60.0)
 type evidence_row = {
   headers_spanned : int;
   bundle_bytes : int;
-  in_contract_us : float; (* wall-clock microseconds per verification *)
-  spv_us : float;
-  full_replica_us : float;
+  in_contract_hashes : int; (* hash computations per verification *)
+  spv_hashes : int;
+  full_replica_hashes : int;
 }
 
 let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
@@ -538,16 +538,7 @@ let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
   | Error e -> failwith e);
   let index = match Store.find_tx store txid with Some (_, i) -> i | None -> failwith "?" in
   let proof = Block.tx_proof tx_block index in
-  let time_us f =
-    let reps = 200 in
-    (* ac3-lint: allow D003 — host-CPU micro-benchmark column of the E3 table; never feeds simulator state *)
-    let cpu_seconds = Sys.time in
-    let t0 = cpu_seconds () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (cpu_seconds () -. t0) /. float_of_int reps *. 1e6
-  in
+  let valid what = function Ok _ -> () | Error e -> failwith (what ^ " rejected: " ^ e) in
   List.map
     (fun span ->
       (* Truncate the evidence to [span] headers by rebuilding against a
@@ -560,22 +551,19 @@ let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
         | Error e -> failwith e
       in
       let depth = span - 1 in
-      (match Evidence.verify ~checkpoint ~depth ev with
-      | Ok _ -> ()
-      | Error e -> failwith ("ablation evidence invalid: " ^ e));
+      valid "in-contract evidence" (Evidence.verify ~checkpoint ~depth ev);
+      valid "SPV proof"
+        (Evidence.verify_by_light_client ~spv ~header_hash:(Block.hash tx_block) ~txid ~proof ~depth);
+      valid "full replica" (Evidence.verify_by_full_replication ~replica:store ~txid ~depth);
+      let merkle_path = List.length ev.Evidence.tx_proof.Ac3_crypto.Merkle.path in
       {
         headers_spanned = span;
         (* The bytes a call carries: the same encoding core.evidence.bytes observes. *)
         bundle_bytes =
           Value.as_bytes (Evidence.to_value ev) |> Result.fold ~ok:String.length ~error:(fun _ -> 0);
-        in_contract_us = time_us (fun () -> ignore (Evidence.verify ~checkpoint ~depth ev));
-        spv_us =
-          time_us (fun () ->
-              ignore
-                (Evidence.verify_by_light_client ~spv ~header_hash:(Block.hash tx_block) ~txid
-                   ~proof ~depth));
-        full_replica_us =
-          time_us (fun () -> ignore (Evidence.verify_by_full_replication ~replica:store ~txid ~depth));
+        in_contract_hashes = List.length ev.Evidence.headers + 1 + merkle_path;
+        spv_hashes = merkle_path;
+        full_replica_hashes = 0;
       })
     spans
 

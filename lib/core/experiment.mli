@@ -1,6 +1,6 @@
 (** Experiment harness: one function per table/figure of the paper's
-    evaluation, each returning structured rows the benchmark binary
-    prints next to the paper's expected values. Ids follow DESIGN.md. *)
+    evaluation, each returning structured rows [ac3 analyze] prints
+    next to the paper's expected values. Ids follow DESIGN.md. *)
 
 module Ac2t = Ac3_contract.Ac2t
 open Ac3_chain
@@ -16,6 +16,11 @@ val delta : float
 
 (** AC3WN configuration shared by the protocol experiments. *)
 val ac3wn_config : Ac3wn.config
+
+(** [ring_setup ~seed n]: an [n]-party ring on the experiment chains
+    (regular blocks), mined for 60 s; the universe, one participant per
+    party and the ring graph. The E1–E4 and A2 runs start from it. *)
+val ring_setup : seed:int -> int -> Universe.t * Participant.t list * Ac2t.t
 
 (** {2 E1/E2 — Figures 8 and 9: phase timelines} *)
 
@@ -130,12 +135,17 @@ val fork_table :
 
 (** {2 A1 — Sec 4.3 ablation: evidence-validation strategies} *)
 
+(** Hashes per verification, counted from the bundle, not timed:
+    in-contract validation hashes the checkpoint, every bundled header
+    and the Merkle path; SPV only the Merkle path, as its light client
+    holds the headers; a full replica only looks up its own index. Each
+    row's three strategies all accept the transaction. *)
 type evidence_row = {
   headers_spanned : int;
   bundle_bytes : int;
-  in_contract_us : float;
-  spv_us : float;
-  full_replica_us : float;
+  in_contract_hashes : int;
+  spv_hashes : int;
+  full_replica_hashes : int;
 }
 
 val evidence_ablation : ?spans:int list -> unit -> evidence_row list

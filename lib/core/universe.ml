@@ -73,11 +73,11 @@ let add_chain ?(nodes = 3) ?(min_delay = 0.05) ?(max_delay = 0.5) t params =
           (Printf.sprintf "%s/node%d" id i))
   in
   let miners =
-    Array.map
-      (fun node ->
+    Array.mapi
+      (fun index node ->
         Miner.create ~engine:t.engine ~rng:(Rng.split t.rng) ~node
           ~address:(Ac3_crypto.Keys.address (Ac3_crypto.Keys.create ("miner:" ^ Node.id node)))
-          ~share:(1.0 /. float_of_int nodes) ~metrics:(metrics t) ())
+          ~share:(1.0 /. float_of_int nodes) ~index ~metrics:(metrics t) ())
       node_arr
   in
   Array.iter Miner.start miners;

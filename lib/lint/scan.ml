@@ -19,7 +19,6 @@ type finding = { f_rule : Rules.id; f_line : int; f_diag : Diagnostic.t }
 type ctx = {
   relpath : string;
   allow_random : bool;  (** the two sanctioned RNG homes *)
-  allow_wallclock : bool;  (** bench/ *)
   allow_domains : bool;  (** lib/par *)
   allow_stdout : bool;  (** bin/ *)
 }
@@ -31,7 +30,6 @@ let ctx_of_relpath relpath =
   {
     relpath;
     allow_random = relpath = "lib/sim/rng.ml" || relpath = "lib/crypto/drbg.ml";
-    allow_wallclock = has_prefix ~prefix:"bench/" relpath;
     allow_domains = has_prefix ~prefix:"lib/par/" relpath;
     allow_stdout = has_prefix ~prefix:"bin/" relpath;
   }
@@ -78,13 +76,12 @@ let classify ~ctx ~sorted path =
             "%s draws from ambient global RNG state; derive randomness from a seed the caller \
              threads in (Ac3_sim.Rng / Ac3_crypto.Drbg are the only sanctioned homes)"
             name )
-  | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] | [ "Sys"; "time" ] when not ctx.allow_wallclock
-    ->
+  | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] | [ "Sys"; "time" ] ->
       Some
         ( Rules.D003,
           Printf.sprintf
             "%s reads the host clock; simulator code runs on virtual time only — wall-clock \
-             timing belongs in bench/"
+             timing belongs in perfbench/"
             name )
   | "Domain" :: "DLS" :: _ when not ctx.allow_domains ->
       Some

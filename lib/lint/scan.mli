@@ -18,7 +18,7 @@ type result = {
 }
 
 (** Check one compilation unit. [relpath] selects the exemptions
-    ([bench/] may read the wall clock, [lib/par/] may spawn domains,
-    [bin/] may print, [lib/sim/rng.ml] and [lib/crypto/drbg.ml] may use
-    [Random]) and prefixes every reported location. *)
+    ([lib/par/] may spawn domains, [bin/] may print, [lib/sim/rng.ml]
+    and [lib/crypto/drbg.ml] may use [Random]) and prefixes every
+    reported location. *)
 val check_source : relpath:string -> string -> result

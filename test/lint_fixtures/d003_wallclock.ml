@@ -1,4 +1,4 @@
-(* Fixture: D003 wall-clock reads outside bench/. *)
+(* Fixture: D003 wall-clock reads. *)
 
 let bad () = Unix.gettimeofday ()
 

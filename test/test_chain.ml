@@ -81,11 +81,11 @@ let make_world ?(seed = 11) ?(n = 3) ?(paramsdelta = fun p -> p) () =
     Array.init n (fun i -> Node.create ~engine ~network ~params ~registry (Printf.sprintf "node%d" i))
   in
   let miners =
-    Array.map
-      (fun node ->
+    Array.mapi
+      (fun index node ->
         Miner.create ~engine ~rng:(Rng.split rng) ~node
           ~address:(Keys.address (Keys.create ("miner-" ^ Node.id node)))
-          ~share:(1.0 /. float_of_int n) ())
+          ~share:(1.0 /. float_of_int n) ~index ())
       nodes
   in
   Array.iter Miner.start miners;
@@ -1132,6 +1132,23 @@ let test_network_partition_forks_and_heals () =
   in
   Array.iter (fun x -> Alcotest.(check bool) "converged" true (String.equal x hs.(0))) hs
 
+(* A mining stall shorter than the block interval: the timer armed before
+   the stop is still queued when the miners restart. It must drop itself,
+   or each miner keeps two timers and the chain mines at twice its rate. *)
+let test_mining_stall_keeps_block_rate () =
+  let w = make_world ~seed:32 ~n:2 () in
+  ignore (Engine.run ~until:100.0 w.engine);
+  Array.iter Miner.stop w.miners;
+  ignore (Engine.run ~until:101.0 w.engine);
+  Array.iter Miner.start w.miners;
+  let h0 = Node.tip_height w.nodes.(0) in
+  ignore (Engine.run ~until:20_101.0 w.engine);
+  (* 20,000 s of 10 s blocks: about 2,000, against about 4,000 with the
+     stale timers left running. *)
+  let blocks = Node.tip_height w.nodes.(0) - h0 in
+  Alcotest.(check bool) (Printf.sprintf "%d blocks in 20,000 s" blocks) true
+    (blocks > 1_700 && blocks < 2_300)
+
 let test_node_crash_and_recovery () =
   let w = make_world ~seed:24 () in
   run_until_height w 3;
@@ -1746,6 +1763,8 @@ let () =
           Alcotest.test_case "tx inclusion across nodes" `Slow test_network_tx_inclusion;
           Alcotest.test_case "partition forks and heals" `Slow test_network_partition_forks_and_heals;
           Alcotest.test_case "crash and recovery" `Slow test_node_crash_and_recovery;
+          Alcotest.test_case "mining stall keeps the block rate" `Slow
+            test_mining_stall_keeps_block_rate;
         ] );
       ( "wallet",
         [

@@ -587,6 +587,41 @@ let test_fork_trial_depth_zero_conflicts () =
   Alcotest.(check bool) "conflict at d=0" true
     (Experiment.fork_trial ~seed:31 ~d:0 ~window:80.0)
 
+(* --- Regular block production (Sec 6 latency runs) ---------------------------- *)
+
+(* Ring-6 AC3WN on the experiment chains (5 s regular blocks, confirm
+   depth 3) with d = 3, run for at most 2000 s. Regular miners that
+   forked used to bury reorgs deeper than d, which stranded the SCw
+   checkpoint: seeds 7 and 1934 never decided. *)
+let regular_ring ~seed =
+  let u, participants, graph = Experiment.ring_setup ~seed 6 in
+  let config = { Experiment.ac3wn_config with Ac3wn.timeout = 2000.0 } in
+  (u, Ac3wn.execute u ~config ~graph ~participants () |> ok)
+
+let decided (r : Ac3wn.result) = r.Ac3wn.latency <> None
+
+let test_regular_ring_seeds_decide () =
+  List.iter
+    (fun seed ->
+      let _, r = regular_ring ~seed in
+      Alcotest.(check bool) (Printf.sprintf "seed %d decides" seed) true (decided r);
+      Alcotest.(check bool) (Printf.sprintf "seed %d commits" seed) true r.Ac3wn.committed)
+    [ 7; 1934 ]
+
+let test_regular_chains_never_reorg () =
+  let u, _ = regular_ring ~seed:7 in
+  List.iter
+    (fun (id, _) ->
+      let reorgs =
+        Ac3_obs.Metrics.counter (Universe.metrics u) ~labels:[ ("chain", id) ] "chain.reorgs"
+      in
+      Alcotest.(check int) (id ^ " reorgs") 0 (Ac3_obs.Metrics.counter_value reorgs))
+    (Universe.chains u)
+
+let test_regular_ring_sweep_no_stall () =
+  let stalled = List.filter (fun seed -> not (decided (snd (regular_ring ~seed)))) (List.init 100 succ) in
+  Alcotest.(check (list int)) "stalled seeds" [] stalled
+
 let test_analysis_attack_probability_bounds () =
   Alcotest.(check bool) "probability in [0,1]" true
     (List.for_all
@@ -669,5 +704,13 @@ let () =
           Alcotest.test_case "independent witnesses scale (E10)" `Slow
             test_scalability_independent_witnesses;
           Alcotest.test_case "fork conflict at d=0 (E9)" `Slow test_fork_trial_depth_zero_conflicts;
+        ] );
+      ( "regular",
+        [
+          Alcotest.test_case "ring-6 seeds 7 and 1934 decide" `Quick test_regular_ring_seeds_decide;
+          Alcotest.test_case "fault-free chains never reorg" `Quick
+            test_regular_chains_never_reorg;
+          Alcotest.test_case "ring-6 seeds 1-100 never stall" `Slow
+            test_regular_ring_sweep_no_stall;
         ] );
     ]

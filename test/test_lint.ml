@@ -77,7 +77,6 @@ let test_directory_exemptions () =
       (Printf.sprintf "%s exempt at %s" fixture relpath)
       [] (rules_of report.Lint.fr_findings)
   in
-  check ~fixture:"d003_wallclock.ml" ~relpath:"bench/fixture.ml";
   check ~fixture:"d004_domains.ml" ~relpath:"lib/par/fixture.ml";
   check ~fixture:"d008_dls.ml" ~relpath:"lib/par/fixture.ml";
   check ~fixture:"d007_stdout.ml" ~relpath:"bin/fixture.ml";
