@@ -19,8 +19,8 @@ let confirm_depth = 3
 
 let delta = float_of_int confirm_depth *. block_interval
 
-(* The AC3WN and Nolan runs below use graphs those protocols always
-   accept, so a refusal is a harness bug. *)
+(* Every run below but Fig 7's Herlihy uses a graph its protocol always
+   accepts, so a refusal is a harness bug. *)
 let get = function Ok r -> r | Error e -> failwith e
 
 let ac3wn_config =
@@ -30,19 +30,35 @@ let ac3wn_config =
     timeout = 30_000.0;
   }
 
+(* Every experiment starts here: the experiment chains plus the witness
+   chain, funding [ids] on all of them, mined for 60 s. *)
+let warm_universe ~seed ?regular_blocks ~chains ids =
+  let u, participants =
+    Scenarios.make_universe ~seed ~block_interval ~confirm_depth ?regular_blocks ~chains ids ()
+  in
+  Universe.run_until u 60.0;
+  (u, participants)
+
 let ring_setup ~seed n =
   (* Fresh identities per run so MSS signing keys are never exhausted by
      repeated runs; regular block production matches the deterministic Δ
      of the paper's latency model. *)
   let ids = Scenarios.identities ~ns:(Printf.sprintf "exp%d" seed) n in
   let chains = List.init n (fun i -> Printf.sprintf "chain%d" i) in
-  let u, participants =
-    Scenarios.make_universe ~seed ~block_interval ~confirm_depth ~regular_blocks:true ~chains ids
-      ()
-  in
-  Universe.run_until u 60.0;
+  let u, participants = warm_universe ~seed ~regular_blocks:true ~chains ids in
   let graph = Scenarios.ring_graph ~chains ids ~timestamp:(Universe.now u) in
   (u, participants, graph)
+
+let herlihy_config =
+  { (Herlihy.default_config ~delta) with Herlihy.timeout = 100_000.0; poll_interval = 1.0 }
+
+(* One run of [protocol] on a fresh [n]-ring: the E1-E4 and A2 rows. *)
+let ring_run ~seed n protocol : Driver.result =
+  let u, participants, graph = ring_setup ~seed n in
+  get
+    (match protocol with
+    | `Herlihy -> Herlihy.execute u ~config:herlihy_config ~graph ~participants ()
+    | `Ac3wn config -> Ac3wn.execute u ~config ~graph ~participants ())
 
 (* --- E1 / Fig 8: Herlihy phase timeline --------------------------------- *)
 
@@ -60,27 +76,16 @@ let normalize trace =
           | e -> Some (e, (r.Trace.time -. t0) /. delta))
         (Trace.records trace)
 
-let fig8 ?(seed = 81) ?(n = 3) () =
-  let u, participants, graph = ring_setup ~seed n in
-  let config =
-    { (Herlihy.default_config ~delta) with Herlihy.timeout = 50_000.0; poll_interval = 1.0 }
-  in
-  match Herlihy.execute u ~config ~graph ~participants () with
-  | Error e -> failwith e
-  | Ok r ->
-      {
-        protocol = "Herlihy (single leader)";
-        diam = Ac2t.diameter graph;
-        events = normalize r.Herlihy.trace;
-      }
+let timeline ~seed ~name protocol =
+  let r = ring_run ~seed 3 protocol in
+  { protocol = name; diam = Ac2t.diameter r.Driver.graph; events = normalize r.Driver.trace }
+
+let fig8 () = timeline ~seed:81 ~name:"Herlihy (single leader)" `Herlihy
 
 (* --- E2 / Fig 9: AC3WN phase timeline ------------------------------------- *)
 
-let fig9 ?(seed = 91) ?(n = 3) () =
-  let u, participants, graph = ring_setup ~seed n in
-  let config = { ac3wn_config with Ac3wn.poll_interval = 1.0 } in
-  let r = Ac3wn.execute u ~config ~graph ~participants () |> get in
-  { protocol = "AC3WN"; diam = Ac2t.diameter graph; events = normalize r.Ac3wn.trace }
+let fig9 () =
+  timeline ~seed:91 ~name:"AC3WN" (`Ac3wn { ac3wn_config with Ac3wn.poll_interval = 1.0 })
 
 (* --- E3 / Fig 10: latency vs Diam(D) --------------------------------------- *)
 
@@ -92,32 +97,20 @@ type latency_row = {
   ac3wn_measured : float option;
 }
 
-let fig10 ?(max_diam = 6) ?(seed = 103) () =
-  List.init (max_diam - 1) (fun i ->
+let fig10 () =
+  List.init 5 (fun i ->
       let n = i + 2 in
-      let herlihy_measured =
-        let u, participants, graph = ring_setup ~seed:(seed + (10 * n)) n in
-        let config =
-          { (Herlihy.default_config ~delta) with Herlihy.timeout = 100_000.0; poll_interval = 1.0 }
-        in
-        match Herlihy.execute u ~config ~graph ~participants () with
-        | Error e -> failwith e
-        | Ok r ->
-            if not r.Herlihy.committed then failwith "herlihy run did not commit";
-            Option.map (fun l -> l /. delta) r.Herlihy.latency
-      in
-      let ac3wn_measured =
-        let u, participants, graph = ring_setup ~seed:(seed + (10 * n) + 1) n in
-        let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
-        if not r.Ac3wn.committed then failwith "ac3wn run did not commit";
-        Option.map (fun l -> l /. delta) r.Ac3wn.latency
+      let measured seed protocol =
+        let r = ring_run ~seed n protocol in
+        if not r.Driver.committed then failwith (Printf.sprintf "ring-%d run did not commit" n);
+        Option.map (fun l -> l /. delta) r.Driver.latency
       in
       {
         diam = n;
         herlihy_model = Analysis.herlihy_latency ~diam:n;
         ac3wn_model = Analysis.ac3wn_latency;
-        herlihy_measured;
-        ac3wn_measured;
+        herlihy_measured = measured (103 + (10 * n)) `Herlihy;
+        ac3wn_measured = measured (104 + (10 * n)) (`Ac3wn ac3wn_config);
       })
 
 (* --- E4 / Sec 6.2: cost overhead --------------------------------------------- *)
@@ -130,23 +123,12 @@ type cost_row = {
   overhead_model : float; (* 1/N *)
 }
 
-let cost_table ?(sizes = [ 2; 3; 4; 5 ]) ?(seed = 400) () =
+let cost_table () =
   List.map
     (fun n ->
-      let herlihy_fee =
-        let u, participants, graph = ring_setup ~seed:(seed + n) n in
-        let config =
-          { (Herlihy.default_config ~delta) with Herlihy.timeout = 100_000.0; poll_interval = 1.0 }
-        in
-        match Herlihy.execute u ~config ~graph ~participants () with
-        | Error e -> failwith e
-        | Ok r -> Amount.to_int64 (Herlihy.total_fees r)
-      in
-      let ac3wn_fee =
-        let u, participants, graph = ring_setup ~seed:(seed + n + 100) n in
-        let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
-        Amount.to_int64 (Ac3wn.total_fees r)
-      in
+      let fee seed protocol = Amount.to_int64 (Driver.total_fees (ring_run ~seed n protocol)) in
+      let herlihy_fee = fee (400 + n) `Herlihy in
+      let ac3wn_fee = fee (500 + n) (`Ac3wn ac3wn_config) in
       {
         n_contracts = n;
         herlihy_fee;
@@ -155,7 +137,7 @@ let cost_table ?(sizes = [ 2; 3; 4; 5 ]) ?(seed = 400) () =
           Int64.to_float (Int64.sub ac3wn_fee herlihy_fee) /. Int64.to_float herlihy_fee;
         overhead_model = Analysis.cost_overhead_ratio ~n;
       })
-    sizes
+    [ 2; 3; 4; 5 ]
 
 (* --- E5 / Sec 6.3: witness choice, required depth, 51% attacks ---------------- *)
 
@@ -166,9 +148,9 @@ let depth_table () =
     (fun va -> { va; required_d = Analysis.required_depth ~va ~dh:6.0 ~ch:300_000.0 })
     [ 10_000.0; 100_000.0; 1_000_000.0; 5_000_000.0; 10_000_000.0 ]
 
-let attack_table ?(jobs = 1) ?(seed = 500) ?(trials = 300) () =
-  Attack.depth_sweep_par ~jobs ~seed ~q:0.3 ~depths:[ 0; 1; 2; 4; 6; 10 ] ~block_interval:600.0
-    ~trials ~cost_per_hour:300_000.0 ()
+let attack_table () =
+  Attack.depth_sweep_par ~seed:500 ~q:0.3 ~depths:[ 0; 1; 2; 4; 6; 10 ] ~block_interval:600.0
+    ~trials:300 ~cost_per_hour:300_000.0 ()
 
 (* --- E6 / Table 1 + Sec 6.4: throughput ----------------------------------------- *)
 
@@ -180,11 +162,12 @@ type tps_row = {
 }
 
 (* Measure a chain's sustained throughput: premine many UTXOs, flood the
-   mempool with 1-in-1-out transfers, mine [blocks] blocks directly, and
+   mempool with 1-in-1-out transfers, mine two blocks directly, and
    divide included transactions by elapsed block time. Signature checks
    are disabled (the knob exists for exactly this stress test); the
    binding constraint is capacity/interval, as on the real networks. *)
-let measure_tps ?(blocks = 2) params =
+let measure_tps params =
+  let blocks = 2 in
   let spender = Keys.create "tps-spender" in
   let n_txs = params.Params.block_capacity * blocks in
   let premine = List.init n_txs (fun _ -> (Keys.address spender, Amount.of_int 1_000_000)) in
@@ -268,14 +251,12 @@ type fig7_row = {
   ac3wn_atomic : bool;
 }
 
-let fig7 ?(seed = 700) () =
-  let run_shape ~name ~n ~chains ~graph_of seed =
-    let ids = Scenarios.identities ~ns:(Printf.sprintf "fig7-%d" seed) n in
-    let u, participants =
-      Scenarios.make_universe ~seed ~block_interval ~confirm_depth ~chains ids ()
-    in
-    Universe.run_until u 60.0;
-    let graph = graph_of ids (Universe.now u) in
+let fig7 () =
+  (* One participant per chain; [graph_of] is a Scenarios graph. *)
+  let run_shape ~seed ~name ~chains graph_of =
+    let ids = Scenarios.identities ~ns:(Printf.sprintf "fig7-%d" seed) (List.length chains) in
+    let u, participants = warm_universe ~seed ~chains ids in
+    let graph = graph_of ~chains ids ~timestamp:(Universe.now u) in
     let herlihy_verdict =
       let config = Herlihy.default_config ~delta in
       match Herlihy.execute u ~config ~graph ~participants () with
@@ -292,28 +273,26 @@ let fig7 ?(seed = 700) () =
     }
   in
   [
-    run_shape ~name:"Fig 7a cyclic" ~n:3 ~chains:[ "c1"; "c2"; "c3" ]
-      ~graph_of:(fun ids ts -> Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:ts)
-      seed;
-    run_shape ~name:"Fig 7b disconnected" ~n:4 ~chains:[ "c1"; "c2"; "c3"; "c4" ]
-      ~graph_of:(fun ids ts ->
-        Scenarios.disconnected_graph ~chains:[ "c1"; "c2"; "c3"; "c4" ] ids ~timestamp:ts)
-      (seed + 1);
+    run_shape ~seed:700 ~name:"Fig 7a cyclic" ~chains:[ "c1"; "c2"; "c3" ] Scenarios.cyclic_graph;
+    run_shape ~seed:701 ~name:"Fig 7b disconnected" ~chains:[ "c1"; "c2"; "c3"; "c4" ]
+      Scenarios.disconnected_graph;
   ]
 
 (* --- E8 / Sec 1: crash failures ---------------------------------------------------- *)
 
 type crash_row = { protocol : string; outcome : string; atomic : bool }
 
-let crash_experiment ?(seed = 800) () =
-  let ids = Scenarios.identities ~ns:(Printf.sprintf "crash%d" seed) 2 in
+(* Both runs are a two-party swap on btc/eth after the warm-up. *)
+let two_party ~seed ids =
+  let u, participants = warm_universe ~seed ~chains:[ "btc"; "eth" ] ids in
+  let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+  (u, participants, graph)
+
+let crash_experiment () =
+  let ids = Scenarios.identities ~ns:"crash800" 2 in
   (* Nolan: Bob crashes as the secret is revealed and never recovers. *)
   let nolan_row =
-    let u, participants =
-      Scenarios.make_universe ~seed ~block_interval ~confirm_depth ~chains:[ "btc"; "eth" ] ids ()
-    in
-    Universe.run_until u 60.0;
-    let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+    let u, participants, graph = two_party ~seed:800 ids in
     let bob = List.nth participants 1 in
     let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
     let config = { (Herlihy.default_config ~delta) with Herlihy.timeout = 5000.0 } in
@@ -326,12 +305,7 @@ let crash_experiment ?(seed = 800) () =
   in
   (* AC3WN: same crash point, recovery after 600 s. *)
   let ac3wn_row =
-    let u, participants =
-      Scenarios.make_universe ~seed:(seed + 1) ~block_interval ~confirm_depth
-        ~chains:[ "btc"; "eth" ] ids ()
-    in
-    Universe.run_until u 60.0;
-    let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+    let u, participants, graph = two_party ~seed:801 ids in
     let bob = List.nth participants 1 in
     let hooks =
       [
@@ -368,11 +342,8 @@ type fork_row = {
    probability ε; it decays rapidly with d. *)
 let fork_trial ~seed ~d ~window =
   let ids = Scenarios.identities ~ns:(Printf.sprintf "fork%d" seed) 2 in
-  let u, _participants =
-    Scenarios.make_universe ~seed ~block_interval ~confirm_depth ~chains:[ "asset" ] ids ()
-  in
+  let u, _participants = warm_universe ~seed ~chains:[ "asset" ] ids in
   let alice = List.nth ids 0 and bob = List.nth ids 1 in
-  Universe.run_until u 60.0;
   (* Register SCw directly (we drive the contract by hand here). *)
   let graph =
     Ac2t.create
@@ -468,28 +439,22 @@ let fork_trial ~seed ~d ~window =
           Network.heal witness.Universe.network;
           conflict)
 
-(* Every (depth, trial) pair builds its own universe from its own seed
-   (identities are namespaced by that seed), so the flattened trial
-   list fans out over an ac3_par pool; counts are folded afterwards in
-   depth order and are identical for every [jobs]. *)
-let fork_table ?(jobs = 1) ?(seed = 900) ?(trials = 8) ?(window = 60.0)
-    ?(depths = [ 0; 1; 2; 4; 8 ]) () =
-  let cases = List.concat_map (fun d -> List.init trials (fun k -> (d, k))) depths in
-  let outcomes =
-    Ac3_par.Pool.map ~jobs
-      (fun (d, k) -> (d, fork_trial ~seed:(seed + (100 * d) + k) ~d ~window))
-      cases
-  in
+let fork_table () =
+  let trials = 8 in
   List.map
     (fun d ->
-      let hits = List.length (List.filter (fun (d', hit) -> d' = d && hit) outcomes) in
+      let hits =
+        List.length
+          (List.filter Fun.id
+             (List.init trials (fun k -> fork_trial ~seed:(900 + (100 * d) + k) ~d ~window:60.0)))
+      in
       {
         d;
         trials;
         conflicting_decisions_buried = hits;
         rate = float_of_int hits /. float_of_int trials;
       })
-    depths
+    [ 0; 1; 2; 4; 8 ]
 
 (* --- A1 / Sec 4.3 ablation: evidence validation strategies --------------------------- *)
 
@@ -501,7 +466,8 @@ type evidence_row = {
   full_replica_hashes : int;
 }
 
-let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
+let evidence_ablation () =
+  let spans = [ 4; 16; 64 ] in
   (* Build one chain long enough for the largest span. *)
   let who = Keys.create "evidence-ablation" in
   let params =
@@ -526,8 +492,7 @@ let evidence_ablation ?(spans = [ 4; 16; 64 ]) () =
       ~fee:params.Params.transfer_fee ~nonce:1L ()
   in
   let tx_block = mine [ tx ] in
-  let max_span = List.fold_left max 0 spans in
-  for _ = 1 to max_span do
+  for _ = 1 to List.fold_left max 0 spans do
     ignore (mine [])
   done;
   let checkpoint = (Store.genesis store).Block.header in
@@ -582,49 +547,34 @@ type scalability_row = {
    coordination is embarrassingly parallel, so latency should not grow
    with the number of concurrent transactions in either setup (the
    witness chain only carries two small transactions per AC2T). *)
-let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
+let scalability () =
   let run ~k ~shared_witness seed =
-    let u = Universe.create ~seed () in
-    let ids =
-      List.init k (fun i -> Scenarios.identities ~ns:(Printf.sprintf "scal%d-%d" seed i) 2)
-    in
-    let premine =
-      List.concat_map (fun pair -> List.map (fun id -> (Keys.address id, Scenarios.funding)) pair) ids
-    in
-    (* Chains: 2 asset chains per AC2T plus witness chain(s). *)
+    (* Chains: 2 asset chains per AC2T plus, unless shared, one witness
+       chain each (the universe's own witness chain then sits idle).
+       AC2T i is between identities 2i and 2i+1. *)
+    let asset c i = Printf.sprintf "%c%d" c i in
     let witness_of i =
       if shared_witness then Ac3wn.witness_chain else Printf.sprintf "witness%d" i
     in
-    let chain_names =
-      List.concat
-        (List.init k (fun i -> [ Printf.sprintf "a%d" i; Printf.sprintf "b%d" i ]))
-      @ (if shared_witness then [ Ac3wn.witness_chain ] else List.init k witness_of)
+    let chains =
+      List.concat (List.init k (fun i -> [ asset 'a' i; asset 'b' i ]))
+      @ if shared_witness then [] else List.init k witness_of
     in
-    List.iter
-      (fun name ->
-        ignore
-          (Universe.add_chain ~nodes:2 u
-             (Scenarios.chain_params ~block_interval ~confirm_depth ~regular_blocks:true ~premine
-                name)))
-      chain_names;
-    Universe.run_until u 60.0;
+    let ids = Array.of_list (Scenarios.identities ~ns:(Printf.sprintf "scal%d" seed) (2 * k)) in
+    let u, participants = warm_universe ~seed ~regular_blocks:true ~chains (Array.to_list ids) in
+    let participants = Array.of_list participants in
     let handles =
-      List.mapi
-        (fun i pair ->
-          let participants =
-            List.map
-              (fun id ->
-                Participant.create u ~identity:id
-                  ~chains:[ Printf.sprintf "a%d" i; Printf.sprintf "b%d" i; witness_of i ])
-              pair
-          in
+      List.init k (fun i ->
           let graph =
-            Scenarios.two_party_graph ~chain1:(Printf.sprintf "a%d" i)
-              ~chain2:(Printf.sprintf "b%d" i) pair ~timestamp:(Universe.now u +. float_of_int i)
+            Scenarios.two_party_graph ~chain1:(asset 'a' i) ~chain2:(asset 'b' i)
+              [ ids.(2 * i); ids.((2 * i) + 1) ]
+              ~timestamp:(Universe.now u +. float_of_int i)
           in
           let config = { ac3wn_config with Ac3wn.witness_chain = witness_of i } in
-          Ac3wn.launch u ~config ~graph ~participants () |> get)
-        ids
+          Ac3wn.launch u ~config ~graph
+            ~participants:[ participants.(2 * i); participants.((2 * i) + 1) ]
+            ()
+          |> get)
     in
     (* Each AC2T is finished the moment it settles, so its latency is
        its own, not the slowest one's. *)
@@ -652,9 +602,8 @@ let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
     }
   in
   List.concat_map
-    (fun k ->
-      [ run ~k ~shared_witness:true (seed + k); run ~k ~shared_witness:false (seed + k + 50) ])
-    ks
+    (fun k -> [ run ~k ~shared_witness:true (1000 + k); run ~k ~shared_witness:false (1050 + k) ])
+    [ 1; 2; 4 ]
 
 (* --- E11 / Sec 4.2 motivation: witness availability ------------------------- *)
 
@@ -662,20 +611,13 @@ type availability_row = { protocol : string; witness_failure : string; result : 
 
 (* Trent crashes mid-protocol: AC3TW's assets stay locked until (unless)
    he returns. AC3WN tolerates the crash of any witness-network node. *)
-let availability ?(seed = 1100) () =
-  let ids = Scenarios.identities ~ns:(Printf.sprintf "avail%d" seed) 2 in
+let availability () =
   let tw_row =
-    let u, participants =
-      Scenarios.make_universe ~seed ~block_interval ~confirm_depth ~chains:[ "btc"; "eth" ] ids ()
-    in
-    Universe.run_until u 60.0;
-    let trent = Trent.create u ~name:(Printf.sprintf "trent%d" seed) in
+    let u, participants, graph = two_party ~seed:1100 (Scenarios.identities ~ns:"avail1100" 2) in
+    let trent = Trent.create u ~name:"trent1100" in
     (* Trent goes down shortly after registration — before the contracts
        confirm — and never returns. *)
     Engine.schedule (Universe.engine u) ~delay:5.0 (fun () -> Trent.crash trent);
-    let graph =
-      Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u)
-    in
     let config = { Ac3tw.default_config with Ac3tw.timeout = 1200.0 } in
     match Ac3tw.execute u ~config ~trent ~graph ~participants () with
     | Error e -> { protocol = "AC3TW"; witness_failure = "Trent crashes"; result = "error: " ^ e }
@@ -691,20 +633,14 @@ let availability ?(seed = 1100) () =
         }
   in
   let wn_row =
-    let ids = Scenarios.identities ~ns:(Printf.sprintf "avail%d-b" seed) 2 in
-    let u, participants =
-      Scenarios.make_universe ~seed:(seed + 1) ~block_interval ~confirm_depth
-        ~chains:[ "btc"; "eth" ] ids ()
+    let u, participants, graph =
+      two_party ~seed:1101 (Scenarios.identities ~ns:"avail1100-b" 2)
     in
-    Universe.run_until u 60.0;
     (* One of the witness-network's nodes crashes at the same point; the
        chain keeps producing blocks and the protocol commits. *)
     let witness = Universe.chain u Ac3wn.witness_chain in
     Engine.schedule (Universe.engine u) ~delay:30.0 (fun () ->
         Node.crash witness.Universe.nodes.(1));
-    let graph =
-      Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u)
-    in
     let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
     {
       protocol = "AC3WN";
@@ -722,16 +658,15 @@ type depth_latency_row = { depth : int; committed : bool; latency_delta : float 
    safety; this measures what each choice costs): AC3WN latency grows
    linearly in d because the commit decision must be buried under d
    witness blocks before anyone redeems. *)
-let depth_latency ?(depths = [ 2; 4; 6; 9 ]) ?(seed = 1300) () =
+let depth_latency () =
   List.map
     (fun d ->
-      let u, participants, graph = ring_setup ~seed:(seed + d) 2 in
       let config = { ac3wn_config with Ac3wn.decision_depth = d; timeout = 60_000.0 } in
-      let r = Ac3wn.execute u ~config ~graph ~participants () |> get in
+      let r = ring_run ~seed:(1300 + d) 2 (`Ac3wn config) in
       {
         depth = d;
-        committed = r.Ac3wn.committed;
+        committed = r.Driver.committed;
         latency_delta =
-          (match r.Ac3wn.latency with Some l -> l /. delta | None -> Float.nan);
+          (match r.Driver.latency with Some l -> l /. delta | None -> Float.nan);
       })
-    depths
+    [ 2; 4; 6; 9 ]

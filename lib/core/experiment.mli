@@ -1,9 +1,10 @@
 (** Experiment harness: one function per table/figure of the paper's
     evaluation, each returning structured rows [ac3 analyze] prints
-    next to the paper's expected values. Ids follow DESIGN.md. *)
+    next to the paper's expected values. Ids follow DESIGN.md. Every
+    table is a function of [()] with its seeds and sizes fixed, so the
+    printed rows are the only ones there are. *)
 
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
 
 (** Block interval of the experiment chains (virtual seconds). *)
 val block_interval : float
@@ -30,11 +31,11 @@ type timeline = {
   events : (Ac3_flow.Protocol.event * float) list;
 }
 
-(** Herlihy on an [n]-ring; event times in Δ from protocol start. *)
-val fig8 : ?seed:int -> ?n:int -> unit -> timeline
+(** Herlihy on a 3-ring; event times in Δ from protocol start. *)
+val fig8 : unit -> timeline
 
-(** AC3WN on the same ring. *)
-val fig9 : ?seed:int -> ?n:int -> unit -> timeline
+(** AC3WN on a 3-ring. *)
+val fig9 : unit -> timeline
 
 (** {2 E3 — Figure 10: latency vs diameter} *)
 
@@ -46,7 +47,8 @@ type latency_row = {
   ac3wn_measured : float option;
 }
 
-val fig10 : ?max_diam:int -> ?seed:int -> unit -> latency_row list
+(** Rings of Diam 2..6. *)
+val fig10 : unit -> latency_row list
 
 (** {2 E4 — Sec 6.2: cost overhead} *)
 
@@ -58,7 +60,8 @@ type cost_row = {
   overhead_model : float;
 }
 
-val cost_table : ?sizes:int list -> ?seed:int -> unit -> cost_row list
+(** Rings of N = 2..5. *)
+val cost_table : unit -> cost_row list
 
 (** {2 E5 — Sec 6.3: witness choice and 51% attacks} *)
 
@@ -66,10 +69,9 @@ type depth_row = { va : float; required_d : int }
 
 val depth_table : unit -> depth_row list
 
-(** [jobs] fans the Monte-Carlo depths out over an [Ac3_par.Pool];
-    per-depth streams are Splitmix-derived, so results are identical
-    for every value (default 1). *)
-val attack_table : ?jobs:int -> ?seed:int -> ?trials:int -> unit -> Attack.estimate list
+(** A q = 0.3 adversary, 300 Monte-Carlo trials at each
+    d ∈ {0, 1, 2, 4, 6, 10}. *)
+val attack_table : unit -> Attack.estimate list
 
 (** {2 E6 — Table 1 / Sec 6.4: throughput} *)
 
@@ -80,9 +82,7 @@ type tps_row = {
   measured_tps : float;
 }
 
-(** Saturation throughput of a chain preset measured on the simulator. *)
-val measure_tps : ?blocks:int -> Params.t -> float
-
+(** Each preset's saturation throughput measured on the simulator. *)
 val table1 : unit -> tps_row list
 
 type combo_row = { chains : string list; witness : string; expected_min : float }
@@ -99,13 +99,13 @@ type fig7_row = {
   ac3wn_atomic : bool;
 }
 
-val fig7 : ?seed:int -> unit -> fig7_row list
+val fig7 : unit -> fig7_row list
 
 (** {2 E8 — Sec 1: crash failures} *)
 
 type crash_row = { protocol : string; outcome : string; atomic : bool }
 
-val crash_experiment : ?seed:int -> unit -> crash_row list
+val crash_experiment : unit -> crash_row list
 
 (** {2 E9 — Lemma 5.3: forks in the witness network} *)
 
@@ -121,17 +121,8 @@ type fork_row = {
     buried at depth >= d within [window] seconds. *)
 val fork_trial : seed:int -> d:int -> window:float -> bool
 
-(** [jobs] fans the (depth, trial) grid out over an [Ac3_par.Pool];
-    every trial is seeded independently, so counts are identical for
-    every value (default 1). *)
-val fork_table :
-  ?jobs:int ->
-  ?seed:int ->
-  ?trials:int ->
-  ?window:float ->
-  ?depths:int list ->
-  unit ->
-  fork_row list
+(** Eight 60 s trials at each d ∈ {0, 1, 2, 4, 8}. *)
+val fork_table : unit -> fork_row list
 
 (** {2 A1 — Sec 4.3 ablation: evidence-validation strategies} *)
 
@@ -148,7 +139,8 @@ type evidence_row = {
   full_replica_hashes : int;
 }
 
-val evidence_ablation : ?spans:int list -> unit -> evidence_row list
+(** Spans of 4, 16 and 64 headers. *)
+val evidence_ablation : unit -> evidence_row list
 
 (** {2 E10 — Sec 5.2: scalability via independent witness networks} *)
 
@@ -159,16 +151,19 @@ type scalability_row = {
   mean_latency_delta : float;
 }
 
-val scalability : ?ks:int list -> ?seed:int -> unit -> scalability_row list
+(** k ∈ {1, 2, 4} concurrent two-party AC2Ts, once on a shared witness
+    chain and once with one witness chain each. *)
+val scalability : unit -> scalability_row list
 
 (** {2 E11 — Sec 4.2 motivation: witness availability} *)
 
 type availability_row = { protocol : string; witness_failure : string; result : string }
 
-val availability : ?seed:int -> unit -> availability_row list
+val availability : unit -> availability_row list
 
 (** {2 A2 — ablation: decision depth vs latency} *)
 
 type depth_latency_row = { depth : int; committed : bool; latency_delta : float }
 
-val depth_latency : ?depths:int list -> ?seed:int -> unit -> depth_latency_row list
+(** A 2-ring at d ∈ {2, 4, 6, 9}. *)
+val depth_latency : unit -> depth_latency_row list

@@ -563,7 +563,7 @@ let test_outcome_atomic_vs_mixed () =
 
 let test_trent_unavailability_locks_assets () =
   (* E11: Trent crashes before deciding; AC3TW assets stay locked. *)
-  let rows = Experiment.availability ~seed:4242 () in
+  let rows = Experiment.availability () in
   let tw = List.find (fun (r : Experiment.availability_row) -> r.protocol = "AC3TW") rows in
   let wn = List.find (fun (r : Experiment.availability_row) -> r.protocol = "AC3WN") rows in
   Alcotest.(check bool) "AC3TW stuck" true
@@ -571,9 +571,10 @@ let test_trent_unavailability_locks_assets () =
   Alcotest.(check string) "AC3WN commits" "committed (atomic)" wn.Experiment.result
 
 let test_scalability_independent_witnesses () =
-  (* E10 / Sec 5.2: two concurrent AC2Ts with their own witness networks
-     both commit, at roughly the single-transaction latency. *)
-  let rows = Experiment.scalability ~ks:[ 2 ] ~seed:555 () in
+  (* E10 / Sec 5.2: up to four concurrent AC2Ts, on a shared witness
+     network or each on its own, all commit at roughly the
+     single-transaction latency. *)
+  let rows = Experiment.scalability () in
   List.iter
     (fun (r : Experiment.scalability_row) ->
       Alcotest.(check bool) "all committed" true r.Experiment.all_committed;
@@ -586,6 +587,75 @@ let test_fork_trial_depth_zero_conflicts () =
      (almost) always buried — the precondition of a violation. *)
   Alcotest.(check bool) "conflict at d=0" true
     (Experiment.fork_trial ~seed:31 ~d:0 ~window:80.0)
+
+(* The paper's claims, asserted on the rows `ac3 analyze` prints, so a
+   refreshed golden cannot silently break one. *)
+
+(* [rel] holds between every element and the next. *)
+let rec ordered rel = function a :: (b :: _ as rest) -> rel a b && ordered rel rest | _ -> true
+
+let test_claim_latency_vs_diam () =
+  (* E3 / Fig 10: Herlihy grows with Diam(D); AC3WN stays flat. *)
+  let rows = Experiment.fig10 () in
+  let measured f = List.map (fun r -> Option.get (f r)) rows in
+  Alcotest.(check bool) "Herlihy rises strictly with Diam" true
+    (ordered ( < ) (measured (fun (r : Experiment.latency_row) -> r.herlihy_measured)));
+  let ac3wn = measured (fun (r : Experiment.latency_row) -> r.ac3wn_measured) in
+  let spread = List.fold_left max neg_infinity ac3wn -. List.fold_left min infinity ac3wn in
+  Alcotest.(check bool) (Printf.sprintf "AC3WN spread %.3f below 0.1 delta" spread) true (spread < 0.1)
+
+let test_claim_cost_overhead () =
+  (* E4 / Sec 6.2: AC3WN costs exactly 1/N more than Herlihy. *)
+  List.iter
+    (fun (r : Experiment.cost_row) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "N=%d overhead %g = 1/N" r.n_contracts r.overhead_measured)
+        true
+        (Float.equal r.overhead_measured r.overhead_model))
+    (Experiment.cost_table ())
+
+let test_claim_attack_races () =
+  (* E5 / Sec 6.3: the Monte-Carlo race never beats the analytic bound
+     by more than three standard errors, and deeper d never helps. *)
+  let rows = Experiment.attack_table () in
+  List.iter
+    (fun (r : Attack.estimate) ->
+      let a = r.analytic in
+      let bound = a +. (3.0 *. sqrt (a *. (1.0 -. a) /. float_of_int r.trials)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "d=%d rate %.3f <= %.3f" r.d r.success_rate bound)
+        true (r.success_rate <= bound))
+    rows;
+  Alcotest.(check bool) "rate does not rise with d" true
+    (ordered ( >= ) (List.map (fun (r : Attack.estimate) -> r.success_rate) rows))
+
+let test_claim_complex_graphs () =
+  (* E7 / Fig 7: Herlihy refuses both graphs; AC3WN commits both atomically. *)
+  List.iter
+    (fun (r : Experiment.fig7_row) ->
+      Alcotest.(check bool) (r.name ^ " Herlihy refused") true
+        (Astring.String.is_prefix ~affix:"refused:" r.herlihy_verdict);
+      Alcotest.(check bool) (r.name ^ " AC3WN committed") true r.ac3wn_committed;
+      Alcotest.(check bool) (r.name ^ " AC3WN atomic") true r.ac3wn_atomic)
+    (Experiment.fig7 ())
+
+let test_claim_crash () =
+  (* E8 / Sec 1: the crash breaks Nolan's atomicity, not AC3WN's. *)
+  match Experiment.crash_experiment () with
+  | [ nolan; ac3wn ] ->
+      Alcotest.(check bool) "Nolan atomic" false nolan.Experiment.atomic;
+      Alcotest.(check bool) "AC3WN atomic" true ac3wn.Experiment.atomic
+  | _ -> Alcotest.fail "expected a Nolan row and an AC3WN row"
+
+let test_claim_depth_latency () =
+  (* A2: every d commits, and deeper burial costs latency. *)
+  let rows = Experiment.depth_latency () in
+  List.iter
+    (fun (r : Experiment.depth_latency_row) ->
+      Alcotest.(check bool) (Printf.sprintf "d=%d committed" r.depth) true r.committed)
+    rows;
+  Alcotest.(check bool) "latency rises strictly with d" true
+    (ordered ( < ) (List.map (fun (r : Experiment.depth_latency_row) -> r.latency_delta) rows))
 
 (* --- Regular block production (Sec 6 latency runs) ---------------------------- *)
 
@@ -704,6 +774,12 @@ let () =
           Alcotest.test_case "independent witnesses scale (E10)" `Slow
             test_scalability_independent_witnesses;
           Alcotest.test_case "fork conflict at d=0 (E9)" `Slow test_fork_trial_depth_zero_conflicts;
+          Alcotest.test_case "Herlihy rises, AC3WN flat (E3)" `Quick test_claim_latency_vs_diam;
+          Alcotest.test_case "overhead is exactly 1/N (E4)" `Quick test_claim_cost_overhead;
+          Alcotest.test_case "attack rates within bound (E5)" `Quick test_claim_attack_races;
+          Alcotest.test_case "AC3WN commits Fig 7 graphs (E7)" `Quick test_claim_complex_graphs;
+          Alcotest.test_case "crash breaks Nolan, not AC3WN (E8)" `Quick test_claim_crash;
+          Alcotest.test_case "latency rises with d (A2)" `Quick test_claim_depth_latency;
         ] );
       ( "regular",
         [
