@@ -122,11 +122,16 @@ let fig7 () =
   Fmt.pr "  --------------------+--------------+--------------------+------------------@.";
   List.iter
     (fun (r : E.fig7_row) ->
+      (* The column holds the verdict up to its reason; the whole
+         verdict, reason included, follows on its own line. *)
+      let verdict = r.E.herlihy_verdict in
+      let short =
+        match String.index_opt verdict ':' with Some i -> String.sub verdict 0 i | None -> verdict
+      in
       Fmt.pr "  %-19s | %-12s | %-18s | committed=%b atomic=%b@." r.E.name
         (Fmt.str "%a" Ac2t.pp_shape r.E.shape)
-        (if String.length r.E.herlihy_verdict > 18 then String.sub r.E.herlihy_verdict 0 18
-         else r.E.herlihy_verdict)
-        r.E.ac3wn_committed r.E.ac3wn_atomic)
+        short r.E.ac3wn_committed r.E.ac3wn_atomic;
+      if not (String.equal short verdict) then Fmt.pr "      %s@." verdict)
     (E.fig7 ())
 
 (* --- E8: Sec 1 — crash failures ------------------------------------------------------ *)

@@ -179,8 +179,6 @@ let submit_block t block =
 
 let confirmations t txid = Store.confirmations t.store txid
 
-let find_tx t txid = Store.find_tx t.store txid
-
 let contract t cid = Ledger.contract (ledger t) cid
 
 let balance_of t addr = Ledger.balance_of (ledger t) addr

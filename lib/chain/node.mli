@@ -45,8 +45,6 @@ val submit_block : t -> Block.t -> (unit, string) result
 (** Depth-based confirmation count for a transaction (0 = unconfirmed). *)
 val confirmations : t -> string -> int
 
-val find_tx : t -> string -> (Block.t * int) option
-
 val contract : t -> string -> Ledger.contract option
 
 val balance_of : t -> string -> Amount.t

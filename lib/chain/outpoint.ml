@@ -10,10 +10,6 @@ let create ~txid ~index =
   if index < 0 then invalid_arg "Outpoint.create: negative index";
   { txid; index }
 
-let txid t = t.txid
-
-let index t = t.index
-
 let equal a b = String.equal a.txid b.txid && a.index = b.index
 
 let compare a b =

@@ -5,15 +5,9 @@ type t = { txid : string; index : int }
 (** Raises [Invalid_argument] unless [txid] is 32 bytes and [index >= 0]. *)
 val create : txid:string -> index:int -> t
 
-val txid : t -> string
-
-val index : t -> int
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 

@@ -89,12 +89,3 @@ let litecoin ?(scale = 1.0) () =
 let bitcoin_cash ?(scale = 1.0) () =
   make "bitcoin_cash" ~symbol:"BCH" ~block_interval:(600.0 *. scale) ~block_capacity:36600
     ~confirm_depth:6
-
-(* A generic fast chain used as the default witness network in tests. *)
-let witness ?(scale = 1.0) ?(confirm_depth = 6) () =
-  make "witness" ~symbol:"WIT" ~block_interval:(10.0 *. scale) ~block_capacity:1000
-    ~confirm_depth
-
-let pp ppf t =
-  Fmt.pf ppf "%s(%s): interval=%.1fs cap=%d tps=%.1f pow=%d d=%d" t.chain_id t.symbol
-    t.block_interval t.block_capacity (tps t) t.pow_bits t.confirm_depth

@@ -59,8 +59,3 @@ val litecoin : ?scale:float -> unit -> t
 
 (** Bitcoin Cash: 600 s blocks, 61 tps, d = 6. *)
 val bitcoin_cash : ?scale:float -> unit -> t
-
-(** Generic fast chain used as the default witness network. *)
-val witness : ?scale:float -> ?confirm_depth:int -> unit -> t
-
-val pp : Format.formatter -> t -> unit

@@ -35,8 +35,6 @@ let tip_header t = (tip_entry t).header
 
 let tip_height t = (tip_header t).Block.height
 
-let find t hash = Option.map (fun e -> e.header) (Hashtbl.find_opt t.headers hash)
-
 (* Accept a header if it attaches to the tree with valid PoW; adopt it as
    tip when it carries more cumulative work. *)
 let add_header t (h : Block.header) =

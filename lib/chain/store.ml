@@ -97,8 +97,6 @@ let create ~params ~registry =
 
 let genesis t = (Hashtbl.find t.blocks t.genesis_hash).block
 
-let genesis_hash t = t.genesis_hash
-
 let params t = t.params
 
 let set_on_reorg t f = t.on_reorg <- Some f

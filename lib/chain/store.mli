@@ -14,8 +14,6 @@ val create : params:Params.t -> registry:Contract_iface.registry -> t
 
 val genesis : t -> Block.t
 
-val genesis_hash : t -> string
-
 val params : t -> Params.t
 
 (** Register a callback fired after every successful reorganization with

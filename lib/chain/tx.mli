@@ -37,10 +37,6 @@ val sighash : t -> string
 (** 32-byte transaction id (double SHA-256 of the full encoding). *)
 val txid : t -> string
 
-val encode : Ac3_crypto.Codec.Writer.t -> t -> unit
-
-val decode : Ac3_crypto.Codec.Reader.t -> t
-
 val to_bytes : t -> string
 
 (** Raises {!Ac3_crypto.Codec.Decode_error} on malformed input. *)

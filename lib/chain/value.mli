@@ -16,8 +16,6 @@ type t =
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 val encode : Ac3_crypto.Codec.Writer.t -> t -> unit

@@ -31,13 +31,7 @@ let refusal_message = function
 
 let create ~identity ~node = { identity; node; nonce = 0L }
 
-let identity t = t.identity
-
-let node t = t.node
-
 let address t = Keys.address t.identity
-
-let public t = Keys.public t.identity
 
 let balance t = Node.balance_of t.node (address t)
 
@@ -132,6 +126,7 @@ let submit_built t = function
       | Ok () -> Ok (Tx.txid tx)
       | Error e -> Error (Rejected e))
 
+(* Build, sign, and submit; returns the txid. *)
 let submit t ?payload ~outputs () =
   Result.map_error refusal_message (submit_built t (prepare t ?payload ~outputs ()))
 
@@ -154,5 +149,3 @@ let call t ~contract_id ~fn ~args ?(deposit = Amount.zero) () =
   submit_built t
     (build_deferred t ~fee ~deposit ~outputs:[] (fun () ->
          Result.map (fun args -> Tx.Call { contract_id; fn; args; deposit }) (args ())))
-
-let confirmations t txid = Node.confirmations t.node txid

@@ -7,13 +7,7 @@ type t
 
 val create : identity:Keys.t -> node:Node.t -> t
 
-val identity : t -> Keys.t
-
-val node : t -> Node.t
-
 val address : t -> string
-
-val public : t -> Keys.public
 
 val balance : t -> Amount.t
 
@@ -40,10 +34,6 @@ val refusal_message : refusal -> string
     [Error] if the remaining funds are insufficient; the message is
     {!refusal_message} of the {!Insufficient} refusal. *)
 val build : t -> ?payload:Tx.payload -> outputs:Tx.output list -> unit -> (Tx.t, string) result
-
-(** Build, sign, and submit; returns the txid. *)
-val submit :
-  t -> ?payload:Tx.payload -> outputs:Tx.output list -> unit -> (string, string) result
 
 (** Plain payment. *)
 val pay : t -> to_:string -> amount:Amount.t -> (string, string) result
@@ -73,5 +63,3 @@ val call :
   ?deposit:Amount.t ->
   unit ->
   (string, refusal) result
-
-val confirmations : t -> string -> int

@@ -32,6 +32,7 @@ type verdict = {
   pass : bool;  (** [not deposit_lost && absorbing] *)
 }
 
+(* Extra virtual seconds run before the final outcome read. *)
 let absorb_window = 240.0
 
 (* Read the outcome, run [absorb_window] more virtual seconds, read it

@@ -21,9 +21,6 @@ type verdict = {
   pass : bool;
 }
 
-(** Extra virtual seconds run before the final outcome read. *)
-val absorb_window : float
-
 (** Evaluate the outcome, run the absorption window, evaluate again, and
     judge. [static_errors] is the static verifier's error set for the
     graph under the executed protocol's preflight; it is carried, not

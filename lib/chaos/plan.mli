@@ -24,14 +24,9 @@ type spec = {
 
 val shape_to_string : shape -> string
 
-val shape_of_string : string -> shape
-
 (** ["c0"; "c1"; ...] — the spec's asset chains (the universe adds an
     implicit ["witness"] chain on top). *)
 val chain_names : spec -> string list
-
-(** Asset chains plus ["witness"]: everything a fault may target. *)
-val fault_chains : spec -> string list
 
 type fault =
   | Crash of { party : int; at : float }
@@ -64,10 +59,6 @@ val spec_to_json : spec -> Ac3_crypto.Codec.Json.t
 
 val spec_of_json : Ac3_crypto.Codec.Json.t -> spec
 
-val fault_to_json : fault -> Ac3_crypto.Codec.Json.t
-
-val fault_of_json : Ac3_crypto.Codec.Json.t -> fault
-
 val to_json : t -> Ac3_crypto.Codec.Json.t
 
 val of_json : Ac3_crypto.Codec.Json.t -> t
@@ -75,8 +66,6 @@ val of_json : Ac3_crypto.Codec.Json.t -> t
 val to_string : t -> string
 
 val of_string : string -> t
-
-val pp_fault : Format.formatter -> fault -> unit
 
 val pp : Format.formatter -> t -> unit
 

@@ -14,10 +14,6 @@ type t = { note : string; spec : Plan.spec; plan : Plan.t; expect : expectation 
     [reports] (protocols that rejected or skipped are omitted). *)
 val of_reports : ?note:string -> spec:Plan.spec -> plan:Plan.t -> Runner.report list -> t
 
-val to_json : t -> Ac3_crypto.Codec.Json.t
-
-val of_json : Ac3_crypto.Codec.Json.t -> t
-
 (** Pretty JSON with trailing newline — the committed-corpus form. *)
 val to_string : t -> string
 

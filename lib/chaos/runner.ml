@@ -94,6 +94,7 @@ let confirm_depth = 3
 
 let warmup = 60.0
 
+(* Simulation horizon handed to each protocol's [timeout]. *)
 let protocol_timeout = 500.0
 
 (* Seeded ring with chords: always connected, possibly cyclic without a
@@ -164,7 +165,7 @@ let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
       (fun k -> Keys.create (Printf.sprintf "%s:bg%d" cast_ns k))
   in
   let universe, participants =
-    Scenarios.make_universe ~seed:spec.Plan.seed ~block_interval ~confirm_depth ~nodes:2
+    Scenarios.make_universe ~seed:spec.Plan.seed ~block_interval ~confirm_depth
       ?instrument ~chains:(Plan.chain_names spec) (ids @ bg_ids) ()
   in
   Universe.run_until universe warmup;
@@ -312,8 +313,8 @@ let run_in_universe ?instrument ~spec ~plan ~protocol () =
     Diagnostic.errors
       (match profile with
       | Flow.Single_leader ->
-          Verify.herlihy_preflight ~graph ~delta
-            ~timelock_slack:single_leader_config.Herlihy.timelock_slack ~start_time
+          Verify.herlihy_preflight ~graph ~delta ~timelock_slack:Herlihy.timelock_slack
+            ~start_time
       | Flow.Witness -> Verify.ac3wn_preflight ~graph)
   in
   Inject.install ~universe ~participants plan;

@@ -57,9 +57,6 @@ val unexplained : report -> bool
 (** Virtual time the universe warms up before the protocol starts. *)
 val warmup : float
 
-(** Simulation horizon handed to each protocol's [timeout]. *)
-val protocol_timeout : float
-
 (** The plan's protocol parties: the first [spec.parties] members of
     the fixed cast [chaos:alice], [chaos:bob], ..., the same names and
     public keys for every plan, each with a full, unconsumed signature

@@ -41,8 +41,6 @@ let create ~edges ~timestamp =
 
 let edges t = t.edges
 
-let timestamp t = t.timestamp
-
 (* Participants in first-appearance order, without duplicates. *)
 let participants t =
   List.fold_left

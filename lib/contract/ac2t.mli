@@ -22,17 +22,11 @@ val create : edges:edge list -> timestamp:float -> t
 
 val edges : t -> edge list
 
-val timestamp : t -> float
-
 (** Participants in first-appearance order. *)
 val participants : t -> Keys.public list
 
 (** Sorted distinct chain ids touched by the transaction. *)
 val chains : t -> string list
-
-val encode : Ac3_crypto.Codec.Writer.t -> t -> unit
-
-val decode : Ac3_crypto.Codec.Reader.t -> t
 
 (** Canonical signed bytes: (D, t) of Equation 1. *)
 val to_bytes : t -> string

@@ -12,8 +12,6 @@ open Ac3_chain
 
 let code_id = "ac3tw-swap"
 
-let econ = Econ.swap ~code_id
-
 (* The message Trent signs for a decision on ms(D). *)
 let decision_message ~ms_id decision =
   let w = Codec.Writer.create () in

@@ -18,7 +18,3 @@ val args : recipient_pk:Keys.public -> ms_id:string -> trent_pk:Keys.public -> V
 
 (** Wrap Trent's signature as redeem/refund call arguments. *)
 val secret_args : Keys.signature -> Value.t
-
-(** Declared value semantics (Algorithm 1: full-deposit escrow,
-    conserving redeem/refund). *)
-val econ : Econ.t

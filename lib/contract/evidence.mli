@@ -15,10 +15,6 @@ type t = {
   tx_proof : Merkle.proof;
 }
 
-val encode : Ac3_crypto.Codec.Writer.t -> t -> unit
-
-val decode : Ac3_crypto.Codec.Reader.t -> t
-
 (** Embed in / extract from contract argument values. *)
 val to_value : t -> Value.t
 

@@ -81,6 +81,8 @@ end
 
 module Code = Swap_template.Make (Commitment)
 
+(* Scheme arguments: the (SCw, d) binding plus the stable witness-chain
+   checkpoint header used to validate decision evidence. *)
 let scheme_args ~witness_chain ~scw ~depth ~witness_checkpoint =
   Value.record
     [

@@ -19,11 +19,6 @@ val authorize_refund_fn : string
 
 module Code : Contract_iface.CODE
 
-(** Scheme arguments: the (SCw, d) binding plus the stable witness-chain
-    checkpoint header used to validate decision evidence. *)
-val scheme_args :
-  witness_chain:string -> scw:string -> depth:int -> witness_checkpoint:Block.header -> Value.t
-
 (** Full constructor arguments (recipient + scheme). *)
 val args :
   recipient_pk:Keys.public ->

@@ -9,12 +9,6 @@
 
 open Ac3_chain
 
-val status_published : Value.t
-
-val status_redeemed : Value.t
-
-val status_refunded : Value.t
-
 module type COMMITMENT = sig
   (** Code id registered on the chain. *)
   val code_id : string
@@ -33,8 +27,6 @@ module type COMMITMENT = sig
 end
 
 (** State accessors shared by protocol drivers and tests. *)
-
-val get_status : Value.t -> (Value.t, string) result
 
 val get_recipient_pk : Value.t -> (string, string) result
 

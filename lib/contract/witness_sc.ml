@@ -19,17 +19,6 @@ open Ac3_chain
 
 let code_id = "ac3wn-witness"
 
-(* SCw holds no asset: it coordinates the decision, the per-edge
-   contracts escrow the deposits. *)
-let econ =
-  {
-    (Econ.swap ~code_id) with
-    Econ.locks_deposit = false;
-    redeemable = false;
-    refundable = false;
-    payout_num = 0;
-  }
-
 let status_published = Value.Tagged ("P", Value.Unit)
 
 let status_redeem_authorized = Value.Tagged ("RDauth", Value.Unit)

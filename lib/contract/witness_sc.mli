@@ -27,20 +27,10 @@ val args :
   evidence_depth:int ->
   Value.t
 
-val get_status : Value.t -> (Value.t, string) result
-
 val state_is : Value.t -> Value.t -> bool
-
-val get_graph : Value.t -> (Ac2t.t, string) result
-
-val get_evidence_depth : Value.t -> (int, string) result
 
 (** The checkpoint header SCw stores for a chain; participants build
     their evidence bundles against it. *)
 val checkpoint_for : Value.t -> string -> (Block.header, string) result
 
 module Code : Contract_iface.CODE
-
-(** Declared value semantics: SCw escrows nothing and pays nothing;
-    deposits live in the per-edge contracts. *)
-val econ : Econ.t

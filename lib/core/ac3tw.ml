@@ -87,14 +87,16 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
   Trent.register trent ~graph ~ms
   |> Result.map (fun ms_id ->
          let s = { trent; ms_id; signed = None } in
-         Driver.execute ~timeout:config.timeout
-           (Driver.launch universe ~graph ~participants ~hooks:[]
-              ~poll_interval:config.poll_interval ~abort_after
-              {
-                Driver.name = "ac3tw";
-                phases = Driver.edge_phases;
-                step = step s;
-                aborted = (fun _ -> decision s = Protocol.Abort);
-                abortable = (fun _ -> decision s = Protocol.Undecided);
-                observe = ignore;
-              }))
+         let h =
+           Driver.launch universe ~graph ~participants ~hooks:[] ~poll_interval:config.poll_interval
+             ~abort_after
+             {
+               Driver.name = "ac3tw";
+               phases = Driver.edge_phases;
+               step = step s;
+               aborted = (fun _ -> decision s = Protocol.Abort);
+               abortable = (fun _ -> decision s = Protocol.Undecided);
+               observe = ignore;
+             }
+         in
+         List.hd (Driver.execute ~timeout:config.timeout [ h ]))

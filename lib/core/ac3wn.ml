@@ -368,4 +368,4 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
    run settles (or the timeout), {!Driver.finish}. *)
 let execute universe ~config ~graph ~participants ?hooks ?abort_after () =
   launch universe ~config ~graph ~participants ?hooks ?abort_after ()
-  |> Result.map (Driver.execute ~timeout:config.timeout)
+  |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.timeout [ h ]))

@@ -273,6 +273,18 @@ let finish h =
     fees = run.fees;
   }
 
-let execute ~timeout h =
-  let _finished : bool = Universe.run_while h.run.universe ~timeout (fun () -> settled h) in
-  finish h
+let execute ~timeout = function
+  | [] -> []
+  | h0 :: _ as handles ->
+      (* Each run is finished the moment it settles, so its latency is
+         its own, not the slowest one's. *)
+      let results = Array.make (List.length handles) None in
+      let finish_settled i h =
+        if Option.is_none results.(i) && settled h then results.(i) <- Some (finish h)
+      in
+      let all_finished () =
+        List.iteri finish_settled handles;
+        Array.for_all Option.is_some results
+      in
+      ignore (Universe.run_while h0.run.universe ~timeout all_finished : bool);
+      List.mapi (fun i h -> match results.(i) with Some r -> r | None -> finish h) handles

@@ -166,6 +166,8 @@ val settled : handle -> bool
     finish the run as soon as {!settled} holds, as {!execute} does. *)
 val finish : handle -> result
 
-(** Run the universe until the run settles (or [timeout]), then
-    {!finish}. *)
-val execute : timeout:float -> handle -> result
+(** Drive the universe of [handles] (all launched on one universe)
+    for up to [timeout] virtual seconds, {!finish}ing each run the
+    moment it is {!settled} and the rest when the timeout expires;
+    the results are in [handles] order. *)
+val execute : timeout:float -> handle list -> result list

@@ -576,21 +576,7 @@ let scalability () =
             ()
           |> get)
     in
-    (* Each AC2T is finished the moment it settles, so its latency is
-       its own, not the slowest one's. *)
-    let finished = Array.make k None in
-    let all_settled () =
-      List.iteri
-        (fun i h ->
-          if Option.is_none finished.(i) && Driver.settled h then
-            finished.(i) <- Some (Driver.finish h))
-        handles;
-      Array.for_all Option.is_some finished
-    in
-    ignore (Universe.run_while u ~timeout:ac3wn_config.Ac3wn.timeout all_settled : bool);
-    let results =
-      List.mapi (fun i h -> match finished.(i) with Some r -> r | None -> Driver.finish h) handles
-    in
+    let results = Driver.execute ~timeout:ac3wn_config.Ac3wn.timeout handles in
     let latencies =
       List.filter_map (fun (r : Ac3wn.result) -> Option.map (fun l -> l /. delta) r.Ac3wn.latency) results
     in

@@ -34,13 +34,13 @@ type handle = Driver.handle
 
 type config = {
   delta : float; (* Δ: the timelock unit (publish + public recognition) *)
-  timelock_slack : float; (* extra Δs of margin on every timelock *)
   poll_interval : float;
   timeout : float;
 }
 
-let default_config ~delta =
-  { delta; timelock_slack = 2.0; poll_interval = 2.0; timeout = 10_000.0 }
+let timelock_slack = 2.0
+
+let default_config ~delta = { delta; poll_interval = 2.0; timeout = 10_000.0 }
 
 type state = {
   leader : Keys.public;
@@ -125,7 +125,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "her
      deployed later expire sooner, so everyone who acts on time can
      redeem before their own lock expires. [assign] refuses graphs a
      single leader cannot execute (Sec 5.3). *)
-  Ac3_verify.Timelock.assign ~graph ~delta:config.delta ~timelock_slack:config.timelock_slack
+  Ac3_verify.Timelock.assign ~graph ~delta:config.delta ~timelock_slack
     ~start_time:(Universe.now universe)
   |> Result.map (fun assignment ->
        let leader = List.hd (Ac2t.participants graph) in
@@ -158,4 +158,4 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "her
 
 let execute universe ~config ~graph ~participants ?hooks ?obs_name () =
   launch universe ~config ~graph ~participants ?hooks ?obs_name ()
-  |> Result.map (Driver.execute ~timeout:config.timeout)
+  |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.timeout [ h ]))

@@ -18,10 +18,12 @@ type handle = Driver.handle
 
 type config = {
   delta : float;  (** Δ: the timelock unit *)
-  timelock_slack : float;  (** extra Δs of margin on every timelock *)
   poll_interval : float;
   timeout : float;
 }
+
+(** Extra Δs of margin on every timelock. *)
+val timelock_slack : float
 
 val default_config : delta:float -> config
 

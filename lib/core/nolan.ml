@@ -13,8 +13,6 @@ module Ac2t = Ac3_contract.Ac2t
 
 type config = Herlihy.config
 
-let default_config = Herlihy.default_config
-
 type result = Herlihy.result
 
 type handle = Herlihy.handle
@@ -28,4 +26,4 @@ let launch universe ~config ~graph ~participants ?hooks () =
 
 let execute universe ~config ~graph ~participants ?hooks () =
   launch universe ~config ~graph ~participants ?hooks ()
-  |> Result.map (Driver.execute ~timeout:config.Herlihy.timeout)
+  |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.Herlihy.timeout [ h ]))

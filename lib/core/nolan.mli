@@ -4,8 +4,6 @@
 
 type config = Herlihy.config
 
-val default_config : delta:float -> config
-
 type result = Herlihy.result
 
 type handle = Herlihy.handle

@@ -15,14 +15,7 @@ type t = {
   universe : Universe.t;
 }
 
-let create universe ~identity ~chains =
-  let wallets =
-    List.map
-      (fun chain_id ->
-        (chain_id, Wallet.create ~identity ~node:(Universe.gateway universe chain_id)))
-      chains
-  in
-  { identity; wallets; crashed = false; universe }
+let create universe ~identity = { identity; wallets = []; crashed = false; universe }
 
 let identity t = t.identity
 
@@ -44,9 +37,6 @@ let wallet t chain_id =
   match find_wallet chain_id t.wallets with
   | w -> w
   | exception Not_found ->
-      (* Lazily attach a wallet when a protocol needs the participant on a
-         chain it was not pre-registered for (e.g. to redeem an incoming
-         edge). *)
       let w = Wallet.create ~identity:t.identity ~node:(Universe.gateway t.universe chain_id) in
       t.wallets <- (chain_id, w) :: t.wallets;
       w

@@ -6,7 +6,7 @@ open Ac3_chain
 
 type t
 
-val create : Universe.t -> identity:Keys.t -> chains:string list -> t
+val create : Universe.t -> identity:Keys.t -> t
 
 val identity : t -> Keys.t
 
@@ -20,7 +20,7 @@ val crash : t -> unit
 
 val recover : t -> unit
 
-(** Wallet on a chain (attached lazily if missing). *)
+(** Wallet on a chain, attached on first use. *)
 val wallet : t -> string -> Wallet.t
 
 val balance_on : t -> string -> Amount.t

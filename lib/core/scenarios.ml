@@ -9,6 +9,7 @@ module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 open Ac3_chain
 
+(* Genesis funding per identity per chain. *)
 let funding = Amount.of_int 50_000_000
 
 (* Identities for up to [n] participants: alice, bob, carol, dave, ... *)
@@ -36,7 +37,7 @@ let chain_params ?(block_interval = 10.0) ?(confirm_depth = 4) ?(regular_blocks 
 
 (* Build a universe with [chains] asset chains plus a witness chain, all
    funding every listed identity. Returns (universe, participants). *)
-let make_universe ?(seed = 7) ?(block_interval = 10.0) ?(confirm_depth = 4) ?(nodes = 2)
+let make_universe ?(seed = 7) ?(block_interval = 10.0) ?(confirm_depth = 4)
     ?(regular_blocks = false) ?instrument ~chains ids () =
   let u = Universe.create ~seed ?instrument () in
   let premine = List.map (fun id -> (Keys.address id, funding)) ids in
@@ -44,13 +45,10 @@ let make_universe ?(seed = 7) ?(block_interval = 10.0) ?(confirm_depth = 4) ?(no
   List.iter
     (fun name ->
       ignore
-        (Universe.add_chain ~nodes u
+        (Universe.add_chain ~nodes:2 u
            (chain_params ~block_interval ~confirm_depth ~regular_blocks ~premine name)))
     all_chains;
-  let participants =
-    List.map (fun id -> Participant.create u ~identity:id ~chains:all_chains) ids
-  in
-  (u, participants)
+  (u, List.map (fun id -> Participant.create u ~identity:id) ids)
 
 (* --- Graphs -------------------------------------------------------------- *)
 

@@ -5,9 +5,6 @@ module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 open Ac3_chain
 
-(** Genesis funding per identity per chain. *)
-val funding : Amount.t
-
 (** Size of the identity pool: {!identities} refuses a larger [n]. *)
 val max_identities : int
 
@@ -28,12 +25,11 @@ val chain_params :
 
 (** Universe with the listed asset chains plus a "witness" chain, every
     chain premining funds for every identity. Returns the universe and
-    one participant per identity (registered on all chains). *)
+    one participant per identity. *)
 val make_universe :
   ?seed:int ->
   ?block_interval:float ->
   ?confirm_depth:int ->
-  ?nodes:int ->
   ?regular_blocks:bool ->
   ?instrument:bool ->
   chains:string list ->

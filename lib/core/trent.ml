@@ -39,8 +39,6 @@ let public t = Keys.public t.identity
 
 let crash t = t.available <- false
 
-let recover t = t.available <- true
-
 (* Register a multisigned graph; refuses duplicates and invalid
    multisignatures. *)
 let register t ~graph ~ms =

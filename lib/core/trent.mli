@@ -18,8 +18,6 @@ val public : t -> Keys.public
     and undecided transactions stay locked. *)
 val crash : t -> unit
 
-val recover : t -> unit
-
 (** Register a multisigned graph; rejects duplicates and invalid
     multisignatures. Returns the store key (the multisignature id). *)
 val register : t -> graph:Ac2t.t -> ms:Multisig.t -> (string, string) result

@@ -45,8 +45,6 @@ let create ?(seed = 1) ?(instrument = true) () =
 
 let engine t = t.engine
 
-let rng t = t.rng
-
 let trace t = t.trace
 
 let obs t = t.obs

@@ -20,8 +20,6 @@ val create : ?seed:int -> ?instrument:bool -> unit -> t
 
 val engine : t -> Ac3_sim.Engine.t
 
-val rng : t -> Ac3_sim.Rng.t
-
 (** The universe's own log: the faults injected into it. *)
 val trace : t -> Ac3_flow.Protocol.event Ac3_sim.Trace.t
 

@@ -44,8 +44,6 @@ module Reader : sig
 
   val create : string -> t
 
-  val remaining : t -> int
-
   val u8 : t -> int
 
   val u16 : t -> int

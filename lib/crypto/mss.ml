@@ -101,9 +101,6 @@ let verify pk msg { leaf_index; wots_sig; auth_path } =
         auth_path;
       String.equal !h pk
 
-let signature_size { wots_sig; auth_path; _ } =
-  8 + Wots.signature_size wots_sig + (32 * Array.length auth_path)
-
 let encode_signature w s =
   Codec.Writer.u32 w s.leaf_index;
   Wots.encode_signature w s.wots_sig;

@@ -28,8 +28,6 @@ val sign : secret -> string -> signature
 
 val verify : public -> string -> signature -> bool
 
-val signature_size : signature -> int
-
 val encode_signature : Codec.Writer.t -> signature -> unit
 
 val decode_signature : Codec.Reader.t -> signature

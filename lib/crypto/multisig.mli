@@ -18,10 +18,6 @@ val verify : expected_signers:Keys.public list -> t -> bool
 (** Digest identifying the multisignature (witness-store key). *)
 val id : t -> string
 
-val encode : Codec.Writer.t -> t -> unit
-
-val decode : Codec.Reader.t -> t
-
 val to_bytes : t -> string
 
 (** Raises {!Codec.Decode_error} on malformed input. *)

@@ -55,14 +55,6 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.total <- 0
 
-let copy ctx =
-  let c = init () in
-  Array.blit ctx.h 0 c.h 0 8;
-  Bytes.blit ctx.buf 0 c.buf 0 64;
-  c.buf_len <- ctx.buf_len;
-  c.total <- ctx.total;
-  c
-
 let midstate ctx =
   if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: partial block buffered";
   Array.copy ctx.h

@@ -23,10 +23,6 @@ val feed_string : ctx -> string -> unit
     spent unless you explicitly restore it. *)
 val finalize : ctx -> string
 
-(** Independent copy of a context — capture a midstate once, replay it
-    many times (HMAC key pads, fixed message prefixes). *)
-val copy : ctx -> ctx
-
 (** H0..H7 of a context fed a whole number of blocks (an HMAC pad
     midstate, say), as the lane kernels take a starting state. Raises
     [Invalid_argument] if a partial block is buffered. *)

@@ -174,9 +174,6 @@ let verify ~tag pk msg signature =
   | Some pk' -> String.equal pk pk'
   | None -> false
 
-let signature_size signature =
-  Array.fold_left (fun acc s -> acc + String.length s) 0 signature
-
 let encode_signature w_ (s : signature) =
   Codec.Writer.u16 w_ (Array.length s);
   Array.iter (Codec.Writer.fixed w_ ~len:32) s

@@ -10,9 +10,6 @@ type public = string
 
 type signature = string array
 
-(** Number of hash chains in a signature (67 for w = 16). *)
-val num_chains : int
-
 (** Deterministic key from [seed], domain-separated by [tag]. *)
 val generate : seed:string -> tag:string -> secret
 
@@ -31,8 +28,6 @@ val verify : tag:string -> public -> string -> signature -> bool
 (** Public key implied by a signature on [msg]; [None] if malformed.
     Used by MSS to recompute leaf values. *)
 val public_from_signature : tag:string -> string -> signature -> public option
-
-val signature_size : signature -> int
 
 val encode_signature : Codec.Writer.t -> signature -> unit
 

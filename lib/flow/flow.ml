@@ -371,6 +371,10 @@ let screen ?econ ?(profile = Witness) graph =
 
 (* --- checking concrete settlements -------------------------------------- *)
 
+(* Net per-(participant, chain) deltas of a concrete settlement, given
+   each edge's final status in graph edge order: a redeemed edge pays
+   its recipient and costs its sender; a published (locked) edge costs
+   its sender; refunded and unpublished edges move nothing. *)
 let settlement_deltas graph statuses =
   let edges = Ac2t.edges graph in
   if Array.length statuses <> List.length edges then

@@ -156,14 +156,6 @@ val screen : ?econ:Econ.t -> ?profile:profile -> Ac2t.t -> issue list
 
 (** {2 Checking concrete outcomes against the intervals} *)
 
-(** Net per-(participant, chain) deltas of a concrete settlement, given
-    each edge's final status in graph edge order: a redeemed edge pays
-    its recipient and costs its sender; a published (locked) edge costs
-    its sender; refunded and unpublished edges move nothing. Ordered
-    like {!exposure} lists. *)
-val settlement_deltas :
-  Ac2t.t -> Swap_template.status array -> ((Keys.public * string) * int64) list
-
 type violation = {
   v_pk : Keys.public;
   v_chain : string;

@@ -10,8 +10,6 @@
 
 type id = D001 | D002 | D003 | D004 | D005 | D006 | D007 | D008
 
-let all = [ D001; D002; D003; D004; D005; D006; D007; D008 ]
-
 let code = function
   | D001 -> "D001"
   | D002 -> "D002"

@@ -7,8 +7,6 @@
 
 type id = D001 | D002 | D003 | D004 | D005 | D006 | D007 | D008
 
-val all : id list
-
 (** ["D001"] — the form used in suppression directives. *)
 val code : id -> string
 

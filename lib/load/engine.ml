@@ -92,7 +92,6 @@ let phase_durations protocol trace =
 
 type live = {
   live_spec : Workload.spec;
-  launched_at : float;
   deadline_at : float;
   handle : Driver.handle;
 }
@@ -176,11 +175,10 @@ let run_universe ~seed (config : Workload.config) =
   let last_finish = ref 0.0 in
   let on_free = ref (fun () -> ()) in
   let finish_swap idx live ~by_deadline =
-    let now = Universe.now u in
     let pname = Protocol.name live.live_spec.Workload.protocol in
     let r = Driver.finish live.handle in
     let cls = classify ~by_deadline ~committed:r.Driver.committed ~outcome:r.Driver.outcome in
-    let latency = if by_deadline then None else Some (now -. live.launched_at) in
+    let latency = if by_deadline then None else r.Driver.latency in
     Metrics.incr (finished_c pname cls);
     (match latency with Some l -> Metrics.observe (latency_h pname) l | None -> ());
     let phases = phase_durations live.live_spec.Workload.protocol r.Driver.trace in
@@ -188,7 +186,7 @@ let run_universe ~seed (config : Workload.config) =
     active.(idx) <- None;
     decr active_count;
     incr accounted;
-    last_finish := now;
+    last_finish := Universe.now u;
     !on_free ()
   in
   let launch_spec (spec : Workload.spec) =
@@ -196,12 +194,11 @@ let run_universe ~seed (config : Workload.config) =
     if now < !first_launch then first_launch := now;
     incr launched;
     let ca = chain_name spec.chain_a and cb = chain_name spec.chain_b in
-    let swap_chains = [ ca; cb; Ac3wn.witness_chain ] in
     (* Fresh per-swap participants over shared identities: concurrent
        swaps of one user run sibling wallets whose coin selection is
        serialized by the mempool's spent-outpoint index. *)
-    let pa = Participant.create u ~identity:ids.(spec.user_a) ~chains:swap_chains in
-    let pb = Participant.create u ~identity:ids.(spec.user_b) ~chains:swap_chains in
+    let pa = Participant.create u ~identity:ids.(spec.user_a) in
+    let pb = Participant.create u ~identity:ids.(spec.user_b) in
     (* Per-swap amounts keep every graph distinct: Herlihy derives the
        swap secret from the graph bytes, so identical graphs would share
        hashlocks across concurrent swaps. *)
@@ -271,14 +268,7 @@ let run_universe ~seed (config : Workload.config) =
     in
     match launched with
     | Ok handle ->
-        active.(spec.index) <-
-          Some
-            {
-              live_spec = spec;
-              launched_at = now;
-              deadline_at = now +. config.deadline;
-              handle;
-            };
+        active.(spec.index) <- Some { live_spec = spec; deadline_at = now +. config.deadline; handle };
         incr active_count
     | Error _ ->
         Metrics.incr (finished_c pname Rejected);

@@ -18,8 +18,6 @@ type swap_class =
   | Non_atomic  (** settled mixed — an atomicity violation *)
   | Rejected  (** launch refused (bad graph / preflight) *)
 
-val class_name : swap_class -> string
-
 type swap_result = {
   spec : Workload.spec;
   cls : swap_class;

@@ -28,10 +28,6 @@ let create ~n ~s =
   cdf.(n - 1) <- 1.0;
   { n; s; cdf }
 
-let size t = t.n
-
-let exponent t = t.s
-
 (* P(rank = i). *)
 let prob t i =
   if i < 0 || i >= t.n then invalid_arg "Zipf.prob: rank out of range";

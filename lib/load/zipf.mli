@@ -8,10 +8,6 @@ type t
 (** Raises [Invalid_argument] when [n < 1] or [s < 0]. *)
 val create : n:int -> s:float -> t
 
-val size : t -> int
-
-val exponent : t -> float
-
 (** [prob t i] is [P(rank = i)]; strictly decreasing in [i] for
     [s > 0]. Raises [Invalid_argument] out of range. *)
 val prob : t -> int -> float

@@ -80,8 +80,6 @@ val enabled : model -> Global_state.t -> move list
     budget is spent and (for AC3WN) the witness has decided. *)
 val reduced : model -> Global_state.t -> move list * int
 
-val pp_edge : model -> Format.formatter -> int -> unit
-
 val pp_party : model -> Format.formatter -> int -> unit
 
 val pp_move : model -> Format.formatter -> move -> unit

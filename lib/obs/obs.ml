@@ -1,5 +1,3 @@
-module Json = Ac3_crypto.Codec.Json
-
 type t = { metrics : Metrics.t; spans : Span.t }
 
 let create ?(enabled = true) ~clock () =
@@ -8,6 +6,3 @@ let create ?(enabled = true) ~clock () =
 let is_enabled t = Metrics.is_enabled t.metrics
 
 let detach t = { t with spans = Span.detach t.spans }
-
-let to_json t =
-  Json.Obj [ ("metrics", Metrics.to_json t.metrics); ("trace", Span.to_json t.spans) ]

@@ -18,6 +18,3 @@ val is_enabled : t -> bool
     current reading ({!Span.detach}): a finished run's context no
     longer keeps its universe alive. *)
 val detach : t -> t
-
-(** [{"metrics": ..., "trace": ...}] — both parts schema-stable. *)
-val to_json : t -> Ac3_crypto.Codec.Json.t

@@ -24,8 +24,6 @@ type t = {
 
 let create ?(enabled = true) ~clock () = { clock; on = enabled; roots_rev = []; stack = [] }
 
-let is_enabled t = t.on
-
 (* A copy whose clock reads the original's current time for good: the
    spans and the open stack are the same, but the copy no longer
    reaches whatever the original clock closes over. *)

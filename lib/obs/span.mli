@@ -17,8 +17,6 @@ type span
 
 val create : ?enabled:bool -> clock:(unit -> float) -> unit -> t
 
-val is_enabled : t -> bool
-
 (** [detach t] is a recorder with [t]'s spans whose clock is frozen at
     [t]'s current time. It holds nothing [t]'s clock closes over (a
     universe's engine, say), so a finished run's recorder can outlive

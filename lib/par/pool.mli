@@ -63,13 +63,6 @@ val split_seed : root:int -> index:int -> int
     jobs-dependent by nature and not tracked. *)
 val stats : unit -> int * int
 
-(** Digest of [Marshal.to_string v [Closures]]; falls back to a
-    [Hashtbl.hash] tag for unmarshalable values (custom blocks). The
-    default [?fingerprint] of {!run} — override it when results contain
-    abstract state whose identity (not content) would differ between
-    runs, e.g. closures capturing fresh refs. *)
-val fingerprint : 'a -> string
-
 (** [fold ?jobs ~init ~merge tasks] executes every thunk and folds the
     results with [merge] in task order, starting from [init]. [merge]
     runs on the calling domain only, one result at a time, each as soon
@@ -94,7 +87,11 @@ val fingerprint : 'a -> string
     pool's determinism contract tasks are idempotent — they rebuild
     their world from their own seed — so the rerun is free of
     observable effects and any divergence means cross-task mutable
-    interference. *)
+    interference. [fingerprint] defaults to a digest of
+    [Marshal.to_string v [Closures]] (a [Hashtbl.hash] tag for
+    unmarshalable values); override it when results contain abstract
+    state whose identity, not content, would differ between runs, e.g.
+    closures capturing fresh refs. *)
 val fold :
   ?jobs:int ->
   ?sanitize:bool ->

@@ -9,10 +9,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let of_int64 seed = { state = seed }
-
-let copy t = { state = t.state }
-
 (* One SplitMix64 step: advance the state by the golden gamma and mix. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -50,8 +46,6 @@ let float t bound =
   if bound <= 0.0 then invalid_arg "Rng.float: bound must be positive";
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 *. bound (* 2^53 *)
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let bernoulli t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p

@@ -8,12 +8,6 @@ type t
 (** [create seed] returns a generator seeded with [seed]. *)
 val create : int -> t
 
-(** [of_int64 seed] seeds from a full 64-bit value. *)
-val of_int64 : int64 -> t
-
-(** [copy t] is an independent clone with the same state. *)
-val copy : t -> t
-
 (** [split t] derives a statistically independent generator and advances
     [t]. Give each simulated process its own stream via [split]. *)
 val split : t -> t
@@ -30,9 +24,6 @@ val int64 : t -> int64
 
 (** [float t bound] is uniform in [\[0, bound)]. *)
 val float : t -> float -> float
-
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
 
 (** [bernoulli t p] is [true] with probability [p]. *)
 val bernoulli : t -> float -> bool

@@ -83,6 +83,4 @@ let pp_severity ppf = function
 let pp ppf d =
   Fmt.pf ppf "%a[%s] %s: %s" pp_severity d.severity d.rule d.location d.message
 
-let pp_list ppf ds = Fmt.pf ppf "%a" (Fmt.list ~sep:Fmt.cut pp) ds
-
 let to_string d = Fmt.str "%a" pp d

@@ -31,8 +31,6 @@ val by_rule : string -> t list -> t list
     kept — they carry different facts. *)
 val dedupe : t list -> t list
 
-val severity_to_string : severity -> string
-
 (** Stable field order: severity, rule, location, message. *)
 val to_json : t -> Ac3_crypto.Codec.Json.t
 
@@ -50,11 +48,6 @@ val section_to_json :
     [ac3 check --json] and [ac3 lint --json]. *)
 val sections_to_json : (string * t list) list -> Ac3_crypto.Codec.Json.t
 
-val pp_severity : Format.formatter -> severity -> unit
-
 val pp : Format.formatter -> t -> unit
-
-(** One diagnostic per line. *)
-val pp_list : Format.formatter -> t list -> unit
 
 val to_string : t -> string

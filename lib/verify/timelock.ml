@@ -114,6 +114,8 @@ let pp_path ppf (path : Ac2t.edge list) =
         (short e.Ac2t.to_pk) e.Ac2t.chain)
     ppf path
 
+(* Check the ordering invariant of an assignment against the
+   propagation model. *)
 let check ~graph ~delta ~start_time assignments =
   if delta <= 0.0 then
     [

@@ -47,11 +47,8 @@ val assign :
   start_time:float ->
   (assignment list, string) result
 
-(** Check the ordering invariant of an arbitrary assignment (not
-    necessarily [assign]'s) against the propagation model. *)
-val check : graph:Ac2t.t -> delta:float -> start_time:float -> assignment list -> Diagnostic.t list
-
-(** [assign] followed by [check]; assignment failures become
+(** [assign], then a check of the assignment's ordering invariant
+    against the propagation model; assignment failures become
     [T000-not-executable]. *)
 val verify :
   graph:Ac2t.t ->

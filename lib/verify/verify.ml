@@ -21,5 +21,3 @@ let ac3wn_preflight ~graph =
   Diagnostic.dedupe
     (Graph_lint.lint ~profile:Flow.Witness graph
     @ Flow_lint.lint ~fault_budget:0 ~profile:Flow.Witness graph)
-
-let render ds = Fmt.str "%a" Diagnostic.pp_list ds

@@ -25,6 +25,3 @@ val herlihy_preflight :
     AC3WN has no timelocks, so well-formedness and economics are the
     whole static obligation. Deduplicated. *)
 val ac3wn_preflight : graph:Ac2t.t -> Diagnostic.t list
-
-(** Multi-line rendering for error messages and CLI output. *)
-val render : Diagnostic.t list -> string

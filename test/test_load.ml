@@ -230,6 +230,52 @@ let test_engine_non_atomic_never_ac3wn () =
   let summary = Engine.sweep ~jobs:1 ~seed:5 ~runs:2 engine_config in
   List.iter check_report summary.Engine.reports
 
+(* A preimage revealed by a redeem is public on its chain, but the load
+   report, its metrics and its spans must never print one, raw or as a
+   short hex prefix (SNIPPETS.md Snippet 2's logging rule). *)
+let test_engine_reports_leak_no_preimage () =
+  let report, u = Engine.run_universe ~seed:5 engine_config in
+  let preimages =
+    let open Ac3_chain in
+    List.concat_map
+      (fun (id, _) ->
+        let store = Node.store (Ac3_core.Universe.gateway u id) in
+        List.concat_map
+          (fun h ->
+            match Store.block_at_height store h with
+            | None -> []
+            | Some b ->
+                List.filter_map
+                  (fun (tx : Tx.t) ->
+                    match tx.payload with
+                    | Tx.Call { fn = "redeem"; args = Value.Bytes s; _ } when String.length s = 32 ->
+                        Some s
+                    | _ -> None)
+                  b.Block.txs)
+          (List.init (Store.tip_height store + 1) Fun.id))
+      (Ac3_core.Universe.chains u)
+  in
+  Alcotest.(check bool) "some preimage revealed on chain" true (preimages <> []);
+  let obs = Ac3_core.Universe.obs u in
+  let outputs =
+    [
+      ("report", Engine.render report);
+      ("metrics", metrics_fingerprint obs);
+      ("spans", Json.to_string (Ac3_obs.Span.to_json obs.Obs.spans));
+    ]
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (where, text) ->
+          List.iter
+            (fun needle ->
+              Alcotest.(check bool) ("no preimage in " ^ where) false
+                (Astring.String.is_infix ~affix:needle text))
+            [ s; Ac3_crypto.Hex.short ~n:8 s ])
+        outputs)
+    preimages
+
 let test_engine_sweep_jobs_byte_identical () =
   let sweep jobs = Engine.sweep ~jobs ~sanitize:(jobs = 4) ~seed:9 ~runs:2 engine_config in
   let s1 = sweep 1 in
@@ -267,6 +313,7 @@ let () =
             test_engine_seed_replay_deterministic;
           Alcotest.test_case "value is conserved" `Slow test_engine_conserves_value;
           Alcotest.test_case "non-atomic never ac3wn" `Slow test_engine_non_atomic_never_ac3wn;
+          Alcotest.test_case "reports leak no preimage" `Slow test_engine_reports_leak_no_preimage;
           Alcotest.test_case "sweep byte-identical across jobs" `Slow
             test_engine_sweep_jobs_byte_identical;
         ] );

@@ -359,7 +359,7 @@ let qcheck_static_matches_dynamic =
       let static_ok =
         not
           (D.has_errors
-             (V.herlihy_preflight ~graph ~delta ~timelock_slack:config.H.timelock_slack
+             (V.herlihy_preflight ~graph ~delta ~timelock_slack:H.timelock_slack
                 ~start_time:(U.now u)))
       in
       let dynamic_ok =
