@@ -218,7 +218,7 @@ let describe ~scenario ~parties =
       {
         n_parties = 2;
         chain_names = [ "btc"; "eth" ];
-        build = S.two_party_graph ~chain1:"btc" ~chain2:"eth";
+        build = (fun ids -> S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids);
       }
   | Ring ->
       let n = max 2 parties in

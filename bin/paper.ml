@@ -9,6 +9,7 @@
    perfbench/ (see BENCHMARK.json), not here. *)
 
 module E = Ac3_core.Experiment
+module S = Ac3_core.Scenarios
 module Analysis = Ac3_core.Analysis
 module Attack = Ac3_core.Attack
 module Ac2t = Ac3_contract.Ac2t
@@ -209,7 +210,8 @@ let depth_latency () =
   section "A2 / ablation — decision depth d vs AC3WN latency";
   Fmt.pr "Sec 6.3 chooses d for safety; this is what each choice costs: the@.";
   Fmt.pr "commit decision must be buried under d witness blocks before anyone@.";
-  Fmt.pr "redeems, so latency grows with d (1 Δ = %d blocks here).@.@." E.confirm_depth;
+  Fmt.pr "redeems, so latency grows with d (1 Δ = %d blocks here).@.@."
+    S.fast_chain.confirm_depth;
   Fmt.pr "   d | committed | latency (Δ)@.";
   Fmt.pr "  ---+-----------+------------@.";
   List.iter
@@ -237,7 +239,7 @@ let models () =
 let print () =
   Fmt.pr "AC3WN reproduction: the paper's evaluation (Sec 6), seeded and deterministic.@.";
   Fmt.pr "Δ = %.0f virtual seconds (confirm depth %d x %.0f s blocks) in protocol runs.@."
-    E.delta E.confirm_depth E.block_interval;
+    E.delta S.fast_chain.confirm_depth S.fast_chain.block_interval;
   fig8_fig9 ();
   fig10 ();
   cost ();

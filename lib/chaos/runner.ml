@@ -88,10 +88,6 @@ let unexplained r =
 (* ------------------------------------------------------------------ *)
 (* Universe and graph construction *)
 
-let block_interval = 5.0
-
-let confirm_depth = 3
-
 let warmup = 60.0
 
 (* Simulation horizon handed to each protocol's [timeout]. *)
@@ -146,11 +142,9 @@ let cast_ns = "chaos"
 
 let plan_identities spec = Scenarios.identities ~ns:cast_ns spec.Plan.parties
 
-(* Every chain of a chaos universe, the witness chain included, gets
-   these parameters, so their Δ is the universe's [max_delta]. *)
-let delta =
-  Ac3_chain.Params.delta
-    (Scenarios.chain_params ~block_interval ~confirm_depth ~premine:[] Ac3wn.witness_chain)
+(* Every chain of a chaos universe, the witness chain included, copies
+   [Scenarios.fast_chain], so this is the universe's [max_delta]. *)
+let delta = Ac3_chain.Params.delta Scenarios.fast_chain
 
 (* [protocol] selects nothing: every protocol of a plan gets the same
    parties and the same universe. *)
@@ -165,8 +159,8 @@ let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
       (fun k -> Keys.create (Printf.sprintf "%s:bg%d" cast_ns k))
   in
   let universe, participants =
-    Scenarios.make_universe ~seed:spec.Plan.seed ~block_interval ~confirm_depth
-      ?instrument ~chains:(Plan.chain_names spec) (ids @ bg_ids) ()
+    Scenarios.make_universe ~seed:spec.Plan.seed ?instrument ~chain:Scenarios.fast_chain
+      ~chains:(Plan.chain_names spec) (ids @ bg_ids) ()
   in
   Universe.run_until universe warmup;
   let main = List.filteri (fun i _ -> i < spec.Plan.parties) participants in
@@ -194,22 +188,8 @@ let launch_background ~universe ~spec ~bg =
       let pa = bg.(2 * k) and pb = bg.((2 * k) + 1) in
       let ca = chains.(k mod nch) and cb = chains.((k + 1) mod nch) in
       let graph =
-        Ac2t.create
-          ~edges:
-            [
-              {
-                Ac2t.from_pk = Ac3_core.Participant.public pa;
-                to_pk = Ac3_core.Participant.public pb;
-                amount = Amount.of_int (30_000 + k);
-                chain = ca;
-              };
-              {
-                Ac2t.from_pk = Ac3_core.Participant.public pb;
-                to_pk = Ac3_core.Participant.public pa;
-                amount = Amount.of_int (40_000 + k);
-                chain = cb;
-              };
-            ]
+        Scenarios.two_party_graph ~offset:(20_000 + k) ~chain1:ca ~chain2:cb
+          [ Ac3_core.Participant.identity pa; Ac3_core.Participant.identity pb ]
           ~timestamp:now
       in
       match Nolan.launch universe ~config ~graph ~participants:[ pa; pb ] () with

@@ -67,8 +67,8 @@ val warmup : float
 val plan_identities : Plan.spec -> Ac3_crypto.Keys.t list
 
 (** Δ of every chain in a chaos universe ({!Ac3_chain.Params.delta} of
-    the parameters {!build_universe} fixes): the universe's
-    [max_delta], known without building one. *)
+    {!Ac3_core.Scenarios.fast_chain}, which {!build_universe} copies):
+    the universe's [max_delta], known without building one. *)
 val delta : float
 
 (** Returns (universe, protocol participants, their identities —

@@ -13,11 +13,7 @@ open Ac3_chain
 
 (* Chains used by the latency/cost experiments: uniform Δ across chains,
    as in the paper's analysis. *)
-let block_interval = 5.0
-
-let confirm_depth = 3
-
-let delta = float_of_int confirm_depth *. block_interval
+let delta = Params.delta Scenarios.fast_chain
 
 (* Every run below but Fig 7's Herlihy uses a graph its protocol always
    accepts, so a refusal is a harness bug. *)
@@ -26,15 +22,15 @@ let get = function Ok r -> r | Error e -> failwith e
 let ac3wn_config =
   {
     Ac3wn.default_config with
-    Ac3wn.decision_depth = confirm_depth;
+    Ac3wn.decision_depth = Scenarios.fast_chain.confirm_depth;
     timeout = 30_000.0;
   }
 
 (* Every experiment starts here: the experiment chains plus the witness
    chain, funding [ids] on all of them, mined for 60 s. *)
-let warm_universe ~seed ?regular_blocks ~chains ids =
+let warm_universe ~seed ?(regular_blocks = false) ~chains ids =
   let u, participants =
-    Scenarios.make_universe ~seed ~block_interval ~confirm_depth ?regular_blocks ~chains ids ()
+    Scenarios.make_universe ~seed ~chain:{ Scenarios.fast_chain with regular_blocks } ~chains ids ()
   in
   Universe.run_until u 60.0;
   (u, participants)
@@ -550,15 +546,16 @@ type scalability_row = {
 let scalability () =
   let run ~k ~shared_witness seed =
     (* Chains: 2 asset chains per AC2T plus, unless shared, one witness
-       chain each (the universe's own witness chain then sits idle).
-       AC2T i is between identities 2i and 2i+1. *)
+       chain each. AC2T 0's is the universe's own witness chain, so no
+       chain is mined without an AC2T on it. AC2T i is between
+       identities 2i and 2i+1. *)
     let asset c i = Printf.sprintf "%c%d" c i in
     let witness_of i =
-      if shared_witness then Ac3wn.witness_chain else Printf.sprintf "witness%d" i
+      if shared_witness || i = 0 then Ac3wn.witness_chain else Printf.sprintf "witness%d" i
     in
     let chains =
       List.concat (List.init k (fun i -> [ asset 'a' i; asset 'b' i ]))
-      @ if shared_witness then [] else List.init k witness_of
+      @ if shared_witness then [] else List.init (k - 1) (fun i -> witness_of (i + 1))
     in
     let ids = Array.of_list (Scenarios.identities ~ns:(Printf.sprintf "scal%d" seed) (2 * k)) in
     let u, participants = warm_universe ~seed ~regular_blocks:true ~chains (Array.to_list ids) in

@@ -6,13 +6,8 @@
 
 module Ac2t = Ac3_contract.Ac2t
 
-(** Block interval of the experiment chains (virtual seconds). *)
-val block_interval : float
-
-(** Confirmation depth of the experiment chains. *)
-val confirm_depth : int
-
-(** Δ = confirm_depth x block_interval. *)
+(** Δ of the experiment chains, {!Scenarios.fast_chain}: confirmation
+    depth x block interval. *)
 val delta : float
 
 (** AC3WN configuration shared by the protocol experiments. *)

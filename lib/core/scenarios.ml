@@ -29,25 +29,24 @@ let identities ?(ns = "") n =
       let name = participant_names.(i) in
       Keys.create (if ns = "" then name else ns ^ ":" ^ name))
 
-(* A fast generic chain for protocol experiments. *)
-let chain_params ?(block_interval = 10.0) ?(confirm_depth = 4) ?(regular_blocks = false) ~premine
-    name =
-  Params.make name ~symbol:(String.uppercase_ascii name) ~block_interval ~pow_bits:8
-    ~block_capacity:100 ~confirm_depth ~premine ~regular_blocks
+(* Every universe's chains are copies of this template. *)
+let chain =
+  Params.make "template" ~block_interval:10.0 ~pow_bits:8 ~block_capacity:100 ~confirm_depth:4
 
-(* Build a universe with [chains] asset chains plus a witness chain, all
-   funding every listed identity. Returns (universe, participants). *)
-let make_universe ?(seed = 7) ?(block_interval = 10.0) ?(confirm_depth = 4)
-    ?(regular_blocks = false) ?instrument ~chains ids () =
+(* The chaos plans', paper tables' and tests' chains: Δ = 3 x 5 s. *)
+let fast_chain = { chain with block_interval = 5.0; confirm_depth = 3 }
+
+(* [chains] plus a witness chain, each a copy of [chain] on [nodes] nodes
+   funding every identity in [ids]. Returns (universe, participants). *)
+let make_universe ?(seed = 7) ?instrument ?(nodes = 2) ?(chain = chain) ~chains ids () =
   let u = Universe.create ~seed ?instrument () in
   let premine = List.map (fun id -> (Keys.address id, funding)) ids in
-  let all_chains = chains @ [ Ac3wn.witness_chain ] in
   List.iter
     (fun name ->
       ignore
-        (Universe.add_chain ~nodes:2 u
-           (chain_params ~block_interval ~confirm_depth ~regular_blocks ~premine name)))
-    all_chains;
+        (Universe.add_chain ~nodes u
+           { chain with chain_id = name; symbol = String.uppercase_ascii name; premine }))
+    (chains @ [ Ac3wn.witness_chain ]);
   (u, List.map (fun id -> Participant.create u ~identity:id) ids)
 
 (* --- Graphs -------------------------------------------------------------- *)
@@ -55,15 +54,17 @@ let make_universe ?(seed = 7) ?(block_interval = 10.0) ?(confirm_depth = 4)
 let amount_of i = Amount.of_int ((i + 1) * 10_000)
 
 (* The paper's running example (Figure 4): Alice swaps X on chain 1 for
-   Bob's Y on chain 2. *)
-let two_party_graph ~chain1 ~chain2 ids ~timestamp =
+   Bob's Y on chain 2. [offset] is added to both amounts, so concurrent
+   swaps between the same parties still have distinct graphs. *)
+let two_party_graph ?(offset = 0) ~chain1 ~chain2 ids ~timestamp =
+  let amount i = Amount.(amount_of i + of_int offset) in
   match ids with
   | [ a; b ] ->
       Ac2t.create
         ~edges:
           [
-            { Ac2t.from_pk = Keys.public a; to_pk = Keys.public b; amount = amount_of 0; chain = chain1 };
-            { Ac2t.from_pk = Keys.public b; to_pk = Keys.public a; amount = amount_of 1; chain = chain2 };
+            { Ac2t.from_pk = Keys.public a; to_pk = Keys.public b; amount = amount 0; chain = chain1 };
+            { Ac2t.from_pk = Keys.public b; to_pk = Keys.public a; amount = amount 1; chain = chain2 };
           ]
         ~timestamp
   | _ -> invalid_arg "two_party_graph: exactly two identities"

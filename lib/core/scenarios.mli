@@ -14,31 +14,33 @@ val max_identities : int
     stateless replicas, as byte-identical replay of a run needs. *)
 val identities : ?ns:string -> int -> Keys.t list
 
-(** Fast generic chain parameters for protocol experiments. *)
-val chain_params :
-  ?block_interval:float ->
-  ?confirm_depth:int ->
-  ?regular_blocks:bool ->
-  premine:(string * Amount.t) list ->
-  string ->
-  Params.t
+(** The chain template: 10 s Poisson blocks, depth 4, [pow_bits] 8, 100
+    transactions per block, signatures checked, no mempool bound.
+    {!make_universe} sets each copy's [chain_id], [symbol] and [premine]. *)
+val chain : Params.t
 
-(** Universe with the listed asset chains plus a "witness" chain, every
-    chain premining funds for every identity. Returns the universe and
-    one participant per identity. *)
+(** {!chain} at 5 s blocks and depth 3 (Δ = 15 s): the chains of the
+    chaos plans, the paper's tables and the tests. *)
+val fast_chain : Params.t
+
+(** Universe with the listed asset chains plus a "witness" chain, each a
+    copy of [chain] (default {!chain}) named after itself, with [nodes]
+    mining nodes (default 2), every chain premining funds for every
+    identity. Returns the universe and one participant per identity. *)
 val make_universe :
   ?seed:int ->
-  ?block_interval:float ->
-  ?confirm_depth:int ->
-  ?regular_blocks:bool ->
   ?instrument:bool ->
+  ?nodes:int ->
+  ?chain:Params.t ->
   chains:string list ->
   Keys.t list ->
   unit ->
   Universe.t * Participant.t list
 
-(** Figure 4: Alice pays on [chain1], Bob pays back on [chain2]. *)
-val two_party_graph : chain1:string -> chain2:string -> Keys.t list -> timestamp:float -> Ac2t.t
+(** Figure 4: Alice pays on [chain1], Bob pays back on [chain2]. Both
+    amounts are raised by [offset] (default 0). *)
+val two_party_graph :
+  ?offset:int -> chain1:string -> chain2:string -> Keys.t list -> timestamp:float -> Ac2t.t
 
 (** n-ring: i pays i+1 mod n, one chain per edge; Diam(D) = n. *)
 val ring_graph : chains:string list -> Keys.t list -> timestamp:float -> Ac2t.t

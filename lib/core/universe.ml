@@ -59,11 +59,11 @@ let record t ?attrs event = Trace.record t.trace ~time:(now t) ?attrs event
 
 (* Spin up a chain: [nodes] full nodes on a fresh network, each mining an
    equal share of the chain's hash power. *)
-let add_chain ?(nodes = 3) ?(min_delay = 0.05) ?(max_delay = 0.5) t params =
+let add_chain ~nodes t params =
   let id = params.Params.chain_id in
   if List.exists (fun (id', _) -> String.equal id' id) t.chains then
     invalid_arg (Printf.sprintf "Universe: duplicate chain %s" id);
-  let network = Network.create ~min_delay ~max_delay ~engine:t.engine ~rng:(Rng.split t.rng) () in
+  let network = Network.create ~engine:t.engine ~rng:(Rng.split t.rng) () in
   let node_arr =
     Array.init nodes (fun i ->
         Node.create ~engine:t.engine ~network ~params ~registry:t.registry

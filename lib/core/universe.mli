@@ -43,7 +43,7 @@ val record : t -> ?attrs:(string * string) list -> Ac3_flow.Protocol.event -> un
 
 (** Spin up a chain with [nodes] mining full nodes on a fresh gossip
     network. *)
-val add_chain : ?nodes:int -> ?min_delay:float -> ?max_delay:float -> t -> Params.t -> chain
+val add_chain : nodes:int -> t -> Params.t -> chain
 
 (** Raises [Invalid_argument] for unknown ids. *)
 val chain : t -> string -> chain

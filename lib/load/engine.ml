@@ -25,12 +25,12 @@ module Metrics = Ac3_obs.Metrics
 module Span = Ac3_obs.Span
 module Keys = Ac3_crypto.Keys
 module Json = Ac3_crypto.Codec.Json
-module Ac2t = Ac3_contract.Ac2t
 module Amount = Ac3_chain.Amount
 module Params = Ac3_chain.Params
 module Ledger = Ac3_chain.Ledger
 module Node = Ac3_chain.Node
 module Universe = Ac3_core.Universe
+module Scenarios = Ac3_core.Scenarios
 module Participant = Ac3_core.Participant
 module Outcome = Ac3_core.Outcome
 module Driver = Ac3_core.Driver
@@ -39,8 +39,6 @@ module Nolan = Ac3_core.Nolan
 module Ac3wn = Ac3_core.Ac3wn
 module Flow = Ac3_flow.Flow
 module Protocol = Ac3_flow.Protocol
-
-let funding = Amount.of_int 50_000_000
 
 type swap_class = Committed | Aborted | Timed_out | Non_atomic | Rejected
 
@@ -111,7 +109,6 @@ let chain_name i = Printf.sprintf "c%d" i
 
 let run_universe ~seed (config : Workload.config) =
   Workload.validate config;
-  let u = Universe.create ~seed () in
   (* The workload stream is independent of the universe's RNG: specs
      and arrival offsets are sampled up front from their own generator,
      so protocol-internal draws can never shift the offered load. *)
@@ -143,17 +140,25 @@ let run_universe ~seed (config : Workload.config) =
     Array.init config.users (fun i ->
         Keys.create ~height:(height_for ac3wn_swaps.(i)) (Printf.sprintf "load-%d:u%d" seed i))
   in
-  let premine = Array.to_list (Array.map (fun id -> (Keys.address id, funding)) ids) in
-  let names = List.init config.chains chain_name @ [ Ac3wn.witness_chain ] in
-  List.iter
-    (fun name ->
-      ignore
-        (Universe.add_chain ~nodes:1 u
-           (Params.make name ~symbol:(String.uppercase_ascii name)
-              ~block_interval:config.block_interval ~block_capacity:100 ~pow_bits:8
-              ~confirm_depth:config.confirm_depth ~verify_signatures:false
-              ~mempool_capacity:config.mempool_capacity ~premine)))
-    names;
+  (* One node per chain, so a load chain never forks, and no signature
+     checks: the run measures the contention of many swaps on shared
+     chains, not the cost of verifying each transaction. The record
+     update runs no range check; [Workload.validate] above refuses
+     each of these fields out of range. *)
+  let chain =
+    {
+      Scenarios.chain with
+      block_interval = config.block_interval;
+      confirm_depth = config.confirm_depth;
+      verify_signatures = false;
+      mempool_capacity = Some config.mempool_capacity;
+    }
+  in
+  let u, _ =
+    Scenarios.make_universe ~seed ~nodes:1 ~chain
+      ~chains:(List.init config.chains chain_name)
+      (Array.to_list ids) ()
+  in
   let engine = Universe.engine u in
   let m = Universe.metrics u in
   let launched_c p = Metrics.counter m ~labels:[ ("protocol", p) ] "load.swap.launched" in
@@ -203,22 +208,8 @@ let run_universe ~seed (config : Workload.config) =
        swap secret from the graph bytes, so identical graphs would share
        hashlocks across concurrent swaps. *)
     let graph =
-      Ac2t.create
-        ~edges:
-          [
-            {
-              Ac2t.from_pk = Participant.public pa;
-              to_pk = Participant.public pb;
-              amount = Amount.of_int (10_000 + spec.index);
-              chain = ca;
-            };
-            {
-              Ac2t.from_pk = Participant.public pb;
-              to_pk = Participant.public pa;
-              amount = Amount.of_int (20_000 + spec.index);
-              chain = cb;
-            };
-          ]
+      Scenarios.two_party_graph ~offset:spec.index ~chain1:ca ~chain2:cb
+        [ ids.(spec.user_a); ids.(spec.user_b) ]
         ~timestamp:now
     in
     let participants = [ pa; pb ] in

@@ -323,6 +323,14 @@ let test_plan_shares_parties () =
   (* An AC3WN run signs with its universe's keys; the next run of the
      same plan still starts with full budgets. *)
   let universe, participants, ids, _ = Runner.build_universe ~spec ~protocol:Runner.P_ac3wn () in
+  (* The chaos substrate: two nodes per chain and Δ = 3 x 5 s, known
+     with or without a universe. *)
+  List.iter
+    (fun (id, (c : Ac3_core.Universe.chain)) ->
+      Alcotest.(check int) (id ^ ": two nodes") 2 (Array.length c.Ac3_core.Universe.nodes))
+    (Ac3_core.Universe.chains universe);
+  Alcotest.(check (float 1e-9)) "Runner.delta" 15.0 Runner.delta;
+  Alcotest.(check (float 1e-9)) "universe max_delta" 15.0 (Ac3_core.Universe.max_delta universe);
   let graph = Runner.build_graph ~spec ~ids ~timestamp:(Ac3_core.Universe.now universe) in
   let config = Ac3_core.Ac3wn.default_config in
   (match Ac3_core.Ac3wn.execute universe ~config ~graph ~participants () with

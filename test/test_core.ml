@@ -16,7 +16,7 @@ open Ac3_core
 
 let fast_universe ?(seed = 7) ~chains n =
   (* Per-seed identity namespaces: each test gets fresh MSS signing keys. *)
-  Scenarios.make_universe ~seed ~block_interval:5.0 ~confirm_depth:3 ~chains
+  Scenarios.make_universe ~seed ~chain:Scenarios.fast_chain ~chains
     (Scenarios.identities ~ns:(Printf.sprintf "t%d" seed) n) ()
 
 let ok = function Ok r -> r | Error e -> Alcotest.fail e
@@ -445,16 +445,23 @@ let test_attack_reorg_demo () =
 let test_universe_delta_and_chains () =
   let u, _ = fast_universe ~seed:300 ~chains:[ "btc"; "eth" ] 2 in
   Alcotest.(check (list string)) "chains" [ "btc"; "eth"; "witness" ] (Universe.chain_ids u);
-  (* Δ = confirm_depth (3) x interval (5). *)
+  (* Δ = confirm_depth (3) x interval (5), the paper tables' Δ too. *)
   Alcotest.(check (float 1e-9)) "delta" 15.0 (Universe.delta u "btc");
-  Alcotest.(check (float 1e-9)) "max delta" 15.0 (Universe.max_delta u)
+  Alcotest.(check (float 1e-9)) "max delta" 15.0 (Universe.max_delta u);
+  Alcotest.(check (float 1e-9)) "experiment delta" 15.0 Experiment.delta;
+  List.iter
+    (fun (id, (c : Universe.chain)) ->
+      Alcotest.(check int) (id ^ ": two nodes") 2 (Array.length c.Universe.nodes);
+      Alcotest.(check bool) (id ^ ": signatures checked") true
+        c.Universe.params.Ac3_chain.Params.verify_signatures)
+    (Universe.chains u)
 
 let test_universe_duplicate_chain_rejected () =
   let u, _ = fast_universe ~seed:301 ~chains:[ "btc" ] 2 in
   Alcotest.check_raises "duplicate" (Invalid_argument "Universe: duplicate chain btc")
     (fun () ->
       ignore
-        (Universe.add_chain u (Ac3_chain.Params.make "btc")))
+        (Universe.add_chain ~nodes:1 u (Ac3_chain.Params.make "btc")))
 
 let test_universe_stable_checkpoint_on_chain () =
   let u, _ = fast_universe ~seed:302 ~chains:[ "btc" ] 2 in

@@ -5,6 +5,8 @@
 
 module Rng = Ac3_sim.Rng
 module Amount = Ac3_chain.Amount
+module Params = Ac3_chain.Params
+module Universe = Ac3_core.Universe
 module Metrics = Ac3_obs.Metrics
 module Obs = Ac3_obs.Obs
 module Json = Ac3_crypto.Codec.Json
@@ -203,7 +205,22 @@ let test_engine_seed_replay_deterministic () =
 let test_engine_conserves_value () =
   let _, u = Engine.run_universe ~seed:5 engine_config in
   let checks = Engine.supply_check u in
-  Alcotest.(check bool) "checked every chain" true (List.length checks >= 3);
+  Alcotest.(check (list string)) "checked every chain" [ "c0"; "c1"; "witness" ]
+    (List.map (fun (chain, _, _) -> chain) checks);
+  (* The load substrate: one node per chain, no signature checks, a
+     bounded mempool, and the workload's interval and depth. *)
+  List.iter
+    (fun (id, (c : Universe.chain)) ->
+      let p = c.Universe.params in
+      Alcotest.(check int) (id ^ ": one node") 1 (Array.length c.Universe.nodes);
+      Alcotest.(check bool) (id ^ ": signatures unchecked") false p.Params.verify_signatures;
+      Alcotest.(check (option int)) (id ^ ": mempool bound")
+        (Some engine_config.Workload.mempool_capacity) p.Params.mempool_capacity;
+      Alcotest.(check (float 0.0)) (id ^ ": interval") engine_config.Workload.block_interval
+        p.Params.block_interval;
+      Alcotest.(check int) (id ^ ": depth") engine_config.Workload.confirm_depth
+        p.Params.confirm_depth)
+    (Universe.chains u);
   List.iter
     (fun (chain, expected, actual) ->
       Alcotest.(check bool)

@@ -318,7 +318,7 @@ let test_driver_trace_projects () =
    The witness decides [Abort] once, and every contract deployed before
    the decision is refunded, each step a move the checker enables. *)
 let test_ac3wn_abort_projects () =
-  let block_interval = 5.0 in
+  let block_interval = Scenarios.fast_chain.Ac3_chain.Params.block_interval in
   let config =
     {
       Ac3_core.Ac3wn.default_config with
@@ -330,7 +330,7 @@ let test_ac3wn_abort_projects () =
     (fun (name, seed, n, build) ->
       let chains = List.init n (Printf.sprintf "c%d") in
       let u, participants =
-        Scenarios.make_universe ~seed ~block_interval ~confirm_depth:3 ~chains
+        Scenarios.make_universe ~seed ~chain:Scenarios.fast_chain ~chains
           (Scenarios.identities ~ns:("model-abort-" ^ name) n)
           ()
       in

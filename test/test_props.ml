@@ -316,7 +316,7 @@ let qcheck_static_matches_dynamic =
       let ids' = S.identities ~ns n in
       let chains = List.init n (Printf.sprintf "chain%d") in
       let u, participants =
-        S.make_universe ~seed:(salt + (31 * n) + kind) ~block_interval:5.0 ~confirm_depth:3
+        S.make_universe ~seed:(salt + (31 * n) + kind) ~chain:S.fast_chain
           ~chains ids' ()
       in
       U.run_until u 50.0;
