@@ -6,21 +6,25 @@
     satisfying any predicate carry a shortest event schedule. Node ids
     are dense ([0 .. n_nodes - 1]).
 
-    The store is flat. The BFS tree is four id-indexed arrays
-    ([states], [pred_id], [pred_move], [depth]). The successors are one
-    table filled in BFS order: node [id]'s outgoing transitions, in the
-    order {!Semantics.reduced} returned their moves, are the slots
-    [succ_start.(id) .. succ_start.(id + 1) - 1] of [succ_target] and
-    [succ_move]. The arrays keep the capacity they grew to: only the
-    first [n_nodes] (tree), [n_nodes + 1] ([succ_start]) and
-    [n_transitions] (successor) slots are meaningful.
+    The store keeps fixed-width records in chunks of 2048 that are
+    allocated when first written and never copied. Every state of a
+    model has the same width, so node [id]'s state is record [id] of a
+    byte arena; its BFS tree entry is four unsigned 32-bit fields
+    (predecessor id, code of the move from it, depth, number of
+    successors); and its successors, in the order {!Semantics.reduced}
+    returned their moves, are consecutive [(target, move code)] records
+    of a table filled in BFS order. A move code indexes the model's
+    [moves], so the store holds no OCaml value per state: a ring-9
+    exploration retains about 81 bytes per explored state.
+    {!state}, {!node} and {!find_first} hand out fresh copies of a
+    state's bytes.
 
     {!run} interns a state in one [int array] of slots with linear
     probing: a slot packs [(String.hash state lsl 32) lor id], so a
-    lookup compares hash bits before it compares bytes, and [states]
-    holds the only reference to each state string. The table doubles
-    when half full and re-places each slot by its stored hash bits
-    without hashing a string again. Ids therefore fit in 32 bits. *)
+    lookup compares hash bits before it compares the state's bytes with
+    the arena record, a word at a time. The table doubles when half full
+    and re-places each slot by its stored hash bits without hashing a
+    state again. Ids therefore fit in 32 bits. *)
 
 (** One node of the BFS tree, assembled on demand by {!node}. *)
 type node = {
@@ -30,20 +34,18 @@ type node = {
   depth : int;
 }
 
-type t = {
+(** The states, BFS tree and successors; read through the functions
+    below. *)
+type store
+
+type t = private {
   model : Semantics.model;
-  states : Global_state.t array;
-  pred_id : int array;  (** BFS tree predecessor; [-1] for the initial state *)
-  pred_move : Semantics.move array;  (** move on the BFS tree edge; unread for the initial state *)
-  depth : int array;
-  succ_start : int array;
-  succ_target : int array;
-  succ_move : Semantics.move array;
   n_nodes : int;
   n_transitions : int;
   por_skipped : int;  (** transitions pruned by the partial-order reduction *)
   peak_frontier : int;
   truncated : bool;
+  store : store;
 }
 
 (** The largest accepted [max_nodes]: [2{^32}], so every id fits in the
@@ -53,6 +55,20 @@ val max_nodes_limit : int
 (** Explores at most [max_nodes] states (default 20 000). Raises
     [Invalid_argument] when [max_nodes] exceeds {!max_nodes_limit}. *)
 val run : ?max_nodes:int -> Semantics.model -> t
+
+(** Packs a given exploration: [nodes.(id)] is node [id] (its [id]
+    field is not read, and only node 0 has no [pred]), [succs.(id)] its
+    successors in order. {!run} builds the same store from its own BFS;
+    this lets another explorer's result go through the same readers and
+    rules. *)
+val of_tree :
+  Semantics.model ->
+  nodes:node array ->
+  succs:(Semantics.move * int) list array ->
+  por_skipped:int ->
+  peak_frontier:int ->
+  truncated:bool ->
+  t
 
 val state : t -> int -> Global_state.t
 

@@ -78,6 +78,10 @@ let mixed s = has_edge s 'D' header && has_edge s 'F' header
 
 let draft s = Bytes.of_string s
 
+let of_bytes b pos =
+  Bytes.sub_string b pos
+    (header + Bytes.get_uint16_le b pos + (2 * Bytes.get_uint16_le b (pos + 2)) + trailer)
+
 let set_edge d i st = Bytes.set d (header + i) (status_char st)
 
 let set_knows d p v = Bytes.set d (header + Bytes.get_uint16_le d 0 + p) (flag v)

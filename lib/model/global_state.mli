@@ -70,6 +70,12 @@ val settled : t -> bool
     {!Ac3_contract.Swap_template.mixed} without decoding. *)
 val mixed : t -> bool
 
+(** [of_bytes b pos] is a fresh copy of the state whose bytes start at
+    [pos] in [b]; its length is read from the header. For stores that
+    keep states as raw bytes: the bytes must have been copied from a
+    state. *)
+val of_bytes : Bytes.t -> int -> t
+
 (** {2 Successor construction}
 
     {!Semantics.apply} builds a successor as a private copy of its

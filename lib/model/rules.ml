@@ -185,6 +185,8 @@ let m004 t =
 
 (* --- M006 ------------------------------------------------------------- *)
 
+module Edge_tbl = Hashtbl.Make (String)
+
 (* Cross-validation of lib/flow: every settled state the explorer can
    reach must have per-(party, chain) value deltas inside the static
    intervals. Exhaustive where the chaos sweep is sampled — the model
@@ -194,8 +196,22 @@ let m006 ?flow t =
   | None -> ([], [])
   | Some analysis -> (
       let m = t.Explore.model in
-      (* Edges are decoded only for settled states. *)
-      let offenders s = Flow.violations analysis m.Semantics.graph (Global_state.edges s) in
+      (* The answer depends on the edge statuses alone, so it is computed
+         once per distinct edge vector, and edges are decoded only for
+         settled states. *)
+      let memo = Edge_tbl.create 64 in
+      let offenders s =
+        let key =
+          String.init (Global_state.n_edges s) (fun i ->
+              Global_state.status_char (Global_state.edge s i))
+        in
+        match Edge_tbl.find_opt memo key with
+        | Some v -> v
+        | None ->
+            let v = Flow.violations analysis m.Semantics.graph (Global_state.edges s) in
+            Edge_tbl.replace memo key v;
+            v
+      in
       match Explore.find_first t (fun s -> Global_state.settled s && offenders s <> []) with
       | None -> ([], [])
       | Some id ->

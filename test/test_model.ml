@@ -415,31 +415,16 @@ let model_of ((profile, shape, crash_budget) as case) =
 
 let max_nodes = 3_000
 
-(* The reference result laid out as an [Explore.t] (exact-length flat
-   arrays), so [Rules.check] runs over it unchanged. *)
+(* The reference result packed into an [Explore.t] through
+   [Explore.of_tree], so [Rules.check] runs over it unchanged. *)
 let explore_of_ref (r : Ref_model.t) =
-  let node id = Ref_model.node r id in
-  let pred id = (node id).Ref_model.pred in
-  let succs = List.concat_map (Hashtbl.find r.succs) (List.init r.n_nodes Fun.id) in
-  let start = Array.make (r.n_nodes + 1) 0 in
-  for id = 0 to r.n_nodes - 1 do
-    start.(id + 1) <- start.(id) + List.length (Hashtbl.find r.succs id)
-  done;
-  {
-    Explore.model = r.Ref_model.model;
-    states = Array.init r.n_nodes (fun id -> (node id).Ref_model.state);
-    pred_id = Array.init r.n_nodes (fun id -> Option.fold ~none:(-1) ~some:fst (pred id));
-    pred_move = Array.init r.n_nodes (fun id -> Option.fold ~none:Semantics.Expire ~some:snd (pred id));
-    depth = Array.init r.n_nodes (fun id -> (node id).Ref_model.depth);
-    succ_start = start;
-    succ_target = Array.of_list (List.map snd succs);
-    succ_move = Array.of_list (List.map fst succs);
-    n_nodes = r.n_nodes;
-    n_transitions = r.n_transitions;
-    por_skipped = r.por_skipped;
-    peak_frontier = r.peak_frontier;
-    truncated = r.truncated;
-  }
+  Explore.of_tree r.model
+    ~nodes:
+      (Array.init r.n_nodes (fun id ->
+           let n = Ref_model.node r id in
+           { Explore.id; state = n.state; pred = n.pred; depth = n.depth }))
+    ~succs:(Array.init r.n_nodes (Hashtbl.find r.succs))
+    ~por_skipped:r.por_skipped ~peak_frontier:r.peak_frontier ~truncated:r.truncated
 
 let rule_outputs ~flow t =
   let diags, violations = Rules.check ~flow t in
@@ -487,14 +472,27 @@ let qcheck_explore_matches_reference =
 (* The intern table starts at 2048 slots and doubles whenever it is half
    full, so exploring past 8192 states grows it at least four times
    (at 1024, 2048, 4096 and 8192 states); every re-placed slot must
-   still find its state. The ring is larger than the bound, so the run
-   is also truncated. *)
+   still find its state. The store keeps 2048 records a chunk, so the
+   20 000 states span ten chunks and the successors more. The ring is
+   larger than the bound, so the run is also truncated. *)
+let growth_case = (Flow.Witness, `Ring 8, 1)
+
 let test_table_growth_matches_reference () =
-  let case = (Flow.Witness, `Ring 8, 1) in
-  let t, rules_equal = matches_reference ~max_nodes:20_000 case in
+  let t, rules_equal = matches_reference ~max_nodes:20_000 growth_case in
   Alcotest.(check int) "explored up to the bound" 20_000 t.n_nodes;
   Alcotest.(check bool) "truncated" true t.truncated;
   Alcotest.(check bool) "Rules.check output equal" true rules_equal
+
+(* Everything the result keeps beyond its model, per explored state. A
+   ring-8 state is 45 bytes; its 16-byte BFS tree entry and about two
+   8-byte successor records bring the chunked store to 78 bytes. A store
+   of one boxed string per state in doubling pointer arrays measures 173
+   and fails the bound. *)
+let test_bytes_per_state () =
+  let t = Explore.run ~max_nodes:20_000 (model_of growth_case) in
+  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr t.model) in
+  let bytes = words * (Sys.word_size / 8) / t.n_nodes in
+  if bytes > 120 then Alcotest.failf "%d bytes per explored state, above 120" bytes
 
 (* Ids live in the low 32 bits of an intern slot. *)
 let test_max_nodes_limit () =
@@ -667,6 +665,7 @@ let () =
           Alcotest.test_case "intern table growth == reference explorer" `Quick
             test_table_growth_matches_reference;
           Alcotest.test_case "max_nodes above the id range refused" `Quick test_max_nodes_limit;
+          Alcotest.test_case "bytes per explored state" `Quick test_bytes_per_state;
           QCheck_alcotest.to_alcotest qcheck_m003_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_make_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_apply_immutable;
