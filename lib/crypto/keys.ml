@@ -66,12 +66,16 @@ let sign t msg = Mss.sign t.secret msg
    functions of the key. *)
 let verify_memo : bool Memo.t = Memo.create ~name:"keys.verify" ~cap:1024
 
+(* The digest of the (pk, signature, msg) frame, fed to one context
+   piece by piece: building the frame first would copy it into two
+   blocks of several kilobytes on every call, memo hits included. *)
 let verify_key pk msg signature =
-  let w = Codec.Writer.create () in
-  Codec.Writer.fixed w ~len:32 pk;
-  Mss.encode_signature w signature;
-  Codec.Writer.string w msg;
-  Sha256.digest (Codec.Writer.contents w)
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx (Codec.encode (fun w -> Codec.Writer.fixed w ~len:32) pk);
+  Mss.feed_signature ctx signature;
+  Sha256.feed_string ctx (Codec.encode Codec.Writer.u32 (String.length msg));
+  Sha256.feed_string ctx msg;
+  Sha256.finalize ctx
 
 let verify pk msg signature =
   if not (Memo.enabled ()) then Mss.verify pk msg signature

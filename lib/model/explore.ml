@@ -15,7 +15,13 @@
    of the move from it, the depth and the number of successors.
    Successors are filled in BFS order, one [(target, move code)] record
    per transition, so node [id]'s successors follow those of every
-   smaller id. A move code indexes the model's preallocated moves.
+   smaller id. A move code ([Semantics.code]) decodes to one of the
+   model's preallocated moves.
+
+   Expanding a state is one [Semantics.scan] of its record, in place,
+   into a code buffer the run reuses; each successor is built in one
+   scratch record ([Semantics.step]) and interned from there, so a
+   state's bytes are copied only when it is first seen.
 
    The intern table is one [int array] of slots with linear probing. A
    slot is [empty] or [(String.hash state lsl 32) lor id]: the hash bits
@@ -113,46 +119,17 @@ let store model =
   let width = String.length (Semantics.init model :> string) in
   { states = arena width; tree = arena 16; succs = arena 8 }
 
-let add_node s id state ~pred ~move ~depth =
-  reserve s.states id;
+let set_tree s id ~pred ~move ~depth =
   reserve s.tree id;
-  Bytes.blit_string (state : Global_state.t :> string) 0 (chunk s.states id) (offset s.states id)
-    s.states.width;
   set32 s.tree id pred_field pred;
   set32 s.tree id move_field move;
   set32 s.tree id depth_field depth;
   set32 s.tree id count_field 0
 
-let read s id = Global_state.of_bytes (chunk s.states id) (offset s.states id)
-
 let add_succ s e ~target ~move =
   reserve s.succs e;
   set32 s.succs e target_field target;
   set32 s.succs e succ_move_field move
-
-(* --- Moves as codes --------------------------------------------------- *)
-
-let code : Semantics.move -> int = function
-  | Expire -> 0
-  | W_commit -> 1
-  | W_abort -> 2
-  | Deploy i -> 3 + (4 * i)
-  | Redeem i -> 4 + (4 * i)
-  | Refund i -> 5 + (4 * i)
-  | Crash p -> 6 + (4 * p)
-
-let move_of_code (m : Semantics.model) c : Semantics.move =
-  match c with
-  | 0 -> Expire
-  | 1 -> W_commit
-  | 2 -> W_abort
-  | c -> (
-      let i = (c - 3) lsr 2 in
-      match (c - 3) land 3 with
-      | 0 -> m.moves.deploy.(i)
-      | 1 -> m.moves.redeem.(i)
-      | 2 -> m.moves.refund.(i)
-      | _ -> m.moves.crash.(i))
 
 (* --- Interning -------------------------------------------------------- *)
 
@@ -161,9 +138,9 @@ let move_of_code (m : Semantics.model) c : Semantics.move =
    [length - 8] and overlaps its predecessor when the width is not a
    multiple of 8. *)
 let rec equal_from b off k i =
-  let last = String.length k - 8 in
-  if i >= last then Bytes.get_int64_ne b (off + last) = String.get_int64_ne k last
-  else Bytes.get_int64_ne b (off + i) = String.get_int64_ne k i && equal_from b off k (i + 8)
+  let last = Bytes.length k - 8 in
+  if i >= last then Bytes.get_int64_ne b (off + last) = Bytes.get_int64_ne k last
+  else Bytes.get_int64_ne b (off + i) = Bytes.get_int64_ne k i && equal_from b off k (i + 8)
 
 (* The id of state [k] (hash [h]) probing from slot [i], or [-1 - j]
    for the empty slot [j] where it belongs. *)
@@ -191,14 +168,45 @@ let grow slots =
     slots;
   bigger
 
+(* The slots over a [states] arena whose records [0, count) are the
+   interned states. *)
+type interner = {
+  states : arena;
+  mutable slots : int array;
+  mutable count : int;
+}
+
+let interner states = { states; slots = Array.make 2048 empty; count = 0 }
+
+(* The id of the state whose bytes are [k]; a state not seen before is
+   copied to record [count] and gets that id. [k] is only read. *)
+let intern it k =
+  let h = String.hash (Bytes.unsafe_to_string k) in
+  let found = find it.slots it.states h k (h land (Array.length it.slots - 1)) in
+  if found >= 0 then found
+  else begin
+    let id = it.count in
+    it.slots.(-1 - found) <- (h lsl id_bits) lor id;
+    if 2 * (id + 1) >= Array.length it.slots then it.slots <- grow it.slots;
+    reserve it.states id;
+    Bytes.blit k 0 (chunk it.states id) (offset it.states id) it.states.width;
+    it.count <- id + 1;
+    id
+  end
+
+let intern_ids states =
+  if Array.length states = 0 then [||]
+  else
+    let it = interner (arena (String.length (states.(0) : Global_state.t :> string))) in
+    Array.map (fun s -> intern it (Bytes.of_string (s : Global_state.t :> string))) states
+
 let run ?(max_nodes = 20_000) model =
   if max_nodes > max_nodes_limit then
     invalid_arg
       (Printf.sprintf "Explore.run: max_nodes must be at most %d (got %d)" max_nodes_limit
          max_nodes);
   let s = store model in
-  let slots = ref (Array.make 2048 empty) in
-  let count = ref 0 in
+  let it = interner s.states in
   (* Ids are handed out in discovery order and expanded in the same
      order, so the BFS queue is exactly the id range [next, count). *)
   let next = ref 0 in
@@ -206,45 +214,48 @@ let run ?(max_nodes = 20_000) model =
   let por_skipped = ref 0 in
   let peak_frontier = ref 0 in
   let truncated = ref false in
-  let intern ~pred ~move ~depth state =
-    let k = (state : Global_state.t :> string) in
-    let h = String.hash k in
-    let found = find !slots s.states h k (h land (Array.length !slots - 1)) in
-    if found >= 0 then found
-    else begin
-      let id = !count in
-      !slots.(-1 - found) <- (h lsl id_bits) lor id;
-      if 2 * (id + 1) >= Array.length !slots then slots := grow !slots;
-      add_node s id state ~pred ~move ~depth;
-      count := id + 1;
-      peak_frontier := max !peak_frontier (!count - !next);
-      id
-    end
+  let add ~pred ~move ~depth k =
+    let fresh = it.count in
+    let id = intern it k in
+    if id = fresh then begin
+      set_tree s id ~pred ~move ~depth;
+      peak_frontier := max !peak_frontier (it.count - !next)
+    end;
+    id
   in
-  ignore (intern ~pred:no_pred ~move:0 ~depth:0 (Semantics.init model));
-  while !next < !count do
+  (* Every successor is built in [scratch]: a copy of its source's
+     record with the move's fields written, interned from there. *)
+  let width = s.states.width in
+  let scratch = Bytes.of_string (Semantics.init model :> string) in
+  let codes = Array.make (Semantics.max_moves model) 0 in
+  ignore (add ~pred:no_pred ~move:0 ~depth:0 scratch);
+  while !next < it.count do
     let id = !next in
     incr next;
-    let state = read s id in
+    (* A chunk is never moved, so the source stays where it is while
+       its successors are appended. *)
+    let b = chunk s.states id and pos = offset s.states id in
     let depth = get32 s.tree id depth_field + 1 in
-    let moves, skipped = Semantics.reduced model state in
-    por_skipped := !por_skipped + skipped;
+    let enabled = Semantics.scan model b pos codes in
+    let ample = Semantics.ample model b pos codes enabled in
+    por_skipped := !por_skipped + enabled - ample;
     let first = !n_transitions in
-    List.iter
-      (fun move ->
-        if !count >= max_nodes then truncated := true
-        else begin
-          let c = code move in
-          let target = intern ~pred:id ~move:c ~depth (Semantics.apply model state move) in
-          add_succ s !n_transitions ~target ~move:c;
-          incr n_transitions
-        end)
-      moves;
+    for j = 0 to ample - 1 do
+      if it.count >= max_nodes then truncated := true
+      else begin
+        let c = codes.(j) in
+        Bytes.blit b pos scratch 0 width;
+        Semantics.step model scratch c;
+        let target = add ~pred:id ~move:c ~depth scratch in
+        add_succ s !n_transitions ~target ~move:c;
+        incr n_transitions
+      end
+    done;
     set32 s.tree id count_field (!n_transitions - first)
   done;
   {
     model;
-    n_nodes = !count;
+    n_nodes = it.count;
     n_transitions = !n_transitions;
     por_skipped = !por_skipped;
     peak_frontier = !peak_frontier;
@@ -256,8 +267,13 @@ let of_tree model ~nodes ~succs ~por_skipped ~peak_frontier ~truncated =
   let s = store model in
   Array.iteri
     (fun id (n : node) ->
-      let pred, move = match n.pred with None -> (no_pred, 0) | Some (p, mv) -> (p, code mv) in
-      add_node s id n.state ~pred ~move ~depth:n.depth)
+      let pred, move =
+        match n.pred with None -> (no_pred, 0) | Some (p, mv) -> (p, Semantics.code mv)
+      in
+      reserve s.states id;
+      Bytes.blit_string (n.state : Global_state.t :> string) 0 (chunk s.states id)
+        (offset s.states id) s.states.width;
+      set_tree s id ~pred ~move ~depth:n.depth)
     nodes;
   let e = ref 0 in
   Array.iteri
@@ -265,7 +281,7 @@ let of_tree model ~nodes ~succs ~por_skipped ~peak_frontier ~truncated =
       set32 s.tree id count_field (List.length l);
       List.iter
         (fun (mv, target) ->
-          add_succ s !e ~target ~move:(code mv);
+          add_succ s !e ~target ~move:(Semantics.code mv);
           incr e)
         l)
     succs;
@@ -279,11 +295,16 @@ let of_tree model ~nodes ~succs ~por_skipped ~peak_frontier ~truncated =
     store = s;
   }
 
-let state t id = read t.store id
+let state_bytes t id = chunk t.store.states id
+
+let state_pos t id = offset t.store.states id
+
+let state t id = Global_state.of_bytes (state_bytes t id) (state_pos t id)
 
 let pred_of t id =
   let p = get32 t.store.tree id pred_field in
-  if p = no_pred then None else Some (p, move_of_code t.model (get32 t.store.tree id move_field))
+  if p = no_pred then None
+  else Some (p, Semantics.move_of_code t.model (get32 t.store.tree id move_field))
 
 let node t id =
   { id; state = state t id; pred = pred_of t id; depth = get32 t.store.tree id depth_field }
@@ -296,9 +317,13 @@ let schedule t id =
   walk [] id
 
 (* Visit nodes in id (BFS) order: the first match has a shortest
-   schedule. *)
+   schedule. Each state is read where it lies. *)
 let find_first t pred =
-  let rec go id = if id >= t.n_nodes then None else if pred (state t id) then Some id else go (id + 1) in
+  let rec go id =
+    if id >= t.n_nodes then None
+    else if pred (state_bytes t id) (state_pos t id) then Some id
+    else go (id + 1)
+  in
   go 0
 
 (* Visit edges in ascending source-node id, which keeps diagnostics
@@ -307,7 +332,7 @@ let iter_succs t f =
   let e = ref 0 in
   for id = 0 to t.n_nodes - 1 do
     for _ = 1 to get32 t.store.tree id count_field do
-      let move = move_of_code t.model (get32 t.store.succs !e succ_move_field) in
+      let move = Semantics.move_of_code t.model (get32 t.store.succs !e succ_move_field) in
       f id move (get32 t.store.succs !e target_field);
       incr e
     done
@@ -317,26 +342,38 @@ let iter_succs t f =
 
 module State_tbl = Hashtbl.Make (String)
 
-(* Can [state] still reach a fully settled state if every crashed party
-   recovers? Used by M002: a state that cannot is a true global deadlock,
-   not a liveness wound. Explored over the revived state space with its
-   own memo table (shared across queries); the space is a small quotient
-   of the explored one because alive/crash components are normalized. *)
+(* Can a state still reach a fully settled state if every crashed party
+   recovers? Used by M002: a state that cannot is a true global
+   deadlock, not a liveness wound. Explored over the revived state space
+   with its own memo table (shared across queries); the space is a small
+   quotient of the explored one because alive/crash components are
+   normalized. A query revives its state in a scratch record and
+   allocates nothing when the memo already holds the answer. *)
 let can_settle_memo t =
+  let m = t.model in
   let memo = State_tbl.create 256 in
-  let rec go state =
-    let state = Global_state.revive state in
-    let k = (state : Global_state.t :> string) in
-    match State_tbl.find_opt memo k with
-    | Some v -> v
-    | None ->
+  (* [key] is revived, so no crash is enabled and every successor is
+     revived too. *)
+  let rec settles (key : Global_state.t) =
+    match State_tbl.find memo (key :> string) with
+    | v -> v
+    | exception Not_found ->
+        let b = Bytes.unsafe_of_string (key :> string) in
         let v =
-          Global_state.settled state
+          Global_state.settled_at b 0
           ||
-          let moves, _ = Semantics.reduced t.model state in
-          List.exists (fun move -> go (Semantics.apply t.model state move)) moves
+          let codes = Array.make (Semantics.max_moves m) 0 in
+          let n = Semantics.ample m b 0 codes (Semantics.scan m b 0 codes) in
+          let rec any j = j < n && (settles (Semantics.apply m key codes.(j)) || any (j + 1)) in
+          any 0
         in
-        State_tbl.replace memo k v;
+        State_tbl.replace memo (key :> string) v;
         v
   in
-  go
+  let scratch = Bytes.create t.store.states.width in
+  fun b pos ->
+    Bytes.blit b pos scratch 0 (Bytes.length scratch);
+    Global_state.revive scratch;
+    match State_tbl.find memo (Bytes.unsafe_to_string scratch) with
+    | v -> v
+    | exception Not_found -> settles (Global_state.of_bytes scratch 0)

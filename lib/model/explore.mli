@@ -11,13 +11,19 @@
     model has the same width, so node [id]'s state is record [id] of a
     byte arena; its BFS tree entry is four unsigned 32-bit fields
     (predecessor id, code of the move from it, depth, number of
-    successors); and its successors, in the order {!Semantics.reduced}
-    returned their moves, are consecutive [(target, move code)] records
-    of a table filled in BFS order. A move code indexes the model's
-    [moves], so the store holds no OCaml value per state: a ring-9
-    exploration retains about 81 bytes per explored state.
-    {!state}, {!node} and {!find_first} hand out fresh copies of a
-    state's bytes.
+    successors); and its successors, in the order {!Semantics.ample}
+    left their codes, are consecutive [(target, move code)] records of
+    a table filled in BFS order. A move code ({!Semantics.code}) decodes
+    to one of the model's preallocated [moves], so the store holds no
+    OCaml value per state: a ring-9 exploration retains about 81 bytes
+    per explored state. {!find_first} and {!can_settle_memo} read a
+    state where it lies; {!state} and {!node} hand out fresh copies.
+
+    {!run} expands a state with one {!Semantics.scan} of its arena
+    record into a move-code buffer it reuses, and builds every
+    successor in one scratch record ({!Semantics.step}) that it
+    interns from there: a state's bytes are copied into the arena once,
+    when it is first seen.
 
     {!run} interns a state in one [int array] of slots with linear
     probing: a slot packs [(String.hash state lsl 32) lor id], so a
@@ -52,6 +58,12 @@ type t = private {
     low 32 bits of an intern slot. *)
 val max_nodes_limit : int
 
+(** [intern_ids states] interns [states] in turn into a fresh table, as
+    {!run} interns the states it reaches, and returns their ids: equal
+    states share an id, and a new state takes the next one. All the
+    states must have one width. *)
+val intern_ids : Global_state.t array -> int array
+
 (** Explores at most [max_nodes] states (default 20 000). Raises
     [Invalid_argument] when [max_nodes] exceeds {!max_nodes_limit}. *)
 val run : ?max_nodes:int -> Semantics.model -> t
@@ -70,7 +82,15 @@ val of_tree :
   truncated:bool ->
   t
 
+(** A fresh copy of node [id]'s state. *)
 val state : t -> int -> Global_state.t
+
+(** Node [id]'s state lies at [state_pos t id] in [state_bytes t id],
+    where the {!Global_state} [_at] readers read it in place. The bytes
+    belong to the store: never write them. *)
+val state_bytes : t -> int -> Bytes.t
+
+val state_pos : t -> int -> int
 
 val node : t -> int -> node
 
@@ -78,14 +98,16 @@ val node : t -> int -> node
 val schedule : t -> int -> Semantics.move list
 
 (** First node id (in BFS order, hence with a shortest schedule) whose
-    state satisfies the predicate. *)
-val find_first : t -> (Global_state.t -> bool) -> int option
+    state satisfies the predicate, which reads it in place: [pred b pos]
+    as for {!state_bytes}. *)
+val find_first : t -> (Bytes.t -> int -> bool) -> int option
 
 (** Every transition as [f source move target], in ascending source id
     and, per source, in successor order. *)
 val iter_succs : t -> (int -> Semantics.move -> int -> unit) -> unit
 
-(** [can_settle_memo t state] — can [state] still reach a fully settled
-    state if every crashed party recovers? Memoized across queries; the
-    M002 deadlock condition is its negation. *)
-val can_settle_memo : t -> Global_state.t -> bool
+(** [can_settle_memo t b pos] — can the state at [pos] in [b] still
+    reach a fully settled state if every crashed party recovers?
+    Memoized across queries; the M002 deadlock condition is its
+    negation. *)
+val can_settle_memo : t -> Bytes.t -> int -> bool

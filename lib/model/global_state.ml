@@ -14,19 +14,20 @@
    counts, so the per-party offsets are two reads away, and every field
    after it has a fixed width, so the encoding is injective without
    separators. The trailer (time, decision, crashes_left) sits at a
-   fixed distance from the end. *)
+   fixed distance from the end.
+
+   Every reader takes the state where it lies, at [pos] in some bytes
+   (the explorer's arena); the string readers read a state at 0. *)
 
 module Swap_template = Ac3_contract.Swap_template
 module Protocol = Ac3_flow.Protocol
 
 type t = string
 
-type draft = Bytes.t
-
 let header = 4
 
-(* time (8 bytes) at [length - 17], decision (1) at [length - 9],
-   crashes_left (8) at [length - 8] *)
+(* time (8 bytes) at [width - 17], decision (1) at [width - 9],
+   crashes_left (8) at [width - 8] *)
 let trailer = 17
 
 let status_char : Swap_template.status -> char = function
@@ -50,9 +51,40 @@ let decision_of_char : char -> Protocol.decision = function
 
 let flag b = if b then '1' else '0'
 
-let n_edges s = String.get_uint16_le s 0
+(* --- Reading in place -------------------------------------------------- *)
 
-let n_parties s = String.get_uint16_le s 2
+let n_edges_at b pos = Bytes.get_uint16_le b pos
+
+let n_parties_at b pos = Bytes.get_uint16_le b (pos + 2)
+
+let width_at b pos = header + n_edges_at b pos + (2 * n_parties_at b pos) + trailer
+
+let time_at b pos = Int64.to_int (Bytes.get_int64_le b (pos + width_at b pos - trailer))
+
+let decision_at b pos = decision_of_char (Bytes.get b (pos + width_at b pos - 9))
+
+let crashes_left_at b pos = Int64.to_int (Bytes.get_int64_le b (pos + width_at b pos - 8))
+
+let edges_at b pos =
+  Array.init (n_edges_at b pos) (fun i -> status_of_char (Bytes.get b (pos + header + i)))
+
+(* Some edge byte in [i, stop) is [c]; top-level recursion, so the scans
+   allocate no closure. *)
+let rec has_edge b c i stop = i < stop && (Bytes.get b i = c || has_edge b c (i + 1) stop)
+
+let settled_at b pos = not (has_edge b 'P' (pos + header) (pos + header + n_edges_at b pos))
+
+let mixed_at b pos =
+  let stop = pos + header + n_edges_at b pos in
+  has_edge b 'D' (pos + header) stop && has_edge b 'F' (pos + header) stop
+
+(* --- Strings ----------------------------------------------------------- *)
+
+let bytes s = Bytes.unsafe_of_string s
+
+let n_edges s = n_edges_at (bytes s) 0
+
+let n_parties s = n_parties_at (bytes s) 0
 
 let edge s i = status_of_char s.[header + i]
 
@@ -60,34 +92,23 @@ let knows s p = s.[header + n_edges s + p] = '1'
 
 let alive s p = s.[header + n_edges s + n_parties s + p] = '1'
 
-let time s = Int64.to_int (String.get_int64_le s (String.length s - trailer))
+let time s = time_at (bytes s) 0
 
-let decision s = decision_of_char s.[String.length s - 9]
+let decision s = decision_at (bytes s) 0
 
-let crashes_left s = Int64.to_int (String.get_int64_le s (String.length s - 8))
+let crashes_left s = crashes_left_at (bytes s) 0
 
-let edges s = Array.init (n_edges s) (edge s)
+let of_bytes b pos = Bytes.sub_string b pos (width_at b pos)
 
-(* Some edge byte from index [i] on is [c]; top-level recursion, so the
-   scans allocate no closure. *)
-let rec has_edge s c i = i < header + n_edges s && (s.[i] = c || has_edge s c (i + 1))
-
-let settled s = not (has_edge s 'P' header)
-
-let mixed s = has_edge s 'D' header && has_edge s 'F' header
+(* --- Writing a copy ---------------------------------------------------- *)
 
 let draft s = Bytes.of_string s
 
-let of_bytes b pos =
-  Bytes.sub_string b pos
-    (header + Bytes.get_uint16_le b pos + (2 * Bytes.get_uint16_le b (pos + 2)) + trailer)
-
 let set_edge d i st = Bytes.set d (header + i) (status_char st)
 
-let set_knows d p v = Bytes.set d (header + Bytes.get_uint16_le d 0 + p) (flag v)
+let set_knows d p v = Bytes.set d (header + n_edges_at d 0 + p) (flag v)
 
-let set_alive d p v =
-  Bytes.set d (header + Bytes.get_uint16_le d 0 + Bytes.get_uint16_le d 2 + p) (flag v)
+let set_alive d p v = Bytes.set d (header + n_edges_at d 0 + n_parties_at d 0 + p) (flag v)
 
 let set_time d v = Bytes.set_int64_le d (Bytes.length d - trailer) (Int64.of_int v)
 
@@ -114,19 +135,10 @@ let make ~edges ~knows ~alive ~time ~decision ~crashes_left =
 
 (* Recovery closure for the deadlock rule: revive every crashed party and
    drop the remaining fault budget. A state counts as deadlocked only if
-   it cannot settle even after every party comes back. A state that is
-   already revived is returned as is. *)
-let rec all_set s i stop = i >= stop || (s.[i] = '1' && all_set s (i + 1) stop)
-
-let revive s =
-  let alive_at = header + n_edges s + n_parties s in
-  if crashes_left s = 0 && all_set s alive_at (alive_at + n_parties s) then s
-  else begin
-    let d = draft s in
-    Bytes.fill d alive_at (n_parties s) '1';
-    set_crashes_left d 0;
-    freeze d
-  end
+   it cannot settle even after every party comes back. *)
+let revive d =
+  Bytes.fill d (header + n_edges_at d 0 + n_parties_at d 0) (n_parties_at d 0) '1';
+  set_crashes_left d 0
 
 (* The status and flag bytes are the printed characters. *)
 let pp ppf s =

@@ -59,50 +59,70 @@ val decision : t -> Ac3_flow.Protocol.decision
 
 val crashes_left : t -> int
 
-(** A fresh array of the edge statuses. *)
-val edges : t -> Ac3_contract.Swap_template.status array
-
-(** No edge is [Published]: {!Ac3_contract.Swap_template.settled}
-    without decoding. *)
-val settled : t -> bool
-
-(** Some edge is [Redeemed] and another [Refunded]:
-    {!Ac3_contract.Swap_template.mixed} without decoding. *)
-val mixed : t -> bool
-
 (** [of_bytes b pos] is a fresh copy of the state whose bytes start at
     [pos] in [b]; its length is read from the header. For stores that
     keep states as raw bytes: the bytes must have been copied from a
     state. *)
 val of_bytes : Bytes.t -> int -> t
 
+(** {2 Reading a state in place}
+
+    A store that keeps states as raw bytes reads the state whose bytes
+    start at [pos] in [b] without copying it. Shape and offsets come
+    from the header: edge [i]'s status byte is at [pos + header + i],
+    then come the [n_parties] knows bytes and the [n_parties] alive
+    bytes, as in the layout above. *)
+
+(** The offset of edge 0's status byte: 4. *)
+val header : int
+
+val n_edges_at : Bytes.t -> int -> int
+
+val n_parties_at : Bytes.t -> int -> int
+
+val time_at : Bytes.t -> int -> int
+
+val decision_at : Bytes.t -> int -> Ac3_flow.Protocol.decision
+
+val crashes_left_at : Bytes.t -> int -> int
+
+(** A fresh array of the edge statuses. *)
+val edges_at : Bytes.t -> int -> Ac3_contract.Swap_template.status array
+
+(** No edge is [Published]: {!Ac3_contract.Swap_template.settled}
+    without decoding. *)
+val settled_at : Bytes.t -> int -> bool
+
+(** Some edge is [Redeemed] and another [Refunded]:
+    {!Ac3_contract.Swap_template.mixed} without decoding. *)
+val mixed_at : Bytes.t -> int -> bool
+
 (** {2 Successor construction}
 
-    {!Semantics.apply} builds a successor as a private copy of its
-    source, writes the bytes its move changes, and freezes it. A draft
-    must not be written after {!freeze}. *)
+    {!Semantics.step} writes the bytes a move changes into a state's
+    bytes (at offset 0): a fresh {!draft} that {!Semantics.apply}
+    freezes, or a scratch record the explorer reuses. Bytes must not be
+    written after {!freeze}. *)
 
-type draft
+val draft : t -> Bytes.t
 
-val draft : t -> draft
+val set_edge : Bytes.t -> int -> Ac3_contract.Swap_template.status -> unit
 
-val set_edge : draft -> int -> Ac3_contract.Swap_template.status -> unit
+val set_knows : Bytes.t -> int -> bool -> unit
 
-val set_knows : draft -> int -> bool -> unit
+val set_alive : Bytes.t -> int -> bool -> unit
 
-val set_alive : draft -> int -> bool -> unit
+val set_time : Bytes.t -> int -> unit
 
-val set_time : draft -> int -> unit
+val set_decision : Bytes.t -> Ac3_flow.Protocol.decision -> unit
 
-val set_decision : draft -> Ac3_flow.Protocol.decision -> unit
+val set_crashes_left : Bytes.t -> int -> unit
 
-val set_crashes_left : draft -> int -> unit
+val freeze : Bytes.t -> t
 
-val freeze : draft -> t
-
-(** The recovery closure seed for M002: all parties acting again, no
-    faults left. Returns its argument when nothing changes. *)
-val revive : t -> t
+(** The recovery closure seed for M002, in place: every party acting
+    again, no faults left. *)
+val revive : Bytes.t -> unit
 
 (** ['U'], ['P'], ['D'] or ['F']: the edge's byte. *)
 val status_char : Ac3_contract.Swap_template.status -> char

@@ -43,7 +43,7 @@ let render_schedule t moves = Fmt.str "%a" (Semantics.pp_schedule t.Explore.mode
 (* --- M001 ------------------------------------------------------------- *)
 
 let m001 t =
-  match Explore.find_first t Global_state.mixed with
+  match Explore.find_first t Global_state.mixed_at with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M001-mixed-settlement" id in
@@ -59,7 +59,7 @@ let m001 t =
 
 let m002 t =
   let can_settle = Explore.can_settle_memo t in
-  match Explore.find_first t (fun s -> not (can_settle s)) with
+  match Explore.find_first t (fun b pos -> not (can_settle b pos)) with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M002-global-deadlock" id in
@@ -84,36 +84,47 @@ let m002 t =
    refunded one. Their lowest common bit is the lowest unsafe party.
    Graphs above [block] parties repeat the pass per block, so a state
    costs O(E) for up to [block] parties. A block stops short of the
-   sign bit, so a mask is never negative. Top-level recursion, so the
-   scan allocates no closure per state. *)
+   sign bit, so a mask is never negative. The scan reads the state's
+   status bytes in place, over the edge and party counts of its own
+   header. Top-level recursion, so it allocates no closure per state. *)
 let block = 62
 
 let bit p base = if p >= base && p < base + block then 1 lsl (p - base) else 0
 
-let rec victims m s base i paid lost =
-  if i >= Global_state.n_edges s then paid land lost
+let redeemed = Global_state.status_char Swap_template.Redeemed
+
+let refunded = Global_state.status_char Swap_template.Refunded
+
+(* Edges [i, ne), whose status bytes start at [e0]. *)
+let rec victims m b e0 ne base i paid lost =
+  if i >= ne then paid land lost
   else
-    match Global_state.edge s i with
-    | Swap_template.Redeemed ->
-        victims m s base (i + 1) (paid lor bit m.Semantics.edge_from.(i) base) lost
-    | Swap_template.Refunded ->
-        victims m s base (i + 1) paid (lost lor bit m.Semantics.edge_to.(i) base)
-    | Swap_template.Unpublished | Swap_template.Published -> victims m s base (i + 1) paid lost
+    let st = Bytes.get b (e0 + i) in
+    if st = redeemed then
+      victims m b e0 ne base (i + 1) (paid lor bit m.Semantics.edge_from.(i) base) lost
+    else if st = refunded then
+      victims m b e0 ne base (i + 1) paid (lost lor bit m.Semantics.edge_to.(i) base)
+    else victims m b e0 ne base (i + 1) paid lost
 
 let rec lowest_bit mask p = if mask land 1 = 1 then p else lowest_bit (mask lsr 1) (p + 1)
 
 (* The lowest unsafe party index from block [base] on, or -1. *)
-let rec unsafe_from m s base =
-  if base >= Global_state.n_parties s then -1
+let rec unsafe_from m b pos base =
+  if base >= Global_state.n_parties_at b pos then -1
   else
-    let both = victims m s base 0 0 0 in
-    if both <> 0 then lowest_bit both base else unsafe_from m s (base + block)
+    let both =
+      victims m b (pos + Global_state.header) (Global_state.n_edges_at b pos) base 0 0 0
+    in
+    if both <> 0 then lowest_bit both base else unsafe_from m b pos (base + block)
 
-let unsafe_party m s = unsafe_from m s 0
+let unsafe_party_at m b pos = unsafe_from m b pos 0
+
+let unsafe_party m (s : Global_state.t) =
+  unsafe_party_at m (Bytes.unsafe_of_string (s :> string)) 0
 
 let m003 t =
   let m = t.Explore.model in
-  match Explore.find_first t (fun s -> unsafe_party m s >= 0) with
+  match Explore.find_first t (fun b pos -> unsafe_party_at m b pos >= 0) with
   | None -> ([], [])
   | Some id ->
       let v = violation t "M003-deviation-unsafe" id in
@@ -129,18 +140,21 @@ let m003 t =
 
 (* --- M004 ------------------------------------------------------------- *)
 
-(* Product-level: no transition may change a decided witness component.
-   Code-level: rerun the real SCw state machine (same probes as the
-   S-pass) and demand its terminal decisions have no escaping
-   transitions. *)
+(* Product-level: no transition may change a decided witness component;
+   the decision bytes of each transition's source and target are read
+   where they lie. Code-level: rerun the real SCw state machine (same
+   probes as the S-pass) and demand its terminal decisions have no
+   escaping transitions. *)
 let m004 t =
   let m = t.Explore.model in
   if m.Semantics.profile <> Flow.Witness then []
   else begin
     let forks = ref [] in
+    let decision id =
+      Global_state.decision_at (Explore.state_bytes t id) (Explore.state_pos t id)
+    in
     Explore.iter_succs t (fun id _mv tgt ->
-        let before = Global_state.decision (Explore.state t id) in
-        let after = Global_state.decision (Explore.state t tgt) in
+        let before = decision id and after = decision tgt in
         if before <> Ac3_flow.Protocol.Undecided && after <> before then
           forks :=
             Diagnostic.error ~rule:"M004-witness-fork" ~location:(loc id)
@@ -197,22 +211,21 @@ let m006 ?flow t =
   | Some analysis -> (
       let m = t.Explore.model in
       (* The answer depends on the edge statuses alone, so it is computed
-         once per distinct edge vector, and edges are decoded only for
-         settled states. *)
+         once per distinct edge vector, keyed by the status bytes, and
+         edges are decoded only for settled states. *)
       let memo = Edge_tbl.create 64 in
-      let offenders s =
-        let key =
-          String.init (Global_state.n_edges s) (fun i ->
-              Global_state.status_char (Global_state.edge s i))
-        in
+      let offenders b pos =
+        let key = Bytes.sub_string b (pos + Global_state.header) (Global_state.n_edges_at b pos) in
         match Edge_tbl.find_opt memo key with
         | Some v -> v
         | None ->
-            let v = Flow.violations analysis m.Semantics.graph (Global_state.edges s) in
+            let v = Flow.violations analysis m.Semantics.graph (Global_state.edges_at b pos) in
             Edge_tbl.replace memo key v;
             v
       in
-      match Explore.find_first t (fun s -> Global_state.settled s && offenders s <> []) with
+      match
+        Explore.find_first t (fun b pos -> Global_state.settled_at b pos && offenders b pos <> [])
+      with
       | None -> ([], [])
       | Some id ->
           let v = violation t "M006-interval-unsound" id in
@@ -221,7 +234,8 @@ let m006 ?flow t =
                 "a reachable settled state escapes the static value intervals (%a): the \
                  flow abstract interpretation is unsound on this graph; schedule:\n%s"
                 (Fmt.list ~sep:(Fmt.any ", ") Flow.pp_violation)
-                (offenders v.state) (render_schedule t v.schedule);
+                (offenders (Explore.state_bytes t id) (Explore.state_pos t id))
+                (render_schedule t v.schedule);
             ],
             [ v ] ))
 

@@ -106,110 +106,166 @@ let init m =
     ~time:0 ~decision:Protocol.Undecided ~crashes_left:m.crash_budget
 
 (* ------------------------------------------------------------------ *)
-(* Enabledness: the abstract state's facts, fed to the shared guards *)
+(* Move codes *)
 
-let unpublished s i = Global_state.edge s i = Swap_template.Unpublished
+let code = function
+  | Expire -> 0
+  | W_commit -> 1
+  | W_abort -> 2
+  | Deploy i -> 3 + (4 * i)
+  | Redeem i -> 4 + (4 * i)
+  | Refund i -> 5 + (4 * i)
+  | Crash p -> 6 + (4 * p)
 
-let all_published s =
-  let rec go i = i < 0 || ((not (unpublished s i)) && go (i - 1)) in
-  go (Global_state.n_edges s - 1)
+let move_of_code m c =
+  match c with
+  | 0 -> Expire
+  | 1 -> W_commit
+  | 2 -> W_abort
+  | c -> (
+      let i = (c - 3) lsr 2 in
+      match (c - 3) land 3 with
+      | 0 -> m.moves.deploy.(i)
+      | 1 -> m.moves.redeem.(i)
+      | 2 -> m.moves.refund.(i)
+      | _ -> m.moves.crash.(i))
 
-(* Every contract party [p] receives on is published. *)
-let inputs_published m s p =
-  let rec go j = j < 0 || ((m.edge_to.(j) <> p || not (unpublished s j)) && go (j - 1)) in
-  go (Array.length m.edges - 1)
+(* At most two moves per edge (a deploy needs an unpublished contract, a
+   redeem or refund a published one), the two witness moves, [Expire]
+   and a crash per party. *)
+let max_moves m = (2 * Array.length m.edges) + 3 + Array.length m.parties
 
-let deploy_enabled m s i =
-  let p = m.edge_from.(i) in
-  unpublished s i
-  && Global_state.alive s p
-  &&
-  match m.profile with
-  | Flow.Single_leader ->
-      Protocol.Single_leader.deploy ~leader:(p = 0) ~inputs_published:(inputs_published m s p)
-  | Flow.Witness -> Protocol.Witness.deploy (Global_state.decision s)
+(* ------------------------------------------------------------------ *)
+(* Enabledness: one scan of the state's bytes, fed to the shared guards *)
 
-let redeem_enabled m s ~all_published i =
-  let p = m.edge_to.(i) in
-  Global_state.edge s i = Swap_template.Published
-  && Global_state.alive s p
-  &&
-  match m.profile with
-  | Flow.Single_leader ->
-      Protocol.Single_leader.redeem ~knows_secret:(Global_state.knows s p) ~leader:(p = 0)
-        ~all_published
-  | Flow.Witness -> Protocol.Witness.redeem (Global_state.decision s)
+let unpublished = Global_state.status_char Swap_template.Unpublished
 
-let refund_enabled m s i =
-  Global_state.edge s i = Swap_template.Published
-  && Global_state.alive s m.edge_from.(i)
-  &&
-  match m.profile with
-  | Flow.Single_leader ->
-      Protocol.Single_leader.refund ~expired:(m.expiry_rank.(i) < Global_state.time s)
-  | Flow.Witness -> Protocol.Witness.refund (Global_state.decision s)
+let published = Global_state.status_char Swap_template.Published
 
-(* Any conforming protocol action that maximal progress must not let a
-   deadline overtake. *)
-let urgent m s ~all_published =
-  let n = Array.length m.edges in
-  let rec go i =
-    i < n
-    && (deploy_enabled m s i
-       || redeem_enabled m s ~all_published i
-       || refund_enabled m s i
-       || go (i + 1))
+(* No edge byte in [i, stop) is unpublished. Top-level recursion, so the
+   scans allocate no closure. *)
+let rec all_published b i stop =
+  i >= stop || (Bytes.get b i <> unpublished && all_published b (i + 1) stop)
+
+(* Every contract party [p] receives on among edges [0 .. j] is
+   published; edge 0's status byte is at [e0]. *)
+let rec inputs_published m b e0 p j =
+  j < 0
+  || ((m.edge_to.(j) <> p || Bytes.get b (e0 + j) <> unpublished)
+     && inputs_published m b e0 p (j - 1))
+
+let push buf n c =
+  buf.(n) <- c;
+  n + 1
+
+let is_set b i = Bytes.get b i = '1'
+
+(* Hashlock edges [i ..]: every guard reads a per-edge or per-party fact. *)
+let rec single_leader m b ~ne ~e0 ~k0 ~a0 ~all_published ~time buf n i =
+  if i >= ne then n
+  else
+    let st = Bytes.get b (e0 + i) and p = m.edge_from.(i) and q = m.edge_to.(i) in
+    let n =
+      if st = unpublished then
+        if
+          is_set b (a0 + p)
+          && Protocol.Single_leader.deploy ~leader:(p = 0)
+               ~inputs_published:(inputs_published m b e0 p (ne - 1))
+        then push buf n (3 + (4 * i))
+        else n
+      else if st = published then
+        let n =
+          if
+            is_set b (a0 + q)
+            && Protocol.Single_leader.redeem ~knows_secret:(is_set b (k0 + q)) ~leader:(q = 0)
+                 ~all_published
+          then push buf n (4 + (4 * i))
+          else n
+        in
+        if is_set b (a0 + p) && Protocol.Single_leader.refund ~expired:(m.expiry_rank.(i) < time)
+        then push buf n (5 + (4 * i))
+        else n
+      else n
+    in
+    single_leader m b ~ne ~e0 ~k0 ~a0 ~all_published ~time buf n (i + 1)
+
+(* Witness edges [i ..]: the three guards read the decision alone, so
+   the caller evaluates each once per state. *)
+let rec witness m b ~ne ~e0 ~a0 ~deploy ~redeem ~refund buf n i =
+  if i >= ne then n
+  else
+    let st = Bytes.get b (e0 + i) in
+    let n =
+      if st = unpublished then
+        if deploy && is_set b (a0 + m.edge_from.(i)) then push buf n (3 + (4 * i)) else n
+      else if st = published then
+        let n = if redeem && is_set b (a0 + m.edge_to.(i)) then push buf n (4 + (4 * i)) else n in
+        if refund && is_set b (a0 + m.edge_from.(i)) then push buf n (5 + (4 * i)) else n
+      else n
+    in
+    witness m b ~ne ~e0 ~a0 ~deploy ~redeem ~refund buf n (i + 1)
+
+(* A crash of every alive party [p ..]. *)
+let rec crashes b a0 buf n p np =
+  if p >= np then n
+  else crashes b a0 buf (if is_set b (a0 + p) then push buf n (6 + (4 * p)) else n) (p + 1) np
+
+(* The edge and party counts come from the state's header, the edge
+   endpoints and deadlines from the model. *)
+let scan m b pos buf =
+  let ne = Global_state.n_edges_at b pos and np = Global_state.n_parties_at b pos in
+  let e0 = pos + Global_state.header in
+  let k0 = e0 + ne in
+  let a0 = k0 + np in
+  let all_published = all_published b e0 k0 in
+  let n =
+    match m.profile with
+    | Flow.Single_leader ->
+        let time = Global_state.time_at b pos in
+        let n = single_leader m b ~ne ~e0 ~k0 ~a0 ~all_published ~time buf 0 0 in
+        (* Maximal progress: a deadline passes only when no conforming
+           alive party has a protocol move, and every code so far is one. *)
+        if n = 0 && time < m.n_deadlines then push buf n 0 else n
+    | Flow.Witness ->
+        let decision = Global_state.decision_at b pos in
+        let n =
+          witness m b ~ne ~e0 ~a0 ~deploy:(Protocol.Witness.deploy decision)
+            ~redeem:(Protocol.Witness.redeem decision) ~refund:(Protocol.Witness.refund decision)
+            buf 0 0
+        in
+        let n = if Protocol.Witness.commit decision ~all_published then push buf n 1 else n in
+        (* An abort may be requested at any moment: the model explores every timing. *)
+        if Protocol.Witness.abort decision ~abort_requested:true then push buf n 2 else n
   in
-  go 0
-
-let expire_enabled m s ~all_published =
-  m.profile = Flow.Single_leader
-  && Global_state.time s < m.n_deadlines
-  && not (urgent m s ~all_published)
-
-let crash_enabled s p = Global_state.crashes_left s > 0 && Global_state.alive s p
+  if Global_state.crashes_left_at b pos > 0 then crashes b a0 buf n 0 np else n
 
 (* ------------------------------------------------------------------ *)
 (* Transition function *)
 
-(* One copy of the source, then the one or two fields the move writes. *)
-let apply m s move =
-  let d = Global_state.draft s in
-  (match move with
-  | Deploy i -> Global_state.set_edge d i Swap_template.Published
-  | Redeem i ->
-      Global_state.set_edge d i Swap_template.Redeemed;
-      (* The sender extracts the secret from the redeem transaction. *)
-      if m.profile = Flow.Single_leader then Global_state.set_knows d m.edge_from.(i) true
-  | Refund i -> Global_state.set_edge d i Swap_template.Refunded
-  | Crash p ->
-      Global_state.set_alive d p false;
-      Global_state.set_crashes_left d (Global_state.crashes_left s - 1)
-  | Expire -> Global_state.set_time d (Global_state.time s + 1)
-  | W_commit -> Global_state.set_decision d Protocol.Commit
-  | W_abort -> Global_state.set_decision d Protocol.Abort);
-  Global_state.freeze d
+(* The one or two fields the move writes. *)
+let step m d c =
+  match c with
+  | 0 -> Global_state.set_time d (Global_state.time_at d 0 + 1)
+  | 1 -> Global_state.set_decision d Protocol.Commit
+  | 2 -> Global_state.set_decision d Protocol.Abort
+  | c -> (
+      let i = (c - 3) lsr 2 in
+      match (c - 3) land 3 with
+      | 0 -> Global_state.set_edge d i Swap_template.Published
+      | 1 ->
+          Global_state.set_edge d i Swap_template.Redeemed;
+          (* The sender extracts the secret from the redeem transaction. *)
+          if m.profile = Flow.Single_leader then Global_state.set_knows d m.edge_from.(i) true
+      | 2 -> Global_state.set_edge d i Swap_template.Refunded
+      | _ ->
+          Global_state.set_alive d i false;
+          Global_state.set_crashes_left d (Global_state.crashes_left_at d 0 - 1))
 
-(* All enabled moves, in a canonical order (determinism). *)
-let enabled m s =
-  let all_published = all_published s in
-  let acc = ref [] in
-  for p = Array.length m.parties - 1 downto 0 do
-    if crash_enabled s p then acc := m.moves.crash.(p) :: !acc
-  done;
-  if expire_enabled m s ~all_published then acc := Expire :: !acc;
-  if m.profile = Flow.Witness then begin
-    let decision = Global_state.decision s in
-    (* An abort may be requested at any moment: the model explores every timing. *)
-    if Protocol.Witness.abort decision ~abort_requested:true then acc := W_abort :: !acc;
-    if Protocol.Witness.commit decision ~all_published then acc := W_commit :: !acc
-  end;
-  for i = Array.length m.edges - 1 downto 0 do
-    if refund_enabled m s i then acc := m.moves.refund.(i) :: !acc;
-    if redeem_enabled m s ~all_published i then acc := m.moves.redeem.(i) :: !acc;
-    if deploy_enabled m s i then acc := m.moves.deploy.(i) :: !acc
-  done;
-  !acc
+(* One copy of the source, then the fields the move writes. *)
+let apply m s c =
+  let d = Global_state.draft s in
+  step m d c;
+  Global_state.freeze d
 
 (* ------------------------------------------------------------------ *)
 (* Partial-order reduction *)
@@ -232,30 +288,33 @@ let enabled m s =
    Interleavings of the remaining commuting moves still collapse by
    state hashing; the reduction removes the transitions themselves. *)
 
-let same_edge a b =
-  match (a, b) with
-  | (Deploy i | Redeem i | Refund i), (Deploy j | Redeem j | Refund j) -> i = j
-  | _ -> false
+(* Over codes: edge [i]'s deploy, redeem and refund are 3 + 4i, 4 + 4i
+   and 5 + 4i. [scan] writes each edge's codes next to each other, so
+   another enabled move on a protocol move's edge is one of its two
+   neighbours in the buffer. The first protocol code with no such
+   neighbour is the ample set. *)
+let edge_of c = if c >= 3 && (c - 3) land 3 <> 3 then (c - 3) lsr 2 else -1
 
-let reduced m s =
-  let moves = enabled m s in
+let clashes buf n k =
+  let e = edge_of buf.(k) in
+  (k > 0 && edge_of buf.(k - 1) = e) || (k + 1 < n && edge_of buf.(k + 1) = e)
+
+let rec candidate buf n k =
+  if k >= n then -1
+  else if edge_of buf.(k) >= 0 && not (clashes buf n k) then k
+  else candidate buf n (k + 1)
+
+let ample m b pos buf n =
   let reducible =
-    Global_state.crashes_left s = 0
-    && (m.profile = Flow.Single_leader || Global_state.decision s <> Protocol.Undecided)
+    Global_state.crashes_left_at b pos = 0
+    && (m.profile = Flow.Single_leader || Global_state.decision_at b pos <> Protocol.Undecided)
   in
-  if not reducible then (moves, 0)
-  else
-    let is_protocol = function Deploy _ | Redeem _ | Refund _ -> true | _ -> false in
-    let candidate =
-      List.find_opt
-        (fun mv ->
-          is_protocol mv
-          && not (List.exists (fun other -> other != mv && same_edge mv other) moves))
-        moves
-    in
-    match candidate with
-    | Some mv -> ([ mv ], List.length moves - 1)
-    | None -> (moves, 0)
+  let k = if reducible then candidate buf n 0 else -1 in
+  if k < 0 then n
+  else begin
+    buf.(0) <- buf.(k);
+    1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing *)

@@ -25,8 +25,8 @@ type move =
   | W_abort  (** witness network authorizes refund (P -> RFauth) *)
 
 (** Every [Deploy], [Redeem], [Refund] and [Crash] value of one model,
-    indexed by edge or party: {!enabled} returns these rather than
-    allocating a move per explored state. *)
+    indexed by edge or party: {!move_of_code} returns these rather than
+    allocating a move per decoded code. *)
 type moves = {
   deploy : move array;
   redeem : move array;
@@ -65,20 +65,49 @@ val make :
 
 val init : model -> Global_state.t
 
-(** The successor state: one copy of the source's bytes with the one or
-    two fields the move writes changed. States are immutable strings, so
-    the input is never mutated. *)
-val apply : model -> Global_state.t -> move -> Global_state.t
+(** {2 Move codes}
 
-(** All enabled moves, in a canonical (deterministic) order. *)
-val enabled : model -> Global_state.t -> move list
+    The explorer stores, and the kernel below writes, a move as an int:
+    [Expire] 0, [W_commit] 1, [W_abort] 2, and for edge or party [i]
+    [Deploy] [3 + 4i], [Redeem] [4 + 4i], [Refund] [5 + 4i], [Crash]
+    [6 + 4i]. *)
 
-(** [enabled] filtered by the partial-order reduction: returns the ample
-    move set and the number of pruned transitions. Sound because every
+val code : move -> int
+
+(** The model's preallocated move for a code. *)
+val move_of_code : model -> int -> move
+
+(** A buffer of this length holds every code {!scan} can write for a
+    state of the model. *)
+val max_moves : model -> int
+
+(** {2 The kernel} *)
+
+(** [scan m b pos buf] reads the state whose bytes start at [pos] in
+    [b] once and writes the codes of its enabled moves to [buf] in the
+    canonical order: per edge its deploy, redeem and refund, then
+    [W_commit], [W_abort] and [Expire], then the crashes by party. It
+    returns how many it wrote. The edge and party counts are the
+    state's own (its header); the guards are {!Ac3_flow.Protocol}'s. *)
+val scan : model -> Bytes.t -> int -> int array -> int
+
+(** [ample m b pos buf n], after [n = scan m b pos buf], applies the
+    partial-order reduction to the state's [n] codes: it returns [n]
+    and leaves [buf] as it is, or moves the one ample code to [buf.(0)]
+    and returns 1, pruning [n - 1] transitions. Sound because every
     state component is monotone (the state graph is a DAG, so the
     ignoring problem is moot); reduction only kicks in once the fault
     budget is spent and (for AC3WN) the witness has decided. *)
-val reduced : model -> Global_state.t -> move list * int
+val ample : model -> Bytes.t -> int -> int array -> int -> int
+
+(** [step m d c] writes the one or two fields move [c] changes into the
+    state bytes [d] (at offset 0), in place. *)
+val step : model -> Bytes.t -> int -> unit
+
+(** The successor state by move [c]: one copy of the source's bytes
+    with {!step} applied. States are immutable strings, so the input is
+    never mutated. *)
+val apply : model -> Global_state.t -> int -> Global_state.t
 
 val pp_party : model -> Format.formatter -> int -> unit
 

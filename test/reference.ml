@@ -7,6 +7,149 @@
    it holds the event engine to a sorted-list model of the pending
    events. *)
 
+(* [Enabledness] is the model checker's enabledness and partial-order
+   reduction as they stood before the one-scan move kernel: [enabled]
+   lists the enabled moves by calling [Global_state]'s string accessors
+   and the [Ac3_flow.Protocol] guards per edge, and [reduced] rescans
+   that list pairwise for the ample move. Kept verbatim. test_model.ml
+   holds [Ac3_model.Semantics.scan] and [ample] to the same codes, ample
+   set and pruned count, and [Model] below explores with [reduced], so
+   the dense explorer is checked against an enabledness it does not
+   share. *)
+module Enabledness = struct
+  module Semantics = Ac3_model.Semantics
+  module Global_state = Ac3_model.Global_state
+  module Swap_template = Ac3_contract.Swap_template
+  module Protocol = Ac3_flow.Protocol
+  module Flow = Ac3_flow.Flow
+  open Semantics
+
+  let unpublished s i = Global_state.edge s i = Swap_template.Unpublished
+
+  let all_published s =
+    let rec go i = i < 0 || ((not (unpublished s i)) && go (i - 1)) in
+    go (Global_state.n_edges s - 1)
+
+  (* Every contract party [p] receives on is published. *)
+  let inputs_published m s p =
+    let rec go j = j < 0 || ((m.edge_to.(j) <> p || not (unpublished s j)) && go (j - 1)) in
+    go (Array.length m.edges - 1)
+
+  let deploy_enabled m s i =
+    let p = m.edge_from.(i) in
+    unpublished s i
+    && Global_state.alive s p
+    &&
+    match m.profile with
+    | Flow.Single_leader ->
+        Protocol.Single_leader.deploy ~leader:(p = 0) ~inputs_published:(inputs_published m s p)
+    | Flow.Witness -> Protocol.Witness.deploy (Global_state.decision s)
+
+  let redeem_enabled m s ~all_published i =
+    let p = m.edge_to.(i) in
+    Global_state.edge s i = Swap_template.Published
+    && Global_state.alive s p
+    &&
+    match m.profile with
+    | Flow.Single_leader ->
+        Protocol.Single_leader.redeem ~knows_secret:(Global_state.knows s p) ~leader:(p = 0)
+          ~all_published
+    | Flow.Witness -> Protocol.Witness.redeem (Global_state.decision s)
+
+  let refund_enabled m s i =
+    Global_state.edge s i = Swap_template.Published
+    && Global_state.alive s m.edge_from.(i)
+    &&
+    match m.profile with
+    | Flow.Single_leader ->
+        Protocol.Single_leader.refund ~expired:(m.expiry_rank.(i) < Global_state.time s)
+    | Flow.Witness -> Protocol.Witness.refund (Global_state.decision s)
+
+  (* Any conforming protocol action that maximal progress must not let a
+     deadline overtake. *)
+  let urgent m s ~all_published =
+    let n = Array.length m.edges in
+    let rec go i =
+      i < n
+      && (deploy_enabled m s i
+         || redeem_enabled m s ~all_published i
+         || refund_enabled m s i
+         || go (i + 1))
+    in
+    go 0
+
+  let expire_enabled m s ~all_published =
+    m.profile = Flow.Single_leader
+    && Global_state.time s < m.n_deadlines
+    && not (urgent m s ~all_published)
+
+  let crash_enabled s p = Global_state.crashes_left s > 0 && Global_state.alive s p
+
+  (* All enabled moves, in a canonical order (determinism). *)
+  let enabled m s =
+    let all_published = all_published s in
+    let acc = ref [] in
+    for p = Array.length m.parties - 1 downto 0 do
+      if crash_enabled s p then acc := m.moves.crash.(p) :: !acc
+    done;
+    if expire_enabled m s ~all_published then acc := Expire :: !acc;
+    if m.profile = Flow.Witness then begin
+      let decision = Global_state.decision s in
+      (* An abort may be requested at any moment: the model explores every timing. *)
+      if Protocol.Witness.abort decision ~abort_requested:true then acc := W_abort :: !acc;
+      if Protocol.Witness.commit decision ~all_published then acc := W_commit :: !acc
+    end;
+    for i = Array.length m.edges - 1 downto 0 do
+      if refund_enabled m s i then acc := m.moves.refund.(i) :: !acc;
+      if redeem_enabled m s ~all_published i then acc := m.moves.redeem.(i) :: !acc;
+      if deploy_enabled m s i then acc := m.moves.deploy.(i) :: !acc
+    done;
+    !acc
+
+  (* Singleton ample sets over commuting per-chain moves. A conforming
+     protocol move [m'] may be explored alone when nothing enabled (or
+     enabled before [m'] fires) is dependent with it:
+
+     - the fault budget is spent, so no crash of [m']'s actor can precede
+       it (crashes are dependent with every move of that party);
+     - for AC3WN the witness has decided, so no witness move can flip the
+       gate [m'] reads (and deploys read the undecided gate too);
+     - no other enabled move touches the same edge (the only co-enabled
+       same-edge pair is Redeem/Refund after expiry);
+     - [Expire] is never co-enabled with a protocol move (maximal
+       progress), and executing [m'] keeps it disabled.
+
+     Every component of the state evolves monotonically, so the state
+     graph is a DAG and the ignoring problem (cycle condition) is moot.
+     Interleavings of the remaining commuting moves still collapse by
+     state hashing; the reduction removes the transitions themselves. *)
+
+  let same_edge a b =
+    match (a, b) with
+    | (Deploy i | Redeem i | Refund i), (Deploy j | Redeem j | Refund j) -> i = j
+    | _ -> false
+
+  let reduced m s =
+    let moves = enabled m s in
+    let reducible =
+      Global_state.crashes_left s = 0
+      && (m.profile = Flow.Single_leader || Global_state.decision s <> Protocol.Undecided)
+    in
+    if not reducible then (moves, 0)
+    else
+      let is_protocol = function Deploy _ | Redeem _ | Refund _ -> true | _ -> false in
+      let candidate =
+        List.find_opt
+          (fun mv ->
+            is_protocol mv
+            && not (List.exists (fun other -> other != mv && same_edge mv other) moves))
+          moves
+      in
+      match candidate with
+      | Some mv -> ([ mv ], List.length moves - 1)
+      | None -> (moves, 0)
+end
+
 (* [Model] is the model checker's exploration as it stood before the
    dense id-indexed store: node and successor tables in polymorphic
    [Hashtbl]s keyed by id, a [Buffer]-built state key, and an [apply]
@@ -146,7 +289,7 @@ module Model = struct
     while not (Queue.is_empty pending) do
       let id = Queue.pop pending in
       let n = Hashtbl.find nodes id in
-      let moves, skipped = Semantics.reduced model n.state in
+      let moves, skipped = Enabledness.reduced model n.state in
       por_skipped := !por_skipped + skipped;
       let out =
         List.filter_map
@@ -218,7 +361,7 @@ module Model = struct
           let v =
             Swap_template.settled (decode state).edges
             ||
-            let moves, _ = Semantics.reduced t.model state in
+            let moves, _ = Enabledness.reduced t.model state in
             List.exists (fun move -> go (apply t.model state move)) moves
           in
           Hashtbl.replace memo k v;

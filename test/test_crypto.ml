@@ -527,6 +527,23 @@ let test_mss_codec_roundtrip () =
   let s' = Codec.decode Mss.decode_signature (Codec.encode Mss.encode_signature s) in
   Alcotest.(check bool) "roundtrip verifies" true (Mss.verify (Mss.public sk) "msg" s')
 
+(* [feed_signature] hashes exactly the bytes [encode_signature] writes,
+   for every leaf of a height-3 key, fed after a prefix so the frame
+   straddles block boundaries at different offsets. *)
+let test_mss_feed_matches_encode () =
+  let sk = Mss.generate ~height:3 ~seed:"mss-feed" () in
+  for i = 0 to 7 do
+    let s = Mss.sign sk (string_of_int i) in
+    let prefix = String.make (7 * i) 'p' in
+    let ctx = Sha256.init () in
+    Sha256.feed_string ctx prefix;
+    Mss.feed_signature ctx s;
+    Alcotest.(check string)
+      (Printf.sprintf "leaf %d" i)
+      (Hex.encode (Sha256.digest (prefix ^ Codec.encode Mss.encode_signature s)))
+      (Hex.encode (Sha256.finalize ctx))
+  done
+
 (* The batched builder against the per-leaf one it replaced
    ([Reference.Mss_keygen], which walks every chain one digest per step).
    Heights 1 to 10 give leaf tags of 1 to 4 digits (frames of 63 to 66
@@ -805,6 +822,7 @@ let () =
           Alcotest.test_case "builder = per-leaf reference, heights 1-10" `Slow
             test_mss_builder_matches_reference;
           Alcotest.test_case "height 11 builds and signs" `Slow test_mss_height_11;
+          Alcotest.test_case "fed frame == encoded frame" `Quick test_mss_feed_matches_encode;
         ] );
       ( "keys",
         [

@@ -233,7 +233,7 @@ let test_counterexample_replays () =
 (* --- Differential: the driver's trace projects onto the checker ------- *)
 
 (* Fault-free runs on seeded chord graphs: every edge event the driver
-   records, up to its first refund, must be a move [Semantics.enabled]
+   records, up to its first refund, must be a move [Semantics.scan]
    offers at that point of the replay, with [Expire] taken only where
    the checker enables it. [Deploy i] and [Redeem i] project onto the
    moves of the same name, and AC3WN's confirmed commit onto
@@ -256,6 +256,12 @@ let driver_moves ?(refunds = false) trace =
   in
   go (Ac3_sim.Trace.records trace)
 
+(* The codes [Semantics.scan] writes for state [s], in order. *)
+let scan_codes m (s : Global_state.t) =
+  let codes = Array.make (Semantics.max_moves m) 0 in
+  let n = Semantics.scan m (Bytes.unsafe_of_string (s :> string)) 0 codes in
+  Array.to_list (Array.sub codes 0 n)
+
 (* Replays projected moves on the fault-free model of [graph]. *)
 let replay_on_checker ~name ~profile graph moves =
   let m =
@@ -267,9 +273,10 @@ let replay_on_checker ~name ~profile graph moves =
     | Error e -> Alcotest.failf "%s: %s" name e
   in
   let rec take s mv =
-    let enabled = Semantics.enabled m s in
-    if List.mem mv enabled then Semantics.apply m s mv
-    else if List.mem Semantics.Expire enabled then take (Semantics.apply m s Semantics.Expire) mv
+    let enabled = scan_codes m s in
+    if List.mem (Semantics.code mv) enabled then Semantics.apply m s (Semantics.code mv)
+    else if List.mem (Semantics.code Semantics.Expire) enabled then
+      take (Semantics.apply m s (Semantics.code Semantics.Expire)) mv
     else
       Alcotest.failf "%s: the driver took %a, which the checker does not enable in %a" name
         (Semantics.pp_move m) mv Global_state.pp s
@@ -458,7 +465,7 @@ let matches_reference ~max_nodes ((profile, shape, budget) as case) =
       Alcotest.failf "node %d: schedule differs" id;
     if List.rev succs.(id) <> Hashtbl.find r.succs id then
       Alcotest.failf "node %d: successor list differs" id;
-    if settles n.state <> ref_settles rn.state then
+    if settles (Explore.state_bytes t id) (Explore.state_pos t id) <> ref_settles rn.state then
       Alcotest.failf "node %d: settlement reachability differs" id
   done;
   let flow = Flow.analyze ~fault_budget:budget ~profile (graph_of shape) in
@@ -494,6 +501,36 @@ let test_bytes_per_state () =
   let bytes = words * (Sys.word_size / 8) / t.n_nodes in
   if bytes > 120 then Alcotest.failf "%d bytes per explored state, above 120" bytes
 
+(* Two distinct states of one width with the same [String.hash] share
+   the 30 hash bits of an intern slot, so only the byte compare tells
+   them apart. The pair is searched for among states that differ only in
+   [crashes_left], the last 8-byte word of a 48-byte ring-9 state: a
+   compare that skipped the last word would give both one id. *)
+let test_intern_hash_collision () =
+  let state crashes_left =
+    Global_state.make
+      ~edges:(Array.make 9 Ac3_contract.Swap_template.Published)
+      ~knows:(Array.make 9 false) ~alive:(Array.make 9 true) ~time:0
+      ~decision:Protocol.Undecided ~crashes_left
+  in
+  let seen = Hashtbl.create 65_536 in
+  let rec search c =
+    if c > 1 lsl 22 then Alcotest.fail "no String.hash collision found"
+    else
+      let h = String.hash (state c :> string) in
+      match Hashtbl.find_opt seen h with
+      | Some c' -> (state c', state c)
+      | None ->
+          Hashtbl.replace seen h c;
+          search (c + 1)
+  in
+  let a, b = search 0 in
+  Alcotest.(check int) "48-byte states" 48 (String.length (a :> string));
+  Alcotest.(check bool) "distinct" false (a = b);
+  Alcotest.(check int) "same hash" (String.hash (a :> string)) (String.hash (b :> string));
+  Alcotest.(check (array int)) "distinct ids, each found again" [| 0; 1; 0; 1 |]
+    (Explore.intern_ids [| a; b; a; b |])
+
 (* Ids live in the low 32 bits of an intern slot. *)
 let test_max_nodes_limit () =
   let m = model_of (Flow.Witness, `Two_party, 0) in
@@ -504,6 +541,50 @@ let test_max_nodes_limit () =
     (fun () -> ignore (Explore.run ~max_nodes:(Explore.max_nodes_limit + 1) m));
   Alcotest.(check bool) "at the limit" false
     (Explore.run ~max_nodes:Explore.max_nodes_limit m).truncated
+
+(* --- The move kernel against the reference enabledness ----------------- *)
+
+(* Random walks from the initial state over every enabled move: at each
+   state, and at its revival (M002's recovery closure), the kernel's
+   codes, ample set and pruned count equal the reference's [enabled] and
+   [reduced] lists mapped through [Semantics.code]. On a walk, maximal
+   progress keeps a redeem and a refund of one edge from being enabled
+   together; a revived party that knows the secret after its edge
+   expired has both. *)
+let qcheck_kernel_matches_reference =
+  QCheck.Test.make ~name:"Semantics.scan == reference enabledness" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(pair print_case int)
+       QCheck.Gen.(pair gen_case (int_bound 1_000_000)))
+    (fun (case, seed) ->
+      let m = model_of case in
+      let rng = Random.State.make [| seed |] in
+      let codes = Array.make (Semantics.max_moves m) 0 in
+      let agrees s =
+        let b = Bytes.unsafe_of_string (s : Global_state.t :> string) in
+        let n = Semantics.scan m b 0 codes in
+        let enabled = Array.to_list (Array.sub codes 0 n) in
+        let k = Semantics.ample m b 0 codes n in
+        let ref_ample, ref_pruned = Reference.Enabledness.reduced m s in
+        if enabled <> List.map Semantics.code (Reference.Enabledness.enabled m s) then
+          Alcotest.failf "%a: enabled codes differ" Global_state.pp s;
+        if Array.to_list (Array.sub codes 0 k) <> List.map Semantics.code ref_ample then
+          Alcotest.failf "%a: ample set differs" Global_state.pp s;
+        if n - k <> ref_pruned then Alcotest.failf "%a: pruned count differs" Global_state.pp s;
+        enabled
+      in
+      let rec walk s =
+        let d = Global_state.draft s in
+        Global_state.revive d;
+        ignore (agrees (Global_state.freeze d));
+        let enabled = agrees s in
+        if enabled <> [] then
+          walk (Semantics.apply m s (List.nth enabled (Random.State.int rng (List.length enabled))))
+      in
+      for _ = 1 to 10 do
+        walk (Semantics.init m)
+      done;
+      true)
 
 (* --- M003: the one-pass victim search against the per-party scan ----- *)
 
@@ -629,7 +710,7 @@ let qcheck_apply_immutable =
       let rng = Random.State.make [| seed |] in
       let rec walk trail s =
         let trail = (s, Bytes.of_string (s : Global_state.t :> string)) :: trail in
-        let succs = List.map (Semantics.apply m s) (Semantics.enabled m s) in
+        let succs = List.map (Semantics.apply m s) (scan_codes m s) in
         List.iter
           (fun (s, k) ->
             if Bytes.to_string k <> (s : Global_state.t :> string) then
@@ -665,6 +746,9 @@ let () =
           Alcotest.test_case "intern table growth == reference explorer" `Quick
             test_table_growth_matches_reference;
           Alcotest.test_case "max_nodes above the id range refused" `Quick test_max_nodes_limit;
+          Alcotest.test_case "intern byte compare under a hash collision" `Quick
+            test_intern_hash_collision;
+          QCheck_alcotest.to_alcotest qcheck_kernel_matches_reference;
           Alcotest.test_case "bytes per explored state" `Quick test_bytes_per_state;
           QCheck_alcotest.to_alcotest qcheck_m003_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_make_roundtrip;
