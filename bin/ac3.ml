@@ -51,6 +51,24 @@ module Metrics = Ac3_obs.Metrics
 module Span = Ac3_obs.Span
 module Flow = Ac3_flow.Flow
 module Protocol = Ac3_flow.Protocol
+module Plan = Ac3_chaos.Plan
+
+type protocol = Ac3wn | Herlihy | Nolan | Ac3tw
+
+type scenario = Two_party | Ring | Cyclic | Disconnected | Supply_chain
+
+(* The one table of scenario names, read by the CLI enum, section titles
+   and export notes alike. *)
+let scenario_names =
+  [ ("two-party", Two_party); ("ring", Ring); ("cyclic", Cyclic);
+    ("disconnected", Disconnected); ("supply-chain", Supply_chain) ]
+
+let scenario_name s = fst (List.find (fun (_, t) -> t = s) scenario_names)
+
+let protocol_conv =
+  Arg.enum [ ("ac3wn", Ac3wn); ("herlihy", Herlihy); ("nolan", Nolan); ("ac3tw", Ac3tw) ]
+
+let scenario_conv = Arg.enum scenario_names
 
 (* Shared by the sweep-shaped subcommands (chaos, check, attack):
    worker-domain count, defaulting to what the hardware offers. Output
@@ -75,6 +93,57 @@ let sanitize_arg =
           "Re-execute a sample of the parallel tasks sequentially and compare result \
            fingerprints; exit 4 if any task is not idempotent (cross-task mutable \
            interference).")
+
+(* The options several subcommands share, each defined once. Where the
+   commands' defaults differ, the default is the argument. *)
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output with stable field order.")
+
+let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Hide info-level diagnostics.")
+
+let parties_arg default =
+  Arg.(value & opt int default & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).")
+
+let seed_arg ?(doc = "Deterministic seed.") default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc)
+
+let max_nodes_arg ~doc default = Arg.(value & opt int default & info [ "max-nodes" ] ~doc)
+
+(* swap and metrics run one protocol over one scenario... *)
+let protocol_arg =
+  Arg.(
+    value & opt protocol_conv Ac3wn
+    & info [ "protocol"; "p" ] ~doc:"Protocol: ac3wn, herlihy, nolan, ac3tw.")
+
+let scenario_arg =
+  Arg.(value & opt scenario_conv Two_party & info [ "scenario"; "s" ] ~doc:"Scenario graph.")
+
+(* ...while verify, check, flow and chaos sweep them all unless told
+   one. *)
+let protocol_filter_arg ?(doc = "Restrict to one protocol (default: all three).") protocols =
+  Arg.(value & opt (some protocols) None & info [ "protocol"; "p" ] ~doc)
+
+let scenario_filter_arg =
+  Arg.(
+    value
+    & opt (some scenario_conv) None
+    & info [ "scenario"; "s" ] ~doc:"Restrict to one scenario graph.")
+
+let delta_arg =
+  Arg.(value & opt float 15.0 & info [ "delta" ] ~doc:"Timelock unit (virtual seconds).")
+
+let slack_arg =
+  Arg.(value & opt float 2.0 & info [ "slack" ] ~doc:"Extra deltas of timelock margin.")
+
+(* check's and flow's --export; [finding] names what they concretize. *)
+let export_arg finding =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "export"; "o" ] ~docv:"FILE"
+        ~doc:
+          ("Concretize the first " ^ finding
+         ^ " into a chaos reproducer JSON (replayable with $(b,ac3 chaos --replay))."))
 
 (* Input from outside the process that the command cannot use: a
    one-line diagnostic on stderr and exit 1, never an uncaught
@@ -115,12 +184,38 @@ let with_bounds cmd ?(max_nodes_limit = max_int) ~delta ~slack ~max_nodes run =
     refuse cmd "--max-nodes must be at most %d (got %d)" max_nodes_limit max_nodes
   else run ()
 
-let sanitize_failure ~index ~first ~rerun =
-  Fmt.epr
-    "sanitize: task %d diverged on sequential rerun@.  parallel: %s@.  rerun:    %s@.  a task's \
-     result depends on mutable state another task wrote — the determinism contract is broken@."
-    index first rerun;
-  4
+(* Every output file (--metrics-out, --trace-out, --export, chaos -o)
+   is written here. A path that cannot be opened or written raises
+   [Cannot_write (path, reason)], which [guard] refuses. *)
+exception Cannot_write of string * string
+
+let write_file path contents =
+  try
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc contents;
+        close_out oc)
+  with Sys_error msg ->
+    (* A failed open's message starts with the path, which the refusal names already. *)
+    let n = String.length path + 2 in
+    let from_open = String.starts_with ~prefix:(path ^ ": ") msg in
+    raise (Cannot_write (path, if from_open then String.sub msg n (String.length msg - n) else msg))
+
+(* Wraps a command's body: an output file it cannot write is refused
+   (exit 1), and a --sanitize divergence on the domain pool exits 4. *)
+let guard cmd run =
+  match run () with
+  | code -> code
+  | exception Cannot_write (path, reason) -> refuse cmd "cannot write %s: %s" path reason
+  | exception Pool.Interference { index; first; rerun } ->
+      Fmt.epr
+        "sanitize: task %d diverged on sequential rerun@.  parallel: %s@.  rerun:    %s@.  a \
+         task's result depends on mutable state another task wrote — the determinism contract \
+         is broken@."
+        index first rerun;
+      4
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -150,10 +245,6 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:"Write the hierarchical span tree (phase spans on the virtual clock) as JSON.")
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
-
 (* Pool totals count work *submitted* (jobs-independent by contract), so
    they are safe next to the simulator's deterministic metrics. *)
 let record_pool_stats metrics =
@@ -164,14 +255,13 @@ let record_pool_stats metrics =
 module Json = Ac3_crypto.Codec.Json
 
 let export_obs ?metrics_out ?trace_out (obs : Obs.t) =
+  let write json path = write_file path (Json.to_string_pretty json) in
   Option.iter
     (fun path ->
       record_pool_stats obs.Obs.metrics;
-      write_file path (Json.to_string_pretty (Metrics.to_json obs.Obs.metrics)))
+      write (Metrics.to_json obs.Obs.metrics) path)
     metrics_out;
-  Option.iter
-    (fun path -> write_file path (Json.to_string_pretty (Span.to_json obs.Obs.spans)))
-    trace_out
+  Option.iter (fun path -> write (Span.to_json obs.Obs.spans) path) trace_out
 
 (* Merge the observability contexts of a report list in list order —
    the same discipline Runner.sweep uses internally. *)
@@ -186,46 +276,40 @@ let merged_report_obs reports =
 
 (* --- swap ------------------------------------------------------------------ *)
 
-type protocol = Ac3wn | Herlihy | Nolan | Ac3tw
-
-type scenario = Two_party | Ring | Cyclic | Disconnected | Supply_chain
-
-let all_scenarios = [ Two_party; Ring; Cyclic; Disconnected; Supply_chain ]
-
 (* Which scenarios each protocol family runs by default: single-leader
    protocols (Herlihy, and Nolan on two parties) need a graph one
    leader's secret can settle; the witness family takes every shape. *)
 let flow_scenarios = function
   | Flow.Single_leader -> [ Two_party; Ring ]
-  | Flow.Witness -> all_scenarios
+  | Flow.Witness -> List.map snd scenario_names
 
-(* Each built-in scenario's party count, chain names and graph builder:
-   the one table behind both the simulated runs ([scenario_setup]) and
-   the static passes ([scenario_graph]). Rings below two parties are
-   clamped to two. *)
+(* Each built-in scenario's chaos-spec shape, party count, chain names
+   and graph builder: the one table behind the simulated runs
+   ([scenario_setup]), the static passes ([scenario_graph]) and the
+   chaos specs check and flow export ([scenario_spec]). Rings below two
+   parties are clamped to two. *)
 type scenario_desc = {
+  shape : Plan.shape;
   n_parties : int;
   chain_names : string list;
   build : Ac3_crypto.Keys.t list -> timestamp:float -> Ac2t.t;
 }
 
 let describe ~scenario ~parties =
-  let desc n_parties chain_names build =
-    { n_parties; chain_names; build = build ~chains:chain_names }
+  let desc shape n_parties chain_names build =
+    { shape; n_parties; chain_names; build = build ~chains:chain_names }
   in
   match scenario with
   | Two_party ->
-      {
-        n_parties = 2;
-        chain_names = [ "btc"; "eth" ];
-        build = (fun ids -> S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids);
-      }
+      desc Plan.Two_party 2 [ "btc"; "eth" ] (fun ~chains:_ ids ->
+          S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids)
   | Ring ->
       let n = max 2 parties in
-      desc n (List.init n (Printf.sprintf "chain%d")) S.ring_graph
-  | Cyclic -> desc 3 [ "c1"; "c2"; "c3" ] S.cyclic_graph
-  | Disconnected -> desc 4 [ "c1"; "c2"; "c3"; "c4" ] S.disconnected_graph
-  | Supply_chain -> desc 4 [ "payments"; "titles"; "freight" ] S.supply_chain_graph
+      desc Plan.Ring n (List.init n (Printf.sprintf "chain%d")) S.ring_graph
+  | Cyclic -> desc Plan.Cyclic 3 [ "c1"; "c2"; "c3" ] S.cyclic_graph
+  | Disconnected -> desc Plan.Disconnected 4 [ "c1"; "c2"; "c3"; "c4" ] S.disconnected_graph
+  | Supply_chain ->
+      desc Plan.Supply_chain 4 [ "payments"; "titles"; "freight" ] S.supply_chain_graph
 
 let scenario_setup ~scenario ~parties ~seed =
   let d = describe ~scenario ~parties in
@@ -267,6 +351,7 @@ let refused e =
   1
 
 let run_swap protocol scenario parties seed crash verbose metrics_out trace_out =
+  guard "swap" @@ fun () ->
   with_parties "swap" parties @@ fun () ->
   setup_logs verbose;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
@@ -288,28 +373,7 @@ let run_swap protocol scenario parties seed crash verbose metrics_out trace_out 
   export_obs ?metrics_out ?trace_out (U.obs u);
   code
 
-let protocol_conv =
-  Arg.enum [ ("ac3wn", Ac3wn); ("herlihy", Herlihy); ("nolan", Nolan); ("ac3tw", Ac3tw) ]
-
-let scenario_conv =
-  Arg.enum
-    [
-      ("two-party", Two_party);
-      ("ring", Ring);
-      ("cyclic", Cyclic);
-      ("disconnected", Disconnected);
-      ("supply-chain", Supply_chain);
-    ]
-
 let swap_cmd =
-  let protocol =
-    Arg.(value & opt protocol_conv Ac3wn & info [ "protocol"; "p" ] ~doc:"Protocol: ac3wn, herlihy, nolan, ac3tw.")
-  in
-  let scenario =
-    Arg.(value & opt scenario_conv Two_party & info [ "scenario"; "s" ] ~doc:"Scenario graph.")
-  in
-  let parties = Arg.(value & opt int 3 & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).") in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"Deterministic seed.") in
   let crash =
     Arg.(value & flag & info [ "crash" ] ~doc:"Crash the second participant at the critical moment.")
   in
@@ -317,8 +381,8 @@ let swap_cmd =
   Cmd.v
     (Cmd.info "swap" ~doc:"Execute an atomic cross-chain transaction on the simulator")
     Term.(
-      const run_swap $ protocol $ scenario $ parties $ seed $ crash $ verbose $ metrics_out_arg
-      $ trace_out_arg)
+      const run_swap $ protocol_arg $ scenario_arg $ parties_arg 3 $ seed_arg 2026 $ crash $ verbose
+      $ metrics_out_arg $ trace_out_arg)
 
 (* --- verify ----------------------------------------------------------------- *)
 
@@ -332,70 +396,81 @@ let scenario_graph ~scenario ~parties =
   let d = describe ~scenario ~parties in
   d.build (S.identities ~ns:"verify" d.n_parties) ~timestamp:1.0
 
-let scenario_name = function
-  | Two_party -> "two-party"
-  | Ring -> "ring"
-  | Cyclic -> "cyclic"
-  | Disconnected -> "disconnected"
-  | Supply_chain -> "supply-chain"
+(* --- the static commands' report ------------------------------------------- *)
 
-let print_section ~quiet (name, diags) =
-  let errors = Diagnostic.errors diags in
-  Fmt.pr "== %s: %s@." name (if errors = [] then "ok" else "FAIL");
-  let shown =
-    if quiet then List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) diags
-    else diags
+(* One section of verify's, check's, flow's or lint's report. [extra]
+   splices into its JSON object (check's protocol, scenario and stats);
+   [trailer] is a text line printed under its diagnostics (check's
+   stats). *)
+type section = {
+  name : string;
+  diags : Diagnostic.t list;
+  extra : (string * Json.t) list;
+  trailer : string option;
+}
+
+let section ?(extra = []) ?trailer name diags = { name; diags; extra; trailer }
+
+(* Prints one section; true when it carries an error. *)
+let print_section ~quiet s =
+  let failed = Diagnostic.has_errors s.diags in
+  Fmt.pr "== %s: %s@." s.name (if failed then "FAIL" else "ok");
+  List.iter
+    (fun d ->
+      if not (quiet && d.Diagnostic.severity = Diagnostic.Info) then
+        Fmt.pr "   %a@." Diagnostic.pp d)
+    s.diags;
+  Option.iter (Fmt.pr "   %s@.") s.trailer;
+  failed
+
+(* The one --json envelope: {ok, sections:[{name, ok, diagnostics, ...}]}. *)
+let print_json sections =
+  print_string
+    (Json.to_string_pretty
+       (Diagnostic.sections_to_json (List.map (fun s -> (s.name, s.diags, s.extra)) sections)));
+  print_newline ()
+
+(* The shared tail of verify, check and flow: each section's repeated
+   diagnostics dropped, then either the --json envelope, or every
+   section followed by a one-line summary ([ok_summary] when all pass,
+   "N of M section(s) [failed]" otherwise). Exit 3 when any section
+   carries an error. *)
+let finish_sections cmd ?(failed = "FAILED") ~ok_summary ~json ~quiet sections =
+  let sections = List.map (fun s -> { s with diags = Diagnostic.dedupe s.diags }) sections in
+  let failures =
+    if json then begin
+      print_json sections;
+      List.filter (fun s -> Diagnostic.has_errors s.diags) sections
+    end
+    else List.filter (print_section ~quiet) sections
   in
-  List.iter (fun d -> Fmt.pr "   %a@." Diagnostic.pp d) shown;
-  errors <> []
-
-(* The shared tail of verify and flow: either the --json envelope, or
-   every section followed by a one-line summary ([ok_summary] when all
-   pass). Exit 3 when any section carries an error. *)
-let finish_sections cmd ~ok_summary ~json ~quiet sections =
-  if json then begin
-    print_string (Json.to_string_pretty (Diagnostic.sections_to_json sections));
-    print_newline ();
-    if List.exists (fun (_, diags) -> Diagnostic.has_errors diags) sections then 3 else 0
-  end
-  else begin
-    let failures = List.filter (fun sec -> print_section ~quiet sec) sections in
-    if failures = [] then begin
-      Fmt.pr "@.%s: %d section(s), %s@." cmd (List.length sections) ok_summary;
-      0
-    end
-    else begin
-      Fmt.pr "@.%s: %d of %d section(s) FAILED@." cmd (List.length failures)
-        (List.length sections);
-      3
-    end
-  end
+  let n = List.length sections and k = List.length failures in
+  if not json then
+    if k = 0 then Fmt.pr "@.%s: %d section(s), %s@." cmd n ok_summary
+    else Fmt.pr "@.%s: %d of %d section(s) %s@." cmd k n failed;
+  if k = 0 then 0 else 3
 
 let run_verify protocol scenario parties delta slack max_nodes json quiet =
   with_parties "verify" parties @@ fun () ->
   with_bounds "verify" ~delta ~slack ~max_nodes @@ fun () ->
-  let herlihy_over scenarios =
-    List.map
-      (fun s ->
-        ( Printf.sprintf "herlihy preflight (%s)" (scenario_name s),
-          V.herlihy_preflight ~graph:(scenario_graph ~scenario:s ~parties) ~delta
-            ~timelock_slack:slack ~start_time:0.0 ))
-      scenarios
+  let preflights profile preflight =
+    List.map (fun s ->
+        section
+          (Printf.sprintf "%s preflight (%s)" profile (scenario_name s))
+          (preflight (scenario_graph ~scenario:s ~parties)))
   in
-  let ac3wn_over scenarios =
-    List.map
-      (fun s ->
-        ( Printf.sprintf "ac3wn preflight (%s)" (scenario_name s),
-          V.ac3wn_preflight ~graph:(scenario_graph ~scenario:s ~parties) ))
-      scenarios
+  let herlihy_over =
+    preflights "herlihy" (fun graph ->
+        V.herlihy_preflight ~graph ~delta ~timelock_slack:slack ~start_time:0.0)
   in
+  let ac3wn_over = preflights "ac3wn" (fun graph -> V.ac3wn_preflight ~graph) in
   let contracts () =
     [
-      ("state machine (htlc)", V.contract ~name:"htlc" (Probes.htlc ~max_nodes ()));
-      ( "state machine (ac3tw-swap)",
-        V.contract ~name:"ac3tw-swap" (Probes.centralized ~max_nodes ()) );
-      ( "state machine (ac3wn-witness)",
-        V.contract ~name:"ac3wn-witness" (Probes.witness ~max_nodes ()) );
+      section "state machine (htlc)" (V.contract ~name:"htlc" (Probes.htlc ~max_nodes ()));
+      section "state machine (ac3tw-swap)"
+        (V.contract ~name:"ac3tw-swap" (Probes.centralized ~max_nodes ()));
+      section "state machine (ac3wn-witness)"
+        (V.contract ~name:"ac3wn-witness" (Probes.witness ~max_nodes ()));
     ]
   in
   let sections =
@@ -413,40 +488,19 @@ let run_verify protocol scenario parties delta slack max_nodes json quiet =
         @ ac3wn_over (flow_scenarios Flow.Witness)
         @ contracts ()
   in
-  finish_sections "verify" ~ok_summary:"all ok" ~json ~quiet
-    (List.map (fun (name, diags) -> (name, Diagnostic.dedupe diags)) sections)
+  finish_sections "verify" ~ok_summary:"all ok" ~json ~quiet sections
 
 let verify_cmd =
-  let protocol =
-    Arg.(
-      value
-      & opt (some protocol_conv) None
-      & info [ "protocol"; "p" ] ~doc:"Restrict to one protocol's profile.")
-  in
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario"; "s" ] ~doc:"Restrict to one scenario graph.")
-  in
-  let parties = Arg.(value & opt int 4 & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).") in
-  let delta = Arg.(value & opt float 15.0 & info [ "delta" ] ~doc:"Timelock unit (virtual seconds).") in
-  let slack =
-    Arg.(value & opt float 2.0 & info [ "slack" ] ~doc:"Extra deltas of timelock margin.")
-  in
+  let protocol = protocol_filter_arg protocol_conv ~doc:"Restrict to one protocol's profile." in
   let max_nodes =
-    Arg.(
-      value & opt int 256
-      & info [ "max-nodes" ] ~doc:"Node bound for the contract state-machine pass (S005 when hit).")
+    max_nodes_arg 256 ~doc:"Node bound for the contract state-machine pass (S005 when hit)."
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output with stable field order.")
-  in
-  let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Hide info-level diagnostics.") in
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Statically verify AC2T graphs, timelock assignments and contract state machines")
-    Term.(const run_verify $ protocol $ scenario $ parties $ delta $ slack $ max_nodes $ json $ quiet)
+    Term.(
+      const run_verify $ protocol $ scenario_filter_arg $ parties_arg 4 $ delta_arg $ slack_arg
+      $ max_nodes $ json_arg $ quiet_arg)
 
 (* --- analyze ----------------------------------------------------------------- *)
 
@@ -458,6 +512,7 @@ let analyze_cmd =
 (* --- attack -------------------------------------------------------------------- *)
 
 let run_attack q trials seed jobs metrics_out trace_out =
+  guard "attack" @@ fun () ->
   with_jobs "attack" jobs @@ fun () ->
   if not (q > 0.0 && q < 1.0) then refuse "attack" "-q must be in (0, 1) (got %g)" q
   else if trials < 1 then refuse "attack" "--trials must be positive (got %d)" trials
@@ -495,14 +550,12 @@ let run_attack q trials seed jobs metrics_out trace_out =
 let attack_cmd =
   let q = Arg.(value & opt float 0.3 & info [ "q" ] ~doc:"Adversary hash-power share (0,1).") in
   let trials = Arg.(value & opt int 500 & info [ "trials" ] ~doc:"Monte-Carlo trials per depth.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
   Cmd.v
     (Cmd.info "attack" ~doc:"Simulate 51% attacks on the witness network (Sec 6.3)")
-    Term.(const run_attack $ q $ trials $ seed $ jobs_arg $ metrics_out_arg $ trace_out_arg)
+    Term.(const run_attack $ q $ trials $ seed_arg 1 $ jobs_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --- chaos -------------------------------------------------------------------- *)
 
-module Plan = Ac3_chaos.Plan
 module Runner = Ac3_chaos.Runner
 module Shrink = Ac3_chaos.Shrink
 module Repro = Ac3_chaos.Repro
@@ -582,9 +635,7 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       (match out with
       | None -> Fmt.pr "reproducer:@.%s@." json
       | Some path ->
-          let oc = open_out_bin path in
-          output_string oc json;
-          close_out oc;
+          write_file path json;
           Fmt.pr "reproducer written to %s@." path);
       (match
          List.find_opt (fun (r : Runner.report) -> r.Runner.protocol = target) shrunk_reports
@@ -604,6 +655,7 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       0
 
 let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
+  guard "chaos" @@ fun () ->
   with_jobs "chaos" jobs @@ fun () ->
   match replay with
   | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
@@ -617,27 +669,20 @@ let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose me
           let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
           let on_report = if verbose then Some report_line else None in
           let spans = Option.is_some trace_out in
-          match Runner.sweep ~protocols ?on_report ~jobs ~spans ~sanitize ~load ~seed ~runs () with
-          | summary ->
-              export_obs ?metrics_out ?trace_out summary.Runner.obs;
-              Fmt.pr "%a@." Runner.pp_summary summary;
-              if summary.Runner.unexplained_failures > 0 || summary.Runner.interval_violations > 0
-              then 3
-              else 0
-          | exception Pool.Interference { index; first; rerun } ->
-              sanitize_failure ~index ~first ~rerun
+          let summary =
+            Runner.sweep ~protocols ?on_report ~jobs ~spans ~sanitize ~load ~seed ~runs ()
+          in
+          export_obs ?metrics_out ?trace_out summary.Runner.obs;
+          Fmt.pr "%a@." Runner.pp_summary summary;
+          if summary.Runner.unexplained_failures > 0 || summary.Runner.interval_violations > 0
+          then 3
+          else 0
         end
       with Plan.Malformed msg -> refuse "chaos" "%s" msg)
 
 let chaos_cmd =
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed; run $(i,k) uses seed+$(i,k).") in
+  let seed = seed_arg 1 ~doc:"Base seed; run $(i,k) uses seed+$(i,k)." in
   let runs = Arg.(value & opt int 10 & info [ "runs" ] ~doc:"Number of sampled fault plans.") in
-  let protocol =
-    Arg.(
-      value
-      & opt (some chaos_protocol_conv) None
-      & info [ "protocol"; "p" ] ~doc:"Restrict to one protocol (default: all three).")
-  in
   let replay =
     Arg.(
       value
@@ -668,8 +713,8 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Deterministic fault-injection sweeps: seeded plans, atomicity oracle, shrinking")
     Term.(
-      const run_chaos $ seed $ runs $ protocol $ load $ replay $ shrink $ out $ jobs_arg
-      $ sanitize_arg $ verbose $ metrics_out_arg $ trace_out_arg)
+      const run_chaos $ seed $ runs $ protocol_filter_arg chaos_protocol_conv $ load $ replay
+      $ shrink $ out $ jobs_arg $ sanitize_arg $ verbose $ metrics_out_arg $ trace_out_arg)
 
 (* --- check -------------------------------------------------------------------- *)
 
@@ -681,17 +726,37 @@ let mc_protocol_conv = Arg.enum Protocol.names
 (* The chaos-spec equivalent of each built-in scenario, so an exported
    counterexample concretizes against exactly the graph that was
    checked (Runner.build_graph is shared by both paths). *)
-let check_spec ~scenario ~parties ~seed =
-  match scenario with
-  | Two_party -> { Plan.seed; shape = Plan.Two_party; parties = 2; nchains = 2; extra_edges = 0; load = 1 }
-  | Ring ->
-      let n = max 2 parties in
-      { Plan.seed; shape = Plan.Ring; parties = n; nchains = n; extra_edges = 0; load = 1 }
-  | Cyclic -> { Plan.seed; shape = Plan.Cyclic; parties = 3; nchains = 3; extra_edges = 0; load = 1 }
-  | Disconnected ->
-      { Plan.seed; shape = Plan.Disconnected; parties = 4; nchains = 4; extra_edges = 0; load = 1 }
-  | Supply_chain ->
-      { Plan.seed; shape = Plan.Supply_chain; parties = 4; nchains = 3; extra_edges = 0; load = 1 }
+let scenario_spec ~scenario ~parties ~seed =
+  let d = describe ~scenario ~parties in
+  let nchains = List.length d.chain_names in
+  { Plan.seed; shape = d.shape; parties = d.n_parties; nchains; extra_edges = 0; load = 1 }
+
+(* check's and flow's pass over each (protocol or profile, scenario)
+   pair, on the domain pool: [analyze] sees the scenario's chaos-spec
+   graph, built from identities in namespace [ns]. *)
+let over_specs ~ns ~parties ~seed ~jobs ~sanitize analyze pairs =
+  Pool.map ~jobs ~sanitize
+    (fun (p, s) ->
+      let spec = scenario_spec ~scenario:s ~parties ~seed in
+      let ids = S.identities ~ns spec.Plan.parties in
+      (p, s, spec, analyze p (Runner.build_graph ~spec ~ids ~timestamp:1.0)))
+    pairs
+
+(* check's and flow's --export: concretize a finding, given as [(rule,
+   note, spec, protocol, crashes)], into a chaos reproducer on the
+   simulator and write it to [path]. [missing] and [confirmed] name the
+   finding in the two messages. *)
+let export_reproducer ~missing ~confirmed finding path =
+  match finding with
+  | None -> Fmt.epr "export: no %s to concretize@." missing
+  | Some (rule, note, spec, protocol, crashes) ->
+      let outcome = Model_repro.concretize ~note ~spec ~protocol ~crashes () in
+      write_file path (Repro.to_string outcome.Model_repro.repro);
+      Fmt.epr "export: %s concretized in %d dynamic run(s), %s; reproducer written to %s@." rule
+        outcome.Model_repro.attempts
+        (if outcome.Model_repro.confirmed then confirmed ^ " CONFIRMED on the simulator"
+         else "not confirmed dynamically")
+        path
 
 (* The model checker refuses Nolan beyond the two-party swap (T000). *)
 let default_scenarios = function
@@ -701,54 +766,26 @@ let default_scenarios = function
 (* Report order of [check] sections when no protocol is given. *)
 let check_protocols = MC.[ Herlihy; Nolan; Ac3wn ]
 
-let export_counterexample ~path results =
-  match
-    List.find_opt (fun (_, _, _, r) -> r.MC.violations <> []) results
-  with
-  | None ->
-      Fmt.epr "export: no violation to concretize@.";
-      ()
-  | Some (p, s, spec, r) ->
-      let v = List.hd r.MC.violations in
-      let note =
-        Printf.sprintf "%s counterexample: %s on %s" v.Ac3_model.Rules.rule (MC.protocol_name p)
-          (scenario_name s)
-      in
-      let crashes =
-        List.filter_map
-          (function Ac3_model.Semantics.Crash party -> Some party | _ -> None)
-          v.Ac3_model.Rules.schedule
-      in
-      let outcome = Model_repro.concretize ~note ~spec ~protocol:p ~crashes () in
-      let oc = open_out_bin path in
-      output_string oc (Repro.to_string outcome.Model_repro.repro);
-      close_out oc;
-      Fmt.epr "export: %s concretized in %d dynamic run(s), %s; reproducer written to %s@."
-        v.Ac3_model.Rules.rule outcome.Model_repro.attempts
-        (if outcome.Model_repro.confirmed then "violation CONFIRMED on the simulator"
-         else "not confirmed dynamically")
-        path
-
-let check_stats_json (s : MC.stats) =
-  Json.Obj
+(* The exploration counts, exported both as a section's JSON stats and
+   as model.* counters. *)
+let check_counts (s : MC.stats) =
+  MC.
     [
-      ("nodes", Json.Int s.MC.nodes);
-      ("transitions", Json.Int s.MC.transitions);
-      ("por_skipped", Json.Int s.MC.por_skipped);
-      ("peak_frontier", Json.Int s.MC.peak_frontier);
-      ("truncated", Json.Bool s.MC.truncated);
+      ("nodes", s.nodes);
+      ("transitions", s.transitions);
+      ("por_skipped", s.por_skipped);
+      ("peak_frontier", s.peak_frontier);
     ]
 
 let run_check protocol scenario parties delta slack crashes max_nodes json export seed jobs
     sanitize quiet metrics_out trace_out =
+  guard "check" @@ fun () ->
   with_jobs "check" jobs @@ fun () ->
   with_parties "check" parties @@ fun () ->
   with_bounds "check" ~max_nodes_limit:Ac3_model.Explore.max_nodes_limit ~delta ~slack ~max_nodes
   @@ fun () ->
   if crashes < 0 then refuse "check" "--crashes must be non-negative (got %d)" crashes else
-  let config =
-    { MC.delta; timelock_slack = slack; start_time = 0.0; max_nodes; crash_budget = crashes }
-  in
+  let config = { MC.delta; timelock_slack = slack; max_nodes; crash_budget = crashes } in
   let pairs =
     match (protocol, scenario) with
     | Some p, Some s -> [ (p, s) ]
@@ -760,127 +797,71 @@ let run_check protocol scenario parties delta slack crashes max_nodes json expor
     | None, None ->
         List.concat_map (fun p -> List.map (fun s -> (p, s)) (default_scenarios p)) check_protocols
   in
-  match
-    Pool.map ~jobs ~sanitize
-      (fun (p, s) ->
-        let spec = check_spec ~scenario:s ~parties ~seed in
-        let ids = S.identities ~ns:"check" spec.Plan.parties in
-        let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
-        let report = MC.check ~config ~protocol:p ~graph in
-        (p, s, spec, report))
+  let results =
+    over_specs ~ns:"check" ~parties ~seed ~jobs ~sanitize
+      (fun p graph -> MC.check ~config ~protocol:p ~graph)
       pairs
-  with
-  | exception Pool.Interference { index; first; rerun } -> sanitize_failure ~index ~first ~rerun
-  | results ->
-  Option.iter (fun path -> export_counterexample ~path results) export;
-  let section_name p s = Printf.sprintf "%s model (%s)" (MC.protocol_name p) (scenario_name s) in
-  let ok = List.for_all (fun (_, _, _, r) -> MC.ok r) results in
+  in
+  let first_violation (p, s, spec, r) =
+    match r.MC.violations with
+    | [] -> None
+    | { Ac3_model.Rules.rule; schedule; _ } :: _ ->
+        let note =
+          Printf.sprintf "%s counterexample: %s on %s" rule (MC.protocol_name p) (scenario_name s)
+        in
+        let crash = function Ac3_model.Semantics.Crash party -> Some party | _ -> None in
+        Some (rule, note, spec, p, List.filter_map crash schedule)
+  in
+  Option.iter
+    (export_reproducer ~missing:"violation" ~confirmed:"violation"
+       (List.find_map first_violation results))
+    export;
   (* The model checker runs outside the simulator, so there is no
      virtual clock: spans are flat section markers at t = 0 and the
      exploration statistics export as labelled counters. *)
   let obs = Obs.create ~clock:(fun () -> 0.0) () in
-  List.iter
-    (fun (p, s, _, r) ->
-      let labels =
-        [ ("protocol", MC.protocol_name p); ("scenario", scenario_name s) ]
-      in
-      let c name = Metrics.counter obs.Obs.metrics ~labels name in
-      Metrics.add (c "model.nodes") r.MC.stats.MC.nodes;
-      Metrics.add (c "model.transitions") r.MC.stats.MC.transitions;
-      Metrics.add (c "model.por_skipped") r.MC.stats.MC.por_skipped;
-      Metrics.add (c "model.peak_frontier") r.MC.stats.MC.peak_frontier;
-      if r.MC.stats.MC.truncated then Metrics.incr (c "model.truncated");
-      Metrics.add (c "model.violations") (List.length r.MC.violations);
-      ignore (Span.add obs.Obs.spans ~attrs:labels ~name:(section_name p s) ~start:0.0 ~stop:0.0 ()))
-    results;
-  export_obs ?metrics_out ?trace_out obs;
-  if json then begin
-    let sections =
-      List.map
-        (fun (p, s, _, r) ->
-          Diagnostic.section_to_json ~name:(section_name p s)
-            ~extra:
-              [
-                ("protocol", Json.String (MC.protocol_name p));
-                ("scenario", Json.String (scenario_name s));
-                ("stats", check_stats_json r.MC.stats);
-              ]
-            (Diagnostic.dedupe r.MC.diagnostics))
-        results
-    in
-    print_string
-      (Json.to_string_pretty (Json.Obj [ ("ok", Json.Bool ok); ("sections", Json.List sections) ]));
-    print_newline ();
-    if ok then 0 else 3
-  end
-  else begin
-    List.iter
+  let sections =
+    List.map
       (fun (p, s, _, r) ->
-        ignore (print_section ~quiet (section_name p s, Diagnostic.dedupe r.MC.diagnostics));
-        Fmt.pr "   %a@." MC.pp_stats r.MC.stats)
-      results;
-    if ok then begin
-      Fmt.pr "@.check: %d section(s), all ok@." (List.length results);
-      0
-    end
-    else begin
-      let failed = List.filter (fun (_, _, _, r) -> not (MC.ok r)) results in
-      Fmt.pr "@.check: %d of %d section(s) found violations@." (List.length failed)
-        (List.length results);
-      3
-    end
-  end
+        let name = Printf.sprintf "%s model (%s)" (MC.protocol_name p) (scenario_name s) in
+        let labels = [ ("protocol", MC.protocol_name p); ("scenario", scenario_name s) ] in
+        let stats = r.MC.stats in
+        let counts = check_counts stats in
+        let c name = Metrics.counter obs.Obs.metrics ~labels ("model." ^ name) in
+        List.iter (fun (k, v) -> Metrics.add (c k) v) counts;
+        if stats.MC.truncated then Metrics.incr (c "truncated");
+        Metrics.add (c "violations") (List.length r.MC.violations);
+        ignore (Span.add obs.Obs.spans ~attrs:labels ~name ~start:0.0 ~stop:0.0 ());
+        let stats_json =
+          List.map (fun (k, v) -> (k, Json.Int v)) counts
+          @ [ ("truncated", Json.Bool stats.MC.truncated) ]
+        in
+        let extra = List.map (fun (k, v) -> (k, Json.String v)) labels in
+        section name r.MC.diagnostics
+          ~extra:(extra @ [ ("stats", Json.Obj stats_json) ])
+          ~trailer:(Fmt.str "%a" MC.pp_stats stats))
+      results
+  in
+  export_obs ?metrics_out ?trace_out obs;
+  finish_sections "check" ~failed:"found violations" ~ok_summary:"all ok" ~json ~quiet sections
 
 let check_cmd =
-  let protocol =
-    Arg.(
-      value
-      & opt (some mc_protocol_conv) None
-      & info [ "protocol"; "p" ] ~doc:"Restrict to one protocol (default: all three).")
-  in
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario"; "s" ] ~doc:"Restrict to one scenario graph.")
-  in
-  let parties = Arg.(value & opt int 4 & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).") in
-  let delta = Arg.(value & opt float 15.0 & info [ "delta" ] ~doc:"Timelock unit (virtual seconds).") in
-  let slack =
-    Arg.(value & opt float 2.0 & info [ "slack" ] ~doc:"Extra deltas of timelock margin.")
-  in
   let crashes =
     Arg.(
       value & opt int 1
       & info [ "crashes" ] ~doc:"Fault budget: how many parties the adversary may crash.")
   in
-  let max_nodes =
-    Arg.(
-      value & opt int 20_000
-      & info [ "max-nodes" ] ~doc:"Bound on explored product states (M005 when hit).")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output with stable field order.")
-  in
-  let export =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Concretize the first counterexample into a chaos reproducer JSON (replayable with \
-             $(b,ac3 chaos --replay)).")
-  in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"Seed for the exported reproducer's universe.") in
-  let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Hide info-level diagnostics.") in
+  let max_nodes = max_nodes_arg 20_000 ~doc:"Bound on explored product states (M005 when hit)." in
+  let seed = seed_arg 2026 ~doc:"Seed for the exported reproducer's universe." in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Model-check whole transactions: explore every interleaving of protocol moves, timelock \
           expiries and crash faults, and emit replayable counterexamples")
     Term.(
-      const run_check $ protocol $ scenario $ parties $ delta $ slack $ crashes $ max_nodes $ json
-      $ export $ seed $ jobs_arg $ sanitize_arg $ quiet $ metrics_out_arg $ trace_out_arg)
+      const run_check $ protocol_filter_arg mc_protocol_conv $ scenario_filter_arg $ parties_arg 4
+      $ delta_arg $ slack_arg $ crashes $ max_nodes $ json_arg $ export_arg "counterexample" $ seed
+      $ jobs_arg $ sanitize_arg $ quiet_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --- flow ------------------------------------------------------------------- *)
 
@@ -893,31 +874,8 @@ let flow_profile_name = function
   | Flow.Single_leader -> "single-leader"
   | Flow.Witness -> "witness"
 
-let export_flow_witness ~path ~parties ~seed results =
-  match
-    List.find_opt (fun (p, _, a) -> p = Flow.Single_leader && a.Flow.witnesses <> []) results
-  with
-  | None -> Fmt.epr "export: no F001 witness to concretize@."
-  | Some (_, s, a) ->
-      let w = List.hd a.Flow.witnesses in
-      let spec = check_spec ~scenario:s ~parties ~seed in
-      let note =
-        Printf.sprintf "F001-crash-exposure witness: party %d on %s" w.Flow.victim_index
-          (scenario_name s)
-      in
-      let outcome =
-        Model_repro.concretize ~note ~spec ~protocol:Protocol.Herlihy ~crashes:w.Flow.crash ()
-      in
-      let oc = open_out_bin path in
-      output_string oc (Repro.to_string outcome.Model_repro.repro);
-      close_out oc;
-      Fmt.epr "export: F001 concretized in %d dynamic run(s), %s; reproducer written to %s@."
-        outcome.Model_repro.attempts
-        (if outcome.Model_repro.confirmed then "exposure CONFIRMED on the simulator"
-         else "not confirmed dynamically")
-        path
-
 let run_flow profile scenario parties budget json export seed jobs sanitize quiet =
+  guard "flow" @@ fun () ->
   with_jobs "flow" jobs @@ fun () ->
   with_parties "flow" parties @@ fun () ->
   if budget < 0 then refuse "flow" "--fault-budget must be non-negative (got %d)" budget else
@@ -931,28 +889,32 @@ let run_flow profile scenario parties budget json export seed jobs sanitize quie
         List.map (fun s -> (p, s)) scenarios)
       profiles
   in
-  match
-    Pool.map ~jobs ~sanitize
-      (fun (p, s) ->
-        let spec = check_spec ~scenario:s ~parties ~seed in
-        let ids = S.identities ~ns:"flow" spec.Plan.parties in
-        let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
-        (p, s, Flow.analyze ~fault_budget:budget ~profile:p graph))
+  let results =
+    over_specs ~ns:"flow" ~parties ~seed ~jobs ~sanitize
+      (fun p graph -> Flow.analyze ~fault_budget:budget ~profile:p graph)
       pairs
-  with
-  | exception Pool.Interference { index; first; rerun } -> sanitize_failure ~index ~first ~rerun
-  | results ->
-      Option.iter (fun path -> export_flow_witness ~path ~parties ~seed results) export;
-      let sections =
-        List.map
-          (fun (p, s, a) ->
-            ( Printf.sprintf "flow %s (%s, budget %d)" (flow_profile_name p) (scenario_name s)
-                budget,
-              Diagnostic.dedupe (Flow_lint.of_analysis a) ))
-          results
-      in
-      finish_sections "flow" ~ok_summary:"every exposure inside its interval hull" ~json ~quiet
-        sections
+  in
+  let first_witness (p, s, spec, a) =
+    match a.Flow.witnesses with
+    | w :: _ when p = Flow.Single_leader ->
+        let note =
+          Printf.sprintf "F001-crash-exposure witness: party %d on %s" w.Flow.victim_index
+            (scenario_name s)
+        in
+        Some ("F001", note, spec, Protocol.Herlihy, w.Flow.crash)
+    | _ -> None
+  in
+  Option.iter
+    (export_reproducer ~missing:"F001 witness" ~confirmed:"exposure"
+       (List.find_map first_witness results))
+    export;
+  finish_sections "flow" ~ok_summary:"every exposure inside its interval hull" ~json ~quiet
+    (List.map
+       (fun (p, s, _, a) ->
+         section
+           (Printf.sprintf "flow %s (%s, budget %d)" (flow_profile_name p) (scenario_name s) budget)
+           (Flow_lint.of_analysis a))
+       results)
 
 let flow_cmd =
   let profile =
@@ -964,13 +926,6 @@ let flow_cmd =
             "Restrict to one commitment profile, $(b,single-leader) or $(b,witness) (default: \
              both).")
   in
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario"; "s" ] ~doc:"Restrict to one scenario graph.")
-  in
-  let parties = Arg.(value & opt int 4 & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).") in
   let budget =
     Arg.(
       value & opt int 1
@@ -979,32 +934,17 @@ let flow_cmd =
             "Crash faults the adversary may spend. 0 bounds crash-free executions only; any \
              positive budget widens every non-leader to its full crash exposure.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output with stable field order.")
-  in
-  let export =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Concretize the first F001 crash witness into a chaos reproducer JSON (replayable \
-             with $(b,ac3 chaos --replay)).")
-  in
   let seed =
-    Arg.(
-      value & opt int 2026
-      & info [ "seed" ] ~doc:"Seed for the analyzed graphs and the exported reproducer's universe.")
+    seed_arg 2026 ~doc:"Seed for the analyzed graphs and the exported reproducer's universe."
   in
-  let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Hide info-level diagnostics.") in
   Cmd.v
     (Cmd.info "flow"
        ~doc:
          "Economic-safety abstract interpretation: per-participant intervals of net value deltas \
           reachable under any commit/abort/crash interleaving within a fault budget")
     Term.(
-      const run_flow $ profile $ scenario $ parties $ budget $ json $ export $ seed $ jobs_arg
-      $ sanitize_arg $ quiet)
+      const run_flow $ profile $ scenario_filter_arg $ parties_arg 4 $ budget $ json_arg
+      $ export_arg "F001 crash witness" $ seed $ jobs_arg $ sanitize_arg $ quiet_arg)
 
 (* --- lint ------------------------------------------------------------------- *)
 
@@ -1022,14 +962,14 @@ let run_lint root roots json quiet =
     refuse "lint" "no .ml sources under %s in %s; refusing an empty scan"
       (String.concat ", " roots) root
   else begin
-    let name = Printf.sprintf "lint (%s)" (String.concat " " roots) in
-    let diags = outcome.Lint.findings @ outcome.Lint.notes in
-    if json then begin
-      print_string (Json.to_string_pretty (Diagnostic.sections_to_json [ (name, diags) ]));
-      print_newline ()
-    end
+    let sec =
+      section
+        (Printf.sprintf "lint (%s)" (String.concat " " roots))
+        (outcome.Lint.findings @ outcome.Lint.notes)
+    in
+    if json then print_json [ sec ]
     else begin
-      ignore (print_section ~quiet (name, diags));
+      ignore (print_section ~quiet sec);
       Fmt.pr "@.lint: %d file(s), %d finding(s), %d suppressed@." outcome.Lint.files
         (List.length outcome.Lint.findings)
         outcome.Lint.suppressed
@@ -1049,16 +989,12 @@ let lint_cmd =
       & info [ "under" ] ~docv:"DIR"
           ~doc:"Subtrees to scan, relative to $(b,--root) (default: lib and bin; repeatable).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output with stable field order.")
-  in
-  let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Hide info-level diagnostics.") in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Statically analyze the repo's own OCaml sources for determinism and parallel-safety \
           violations (rules D001-D008)")
-    Term.(const run_lint $ root $ roots $ json $ quiet)
+    Term.(const run_lint $ root $ roots $ json_arg $ quiet_arg)
 
 (* --- load ------------------------------------------------------------------- *)
 
@@ -1067,6 +1003,7 @@ module Load = Ac3_load.Engine
 
 let run_load swaps seed users chains rate clients think zipf mix abandon deadline block_interval
     confirm_depth mempool_capacity runs jobs sanitize metrics_out trace_out =
+  guard "load" @@ fun () ->
   with_jobs "load" jobs @@ fun () ->
   setup_logs false;
   let nolan, herlihy, ac3wn = mix in
@@ -1098,15 +1035,12 @@ let run_load swaps seed users chains rate clients think zipf mix abandon deadlin
       let non_atomic = List.fold_left (fun acc r -> acc + r.Load.non_atomic) 0 summary.Load.reports in
       if non_atomic > 0 then 3 else 0
   | exception Invalid_argument msg -> refuse "load" "%s" msg
-  | exception Pool.Interference { index; first; rerun } -> sanitize_failure ~index ~first ~rerun
 
 let load_cmd =
   let swaps =
     Arg.(value & opt int 50 & info [ "swaps"; "n" ] ~doc:"Swaps to drive through the universe.")
   in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Base seed; replication $(i,k) uses seed+$(i,k).")
-  in
+  let seed = seed_arg 7 ~doc:"Base seed; replication $(i,k) uses seed+$(i,k)." in
   let users = Arg.(value & opt int 16 & info [ "users" ] ~doc:"Identity pool size (>= 2).") in
   let chains =
     Arg.(value & opt int 3 & info [ "chains" ] ~doc:"Asset chains (the witness chain is extra).")
@@ -1189,6 +1123,7 @@ let load_cmd =
    instead of the usual trace dump — the quickest way to see what the
    observability layer measures. *)
 let run_metrics protocol scenario parties seed metrics_out trace_out =
+  guard "metrics" @@ fun () ->
   with_parties "metrics" parties @@ fun () ->
   setup_logs false;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
@@ -1205,19 +1140,12 @@ let run_metrics protocol scenario parties seed metrics_out trace_out =
   code
 
 let metrics_cmd =
-  let protocol =
-    Arg.(value & opt protocol_conv Ac3wn & info [ "protocol"; "p" ] ~doc:"Protocol: ac3wn, herlihy, nolan, ac3tw.")
-  in
-  let scenario =
-    Arg.(value & opt scenario_conv Two_party & info [ "scenario"; "s" ] ~doc:"Scenario graph.")
-  in
-  let parties = Arg.(value & opt int 3 & info [ "parties"; "n" ] ~doc:"Ring size (ring scenario).") in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"Deterministic seed.") in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:"Run one instrumented swap and print the metrics registry and span tree")
     Term.(
-      const run_metrics $ protocol $ scenario $ parties $ seed $ metrics_out_arg $ trace_out_arg)
+      const run_metrics $ protocol_arg $ scenario_arg $ parties_arg 3 $ seed_arg 2026
+      $ metrics_out_arg $ trace_out_arg)
 
 let () =
   let doc = "Atomic commitment across blockchains (AC3WN reproduction)" in

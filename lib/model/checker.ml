@@ -20,13 +20,12 @@ let protocol_name = Protocol.name
 type config = {
   delta : float;
   timelock_slack : float;
-  start_time : float;
   max_nodes : int;
   crash_budget : int;
 }
 
 let default_config =
-  { delta = 15.0; timelock_slack = 2.0; start_time = 0.0; max_nodes = 20_000; crash_budget = 1 }
+  { delta = 15.0; timelock_slack = 2.0; max_nodes = 20_000; crash_budget = 1 }
 
 type stats = {
   nodes : int;
@@ -48,14 +47,16 @@ let empty_stats = { nodes = 0; transitions = 0; por_skipped = 0; peak_frontier =
 
 let check ~config ~protocol ~graph =
   let profile = Protocol.family protocol in
-  let shape_error =
+  let model =
     match protocol with
     | Nolan when Ac2t.classify graph <> Ac2t.Simple_swap ->
-        Some "nolan runs only the two-party simple swap"
-    | Herlihy | Nolan | Ac3wn -> None
+        Error "nolan runs only the two-party simple swap"
+    | Herlihy | Nolan | Ac3wn ->
+        Semantics.make ~profile ~graph ~delta:config.delta ~timelock_slack:config.timelock_slack
+          ~crash_budget:config.crash_budget
   in
-  match shape_error with
-  | Some e ->
+  match model with
+  | Error e ->
       {
         protocol;
         diagnostics = [ Diagnostic.error ~rule:"T000-not-executable" ~location:"graph" "%s" e ];
@@ -63,52 +64,38 @@ let check ~config ~protocol ~graph =
         stats = empty_stats;
         model = None;
       }
-  | None -> (
-      match
-        Semantics.make ~profile ~graph ~delta:config.delta
-          ~timelock_slack:config.timelock_slack ~start_time:config.start_time
-          ~crash_budget:config.crash_budget
-      with
-      | Error e ->
+  | Ok model ->
+      let t = Explore.run ~max_nodes:config.max_nodes model in
+      let flow =
+        (* The M006 cross-validation: the intervals must bound every
+           settled state the explorer reaches, under the same crash
+           budget. A timelock-order error is the statically-known
+           race that widens the crash-free hull. *)
+        let static_races =
+          match profile with
+          | Flow.Witness -> false
+          | Flow.Single_leader ->
+              Diagnostic.has_errors
+                (Ac3_verify.Timelock.verify ~graph ~delta:config.delta
+                   ~timelock_slack:config.timelock_slack ~start_time:0.0)
+        in
+        Flow.analyze ~fault_budget:config.crash_budget ~static_races ~profile graph
+      in
+      let diagnostics, violations = Rules.check ~flow t in
+      {
+        protocol;
+        diagnostics;
+        violations;
+        stats =
           {
-            protocol;
-            diagnostics = [ Diagnostic.error ~rule:"T000-not-executable" ~location:"graph" "%s" e ];
-            violations = [];
-            stats = empty_stats;
-            model = None;
-          }
-      | Ok model ->
-          let t = Explore.run ~max_nodes:config.max_nodes model in
-          let flow =
-            (* The M006 cross-validation: the intervals must bound every
-               settled state the explorer reaches, under the same crash
-               budget. A timelock-order error is the statically-known
-               race that widens the crash-free hull. *)
-            let static_races =
-              match profile with
-              | Flow.Witness -> false
-              | Flow.Single_leader ->
-                  Diagnostic.has_errors
-                    (Ac3_verify.Timelock.verify ~graph ~delta:config.delta
-                       ~timelock_slack:config.timelock_slack ~start_time:config.start_time)
-            in
-            Flow.analyze ~fault_budget:config.crash_budget ~static_races ~profile graph
-          in
-          let diagnostics, violations = Rules.check ~flow t in
-          {
-            protocol;
-            diagnostics;
-            violations;
-            stats =
-              {
-                nodes = t.Explore.n_nodes;
-                transitions = t.Explore.n_transitions;
-                por_skipped = t.Explore.por_skipped;
-                peak_frontier = t.Explore.peak_frontier;
-                truncated = t.Explore.truncated;
-              };
-            model = Some model;
-          })
+            nodes = t.Explore.n_nodes;
+            transitions = t.Explore.n_transitions;
+            por_skipped = t.Explore.por_skipped;
+            peak_frontier = t.Explore.peak_frontier;
+            truncated = t.Explore.truncated;
+          };
+        model = Some model;
+      }
 
 let ok report = not (Diagnostic.has_errors report.diagnostics)
 

@@ -17,7 +17,6 @@ val protocol_name : protocol -> string
 type config = {
   delta : float;  (** worst-case publish-to-confirm latency Δ *)
   timelock_slack : float;
-  start_time : float;
   max_nodes : int;
       (** at most {!Explore.max_nodes_limit}; {!check} raises [Invalid_argument] above it *)
   crash_budget : int;  (** how many parties the adversary may crash *)

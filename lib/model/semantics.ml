@@ -63,12 +63,12 @@ let party_index parties pk =
   let rec go i = if String.equal parties.(i) pk then i else go (i + 1) in
   go 0
 
-let make ~profile ~graph ~delta ~timelock_slack ~start_time ~crash_budget =
+let make ~profile ~graph ~delta ~timelock_slack ~crash_budget =
   let expiries =
     match profile with
     | Flow.Witness -> Ok []
     | Flow.Single_leader ->
-        Timelock.assign ~graph ~delta ~timelock_slack ~start_time
+        Timelock.assign ~graph ~delta ~timelock_slack ~start_time:0.0
         |> Result.map (List.map (fun a -> a.Timelock.expiry))
   in
   Result.map

@@ -52,14 +52,14 @@ type model = {
 }
 
 (** Builds the model; for [Single_leader] this runs
-    {!Ac3_verify.Timelock.assign} and fails on graphs it rejects (e.g.
-    not single-leader executable). *)
+    {!Ac3_verify.Timelock.assign} from t = 0 (the model reads only the
+    order of deadlines) and fails on graphs it rejects (e.g. not
+    single-leader executable). *)
 val make :
   profile:Flow.profile ->
   graph:Ac2t.t ->
   delta:float ->
   timelock_slack:float ->
-  start_time:float ->
   crash_budget:int ->
   (model, string) result
 

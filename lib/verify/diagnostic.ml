@@ -53,11 +53,12 @@ let to_json d =
       ("message", Json.String d.message);
     ]
 
-(* The shared section schema for machine-readable output: verify, check
-   and lint all emit {ok, sections:[{name, ok, diagnostics}]} through
-   here, so downstream tooling parses one shape. Extra per-section
-   fields (check's exploration stats) splice in via [extra]. *)
-let section_to_json ?(extra = []) ~name ds =
+(* The shared section schema for machine-readable output: verify, check,
+   flow and lint all emit {ok, sections:[{name, ok, diagnostics}]}
+   through here, so downstream tooling parses one shape. Each section's
+   extra fields (check's protocol, scenario and exploration stats) splice
+   in after the common ones. *)
+let section_to_json (name, ds, extra) =
   let module Json = Ac3_crypto.Codec.Json in
   Json.Obj
     ([
@@ -71,16 +72,11 @@ let sections_to_json sections =
   let module Json = Ac3_crypto.Codec.Json in
   Json.Obj
     [
-      ("ok", Json.Bool (List.for_all (fun (_, ds) -> not (has_errors ds)) sections));
-      ("sections", Json.List (List.map (fun (name, ds) -> section_to_json ~name ds) sections));
+      ("ok", Json.Bool (List.for_all (fun (_, ds, _) -> not (has_errors ds)) sections));
+      ("sections", Json.List (List.map section_to_json sections));
     ]
 
-let pp_severity ppf = function
-  | Info -> Fmt.string ppf "info"
-  | Warning -> Fmt.string ppf "warning"
-  | Error -> Fmt.string ppf "error"
-
 let pp ppf d =
-  Fmt.pf ppf "%a[%s] %s: %s" pp_severity d.severity d.rule d.location d.message
+  Fmt.pf ppf "%s[%s] %s: %s" (severity_to_string d.severity) d.rule d.location d.message
 
 let to_string d = Fmt.str "%a" pp d

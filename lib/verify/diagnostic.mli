@@ -34,19 +34,15 @@ val dedupe : t list -> t list
 (** Stable field order: severity, rule, location, message. *)
 val to_json : t -> Ac3_crypto.Codec.Json.t
 
-(** One named section of the shared machine-readable schema:
-    [{name; ok; diagnostics}], where [ok] is the absence of errors.
-    [extra] splices additional fields after the common ones (the model
-    checker adds its exploration stats this way). *)
-val section_to_json :
-  ?extra:(string * Ac3_crypto.Codec.Json.t) list ->
-  name:string ->
-  t list ->
-  Ac3_crypto.Codec.Json.t
-
 (** The full envelope [{ok; sections}] shared by [ac3 verify --json],
-    [ac3 check --json] and [ac3 lint --json]. *)
-val sections_to_json : (string * t list) list -> Ac3_crypto.Codec.Json.t
+    [ac3 check --json], [ac3 flow --json] and [ac3 lint --json]. Each
+    section is [(name, diagnostics, extra)] and renders as
+    [{name; ok; diagnostics}], where [ok] is the absence of errors;
+    [extra] splices additional fields after the common ones (the model
+    checker adds its protocol, scenario and exploration stats this
+    way). *)
+val sections_to_json :
+  (string * t list * (string * Ac3_crypto.Codec.Json.t) list) list -> Ac3_crypto.Codec.Json.t
 
 val pp : Format.formatter -> t -> unit
 

@@ -230,7 +230,7 @@ let test_m006_soundness_bridge () =
   let graph = two_party () in
   match
     Semantics.make ~profile:Flow.Single_leader ~graph ~delta:15.0 ~timelock_slack:2.0
-      ~start_time:0.0 ~crash_budget:1
+      ~crash_budget:1
   with
   | Error e -> Alcotest.fail e
   | Ok model ->

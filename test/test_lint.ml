@@ -116,7 +116,7 @@ let test_sections_json_shape () =
   let d =
     Diagnostic.error ~rule:"D001-unordered-hashtbl" ~location:"lib/x.ml:1" "unordered iteration"
   in
-  let json = Diagnostic.sections_to_json [ ("lint (lib bin)", [ d ]) ] in
+  let json = Diagnostic.sections_to_json [ ("lint (lib bin)", [ d ], []) ] in
   match json with
   | Json.Obj [ ("ok", Json.Bool false); ("sections", Json.List [ section ]) ] -> (
       match section with

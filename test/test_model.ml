@@ -266,7 +266,7 @@ let scan_codes m (s : Global_state.t) =
 let replay_on_checker ~name ~profile graph moves =
   let m =
     match
-      Semantics.make ~profile ~graph ~delta:15.0 ~timelock_slack:2.0 ~start_time:0.0
+      Semantics.make ~profile ~graph ~delta:15.0 ~timelock_slack:2.0
         ~crash_budget:0
     with
     | Ok m -> m
@@ -375,7 +375,7 @@ let test_ac3wn_abort_projects () =
 let test_iter_succs_ascending () =
   match
     Semantics.make ~profile:Flow.Witness ~graph:(two_party ()) ~delta:15.0 ~timelock_slack:2.0
-      ~start_time:0.0 ~crash_budget:1
+      ~crash_budget:1
   with
   | Error e -> Alcotest.fail e
   | Ok model ->
@@ -415,7 +415,7 @@ let graph_of = function `Two_party -> two_party () | `Ring n -> ring n | `Supply
 let model_of ((profile, shape, crash_budget) as case) =
   match
     Semantics.make ~profile ~graph:(graph_of shape) ~delta:15.0 ~timelock_slack:2.0
-      ~start_time:0.0 ~crash_budget
+      ~crash_budget
   with
   | Ok m -> m
   | Error e -> Alcotest.failf "%s: %s" (print_case case) e
