@@ -186,8 +186,23 @@ let with_bounds cmd ?(max_nodes_limit = max_int) ~delta ~slack ~max_nodes run =
 
 (* Every output file (--metrics-out, --trace-out, --export, chaos -o)
    is written here. A path that cannot be opened or written raises
-   [Cannot_write (path, reason)], which [guard] refuses. *)
+   [Cannot_write (path, reason)], which [guard] refuses. [guard] checks
+   the paths with [check_writable] before the command does any work, so
+   [write_file] refuses only what shows at write time (a full device). *)
 exception Cannot_write of string * string
+
+(* Refuses a path that [write_file] could not open, without creating or
+   truncating it: an existing file must be writable, and a new one's
+   directory must exist and take new entries. *)
+let check_writable path =
+  let dir = Filename.dirname path in
+  let fail err = raise (Unix.Unix_error (err, "open", path)) in
+  try
+    if Sys.file_exists path then
+      if Sys.is_directory path then fail Unix.EISDIR else Unix.access path [ Unix.W_OK ]
+    else if Sys.file_exists dir && not (Sys.is_directory dir) then fail Unix.ENOTDIR
+    else Unix.access dir [ Unix.W_OK; Unix.X_OK ]
+  with Unix.Unix_error (err, _, _) -> raise (Cannot_write (path, Unix.error_message err))
 
 let write_file path contents =
   try
@@ -204,9 +219,13 @@ let write_file path contents =
     raise (Cannot_write (path, if from_open then String.sub msg n (String.length msg - n) else msg))
 
 (* Wraps a command's body: an output file it cannot write is refused
-   (exit 1), and a --sanitize divergence on the domain pool exits 4. *)
-let guard cmd run =
-  match run () with
+   (exit 1), before the body runs when it is one of [outputs], and a
+   --sanitize divergence on the domain pool exits 4. *)
+let guard cmd ?(outputs = []) run =
+  match
+    List.iter (Option.iter check_writable) outputs;
+    run ()
+  with
   | code -> code
   | exception Cannot_write (path, reason) -> refuse cmd "cannot write %s: %s" path reason
   | exception Pool.Interference { index; first; rerun } ->
@@ -351,7 +370,7 @@ let refused e =
   1
 
 let run_swap protocol scenario parties seed crash verbose metrics_out trace_out =
-  guard "swap" @@ fun () ->
+  guard "swap" ~outputs:[ metrics_out; trace_out ] @@ fun () ->
   with_parties "swap" parties @@ fun () ->
   setup_logs verbose;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
@@ -512,7 +531,7 @@ let analyze_cmd =
 (* --- attack -------------------------------------------------------------------- *)
 
 let run_attack q trials seed jobs metrics_out trace_out =
-  guard "attack" @@ fun () ->
+  guard "attack" ~outputs:[ metrics_out; trace_out ] @@ fun () ->
   with_jobs "attack" jobs @@ fun () ->
   if not (q > 0.0 && q < 1.0) then refuse "attack" "-q must be in (0, 1) (got %g)" q
   else if trials < 1 then refuse "attack" "--trials must be positive (got %d)" trials
@@ -655,7 +674,7 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       0
 
 let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
-  guard "chaos" @@ fun () ->
+  guard "chaos" ~outputs:[ metrics_out; trace_out; (if shrink then out else None) ] @@ fun () ->
   with_jobs "chaos" jobs @@ fun () ->
   match replay with
   | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
@@ -779,7 +798,7 @@ let check_counts (s : MC.stats) =
 
 let run_check protocol scenario parties delta slack crashes max_nodes json export seed jobs
     sanitize quiet metrics_out trace_out =
-  guard "check" @@ fun () ->
+  guard "check" ~outputs:[ metrics_out; trace_out; export ] @@ fun () ->
   with_jobs "check" jobs @@ fun () ->
   with_parties "check" parties @@ fun () ->
   with_bounds "check" ~max_nodes_limit:Ac3_model.Explore.max_nodes_limit ~delta ~slack ~max_nodes
@@ -875,7 +894,7 @@ let flow_profile_name = function
   | Flow.Witness -> "witness"
 
 let run_flow profile scenario parties budget json export seed jobs sanitize quiet =
-  guard "flow" @@ fun () ->
+  guard "flow" ~outputs:[ export ] @@ fun () ->
   with_jobs "flow" jobs @@ fun () ->
   with_parties "flow" parties @@ fun () ->
   if budget < 0 then refuse "flow" "--fault-budget must be non-negative (got %d)" budget else
@@ -1003,7 +1022,7 @@ module Load = Ac3_load.Engine
 
 let run_load swaps seed users chains rate clients think zipf mix abandon deadline block_interval
     confirm_depth mempool_capacity runs jobs sanitize metrics_out trace_out =
-  guard "load" @@ fun () ->
+  guard "load" ~outputs:[ metrics_out; trace_out ] @@ fun () ->
   with_jobs "load" jobs @@ fun () ->
   setup_logs false;
   let nolan, herlihy, ac3wn = mix in
@@ -1123,7 +1142,7 @@ let load_cmd =
    instead of the usual trace dump — the quickest way to see what the
    observability layer measures. *)
 let run_metrics protocol scenario parties seed metrics_out trace_out =
-  guard "metrics" @@ fun () ->
+  guard "metrics" ~outputs:[ metrics_out; trace_out ] @@ fun () ->
   with_parties "metrics" parties @@ fun () ->
   setup_logs false;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in

@@ -2,12 +2,14 @@
 
    Checks are identifier-based — a rule fires on a [Pexp_ident] whose
    flattened path matches, whether the identifier is applied or passed
-   first-class — with two refinements: directory-based exemptions
-   (computed from the repo-relative path) and a "sorted context" for
-   D006 ([Sys.readdir] nested anywhere inside the arguments of a sort
-   call is fine). Everything is syntactic; there is no type
-   information, so [module H = Hashtbl] aliasing evades the rules —
-   suppressions and review cover that gap. *)
+   first-class — with three refinements: directory-based exemptions
+   (computed from the repo-relative path), a "sorted context" for D006
+   ([Sys.readdir] nested anywhere inside the arguments of a sort call
+   is fine) and a function depth for D009 (a keygen outside every
+   [fun]/[function] runs at module initialisation). Everything is
+   syntactic; there is no type information, so [module H = Hashtbl]
+   aliasing evades the rules — suppressions and review cover that
+   gap. *)
 
 open Parsetree
 module Diagnostic = Ac3_verify.Diagnostic
@@ -52,15 +54,30 @@ let print_names =
   [ "print_string"; "print_endline"; "print_newline"; "print_int"; "print_char"; "print_float"; "print_bytes" ]
 
 (* The matching rule for one identifier path, if any. [ctx] applies the
-   directory exemptions; [sorted] is the D006 enclosing-sort context. *)
-let classify ~ctx ~sorted path =
+   directory exemptions; [sorted] is the D006 enclosing-sort context;
+   [at_init] holds outside every [fun]/[function], where a structure
+   item's expression runs when its module initialises (D009). *)
+let classify ~ctx ~sorted ~at_init path =
   let name = String.concat "." path in
   let tbl_iteration =
     match last2 path with
     | Some (("Hashtbl" | "Table" | "Tbl"), fn) -> List.mem fn unordered_table_fn
     | _ -> false
   in
+  let keygen =
+    match last2 path with
+    | Some ("Keys", ("create" | "fresh")) | Some ("Mss", "generate") -> true
+    | _ -> false
+  in
   match path with
+  | _ when keygen && at_init ->
+      Some
+        ( Rules.D009,
+          Printf.sprintf
+            "%s generates MSS key material when the module initialises, so every process that \
+             links it pays the keygen before main runs; build the key inside the function that \
+             uses it"
+            name )
   | _ when tbl_iteration ->
       Some
         ( Rules.D001,
@@ -148,6 +165,7 @@ let is_sort_fn path =
 let check_structure ~ctx structure =
   let findings = ref [] in
   let sorted = ref 0 in
+  let funs = ref 0 in
   let emit ~loc (rule, message) =
     let line = loc.Location.loc_start.Lexing.pos_lnum in
     let diag =
@@ -157,17 +175,20 @@ let check_structure ~ctx structure =
     in
     findings := { f_rule = rule; f_line = line; f_diag = diag } :: !findings
   in
+  let within depth f =
+    incr depth;
+    Fun.protect ~finally:(fun () -> decr depth) f
+  in
   let expr iterator (e : expression) =
     match e.pexp_desc with
     | Pexp_ident { txt; loc } -> (
-        match classify ~ctx ~sorted:!sorted (flatten txt) with
+        match classify ~ctx ~sorted:!sorted ~at_init:(!funs = 0) (flatten txt) with
         | Some hit -> emit ~loc hit
         | None -> ())
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) when is_sort_fn (flatten txt) ->
-        incr sorted;
-        Fun.protect
-          ~finally:(fun () -> decr sorted)
-          (fun () -> List.iter (fun (_, a) -> iterator.Ast_iterator.expr iterator a) args)
+        within sorted (fun () -> List.iter (fun (_, a) -> iterator.Ast_iterator.expr iterator a) args)
+    | Pexp_fun _ | Pexp_function _ ->
+        within funs (fun () -> Ast_iterator.default_iterator.expr iterator e)
     | _ -> Ast_iterator.default_iterator.expr iterator e
   in
   let iterator = { Ast_iterator.default_iterator with expr } in

@@ -2,8 +2,10 @@
 
     Rules fire on identifier uses ([Pexp_ident]) — applied or passed
     first-class — with directory-based exemptions derived from the
-    repo-relative path, and an enclosing-sort context that sanctions
-    [Sys.readdir] nested in a sort call's arguments. Purely syntactic:
+    repo-relative path, an enclosing-sort context that sanctions
+    [Sys.readdir] nested in a sort call's arguments, and a function
+    depth: key generation outside every [fun]/[function] runs at module
+    initialisation (D009). Purely syntactic:
     module aliasing evades it (documented limitation). *)
 
 type finding = {

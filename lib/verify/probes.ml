@@ -1,9 +1,15 @@
 (* Canned state-machine specs for the repo's contracts.
 
-   Identities are namespaced under "ac3-verify:". Each [Keys.create]
-   has its own signature budget, so the probes a model check runs on
-   every call never exhaust a key, however many checks one process
-   runs. *)
+   Identities are namespaced under "ac3-verify:". No identity is built
+   when the module initialises: every spec builder creates its own, so
+   a process that links the verifier but never probes a contract pays
+   no key generation. Each [Keys.create] call has its own signature
+   budget over material memoized per domain ([mss.material]), so the
+   probes a model check runs on every call never exhaust a key, however
+   many checks one process runs, and a repeated build is a memo hit.
+   A shared [lazy] identity would not do: two pool domains forcing it
+   at once (M004 under [ac3 check --jobs N]) raise
+   [CamlinternalLazy.Undefined]. *)
 
 module Keys = Ac3_crypto.Keys
 module Htlc = Ac3_contract.Htlc
@@ -13,11 +19,14 @@ module Swap_template = Ac3_contract.Swap_template
 module Ac2t = Ac3_contract.Ac2t
 open Ac3_chain
 
-let sender = Keys.create "ac3-verify:sender"
+(* The smallest MSS height whose budget covers what a builder signs: a
+   height-1 key signs twice, the most any probe identity signs.
+   [centralized]'s trent signs exactly two decisions (redeem and
+   refund), [witness]'s two parties sign the multisignature once each,
+   and the swap parties never sign. *)
+let probe_height = 1
 
-let recipient = Keys.create "ac3-verify:recipient"
-
-let stranger = Keys.create "ac3-verify:stranger"
+let identity name = Keys.create ~height:probe_height ("ac3-verify:" ^ name)
 
 (* Classifier for Algorithm 1 template states. *)
 let swap_cls state =
@@ -40,7 +49,8 @@ let swap_payee state cls =
 let probe ~label ~fn ~args ~caller ~time = { State_machine.label; fn; args; caller; time }
 
 (* Every (fn, secret-variant) x (caller) x (time-region) combination. *)
-let swap_probes ~fns_with_args ~times =
+let swap_probes ~sender ~recipient ~fns_with_args ~times =
+  let stranger = identity "stranger" in
   List.concat_map
     (fun (fn, variant, args) ->
       List.concat_map
@@ -56,6 +66,7 @@ let swap_probes ~fns_with_args ~times =
     fns_with_args
 
 let htlc ?(deposit = Amount.of_int 1000) ?(timelock = 100.0) ?(max_nodes = 256) () =
+  let sender = identity "sender" and recipient = identity "recipient" in
   let secret = "ac3-verify-htlc-secret" in
   let fns_with_args =
     [
@@ -74,14 +85,15 @@ let htlc ?(deposit = Amount.of_int 1000) ?(timelock = 100.0) ?(max_nodes = 256) 
       Htlc.args ~recipient_pk:(Keys.public recipient)
         ~hashlock:(Htlc.hashlock_of_secret secret) ~timelock;
     init_time = 0.0;
-    probes = swap_probes ~fns_with_args ~times;
+    probes = swap_probes ~sender ~recipient ~fns_with_args ~times;
     classify = swap_cls;
     payee_of = Some swap_payee;
     max_nodes;
   }
 
 let centralized ?(deposit = Amount.of_int 1000) ?(max_nodes = 256) () =
-  let trent = Keys.create "ac3-verify:trent" in
+  let sender = identity "sender" and recipient = identity "recipient" in
+  let trent = identity "trent" in
   let ms_id = Ac3_crypto.Sha256.digest "ac3-verify-ms" in
   let signed decision = Keys.sign trent (Centralized_sc.decision_message ~ms_id decision) in
   let rd = Centralized_sc.secret_args (signed `Redeem) in
@@ -106,15 +118,14 @@ let centralized ?(deposit = Amount.of_int 1000) ?(max_nodes = 256) () =
       Centralized_sc.args ~recipient_pk:(Keys.public recipient) ~ms_id
         ~trent_pk:(Keys.public trent);
     init_time = 0.0;
-    probes = swap_probes ~fns_with_args ~times;
+    probes = swap_probes ~sender ~recipient ~fns_with_args ~times;
     classify = swap_cls;
     payee_of = Some swap_payee;
     max_nodes;
   }
 
 let witness ?(max_nodes = 64) () =
-  let a = Keys.create "ac3-verify:wa" in
-  let b = Keys.create "ac3-verify:wb" in
+  let a = identity "wa" and b = identity "wb" in
   let graph =
     Ac2t.create
       ~edges:

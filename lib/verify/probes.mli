@@ -4,7 +4,9 @@
     (function, caller, time-region) combination that can matter to it:
     correct and wrong secrets, calls before and after the timelock
     boundary, and calls from the sender, the recipient and a stranger.
-    Times are relative to a deployment at t=0. *)
+    Times are relative to a deployment at t=0. Each builder creates
+    its identities when called, at MSS height 1 (two signatures each),
+    so linking this module generates no key. *)
 
 open Ac3_chain
 

@@ -41,6 +41,7 @@ let rule_fixtures =
     ("d006_readdir.ml", Rules.slug Rules.D006, 1, 1);
     ("d007_stdout.ml", Rules.slug Rules.D007, 1, 1);
     ("d008_dls.ml", Rules.slug Rules.D008, 1, 1);
+    ("d009_keygen_at_init.ml", Rules.slug Rules.D009, 1, 1);
   ]
 
 let test_rule_fixtures () =

@@ -231,6 +231,54 @@ let test_centralized_and_witness_sound () =
       Alcotest.(check bool) "refund authorization reachable" true
         (List.mem State_machine.Refunded (State_machine.classes auto))
 
+(* One line per explored node: id, class, payout, state bytes and
+   successors, so two explorations compare as string lists. *)
+let automaton_lines spec =
+  match State_machine.explore spec with
+  | Error e -> Alcotest.fail e
+  | Ok auto ->
+      List.map
+        (fun (n : State_machine.node) ->
+          Printf.sprintf "%d %s %s %s %s" n.State_machine.id
+            (match n.State_machine.cls with
+            | State_machine.Published -> "published"
+            | State_machine.Redeemed -> "redeemed"
+            | State_machine.Refunded -> "refunded"
+            | State_machine.Other -> "other")
+            (Amount.to_string n.State_machine.paid)
+            (Ac3_crypto.Sha256.hexdigest (Ac3_chain.Value.to_bytes n.State_machine.state))
+            (String.concat ","
+               (List.map (fun (l, t) -> Printf.sprintf "%s>%d" l t) n.State_machine.succs)))
+        (State_machine.nodes auto)
+
+(* The probe identities are height-1 keys built per spec: a builder
+   that signs more than twice with one of them (centralized's trent
+   signs two decisions) or asks for a height-0 key raises here, and
+   rebuilding a spec never runs out of budget. *)
+let test_probe_identities_height_one () =
+  for round = 1 to 3 do
+    List.iter
+      (fun (name, build) ->
+        let lines = automaton_lines (build ()) in
+        Alcotest.(check bool) (Printf.sprintf "%s explored, round %d" name round) true (lines <> []))
+      [
+        ("htlc", fun () -> Probes.htlc ());
+        ("centralized", fun () -> Probes.centralized ());
+        ("witness", fun () -> Probes.witness ());
+      ]
+  done;
+  Alcotest.(check string) "centralized deployer is the height-1 sender"
+    (Keys.public (Keys.create ~height:1 "ac3-verify:sender"))
+    (Probes.centralized ()).State_machine.deployer
+
+(* M004 builds the witness probe inside pool tasks under check --jobs:
+   building it on two domains at once gives the sequential automaton. *)
+let test_probes_two_domains () =
+  let runs = List.init 4 Fun.id in
+  let explore _ = automaton_lines (Probes.witness ()) in
+  Alcotest.(check (list (list string))) "parallel = sequential" (List.map explore runs)
+    (Ac3_par.Pool.map ~jobs:2 explore runs)
+
 (* --- The AC3WN preflight -------------------------------------------------- *)
 
 let test_ac3wn_preflight_all_scenarios () =
@@ -310,6 +358,9 @@ let () =
           Alcotest.test_case "stuck state detected" `Quick test_htlc_stuck_state_detected;
           Alcotest.test_case "AC3TW and witness contracts sound" `Quick
             test_centralized_and_witness_sound;
+          Alcotest.test_case "probe identities fit a height-1 budget" `Quick
+            test_probe_identities_height_one;
+          Alcotest.test_case "probes built on two domains" `Quick test_probes_two_domains;
         ] );
       ( "preflight",
         [
