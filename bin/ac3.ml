@@ -346,9 +346,7 @@ let execute_protocol ~crash u participants graph protocol =
   in
   match protocol with
   | Ac3wn ->
-      let config =
-        { A.default_config with A.decision_depth = 4; timeout = 50_000.0 }
-      in
+      let config = { A.default_config with A.timeout = 50_000.0 } in
       if crash then
         Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
             P.recover (List.nth participants 1));
@@ -356,7 +354,7 @@ let execute_protocol ~crash u participants graph protocol =
         ~hooks:(crash_at (Protocol.Authorize_submitted Protocol.Commit))
         ()
   | Herlihy | Nolan ->
-      let config = { (H.default_config ~delta:(U.max_delta u)) with H.timeout = 100_000.0 } in
+      let config = { H.default_config with H.timeout = 100_000.0 } in
       let hooks = crash_at (Protocol.Redeem 1) in
       if protocol = Nolan then N.execute u ~config ~graph ~participants ~hooks ()
       else H.execute u ~config ~graph ~participants ~hooks ()
@@ -673,31 +671,35 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       | None -> ());
       0
 
+(* Only the shrinker writes a reproducer; a sweep or a replay would
+   drop [-o] without a word. *)
 let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
-  guard "chaos" ~outputs:[ metrics_out; trace_out; (if shrink then out else None) ] @@ fun () ->
-  with_jobs "chaos" jobs @@ fun () ->
-  match replay with
-  | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
-  | None when runs < 0 -> refuse "chaos" "--runs must be non-negative (got %d)" runs
-  | None -> (
-      (* [Plan.sample] refuses an out-of-range --load before any run
-         starts or prints, in the sweep and the shrinker alike. *)
-      try
-        if shrink then chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out
-        else begin
-          let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
-          let on_report = if verbose then Some report_line else None in
-          let spans = Option.is_some trace_out in
-          let summary =
-            Runner.sweep ~protocols ?on_report ~jobs ~spans ~sanitize ~load ~seed ~runs ()
-          in
-          export_obs ?metrics_out ?trace_out summary.Runner.obs;
-          Fmt.pr "%a@." Runner.pp_summary summary;
-          if summary.Runner.unexplained_failures > 0 || summary.Runner.interval_violations > 0
-          then 3
-          else 0
-        end
-      with Plan.Malformed msg -> refuse "chaos" "%s" msg)
+  if Option.is_some out && not shrink then refuse "chaos" "-o/--out needs --shrink"
+  else
+    guard "chaos" ~outputs:[ metrics_out; trace_out; out ] @@ fun () ->
+    with_jobs "chaos" jobs @@ fun () ->
+    match replay with
+    | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
+    | None when runs < 0 -> refuse "chaos" "--runs must be non-negative (got %d)" runs
+    | None -> (
+        (* [Plan.sample] refuses an out-of-range --load before any run
+           starts or prints, in the sweep and the shrinker alike. *)
+        try
+          if shrink then chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out
+          else begin
+            let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
+            let on_report = if verbose then Some report_line else None in
+            let spans = Option.is_some trace_out in
+            let summary =
+              Runner.sweep ~protocols ?on_report ~jobs ~spans ~sanitize ~load ~seed ~runs ()
+            in
+            export_obs ?metrics_out ?trace_out summary.Runner.obs;
+            Fmt.pr "%a@." Runner.pp_summary summary;
+            if summary.Runner.unexplained_failures > 0 || summary.Runner.interval_violations > 0
+            then 3
+            else 0
+          end
+        with Plan.Malformed msg -> refuse "chaos" "%s" msg)
 
 let chaos_cmd =
   let seed = seed_arg 1 ~doc:"Base seed; run $(i,k) uses seed+$(i,k)." in

@@ -36,10 +36,9 @@ let () =
   (* 3. Execute AC3WN: register SCw on the witness chain, deploy both
      swap contracts in parallel, authorize redemption with cross-chain
      evidence, and redeem both legs in parallel. *)
-  let config = { A.default_config with A.decision_depth = 4 } in
   let before_alice_eth = P.balance_on alice "eth" in
   let before_bob_btc = P.balance_on bob "btc" in
-  let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let result = A.execute universe ~config:A.default_config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
 
   (* 4. Inspect the outcome. *)
   Fmt.pr "Protocol trace:@.%a@." (Ac3_sim.Trace.pp Ac3_flow.Protocol.pp_event) result.A.trace;

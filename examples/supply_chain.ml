@@ -28,13 +28,10 @@ let run_case ~name ~seed ~chains ~graph_of n =
   Fmt.pr "Shape: %a (connected = %b, cyclic = %b)@." Ac2t.pp_shape (Ac2t.classify graph)
     (Ac2t.is_connected graph) (Ac2t.is_cyclic graph);
   (* Show what the baseline says about this graph. *)
-  let hconfig = H.default_config ~delta:(U.max_delta universe) in
-  (match H.execute universe ~config:hconfig ~graph ~participants () with
+  (match H.execute universe ~config:H.default_config ~graph ~participants () with
   | Error e -> Fmt.pr "Herlihy baseline: REFUSED — %s@." e
   | Ok _ -> Fmt.pr "Herlihy baseline: executable@.");
-  let config =
-    { A.default_config with A.decision_depth = 4; timeout = 20_000.0 }
-  in
+  let config = { A.default_config with A.timeout = 20_000.0 } in
   let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN: committed = %b, atomic = %b%a@.@." result.A.committed result.A.atomic
     (fun ppf -> function

@@ -57,8 +57,7 @@ let () =
       Fmt.pr "  [t=+10s] witness miner %s crashes@." (Node.id witness.U.nodes.(1));
       Node.crash witness.U.nodes.(1));
   let graph2 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u2) in
-  let config = { A.default_config with A.decision_depth = 4 } in
-  let r = A.execute u2 ~config ~graph:graph2 ~participants:ps2 () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let r = A.execute u2 ~config:A.default_config ~graph:graph2 ~participants:ps2 () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "  outcome: %a@." Outcome.pp r.A.outcome;
   if r.A.committed && r.A.atomic then
     Fmt.pr "  ==> COMMITTED atomically: the remaining witness miners kept the@.";

@@ -93,6 +93,9 @@ let warmup = 60.0
 (* Simulation horizon handed to each protocol's [timeout]. *)
 let protocol_timeout = 500.0
 
+(* Nolan's and Herlihy's config, background swaps included. *)
+let single_leader_config = { Herlihy.default_config with timeout = protocol_timeout }
+
 (* Seeded ring with chords: always connected, possibly cyclic without a
    leader (then Herlihy rejects it, which the sweep reports as such). *)
 let random_graph ~spec ~ids ~timestamp =
@@ -180,8 +183,6 @@ let build_universe ?instrument ~spec ~protocol:(_ : protocol) () =
 let launch_background ~universe ~spec ~bg =
   let nch = List.length (Plan.chain_names spec) in
   let chains = Array.of_list (Plan.chain_names spec) in
-  let delta = Universe.max_delta universe in
-  let config = { (Herlihy.default_config ~delta) with timeout = protocol_timeout } in
   let now = Universe.now universe in
   let bg = Array.of_list bg in
   List.init (spec.Plan.load - 1) (fun k ->
@@ -192,7 +193,7 @@ let launch_background ~universe ~spec ~bg =
           [ Ac3_core.Participant.identity pa; Ac3_core.Participant.identity pb ]
           ~timestamp:now
       in
-      match Nolan.launch universe ~config ~graph ~participants:[ pa; pb ] () with
+      match Nolan.launch universe ~config:single_leader_config ~graph ~participants:[ pa; pb ] () with
       | Ok h -> h
       | Error e -> failwith ("chaos background swap refused: " ^ e))
 
@@ -285,7 +286,6 @@ let run_in_universe ?instrument ~spec ~plan ~protocol () =
     Flow.violations analysis graph v.Oracle.statuses
   in
   let delta = Universe.max_delta universe in
-  let single_leader_config = { (Herlihy.default_config ~delta) with timeout = protocol_timeout } in
   let start_time = Universe.now universe in
   (* The static verifier's predicted errors for the executed family,
      carried on the verdict for the [unexplained] cross-check. *)
@@ -303,7 +303,7 @@ let run_in_universe ?instrument ~spec ~plan ~protocol () =
     | P_nolan -> Nolan.execute universe ~config:single_leader_config ~graph ~participants ()
     | P_herlihy -> Herlihy.execute universe ~config:single_leader_config ~graph ~participants ()
     | P_ac3wn ->
-        let config = { Ac3wn.default_config with decision_depth = 3; timeout = protocol_timeout } in
+        let config = { Ac3wn.default_config with timeout = protocol_timeout } in
         Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 ()
   in
   match executed with

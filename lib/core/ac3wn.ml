@@ -43,7 +43,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type config = {
   witness_chain : string;
-  decision_depth : int; (* d: burial required of the SCw decision *)
   poll_interval : float;
   timeout : float; (* give up running the simulation after this long *)
 }
@@ -53,13 +52,7 @@ let witness_chain = "witness"
 (* Burial SCw requires of each edge deployment's evidence. *)
 let evidence_depth = 2
 
-let default_config =
-  {
-    witness_chain;
-    decision_depth = 6;
-    poll_interval = 2.0;
-    timeout = 10_000.0;
-  }
+let default_config = { witness_chain; poll_interval = 2.0; timeout = 10_000.0 }
 
 let authorizing = function Protocol.Authorize_submitted _ -> true | _ -> false
 
@@ -89,6 +82,7 @@ type state = {
   registrar : Keys.public;
   witness : Node.t; (* the witness chain's gateway, resolved at launch *)
   witness_depth : int; (* its confirmation depth *)
+  decision_depth : int; (* d: burial required of the SCw decision *)
   mutable scw_deploy_txid : string option;
   mutable scw_id : string option;
   mutable authorize_attempt_at : float; (* for resubmission *)
@@ -188,7 +182,7 @@ let try_deploy_edges s t p scw decision =
         Universe.stable_checkpoint (Driver.universe t) s.config.witness_chain
       in
       Permissionless_sc.args ~recipient_pk:es.Driver.edge.Ac2t.to_pk
-        ~witness_chain:s.config.witness_chain ~scw ~depth:s.config.decision_depth
+        ~witness_chain:s.config.witness_chain ~scw ~depth:s.decision_depth
         ~witness_checkpoint)
     ~attrs:(fun _ contract_id -> [ ("contract", Hex.short contract_id) ])
 
@@ -256,7 +250,7 @@ let confirmed_decision s scw =
   List.find_map
     (fun (decision, fn) ->
       match Store.find_call (Node.store s.witness) ~contract_id:scw ~fn with
-      | Some (txid, _h) when Node.confirmations s.witness txid > s.config.decision_depth ->
+      | Some (txid, _h) when Node.confirmations s.witness txid > s.decision_depth ->
           Some (decision, txid)
       | _ -> None)
     authorize_fns
@@ -321,7 +315,7 @@ let observe_decision_latency t =
         (d -. a)
   | _ -> ()
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
+let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?decision_depth () =
   let covered =
     List.for_all
       (fun pk -> List.exists (fun p -> String.equal (Participant.public p) pk) participants)
@@ -331,6 +325,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
   else begin
     (* Phase 1: off-chain agreement — every participant signs (D, t). *)
     let witness = Universe.gateway universe config.witness_chain in
+    let witness_depth = (Node.params witness).Params.confirm_depth in
     let s =
       {
         config;
@@ -338,7 +333,8 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
         ms = Ac2t.multisign graph (List.map Participant.identity participants);
         registrar = List.hd (Ac2t.participants graph);
         witness;
-        witness_depth = (Node.params witness).Params.confirm_depth;
+        witness_depth;
+        decision_depth = Option.value decision_depth ~default:witness_depth;
         scw_deploy_txid = None;
         scw_id = None;
         authorize_attempt_at = 0.0;
@@ -366,6 +362,6 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
 
 (* Execute an AC2T end to end: {!launch}, drive the universe until the
    run settles (or the timeout), {!Driver.finish}. *)
-let execute universe ~config ~graph ~participants ?hooks ?abort_after () =
-  launch universe ~config ~graph ~participants ?hooks ?abort_after ()
+let execute universe ~config ~graph ~participants ?hooks ?abort_after ?decision_depth () =
+  launch universe ~config ~graph ~participants ?hooks ?abort_after ?decision_depth ()
   |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.timeout [ h ]))

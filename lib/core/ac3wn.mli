@@ -21,13 +21,12 @@ val witness_chain : string
 
 type config = {
   witness_chain : string;  (** where SCw lives *)
-  decision_depth : int;  (** d: burial required of the SCw decision *)
   poll_interval : float;
   timeout : float;  (** horizon for the simulation run *)
 }
 
-(** SCw on {!witness_chain}, d = 6, a 2 s poll and a 10,000 s horizon.
-    In every config, SCw accepts an edge deployment's evidence once 2
+(** SCw on {!witness_chain}, a 2 s poll and a 10,000 s horizon. In
+    every config, SCw accepts an edge deployment's evidence once 2
     blocks sit on top of the deployment's block. *)
 val default_config : config
 
@@ -44,8 +43,11 @@ val phases : Ac3_flow.Protocol.event Ac3_obs.Span.phase list
     callbacks fired at the event's first record, letting experiments
     crash participants at precise protocol phases. Edge events carry
     the edge's index in graph order. [abort_after] requests the refund path after that
-    many virtual seconds if SCw is still undecided. [Error] on a
-    missing participant, before anything touches a chain. *)
+    many virtual seconds if SCw is still undecided. [decision_depth] is
+    d, the burial the SCw decision needs before anyone settles on it;
+    it defaults to the witness chain's confirm depth, the depth its
+    checkpoints sit at. [Error] on a missing participant, before
+    anything touches a chain. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -53,6 +55,7 @@ val launch :
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?abort_after:float ->
+  ?decision_depth:int ->
   unit ->
   (handle, string) Stdlib.result
 
@@ -65,5 +68,6 @@ val execute :
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?abort_after:float ->
+  ?decision_depth:int ->
   unit ->
   (result, string) Stdlib.result

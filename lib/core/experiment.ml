@@ -19,12 +19,7 @@ let delta = Params.delta Scenarios.fast_chain
    accepts, so a refusal is a harness bug. *)
 let get = function Ok r -> r | Error e -> failwith e
 
-let ac3wn_config =
-  {
-    Ac3wn.default_config with
-    Ac3wn.decision_depth = Scenarios.fast_chain.confirm_depth;
-    timeout = 30_000.0;
-  }
+let ac3wn_config = { Ac3wn.default_config with Ac3wn.timeout = 30_000.0 }
 
 (* Every experiment starts here: the experiment chains plus the witness
    chain, funding [ids] on all of them, mined for 60 s. *)
@@ -45,16 +40,15 @@ let ring_setup ~seed n =
   let graph = Scenarios.ring_graph ~chains ids ~timestamp:(Universe.now u) in
   (u, participants, graph)
 
-let herlihy_config =
-  { (Herlihy.default_config ~delta) with Herlihy.timeout = 100_000.0; poll_interval = 1.0 }
+let herlihy_config = { Herlihy.timeout = 100_000.0; poll_interval = 1.0 }
 
 (* One run of [protocol] on a fresh [n]-ring: the E1-E4 and A2 rows. *)
-let ring_run ~seed n protocol : Driver.result =
+let ring_run ?decision_depth ~seed n protocol : Driver.result =
   let u, participants, graph = ring_setup ~seed n in
   get
     (match protocol with
     | `Herlihy -> Herlihy.execute u ~config:herlihy_config ~graph ~participants ()
-    | `Ac3wn config -> Ac3wn.execute u ~config ~graph ~participants ())
+    | `Ac3wn config -> Ac3wn.execute u ~config ?decision_depth ~graph ~participants ())
 
 (* --- E1 / Fig 8: Herlihy phase timeline --------------------------------- *)
 
@@ -254,8 +248,7 @@ let fig7 () =
     let u, participants = warm_universe ~seed ~chains ids in
     let graph = graph_of ~chains ids ~timestamp:(Universe.now u) in
     let herlihy_verdict =
-      let config = Herlihy.default_config ~delta in
-      match Herlihy.execute u ~config ~graph ~participants () with
+      match Herlihy.execute u ~config:Herlihy.default_config ~graph ~participants () with
       | Error e -> "refused: " ^ e
       | Ok _ -> "executable"
     in
@@ -291,7 +284,7 @@ let crash_experiment () =
     let u, participants, graph = two_party ~seed:800 ids in
     let bob = List.nth participants 1 in
     let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
-    let config = { (Herlihy.default_config ~delta) with Herlihy.timeout = 5000.0 } in
+    let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
     let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> get in
     {
       protocol = "Nolan (hashlock/timelock)";
@@ -644,8 +637,8 @@ type depth_latency_row = { depth : int; committed : bool; latency_delta : float 
 let depth_latency () =
   List.map
     (fun d ->
-      let config = { ac3wn_config with Ac3wn.decision_depth = d; timeout = 60_000.0 } in
-      let r = ring_run ~seed:(1300 + d) 2 (`Ac3wn config) in
+      let config = { ac3wn_config with Ac3wn.timeout = 60_000.0 } in
+      let r = ring_run ~decision_depth:d ~seed:(1300 + d) 2 (`Ac3wn config) in
       {
         depth = d;
         committed = r.Driver.committed;

@@ -32,15 +32,11 @@ include Driver.Shared
 
 type handle = Driver.handle
 
-type config = {
-  delta : float; (* Δ: the timelock unit (publish + public recognition) *)
-  poll_interval : float;
-  timeout : float;
-}
+type config = { poll_interval : float; timeout : float }
 
 let timelock_slack = 2.0
 
-let default_config ~delta = { delta; poll_interval = 2.0; timeout = 10_000.0 }
+let default_config = { poll_interval = 2.0; timeout = 10_000.0 }
 
 type state = {
   leader : Keys.public;
@@ -120,12 +116,13 @@ let try_refund s t p =
       Option.is_none es.redeem_txid && Guard.refund ~expired:(now >= s.timelocks.(i)))
     ~args:(fun _ -> Ok Htlc.refund_args)
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy") () =
+let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy")
+    ?(delta = Universe.max_delta universe) () =
   (* Timelocks decrease with distance from the leader: contracts
      deployed later expire sooner, so everyone who acts on time can
      redeem before their own lock expires. [assign] refuses graphs a
      single leader cannot execute (Sec 5.3). *)
-  Ac3_verify.Timelock.assign ~graph ~delta:config.delta ~timelock_slack
+  Ac3_verify.Timelock.assign ~graph ~delta ~timelock_slack
     ~start_time:(Universe.now universe)
   |> Result.map (fun assignment ->
        let leader = List.hd (Ac2t.participants graph) in
@@ -156,6 +153,6 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "her
            observe = ignore;
          })
 
-let execute universe ~config ~graph ~participants ?hooks ?obs_name () =
-  launch universe ~config ~graph ~participants ?hooks ?obs_name ()
+let execute universe ~config ~graph ~participants ?hooks ?obs_name ?delta () =
+  launch universe ~config ~graph ~participants ?hooks ?obs_name ?delta ()
   |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.timeout [ h ]))

@@ -16,16 +16,13 @@ end
 
 type handle = Driver.handle
 
-type config = {
-  delta : float;  (** Δ: the timelock unit *)
-  poll_interval : float;
-  timeout : float;
-}
+type config = { poll_interval : float; timeout : float }
 
 (** Extra Δs of margin on every timelock. *)
 val timelock_slack : float
 
-val default_config : delta:float -> config
+(** A 2 s poll and a 10,000 s horizon. *)
+val default_config : config
 
 (** Set up the swap with the graph's first participant as leader and
     schedule its per-participant poll loops — without running the
@@ -37,7 +34,9 @@ val default_config : delta:float -> config
     graph order).
     [obs_name] (default ["herlihy"]) labels the metrics and phase spans
     the run folds into the universe's observability context — Nolan's
-    delegation passes its own name. *)
+    delegation passes its own name. [delta] is the timelock unit Δ;
+    it defaults to the universe's {!Universe.max_delta}, the slowest
+    chain's publish-and-recognise time. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -45,6 +44,7 @@ val launch :
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?obs_name:string ->
+  ?delta:float ->
   unit ->
   (handle, string) Stdlib.result
 
@@ -57,5 +57,6 @@ val execute :
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?obs_name:string ->
+  ?delta:float ->
   unit ->
   (result, string) Stdlib.result

@@ -170,7 +170,6 @@ let run_universe ~seed (config : Workload.config) =
       "load.swap.latency"
   in
   let warmup = config.block_interval *. float_of_int (config.confirm_depth + 2) in
-  let delta = Universe.max_delta u in
   let active : live option array = Array.make config.swaps None in
   let results : swap_result option array = Array.make config.swaps None in
   let active_count = ref 0 in
@@ -232,9 +231,7 @@ let run_universe ~seed (config : Workload.config) =
     let launched =
       match spec.protocol with
       | Workload.Nolan | Workload.Herlihy ->
-          let hconfig =
-            { (Herlihy.default_config ~delta) with poll_interval = config.poll_interval }
-          in
+          let hconfig = { Herlihy.default_config with poll_interval = config.poll_interval } in
           (match spec.protocol with
           | Workload.Nolan -> Nolan.launch u ~config:hconfig ~graph ~participants ()
           | _ -> Herlihy.launch u ~config:hconfig ~graph ~participants ())
@@ -245,13 +242,7 @@ let run_universe ~seed (config : Workload.config) =
                  if spec.abandon then Participant.crash pb;
                  h)
       | Workload.Ac3wn ->
-          let wconfig =
-            {
-              Ac3wn.default_config with
-              decision_depth = config.confirm_depth;
-              poll_interval = config.poll_interval;
-            }
-          in
+          let wconfig = { Ac3wn.default_config with poll_interval = config.poll_interval } in
           (* AC3WN aborts through the witness: an early abort request
              races the deploys to SCw instead of anyone crashing. *)
           let abort_after = if spec.abandon then Some config.block_interval else None in

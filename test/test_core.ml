@@ -21,12 +21,7 @@ let fast_universe ?(seed = 7) ~chains n =
 
 let ok = function Ok r -> r | Error e -> Alcotest.fail e
 
-let ac3wn_config =
-  {
-    Ac3wn.default_config with
-    Ac3wn.decision_depth = 3;
-    timeout = 5000.0;
-  }
+let ac3wn_config = { Ac3wn.default_config with Ac3wn.timeout = 5000.0 }
 
 (* --- AC3WN ---------------------------------------------------------------- *)
 
@@ -188,7 +183,7 @@ let test_herlihy_two_party_commit () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
+  let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
   match Herlihy.execute u ~config ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -206,7 +201,7 @@ let test_nolan_crash_violates_atomicity () =
   (* Edge 1 = (Bob -> Alice) on eth; its redemption by Alice reveals the
      secret — the moment Bob crashes. *)
   let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
-  let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
+  let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
   let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> ok in
   Alcotest.(check bool) "NOT atomic (Bob lost his coins)" false r.Herlihy.atomic;
   (* Specifically: eth edge redeemed (by Alice), btc edge refunded (to
@@ -220,7 +215,7 @@ let test_nolan_honest_commit () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
+  let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
   let r = Nolan.execute u ~config ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Herlihy.committed;
   Alcotest.(check bool) "atomic" true r.Herlihy.atomic
@@ -229,7 +224,7 @@ let test_herlihy_rejects_fig7_graphs () =
   let u, participants = fast_universe ~seed:110 ~chains:[ "c1"; "c2"; "c3"; "c4" ] 4 in
   Universe.run_until u 20.0;
   let ids = List.map Participant.identity participants in
-  let config = Herlihy.default_config ~delta:(Universe.max_delta u) in
+  let config = Herlihy.default_config in
   let disconnected =
     Scenarios.disconnected_graph ~chains:[ "c1"; "c2"; "c3"; "c4" ] ids ~timestamp:(Universe.now u)
   in
@@ -247,7 +242,7 @@ let test_nolan_refuses_multi_party_graphs () =
   let u, participants = fast_universe ~seed:115 ~chains:[ "c1"; "c2"; "c3" ] 3 in
   Universe.run_until u 20.0;
   let ids = List.map Participant.identity participants in
-  let config = Herlihy.default_config ~delta:(Universe.max_delta u) in
+  let config = Herlihy.default_config in
   List.iter
     (fun (name, graph) ->
       match Nolan.execute u ~config ~graph ~participants () with
@@ -267,7 +262,7 @@ let test_herlihy_sequential_deployment () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.ring_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
-  let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 8000.0 } in
+  let config = { Herlihy.default_config with Herlihy.timeout = 8000.0 } in
   match Herlihy.execute u ~config ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -664,6 +659,58 @@ let test_claim_depth_latency () =
   Alcotest.(check bool) "latency rises strictly with d" true
     (ordered ( < ) (List.map (fun (r : Experiment.depth_latency_row) -> r.latency_delta) rows))
 
+(* --- Synchrony parameters: d and Δ come from the universe --------------------- *)
+
+(* Field [name] of the commitment each deployed edge contract of [r]
+   recorded, in graph order, read at its chain's gateway. *)
+let recorded u graph (r : Driver.result) name =
+  List.map2
+    (fun (e : Ac2t.edge) cid ->
+      let cid = Option.get cid in
+      let c = Option.get (Ac3_chain.Node.contract (Universe.gateway u e.Ac2t.chain) cid) in
+      ok
+        (Result.bind (Swap_template.get_commitment c.Ac3_chain.Ledger.state) (fun commitment ->
+             Ac3_chain.Value.field commitment name)))
+    (Ac2t.edges graph) r.Driver.contracts
+
+let test_synchrony_from_universe () =
+  List.iteri
+    (fun k (label, (chain : Ac3_chain.Params.t)) ->
+      (* A fresh two-party swap per run, every chain a copy of [chain]. *)
+      let setup run =
+        let seed = 1400 + (10 * k) + run in
+        let u, participants =
+          Scenarios.make_universe ~seed ~chain ~chains:[ "btc"; "eth" ]
+            (Scenarios.identities ~ns:(Printf.sprintf "sync%d" seed) 2) ()
+        in
+        Universe.run_until u 60.0;
+        let ids = List.map Participant.identity participants in
+        (u, participants, Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u))
+      in
+      let ac3wn_depths ?decision_depth run =
+        let u, participants, graph = setup run in
+        let r =
+          Ac3wn.execute u ~config:Ac3wn.default_config ?decision_depth ~graph ~participants () |> ok
+        in
+        ( (Universe.params u Ac3wn.witness_chain).Ac3_chain.Params.confirm_depth,
+          List.map (fun v -> Int64.to_int (ok (Ac3_chain.Value.as_int v))) (recorded u graph r "depth") )
+      in
+      let confirm_depth, depths = ac3wn_depths 0 in
+      Alcotest.(check int) (label ^ ": witness confirm depth") chain.confirm_depth confirm_depth;
+      Alcotest.(check (list int)) (label ^ ": d is the confirm depth") [ confirm_depth; confirm_depth ] depths;
+      Alcotest.(check (list int)) (label ^ ": explicit d") [ 5; 5 ] (snd (ac3wn_depths ~decision_depth:5 1));
+      let u, participants, graph = setup 2 in
+      let expected =
+        Ac3_verify.Timelock.assign ~graph ~delta:(Universe.max_delta u)
+          ~timelock_slack:Herlihy.timelock_slack ~start_time:(Universe.now u)
+        |> ok
+        |> List.map (fun a -> Ac3_chain.Value.Float a.Ac3_verify.Timelock.expiry)
+      in
+      let r = Herlihy.execute u ~config:Herlihy.default_config ~graph ~participants () |> ok in
+      Alcotest.(check bool) (label ^ ": timelocks at the universe's Δ") true
+        (List.equal Ac3_chain.Value.equal expected (recorded u graph r "timelock")))
+    [ ("Scenarios.chain", Scenarios.chain); ("fast_chain", Scenarios.fast_chain) ]
+
 (* --- Regular block production (Sec 6 latency runs) ---------------------------- *)
 
 (* Ring-6 AC3WN on the experiment chains (5 s regular blocks, confirm
@@ -788,6 +835,8 @@ let () =
           Alcotest.test_case "crash breaks Nolan, not AC3WN (E8)" `Quick test_claim_crash;
           Alcotest.test_case "latency rises with d (A2)" `Quick test_claim_depth_latency;
         ] );
+      ( "synchrony",
+        [ Alcotest.test_case "d and Δ come from the universe" `Slow test_synchrony_from_universe ] );
       ( "regular",
         [
           Alcotest.test_case "ring-6 seeds 7 and 1934 decide" `Quick test_regular_ring_seeds_decide;

@@ -326,13 +326,7 @@ let test_driver_trace_projects () =
    the decision is refunded, each step a move the checker enables. *)
 let test_ac3wn_abort_projects () =
   let block_interval = Scenarios.fast_chain.Ac3_chain.Params.block_interval in
-  let config =
-    {
-      Ac3_core.Ac3wn.default_config with
-      Ac3_core.Ac3wn.decision_depth = 3;
-      timeout = 5000.0;
-    }
-  in
+  let config = { Ac3_core.Ac3wn.default_config with Ac3_core.Ac3wn.timeout = 5000.0 } in
   List.iter
     (fun (name, seed, n, build) ->
       let chains = List.init n (Printf.sprintf "c%d") in
