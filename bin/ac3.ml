@@ -675,6 +675,8 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
    drop [-o] without a word. *)
 let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
   if Option.is_some out && not shrink then refuse "chaos" "-o/--out needs --shrink"
+  else if Option.is_some replay && shrink then
+    refuse "chaos" "--replay checks a reproducer and --shrink makes one: use one of them"
   else
     guard "chaos" ~outputs:[ metrics_out; trace_out; out ] @@ fun () ->
     with_jobs "chaos" jobs @@ fun () ->

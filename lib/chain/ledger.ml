@@ -22,7 +22,11 @@ type t = {
   (* Secondary index: address -> its live outpoints. Maintained by
      [utxo_put]/[utxo_delete] below so [balance_of]/[utxos_of] touch only
      the owner's coins instead of scanning the whole UTXO set — under
-     many-swap load, coin selection is a per-poll hot path. *)
+     many-swap load, coin selection is a per-poll hot path. The index
+     keeps one table per address that was ever funded: spending an
+     address's last coin leaves its table empty, not removed, so the
+     undo of a trial admission does not rebuild it. Its readers treat an
+     empty table as an absent one. *)
   by_addr : (string, Tx.output Outpoint.Table.t) Hashtbl.t;
   contracts : (string, contract) Hashtbl.t;
   mutable height : int; (* height of the last applied block; -1 = empty *)
@@ -73,9 +77,7 @@ let utxo_delete t op =
       Outpoint.Table.remove t.utxos op;
       match Hashtbl.find_opt t.by_addr o.addr with
       | None -> ()
-      | Some b ->
-          Outpoint.Table.remove b op;
-          if Outpoint.Table.length b = 0 then Hashtbl.remove t.by_addr o.addr)
+      | Some b -> Outpoint.Table.remove b op)
 
 let balance_of t addr =
   match Hashtbl.find_opt t.by_addr addr with
@@ -388,12 +390,10 @@ let select_valid t ~block_height ~block_time txs =
   List.iter (undo_tx t) !undos;
   selected
 
-(* Canonical digest of the full ledger state (UTXO set + contracts +
-   height). Two ledgers agree iff their digests agree; the reorg
-   equivalence property tests rely on this. *)
-let state_digest t =
+(* Canonical encoding of the full ledger state (UTXO set + contracts +
+   height), only ever hashed by [state_digest]. *)
+let encode_state w t =
   let module Codec = Ac3_crypto.Codec in
-  let w = Codec.Writer.create () in
   Codec.Writer.int w t.height;
   let utxos =
     (* ac3-lint: allow D001 — unique outpoint keys; sorted by Outpoint.compare below *)
@@ -417,5 +417,11 @@ let state_digest t =
       Codec.Writer.string w c.code_id;
       Value.encode w c.state;
       Amount.encode w c.balance)
-    contracts;
-  Ac3_crypto.Sha256.digest (Codec.Writer.contents w)
+    contracts
+
+(* Digest of [encode_state]. Two ledgers agree iff their digests agree;
+   the reorg equivalence property tests rely on this. *)
+let state_digest t =
+  let ctx = Ac3_crypto.Sha256.init () in
+  Ac3_crypto.Codec.feed [ ctx ] encode_state t;
+  Ac3_crypto.Sha256.finalize ctx

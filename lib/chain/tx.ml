@@ -29,11 +29,11 @@ type payload =
   | Coinbase of { height : int }
 
 (* Immutable, with both ids fixed at construction: every constructor
-   below serializes the body once, hashes it into the signing hash and
-   ends in [assemble], which derives the txid from the same bytes and
-   the witnesses. Reading an id is a field access, so the mempool,
-   block assembly, store indexes, Merkle commitments and evidence
-   proofs never re-serialize a transaction to learn its id. *)
+   below encodes the body once into both ids (see [feed_body]), and
+   [decode] hashes the bytes it read. Reading an id is a field access,
+   so the mempool, block assembly, store indexes, Merkle commitments
+   and evidence proofs never re-serialize a transaction to learn its
+   id. *)
 type t = {
   chain : string;
   inputs : input list;
@@ -111,24 +111,35 @@ let encode_witnesses w witnesses =
   Codec.Writer.u16 w (List.length witnesses);
   List.iter (Keys.encode_signature w) witnesses
 
-let body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce =
-  let w = Codec.Writer.create () in
-  encode_body w ~chain ~inputs ~outputs ~payload ~fee ~nonce;
-  Codec.Writer.contents w
+(* Both ids are hashed from the bytes as they are encoded or decoded,
+   never from a string of them: the body goes to a signing-hash context
+   (after its "tx-sighash" prefix) and to a txid context at once, and
+   the witnesses then to the txid context alone. The txid is the double
+   SHA-256 of the full encoding, body followed by the witnesses. *)
+let sighash_ctx () =
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx "tx-sighash";
+  ctx
 
-let sighash_of_body body = Sha256.digest_list [ "tx-sighash"; body ]
+let txid_of ctx = Sha256.digest (Sha256.finalize ctx)
 
-(* The txid is the double SHA-256 of the full encoding, body followed by
-   the witnesses; streaming both parts avoids concatenating them. *)
-let assemble ~body ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
-  let txid =
-    Sha256.digest (Sha256.digest_list [ body; Codec.encode encode_witnesses witnesses ])
-  in
+(* The contexts of both ids, fed the body from Codec's scratch writer. *)
+let feed_body ~chain ~inputs ~outputs ~payload ~fee ~nonce =
+  let sig_ctx = sighash_ctx () and id_ctx = Sha256.init () in
+  Codec.feed [ sig_ctx; id_ctx ]
+    (fun w () -> encode_body w ~chain ~inputs ~outputs ~payload ~fee ~nonce)
+    ();
+  (sig_ctx, id_ctx)
+
+(* [id_ctx] has been fed the body; the witnesses complete the txid. *)
+let assemble ~id_ctx ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
+  Codec.feed [ id_ctx ] encode_witnesses witnesses;
+  let txid = txid_of id_ctx in
   { chain; inputs; witnesses; outputs; payload; fee; nonce; txid; sighash }
 
 let raw ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
-  let body = body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce in
-  assemble ~body ~sighash:(sighash_of_body body) ~chain ~inputs ~witnesses ~outputs ~payload
+  let sig_ctx, id_ctx = feed_body ~chain ~inputs ~outputs ~payload ~fee ~nonce in
+  assemble ~id_ctx ~sighash:(Sha256.finalize sig_ctx) ~chain ~inputs ~witnesses ~outputs ~payload
     ~fee ~nonce
 
 let sighash t = t.sighash
@@ -140,16 +151,35 @@ let encode w t =
     ~nonce:t.nonce;
   encode_witnesses w t.witnesses
 
+(* The ids are hashed from the slices just read: the codec is canonical
+   (fixed widths, strict tags and booleans, [expect_end] in [of_bytes]),
+   so those are the bytes [encode] would write for the decoded value. *)
 let decode r =
+  let start = Codec.Reader.pos r in
   let chain = Codec.Reader.string r in
   let inputs = Codec.Reader.list r decode_input in
   let outputs = Codec.Reader.list r decode_output in
   let payload = decode_payload r in
   let fee = Amount.decode r in
   let nonce = Codec.Reader.i64 r in
+  let sig_ctx = sighash_ctx () and id_ctx = Sha256.init () in
+  Codec.Reader.feed_since r sig_ctx start;
+  Codec.Reader.feed_since r id_ctx start;
+  let witnesses_start = Codec.Reader.pos r in
   let n = Codec.Reader.u16 r in
   let witnesses = List.init n (fun _ -> Keys.decode_signature r) in
-  raw ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
+  Codec.Reader.feed_since r id_ctx witnesses_start;
+  {
+    chain;
+    inputs;
+    witnesses;
+    outputs;
+    payload;
+    fee;
+    nonce;
+    txid = txid_of id_ctx;
+    sighash = Sha256.finalize sig_ctx;
+  }
 
 let to_bytes t = Codec.encode encode t
 
@@ -174,10 +204,10 @@ let of_identity (op, id) = { outpoint = op; pubkey = Keys.public id; address = K
 let make ~chain ~inputs ~outputs ?(payload = Transfer) ~fee ~nonce () =
   let signers = List.map snd inputs in
   let inputs = List.map of_identity inputs in
-  let body = body_bytes ~chain ~inputs ~outputs ~payload ~fee ~nonce in
-  let sighash = sighash_of_body body in
+  let sig_ctx, id_ctx = feed_body ~chain ~inputs ~outputs ~payload ~fee ~nonce in
+  let sighash = Sha256.finalize sig_ctx in
   let witnesses = List.map (fun id -> Keys.sign id sighash) signers in
-  assemble ~body ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
+  assemble ~id_ctx ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
 
 (* Unsigned transaction for throughput stress runs on chains configured
    with [verify_signatures = false]; carries the owners' public keys but

@@ -9,61 +9,72 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* A growable byte buffer. [Codec.encode] and [Codec.feed] run on this
+   domain's scratch writer ([Scratch]), grown once to the largest
+   encoding it has held, so an encoding of any size costs one copy at
+   its exact length, or none when it is only hashed. *)
 module Writer = struct
-  type t = Buffer.t
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create () = Buffer.create 256
+  let create () = { buf = Bytes.create 256; len = 0 }
 
-  let contents = Buffer.contents
+  let contents w = Bytes.sub_string w.buf 0 w.len
 
-  let u8 b v =
+  (* Room for [n] more bytes, doubling on growth; returns where they go. *)
+  let reserve w n =
+    let at = w.len in
+    if at + n > Bytes.length w.buf then begin
+      let buf = Bytes.create (max (at + n) (2 * Bytes.length w.buf)) in
+      Bytes.blit w.buf 0 buf 0 at;
+      w.buf <- buf
+    end;
+    w.len <- at + n;
+    at
+
+  let u8 w v =
     if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
-    Buffer.add_char b (Char.chr v)
+    Bytes.set_uint8 w.buf (reserve w 1) v
 
-  let u16 b v =
+  let u16 w v =
     if v < 0 || v > 0xFFFF then invalid_arg "Codec.u16: out of range";
-    Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char b (Char.chr (v land 0xFF))
+    Bytes.set_uint16_be w.buf (reserve w 2) v
 
-  let u32 b v =
+  let u32 w v =
     if v < 0 || v > 0xFFFFFFFF then invalid_arg "Codec.u32: out of range";
-    Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-    Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-    Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char b (Char.chr (v land 0xFF))
+    let at = reserve w 4 in
+    Bytes.set_uint16_be w.buf at (v lsr 16);
+    Bytes.set_uint16_be w.buf (at + 2) (v land 0xFFFF)
 
-  let i64 b (v : int64) =
-    for i = 7 downto 0 do
-      Buffer.add_char b
-        (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-    done
+  let i64 w (v : int64) = Bytes.set_int64_be w.buf (reserve w 8) v
 
-  let int b v = i64 b (Int64.of_int v)
+  let int w v = i64 w (Int64.of_int v)
 
-  let bool b v = u8 b (if v then 1 else 0)
+  let bool w v = u8 w (if v then 1 else 0)
 
-  let float b v = i64 b (Int64.bits_of_float v)
+  let float w v = i64 w (Int64.bits_of_float v)
+
+  let bytes w s = Bytes.blit_string s 0 w.buf (reserve w (String.length s)) (String.length s)
 
   (* Length-prefixed byte string. *)
-  let string b s =
-    u32 b (String.length s);
-    Buffer.add_string b s
+  let string w s =
+    u32 w (String.length s);
+    bytes w s
 
   (* Fixed-width byte string: no length prefix; decoder must know the width. *)
-  let fixed b ~len s =
+  let fixed w ~len s =
     if String.length s <> len then
       invalid_arg (Printf.sprintf "Codec.fixed: expected %d bytes, got %d" len (String.length s));
-    Buffer.add_string b s
+    bytes w s
 
-  let list b encode_item items =
-    u32 b (List.length items);
-    List.iter (encode_item b) items
+  let list w encode_item items =
+    u32 w (List.length items);
+    List.iter (encode_item w) items
 
-  let option b encode_item = function
-    | None -> u8 b 0
+  let option w encode_item = function
+    | None -> u8 w 0
     | Some v ->
-        u8 b 1;
-        encode_item b v
+        u8 w 1;
+        encode_item w v
 end
 
 module Reader = struct
@@ -130,6 +141,12 @@ module Reader = struct
     | v -> fail "Codec.option: invalid tag %d" v
 
   let expect_end r = if remaining r <> 0 then fail "Codec: %d trailing bytes" (remaining r)
+
+  let pos r = r.pos
+
+  let feed_since r ctx start =
+    if start < 0 || start > r.pos then invalid_arg "Codec.Reader.feed_since: bad start";
+    Sha256.feed_bytes ctx (Bytes.unsafe_of_string r.data) start (r.pos - start)
 end
 
 (* JSON: the interchange format for artifacts meant to be read, diffed
@@ -405,11 +422,38 @@ module Json = struct
   let to_list = function List l -> l | _ -> fail "Json: expected array"
 end
 
+(* [with_scratch k] runs [k] on this domain's scratch writer, emptied.
+   An encoder that encodes (the scratch is busy) gets a fresh writer;
+   one that raises leaves the scratch free, with any growth kept. *)
+let with_scratch k =
+  let s = Scratch.get () in
+  if s.codec_busy then k (Writer.create ())
+  else begin
+    s.codec_busy <- true;
+    let w = { Writer.buf = s.codec; len = 0 } in
+    let release () =
+      s.codec <- w.buf;
+      s.codec_busy <- false
+    in
+    match k w with
+    | r ->
+        release ();
+        r
+    | exception e ->
+        release ();
+        raise e
+  end
+
 (* Encode a value with [f] to a standalone string. *)
 let encode f v =
-  let w = Writer.create () in
-  f w v;
-  Writer.contents w
+  with_scratch (fun w ->
+      f w v;
+      Writer.contents w)
+
+let feed ctxs f v =
+  with_scratch (fun w ->
+      f w v;
+      List.iter (fun ctx -> Sha256.feed_bytes ctx w.buf 0 w.len) ctxs)
 
 (* Decode a whole string with [f], requiring full consumption. *)
 let decode f s =

@@ -6,6 +6,7 @@
 exception Decode_error of string
 
 module Writer : sig
+  (** A growable byte buffer. *)
   type t
 
   val create : unit -> t
@@ -68,6 +69,13 @@ module Reader : sig
 
   (** Raise {!Decode_error} unless the input is fully consumed. *)
   val expect_end : t -> unit
+
+  (** Offset of the next byte to read. *)
+  val pos : t -> int
+
+  (** [feed_since r ctx start] feeds the input bytes read since offset
+      [start] (from {!pos}) to [ctx], without copying them out. *)
+  val feed_since : t -> Sha256.ctx -> int -> unit
 end
 
 (** Minimal JSON for human-readable artifacts (chaos fault plans,
@@ -108,8 +116,14 @@ module Json : sig
   val to_list : t -> t list
 end
 
-(** [encode f v] runs encoder [f] on [v] and returns the bytes. *)
+(** [encode f v] runs encoder [f] on [v] and returns the bytes. It
+    encodes into this domain's scratch writer and copies the result out
+    once; an [encode] inside [f] runs on a fresh writer. *)
 val encode : (Writer.t -> 'a -> unit) -> 'a -> string
+
+(** [feed ctxs f v] feeds the bytes of [encode f v] to every context of
+    [ctxs], straight from the scratch writer: no string is built. *)
+val feed : Sha256.ctx list -> (Writer.t -> 'a -> unit) -> 'a -> unit
 
 (** [decode f s] decodes [s] entirely with [f]; raises {!Decode_error} on
     malformed or trailing input. *)

@@ -47,14 +47,10 @@ let precompute ~key =
 
 let pad_states prk = Array.append (Sha256.midstate prk.inner0) (Sha256.midstate prk.outer0)
 
-(* Per-domain scratch context for [mac_prk]: the function cannot
-   re-enter itself, and domains never share a scratch.
-   ac3-lint: allow D008 — domain-local scratch; the tag is a pure function of (prk, msg) *)
-let mac_scratch = Domain.DLS.new_key Sha256.init
-
+(* [mac_prk] runs on this domain's scratch context ([Scratch.mac]): it
+   cannot re-enter itself, and domains never share a scratch. *)
 let mac_prk prk msg =
-  (* ac3-lint: allow D008 — reads this domain's own scratch context *)
-  let ctx = Domain.DLS.get mac_scratch in
+  let ctx = (Scratch.get ()).mac in
   Sha256.restore ~src:prk.inner0 ~dst:ctx;
   Sha256.feed_string ctx msg;
   let inner = Sha256.finalize ctx in

@@ -66,14 +66,18 @@ let sign t msg = Mss.sign t.secret msg
    functions of the key. *)
 let verify_memo : bool Memo.t = Memo.create ~name:"keys.verify" ~cap:1024
 
-(* The digest of the (pk, signature, msg) frame, fed to one context
-   piece by piece: building the frame first would copy it into two
-   blocks of several kilobytes on every call, memo hits included. *)
+(* The digest of the (pk, signature, msg) frame, hashed from Codec's
+   scratch writer ([Codec.feed]) and then the message: building the
+   frame as a string would copy a couple of kilobytes into the major
+   heap on every call, memo hits included. *)
 let verify_key pk msg signature =
   let ctx = Sha256.init () in
-  Sha256.feed_string ctx (Codec.encode (fun w -> Codec.Writer.fixed w ~len:32) pk);
-  Mss.feed_signature ctx signature;
-  Sha256.feed_string ctx (Codec.encode Codec.Writer.u32 (String.length msg));
+  Codec.feed [ ctx ]
+    (fun w () ->
+      Codec.Writer.fixed w ~len:32 pk;
+      Mss.encode_signature w signature;
+      Codec.Writer.u32 w (String.length msg))
+    ();
   Sha256.feed_string ctx msg;
   Sha256.finalize ctx
 

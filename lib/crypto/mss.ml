@@ -107,22 +107,6 @@ let encode_signature w s =
   Codec.Writer.u16 w (Array.length s.auth_path);
   Array.iter (Codec.Writer.fixed w ~len:32) s.auth_path
 
-(* [encode_signature]'s bytes, fed to [ctx] field by field: each count
-   is framed by [Codec] as there, and the 32-byte chain values and auth
-   path go in as they are, so hashing a signature's frame never builds
-   its 2.4 KB encoding. *)
-let feed_signature ctx s =
-  let int f v = Sha256.feed_string ctx (Codec.encode f v) in
-  let fixed x =
-    if String.length x <> 32 then invalid_arg "Mss.feed_signature: a value is not 32 bytes";
-    Sha256.feed_string ctx x
-  in
-  int Codec.Writer.u32 s.leaf_index;
-  int Codec.Writer.u16 (Array.length s.wots_sig);
-  Array.iter fixed s.wots_sig;
-  int Codec.Writer.u16 (Array.length s.auth_path);
-  Array.iter fixed s.auth_path
-
 let decode_signature r =
   let leaf_index = Codec.Reader.u32 r in
   let wots_sig = Wots.decode_signature r in

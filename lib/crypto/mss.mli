@@ -31,7 +31,3 @@ val verify : public -> string -> signature -> bool
 val encode_signature : Codec.Writer.t -> signature -> unit
 
 val decode_signature : Codec.Reader.t -> signature
-
-(** Feeds the bytes {!encode_signature} writes to [ctx], without
-    building them. Raises [Invalid_argument] where the encoder would. *)
-val feed_signature : Sha256.ctx -> signature -> unit

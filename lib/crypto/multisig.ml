@@ -27,11 +27,14 @@ let verify ~expected_signers t =
 (* Digest identifying this multisignature; AC3TW keys its witness store by
    this value and AC3WN stores it in SCw. *)
 let id t =
-  let w = Codec.Writer.create () in
-  Codec.Writer.string w "multisig";
-  Codec.Writer.string w t.message;
-  Codec.Writer.list w (fun w (pk, _) -> Codec.Writer.fixed w ~len:32 pk) t.parts;
-  Sha256.digest (Codec.Writer.contents w)
+  let ctx = Sha256.init () in
+  Codec.feed [ ctx ]
+    (fun w t ->
+      Codec.Writer.string w "multisig";
+      Codec.Writer.string w t.message;
+      Codec.Writer.list w (fun w (pk, _) -> Codec.Writer.fixed w ~len:32 pk) t.parts)
+    t;
+  Sha256.finalize ctx
 
 let encode w t =
   Codec.Writer.string w t.message;

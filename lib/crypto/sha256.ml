@@ -39,7 +39,7 @@ external shani_available : unit -> bool = "ac3_sha256_shani_available_stub"
 
 external pair_stub : string -> string -> Bytes.t -> unit = "ac3_sha256_pair_stub" [@@noalloc]
 
-external wots_chains_stub : Bytes.t -> int -> int array -> int array -> unit
+external wots_chains_stub : Bytes.t -> int -> int -> int array -> int array -> unit
   = "ac3_sha256_wots_chains_stub"
   [@@noalloc]
 
@@ -166,21 +166,30 @@ let digest_pair a b =
    plus the 9 bytes of padding must fit in two blocks. *)
 let wots_frame_max = 119
 
-let wots_chains ?(pads = [||]) frames ~frame_len ranges =
-  let n = Array.length ranges / 2 and keys = Array.length pads / 16 in
+let rec ranges_ok ranges i stop =
+  i >= stop
+  || (let s = Array.unsafe_get ranges i in
+      s >= 0 && s <= 0x10000 && ranges_ok ranges (i + 1) stop)
+
+let wots_chains ?(pads = [||]) ?chains frames ~frame_len ranges =
+  let n = match chains with Some n -> n | None -> Array.length ranges / 2 in
+  let keys = Array.length pads / 16 in
   if frame_len > wots_frame_max then
     invalid_arg
       (Printf.sprintf "Sha256.wots_chains: %d-byte frame exceeds %d bytes" frame_len
          wots_frame_max);
-  if frame_len < 36 || Array.length ranges <> 2 * n || n > 0x10000
-     || Bytes.length frames <> n * frame_len
-     || Array.exists (fun s -> s < 0 || s > 0x10000) ranges
+  let exact = Option.is_none chains in
+  if frame_len < 36 || n < 0 || n > 0x10000
+     || Array.length ranges < 2 * n
+     || Bytes.length frames < n * frame_len
+     || (exact && (Array.length ranges <> 2 * n || Bytes.length frames <> n * frame_len))
+     || not (ranges_ok ranges 0 (2 * n))
   then invalid_arg "Sha256.wots_chains: malformed frames or ranges";
   if Array.length pads <> 16 * keys
      || (keys > 0 && n mod keys <> 0)
      || Array.exists (fun v -> v < 0 || v > 0xFFFFFFFF) pads
   then invalid_arg "Sha256.wots_chains: malformed pads";
-  wots_chains_stub frames frame_len ranges pads
+  wots_chains_stub frames frame_len n ranges pads
 
 let grind_pow header ~target ~first ~count =
   if String.length header < 8 || first < 0 || count < 0 || first > max_int - count then

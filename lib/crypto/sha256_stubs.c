@@ -655,17 +655,20 @@ static void wots_expand(const struct impl *k, struct wots_job *job, value vpads)
     }
 }
 
-/* [vframes] holds n frames of [vflen] bytes, frame i ending
+/* The first [vn] frames of [vframes], [vflen] bytes each, are walked;
+ * frame i ends
  *   u16 chain | u16 step | 32-byte x
- * and [vranges] is the int array [from0; to0; from1; to1; ...]. When
+ * and [vranges] starts with the int array [from0; to0; from1; to1; ...]
+ * of those n chains. Either buffer may be longer (a reused scratch);
+ * the bytes and words past the n chains are not touched. When
  * [vpads] is not empty, every frame's x is first set to its secret
  * element (wots_expand). Frame i's x is then replaced by chain i walked
  * over steps [from_i, to_i): each step hashes the frame with step = s
  * and x = the current value, and the digest becomes the next value; an
  * empty range leaves x as is. Each lane pulls the next unfinished chain,
  * so mixed ranges keep every lane busy until the last chains. */
-CAMLprim value ac3_sha256_wots_chains_stub(value vframes, value vflen, value vranges,
-                                           value vpads)
+CAMLprim value ac3_sha256_wots_chains_stub(value vframes, value vflen, value vn,
+                                           value vranges, value vpads)
 {
     const struct impl *k = kernels();
     struct wots_job job;
@@ -681,7 +684,7 @@ CAMLprim value ac3_sha256_wots_chains_stub(value vframes, value vflen, value vra
     job.flen = (size_t)Long_val(vflen);
     job.nb = padded_blocks(job.flen);
     job.ranges = vranges;
-    job.n = (long)(Wosize_val(vranges) / 2);
+    job.n = Long_val(vn);
     job.next = 0;
     memset(job.msg, 0, sizeof job.msg);
     pad(job.msg, job.flen, job.nb, job.flen);

@@ -50,18 +50,27 @@ let frame_prefix tag =
    bytes in place, and on return frame i ends with chain i's end value.
    One kernel call takes one frame length, so [tags] must all encode to
    the same length. Keygen, signing and verification all walk through
-   here. *)
+   here.
+
+   The frames and ranges are this domain's scratch ([Scratch.frames],
+   [Scratch.ranges]), grown to the largest walk so far (a keygen batch,
+   about 70 KB of frames): a walk allocates no buffer, and what it
+   returns is valid until this domain's next walk. Every caller reads
+   the end values out first. *)
 let walk tags start ~from_ ~to_ =
   let prefixes = Array.map frame_prefix tags in
   let plen = String.length prefixes.(0) in
   let frame_len = plen + 36 in
   let n = Array.length tags * num_chains in
-  let frames = Bytes.make (n * frame_len) '\000' in
-  let ranges = Array.make (2 * n) 0 in
+  let s = Scratch.get () in
+  if Bytes.length s.frames < n * frame_len then s.frames <- Bytes.create (n * frame_len);
+  if Array.length s.ranges < 2 * n then s.ranges <- Array.make (2 * n) 0;
+  let frames = s.frames and ranges = s.ranges in
   for i = 0 to n - 1 do
     let off = i * frame_len in
     Bytes.blit_string prefixes.(i / num_chains) 0 frames off plen;
     Bytes.set_uint16_be frames (off + plen) (i mod num_chains);
+    Bytes.set_uint16_be frames (off + plen + 2) 0;
     (match start with
     | `Values xs -> Bytes.blit_string xs.(i) 0 frames (off + plen + 4) 32
     | `Secrets _ -> ());
@@ -69,7 +78,7 @@ let walk tags start ~from_ ~to_ =
     ranges.((2 * i) + 1) <- to_ i
   done;
   let pads = match start with `Secrets pads -> Some pads | `Values _ -> None in
-  Sha256.wots_chains ?pads frames ~frame_len ranges;
+  Sha256.wots_chains ?pads ~chains:n frames ~frame_len ranges;
   (frames, frame_len)
 
 let end_offset (_, frame_len) i = ((i + 1) * frame_len) - 32
@@ -77,24 +86,23 @@ let end_offset (_, frame_len) i = ((i + 1) * frame_len) - 32
 let end_value ((frames, _) as walked) i = Bytes.sub_string frames (end_offset walked i) 32
 
 (* The public key of key [j] of a walk: the digest of "wots-pk" | tag |
-   its [num_chains] chain tops, gathered into one message so it is
-   hashed in one pass. *)
+   its [num_chains] chain tops, fed to one context straight from the
+   frames, so the 2.2 KB message is never gathered. *)
 let public_of_walk ((frames, _) as walked) ~tag j =
-  let tlen = String.length tag in
-  let msg = Bytes.create (7 + tlen + (32 * num_chains)) in
-  Bytes.blit_string "wots-pk" 0 msg 0 7;
-  Bytes.blit_string tag 0 msg 7 tlen;
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx "wots-pk";
+  Sha256.feed_string ctx tag;
   for c = 0 to num_chains - 1 do
-    Bytes.blit frames (end_offset walked ((j * num_chains) + c)) msg (7 + tlen + (32 * c)) 32
+    Sha256.feed_bytes ctx frames (end_offset walked ((j * num_chains) + c)) 32
   done;
-  Sha256.digest (Bytes.unsafe_to_string msg)
+  Sha256.finalize ctx
 
 let generate ~seed ~tag = { tag; pads = Hmac.pad_states (Drbg.prk ~seed ~label:("wots:" ^ tag)) }
 
 (* Key generation walks at most this many keys per kernel call: 1072
    chains, about a millisecond with 16 lanes. So the [@@noalloc] call
    never holds its domain away from a stop-the-world collection for long,
-   and the frame buffer stays near 70 KB whatever the key count. *)
+   and the scratch frames stay near 70 KB whatever the key count. *)
 let keygen_batch = 16
 
 let publics sks =

@@ -234,6 +234,156 @@ let test_tx_chain_binding () =
   in
   Alcotest.(check bool) "replay on other chain rejected" false (Tx.verify_signatures replayed)
 
+(* Transactions of every payload kind, with Deploy/Call arguments and
+   witness lists each up to 3 KB and beyond 4 KB: the witnesses are real
+   MSS signatures (about 2.3 KB each), the inputs real public keys. *)
+let tx_pool_owner = Keys.create ~height:3 "chain-test-codec-owner"
+
+let tx_pool_inputs =
+  (Tx.make_unsigned ~chain:"c"
+     ~inputs:(List.init 3 (fun i -> (dummy_outpoint (200 + i), tx_pool_owner)))
+     ~outputs:[] ~fee:(coin 1) ~nonce:0L ())
+    .Tx.inputs
+
+let tx_pool_witnesses = List.init 3 (fun i -> Keys.sign tx_pool_owner (string_of_int i))
+
+let tx_gen =
+  let open QCheck.Gen in
+  let sub l = map (fun k -> List.filteri (fun i _ -> i < k) l) (int_bound (List.length l)) in
+  let amount = map (fun n -> coin n) (int_bound 1_000_000) in
+  let args =
+    oneof
+      [
+        value_gen;
+        map2 (fun n c -> Value.Bytes (String.make n c)) (int_range 2000 6000) printable;
+        map2
+          (fun v n -> Value.Pair (v, Value.String (String.make n 'a')))
+          value_gen (int_range 0 5000);
+      ]
+  in
+  let payload =
+    oneof
+      [
+        return Tx.Transfer;
+        map3
+          (fun code_id args deposit -> Tx.Deploy { code_id; args; deposit })
+          string_small args amount;
+        map3
+          (fun (contract_id, fn) args deposit -> Tx.Call { contract_id; fn; args; deposit })
+          (pair string_small string_small) args amount;
+        map (fun height -> Tx.Coinbase { height }) (int_bound 100_000);
+      ]
+  in
+  let output = map2 (fun addr amount : Tx.output -> { addr; amount }) string_small amount in
+  let* chain = string_size ~gen:printable (int_range 1 8) in
+  let* inputs = sub tx_pool_inputs in
+  let* witnesses = sub tx_pool_witnesses in
+  let* outputs = list_size (int_bound 3) output in
+  let* payload = payload in
+  let* fee = amount in
+  let* nonce = map Int64.of_int int in
+  return (Tx.raw ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce)
+
+let print_tx tx = Printf.sprintf "%d-byte transaction" (String.length (Tx.to_bytes tx))
+
+(* [decode] hashes the bytes it read instead of re-encoding what it
+   decoded, which is sound because the codec is canonical. Both sides
+   are checked: a round trip keeps both ids, and any corruption of a
+   valid encoding that still decodes (a payload byte, a signature byte,
+   a flipped length or tag that happens to parse) re-encodes to exactly
+   the corrupted bytes, with the ids [raw] derives for its fields. Half
+   the corruptions hit the first 100 bytes, where the lengths and tags
+   are. *)
+let qcheck_tx_codec_canonical =
+  let mutation = QCheck.Gen.(triple bool nat (int_range 1 255)) in
+  QCheck.Test.make ~name:"tx ids survive the codec; accepted corruptions re-encode to themselves"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (tx, _) -> print_tx tx)
+       QCheck.Gen.(pair tx_gen (list_size (return 12) mutation)))
+    (fun (tx, mutations) ->
+      let bytes = Tx.to_bytes tx in
+      let tx' = Tx.of_bytes bytes in
+      let same_ids (a : Tx.t) (b : Tx.t) =
+        String.equal a.txid b.txid && String.equal a.sighash b.sighash
+      in
+      let rebuilt (d : Tx.t) =
+        Tx.raw ~chain:d.chain ~inputs:d.inputs ~witnesses:d.witnesses ~outputs:d.outputs
+          ~payload:d.payload ~fee:d.fee ~nonce:d.nonce
+      in
+      let corrupt (head, at, x) =
+        let b = Bytes.of_string bytes in
+        let at = at mod if head then min 100 (Bytes.length b) else Bytes.length b in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor x));
+        Bytes.to_string b
+      in
+      let canonical m =
+        match Tx.of_bytes m with
+        | exception Codec.Decode_error _ -> true
+        | d ->
+            String.equal (Tx.to_bytes d) m
+            && String.equal d.txid (Ac3_crypto.Sha256.digest2 m)
+            && same_ids d (rebuilt d)
+      in
+      same_ids tx tx'
+      && String.equal (Tx.to_bytes tx') bytes
+      && String.equal tx.txid (Ac3_crypto.Sha256.digest2 bytes)
+      && List.for_all (fun m -> canonical (corrupt m)) mutations)
+
+(* --- Allocation guard ------------------------------------------------------ *)
+
+(* OCaml allocates a block over 256 words (2 KB) directly in the major
+   heap. After one warm-up call, the transaction path allocates no such
+   block: an unsigned deploy with a 5 KB argument, an MSS signature and
+   its verification, hashing a large encoding, and a small encode after a
+   large one all run on per-domain scratch. Words promoted from the minor
+   heap are the call's results and short-lived values surviving a minor
+   collection, not direct allocations, so they are subtracted; the
+   counters are read after a minor collection because OCaml 5.1 folds a
+   domain's direct allocations into them lazily. *)
+let direct_major_words f =
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  ignore (Sys.opaque_identity (f ()));
+  let before = direct () in
+  ignore (Sys.opaque_identity (f ()));
+  direct () -. before
+
+let check_no_major label f =
+  Alcotest.(check (float 0.)) (label ^ ": direct major-heap words") 0. (direct_major_words f)
+
+let test_alloc_tx_make_unsigned () =
+  let owner = Keys.create ~height:1 "chain-test-alloc-owner" in
+  let args = Value.Bytes (String.make 5000 'p') in
+  check_no_major "Tx.make_unsigned, 5 KB deploy" (fun () ->
+      Tx.make_unsigned ~chain:"c"
+        ~inputs:[ (dummy_outpoint 1, owner); (dummy_outpoint 2, owner) ]
+        ~outputs:[ { addr = Keys.address bob; amount = coin 5 } ]
+        ~payload:(Tx.Deploy { code_id = "x"; args; deposit = coin 2 })
+        ~fee:(coin 1) ~nonce:7L ())
+
+let test_alloc_sign_verify () =
+  let id = Keys.create ~height:3 "chain-test-alloc-signer" in
+  check_no_major "Keys.sign" (fun () -> Keys.sign id "message");
+  let signature = Keys.sign id "message" in
+  check_no_major "Mss.verify" (fun () -> Ac3_crypto.Mss.verify (Keys.public id) "message" signature)
+
+let test_alloc_codec () =
+  let large = String.make 8000 'l' in
+  let enc_large w () = Codec.Writer.string w large in
+  let ctx = Ac3_crypto.Sha256.init () in
+  check_no_major "Codec.feed, 8 KB" (fun () -> Codec.feed [ ctx ] enc_large ());
+  ignore (Codec.encode enc_large ());
+  check_no_major "small Codec.encode after a large one" (fun () ->
+      Codec.encode Codec.Writer.string "small");
+  (match Codec.feed [ ctx ] (fun w () -> enc_large w (); raise Exit) () with
+  | () -> Alcotest.fail "the encoder raises"
+  | exception Exit -> ());
+  check_no_major "Codec.feed after a raising encoder" (fun () -> Codec.feed [ ctx ] enc_large ())
+
 (* --- Pow -------------------------------------------------------------------- *)
 
 let test_pow_target_bits () =
@@ -1711,6 +1861,15 @@ let () =
           Alcotest.test_case "signature binds body" `Quick test_tx_signature_binds_body;
           Alcotest.test_case "chain binding (no replay)" `Quick test_tx_chain_binding;
           QCheck_alcotest.to_alcotest qcheck_tx_input_address;
+          QCheck_alcotest.to_alcotest qcheck_tx_codec_canonical;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "Tx.make_unsigned: no direct major words" `Quick
+            test_alloc_tx_make_unsigned;
+          Alcotest.test_case "Keys.sign, Mss.verify: no direct major words" `Quick
+            test_alloc_sign_verify;
+          Alcotest.test_case "Codec: no direct major words" `Quick test_alloc_codec;
         ] );
       ( "pow",
         [

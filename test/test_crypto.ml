@@ -223,6 +223,62 @@ let test_codec_integers () =
   Alcotest.(check int) "int" 42 (Codec.Reader.int r);
   Codec.Reader.expect_end r
 
+(* [Codec.encode] and [Codec.feed] run on one per-domain scratch writer.
+   A nested [encode] (the scratch is busy) and an encoder that raises
+   halfway must both leave every later encoding byte-identical to a
+   fresh writer's: a nested call that reused the busy scratch would
+   overwrite the outer encoding's first bytes. *)
+let test_codec_scratch_reuse () =
+  let reference f v =
+    let w = Codec.Writer.create () in
+    f w v;
+    Codec.Writer.contents w
+  in
+  let big = String.init 5000 (fun i -> Char.chr (i land 0xFF)) in
+  let enc_big w () =
+    Codec.Writer.string w "big";
+    Codec.Writer.string w big
+  in
+  let enc_small w n =
+    Codec.Writer.u32 w n;
+    Codec.Writer.string w "small"
+  in
+  (* [encode] is [reference] or [Codec.encode], at both types. *)
+  let nested (big, small) w () =
+    Codec.Writer.string w "outer-a";
+    Codec.Writer.string w (big enc_big ());
+    Codec.Writer.string w (small enc_small 7);
+    Codec.Writer.string w "outer-b"
+  in
+  let expected_nested = reference (nested (reference, reference)) () in
+  let nested_codec = nested (Codec.encode, Codec.encode) in
+  Alcotest.(check string) "nested encode" expected_nested (Codec.encode nested_codec ());
+  let digest_of f v =
+    let ctx = Sha256.init () in
+    Codec.feed [ ctx ] f v;
+    Sha256.finalize ctx
+  in
+  Alcotest.(check string) "feed of a nested encoder"
+    (Sha256.digest expected_nested)
+    (digest_of nested_codec ());
+  let raising w () =
+    enc_big w ();
+    raise Exit
+  in
+  let after label =
+    Alcotest.(check string) (label ^ ": small") (reference enc_small 3) (Codec.encode enc_small 3);
+    Alcotest.(check string) (label ^ ": big") (reference enc_big ()) (Codec.encode enc_big ());
+    Alcotest.(check string) (label ^ ": fed")
+      (Sha256.digest (reference enc_small 9))
+      (digest_of enc_small 9)
+  in
+  after "after nesting";
+  Alcotest.check_raises "raising encoder" Exit (fun () -> ignore (Codec.encode raising ()));
+  after "after a raising encode";
+  Alcotest.check_raises "raising fed encoder" Exit (fun () ->
+      Codec.feed [ Sha256.init () ] raising ());
+  after "after a raising feed"
+
 let test_codec_compound () =
   let encode w (s, l, o) =
     Codec.Writer.string w s;
@@ -492,6 +548,53 @@ let test_wots_frame_bound () =
     (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
       ignore (Wots.sign (Wots.generate ~seed:"s" ~tag:(String.make 67 't')) "msg"))
 
+(* --- Two domains ----------------------------------------------------------- *)
+
+(* Keygen, signing, verification and transaction ids all run on per-domain
+   scratch (Codec's writer, the WOTS frames, Hmac's context): two domains
+   working at once must compute what one computes alone. Each task builds
+   its own height-3 key, signs and verifies eight messages and builds an
+   unsigned deploy with a 5 KB payload. *)
+let test_two_domains_match_sequential () =
+  let module Tx = Ac3_chain.Tx in
+  let module Value = Ac3_chain.Value in
+  let task i =
+    let id = Keys.create ~height:3 (Printf.sprintf "two-domains-%d" i) in
+    let msgs = List.init 8 (fun j -> Printf.sprintf "msg %d/%d" i j) in
+    let sigs = List.map (Keys.sign id) msgs in
+    let verdicts = List.map2 (fun m s -> Mss.verify (Keys.public id) m s) msgs sigs in
+    let tx =
+      Tx.make_unsigned ~chain:"c"
+        ~inputs:
+          [ (Ac3_chain.Outpoint.create ~txid:(Sha256.digest (string_of_int i)) ~index:0, id) ]
+        ~outputs:[ { addr = Keys.address id; amount = Ac3_chain.Amount.of_int 5 } ]
+        ~payload:
+          (Tx.Deploy
+             {
+               code_id = "x";
+               args = Value.Bytes (String.make 5000 (Char.chr (65 + (i mod 26))));
+               deposit = Ac3_chain.Amount.of_int 1;
+             })
+        ~fee:(Ac3_chain.Amount.of_int 1) ~nonce:(Int64.of_int i) ()
+    in
+    ( Keys.public id,
+      List.map (Codec.encode Keys.encode_signature) sigs,
+      verdicts,
+      (Tx.txid tx, Tx.sighash tx, Tx.to_bytes tx) )
+  in
+  let tasks = List.init 12 Fun.id in
+  let sequential = List.map task tasks in
+  let parallel = Ac3_par.Pool.map ~jobs:2 task tasks in
+  List.iteri
+    (fun i ((pk, sigs, verdicts, tx), (pk', sigs', verdicts', tx')) ->
+      let label what = Printf.sprintf "task %d: %s" i what in
+      Alcotest.(check string) (label "public key") (Hex.encode pk) (Hex.encode pk');
+      Alcotest.(check (list string)) (label "signatures") sigs sigs';
+      Alcotest.(check (list bool)) (label "verdicts") verdicts verdicts';
+      Alcotest.(check bool) (label "all verify") true (List.for_all Fun.id verdicts');
+      Alcotest.(check bool) (label "transaction") true (tx = tx'))
+    (List.combine sequential parallel)
+
 (* --- MSS ---------------------------------------------------------------- *)
 
 let test_mss_many_messages () =
@@ -527,8 +630,8 @@ let test_mss_codec_roundtrip () =
   let s' = Codec.decode Mss.decode_signature (Codec.encode Mss.encode_signature s) in
   Alcotest.(check bool) "roundtrip verifies" true (Mss.verify (Mss.public sk) "msg" s')
 
-(* [feed_signature] hashes exactly the bytes [encode_signature] writes,
-   for every leaf of a height-3 key, fed after a prefix so the frame
+(* [Codec.feed] hashes exactly the bytes [encode_signature] writes, for
+   every leaf of a height-3 key, fed after a prefix so the frame
    straddles block boundaries at different offsets. *)
 let test_mss_feed_matches_encode () =
   let sk = Mss.generate ~height:3 ~seed:"mss-feed" () in
@@ -537,7 +640,7 @@ let test_mss_feed_matches_encode () =
     let prefix = String.make (7 * i) 'p' in
     let ctx = Sha256.init () in
     Sha256.feed_string ctx prefix;
-    Mss.feed_signature ctx s;
+    Codec.feed [ ctx ] Mss.encode_signature s;
     Alcotest.(check string)
       (Printf.sprintf "leaf %d" i)
       (Hex.encode (Sha256.digest (prefix ^ Codec.encode Mss.encode_signature s)))
@@ -795,6 +898,8 @@ let () =
           Alcotest.test_case "compound" `Quick test_codec_compound;
           Alcotest.test_case "trailing rejected" `Quick test_codec_trailing_rejected;
           Alcotest.test_case "truncation rejected" `Quick test_codec_truncation_rejected;
+          Alcotest.test_case "scratch writer: nested and raising encoders" `Quick
+            test_codec_scratch_reuse;
           QCheck_alcotest.to_alcotest qcheck_codec_float;
         ] );
       ( "json",
@@ -823,6 +928,11 @@ let () =
             test_mss_builder_matches_reference;
           Alcotest.test_case "height 11 builds and signs" `Slow test_mss_height_11;
           Alcotest.test_case "fed frame == encoded frame" `Quick test_mss_feed_matches_encode;
+        ] );
+      ( "two-domains",
+        [
+          Alcotest.test_case "keygen, sign, verify, tx ids = sequential" `Quick
+            test_two_domains_match_sequential;
         ] );
       ( "keys",
         [
