@@ -338,12 +338,14 @@ let qcheck_tx_codec_canonical =
    its verification, hashing a large encoding, and a small encode after a
    large one all run on per-domain scratch. Words promoted from the minor
    heap are the call's results and short-lived values surviving a minor
-   collection, not direct allocations, so they are subtracted; the
-   counters are read after a minor collection because OCaml 5.1 folds a
-   domain's direct allocations into them lazily. *)
+   collection, not direct allocations, so they are subtracted. OCaml 5.1
+   folds a domain's direct allocations into [major_words] only at a major
+   slice, not at a minor collection, so the counters are read after a
+   full major: otherwise a slice inside the window would bring in large
+   blocks that earlier tests allocated. *)
 let direct_major_words f =
   let direct () =
-    Gc.minor ();
+    Gc.full_major ();
     let s = Gc.quick_stat () in
     s.Gc.major_words -. s.Gc.promoted_words
   in

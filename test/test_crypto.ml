@@ -929,7 +929,7 @@ let () =
           Alcotest.test_case "height 11 builds and signs" `Slow test_mss_height_11;
           Alcotest.test_case "fed frame == encoded frame" `Quick test_mss_feed_matches_encode;
         ] );
-      ( "two-domains",
+      ( "domains",
         [
           Alcotest.test_case "keygen, sign, verify, tx ids = sequential" `Quick
             test_two_domains_match_sequential;
