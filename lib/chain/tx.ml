@@ -131,11 +131,14 @@ let feed_body ~chain ~inputs ~outputs ~payload ~fee ~nonce =
     ();
   (sig_ctx, id_ctx)
 
+(* [id_ctx] has been fed the whole encoding, body and witnesses. *)
+let finish ~id_ctx ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
+  { chain; inputs; witnesses; outputs; payload; fee; nonce; txid = txid_of id_ctx; sighash }
+
 (* [id_ctx] has been fed the body; the witnesses complete the txid. *)
 let assemble ~id_ctx ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
   Codec.feed [ id_ctx ] encode_witnesses witnesses;
-  let txid = txid_of id_ctx in
-  { chain; inputs; witnesses; outputs; payload; fee; nonce; txid; sighash }
+  finish ~id_ctx ~sighash ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce
 
 let raw ~chain ~inputs ~witnesses ~outputs ~payload ~fee ~nonce =
   let sig_ctx, id_ctx = feed_body ~chain ~inputs ~outputs ~payload ~fee ~nonce in
@@ -169,17 +172,8 @@ let decode r =
   let n = Codec.Reader.u16 r in
   let witnesses = List.init n (fun _ -> Keys.decode_signature r) in
   Codec.Reader.feed_since r id_ctx witnesses_start;
-  {
-    chain;
-    inputs;
-    witnesses;
-    outputs;
-    payload;
-    fee;
-    nonce;
-    txid = txid_of id_ctx;
-    sighash = Sha256.finalize sig_ctx;
-  }
+  finish ~id_ctx ~sighash:(Sha256.finalize sig_ctx) ~chain ~inputs ~witnesses ~outputs ~payload
+    ~fee ~nonce
 
 let to_bytes t = Codec.encode encode t
 

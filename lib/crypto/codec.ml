@@ -426,23 +426,17 @@ end
    An encoder that encodes (the scratch is busy) gets a fresh writer;
    one that raises leaves the scratch free, with any growth kept. *)
 let with_scratch k =
-  let s = Scratch.get () in
-  if s.codec_busy then k (Writer.create ())
-  else begin
-    s.codec_busy <- true;
-    let w = { Writer.buf = s.codec; len = 0 } in
-    let release () =
-      s.codec <- w.buf;
-      s.codec_busy <- false
-    in
-    match k w with
-    | r ->
-        release ();
-        r
-    | exception e ->
-        release ();
-        raise e
-  end
+  match Scratch.codec_take () with
+  | None -> k (Writer.create ())
+  | Some buf -> (
+      let w = { Writer.buf; len = 0 } in
+      match k w with
+      | r ->
+          Scratch.codec_give w.buf;
+          r
+      | exception e ->
+          Scratch.codec_give w.buf;
+          raise e)
 
 (* Encode a value with [f] to a standalone string. *)
 let encode f v =

@@ -50,7 +50,7 @@ let pad_states prk = Array.append (Sha256.midstate prk.inner0) (Sha256.midstate 
 (* [mac_prk] runs on this domain's scratch context ([Scratch.mac]): it
    cannot re-enter itself, and domains never share a scratch. *)
 let mac_prk prk msg =
-  let ctx = (Scratch.get ()).mac in
+  let ctx = Scratch.mac () in
   Sha256.restore ~src:prk.inner0 ~dst:ctx;
   Sha256.feed_string ctx msg;
   let inner = Sha256.finalize ctx in

@@ -171,18 +171,15 @@ let rec ranges_ok ranges i stop =
   || (let s = Array.unsafe_get ranges i in
       s >= 0 && s <= 0x10000 && ranges_ok ranges (i + 1) stop)
 
-let wots_chains ?(pads = [||]) ?chains frames ~frame_len ranges =
-  let n = match chains with Some n -> n | None -> Array.length ranges / 2 in
+let wots_chains ?(pads = [||]) ~chains:n frames ~frame_len ranges =
   let keys = Array.length pads / 16 in
   if frame_len > wots_frame_max then
     invalid_arg
       (Printf.sprintf "Sha256.wots_chains: %d-byte frame exceeds %d bytes" frame_len
          wots_frame_max);
-  let exact = Option.is_none chains in
   if frame_len < 36 || n < 0 || n > 0x10000
      || Array.length ranges < 2 * n
      || Bytes.length frames < n * frame_len
-     || (exact && (Array.length ranges <> 2 * n || Bytes.length frames <> n * frame_len))
      || not (ranges_ok ranges 0 (2 * n))
   then invalid_arg "Sha256.wots_chains: malformed frames or ranges";
   if Array.length pads <> 16 * keys

@@ -51,11 +51,10 @@ val digest2 : string -> string
     the lane compression the batched kernels below run on. *)
 val digest_pair : string -> string -> string * string
 
-(** [wots_chains ?pads ?chains frames ~frame_len ranges] walks n WOTS
-    hash chains in one C call, many at a time through the lane
-    compression. n is [chains], by default [Array.length ranges / 2].
-    [frames] starts with n frames of [frame_len] bytes and [ranges] with
-    their 2n bounds; with [chains] either may be longer (a reused
+(** [wots_chains ?pads ~chains:n frames ~frame_len ranges] walks n
+    WOTS hash chains in one C call, many at a time through the lane
+    compression. [frames] starts with n frames of [frame_len] bytes and
+    [ranges] with their 2n bounds; either may be longer (a reused
     buffer), and what lies past the n chains is left alone;
     frame i is the message of chain i's steps and ends [u16 chain | u16
     step | 32-byte x]. The caller writes the chain index (the chain's
@@ -74,12 +73,11 @@ val digest_pair : string -> string -> string * string
     digits — [Drbg.expand_prk prk chain] bit for bit.
 
     Raises [Invalid_argument] if [frame_len] exceeds 119 bytes (the
-    kernel's two-block bound), if the lengths disagree (without
-    [chains]) or are short of n chains (with it), if a range bound lies
-    outside [0, 65536], or if [pads] is not 16 words per key for a key
-    count that divides n. *)
+    kernel's two-block bound), if [frames] or [ranges] is short of n
+    chains, if a range bound lies outside [0, 65536], or if [pads] is
+    not 16 words per key for a key count that divides n. *)
 val wots_chains :
-  ?pads:int array -> ?chains:int -> Bytes.t -> frame_len:int -> int array -> unit
+  ?pads:int array -> chains:int -> Bytes.t -> frame_len:int -> int array -> unit
 
 (** [grind_pow header ~target ~first ~count] is the lowest nonce [n] in
     [first, first + count) such that the double SHA-256 of [header],

@@ -52,8 +52,8 @@ let frame_prefix tag =
    the same length. Keygen, signing and verification all walk through
    here.
 
-   The frames and ranges are this domain's scratch ([Scratch.frames],
-   [Scratch.ranges]), grown to the largest walk so far (a keygen batch,
+   The frames and ranges are this domain's scratch ([Scratch.wots_frames],
+   [Scratch.wots_ranges]), grown to the largest walk so far (a keygen batch,
    about 70 KB of frames): a walk allocates no buffer, and what it
    returns is valid until this domain's next walk. Every caller reads
    the end values out first. *)
@@ -62,10 +62,7 @@ let walk tags start ~from_ ~to_ =
   let plen = String.length prefixes.(0) in
   let frame_len = plen + 36 in
   let n = Array.length tags * num_chains in
-  let s = Scratch.get () in
-  if Bytes.length s.frames < n * frame_len then s.frames <- Bytes.create (n * frame_len);
-  if Array.length s.ranges < 2 * n then s.ranges <- Array.make (2 * n) 0;
-  let frames = s.frames and ranges = s.ranges in
+  let frames = Scratch.wots_frames (n * frame_len) and ranges = Scratch.wots_ranges (2 * n) in
   for i = 0 to n - 1 do
     let off = i * frame_len in
     Bytes.blit_string prefixes.(i / num_chains) 0 frames off plen;

@@ -418,12 +418,15 @@ let reference_chain tag i ~from_ ~to_ x =
 (* The kernel over the keys [tags], [per_key] chains each in key order,
    every frame carrying its chain's index within its key. Chains start
    from [xs], or with [prks] from the keys' secret elements, which the
-   kernel expands itself (over the [xs] already in the frames). *)
-let kernel_chains ?prks tags ~per_key ranges xs =
+   kernel expands itself (over the [xs] already in the frames). With
+   [pad], the frames and ranges run [pad] chains longer, as a reused
+   buffer does: the extra frames hold a byte pattern and the extra
+   ranges a full walk, and both must come back untouched. *)
+let kernel_chains ?prks ?(pad = 0) tags ~per_key ranges xs =
   let prefixes = Array.map wots_frame_prefix tags in
   let plen = String.length prefixes.(0) and n = Array.length xs in
   let frame_len = plen + 36 in
-  let frames = Bytes.make (n * frame_len) '\000' in
+  let frames = Bytes.init ((n + pad) * frame_len) (fun i -> Char.chr ((31 * i) land 0xFF)) in
   Array.iteri
     (fun i x ->
       let off = i * frame_len in
@@ -431,11 +434,22 @@ let kernel_chains ?prks tags ~per_key ranges xs =
       Bytes.set_uint16_be frames (off + plen) (i mod per_key);
       Bytes.blit_string x 0 frames (off + plen + 4) 32)
     xs;
-  let flat = Array.init (2 * n) (fun j -> (if j mod 2 = 0 then fst else snd) ranges.(j / 2)) in
+  let flat =
+    Array.init
+      (2 * (n + pad))
+      (fun j ->
+        if j >= 2 * n then if j mod 2 = 0 then 0 else 15
+        else (if j mod 2 = 0 then fst else snd) ranges.(j / 2))
+  in
+  let tail = Bytes.sub_string frames (n * frame_len) (pad * frame_len)
+  and tail_ranges = Array.sub flat (2 * n) (2 * pad) in
   let pads =
     Option.map (fun p -> Array.concat (Array.to_list (Array.map Hmac.pad_states p))) prks
   in
-  Sha256.wots_chains ?pads frames ~frame_len flat;
+  Sha256.wots_chains ?pads ~chains:n frames ~frame_len flat;
+  if Bytes.sub_string frames (n * frame_len) (pad * frame_len) <> tail
+     || Array.sub flat (2 * n) (2 * pad) <> tail_ranges
+  then failwith "kernel_chains: the kernel wrote past its chains";
   Array.init n (fun i -> Bytes.sub_string frames (((i + 1) * frame_len) - 32) 32)
 
 (* One to four keys per call with leaf tags of 1 to 5 digits (frames of
@@ -445,7 +459,8 @@ let kernel_chains ?prks tags ~per_key ranges xs =
    arbitrary; the same for every chain or mixed per chain. Chains start
    from given values or from the secret elements the kernel expands,
    which an empty range returns as they are: [Drbg.expand_prk] is the
-   reference for both. *)
+   reference for both. Half the cases run on buffers 1 to 40 chains
+   longer than the walk, as [Wots.walk]'s reused scratch is. *)
 let qcheck_wots_kernel =
   let gen =
     QCheck.Gen.(
@@ -472,18 +487,21 @@ let qcheck_wots_kernel =
       let* ranges = if uniform then map (Array.make n) range else array_repeat n range in
       let* expand = bool in
       let* seed = string_size (return 8) in
-      return (Array.map (Printf.sprintf "mss-leaf:%d") leaves, per_key, ranges, expand, seed))
+      let* pad = oneof [ return 0; int_range 1 40 ] in
+      return (Array.map (Printf.sprintf "mss-leaf:%d") leaves, per_key, ranges, expand, seed, pad))
   in
   QCheck.Test.make ~name:"WOTS chain kernel = one digest per step" ~count:60
     (QCheck.make
-       ~print:(fun (tags, per_key, ranges, expand, _) ->
-         Printf.sprintf "%s, %d chains each, %s, ranges %s" (String.concat " " (Array.to_list tags))
+       ~print:(fun (tags, per_key, ranges, expand, _, pad) ->
+         Printf.sprintf "%s, %d chains each, %s, %d spare, ranges %s"
+           (String.concat " " (Array.to_list tags))
            per_key
            (if expand then "expanded" else "given")
+           pad
            (String.concat " "
               (Array.to_list (Array.map (fun (f, t) -> Printf.sprintf "[%d,%d)" f t) ranges))))
        gen)
-    (fun (tags, per_key, ranges, expand, seed) ->
+    (fun (tags, per_key, ranges, expand, seed, pad) ->
       let prks = Array.map (fun tag -> Drbg.prk ~seed ~label:("wots:" ^ tag)) tags in
       let xs = Array.init (Array.length ranges) (fun i -> Sha256.digest (seed ^ string_of_int i)) in
       let expected =
@@ -494,7 +512,8 @@ let qcheck_wots_kernel =
             reference_chain tags.(key) chain ~from_:(fst ranges.(i)) ~to_:(snd ranges.(i)) x)
           xs
       in
-      kernel_chains ?prks:(if expand then Some prks else None) tags ~per_key ranges xs = expected)
+      kernel_chains ?prks:(if expand then Some prks else None) ~pad tags ~per_key ranges xs
+      = expected)
 
 let test_wots_frame_bound () =
   let x = String.make 32 'x' in
@@ -528,7 +547,7 @@ let test_wots_frame_bound () =
         ranges
     in
     let frames = Bytes.of_string (String.concat "" (List.init 3 (fun chain -> frame chain 0 x))) in
-    Sha256.wots_chains frames ~frame_len
+    Sha256.wots_chains ~chains:3 frames ~frame_len
       (Array.concat (Array.to_list (Array.map (fun (f, t) -> [| f; t |]) ranges)));
     Alcotest.(check (array string))
       (Printf.sprintf "%d-byte frame" frame_len)
@@ -538,6 +557,12 @@ let test_wots_frame_bound () =
   Alcotest.check_raises "120-byte frame refused"
     (Invalid_argument "Sha256.wots_chains: 120-byte frame exceeds 119 bytes") (fun () ->
       ignore (kernel_chains [| String.make 67 't' |] ~per_key:1 [| (0, 3) |] [| x |]));
+  Alcotest.check_raises "frames short of the chains refused"
+    (Invalid_argument "Sha256.wots_chains: malformed frames or ranges") (fun () ->
+      Sha256.wots_chains ~chains:2 (Bytes.create 79) ~frame_len:40 [| 0; 1; 0; 1 |]);
+  Alcotest.check_raises "ranges short of the chains refused"
+    (Invalid_argument "Sha256.wots_chains: malformed frames or ranges") (fun () ->
+      Sha256.wots_chains ~chains:2 (Bytes.create 80) ~frame_len:40 [| 0; 1; 0 |]);
   Alcotest.check_raises "pads for a key count that does not divide the chains refused"
     (Invalid_argument "Sha256.wots_chains: malformed pads") (fun () ->
       let prk = Drbg.prk ~seed:"s" ~label:"l" in
