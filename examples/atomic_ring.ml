@@ -34,8 +34,7 @@ let () =
   Fmt.pr "                    AC3WN needs a constant 4 Δ = %.0f s.@.@."
     (Ac3_core.Analysis.ac3wn_latency *. delta);
 
-  let config = { A.default_config with A.timeout = 20_000.0 } in
-  let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let result = A.execute universe ~timeout:20_000.0 ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN result: committed = %b, atomic = %b@." result.A.committed result.A.atomic;
   (match result.A.latency with
   | Some l -> Fmt.pr "measured latency: %.1f s = %.2f Δ (constant, despite %d parties)@." l (l /. delta) n

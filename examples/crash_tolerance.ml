@@ -41,8 +41,7 @@ let () =
   (* Crash Bob the instant Alice's redeem of SC2 hits the chain (edge 1
      is Bob -> Alice on eth); he stays down past every timelock. *)
   let hooks = [ (Ac3_flow.Protocol.Redeem 1, fun () -> P.crash bob1) ] in
-  let config = { H.default_config with H.timeout = 5000.0 } in
-  let r1 = N.execute u1 ~config ~graph:graph1 ~participants:ps1 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let r1 = N.execute u1 ~timeout:5000.0 ~graph:graph1 ~participants:ps1 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
   show_balances "after " alice1 bob1;
   Fmt.pr "  outcome: %a@." Outcome.pp r1.H.outcome;
   if r1.H.atomic then begin
@@ -70,8 +69,7 @@ let () =
           Ac3_sim.Engine.schedule (U.engine u2) ~delay:600.0 (fun () -> P.recover bob2) );
     ]
   in
-  let config = { A.default_config with A.timeout = 20_000.0 } in
-  let r2 = A.execute u2 ~config ~graph:graph2 ~participants:ps2 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let r2 = A.execute u2 ~timeout:20_000.0 ~graph:graph2 ~participants:ps2 ~hooks () |> Result.fold ~ok:Fun.id ~error:failwith in
   show_balances "after " alice2 bob2;
   Fmt.pr "  outcome: %a@." Outcome.pp r2.A.outcome;
   if not (r2.A.committed && r2.A.atomic) then begin

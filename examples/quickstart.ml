@@ -38,7 +38,7 @@ let () =
      evidence, and redeem both legs in parallel. *)
   let before_alice_eth = P.balance_on alice "eth" in
   let before_bob_btc = P.balance_on bob "btc" in
-  let result = A.execute universe ~config:A.default_config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let result = A.execute universe ~timeout:10_000.0 ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
 
   (* 4. Inspect the outcome. *)
   Fmt.pr "Protocol trace:@.%a@." (Ac3_sim.Trace.pp Ac3_flow.Protocol.pp_event) result.A.trace;

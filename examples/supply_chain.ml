@@ -28,11 +28,10 @@ let run_case ~name ~seed ~chains ~graph_of n =
   Fmt.pr "Shape: %a (connected = %b, cyclic = %b)@." Ac2t.pp_shape (Ac2t.classify graph)
     (Ac2t.is_connected graph) (Ac2t.is_cyclic graph);
   (* Show what the baseline says about this graph. *)
-  (match H.execute universe ~config:H.default_config ~graph ~participants () with
+  (match H.execute universe ~timeout:10_000.0 ~graph ~participants () with
   | Error e -> Fmt.pr "Herlihy baseline: REFUSED — %s@." e
   | Ok _ -> Fmt.pr "Herlihy baseline: executable@.");
-  let config = { A.default_config with A.timeout = 20_000.0 } in
-  let result = A.execute universe ~config ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let result = A.execute universe ~timeout:20_000.0 ~graph ~participants () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "AC3WN: committed = %b, atomic = %b%a@.@." result.A.committed result.A.atomic
     (fun ppf -> function
       | Some l -> Fmt.pf ppf ", latency = %.1f s" l

@@ -33,11 +33,7 @@ let () =
       Fmt.pr "  [t=+10s] Trent goes down (denial of service)@.";
       Trent.crash trent);
   let graph1 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u1) in
-  (match
-     T.execute u1
-       ~config:{ T.default_config with T.timeout = 1500.0 }
-       ~trent ~graph:graph1 ~participants:ps1 ()
-   with
+  (match T.execute u1 ~timeout:1500.0 ~trent ~graph:graph1 ~participants:ps1 () with
   | Error e -> Fmt.pr "  error: %s@." e
   | Ok r ->
       Fmt.pr "  outcome: %a@." Outcome.pp r.T.outcome;
@@ -57,7 +53,7 @@ let () =
       Fmt.pr "  [t=+10s] witness miner %s crashes@." (Node.id witness.U.nodes.(1));
       Node.crash witness.U.nodes.(1));
   let graph2 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u2) in
-  let r = A.execute u2 ~config:A.default_config ~graph:graph2 ~participants:ps2 () |> Result.fold ~ok:Fun.id ~error:failwith in
+  let r = A.execute u2 ~timeout:10_000.0 ~graph:graph2 ~participants:ps2 () |> Result.fold ~ok:Fun.id ~error:failwith in
   Fmt.pr "  outcome: %a@." Outcome.pp r.A.outcome;
   if r.A.committed && r.A.atomic then
     Fmt.pr "  ==> COMMITTED atomically: the remaining witness miners kept the@.";

@@ -93,9 +93,6 @@ let warmup = 60.0
 (* Simulation horizon handed to each protocol's [timeout]. *)
 let protocol_timeout = 500.0
 
-(* Nolan's and Herlihy's config, background swaps included. *)
-let single_leader_config = { Herlihy.default_config with timeout = protocol_timeout }
-
 (* Seeded ring with chords: always connected, possibly cyclic without a
    leader (then Herlihy rejects it, which the sweep reports as such). *)
 let random_graph ~spec ~ids ~timestamp =
@@ -193,7 +190,7 @@ let launch_background ~universe ~spec ~bg =
           [ Ac3_core.Participant.identity pa; Ac3_core.Participant.identity pb ]
           ~timestamp:now
       in
-      match Nolan.launch universe ~config:single_leader_config ~graph ~participants:[ pa; pb ] () with
+      match Nolan.launch universe ~graph ~participants:[ pa; pb ] () with
       | Ok h -> h
       | Error e -> failwith ("chaos background swap refused: " ^ e))
 
@@ -300,11 +297,10 @@ let run_in_universe ?instrument ~spec ~plan ~protocol () =
   Inject.install ~universe ~participants plan;
   let executed =
     match protocol with
-    | P_nolan -> Nolan.execute universe ~config:single_leader_config ~graph ~participants ()
-    | P_herlihy -> Herlihy.execute universe ~config:single_leader_config ~graph ~participants ()
+    | P_nolan -> Nolan.execute universe ~timeout:protocol_timeout ~graph ~participants ()
+    | P_herlihy -> Herlihy.execute universe ~timeout:protocol_timeout ~graph ~participants ()
     | P_ac3wn ->
-        let config = { Ac3wn.default_config with timeout = protocol_timeout } in
-        Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 ()
+        Ac3wn.execute universe ~timeout:protocol_timeout ~graph ~participants ~abort_after:250.0 ()
   in
   match executed with
   | Ok (result : Driver.result) ->

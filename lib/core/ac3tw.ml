@@ -24,10 +24,6 @@ let src = Logs.Src.create "ac3.tw" ~doc:"AC3TW protocol"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type config = { poll_interval : float; timeout : float }
-
-let default_config = { poll_interval = 2.0; timeout = 10_000.0 }
-
 (* Trent's decision once he gives one, with his signature on it: the
    secret every contract's redeem or refund takes. *)
 type state = {
@@ -81,15 +77,14 @@ let step s t p =
       if Guard.refund d then settle `Refund sg
   | None -> ()
 
-let execute universe ~config ~trent ~graph ~participants ?abort_after () =
+let execute universe ~timeout ~trent ~graph ~participants ?abort_after () =
   (* Phase 1: multisign and register at Trent. *)
   let ms = Ac2t.multisign graph (List.map Participant.identity participants) in
   Trent.register trent ~graph ~ms
   |> Result.map (fun ms_id ->
          let s = { trent; ms_id; signed = None } in
          let h =
-           Driver.launch universe ~graph ~participants ~hooks:[] ~poll_interval:config.poll_interval
-             ~abort_after
+           Driver.launch universe ~graph ~participants ~hooks:[] ~abort_after
              {
                Driver.name = "ac3tw";
                phases = Driver.edge_phases;
@@ -99,4 +94,4 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
                observe = ignore;
              }
          in
-         List.hd (Driver.execute ~timeout:config.timeout [ h ]))
+         List.hd (Driver.execute ~timeout [ h ]))

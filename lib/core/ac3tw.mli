@@ -9,17 +9,15 @@ include module type of struct
   include Driver.Shared
 end
 
-type config = { poll_interval : float; timeout : float }
-
-val default_config : config
-
 (** Execute an AC2T through Trent: register ms(D), deploy all edge
     contracts concurrently, obtain T(ms(D), RD) once everything is
-    confirmed, redeem in parallel. [abort_after] switches to requesting
+    confirmed, redeem in parallel, each participant polling every 2 s.
+    The run ends once it settles or [timeout] virtual seconds pass
+    (the simulation horizon). [abort_after] switches to requesting
     T(ms(D), RF) if undecided by then. [Error] if registration fails. *)
 val execute :
   Universe.t ->
-  config:config ->
+  timeout:float ->
   trent:Trent.t ->
   graph:Ac2t.t ->
   participants:Participant.t list ->

@@ -41,18 +41,10 @@ let src = Logs.Src.create "ac3.wn" ~doc:"AC3WN protocol"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type config = {
-  witness_chain : string;
-  poll_interval : float;
-  timeout : float; (* give up running the simulation after this long *)
-}
-
 let witness_chain = "witness"
 
 (* Burial SCw requires of each edge deployment's evidence. *)
 let evidence_depth = 2
-
-let default_config = { witness_chain; poll_interval = 2.0; timeout = 10_000.0 }
 
 let authorizing = function Protocol.Authorize_submitted _ -> true | _ -> false
 
@@ -76,7 +68,7 @@ let phases =
   ]
 
 type state = {
-  config : config;
+  witness_chain : string; (* where SCw lives *)
   graph : Ac2t.t;
   ms : Ac3_crypto.Multisig.t;
   registrar : Keys.public;
@@ -154,12 +146,12 @@ let try_register_scw s t p =
       in
       Witness_sc.args ~graph:s.graph ~ms:s.ms ~checkpoints ~evidence_depth
     in
-    let wallet = Participant.wallet p s.config.witness_chain in
+    let wallet = Participant.wallet p s.witness_chain in
     match Wallet.deploy wallet ~code_id:Witness_sc.code_id ~args ~deposit:Amount.zero with
     | Ok (txid, contract_id) ->
         s.scw_deploy_txid <- Some txid;
         Driver.charge t ~payer:(Participant.public p) ~kind:Scw_deploy
-          ~fee:(Universe.params universe s.config.witness_chain).Params.deploy_fee;
+          ~fee:(Universe.params universe s.witness_chain).Params.deploy_fee;
         Driver.record t Protocol.Scw_deployed ~attrs:[ ("scw", Hex.short contract_id) ]
     | Error e -> Log.debug (fun m -> m "SCw registration failed: %s" (Wallet.refusal_message e))
   end
@@ -179,10 +171,10 @@ let try_deploy_edges s t p scw decision =
     ~ready:(fun _ _ -> Guard.deploy decision)
     ~args:(fun _ es ->
       let witness_checkpoint =
-        Universe.stable_checkpoint (Driver.universe t) s.config.witness_chain
+        Universe.stable_checkpoint (Driver.universe t) s.witness_chain
       in
       Permissionless_sc.args ~recipient_pk:es.Driver.edge.Ac2t.to_pk
-        ~witness_chain:s.config.witness_chain ~scw ~depth:s.decision_depth
+        ~witness_chain:s.witness_chain ~scw ~depth:s.decision_depth
         ~witness_checkpoint)
     ~attrs:(fun _ contract_id -> [ ("contract", Hex.short contract_id) ])
 
@@ -206,13 +198,13 @@ let all_edges_evidenced t =
 let try_authorize s t p scw decision ~args =
   let fn = List.assoc decision authorize_fns in
   let now = Universe.now (Driver.universe t) in
-  let witness_params = Universe.params (Driver.universe t) s.config.witness_chain in
+  let witness_params = Universe.params (Driver.universe t) s.witness_chain in
   let retry_after = 2.0 *. witness_params.Params.block_interval in
   let already_pending =
     s.authorize_attempt_at > 0.0 && now -. s.authorize_attempt_at < retry_after
   in
   if not already_pending then
-    let wallet = Participant.wallet p s.config.witness_chain in
+    let wallet = Participant.wallet p s.witness_chain in
     match Wallet.call wallet ~contract_id:scw ~fn ~args () with
     | Ok _txid ->
         s.authorize_attempt_at <- now;
@@ -315,7 +307,8 @@ let observe_decision_latency t =
         (d -. a)
   | _ -> ()
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?decision_depth () =
+let launch universe ?(witness_chain = witness_chain) ?poll_interval ~graph ~participants
+    ?(hooks = []) ?abort_after ?decision_depth () =
   let covered =
     List.for_all
       (fun pk -> List.exists (fun p -> String.equal (Participant.public p) pk) participants)
@@ -324,11 +317,11 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?dec
   if not covered then Error "missing participant"
   else begin
     (* Phase 1: off-chain agreement — every participant signs (D, t). *)
-    let witness = Universe.gateway universe config.witness_chain in
+    let witness = Universe.gateway universe witness_chain in
     let witness_depth = (Node.params witness).Params.confirm_depth in
     let s =
       {
-        config;
+        witness_chain;
         graph;
         ms = Ac2t.multisign graph (List.map Participant.identity participants);
         registrar = List.hd (Ac2t.participants graph);
@@ -341,8 +334,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?dec
       }
     in
     Ok
-      (Driver.launch universe ~graph ~participants ~hooks ~poll_interval:config.poll_interval
-         ~abort_after
+      (Driver.launch universe ~graph ~participants ~hooks ?poll_interval ~abort_after
          {
            Driver.name = "ac3wn";
            phases;
@@ -362,6 +354,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?dec
 
 (* Execute an AC2T end to end: {!launch}, drive the universe until the
    run settles (or the timeout), {!Driver.finish}. *)
-let execute universe ~config ~graph ~participants ?hooks ?abort_after ?decision_depth () =
-  launch universe ~config ~graph ~participants ?hooks ?abort_after ?decision_depth ()
-  |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.timeout [ h ]))
+let execute universe ~timeout ?poll_interval ~graph ~participants ?hooks ?abort_after
+    ?decision_depth () =
+  launch universe ?poll_interval ~graph ~participants ?hooks ?abort_after ?decision_depth ()
+  |> Result.map (fun h -> List.hd (Driver.execute ~timeout [ h ]))

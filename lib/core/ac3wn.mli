@@ -16,19 +16,8 @@ end
 type handle = Driver.handle
 
 (** The witness chain every scenario universe carries, and the one
-    {!default_config} registers SCw on. *)
+    {!launch} registers SCw on by default. *)
 val witness_chain : string
-
-type config = {
-  witness_chain : string;  (** where SCw lives *)
-  poll_interval : float;
-  timeout : float;  (** horizon for the simulation run *)
-}
-
-(** SCw on {!witness_chain}, a 2 s poll and a 10,000 s horizon. In
-    every config, SCw accepts an edge deployment's evidence once 2
-    blocks sit on top of the deployment's block. *)
-val default_config : config
 
 (** Phase windows of a run's trace: scw_deploy, edge_deploy (first to
     last [Deploy]), decision (first [Authorize_submitted] to
@@ -38,6 +27,10 @@ val phases : Ac3_flow.Protocol.event Ac3_obs.Span.phase list
 
 (** Set up an AC2T and schedule its poll loops without running the
     engine; drive the universe and {!Driver.finish} the handle.
+    [witness_chain] (default {!witness_chain}) is the chain SCw lives
+    on; SCw accepts an edge deployment's evidence once 2 blocks sit on
+    top of the deployment's block. [poll_interval] is each
+    participant's poll period, {!Driver.launch}'s 2 s by default.
     [participants] must cover the graph's vertices. [hooks] bind events
     (e.g. [Scw_confirmed], [Authorize_submitted Commit], [Redeem 1]) to
     callbacks fired at the event's first record, letting experiments
@@ -50,7 +43,8 @@ val phases : Ac3_flow.Protocol.event Ac3_obs.Span.phase list
     anything touches a chain. *)
 val launch :
   Universe.t ->
-  config:config ->
+  ?witness_chain:string ->
+  ?poll_interval:float ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
@@ -59,11 +53,13 @@ val launch :
   unit ->
   (handle, string) Stdlib.result
 
-(** {!launch}, run the universe until the AC2T settles (or [config]'s
-    timeout), {!Driver.finish}. *)
+(** {!launch} with SCw on {!witness_chain}, run the universe until the
+    AC2T settles or [timeout] virtual seconds pass (the simulation
+    horizon), {!Driver.finish}. *)
 val execute :
   Universe.t ->
-  config:config ->
+  timeout:float ->
+  ?poll_interval:float ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->

@@ -175,7 +175,7 @@ type handle = {
   stopped : bool ref;
 }
 
-let launch universe ~graph ~participants ~hooks ~poll_interval ~abort_after rule =
+let launch universe ~graph ~participants ~hooks ?(poll_interval = 2.0) ~abort_after rule =
   let run =
     {
       universe;

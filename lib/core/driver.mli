@@ -140,7 +140,9 @@ type handle
     that many virtual seconds pass, a still-[abortable] run records
     [Abort_requested] and sets {!abort_requested}), then one poll
     loop per participant, in list order, staggered by a tenth of
-    [poll_interval] each. Nothing runs until the caller drives time.
+    [poll_interval] each. [poll_interval] (default 2 s of virtual
+    time) is how often each live participant takes one {!rule.step}.
+    Nothing runs until the caller drives time.
     [hooks] bind events to callbacks; each fires once, at the event's
     first {!record}. *)
 val launch :
@@ -148,7 +150,7 @@ val launch :
   graph:Ac2t.t ->
   participants:Participant.t list ->
   hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
-  poll_interval:float ->
+  ?poll_interval:float ->
   abort_after:float option ->
   rule ->
   handle

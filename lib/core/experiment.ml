@@ -19,7 +19,9 @@ let delta = Params.delta Scenarios.fast_chain
    accepts, so a refusal is a harness bug. *)
 let get = function Ok r -> r | Error e -> failwith e
 
-let ac3wn_config = { Ac3wn.default_config with Ac3wn.timeout = 30_000.0 }
+(* Simulation horizon, in virtual seconds, of every run below that
+   does not state its own: each settles well inside it. *)
+let horizon = 30_000.0
 
 (* Every experiment starts here: the experiment chains plus the witness
    chain, funding [ids] on all of them, mined for 60 s. *)
@@ -40,15 +42,16 @@ let ring_setup ~seed n =
   let graph = Scenarios.ring_graph ~chains ids ~timestamp:(Universe.now u) in
   (u, participants, graph)
 
-let herlihy_config = { Herlihy.timeout = 100_000.0; poll_interval = 1.0 }
-
-(* One run of [protocol] on a fresh [n]-ring: the E1-E4 and A2 rows. *)
-let ring_run ?decision_depth ~seed n protocol : Driver.result =
+(* One run of [protocol] on a fresh [n]-ring: the E1-E4 and A2 rows.
+   Herlihy polls every 1 s up to a 100,000 s horizon; [poll_interval],
+   [timeout] and [decision_depth] set the AC3WN run. *)
+let ring_run ?poll_interval ?(timeout = horizon) ?decision_depth ~seed n protocol :
+    Driver.result =
   let u, participants, graph = ring_setup ~seed n in
   get
     (match protocol with
-    | `Herlihy -> Herlihy.execute u ~config:herlihy_config ~graph ~participants ()
-    | `Ac3wn config -> Ac3wn.execute u ~config ?decision_depth ~graph ~participants ())
+    | `Herlihy -> Herlihy.execute u ~timeout:100_000.0 ~poll_interval:1.0 ~graph ~participants ()
+    | `Ac3wn -> Ac3wn.execute u ~timeout ?poll_interval ?decision_depth ~graph ~participants ())
 
 (* --- E1 / Fig 8: Herlihy phase timeline --------------------------------- *)
 
@@ -66,8 +69,8 @@ let normalize trace =
           | e -> Some (e, (r.Trace.time -. t0) /. delta))
         (Trace.records trace)
 
-let timeline ~seed ~name protocol =
-  let r = ring_run ~seed 3 protocol in
+let timeline ?poll_interval ~seed ~name protocol =
+  let r = ring_run ?poll_interval ~seed 3 protocol in
   { protocol = name; diam = Ac2t.diameter r.Driver.graph; events = normalize r.Driver.trace }
 
 let fig8 () = timeline ~seed:81 ~name:"Herlihy (single leader)" `Herlihy
@@ -75,7 +78,7 @@ let fig8 () = timeline ~seed:81 ~name:"Herlihy (single leader)" `Herlihy
 (* --- E2 / Fig 9: AC3WN phase timeline ------------------------------------- *)
 
 let fig9 () =
-  timeline ~seed:91 ~name:"AC3WN" (`Ac3wn { ac3wn_config with Ac3wn.poll_interval = 1.0 })
+  timeline ~poll_interval:1.0 ~seed:91 ~name:"AC3WN" `Ac3wn
 
 (* --- E3 / Fig 10: latency vs Diam(D) --------------------------------------- *)
 
@@ -100,7 +103,7 @@ let fig10 () =
         herlihy_model = Analysis.herlihy_latency ~diam:n;
         ac3wn_model = Analysis.ac3wn_latency;
         herlihy_measured = measured (103 + (10 * n)) `Herlihy;
-        ac3wn_measured = measured (104 + (10 * n)) (`Ac3wn ac3wn_config);
+        ac3wn_measured = measured (104 + (10 * n)) `Ac3wn;
       })
 
 (* --- E4 / Sec 6.2: cost overhead --------------------------------------------- *)
@@ -118,7 +121,7 @@ let cost_table () =
     (fun n ->
       let fee seed protocol = Amount.to_int64 (Driver.total_fees (ring_run ~seed n protocol)) in
       let herlihy_fee = fee (400 + n) `Herlihy in
-      let ac3wn_fee = fee (500 + n) (`Ac3wn ac3wn_config) in
+      let ac3wn_fee = fee (500 + n) `Ac3wn in
       {
         n_contracts = n;
         herlihy_fee;
@@ -248,11 +251,11 @@ let fig7 () =
     let u, participants = warm_universe ~seed ~chains ids in
     let graph = graph_of ~chains ids ~timestamp:(Universe.now u) in
     let herlihy_verdict =
-      match Herlihy.execute u ~config:Herlihy.default_config ~graph ~participants () with
+      match Herlihy.execute u ~timeout:horizon ~graph ~participants () with
       | Error e -> "refused: " ^ e
       | Ok _ -> "executable"
     in
-    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
+    let r = Ac3wn.execute u ~timeout:horizon ~graph ~participants () |> get in
     {
       name;
       shape = Ac2t.classify graph;
@@ -284,8 +287,7 @@ let crash_experiment () =
     let u, participants, graph = two_party ~seed:800 ids in
     let bob = List.nth participants 1 in
     let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
-    let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
-    let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> get in
+    let r = Nolan.execute u ~timeout:5000.0 ~graph ~participants ~hooks () |> get in
     {
       protocol = "Nolan (hashlock/timelock)";
       outcome = Fmt.str "%a" Outcome.pp r.Herlihy.outcome;
@@ -304,7 +306,7 @@ let crash_experiment () =
             Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob) );
       ]
     in
-    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () |> get in
+    let r = Ac3wn.execute u ~timeout:horizon ~graph ~participants ~hooks () |> get in
     {
       protocol = "AC3WN (witness network)";
       outcome = Fmt.str "%a" Outcome.pp r.Ac3wn.outcome;
@@ -560,13 +562,12 @@ let scalability () =
               [ ids.(2 * i); ids.((2 * i) + 1) ]
               ~timestamp:(Universe.now u +. float_of_int i)
           in
-          let config = { ac3wn_config with Ac3wn.witness_chain = witness_of i } in
-          Ac3wn.launch u ~config ~graph
+          Ac3wn.launch u ~witness_chain:(witness_of i) ~graph
             ~participants:[ participants.(2 * i); participants.((2 * i) + 1) ]
             ()
           |> get)
     in
-    let results = Driver.execute ~timeout:ac3wn_config.Ac3wn.timeout handles in
+    let results = Driver.execute ~timeout:horizon handles in
     let latencies =
       List.filter_map (fun (r : Ac3wn.result) -> Option.map (fun l -> l /. delta) r.Ac3wn.latency) results
     in
@@ -594,8 +595,8 @@ let availability () =
     (* Trent goes down shortly after registration — before the contracts
        confirm — and never returns. *)
     Engine.schedule (Universe.engine u) ~delay:5.0 (fun () -> Trent.crash trent);
-    let config = { Ac3tw.default_config with Ac3tw.timeout = 1200.0 } in
-    match Ac3tw.execute u ~config ~trent ~graph ~participants () with
+    (* The run never settles: it ends at its 1200 s horizon. *)
+    match Ac3tw.execute u ~timeout:1200.0 ~trent ~graph ~participants () with
     | Error e -> { protocol = "AC3TW"; witness_failure = "Trent crashes"; result = "error: " ^ e }
     | Ok r ->
         let locked = not (Outcome.settled r.Ac3tw.outcome) in
@@ -617,7 +618,7 @@ let availability () =
     let witness = Universe.chain u Ac3wn.witness_chain in
     Engine.schedule (Universe.engine u) ~delay:30.0 (fun () ->
         Node.crash witness.Universe.nodes.(1));
-    let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> get in
+    let r = Ac3wn.execute u ~timeout:horizon ~graph ~participants () |> get in
     {
       protocol = "AC3WN";
       witness_failure = "a witness miner crashes";
@@ -637,8 +638,7 @@ type depth_latency_row = { depth : int; committed : bool; latency_delta : float 
 let depth_latency () =
   List.map
     (fun d ->
-      let config = { ac3wn_config with Ac3wn.timeout = 60_000.0 } in
-      let r = ring_run ~decision_depth:d ~seed:(1300 + d) 2 (`Ac3wn config) in
+      let r = ring_run ~timeout:60_000.0 ~decision_depth:d ~seed:(1300 + d) 2 `Ac3wn in
       {
         depth = d;
         committed = r.Driver.committed;

@@ -10,9 +10,6 @@ module Ac2t = Ac3_contract.Ac2t
     depth x block interval. *)
 val delta : float
 
-(** AC3WN configuration shared by the protocol experiments. *)
-val ac3wn_config : Ac3wn.config
-
 (** [ring_setup ~seed n]: an [n]-party ring on the experiment chains
     (regular blocks), mined for 60 s; the universe, one participant per
     party and the ring graph. The E1–E4 and A2 runs start from it. *)

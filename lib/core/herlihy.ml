@@ -32,11 +32,7 @@ include Driver.Shared
 
 type handle = Driver.handle
 
-type config = { poll_interval : float; timeout : float }
-
 let timelock_slack = 2.0
-
-let default_config = { poll_interval = 2.0; timeout = 10_000.0 }
 
 type state = {
   leader : Keys.public;
@@ -116,8 +112,8 @@ let try_refund s t p =
       Option.is_none es.redeem_txid && Guard.refund ~expired:(now >= s.timelocks.(i)))
     ~args:(fun _ -> Ok Htlc.refund_args)
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy")
-    ?(delta = Universe.max_delta universe) () =
+let launch universe ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy")
+    ?(delta = Universe.max_delta universe) ?poll_interval () =
   (* Timelocks decrease with distance from the leader: contracts
      deployed later expire sooner, so everyone who acts on time can
      redeem before their own lock expires. [assign] refuses graphs a
@@ -137,8 +133,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "her
            knows_secret = [ leader ];
          }
        in
-       Driver.launch universe ~graph ~participants ~hooks ~poll_interval:config.poll_interval
-         ~abort_after:None
+       Driver.launch universe ~graph ~participants ~hooks ?poll_interval ~abort_after:None
          {
            Driver.name = obs_name;
            phases = Driver.edge_phases;
@@ -153,6 +148,6 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "her
            observe = ignore;
          })
 
-let execute universe ~config ~graph ~participants ?hooks ?obs_name ?delta () =
-  launch universe ~config ~graph ~participants ?hooks ?obs_name ?delta ()
-  |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.timeout [ h ]))
+let execute universe ~timeout ?poll_interval ~graph ~participants ?hooks ?obs_name ?delta () =
+  launch universe ~graph ~participants ?hooks ?obs_name ?delta ?poll_interval ()
+  |> Result.map (fun h -> List.hd (Driver.execute ~timeout [ h ]))

@@ -16,13 +16,8 @@ end
 
 type handle = Driver.handle
 
-type config = { poll_interval : float; timeout : float }
-
 (** Extra Δs of margin on every timelock. *)
 val timelock_slack : float
-
-(** A 2 s poll and a 10,000 s horizon. *)
-val default_config : config
 
 (** Set up the swap with the graph's first participant as leader and
     schedule its per-participant poll loops — without running the
@@ -36,23 +31,25 @@ val default_config : config
     the run folds into the universe's observability context — Nolan's
     delegation passes its own name. [delta] is the timelock unit Δ;
     it defaults to the universe's {!Universe.max_delta}, the slowest
-    chain's publish-and-recognise time. *)
+    chain's publish-and-recognise time. [poll_interval] is each
+    participant's poll period, {!Driver.launch}'s 2 s by default. *)
 val launch :
   Universe.t ->
-  config:config ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->
   ?obs_name:string ->
   ?delta:float ->
+  ?poll_interval:float ->
   unit ->
   (handle, string) Stdlib.result
 
-(** {!launch}, run the universe until the swap settles (or [config]'s
-    timeout), {!Driver.finish}. *)
+(** {!launch}, run the universe until the swap settles or [timeout]
+    virtual seconds pass (the simulation horizon), {!Driver.finish}. *)
 val execute :
   Universe.t ->
-  config:config ->
+  timeout:float ->
+  ?poll_interval:float ->
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(Ac3_flow.Protocol.event * (unit -> unit)) list ->

@@ -11,19 +11,17 @@
 
 module Ac2t = Ac3_contract.Ac2t
 
-type config = Herlihy.config
-
 type result = Herlihy.result
 
 type handle = Herlihy.handle
 
 (* The two-vertex case of {!Herlihy.launch}; any other graph is refused. *)
-let launch universe ~config ~graph ~participants ?hooks () =
+let launch universe ~graph ~participants ?hooks ?poll_interval () =
   match Ac2t.classify graph with
   | Ac2t.Simple_swap ->
-      Herlihy.launch universe ~config ~graph ~participants ?hooks ~obs_name:"nolan" ()
+      Herlihy.launch universe ~graph ~participants ?hooks ~obs_name:"nolan" ?poll_interval ()
   | shape -> Error (Fmt.str "graph (%a) is not a two-party swap" Ac2t.pp_shape shape)
 
-let execute universe ~config ~graph ~participants ?hooks () =
-  launch universe ~config ~graph ~participants ?hooks ()
-  |> Result.map (fun h -> List.hd (Driver.execute ~timeout:config.Herlihy.timeout [ h ]))
+let execute universe ~timeout ~graph ~participants ?hooks () =
+  launch universe ~graph ~participants ?hooks ()
+  |> Result.map (fun h -> List.hd (Driver.execute ~timeout [ h ]))

@@ -110,7 +110,7 @@ let run_until t horizon = Engine.run_until t.engine horizon
 
 (* Run until [cond] holds, checking between events, up to [timeout]
    virtual seconds from now. Returns whether the condition was met. *)
-let run_while t ?(timeout = 500_000.0) cond =
+let run_while t ~timeout cond =
   let horizon = now t +. timeout in
   ignore (Engine.run ~until:horizon ~stop:(fun () -> cond ()) t.engine);
   cond ()

@@ -67,7 +67,7 @@ val run_until : t -> float -> unit
 
 (** Run until [cond] holds (checked between events) or [timeout] virtual
     seconds pass; returns whether it was met. *)
-val run_while : t -> ?timeout:float -> (unit -> bool) -> bool
+val run_while : t -> timeout:float -> (unit -> bool) -> bool
 
 (** Header of the chain's active block at confirmation depth below the
     tip (genesis for short chains). *)

@@ -231,10 +231,10 @@ let run_universe ~seed (config : Workload.config) =
     let launched =
       match spec.protocol with
       | Workload.Nolan | Workload.Herlihy ->
-          let hconfig = { Herlihy.default_config with poll_interval = config.poll_interval } in
           (match spec.protocol with
-          | Workload.Nolan -> Nolan.launch u ~config:hconfig ~graph ~participants ()
-          | _ -> Herlihy.launch u ~config:hconfig ~graph ~participants ())
+          | Workload.Nolan ->
+              Nolan.launch u ~poll_interval:config.poll_interval ~graph ~participants ()
+          | _ -> Herlihy.launch u ~poll_interval:config.poll_interval ~graph ~participants ())
           |> Result.map (fun h ->
                  (* An abandoning responder crashes right after agreement:
                     the leader deploys alone and reclaims via the timelock
@@ -242,11 +242,10 @@ let run_universe ~seed (config : Workload.config) =
                  if spec.abandon then Participant.crash pb;
                  h)
       | Workload.Ac3wn ->
-          let wconfig = { Ac3wn.default_config with poll_interval = config.poll_interval } in
           (* AC3WN aborts through the witness: an early abort request
              races the deploys to SCw instead of anyone crashing. *)
           let abort_after = if spec.abandon then Some config.block_interval else None in
-          Ac3wn.launch u ~config:wconfig ~graph ~participants ?abort_after ()
+          Ac3wn.launch u ~poll_interval:config.poll_interval ~graph ~participants ?abort_after ()
     in
     match launched with
     | Ok handle ->

@@ -332,8 +332,7 @@ let test_plan_shares_parties () =
   Alcotest.(check (float 1e-9)) "Runner.delta" 15.0 Runner.delta;
   Alcotest.(check (float 1e-9)) "universe max_delta" 15.0 (Ac3_core.Universe.max_delta universe);
   let graph = Runner.build_graph ~spec ~ids ~timestamp:(Ac3_core.Universe.now universe) in
-  let config = Ac3_core.Ac3wn.default_config in
-  (match Ac3_core.Ac3wn.execute universe ~config ~graph ~participants () with
+  (match Ac3_core.Ac3wn.execute universe ~timeout:10_000.0 ~graph ~participants () with
   | Ok result -> Alcotest.(check bool) "ac3wn commits" true result.Ac3_core.Ac3wn.committed
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "the run signed" false (full_budgets ids);

@@ -21,8 +21,6 @@ let fast_universe ?(seed = 7) ~chains n =
 
 let ok = function Ok r -> r | Error e -> Alcotest.fail e
 
-let ac3wn_config = { Ac3wn.default_config with Ac3wn.timeout = 5000.0 }
-
 (* --- AC3WN ---------------------------------------------------------------- *)
 
 let test_ac3wn_two_party_commit () =
@@ -31,7 +29,7 @@ let test_ac3wn_two_party_commit () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let before_a = Participant.balance_on (List.hd participants) "eth" in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> ok in
+  let r = Ac3wn.execute u ~timeout:5000.0 ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
   Alcotest.(check bool) "has latency" true (r.Ac3wn.latency <> None);
@@ -45,7 +43,7 @@ let test_ac3wn_fees_match_model () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> ok in
+  let r = Ac3wn.execute u ~timeout:5000.0 ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   let count kind = List.length (List.filter (fun f -> f.Ac3wn.kind = kind) r.Ac3wn.fees) in
   Alcotest.(check int) "1 SCw deploy" 1 (count Ac3wn.Scw_deploy);
@@ -64,7 +62,7 @@ let test_ac3wn_evidence_only_for_sent_calls () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () |> ok in
+  let r = Ac3wn.execute u ~timeout:5000.0 ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   let count kind = List.length (List.filter (fun f -> f.Ac3wn.kind = kind) r.Ac3wn.fees) in
   let edges = List.length (Ac2t.edges graph) in
@@ -85,7 +83,7 @@ let test_ac3wn_abort_refunds_all () =
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let bob = List.nth participants 1 in
   let hooks = [ (Protocol.Scw_confirmed, fun () -> Participant.crash bob) ] in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks ~abort_after:300.0 () |> ok in
+  let r = Ac3wn.execute u ~timeout:5000.0 ~graph ~participants ~hooks ~abort_after:300.0 () |> ok in
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
   Alcotest.(check bool) "not committed" false r.Ac3wn.committed;
   Alcotest.(check bool) "aborted cleanly" true (Outcome.aborted r.Ac3wn.outcome)
@@ -111,7 +109,7 @@ let test_ac3wn_crash_after_decision_still_atomic () =
             (Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob)) );
     ]
   in
-  let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () |> ok in
+  let r = Ac3wn.execute u ~timeout:5000.0 ~graph ~participants ~hooks () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic despite crash" true r.Ac3wn.atomic
 
@@ -124,7 +122,7 @@ let cyclic_run =
      let ids = List.map Participant.identity participants in
      let graph = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
      ( graph,
-       Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants ()
+       Ac3wn.execute u ~timeout:8000.0 ~graph ~participants ()
        |> ok ))
 
 let test_ac3wn_cyclic_graph () =
@@ -172,7 +170,7 @@ let test_ac3wn_disconnected_graph () =
     Scenarios.disconnected_graph ~chains:[ "c1"; "c2"; "c3"; "c4" ] ids ~timestamp:(Universe.now u)
   in
   Alcotest.(check bool) "graph is disconnected" true (Ac2t.classify graph = Ac2t.Disconnected);
-  let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () |> ok in
+  let r = Ac3wn.execute u ~timeout:8000.0 ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Ac3wn.committed;
   Alcotest.(check bool) "atomic" true r.Ac3wn.atomic
 
@@ -183,8 +181,7 @@ let test_herlihy_two_party_commit () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
-  match Herlihy.execute u ~config ~graph ~participants () with
+  match Herlihy.execute u ~timeout:5000.0 ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check bool) "committed" true r.Herlihy.committed;
@@ -201,8 +198,7 @@ let test_nolan_crash_violates_atomicity () =
   (* Edge 1 = (Bob -> Alice) on eth; its redemption by Alice reveals the
      secret — the moment Bob crashes. *)
   let hooks = [ (Protocol.Redeem 1, fun () -> Participant.crash bob) ] in
-  let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
-  let r = Nolan.execute u ~config ~graph ~participants ~hooks () |> ok in
+  let r = Nolan.execute u ~timeout:5000.0 ~graph ~participants ~hooks () |> ok in
   Alcotest.(check bool) "NOT atomic (Bob lost his coins)" false r.Herlihy.atomic;
   (* Specifically: eth edge redeemed (by Alice), btc edge refunded (to
      Alice). *)
@@ -215,8 +211,7 @@ let test_nolan_honest_commit () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
-  let config = { Herlihy.default_config with Herlihy.timeout = 5000.0 } in
-  let r = Nolan.execute u ~config ~graph ~participants () |> ok in
+  let r = Nolan.execute u ~timeout:5000.0 ~graph ~participants () |> ok in
   Alcotest.(check bool) "committed" true r.Herlihy.committed;
   Alcotest.(check bool) "atomic" true r.Herlihy.atomic
 
@@ -224,17 +219,16 @@ let test_herlihy_rejects_fig7_graphs () =
   let u, participants = fast_universe ~seed:110 ~chains:[ "c1"; "c2"; "c3"; "c4" ] 4 in
   Universe.run_until u 20.0;
   let ids = List.map Participant.identity participants in
-  let config = Herlihy.default_config in
   let disconnected =
     Scenarios.disconnected_graph ~chains:[ "c1"; "c2"; "c3"; "c4" ] ids ~timestamp:(Universe.now u)
   in
   Alcotest.(check bool) "disconnected rejected" true
-    (Result.is_error (Herlihy.execute u ~config ~graph:disconnected ~participants ()));
+    (Result.is_error (Herlihy.execute u ~timeout:10_000.0 ~graph:disconnected ~participants ()));
   let ids3 = [ List.nth ids 0; List.nth ids 1; List.nth ids 2 ] in
   let participants3 = [ List.nth participants 0; List.nth participants 1; List.nth participants 2 ] in
   let cyclic = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids3 ~timestamp:(Universe.now u) in
   Alcotest.(check bool) "fig 7a rejected" true
-    (Result.is_error (Herlihy.execute u ~config ~graph:cyclic ~participants:participants3 ()))
+    (Result.is_error (Herlihy.execute u ~timeout:10_000.0 ~graph:cyclic ~participants:participants3 ()))
 
 let test_nolan_refuses_multi_party_graphs () =
   (* Nolan is the two-party case: a ring or a cyclic graph is refused
@@ -242,10 +236,9 @@ let test_nolan_refuses_multi_party_graphs () =
   let u, participants = fast_universe ~seed:115 ~chains:[ "c1"; "c2"; "c3" ] 3 in
   Universe.run_until u 20.0;
   let ids = List.map Participant.identity participants in
-  let config = Herlihy.default_config in
   List.iter
     (fun (name, graph) ->
-      match Nolan.execute u ~config ~graph ~participants () with
+      match Nolan.execute u ~timeout:10_000.0 ~graph ~participants () with
       | Error e ->
           Alcotest.(check bool) (name ^ " refused as not two-party") true
             (Astring.String.is_infix ~affix:"not a two-party swap" e)
@@ -262,8 +255,7 @@ let test_herlihy_sequential_deployment () =
   Universe.run_until u 50.0;
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.ring_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
-  let config = { Herlihy.default_config with Herlihy.timeout = 8000.0 } in
-  match Herlihy.execute u ~config ~graph ~participants () with
+  match Herlihy.execute u ~timeout:8000.0 ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check bool) "committed" true r.Herlihy.committed;
@@ -280,9 +272,7 @@ let test_ac3tw_commit () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   match
-    Ac3tw.execute u
-      ~config:{ Ac3tw.default_config with Ac3tw.timeout = 5000.0 }
-      ~trent ~graph ~participants ()
+    Ac3tw.execute u ~timeout:5000.0 ~trent ~graph ~participants ()
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -298,9 +288,7 @@ let test_ac3tw_abort () =
   let bob = List.nth participants 1 in
   Participant.crash bob;
   match
-    Ac3tw.execute u
-      ~config:{ Ac3tw.default_config with Ac3tw.timeout = 5000.0 }
-      ~trent ~graph ~participants ~abort_after:200.0 ()
+    Ac3tw.execute u ~timeout:5000.0 ~trent ~graph ~participants ~abort_after:200.0 ()
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -322,7 +310,7 @@ let test_ac3tw_no_deploy_after_decision () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let r =
-    Ac3tw.execute u ~config:Ac3tw.default_config ~trent ~graph ~participants ~abort_after:0.1 ()
+    Ac3tw.execute u ~timeout:10_000.0 ~trent ~graph ~participants ~abort_after:0.1 ()
     |> ok
   in
   let events = List.map (fun (x : _ Trace.record) -> x.Trace.event) (Trace.records r.Ac3tw.trace) in
@@ -690,7 +678,7 @@ let test_synchrony_from_universe () =
       let ac3wn_depths ?decision_depth run =
         let u, participants, graph = setup run in
         let r =
-          Ac3wn.execute u ~config:Ac3wn.default_config ?decision_depth ~graph ~participants () |> ok
+          Ac3wn.execute u ~timeout:10_000.0 ?decision_depth ~graph ~participants () |> ok
         in
         ( (Universe.params u Ac3wn.witness_chain).Ac3_chain.Params.confirm_depth,
           List.map (fun v -> Int64.to_int (ok (Ac3_chain.Value.as_int v))) (recorded u graph r "depth") )
@@ -706,10 +694,43 @@ let test_synchrony_from_universe () =
         |> ok
         |> List.map (fun a -> Ac3_chain.Value.Float a.Ac3_verify.Timelock.expiry)
       in
-      let r = Herlihy.execute u ~config:Herlihy.default_config ~graph ~participants () |> ok in
+      let r = Herlihy.execute u ~timeout:10_000.0 ~graph ~participants () |> ok in
       Alcotest.(check bool) (label ^ ": timelocks at the universe's Δ") true
         (List.equal Ac3_chain.Value.equal expected (recorded u graph r "timelock")))
     [ ("Scenarios.chain", Scenarios.chain); ("fast_chain", Scenarios.fast_chain) ]
+
+(* --- Concurrent identical swaps ------------------------------------------------- *)
+
+(* Three swaps per protocol in one universe with the same two identities
+   and the same graph, each run with its own participants (fresh
+   wallets). Their deploy payloads are byte-identical, so only the coins
+   each wallet spends keep the contract ids apart: all six must be
+   distinct, and every run must commit. *)
+let test_identical_swaps_distinct_contracts () =
+  List.iter
+    (fun (name, seed, launch) ->
+      let u, participants = fast_universe ~seed ~chains:[ "btc"; "eth" ] 2 in
+      Universe.run_until u 50.0;
+      let ids = List.map Participant.identity participants in
+      let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+      let handles =
+        List.init 3 (fun _ ->
+            let participants = List.map (fun identity -> Participant.create u ~identity) ids in
+            launch u ~graph ~participants |> ok)
+      in
+      let results = Driver.execute ~timeout:5000.0 handles in
+      List.iteri
+        (fun i (r : Driver.result) ->
+          Alcotest.(check bool) (Printf.sprintf "%s run %d committed" name i) true r.Driver.committed)
+        results;
+      let cids = List.concat_map (fun (r : Driver.result) -> List.filter_map Fun.id r.Driver.contracts) results in
+      Alcotest.(check int) (name ^ ": six contracts") 6 (List.length cids);
+      Alcotest.(check int) (name ^ ": all distinct") 6 (List.length (List.sort_uniq String.compare cids)))
+    [
+      ("herlihy", 117, fun u ~graph ~participants -> Herlihy.launch u ~graph ~participants ());
+      ("nolan", 118, fun u ~graph ~participants -> Nolan.launch u ~graph ~participants ());
+      ("ac3wn", 119, fun u ~graph ~participants -> Ac3wn.launch u ~graph ~participants ());
+    ]
 
 (* --- Regular block production (Sec 6 latency runs) ---------------------------- *)
 
@@ -719,8 +740,7 @@ let test_synchrony_from_universe () =
    checkpoint: seeds 7 and 1934 never decided. *)
 let regular_ring ~seed =
   let u, participants, graph = Experiment.ring_setup ~seed 6 in
-  let config = { Experiment.ac3wn_config with Ac3wn.timeout = 2000.0 } in
-  (u, Ac3wn.execute u ~config ~graph ~participants () |> ok)
+  (u, Ac3wn.execute u ~timeout:2000.0 ~graph ~participants () |> ok)
 
 let decided (r : Ac3wn.result) = r.Ac3wn.latency <> None
 
@@ -837,6 +857,11 @@ let () =
         ] );
       ( "synchrony",
         [ Alcotest.test_case "d and Δ come from the universe" `Slow test_synchrony_from_universe ] );
+      ( "concurrent",
+        [
+          Alcotest.test_case "identical swaps, distinct contract ids" `Quick
+            test_identical_swaps_distinct_contracts;
+        ] );
       ( "regular",
         [
           Alcotest.test_case "ring-6 seeds 7 and 1934 decide" `Quick test_regular_ring_seeds_decide;

@@ -326,7 +326,6 @@ let test_driver_trace_projects () =
    the decision is refunded, each step a move the checker enables. *)
 let test_ac3wn_abort_projects () =
   let block_interval = Scenarios.fast_chain.Ac3_chain.Params.block_interval in
-  let config = { Ac3_core.Ac3wn.default_config with Ac3_core.Ac3wn.timeout = 5000.0 } in
   List.iter
     (fun (name, seed, n, build) ->
       let chains = List.init n (Printf.sprintf "c%d") in
@@ -340,7 +339,7 @@ let test_ac3wn_abort_projects () =
       let graph = build ~chains ids ~timestamp:(Ac3_core.Universe.now u) in
       let r =
         match
-          Ac3_core.Ac3wn.execute u ~config ~graph ~participants ~abort_after:block_interval ()
+          Ac3_core.Ac3wn.execute u ~timeout:5000.0 ~graph ~participants ~abort_after:block_interval ()
         with
         | Ok r -> r
         | Error e -> Alcotest.failf "%s: %s" name e

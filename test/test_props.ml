@@ -355,7 +355,6 @@ let qcheck_static_matches_dynamic =
       let delta = 2.5 *. U.max_delta u in
       (* Commit completes within ~100 virtual seconds; the timeout only
          bounds the refund path of a (bug-indicating) aborted run. *)
-      let config = { H.default_config with H.timeout = 5000.0 } in
       let static_ok =
         not
           (D.has_errors
@@ -363,7 +362,7 @@ let qcheck_static_matches_dynamic =
                 ~start_time:(U.now u)))
       in
       let dynamic_ok =
-        match H.execute u ~config ~graph ~participants ~delta () with
+        match H.execute u ~timeout:5000.0 ~graph ~participants ~delta () with
         | Ok r -> r.H.committed && r.H.atomic
         | Error _ -> false
       in
